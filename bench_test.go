@@ -32,8 +32,9 @@ import (
 )
 
 // obsEnabled turns the metrics registry on when the benchmark runs with
-// VR_OBS=1; scripts/bench.sh invokes the hot benchmarks both ways to
-// measure instrumentation overhead for BENCH_obs.json.
+// VR_OBS=1, so the hot benchmarks can be run both ways by hand; the
+// tracked overhead figure is metrics.enabled_overhead_frac in the traced
+// pass of `bash bench/run.sh` (bench/README.md).
 func obsEnabled(b *testing.B) {
 	b.Helper()
 	if os.Getenv("VR_OBS") == "1" {
@@ -225,11 +226,12 @@ func BenchmarkFigure9(b *testing.B) {
 // decode shrinks ~166ms -> ~71ms (70% cache hit rate plus GOP-parallel
 // decode on the misses) while result.encode (~340ms) and the kernels
 // are mode-invariant, so parallel wins by the decode share — roughly
-// 7%, not more. An earlier checked-in BENCH_query.json showed parallel
-// 24% SLOWER on this mix; that inversion never reproduced under
-// min-of-5 sampling (parallel beat serial in every back-to-back run)
-// and traced to single-run cross-row scheduler noise, which is why
-// scripts/bench.sh now emits this table with emit_json_min.
+// 7%, not more. A single-run table once showed parallel 24% SLOWER on
+// this mix; that inversion never reproduced under min-of-5 sampling
+// (parallel beat serial in every back-to-back run) and traced to
+// cross-row scheduler noise, which is why the tracked comparison is the
+// paired, per-plan vcd.cache_speedup of `bash bench/run.sh` (the qmix
+// and qcache traced passes, bench/README.md).
 func BenchmarkRunBatch(b *testing.B) {
 	obsEnabled(b)
 	ds := sharedDataset(b)
@@ -424,7 +426,7 @@ func BenchmarkAblationDetectorCost(b *testing.B) {
 
 // BenchmarkOnlineFaults measures online-mode throughput over RTP on a
 // fake clock (pure processing rate, no wall-clock pacing) at the
-// BENCH_online.json fault ladder: clean channel, 1% drop, 5% drop. The
+// core.OnlineFaultRates ladder: clean channel, 1% drop, 5% drop. The
 // reported fps and dropped-frame metrics show how gracefully the online
 // decoder degrades as the seeded fault schedule intensifies.
 func BenchmarkOnlineFaults(b *testing.B) {

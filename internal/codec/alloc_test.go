@@ -63,3 +63,28 @@ func TestParseAUSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state AU parse allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestEncodeSteadyStateAllocs pins the encoder's steady-state allocation
+// behavior: after the first frame has sized the bitstream scratch, each
+// Encode allocates exactly once — the access unit, copied out at its
+// exact final size. Planes, analysis scratch and the bit writer are
+// reused or stack-resident.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	v := mixedVideo(96, 64, 4, 11)
+	enc, err := NewEncoder(Config{Width: 96, Height: 64, QP: 20, GOP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	encode := func() {
+		if _, err := enc.Encode(v.Frames[i%len(v.Frames)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	encode() // warm up: the first frame grows wbuf and builds the quant tables
+	encode()
+	if allocs := testing.AllocsPerRun(200, encode); allocs != 1 {
+		t.Fatalf("steady-state encode allocates %.1f times per frame, want 1", allocs)
+	}
+}

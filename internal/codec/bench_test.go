@@ -10,8 +10,9 @@ import (
 )
 
 // obsEnabled turns the metrics registry on when the benchmark runs with
-// VR_OBS=1; scripts/bench.sh invokes the hot benchmarks both ways to
-// measure instrumentation overhead for BENCH_obs.json.
+// VR_OBS=1, so the hot benchmarks can be run both ways by hand; the
+// tracked overhead figure is metrics.enabled_overhead_frac in the traced
+// pass of `bash bench/run.sh` (bench/README.md).
 func obsEnabled(b *testing.B) {
 	b.Helper()
 	if os.Getenv("VR_OBS") == "1" {
@@ -109,8 +110,8 @@ func BenchmarkEncodeParallelME(b *testing.B) {
 
 // BenchmarkDecodeRange measures GOP-bounded partial decode against the
 // full-clip baseline for a batch of short windows — each 20% of the
-// clip, starting mid-GOP so the seed run is exercised. Two metrics feed
-// BENCH_range.json: frames-ratio (frames decoded / frames requested,
+// clip, starting mid-GOP so the seed run is exercised. It reports two
+// metrics: frames-ratio (frames decoded / frames requested,
 // the seek-overhead bound — at GOP 5 and 12-frame windows it stays
 // well under 1.5) and, on the window case, speedup (wall-clock of the
 // full-decode batch over the ranged batch).

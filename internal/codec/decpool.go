@@ -6,7 +6,8 @@ import "sync"
 // used to construct a fresh Decoder per (chain × call) — six padded
 // reference/current planes plus a lazily grown frame pool each — so
 // allocation volume scaled with worker count and eventually ate the
-// parallel speedup (the workers=8 regression in BENCH_codec.json).
+// parallel speedup (a workers=8 regression of BenchmarkDecodeParallel;
+// codec.decode_par_mpix_per_s in bench/ watches it now).
 // Decoders are stateless between uses once haveRef is cleared (a
 // keyframe rewrites every sample without reading the reference planes),
 // so the planes and frame pools are safely recycled across calls.

@@ -225,21 +225,17 @@ func (e *Encoder) Encode(f *video.Frame) (EncodedFrame, error) {
 	// reference planes), and the motion-vector predictor chain resets at
 	// each row start — so rows are independent and run on the worker
 	// pool. Results are deterministic at any worker count.
-	analyzeRow := func(my int) error {
-		if isKey {
-			e.analyzeIntraRow(my, qp)
-		} else {
-			e.analyzeInterRow(my, qp)
-		}
-		return nil
-	}
 	if e.workers > 1 && mbH > 1 {
-		if err := parallel.ForEach(e.workers, mbH, analyzeRow); err != nil {
+		err := parallel.ForEach(e.workers, mbH, func(my int) error {
+			e.analyzeRow(my, isKey, qp)
+			return nil
+		})
+		if err != nil {
 			return EncodedFrame{}, err
 		}
 	} else {
 		for my := 0; my < mbH; my++ {
-			analyzeRow(my)
+			e.analyzeRow(my, isKey, qp)
 		}
 	}
 
@@ -288,6 +284,15 @@ func (e *Encoder) Encode(f *video.Frame) (EncodedFrame, error) {
 	e.refU, e.curU = e.curU, e.refU
 	e.refV, e.curV = e.curV, e.refV
 	return EncodedFrame{Data: data, Keyframe: isKey}, nil
+}
+
+// analyzeRow analyzes macroblock row my of the current frame.
+func (e *Encoder) analyzeRow(my int, isKey bool, qp int) {
+	if isKey {
+		e.analyzeIntraRow(my, qp)
+	} else {
+		e.analyzeInterRow(my, qp)
+	}
 }
 
 // analyzeIntraRow analyzes macroblock row my of a keyframe: the four
@@ -542,7 +547,7 @@ func EncodeVideo(v *video.Video, cfg Config) (*Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Encoded{Config: enc.Config()}
+	out := &Encoded{Config: enc.Config(), Frames: make([]EncodedFrame, 0, len(v.Frames))}
 	for _, f := range v.Frames {
 		ef, err := enc.Encode(f)
 		if err != nil {

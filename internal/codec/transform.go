@@ -166,7 +166,18 @@ type qpTables struct {
 	Step float64     // scalar quantizer step (exactly qStep(qp))
 	Bias float64     // dead-zone bias, exactly Step/3 as the reference computes it
 	Deq  [64]float64 // per-zigzag-position dequant scale
+	// Zero-block certificates (see quantizeBlock): a DC coefficient below
+	// ZeroDC rounds to level 0 and an AC coefficient below ZeroAC falls in
+	// the dead zone, both short of the true thresholds (Step/2 and
+	// Step−Bias) by the relative margin zeroMargin.
+	ZeroDC, ZeroAC float64
 }
+
+// zeroMargin keeps the zero-block certificates clear of the quantizer's
+// decision thresholds. It is relative to the step and five orders of
+// magnitude wider than the certEps guard band, so a certified coefficient
+// is never one the certified-rounding path would have had to recompute.
+const zeroMargin = 1e-7
 
 var (
 	qpTabOnce sync.Once
@@ -181,6 +192,8 @@ func tablesFor(qp int) *qpTables {
 			step := qStep(q)
 			qpTab[q].Step = step
 			qpTab[q].Bias = step / 3
+			qpTab[q].ZeroDC = step / 2 * (1 - zeroMargin)
+			qpTab[q].ZeroAC = (step - step/3) * (1 - zeroMargin)
 			for i := 0; i < 64; i++ {
 				qpTab[q].Deq[i] = step
 			}
@@ -198,14 +211,15 @@ func tablesFor(qp int) *qpTables {
 // coefficient lands inside the certified-rounding guard band is redone
 // with the exact reference formulation, keeping the output bit-identical
 // to a fully exact encode.
+//
+// Most residual blocks quantize to all zeros, and two certificates settle
+// those without quantizing a single coefficient (DESIGN.md §5.9). Before
+// the transform: every basis product is at most ½·½, so |coef| ≤ ¼·Σ|res|
+// (and |DC| = ⅛·|Σres| is at most half of that — ZeroAC/2 < ZeroDC, so
+// the AC test covers it). After it: the largest fast coefficient plus the
+// guard band bounds the exact ones.
 func quantizeBlock(res *[64]int32, qp int, levels *[64]int32) bool {
 	t := tablesFor(qp)
-	var coefs [64]float64
-	fdct8Fast(res, &coefs)
-
-	// Guard band: |fast − exact| is bounded by the summation-order error
-	// of two butterfly passes, ≤ ~2⁻⁴⁸·Σ|res|; certEps leaves two orders
-	// of magnitude of margin on top of that.
 	var sumAbs int64
 	for i := 0; i < 64; i++ {
 		v := res[i]
@@ -214,7 +228,28 @@ func quantizeBlock(res *[64]int32, qp int, levels *[64]int32) bool {
 		}
 		sumAbs += int64(v)
 	}
+	if float64(sumAbs)/4 < t.ZeroAC {
+		*levels = [64]int32{}
+		return false
+	}
+	var coefs [64]float64
+	fdct8Fast(res, &coefs)
+
+	// Guard band: |fast − exact| is bounded by the summation-order error
+	// of two butterfly passes, ≤ ~2⁻⁴⁸·Σ|res|; certEps leaves two orders
+	// of magnitude of margin on top of that.
 	delta := float64(sumAbs)*certEps + certFloor
+
+	maxAC := 0.0
+	for _, c := range coefs[1:] {
+		if a := math.Abs(c); a > maxAC {
+			maxAC = a
+		}
+	}
+	if math.Abs(coefs[0])+delta < t.ZeroDC && maxAC+delta < t.ZeroAC {
+		*levels = [64]int32{}
+		return false
+	}
 
 	step, bias := t.Step, t.Bias
 	nz := false

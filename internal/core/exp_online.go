@@ -11,8 +11,7 @@ import (
 )
 
 // OnlineFaultRates is the default fault-rate sweep for the online
-// resilience experiment: a clean channel, then 1% and 5% packet drop —
-// the degradation ladder BENCH_online.json tracks.
+// resilience experiment: a clean channel, then 1% and 5% packet drop.
 var OnlineFaultRates = []float64{0, 0.01, 0.05}
 
 // OnlinePoint is one (query, fault-rate) cell of the online resilience

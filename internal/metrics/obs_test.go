@@ -486,8 +486,7 @@ func TestServeDebugCloseIdempotent(t *testing.T) {
 
 // BenchmarkTraceEventPath measures the trace/event layer's hot path —
 // a trace-tagged span plus one journal record — with the registry
-// disabled (default) or enabled (VR_OBS=1); scripts/bench.sh runs both
-// ways for the BENCH_obs.json overhead delta.
+// disabled (default) or enabled (VR_OBS=1), to compare the two by hand.
 func BenchmarkTraceEventPath(b *testing.B) {
 	if os.Getenv("VR_OBS") == "1" {
 		SetEnabled(true)

@@ -8,12 +8,12 @@ import (
 )
 
 // This file holds the fused, allocation-aware kernels behind the hot
-// benchmark queries. The closure-based operators (PMapFrame, JoinPFrame,
-// blurFrame) remain the semantic reference; every kernel here is
-// byte-identical to the corresponding closure form — equivalence is
-// enforced by table-driven tests — and differs only in how it walks the
-// planes (flat []byte loops, no per-pixel closure dispatch, pooled
-// output frames, hoisted scratch).
+// benchmark queries. The closure-based operators (PMapFrame, JoinPFrame)
+// and the clamp-every-tap blurFrame of fused_test.go remain the semantic
+// reference; every kernel here is byte-identical to the corresponding
+// reference form — equivalence is enforced by table-driven tests — and
+// differs only in how it walks the planes (flat []byte loops, no
+// per-pixel closure dispatch, pooled output frames, hoisted scratch).
 
 // framePools recycles operator output frames per resolution. Frames
 // obtained here carry unspecified pixel content: only kernels that
@@ -76,6 +76,15 @@ func newBlurrer(d int) *blurrer {
 	return b
 }
 
+// NewGaussianBlur returns the Q2(b) d×d Gaussian blur as a frame
+// function, safe for concurrent use: the kernel is built once, scratch
+// planes are pooled across calls, and every output frame is fresh from
+// this package's frame pool. Engines that express the blur as their own
+// operator call this rather than carry a copy.
+func NewGaussianBlur(d int) func(*video.Frame) *video.Frame {
+	return newBlurrer(d).frame
+}
+
 func (b *blurrer) tmp(n int) *[]float64 {
 	p := b.scratch.Get().(*[]float64)
 	if cap(*p) < n {
@@ -95,70 +104,46 @@ func (b *blurrer) frame(f *video.Frame) *video.Frame {
 	return out
 }
 
-// plane is blurPlane with the border clamping hoisted out of the
-// interior loops. The per-pixel summation order (kernel index ascending)
-// is unchanged in both regions, so results match blurPlane bit-for-bit.
+// plane is the separable blur evaluated a row at a time. Each pass adds
+// one kernel tap to a whole row of accumulators before moving to the next
+// tap, so every output still sums its taps in ascending kernel order from
+// zero — the clamp-every-tap reference (blurPlane in fused_test.go),
+// bit-for-bit — while the inner loops walk contiguous float rows: border
+// clamping happens once per source row (horizontal, into pad) or once per
+// tap row (vertical), and samples convert to float once, not once per tap.
 func (b *blurrer) plane(dst, src []byte, w, h int) {
 	k := b.k
-	d := len(k)
-	r := d / 2
-	tp := b.tmp(w * h)
-	tmp := *tp
+	r := len(k) / 2
+	padLen := w + len(k) - 1
+	tp := b.tmp(w*h + padLen + w)
+	tmp, pad, acc := (*tp)[:w*h], (*tp)[w*h:w*h+padLen], (*tp)[w*h+padLen:]
 
-	// Horizontal pass. Interior columns [r, w-d+r] need no clamping.
-	xlo, xhi := r, w-d+r
+	// Horizontal pass: pad[j] is the source sample at column j−r, clamped.
 	for y := 0; y < h; y++ {
 		row := src[y*w : (y+1)*w]
+		for j := range pad {
+			pad[j] = float64(row[geom.ClampInt(j-r, 0, w-1)])
+		}
 		trow := tmp[y*w : (y+1)*w]
-		for x := 0; x < w && x < xlo; x++ {
-			var s float64
-			for i, kv := range k {
-				s += kv * float64(row[geom.ClampInt(x+i-r, 0, w-1)])
+		clear(trow)
+		for i, kv := range k {
+			for x, v := range pad[i : i+w] {
+				trow[x] += kv * v
 			}
-			trow[x] = s
-		}
-		for x := xlo; x <= xhi; x++ {
-			var s float64
-			base := x - r
-			for i, kv := range k {
-				s += kv * float64(row[base+i])
-			}
-			trow[x] = s
-		}
-		start := xhi + 1
-		if start < xlo {
-			start = xlo
-		}
-		for x := start; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				s += kv * float64(row[geom.ClampInt(x+i-r, 0, w-1)])
-			}
-			trow[x] = s
 		}
 	}
 
-	// Vertical pass. Interior rows [r, h-d+r] need no clamping.
-	ylo, yhi := r, h-d+r
+	// Vertical pass.
 	for y := 0; y < h; y++ {
-		drow := dst[y*w : (y+1)*w]
-		if y >= ylo && y <= yhi {
-			base := (y - r) * w
-			for x := 0; x < w; x++ {
-				var s float64
-				for i, kv := range k {
-					s += kv * tmp[base+i*w+x]
-				}
-				drow[x] = byte(geom.Clamp(s, 0, 255) + 0.5)
+		clear(acc)
+		for i, kv := range k {
+			sy := geom.ClampInt(y+i-r, 0, h-1)
+			for x, v := range tmp[sy*w : (sy+1)*w] {
+				acc[x] += kv * v
 			}
-			continue
 		}
-		for x := 0; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				sy := geom.ClampInt(y+i-r, 0, h-1)
-				s += kv * tmp[sy*w+x]
-			}
+		drow := dst[y*w : (y+1)*w]
+		for x, s := range acc {
 			drow[x] = byte(geom.Clamp(s, 0, 255) + 0.5)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/video"
 )
 
@@ -199,5 +200,44 @@ func TestPMapFrameAllocsWithRecycle(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Errorf("PMapFrame+RecycleFrame allocates %.1f objects/op, want <= 3", allocs)
+	}
+}
+
+// blurFrame and blurPlane are the reference Gaussian blur — every tap
+// clamped, a fresh scratch plane per call — that blurrer must match
+// bit-for-bit.
+func blurFrame(f *video.Frame, k []float64) *video.Frame {
+	out := video.NewFrame(f.W, f.H)
+	out.Index = f.Index
+	blurPlane(out.Y, f.Y, f.W, f.H, k)
+	blurPlane(out.U, f.U, f.ChromaW(), f.ChromaH(), k)
+	blurPlane(out.V, f.V, f.ChromaW(), f.ChromaH(), k)
+	return out
+}
+
+func blurPlane(dst, src []byte, w, h int, k []float64) {
+	tmp := make([]float64, w*h)
+	r := len(k) / 2
+	// Horizontal pass.
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var s float64
+			for i, kv := range k {
+				sx := geom.ClampInt(x+i-r, 0, w-1)
+				s += kv * float64(src[y*w+sx])
+			}
+			tmp[y*w+x] = s
+		}
+	}
+	// Vertical pass.
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var s float64
+			for i, kv := range k {
+				sy := geom.ClampInt(y+i-r, 0, h-1)
+				s += kv * tmp[sy*w+x]
+			}
+			dst[y*w+x] = byte(geom.Clamp(s, 0, 255) + 0.5)
+		}
 	}
 }

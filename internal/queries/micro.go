@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/detect"
-	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/render"
@@ -66,11 +65,7 @@ func RunQ2b(v *video.Video, p Params) (*video.Video, error) {
 	if err := (&p).Validate(Q2b, widthOf(v), heightOf(v), v.Duration()); err != nil {
 		return nil, err
 	}
-	// Kernel and scratch planes are built once per query, not once per
-	// frame; blurrer.frame matches blurFrame (the closure reference kept
-	// for the equivalence tests) bit-for-bit.
-	bl := newBlurrer(p.D)
-	return FMap(v, bl.frame), nil
+	return FMap(v, NewGaussianBlur(p.D)), nil
 }
 
 // gaussianKernel builds a normalized 1D Gaussian of length d with
@@ -89,42 +84,6 @@ func gaussianKernel(d int) []float64 {
 		k[i] /= sum
 	}
 	return k
-}
-
-func blurFrame(f *video.Frame, k []float64) *video.Frame {
-	out := video.NewFrame(f.W, f.H)
-	out.Index = f.Index
-	blurPlane(out.Y, f.Y, f.W, f.H, k)
-	blurPlane(out.U, f.U, f.ChromaW(), f.ChromaH(), k)
-	blurPlane(out.V, f.V, f.ChromaW(), f.ChromaH(), k)
-	return out
-}
-
-func blurPlane(dst, src []byte, w, h int, k []float64) {
-	tmp := make([]float64, w*h)
-	r := len(k) / 2
-	// Horizontal pass.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				sx := geom.ClampInt(x+i-r, 0, w-1)
-				s += kv * float64(src[y*w+sx])
-			}
-			tmp[y*w+x] = s
-		}
-	}
-	// Vertical pass.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				sy := geom.ClampInt(y+i-r, 0, h-1)
-				s += kv * tmp[sy*w+x]
-			}
-			dst[y*w+x] = byte(geom.Clamp(s, 0, 255) + 0.5)
-		}
-	}
 }
 
 // RunQ2c produces the bounding-box video: for every frame, the detector

@@ -446,6 +446,35 @@ func TestServeSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestServeSubmitBodyLimit pins the bound on a submission's body: an
+// oversized request is a 413 with a JSON error, creates no job, and
+// leaves the tenant's only slot free for the next, well-formed one.
+func TestServeSubmitBodyLimit(t *testing.T) {
+	s, err := New(Options{DataDir: t.TempDir(), TenantLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerDataset(s, "d", datasetDir(t))
+	h := s.Handler()
+
+	body := `{"dataset":"d","pad":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	req := httptest.NewRequest("POST", "/api/jobs", strings.NewReader(body))
+	req.Header.Set("X-Tenant", "t1")
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	var apiErr apiError
+	if err := json.Unmarshal(rr.Body.Bytes(), &apiErr); err != nil || rr.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(apiErr.Error, "exceeds") {
+		t.Fatalf("oversized submit = %d: %s (want 413 with a JSON error)", rr.Code, rr.Body)
+	}
+	var list struct{ Jobs []Job }
+	getJSON(t, h, "/api/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("%d jobs created by an oversized submission", len(list.Jobs))
+	}
+	submit(t, h, JobRequest{Dataset: "d"}, "t1")
+}
+
 // TestServeDebugSurface pins that the ops endpoints ride the admin
 // listener.
 func TestServeDebugSurface(t *testing.T) {

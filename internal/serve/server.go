@@ -15,6 +15,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -430,12 +431,23 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	}{list})
 }
 
+// maxSubmitBytes bounds a job submission's body. A JobRequest is a few
+// hundred bytes; the bound only keeps a client from making the daemon
+// buffer an arbitrarily large one.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit admits, journals, and enqueues one job. Admission
 // happens before the job exists: an over-limit tenant or a full queue
-// is answered 429 without perturbing anything already running.
+// is answered 429, and an oversized body 413, without perturbing
+// anything already running.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -378,10 +378,10 @@ func (e *Engine) runQ10(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	return sink.Emit("out", out)
 }
 
-// gaussianUDF builds the engine's blur user-defined function.
+// gaussianUDF builds the engine's blur user-defined function: the
+// shared Q2(b) kernel, registered under the engine's operator name.
 func gaussianUDF(d int) func(*video.Frame) *video.Frame {
-	k := gaussianKernel1D(d)
-	return func(f *video.Frame) *video.Frame { return blurWithKernel(f, k) }
+	return queries.NewGaussianBlur(d)
 }
 
 func newCodecDecoder(in *vdbms.Input) (decoder, error) {

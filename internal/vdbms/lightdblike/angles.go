@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/vcity"
-	"repro/internal/video"
 )
 
 // The angle model: LightDB addresses visual data by spherical
@@ -45,57 +44,4 @@ func anglesToPixelRect(cam *vcity.Camera, a angularRect, w, h int) (x1, y1, x2, 
 	y1 = int(math.Round(toY(a.Phi1)))
 	y2 = int(math.Round(toY(a.Phi2)))
 	return x1, y1, x2, y2
-}
-
-// gaussianKernel1D builds a normalized Gaussian of length d (σ = d/4),
-// matching the reference blur.
-func gaussianKernel1D(d int) []float64 {
-	sigma := float64(d) / 4
-	k := make([]float64, d)
-	sum := 0.0
-	mid := float64(d-1) / 2
-	for i := range k {
-		x := float64(i) - mid
-		k[i] = math.Exp(-x * x / (2 * sigma * sigma))
-		sum += k[i]
-	}
-	for i := range k {
-		k[i] /= sum
-	}
-	return k
-}
-
-// blurWithKernel applies the separable kernel to all planes.
-func blurWithKernel(f *video.Frame, k []float64) *video.Frame {
-	out := video.NewFrame(f.W, f.H)
-	out.Index = f.Index
-	blurPlane(out.Y, f.Y, f.W, f.H, k)
-	blurPlane(out.U, f.U, f.ChromaW(), f.ChromaH(), k)
-	blurPlane(out.V, f.V, f.ChromaW(), f.ChromaH(), k)
-	return out
-}
-
-func blurPlane(dst, src []byte, w, h int, k []float64) {
-	tmp := make([]float64, w*h)
-	r := len(k) / 2
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				sx := geom.ClampInt(x+i-r, 0, w-1)
-				s += kv * float64(src[y*w+sx])
-			}
-			tmp[y*w+x] = s
-		}
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float64
-			for i, kv := range k {
-				sy := geom.ClampInt(y+i-r, 0, h-1)
-				s += kv * tmp[sy*w+x]
-			}
-			dst[y*w+x] = byte(geom.Clamp(s, 0, 255) + 0.5)
-		}
-	}
 }

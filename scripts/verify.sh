@@ -26,10 +26,17 @@ go test -race -run 'TestTelemetryModeInvariance' ./internal/vcd
 # byte-identity of the word-at-a-time entropy I/O and butterfly
 # transform against the reference formulation across every decode path;
 # the fuzz seed corpora run as ordinary tests (go test executes every
-# f.Add seed); the allocation pins guard the pooled steady state; and
-# the sub-GOP entropy/reconstruction split plus parallel span extraction
-# run under the race detector.
-go test -race -run 'TestGoldenBitstreams|^Fuzz|StateAllocs$|TestExtractSpanParallel' ./internal/codec ./internal/container
+# f.Add seed); the allocation pins guard the pooled steady state; the
+# encoder's analysis-pass kernels (SWAR SAD, pruned motion search, zero-
+# block certificates — FuzzQuantizeZeroBlock is among the ^Fuzz seeds)
+# must reach the decisions of the reference formulas; and the sub-GOP
+# entropy/reconstruction split plus parallel span extraction run under
+# the race detector.
+go test -race -run 'TestGoldenBitstreams|^Fuzz|StateAllocs$|TestExtractSpanParallel|TestSADMatchesReference|TestMotionSearchDecisionIdentical' ./internal/codec ./internal/container
+# The same identity suites with the scheduler pinned to one thread: the
+# row-parallel analysis pass and tile-parallel encode must not depend on
+# real parallelism to be bit-identical.
+GOMAXPROCS=1 go test -run 'TestGoldenBitstreams|TestParallelMEBitstreamIdentical|TestTileStitchIdentity|TestTiledEncodeDeterministicAcrossWorkers' ./internal/codec
 # Tiled spatial decode under the race detector: tile-parallel
 # reconstruction must stitch byte-identically to the full-frame decode
 # at every worker count and grid, the driver-level equivalence test
@@ -56,3 +63,9 @@ go test -race -run 'TestShardWorkerSignalShutdown' ./cmd/vcd
 # the daemon's persisted report is byte-identical (canonical form) to a
 # direct shard run of the same plan against the same worker pool.
 go test -race ./internal/serve
+# The benchmark (bench/, a module of its own that the root's ./... does
+# not descend into) must build and its smoke test — every workload once,
+# end to end and traced — must pass, so the ruler cannot rot between the
+# PRs that use it. `bash bench/run.sh` is the measuring run; see
+# bench/README.md.
+(cd bench && go vet ./... && go test ./...)
