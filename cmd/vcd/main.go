@@ -80,7 +80,6 @@ func run() int {
 	instances := flag.Int("instances", 4, "query instances per unit of scale (the paper uses 4)")
 	queryWorkers := flag.Int("query-workers", 0, "concurrent query instances per batch (0 = one per CPU, 1 = serial); results are identical at any count")
 	sequential := flag.Bool("sequential", false, "paper-faithful execution: one query instance at a time, no shared decode cache (overrides -query-workers)")
-	fullDecode := flag.Bool("full-decode", false, "disable range-aware decode: windowed queries slice whole-clip decodes (the pre-range baseline)")
 	online := flag.Bool("online", false, "online mode: deliver inputs as live-paced streams (Q1/Q2a/Q2c/Q5)")
 	transport := flag.String("transport", "pipe", "online transport: pipe or rtp")
 	onlineFaults := flag.String("online-faults", "", "online fault spec, e.g. 0.01 or drop=0.01,reorder=0.005,cut=12,dial=2")
@@ -142,7 +141,6 @@ func run() int {
 		MaxUpsamplePixels: 1 << 24,
 		Workers:           *queryWorkers,
 		Sequential:        *sequential,
-		FullDecode:        *fullDecode,
 	}
 	switch *mode {
 	case "write":

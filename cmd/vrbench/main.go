@@ -55,7 +55,6 @@ func run() (code int) {
 	workers := flag.Int("workers", 0, "dataset-generation worker goroutines (0 = one per CPU); bytes are identical at any count")
 	queryWorkers := flag.Int("query-workers", 0, "concurrent query instances per batch (0 = one per CPU, 1 = serial); results are identical at any count")
 	sequential := flag.Bool("sequential", false, "paper-faithful execution: one query instance at a time, no shared decode cache (overrides -query-workers)")
-	fullDecode := flag.Bool("full-decode", false, "disable range-aware decode: windowed queries slice whole-clip decodes (the pre-range baseline)")
 	validate := flag.Bool("validate", false, "validate comparison results against the reference implementation (fig5/fig6)")
 	onlineFaults := flag.String("online-faults", "", "comma-separated drop rates for the online experiment (default 0,0.01,0.05)")
 	onlineSeed := flag.Uint64("online-seed", 1, "seed keying the online fault schedule")
@@ -121,17 +120,17 @@ func run() (code int) {
 		"table9": func() error { return runTable9(*videos, *duration, *seed, *workers) },
 		"fig2":   func() error { return runFig2(*scale, *seed) },
 		"fig5": func() error {
-			return runFig5(*scale, *duration, *seed, *workers, *queryWorkers, *sequential, *fullDecode, *validate,
+			return runFig5(*scale, *duration, *seed, *workers, *queryWorkers, *sequential, *validate,
 				*shardWorkers, *shardAddrs)
 		},
 		"fig6": func() error {
-			return runFig6(*duration, *seed, *workers, *queryWorkers, *sequential, *fullDecode, *validate)
+			return runFig6(*duration, *seed, *workers, *queryWorkers, *sequential, *validate)
 		},
 		"fig7":    runFig7,
 		"fig8":    func() error { return runFig8(*duration, *seed, *workers) },
 		"fig9":    func() error { return runFig9(*duration, *seed) },
 		"quality": func() error { return runQuality(*frames, *seed) },
-		"modes":   func() error { return runModes(*scale, *duration, *seed, *queryWorkers, *sequential, *fullDecode) },
+		"modes":   func() error { return runModes(*scale, *duration, *seed, *queryWorkers, *sequential) },
 		"online":  func() error { return runOnline(*scale, *duration, *onlineSeed, *onlineFaults) },
 		"shard":   func() error { return runShardSweep(*scale, *duration, *seed, *workers) },
 		"tile":    func() error { return runTileSweep(*scale, *duration, *seed, *workers, *queryWorkers) },
@@ -251,13 +250,13 @@ func shortCorpus(c string) string {
 
 func shortSys(s string) string { return strings.TrimSuffix(s, "like") }
 
-func runFig5(scale int, duration float64, seed uint64, workers, queryWorkers int, sequential, fullDecode, validate bool, shardWorkers int, shardAddrs string) error {
+func runFig5(scale int, duration float64, seed uint64, workers, queryWorkers int, sequential, validate bool, shardWorkers int, shardAddrs string) error {
 	fmt.Printf("Figure 5: runtime by query, L=%d (model scale)\n", scale)
 	fmt.Println("paper shape: NoScope fastest on Q2(c), supports only Q1/Q2(c);")
 	fmt.Println("composites/VR (Q7-Q10) cost more than micro queries; Q2(c) detector-bound")
 	cfg := core.CompareConfig{
 		Scale: scale, Duration: duration, Seed: seed, Workers: workers,
-		QueryWorkers: queryWorkers, QuerySequential: sequential, QueryFullDecode: fullDecode,
+		QueryWorkers: queryWorkers, QuerySequential: sequential,
 		Validate:     validate,
 		ShardWorkers: shardWorkers, ShardAddrs: splitAddrs(shardAddrs),
 	}
@@ -306,13 +305,13 @@ func printComparison(res *core.ComparisonResult) {
 	}
 }
 
-func runFig6(duration float64, seed uint64, workers, queryWorkers int, sequential, fullDecode, validate bool) error {
+func runFig6(duration float64, seed uint64, workers, queryWorkers int, sequential, validate bool) error {
 	fmt.Println("Figure 6: runtime vs scale factor per system")
 	fmt.Println("paper shape: Scanner falls behind as L grows (materialization thrashing);")
 	fmt.Println("Q4 fails on Scanner; LightDB splits Q3/Q4 batches past its 40-video limit")
 	points, err := core.ScaleSweep(core.CompareConfig{
 		Duration: duration, Seed: seed, Workers: workers,
-		QueryWorkers: queryWorkers, QuerySequential: sequential, QueryFullDecode: fullDecode,
+		QueryWorkers: queryWorkers, QuerySequential: sequential,
 		Validate:            validate,
 		Queries:             []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q4, queries.Q5},
 		ScannerMemoryBudget: 6 << 20,
@@ -383,11 +382,11 @@ func runQuality(frames int, seed uint64) error {
 	return nil
 }
 
-func runModes(scale int, duration float64, seed uint64, queryWorkers int, sequential, fullDecode bool) error {
+func runModes(scale int, duration float64, seed uint64, queryWorkers int, sequential bool) error {
 	fmt.Println("§6.4: write vs streaming mode (paper: deltas under 2.5%)")
 	res, err := core.WriteVsStreaming(core.CompareConfig{
 		Scale: scale, Duration: duration, Seed: seed,
-		QueryWorkers: queryWorkers, QuerySequential: sequential, QueryFullDecode: fullDecode,
+		QueryWorkers: queryWorkers, QuerySequential: sequential,
 	}, nil)
 	if err != nil {
 		return err

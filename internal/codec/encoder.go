@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/video"
 )
@@ -572,33 +571,4 @@ func (e *Encoded) Size() int {
 		n += len(f.Data)
 	}
 	return n
-}
-
-// Decode decompresses the sequence back to raw frames.
-//
-// Each GOP chain is recorded as one codec.gop span — the same unit the
-// parallel decoder measures — so span counts are invariant across
-// execution modes.
-func (e *Encoded) Decode() (*video.Video, error) {
-	dec, err := NewDecoder(e.Config)
-	if err != nil {
-		return nil, err
-	}
-	out := video.NewVideo(e.Config.FPS)
-	var sp metrics.Span
-	for i, f := range e.Frames {
-		if i == 0 || f.Keyframe {
-			sp.End()
-			sp = metrics.StartSpan(metrics.StageGOPDecode)
-		}
-		fr, err := dec.Decode(f.Data)
-		if err != nil {
-			return nil, fmt.Errorf("codec: frame %d: %w", i, err)
-		}
-		sp.Frames(1)
-		sp.Bytes(int64(len(f.Data)))
-		out.Append(fr)
-	}
-	sp.End()
-	return out, nil
 }

@@ -182,9 +182,9 @@ func (d *Decoder) reconstructAU(s *auSyms, workers int) (*video.Frame, error) {
 
 // decodeSubGOP decodes the stream with sub-GOP parallelism: a parallel
 // entropy pass over every access unit, then chain-ordered reconstruction
-// with row-parallel frames. chains must be non-empty (the stream opens
-// with a keyframe).
-func (e *Encoded) decodeSubGOP(workers int, chains []int) (*video.Video, error) {
+// with row-parallel frames. chains must be non-empty and cover the whole
+// stream (it opens with a keyframe).
+func (e *Encoded) decodeSubGOP(workers int, chains []chainSpan) (*video.Video, error) {
 	c := e.Config.withDefaults()
 	mbW := (c.Width + 15) / 16
 	mbH := (c.Height + 15) / 16
@@ -226,13 +226,8 @@ func (e *Encoded) decodeSubGOP(workers int, chains []int) (*video.Video, error) 
 			return err
 		}
 		defer putDecoder(dec)
-		start := chains[ci]
-		end := len(e.Frames)
-		if ci+1 < len(chains) {
-			end = chains[ci+1]
-		}
-		out := make([]*video.Frame, 0, end-start)
-		for i := start; i < end; i++ {
+		out := make([]*video.Frame, 0, chains[ci].end-chains[ci].start)
+		for i := chains[ci].start; i < chains[ci].end; i++ {
 			sp := metrics.StartSpan(metrics.StageTransform)
 			sp.Worker(worker)
 			fr, err := dec.reconstructAU(&syms[i], rowWorkers)

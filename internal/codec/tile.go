@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/video"
 )
@@ -371,130 +370,4 @@ func (d *Decoder) decodeTiled(data []byte) (*video.Frame, error) {
 		d.tiles[t].dec.Recycle(tf)
 	}
 	return out, nil
-}
-
-// DecodeTiles decodes the (frame window × tile set) rectangle of the
-// stream: frames [first, last) with only the listed (row-major) tiles
-// reconstructed, each seeded from its governing keyframe — the spatial
-// analog of DecodeRangeParallel. Output frames are full-dimension with
-// unselected tile regions left at the black frame default, so pixel
-// coordinates (and downstream kernels) are unaffected by the tile set.
-// Every (tile × covering GOP chain) pair is independent work: tiles
-// share no prediction state and chains reset at keyframes, so the pairs
-// spread across the worker pool writing disjoint frame regions. Pixels
-// of the selected tiles are byte-identical to a full-frame decode at
-// every worker count.
-//
-// On an untiled stream only tile 0 exists and the call degenerates to
-// DecodeRangeParallel.
-func (e *Encoded) DecodeTiles(workers, first, last int, tiles []int) (*video.Video, error) {
-	if first < 0 || last > len(e.Frames) || first > last {
-		return nil, fmt.Errorf("codec: frame range [%d, %d) outside [0, %d]", first, last, len(e.Frames))
-	}
-	cfg := e.Config.withDefaults()
-	count := cfg.TileCount()
-	seen := make(map[int]bool, len(tiles))
-	for _, t := range tiles {
-		if t < 0 || t >= count {
-			return nil, fmt.Errorf("codec: tile %d outside grid of %d tiles", t, count)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("codec: duplicate tile %d in tile set", t)
-		}
-		seen[t] = true
-	}
-	if !cfg.Tiled() {
-		return e.DecodeRangeParallel(workers, first, last)
-	}
-	if len(tiles) == 0 || first == last {
-		out := video.NewVideo(cfg.FPS)
-		for i := first; i < last; i++ {
-			f := video.NewFrame(cfg.Width, cfg.Height)
-			out.Append(f)
-			f.Index = i
-		}
-		return out, nil
-	}
-	workers = parallel.Normalize(workers)
-	rects := cfg.TileRects()
-
-	// Output frames are allocated up front; (tile × chain) work items
-	// then write disjoint (frame range × tile rectangle) regions.
-	frames := make([]*video.Frame, last-first)
-	for i := range frames {
-		frames[i] = video.NewFrame(cfg.Width, cfg.Height)
-		frames[i].Index = first + i
-	}
-
-	seed := e.KeyframeBefore(first)
-	type chainSpan struct{ start, end int }
-	var chains []chainSpan
-	start := seed
-	for i := seed + 1; i < last; i++ {
-		if e.Frames[i].Keyframe {
-			chains = append(chains, chainSpan{start, i})
-			start = i
-		}
-	}
-	chains = append(chains, chainSpan{start, last})
-
-	type workItem struct {
-		tile  int
-		chain chainSpan
-	}
-	items := make([]workItem, 0, len(tiles)*len(chains))
-	for _, t := range tiles {
-		for _, ch := range chains {
-			items = append(items, workItem{t, ch})
-		}
-	}
-	err := parallel.ForEachWorker(workers, len(items), func(worker, wi int) error {
-		it := items[wi]
-		sp := metrics.StartSpan(metrics.StageGOPDecode)
-		sp.Worker(worker)
-		defer sp.End()
-		dec, err := getDecoder(tileConfig(cfg, rects[it.tile]))
-		if err != nil {
-			return err
-		}
-		defer putDecoder(dec)
-		for i := it.chain.start; i < it.chain.end; i++ {
-			payload, err := tilePayload(e.Frames[i].Data, count, it.tile)
-			if err != nil {
-				return fmt.Errorf("codec: frame %d: %w", i, err)
-			}
-			tf, err := dec.Decode(payload)
-			if err != nil {
-				return fmt.Errorf("codec: frame %d tile %d: %w", i, it.tile, err)
-			}
-			sp.Frames(1)
-			sp.Bytes(int64(len(payload)))
-			if i >= first {
-				blitTile(frames[i-first], rects[it.tile], tf)
-			}
-			dec.Recycle(tf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := video.NewVideo(cfg.FPS)
-	for _, f := range frames {
-		idx := f.Index
-		out.Append(f)
-		f.Index = idx
-	}
-	return out, nil
-}
-
-// TileCost returns the number of (tile × access unit) decodes needed to
-// produce the window [first, last) of the given tile set, including the
-// GOP seed run — the spatial analog of RangeCost, used by the
-// frames-decoded accounting.
-func (e *Encoded) TileCost(first, last int, tiles int) int {
-	if last <= first {
-		return 0
-	}
-	return (last - e.KeyframeBefore(first)) * tiles
 }

@@ -5,26 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"repro/internal/video"
 )
 
-func allTiles(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func tileFramesEqual(a, b *video.Frame) bool {
-	return a.W == b.W && a.H == b.H &&
-		bytes.Equal(a.Y, b.Y) && bytes.Equal(a.U, b.U) && bytes.Equal(a.V, b.V)
-}
-
 // TestTileStitchIdentity is the correctness rail of the tiled decode
-// path: stitching all tiles of a tile-mode stream must be byte-identical
-// to full-frame decode of the same stream, at every worker count, with
+// path: decoding a tile-mode stream tile by tile (DecodeRequest's work
+// items, blitting into preallocated frames) must be byte-identical to
+// the Decoder's own all-tile stitch of the same access units, at every
+// worker count, for the whole grid and for each tile alone, with
 // GOMAXPROCS pinned to 1 so goroutine interleaving can't mask ordering
 // bugs.
 func TestTileStitchIdentity(t *testing.T) {
@@ -38,104 +25,16 @@ func TestTileStitchIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := enc.Decode()
-				if err != nil {
-					t.Fatal(err)
+				ref := referenceDecode(t, enc)
+				n := len(enc.Frames)
+				checkRequest(t, enc, ref, Request{Hi: n, Workers: workers})
+				all := make([]int, enc.Config.TileCount())
+				for tile := range all {
+					all[tile] = tile
+					checkRequest(t, enc, ref, Request{Hi: n, Tiles: []int{tile}, Workers: workers})
 				}
-				stitched, err := enc.DecodeTiles(workers, 0, len(src.Frames), allTiles(enc.Config.TileCount()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(stitched.Frames) != len(full.Frames) {
-					t.Fatalf("stitched %d frames, want %d", len(stitched.Frames), len(full.Frames))
-				}
-				for i := range full.Frames {
-					if !tileFramesEqual(full.Frames[i], stitched.Frames[i]) {
-						t.Fatalf("frame %d: stitched tile decode differs from full-frame decode", i)
-					}
-				}
-				par, err := enc.DecodeParallel(workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range full.Frames {
-					if !tileFramesEqual(full.Frames[i], par.Frames[i]) {
-						t.Fatalf("frame %d: DecodeParallel differs from serial decode", i)
-					}
-				}
+				checkRequest(t, enc, ref, Request{Hi: n, Tiles: all, Workers: workers})
 			})
-		}
-	}
-}
-
-// TestDecodeTilesROISubset checks the spatial analog of range decode:
-// requesting one tile reconstructs exactly that tile's rectangle and
-// leaves the rest of the frame at the black default.
-func TestDecodeTilesROISubset(t *testing.T) {
-	src := gradientVideo(64, 48, 8)
-	enc, err := EncodeVideo(src, Config{QP: 10, GOP: 4, TileRows: 2, TileCols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := enc.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rects := enc.Config.TileRects()
-	for tile, r := range rects {
-		roi, err := enc.DecodeTiles(2, 0, len(src.Frames), []int{tile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, f := range roi.Frames {
-			if f.W != 64 || f.H != 48 {
-				t.Fatalf("tile %d frame %d: got %dx%d, want full 64x48 dimensions", tile, i, f.W, f.H)
-			}
-			ref := full.Frames[i]
-			for y := r.Y; y < r.Y+r.H; y++ {
-				if !bytes.Equal(f.Y[y*f.W+r.X:y*f.W+r.X+r.W], ref.Y[y*ref.W+r.X:y*ref.W+r.X+r.W]) {
-					t.Fatalf("tile %d frame %d row %d: ROI pixels differ from full decode", tile, i, y)
-				}
-			}
-			// One probe outside the tile must still be black (Y=16).
-			ox, oy := (r.X+r.W)%f.W, (r.Y+r.H)%f.H
-			if ox >= r.X && ox < r.X+r.W && oy >= r.Y && oy < r.Y+r.H {
-				continue // 1-tile grid in one dimension: no outside point on this axis
-			}
-			if got := f.Y[oy*f.W+ox]; got != 16 {
-				t.Fatalf("tile %d frame %d: pixel (%d,%d) outside ROI = %d, want black 16", tile, i, ox, oy, got)
-			}
-		}
-	}
-}
-
-// TestDecodeTilesWindow checks that a mid-stream window seeds from its
-// governing keyframe and matches the corresponding slice of a full
-// decode, with absolute frame indices preserved.
-func TestDecodeTilesWindow(t *testing.T) {
-	src := gradientVideo(64, 48, 12)
-	enc, err := EncodeVideo(src, Config{QP: 10, GOP: 5, TileRows: 2, TileCols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := enc.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, last := 7, 11 // inside the second GOP, P-frame seeded
-	out, err := enc.DecodeTiles(4, first, last, allTiles(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Frames) != last-first {
-		t.Fatalf("got %d frames, want %d", len(out.Frames), last-first)
-	}
-	for i, f := range out.Frames {
-		if f.Index != first+i {
-			t.Fatalf("frame %d: Index = %d, want absolute index %d", i, f.Index, first+i)
-		}
-		if !tileFramesEqual(f, full.Frames[first+i]) {
-			t.Fatalf("frame %d: windowed tile decode differs from full decode", first+i)
 		}
 	}
 }
@@ -252,22 +151,13 @@ func TestTiledEncodeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDecodeTilesErrors covers argument validation and corrupt tiled
-// access units.
-func TestDecodeTilesErrors(t *testing.T) {
+// TestTiledAccessUnitErrors covers corrupt and partial tiled access
+// units (request validation is TestDecodeRequestErrors).
+func TestTiledAccessUnitErrors(t *testing.T) {
 	src := gradientVideo(64, 48, 4)
 	enc, err := EncodeVideo(src, Config{QP: 10, GOP: 4, TileRows: 2, TileCols: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := enc.DecodeTiles(1, 0, 4, []int{4}); err == nil {
-		t.Error("tile index out of range: want error")
-	}
-	if _, err := enc.DecodeTiles(1, 0, 4, []int{1, 1}); err == nil {
-		t.Error("duplicate tile: want error")
-	}
-	if _, err := enc.DecodeTiles(1, 2, 1, nil); err == nil {
-		t.Error("inverted window: want error")
 	}
 
 	// Truncated directory.
@@ -277,6 +167,11 @@ func TestDecodeTilesErrors(t *testing.T) {
 	}
 	if _, err := bad.Decode(); err == nil {
 		t.Error("truncated tile directory via Decode: want error")
+	}
+	if dec, err := NewDecoder(enc.Config); err != nil {
+		t.Fatal(err)
+	} else if _, err := dec.Decode(bad.Frames[0].Data); err == nil {
+		t.Error("truncated tile directory via Decoder.Decode: want error")
 	}
 	// Directory overrunning the AU.
 	au := append([]byte{}, enc.Frames[0].Data...)

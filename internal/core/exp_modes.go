@@ -58,7 +58,6 @@ func WriteVsStreaming(cfg CompareConfig, qs []queries.QueryID) ([]ModesResult, e
 					MaxUpsamplePixels: 1 << 22,
 					Workers:           cfg.QueryWorkers,
 					Sequential:        cfg.QuerySequential,
-					FullDecode:        cfg.QueryFullDecode,
 				}
 				if mode == vcd.WriteMode {
 					opt.ResultStore = vfs.NewMemory()

@@ -57,7 +57,6 @@ func ShardSweep(cfg CompareConfig, system string, counts []int) ([]ShardPoint, e
 				MaxUpsamplePixels: 1 << 22,
 				Workers:           cfg.QueryWorkers,
 				Sequential:        cfg.QuerySequential,
-				FullDecode:        cfg.QueryFullDecode,
 			},
 		}, shard.Options{Shards: n})
 		if err != nil {

@@ -26,7 +26,8 @@ const (
 )
 
 // Event kinds recorded by the vrserved control plane. Detail carries
-// the job ID; Query carries the tenant.
+// the job ID (the journal file name for a quarantine); Query carries
+// the tenant.
 const (
 	EventServeJobQueued    = "serve_job_queued"
 	EventServeJobStarted   = "serve_job_started"
@@ -34,6 +35,9 @@ const (
 	EventServeJobFailed    = "serve_job_failed"
 	EventServeJobCancelled = "serve_job_cancelled"
 	EventServeJobRejected  = "serve_job_rejected"
+	// EventServeJobQuarantined marks a job journal entry that failed to
+	// parse at daemon boot and was set aside as <name>.corrupt.
+	EventServeJobQuarantined = "serve_job_quarantined"
 )
 
 // Event is one structured lifecycle event. Seq is assigned at record

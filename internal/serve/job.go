@@ -136,24 +136,34 @@ func (fs *fileStore) saveJob(j *Job) error {
 	return vcd.WriteFileAtomic(fs.jobPath(j.ID), append(data, '\n'))
 }
 
-// loadJobs reads the journal back in submission order.
-func (fs *fileStore) loadJobs() ([]*Job, error) {
-	entries, err := os.ReadDir(filepath.Join(fs.root, "jobs"))
+// loadJobs reads the journal back in submission order. An entry that
+// does not parse as the job its file name promises (a torn write from a
+// crash, a stray edit) is quarantined — renamed to <name>.corrupt, where
+// later boots skip it and an operator can still inspect it — and named
+// in quarantined; one bad entry must not take the daemon's whole job
+// list down with it. Errors reading the directory or a file stay fatal.
+func (fs *fileStore) loadJobs() (jobs []*Job, quarantined []string, err error) {
+	dir := filepath.Join(fs.root, "jobs")
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var jobs []*Job
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(fs.root, "jobs", e.Name()))
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		j := new(Job)
-		if err := json.Unmarshal(data, j); err != nil {
-			return nil, fmt.Errorf("serve: corrupt job journal %s: %w", e.Name(), err)
+		if json.Unmarshal(data, j) != nil || j.ID+".json" != e.Name() {
+			if err := os.Rename(path, path+".corrupt"); err != nil {
+				return nil, nil, fmt.Errorf("serve: quarantining corrupt job journal %s: %w", e.Name(), err)
+			}
+			quarantined = append(quarantined, e.Name())
+			continue
 		}
 		jobs = append(jobs, j)
 	}
@@ -163,7 +173,7 @@ func (fs *fileStore) loadJobs() ([]*Job, error) {
 		}
 		return jobs[a].ID < jobs[b].ID
 	})
-	return jobs, nil
+	return jobs, quarantined, nil
 }
 
 func (fs *fileStore) datasetsPath() string {

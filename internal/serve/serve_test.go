@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/shard"
 	"repro/internal/vcd"
@@ -409,6 +410,96 @@ func TestServeRestartRecovery(t *testing.T) {
 	}
 	if j.Status != StatusFailed || !strings.Contains(j.Err, "interrupted") {
 		t.Fatalf("recovered job = %s (%q), want failed/interrupted", j.Status, j.Err)
+	}
+}
+
+// TestServeBootQuarantinesCorruptJournal pins the journal's fault
+// contract: one unparsable entry under jobs/ is set aside (renamed to
+// <name>.corrupt, journaled as an event) and the daemon comes up with
+// every other job listed, while errors reading the journal — as opposed
+// to parsing it — still abort boot.
+func TestServeBootQuarantinesCorruptJournal(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerDataset(s1, "d", datasetDir(t))
+	id := submit(t, s1.Handler(), JobRequest{Dataset: "d"}, "t1")
+
+	// A torn write: the neighbour's journal entry cut off mid-object,
+	// under a second job's name.
+	good, err := os.ReadFile(s1.store.jobPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := s1.store.jobPath("jtorn")
+	if err := os.WriteFile(torn, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	metrics.SetEnabled(true)
+	t.Cleanup(func() { metrics.SetEnabled(false) })
+	since := metrics.EventSeq()
+	s2, err := New(Options{DataDir: dir})
+	if err != nil {
+		t.Fatalf("daemon did not boot over a corrupt journal entry: %v", err)
+	}
+	var list struct{ Jobs []Job }
+	if code := getJSON(t, s2.Handler(), "/api/jobs", &list); code != http.StatusOK {
+		t.Fatalf("GET /api/jobs = %d", code)
+	}
+	if len(list.Jobs) != 1 || list.Jobs[0].ID != id {
+		t.Fatalf("job list after quarantine = %+v, want only %s", list.Jobs, id)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("corrupt entry still in place (stat err %v)", err)
+	}
+	if data, err := os.ReadFile(torn + ".corrupt"); err != nil || !bytes.Equal(data, good[:len(good)/2]) {
+		t.Errorf("quarantined copy missing or altered: %v", err)
+	}
+	var quarantined int
+	for _, e := range metrics.EventsSince(since) {
+		if e.Kind == metrics.EventServeJobQuarantined && e.Detail == "jtorn.json" {
+			quarantined++
+		}
+	}
+	if quarantined != 1 {
+		t.Errorf("%d serve_job_quarantined events for jtorn.json, want 1", quarantined)
+	}
+
+	// The quarantined file no longer trips boot, and is not quarantined
+	// twice.
+	since = metrics.EventSeq()
+	if _, err := New(Options{DataDir: dir}); err != nil {
+		t.Fatalf("boot after quarantine: %v", err)
+	}
+	for _, e := range metrics.EventsSince(since) {
+		if e.Kind == metrics.EventServeJobQuarantined {
+			t.Errorf("clean boot recorded a quarantine: %+v", e)
+		}
+	}
+
+	// An entry that cannot be read at all is not a parse problem: fatal.
+	if err := os.Symlink(dir+"/nowhere", s1.store.jobPath("jdangling")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{DataDir: dir}); err == nil {
+		t.Fatal("daemon booted over an unreadable journal entry")
+	}
+	os.Remove(s1.store.jobPath("jdangling"))
+	// Neither is an unreadable journal directory.
+	if err := os.RemoveAll(dir + "/jobs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/jobs", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.store.loadJobs(); err == nil {
+		t.Fatal("loadJobs read a journal directory that is not a directory")
+	}
+	if _, err := New(Options{DataDir: dir}); err == nil {
+		t.Fatal("daemon booted without a readable journal directory")
 	}
 }
 

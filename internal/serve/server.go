@@ -122,8 +122,8 @@ type Server struct {
 
 // New opens the data dir, replays the job journal (jobs interrupted by
 // a previous daemon's death are marked failed — their workers are
-// gone), loads the dataset registry, and returns a server ready for
-// Handler + Run.
+// gone; unparsable entries are quarantined), loads the dataset
+// registry, and returns a server ready for Handler + Run.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	store, err := newFileStore(opt.DataDir)
@@ -141,9 +141,13 @@ func New(opt Options) (*Server, error) {
 	if s.datasets, err = store.loadDatasets(); err != nil {
 		return nil, err
 	}
-	jobs, err := store.loadJobs()
+	jobs, quarantined, err := store.loadJobs()
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range quarantined {
+		metrics.RecordEvent(metrics.Event{Kind: metrics.EventServeJobQuarantined, Shard: -1, Detail: name})
+		opt.Logf("serve: corrupt job journal %s quarantined as %s.corrupt", name, name)
 	}
 	for _, j := range jobs {
 		if !j.Status.Terminal() {

@@ -228,7 +228,6 @@ func (c *coordinator) connect(ctx context.Context, transport Transport) error {
 			Workers:           c.opt.Workers,
 			Sequential:        c.opt.Sequential,
 			DecodedCacheBytes: c.opt.DecodedCacheBytes,
-			FullDecode:        c.opt.FullDecode,
 			ShipResults:       c.opt.Mode == vcd.WriteMode,
 		},
 		Metrics:     metrics.Enabled(),

@@ -78,7 +78,6 @@ type OptionsWire struct {
 	Workers           int     `json:"workers,omitempty"`
 	Sequential        bool    `json:"sequential,omitempty"`
 	DecodedCacheBytes int64   `json:"decoded_cache_bytes,omitempty"`
-	FullDecode        bool    `json:"full_decode,omitempty"`
 	// ShipResults is set when the coordinator runs in WriteMode: workers
 	// capture persisted result payloads and attach them to result
 	// frames. Streaming-mode runs skip the copies, exactly as the

@@ -218,7 +218,6 @@ func (w *worker) setup() error {
 		Workers:           o.Workers,
 		Sequential:        o.Sequential,
 		DecodedCacheBytes: o.DecodedCacheBytes,
-		FullDecode:        o.FullDecode,
 	})
 	if err != nil {
 		return err

@@ -130,7 +130,7 @@ func (d *Dataset) StitchedInput(group []string) (*vdbms.Input, error) {
 		if first == nil {
 			first = in
 		}
-		v, err := vdbms.DecodeInput(in)
+		v, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +173,7 @@ func (d *Dataset) BoxesFor(in *vdbms.Input) (*vdbms.BoxesInput, error) {
 	}
 	d.mu.Unlock()
 
-	src, err := vdbms.DecodeInput(in)
+	src, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 	if err != nil {
 		return nil, err
 	}

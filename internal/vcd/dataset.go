@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/container"
 	"repro/internal/detect"
 	"repro/internal/metrics"
@@ -40,10 +41,6 @@ type Dataset struct {
 	// staged inputs carry the dataset as their vdbms.DecodedSource so
 	// every engine decode routes through it.
 	decoded *decodedCache
-	// fullDecode forces ranged requests onto the pre-range whole-clip
-	// decode path (decode all, slice afterwards) — the baseline the
-	// equivalence tests and range benchmarks compare against.
-	fullDecode bool
 }
 
 // LoadDataset opens a dataset from a store written by the VCG. The
@@ -116,13 +113,10 @@ func (d *Dataset) Input(cameraID string) (*vdbms.Input, error) {
 
 // configureDecodedCache installs (or disables) the shared decoded-input
 // cache for a run. budget < 0 disables the cache, 0 selects
-// DefaultDecodedCacheBytes. fullDecode forces ranged requests onto the
-// whole-clip decode path (the pre-range baseline). Reconfiguring resets
-// counters.
-func (d *Dataset) configureDecodedCache(budget int64, fullDecode bool) {
+// DefaultDecodedCacheBytes. Reconfiguring resets counters.
+func (d *Dataset) configureDecodedCache(budget int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.fullDecode = fullDecode
 	if budget < 0 {
 		d.decoded = nil
 		return
@@ -130,71 +124,38 @@ func (d *Dataset) configureDecodedCache(budget int64, fullDecode bool) {
 	d.decoded = newDecodedCache(budget)
 }
 
-func (d *Dataset) decodedCache() (*decodedCache, bool) {
+func (d *Dataset) decodedCache() *decodedCache {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.decoded, d.fullDecode
+	return d.decoded
 }
 
-// decodeFull decodes an input's whole payload — the one full-clip
-// decode path behind every source method.
-func decodeFull(in *vdbms.Input) (*video.Video, error) {
-	return vdbms.DecodeAll(in.Encoded)
-}
+// SharedCache implements vdbms.DecodedSource.
+func (d *Dataset) SharedCache() bool { return d.decodedCache() != nil }
 
-// fillFor returns the cache fill function for an input: whole-clip
-// requests take the full GOP-parallel decode, partial windows the
-// GOP-bounded range decode.
-func fillFor(in *vdbms.Input) func(lo, hi int) (*video.Video, error) {
-	return func(lo, hi int) (*video.Video, error) {
-		if lo == 0 && hi == len(in.Encoded.Frames) {
-			return decodeFull(in)
-		}
-		return vdbms.DecodeRange(in.Encoded, lo, hi)
+// Decoded implements vdbms.DecodedSource: serve the request's (frame
+// window × tile set) rectangle from the (interval × tile-set)-keyed
+// cache when one is active, decoding — from the governing keyframe, the
+// selected tiles only — when no resident window covers it; with no
+// cache every request decodes directly. A resident full-frame window
+// covering the interval serves any tile set without a decode.
+func (d *Dataset) Decoded(in *vdbms.Input, req codec.Request) (*video.Video, error) {
+	c := d.decodedCache()
+	if c == nil || req.Lo >= req.Hi {
+		// A degenerate window has its bounds validated by the codec
+		// without touching the cache.
+		return in.Encoded.DecodeRequest(req)
 	}
-}
-
-// Decoded implements vdbms.DecodedSource: decode through the shared
-// cache when enabled, directly otherwise.
-func (d *Dataset) Decoded(in *vdbms.Input) (*video.Video, error) {
-	c, _ := d.decodedCache()
-	if c == nil {
-		return decodeFull(in)
-	}
-	return c.acquire(in.Name, 0, len(in.Encoded.Frames), 0, nil, fillFor(in))
-}
-
-// DecodedRange implements vdbms.RangedDecodedSource: serve frames
-// [first, last) of an input from the interval-keyed cache, decoding
-// from the governing keyframe only when no resident window covers the
-// request. In full-decode mode (the pre-range baseline) the window is
-// sliced out of a whole-clip decode instead.
-func (d *Dataset) DecodedRange(in *vdbms.Input, first, last int) (*video.Video, error) {
-	n := len(in.Encoded.Frames)
-	if first == 0 && last == n {
-		return d.Decoded(in)
-	}
-	c, full := d.decodedCache()
-	if full {
-		v, err := d.Decoded(in)
-		if err != nil {
-			return nil, err
-		}
-		return sliceDecoded(v, first, last)
-	}
-	if c == nil {
-		return vdbms.DecodeRange(in.Encoded, first, last)
-	}
-	if first >= last {
-		// Degenerate window: validate bounds without touching the cache.
-		return vdbms.DecodeRange(in.Encoded, first, last)
-	}
-	return c.acquire(in.Name, first, last, 0, in.Encoded.KeyframeBefore, fillFor(in))
+	return c.acquire(in.Name, req.Lo, req.Hi, tileMask(req.Tiles), in.Encoded.KeyframeBefore, func(lo, hi int) (*video.Video, error) {
+		fill := req
+		fill.Lo, fill.Hi = lo, hi
+		return in.Encoded.DecodeRequest(fill)
+	})
 }
 
 // tileMask folds a tile index list into the cache's uint64 selection
-// mask. Indices are grid positions, already validated against the grid
-// (the codec caps grids at 64 tiles, so every index fits the mask).
+// mask (the codec caps grids at 64 tiles, so every index fits); the
+// empty list — full frames — is mask 0.
 func tileMask(tiles []int) uint64 {
 	var m uint64
 	for _, t := range tiles {
@@ -203,89 +164,10 @@ func tileMask(tiles []int) uint64 {
 	return m
 }
 
-// tileFillFor returns the cache fill function for a (window × tile-set)
-// request: tile-parallel partial decode of the selected tiles only.
-func tileFillFor(in *vdbms.Input, tiles []int) func(lo, hi int) (*video.Video, error) {
-	return func(lo, hi int) (*video.Video, error) {
-		return vdbms.DecodeTiles(in.Encoded, lo, hi, tiles)
-	}
-}
-
-// DecodedTiles implements vdbms.TiledDecodedSource: serve the (frame
-// window × tile set) rectangle of a tile-mode input from the
-// (interval × tile-set)-keyed cache, decoding only the selected tiles
-// on a miss. A resident full-frame window covering the interval serves
-// any tile set without a decode. In full-decode mode the rectangle is
-// sliced out of a whole-clip decode instead (the baseline superset).
-func (d *Dataset) DecodedTiles(in *vdbms.Input, first, last int, tiles []int) (*video.Video, error) {
-	mask := tileMask(tiles)
-	c, full := d.decodedCache()
-	if full || mask == 0 {
-		// Full frames are a correct superset of any tile set.
-		return d.DecodedRange(in, first, last)
-	}
-	if c == nil || first >= last {
-		return vdbms.DecodeTiles(in.Encoded, first, last, tiles)
-	}
-	return c.acquire(in.Name, first, last, mask, in.Encoded.KeyframeBefore, tileFillFor(in, tiles))
-}
-
-// DecodedSharedTiles implements vdbms.SharedTiledDecodedSource: the
-// tiled analogue of DecodedSharedRange.
-func (d *Dataset) DecodedSharedTiles(in *vdbms.Input, first, last int, tiles []int) (*video.Video, bool, error) {
-	c, _ := d.decodedCache()
-	if c == nil {
-		return nil, false, nil
-	}
-	v, err := d.DecodedTiles(in, first, last, tiles)
-	return v, true, err
-}
-
-// DecodedShared implements vdbms.SharedDecodedSource: decode through
-// the shared cache when one is active, reporting ok=false otherwise so
-// streaming engines keep their own incremental path in sequential mode.
-func (d *Dataset) DecodedShared(in *vdbms.Input) (*video.Video, bool, error) {
-	c, _ := d.decodedCache()
-	if c == nil {
-		return nil, false, nil
-	}
-	v, err := d.Decoded(in)
-	return v, true, err
-}
-
-// DecodedSharedRange implements vdbms.SharedRangedDecodedSource: the
-// ranged analogue of DecodedShared.
-func (d *Dataset) DecodedSharedRange(in *vdbms.Input, first, last int) (*video.Video, bool, error) {
-	c, _ := d.decodedCache()
-	if c == nil {
-		return nil, false, nil
-	}
-	v, err := d.DecodedRange(in, first, last)
-	return v, true, err
-}
-
-// DecodedIfCached implements vdbms.CachedDecodedSource.
-func (d *Dataset) DecodedIfCached(in *vdbms.Input) (*video.Video, bool) {
-	c, _ := d.decodedCache()
-	if c == nil {
-		return nil, false
-	}
-	return c.peek(in.Name, 0, len(in.Encoded.Frames))
-}
-
-// sliceDecoded views frames [first, last) of a whole-clip decode (the
-// full-decode baseline path).
-func sliceDecoded(v *video.Video, first, last int) (*video.Video, error) {
-	if first < 0 || last > len(v.Frames) || first > last {
-		return nil, fmt.Errorf("vcd: frame range [%d, %d) outside [0, %d]", first, last, len(v.Frames))
-	}
-	return &video.Video{FPS: v.FPS, Frames: v.Frames[first:last]}, nil
-}
-
 // DecodedCacheStats snapshots the shared decoded-input cache counters
 // (zero stats when the cache is disabled).
 func (d *Dataset) DecodedCacheStats() metrics.CacheStats {
-	c, _ := d.decodedCache()
+	c := d.decodedCache()
 	if c == nil {
 		return metrics.CacheStats{}
 	}
@@ -297,7 +179,7 @@ func (d *Dataset) DecodedCacheStats() metrics.CacheStats {
 // instances sharing (part of) an input cannot have the covering window
 // evicted out from under them. Returns the matching unpin.
 func (d *Dataset) pinInputs(inst *vdbms.QueryInstance) func() {
-	c, _ := d.decodedCache()
+	c := d.decodedCache()
 	if c == nil {
 		return func() {}
 	}

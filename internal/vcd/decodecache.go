@@ -118,11 +118,10 @@ func (e *decodedEntry) failed() bool {
 // set the caller needs (0 = full frames); decode must produce frames
 // whose mask-selected regions are valid. align maps the window start to
 // its decode seed position — the governing keyframe — so stored windows
-// begin on intra frames and the frames-decoded counter is exact; nil
-// align is the identity (whole-clip fills). decode is called with the
-// aligned window to reconstruct. The returned video is a per-caller
-// view of exactly hi−lo frames; its plane storage is shared and must be
-// treated as read-only.
+// begin on intra frames and the frames-decoded counter is exact. decode
+// is called with the aligned window to reconstruct. The returned video
+// is a per-caller view of exactly hi−lo frames; its plane storage is
+// shared and must be treated as read-only.
 func (c *decodedCache) acquire(name string, lo, hi int, mask uint64, align func(int) int, decode func(lo, hi int) (*video.Video, error)) (*video.Video, error) {
 	c.counters.FramesRequested.Add(int64(hi - lo))
 	globalCacheCounters.FramesRequested.Add(int64(hi - lo))
@@ -149,10 +148,7 @@ func (c *decodedCache) acquire(name string, lo, hi int, mask uint64, align func(
 	// Windows with a different tile mask are left alone: their frames
 	// carry different valid regions, so pointer-stitching across masks
 	// would mix them.
-	alo := lo
-	if align != nil {
-		alo = align(lo)
-	}
+	alo := align(lo)
 	ulo, uhi := alo, hi
 	var absorbed []*decodedEntry
 	kept := c.entries[name][:0]
@@ -233,32 +229,6 @@ func (c *decodedCache) coveringLocked(name string, lo, hi int, mask uint64) *dec
 		}
 	}
 	return nil
-}
-
-// peek returns a full-frame view of frames [lo, hi) only if a resident
-// full-frame window already covers them; it never triggers a fill and
-// counts neither hit nor miss (the caller will decode through its own
-// path on a cold cache). Tiled windows never serve a peek: their pixels
-// outside the decoded tiles are undefined.
-func (c *decodedCache) peek(name string, lo, hi int) (*video.Video, bool) {
-	c.mu.Lock()
-	var e *decodedEntry
-	for _, cand := range c.entries[name] {
-		if cand.mask == 0 && cand.covers(lo, hi) && cand.filled() {
-			e = cand
-			break
-		}
-	}
-	if e == nil {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.tick++
-	e.lru = c.tick
-	c.mu.Unlock()
-	c.counters.Hits.Inc()
-	globalCacheCounters.Hits.Inc()
-	return viewRange(e.video, lo-e.lo, hi-e.lo), true
 }
 
 // pin marks frames [lo, hi) of name as referenced by an executing
@@ -370,9 +340,6 @@ func viewRange(v *video.Video, from, to int) *video.Video {
 	}
 	return out
 }
-
-// viewOf is a whole-video viewRange.
-func viewOf(v *video.Video) *video.Video { return viewRange(v, 0, len(v.Frames)) }
 
 // videoBytes is the cache accounting size of a decoded video.
 func videoBytes(v *video.Video) int64 {

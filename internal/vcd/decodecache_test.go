@@ -30,6 +30,22 @@ func windowFill(src *video.Video) func(lo, hi int) (*video.Video, error) {
 	}
 }
 
+// noAlign is the identity seed alignment (every frame a keyframe).
+func noAlign(i int) int { return i }
+
+// resident reports whether a filled full-frame window covers frames
+// [lo, hi) of name, without touching LRU order or counters.
+func resident(c *decodedCache, name string, lo, hi int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries[name] {
+		if e.mask == 0 && e.covers(lo, hi) && e.filled() {
+			return true
+		}
+	}
+	return false
+}
+
 func TestDecodedCacheSingleFlight(t *testing.T) {
 	c := newDecodedCache(1 << 30)
 	var decodes atomic.Int64
@@ -42,7 +58,7 @@ func TestDecodedCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.acquire("in", 0, 4, 0, nil, func(lo, hi int) (*video.Video, error) {
+			v, err := c.acquire("in", 0, 4, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 				decodes.Add(1)
 				return src, nil
 			})
@@ -122,7 +138,7 @@ func TestDecodedCacheWindowCoalescing(t *testing.T) {
 
 	mustAcquire := func(lo, hi int) *video.Video {
 		t.Helper()
-		v, err := c.acquire("in", lo, hi, 0, nil, fill)
+		v, err := c.acquire("in", lo, hi, 0, noAlign, fill)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,20 +196,20 @@ func TestDecodedCacheLRUEviction(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("in%d", i)
-		if _, err := c.acquire(name, 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+		if _, err := c.acquire(name, 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 			return cacheTestVideo(1, 32, 16, byte(i)), nil
 		}); err != nil {
 			t.Fatalf("acquire %s: %v", name, err)
 		}
 	}
 	// in0 was least recently used and must be gone.
-	if _, ok := c.peek("in0", 0, 1); ok {
+	if resident(c, "in0", 0, 1) {
 		t.Fatal("in0 survived eviction")
 	}
-	if _, ok := c.peek("in1", 0, 1); !ok {
+	if !resident(c, "in1", 0, 1) {
 		t.Fatal("in1 evicted, want resident")
 	}
-	if _, ok := c.peek("in2", 0, 1); !ok {
+	if !resident(c, "in2", 0, 1) {
 		t.Fatal("in2 evicted, want resident")
 	}
 	st := c.stats()
@@ -211,29 +227,29 @@ func TestDecodedCachePinnedWindowSurvivesEviction(t *testing.T) {
 	c := newDecodedCache(per) // room for exactly one entry
 
 	c.pin("pinned", 0, 1)
-	if _, err := c.acquire("pinned", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("pinned", 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return cacheTestVideo(1, 32, 16, 1), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Filling a second entry overflows the budget, but the window
 	// overlapping the pin must not be the victim.
-	if _, err := c.acquire("other", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("other", 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return cacheTestVideo(1, 32, 16, 2), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.peek("pinned", 0, 1); !ok {
+	if !resident(c, "pinned", 0, 1) {
 		t.Fatal("pinned entry evicted")
 	}
 	c.unpin("pinned", 0, 1)
 	// Now a third fill can evict it.
-	if _, err := c.acquire("third", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("third", 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return cacheTestVideo(1, 32, 16, 3), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.peek("pinned", 0, 1); ok {
+	if resident(c, "pinned", 0, 1) {
 		t.Fatal("unpinned entry survived eviction pressure")
 	}
 }
@@ -244,62 +260,40 @@ func TestDecodedCachePinProtectsOverlapOnly(t *testing.T) {
 	c := newDecodedCache(per) // room for one 4-frame window
 
 	c.pin("in", 2, 3) // protects any window overlapping frame 2
-	if _, err := c.acquire("in", 0, 4, 0, nil, windowFill(src)); err != nil {
+	if _, err := c.acquire("in", 0, 4, 0, noAlign, windowFill(src)); err != nil {
 		t.Fatal(err)
 	}
 	// A disjoint window of the same input overflows the budget; the
 	// pinned-overlap window survives and the new one is kept (soft
 	// budget exempts the just-filled entry).
-	if _, err := c.acquire("in", 4, 8, 0, nil, windowFill(src)); err != nil {
+	if _, err := c.acquire("in", 4, 8, 0, noAlign, windowFill(src)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.peek("in", 0, 4); !ok {
+	if !resident(c, "in", 0, 4) {
 		t.Fatal("pin-overlapping window evicted")
 	}
 	// The disjoint window is unprotected: the next fill evicts it.
-	if _, err := c.acquire("other", 0, 4, 0, nil, windowFill(src)); err != nil {
+	if _, err := c.acquire("other", 0, 4, 0, noAlign, windowFill(src)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.peek("in", 4, 8); ok {
+	if resident(c, "in", 4, 8) {
 		t.Fatal("non-overlapping window survived eviction pressure")
 	}
-	if _, ok := c.peek("in", 0, 4); !ok {
+	if !resident(c, "in", 0, 4) {
 		t.Fatal("pin-overlapping window evicted under later pressure")
-	}
-}
-
-func TestDecodedCachePeekNeverFills(t *testing.T) {
-	c := newDecodedCache(1 << 20)
-	if _, ok := c.peek("cold", 0, 1); ok {
-		t.Fatal("peek returned a video for a cold key")
-	}
-	st := c.stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("cold peek moved counters: %+v", st)
-	}
-	if _, err := c.acquire("cold", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
-		return cacheTestVideo(1, 32, 16, 9), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.peek("cold", 0, 1); !ok {
-		t.Fatal("peek missed a resident entry")
-	}
-	if st := c.stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d after warm peek, want 1", st.Hits)
 	}
 }
 
 func TestDecodedCacheFailedFillRetries(t *testing.T) {
 	c := newDecodedCache(1 << 20)
 	boom := errors.New("decode failed")
-	if _, err := c.acquire("in", 0, 2, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("in", 0, 2, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("first acquire err = %v, want %v", err, boom)
 	}
 	// The failure is not cached: the next acquire re-runs decode.
-	v, err := c.acquire("in", 0, 2, 0, nil, func(lo, hi int) (*video.Video, error) {
+	v, err := c.acquire("in", 0, 2, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return cacheTestVideo(2, 32, 16, 5), nil
 	})
 	if err != nil {
@@ -317,18 +311,18 @@ func TestDecodedCacheFailedFillRetriesWhilePinned(t *testing.T) {
 	c := newDecodedCache(1 << 20)
 	c.pin("in", 0, 1)
 	boom := errors.New("decode failed")
-	if _, err := c.acquire("in", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("in", 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("first acquire err = %v, want %v", err, boom)
 	}
-	if _, err := c.acquire("in", 0, 1, 0, nil, func(lo, hi int) (*video.Video, error) {
+	if _, err := c.acquire("in", 0, 1, 0, noAlign, func(lo, hi int) (*video.Video, error) {
 		return cacheTestVideo(1, 32, 16, 5), nil
 	}); err != nil {
 		t.Fatalf("pinned retry acquire: %v", err)
 	}
 	c.unpin("in", 0, 1)
-	if _, ok := c.peek("in", 0, 1); !ok {
+	if !resident(c, "in", 0, 1) {
 		t.Fatal("successful retry not resident")
 	}
 }
@@ -336,11 +330,11 @@ func TestDecodedCacheFailedFillRetriesWhilePinned(t *testing.T) {
 func TestDecodedCacheHitRate(t *testing.T) {
 	c := newDecodedCache(1 << 20)
 	fill := func(lo, hi int) (*video.Video, error) { return cacheTestVideo(1, 32, 16, 1), nil }
-	if _, err := c.acquire("a", 0, 1, 0, nil, fill); err != nil {
+	if _, err := c.acquire("a", 0, 1, 0, noAlign, fill); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.acquire("a", 0, 1, 0, nil, fill); err != nil {
+		if _, err := c.acquire("a", 0, 1, 0, noAlign, fill); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -66,11 +66,6 @@ type Options struct {
 	// inputs decode through. 0 selects DefaultDecodedCacheBytes;
 	// negative disables the cache.
 	DecodedCacheBytes int64
-	// FullDecode disables range-aware decode: engines requesting a
-	// frame window are served by slicing a whole-clip decode, exactly
-	// as before the range layer existed. The equivalence tests and
-	// range benchmarks use it as the baseline.
-	FullDecode bool
 }
 
 func (o Options) withDefaults() Options {
@@ -189,7 +184,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 		return nil, errors.New("vcd: WriteMode requires a result store")
 	}
 	report := &RunReport{System: sys.Name(), Scale: ds.Manifest.Scale, Mode: opt.Mode}
-	ds.configureDecodedCache(opt.decodedCacheBudget(), opt.FullDecode)
+	ds.configureDecodedCache(opt.decodedCacheBudget())
 	var runBase metrics.Snapshot
 	var traceBase, eventBase uint64
 	if metrics.Enabled() {

@@ -120,9 +120,10 @@ func compareOutcomes(t *testing.T, label string, want, got runOutcome) {
 // sequential paper-faithful mode, serial workers with the shared cache,
 // and 8-way concurrent execution must produce identical per-instance
 // results, validation verdicts, and persisted result bytes. Both the
-// materializing engine (scannerlike: ingest via DecodeInput) and the
-// streaming engine (lightdblike: DecodeShared vs its own incremental
-// decoder) are covered, since they reach the cache by different paths.
+// materializing engine (scannerlike: ingest via vdbms.Decode) and the
+// streaming engine (lightdblike: vdbms.Decode with a shared cache, its
+// own incremental decoder without) are covered, since they reach the
+// cache by different paths.
 func TestRunWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-configuration benchmark run in -short mode")

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/detect"
 	"repro/internal/vcg"
 	"repro/internal/vcity"
@@ -38,8 +39,8 @@ func tiledTestDataset(t *testing.T, rows, cols int) *Dataset {
 // driver level: on a tile-mode dataset, serving Q1's (frame window ×
 // ROI) rectangle by tile-subset decode must be observably identical —
 // per-instance results, validation verdicts, and persisted result
-// bytes — to the full-decode baseline that reconstructs whole frames of
-// the same bitstream. All three engine families are covered because
+// bytes — to the whole-clip baseline (wholeClipSource) that reconstructs
+// whole frames of the same bitstream. All three engine families are covered because
 // each reaches the tiles by a different route: scannerlike ingests
 // tile-scoped tables, lightdblike bounds its angular Select's pixel
 // footprint, and noscopelike decodes the declared rectangle up front.
@@ -63,7 +64,7 @@ func TestRunTileDecodeEquivalence(t *testing.T) {
 				continue // one engine suffices for the second grid
 			}
 			t.Run(fmt.Sprintf("%dx%d/%s", rows, cols, eng.name), func(t *testing.T) {
-				baseline := runWindowed(t, ds, eng.mk(), Options{Workers: 1, FullDecode: true})
+				baseline := runWholeClipBaseline(t, ds, eng.mk(), Options{Workers: 1})
 
 				tiled := runWindowed(t, ds, eng.mk(), Options{Workers: 1})
 				compareOutcomes(t, "tile/workers=1", baseline, tiled)
@@ -75,7 +76,7 @@ func TestRunTileDecodeEquivalence(t *testing.T) {
 					t.Error("tiled run requested no frames through the decoded cache")
 				}
 				if tileSt.FramesRequested > fullSt.FramesRequested {
-					t.Errorf("tiled run requested %d frames, full-decode baseline %d",
+					t.Errorf("tiled run requested %d frames, whole-clip baseline %d",
 						tileSt.FramesRequested, fullSt.FramesRequested)
 				}
 
@@ -94,11 +95,11 @@ func TestRunTileDecodeEquivalence(t *testing.T) {
 // TestDatasetDecodedTiles pins the tile-keyed cache semantics at the
 // Dataset layer: tile requests decode only their tile set, the selected
 // regions are byte-identical to a full decode, a resident full-frame
-// window serves tile requests without a decode, and peek (a full-frame
-// contract) is never served by a tiled window.
+// window serves tile requests without a decode, and a full-frame request
+// is never served by a tiled window.
 func TestDatasetDecodedTiles(t *testing.T) {
 	ds := tiledTestDataset(t, 2, 2)
-	ds.configureDecodedCache(0, false)
+	ds.configureDecodedCache(0)
 	ids := ds.TrafficCameraIDs()
 	if len(ids) == 0 {
 		t.Fatal("dataset has no traffic cameras")
@@ -111,20 +112,31 @@ func TestDatasetDecodedTiles(t *testing.T) {
 	n := len(in.Encoded.Frames)
 	rects := cfg.TileRects()
 
-	// ROI covering tile 0 only.
+	// ROI covering tile 0 only; the whole frame maps to nil (full frames).
 	r0 := rects[0]
-	tiles, all := vdbms.InputTiles(in, 0, 0, r0.W, r0.H)
-	if all || len(tiles) != 1 || tiles[0] != 0 {
-		t.Fatalf("tile-0 ROI mapped to tiles %v (all=%v)", tiles, all)
+	tiles := vdbms.InputTiles(in, 0, 0, r0.W, r0.H)
+	if len(tiles) != 1 || tiles[0] != 0 {
+		t.Fatalf("tile-0 ROI mapped to tiles %v", tiles)
+	}
+	if all := vdbms.InputTiles(in, 0, 0, cfg.Width, cfg.Height); all != nil {
+		t.Fatalf("whole-frame ROI mapped to tiles %v, want nil", all)
 	}
 
-	v, err := ds.DecodedTiles(in, 0, n, tiles)
+	v, err := ds.Decoded(in, codec.Request{Hi: n, Tiles: tiles})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ds.DecodedRange(in, 0, n)
+	if resident(ds.decoded, in.Name, 0, n) {
+		t.Fatal("a tiled window counts as a resident full-frame window")
+	}
+	st := ds.DecodedCacheStats()
+	full, err := ds.Decoded(in, codec.Request{Hi: n})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := ds.DecodedCacheStats(); got.Misses != st.Misses+1 || got.Hits != st.Hits {
+		t.Fatalf("full-frame request over a tiled window: hits %d→%d misses %d→%d, want a miss",
+			st.Hits, got.Hits, st.Misses, got.Misses)
 	}
 	for i := range full.Frames {
 		want := full.Frames[i].Crop(0, 0, r0.W, r0.H)
@@ -134,15 +146,14 @@ func TestDatasetDecodedTiles(t *testing.T) {
 		}
 	}
 
-	// The tiled and full-frame windows coexist under different masks;
-	// peek only ever serves from the full-frame one.
-	if _, ok := ds.DecodedIfCached(in); !ok {
-		t.Fatal("full-frame window not resident after DecodedRange")
+	// The tiled and full-frame windows coexist under different masks.
+	if !resident(ds.decoded, in.Name, 0, n) {
+		t.Fatal("full-frame window not resident after a full-frame request")
 	}
-	st := ds.DecodedCacheStats()
+	st = ds.DecodedCacheStats()
 
 	// A tile request covered by the resident full-frame window hits.
-	if _, err := ds.DecodedTiles(in, 0, n, []int{3}); err != nil {
+	if _, err := ds.Decoded(in, codec.Request{Hi: n, Tiles: []int{3}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ds.DecodedCacheStats(); got.Hits != st.Hits+1 || got.Misses != st.Misses {
@@ -151,16 +162,12 @@ func TestDatasetDecodedTiles(t *testing.T) {
 	}
 
 	// A fresh cache serves repeated same-tile requests from the tiled
-	// window, and peek stays cold (no full-frame window resident).
-	ds.configureDecodedCache(0, false)
-	if _, err := ds.DecodedTiles(in, 0, n, tiles); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ds.DecodedIfCached(in); ok {
-		t.Fatal("peek served from a tiled window")
-	}
-	if _, err := ds.DecodedTiles(in, 0, n, tiles); err != nil {
-		t.Fatal(err)
+	// window.
+	ds.configureDecodedCache(0)
+	for i := 0; i < 2; i++ {
+		if _, err := ds.Decoded(in, codec.Request{Hi: n, Tiles: tiles}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := ds.DecodedCacheStats(); got.Hits != 1 || got.Misses != 1 {
 		t.Fatalf("repeat tile request: %d hits / %d misses, want 1 / 1", got.Hits, got.Misses)

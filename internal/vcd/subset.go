@@ -35,7 +35,7 @@ func NewBatchRunner(ds *Dataset, sys vdbms.System, opt Options) (*BatchRunner, e
 	if opt.Mode == WriteMode && opt.ResultStore == nil {
 		return nil, errors.New("vcd: WriteMode requires a result store")
 	}
-	ds.configureDecodedCache(opt.decodedCacheBudget(), opt.FullDecode)
+	ds.configureDecodedCache(opt.decodedCacheBudget())
 	return &BatchRunner{ds: ds, sys: sys, opt: opt, val: newValidator(ds, opt), shard: -1}, nil
 }
 

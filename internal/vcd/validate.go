@@ -132,7 +132,7 @@ func (v *validator) validate(inst *vdbms.QueryInstance, val *InstanceValidation)
 // reference computes the reference output(s) for an instance.
 func (v *validator) reference(inst *vdbms.QueryInstance) (map[string]*video.Video, error) {
 	in := inst.Inputs[0]
-	src, err := vdbms.DecodeInput(in)
+	src, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (v *validator) reference(inst *vdbms.QueryInstance) (map[string]*video.Vide
 		vids := make([]*video.Video, 0, len(inst.Inputs))
 		envs := make([]*queries.Env, 0, len(inst.Inputs))
 		for _, qin := range inst.Inputs {
-			dv, err := vdbms.DecodeInput(qin)
+			dv, err := vdbms.Decode(qin, 0, len(qin.Encoded.Frames), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -246,7 +246,7 @@ func (v *validator) referenceQ9(inst *vdbms.QueryInstance) (map[string]*video.Vi
 	var vids []*video.Video
 	var cams []*vcity.Camera
 	for _, qin := range inst.Inputs {
-		dv, err := vdbms.DecodeInput(qin)
+		dv, err := vdbms.Decode(qin, 0, len(qin.Encoded.Frames), nil)
 		if err != nil {
 			return nil, err
 		}

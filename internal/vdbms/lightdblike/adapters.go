@@ -33,7 +33,7 @@ func (e *Engine) runQ1(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	f1, f2, _ := queries.FrameWindow(inst.Query, p, cfg.FPS, len(in.Encoded.Frames))
 	// The angular Select's pixel footprint also bounds the tile set: on
 	// tile-mode inputs only the tiles under the crop reconstruct.
-	out, err := e.streamMapTiles(in, f1, f2, x1, y1, x2, y2, func(i int, f *video.Frame) (*video.Frame, error) {
+	out, err := e.streamMapRange(in, f1, f2, vdbms.InputTiles(in, x1, y1, x2, y2), func(i int, f *video.Frame) (*video.Frame, error) {
 		return f.Crop(x1, y1, x2, y2), nil
 	})
 	if err != nil {

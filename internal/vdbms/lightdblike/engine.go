@@ -113,71 +113,64 @@ func (e *Engine) Execute(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	return &vdbms.ErrUnsupported{System: e.Name(), Query: inst.Query}
 }
 
-// streamMap is the engine's core evaluation loop: decode one frame at a
-// time, apply the (lazily composed) transform, and append to the output.
-// Only the output and a single in-flight frame are resident. Recently
-// decoded inputs are served from the decode cache without touching the
-// codec.
+// streamMap is the engine's core evaluation loop over a whole input:
+// decode one frame at a time, apply the (lazily composed) transform, and
+// append to the output.
 func (e *Engine) streamMap(in *vdbms.Input, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
-	return e.streamMapRange(in, 0, len(in.Encoded.Frames), transform)
+	return e.streamMapRange(in, 0, len(in.Encoded.Frames), nil, transform)
 }
 
-// streamMapRange is streamMap restricted to the frame window [lo, hi)
-// the plan declared: frames outside the window are never decoded
-// (except the GOP seed run in front of it). transform receives absolute
-// stream indices.
-func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
+// mapFrames applies transform to frames holding stream indices lo,
+// lo+1, …, appending the frames it keeps to out, which it returns.
+func mapFrames(out *video.Video, lo int, frames []*video.Frame, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
+	for i, f := range frames {
+		g, err := transform(lo+i, f)
+		if err != nil {
+			return nil, err
+		}
+		if g != nil {
+			out.Append(g)
+		}
+	}
+	return out, nil
+}
+
+// streamMapRange is streamMap restricted to the (frame window × tile
+// set) rectangle the plan declared: frames outside [lo, hi) are never
+// decoded (except the GOP seed run in front of it), and with tiles
+// non-nil (vdbms.InputTiles) only those tiles need be valid. transform
+// receives absolute stream indices. Recently decoded inputs are served
+// from the engine's decode cache without touching the codec.
+func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
 	n := len(in.Encoded.Frames)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo = max(lo, 0)
+	hi = max(min(hi, n), lo)
 	out := video.NewVideo(in.Encoded.Config.FPS)
 	// Every path below records exactly one request-level decode span
-	// (the shared branch records it inside DecodeSharedRange), so span
-	// counts per streamMapRange call are invariant across modes.
+	// (the shared branch records it inside vdbms.Decode), so span counts
+	// per streamMapRange call are invariant across modes.
 	if cached, ok := e.cache.get(in, lo, hi); ok {
+		// A locally resident full-frame window serves any tile set.
 		sp := metrics.StartSpan(metrics.StageDecode)
 		sp.Trace(in.Trace)
 		sp.Cache(true)
 		sp.Frames(len(cached.Frames))
 		sp.End()
-		for i, f := range cached.Frames {
-			g, err := transform(lo+i, f)
-			if err != nil {
-				return nil, err
-			}
-			if g != nil {
-				out.Append(g)
-			}
-		}
-		return out, nil
+		return mapFrames(out, lo, cached.Frames, transform)
 	}
 	// When the driver runs with its shared decoded-input cache, use it
-	// as the decode layer: concurrent instances over the same window
-	// decode it exactly once (single-flight) and the cache's byte budget
-	// bounds residency. With no active cache — the paper-faithful
-	// sequential mode — the engine keeps its streaming (memory-flat)
-	// path below and never forces a materialization itself.
-	if shared, ok, err := vdbms.DecodeSharedRange(in, lo, hi); ok || err != nil {
+	// as the decode layer: concurrent instances over the same rectangle
+	// decode it exactly once (single-flight), only the declared tiles
+	// reconstruct, and the cache's byte budget bounds residency. With no
+	// active cache — the paper-faithful sequential mode — the engine
+	// keeps its streaming (memory-flat) full-frame path below and never
+	// forces a materialization itself.
+	if in.SharedCache() {
+		shared, err := vdbms.Decode(in, lo, hi, tiles)
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range shared.Frames {
-			g, err := transform(lo+i, f)
-			if err != nil {
-				return nil, err
-			}
-			if g != nil {
-				out.Append(g)
-			}
-		}
-		return out, nil
+		return mapFrames(out, lo, shared.Frames, transform)
 	}
 	// Streaming fallback: seek to the keyframe governing the window
 	// start, decode the seed run for reference state only, and stop at
@@ -225,51 +218,6 @@ func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, transform func(i in
 	sp.Frames(len(decoded.Frames))
 	sp.End()
 	return out, nil
-}
-
-// streamMapTiles is streamMapRange restricted to the tiles a declared
-// ROI rectangle touches: on tile-mode inputs with an active shared
-// cache, only those tiles reconstruct, served from the tile-keyed
-// decoded cache. The engine's own paths — the recent-decode ring and
-// the memory-flat streaming decoder — operate on full frames (a correct
-// superset of any tile set), so everything else falls through to
-// streamMapRange unchanged; span accounting stays one request-level
-// span per call in every mode.
-func (e *Engine) streamMapTiles(in *vdbms.Input, lo, hi, x1, y1, x2, y2 int, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
-	if _, all := vdbms.InputTiles(in, x1, y1, x2, y2); all {
-		return e.streamMapRange(in, lo, hi, transform)
-	}
-	n := len(in.Encoded.Frames)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	// A locally resident full-frame window beats a tile decode.
-	if _, ok := e.cache.get(in, lo, hi); ok {
-		return e.streamMapRange(in, lo, hi, transform)
-	}
-	if shared, ok, err := vdbms.DecodeSharedTiles(in, lo, hi, x1, y1, x2, y2); ok || err != nil {
-		if err != nil {
-			return nil, err
-		}
-		out := video.NewVideo(in.Encoded.Config.FPS)
-		for i, f := range shared.Frames {
-			g, err := transform(lo+i, f)
-			if err != nil {
-				return nil, err
-			}
-			if g != nil {
-				out.Append(g)
-			}
-		}
-		return out, nil
-	}
-	return e.streamMapRange(in, lo, hi, transform)
 }
 
 // streamDecoder decodes an input incrementally.

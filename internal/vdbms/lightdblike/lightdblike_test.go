@@ -165,7 +165,7 @@ func TestQ6aConsumesSerializedBoxes(t *testing.T) {
 	in := fx.Traffic(0)
 
 	// Stage precomputed boxes the way the VCD does.
-	src, err := vdbms.DecodeInput(in)
+	src, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

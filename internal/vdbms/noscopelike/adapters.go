@@ -27,7 +27,7 @@ func (e *Engine) runQ1(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	// The spatial box is part of the plan too: on tile-mode inputs only
 	// the tiles the ROI touches are reconstructed.
 	x1, y1, x2, y2, _ := queries.ROI(inst.Query, p, cfg.Width, cfg.Height)
-	v, err := vdbms.DecodeInputTiles(in, f1, f2, x1, y1, x2, y2)
+	v, err := vdbms.Decode(in, f1, f2, vdbms.InputTiles(in, x1, y1, x2, y2))
 	if err != nil {
 		return err
 	}
@@ -40,7 +40,7 @@ func (e *Engine) runQ1(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 
 func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	in := inst.Inputs[0]
-	v, err := vdbms.DecodeInput(in)
+	v, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 	if err != nil {
 		return err
 	}

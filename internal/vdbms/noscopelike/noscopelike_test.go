@@ -60,7 +60,7 @@ func TestQ2cExecutes(t *testing.T) {
 func TestCascadeSkipsStableFrames(t *testing.T) {
 	fx := vdbmstest.NewFixture(t, 3)
 	in := fx.Traffic(0)
-	v, err := vdbms.DecodeInput(in)
+	v, err := vdbms.Decode(in, 0, len(in.Encoded.Frames), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func (e *Engine) runQ1(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	// tiles the box touches.
 	f1, f2, _ := queries.FrameWindow(inst.Query, p, fps, len(in.Encoded.Frames))
 	x1, y1, x2, y2, _ := queries.ROI(inst.Query, p, cfg.Width, cfg.Height)
-	t, err := e.loadTableTiles(inst.Query, in, f1, f2, x1, y1, x2, y2)
+	t, err := e.loadTableRange(inst.Query, in, f1, f2, vdbms.InputTiles(in, x1, y1, x2, y2))
 	if err != nil {
 		return err
 	}
@@ -231,7 +231,7 @@ func (e *Engine) runQ6a(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	defer t.release()
 	var boxes *video.Video
 	if inst.Boxes != nil {
-		boxes, err = vdbms.DecodeAll(inst.Boxes.Encoded)
+		boxes, err = inst.Boxes.Encoded.DecodeParallel(0)
 	} else {
 		env := *in.Env
 		env.Detector = caffeDetector(in.Env.Detector)

@@ -318,40 +318,23 @@ func (e *Engine) mapTable(q queries.QueryID, in *table, kernel func(*video.Frame
 // into spill-and-page-in thrashing) as the benchmark's scale factor
 // grows.
 func (e *Engine) loadTable(q queries.QueryID, in *vdbms.Input) (*table, error) {
-	return e.loadTableRange(q, in, 0, len(in.Encoded.Frames))
+	return e.loadTableRange(q, in, 0, len(in.Encoded.Frames), nil)
 }
 
-// loadTableRange ingests only the frame window [lo, hi) an instance
-// declared up front — Scanner's eager model still materializes the
-// window as a table, but frames outside it are never decoded. Windowed
-// tables get their own ingest-cache slot so a partial ingest can never
-// satisfy a later whole-clip load.
-func (e *Engine) loadTableRange(q queries.QueryID, in *vdbms.Input, lo, hi int) (*table, error) {
+// loadTableRange ingests only the (frame window × tile set) rectangle an
+// instance declared up front — Scanner's eager model still materializes
+// it as a table, but frames outside [lo, hi) are never decoded, and with
+// tiles non-nil (vdbms.InputTiles) only those tiles are (rows stay
+// full-dimension, so operator coordinates need no translation). Every
+// distinct rectangle gets its own ingest-cache slot, so a partial ingest
+// can never satisfy a later wider load.
+func (e *Engine) loadTableRange(q queries.QueryID, in *vdbms.Input, lo, hi int, tiles []int) (*table, error) {
 	key := in.Name
-	if lo != 0 || hi != len(in.Encoded.Frames) {
-		key = fmt.Sprintf("%s#%d-%d", in.Name, lo, hi)
+	if lo != 0 || hi != len(in.Encoded.Frames) || tiles != nil {
+		key = fmt.Sprintf("%s#%d-%d@%v", in.Name, lo, hi, tiles)
 	}
-	return e.loadTableKeyed(in, key, func() (*table, error) { return e.fillTable(q, in, lo, hi) })
-}
-
-// loadTableTiles ingests the (frame window × ROI) rectangle an instance
-// declared: on tile-mode inputs only the tiles the rectangle touches
-// are decoded into the table (rows stay full-dimension, so operator
-// coordinates need no translation). Tables get an ingest-cache slot
-// keyed by their tile mask as well as their window, so a tile-subset
-// ingest can never satisfy a later full-frame load.
-func (e *Engine) loadTableTiles(q queries.QueryID, in *vdbms.Input, lo, hi, x1, y1, x2, y2 int) (*table, error) {
-	tiles, all := vdbms.InputTiles(in, x1, y1, x2, y2)
-	if all {
-		return e.loadTableRange(q, in, lo, hi)
-	}
-	var mask uint64
-	for _, t := range tiles {
-		mask |= 1 << uint(t)
-	}
-	key := fmt.Sprintf("%s#%d-%d@%x", in.Name, lo, hi, mask)
 	return e.loadTableKeyed(in, key, func() (*table, error) {
-		v, err := vdbms.DecodeInputTiles(in, lo, hi, x1, y1, x2, y2)
+		v, err := vdbms.Decode(in, lo, hi, tiles)
 		if err != nil {
 			return nil, err
 		}
@@ -400,21 +383,6 @@ func (e *Engine) loadTableKeyed(in *vdbms.Input, key string, fill func() (*table
 	}
 	close(ent.done)
 	return ent.t, ent.err
-}
-
-// fillTable decodes and materializes one ingest table.
-func (e *Engine) fillTable(q queries.QueryID, in *vdbms.Input, lo, hi int) (*table, error) {
-	v, err := vdbms.DecodeInputRange(in, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	w, h := v.Resolution()
-	t, err := e.newTable(q, v.Frames, w, h, v.FPS)
-	if err != nil {
-		return nil, err
-	}
-	t.pinned = true
-	return t, nil
 }
 
 // emitTable converts a table back to a video and emits it. Rows are

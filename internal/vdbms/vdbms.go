@@ -37,8 +37,8 @@ type Input struct {
 	Env      *queries.Env
 	// Source, when set by the staging layer, serves decoded frames for
 	// this input (typically from the VCD's shared decoded-input cache).
-	// Engines reach it through DecodeInput/PeekDecoded; a nil Source
-	// decodes the payload directly.
+	// Engines reach it through Decode; a nil Source decodes the payload
+	// directly.
 	Source DecodedSource
 	// Trace is the distributed trace ID of the query instance this
 	// handle was staged for; decode spans record under it. The driver
@@ -47,63 +47,20 @@ type Input struct {
 	Trace metrics.TraceID
 }
 
-// DecodedSource supplies decoded videos for staged inputs. The returned
-// video's frames may share pixel storage with other consumers: callers
-// must treat the planes as read-only (every bundled engine derives new
-// frames rather than mutating inputs).
+// DecodedSource serves decode requests for staged inputs — the VCD's
+// dataset, which fronts its shared (interval × tile-set)-keyed decoded
+// cache. The returned video holds exactly req.Hi−req.Lo full-dimension
+// frames in stream order with absolute indices; on tile-mode inputs the
+// regions outside req.Tiles are undefined. Frames may share pixel
+// storage with other consumers: callers must treat the planes as
+// read-only (every bundled engine derives new frames rather than
+// mutating inputs).
 type DecodedSource interface {
-	Decoded(in *Input) (*video.Video, error)
-}
-
-// CachedDecodedSource is optionally implemented by sources that can
-// report an already-decoded video without forcing a decode — the hook
-// streaming engines use to keep their memory-flat path when the cache
-// is cold.
-type CachedDecodedSource interface {
-	DecodedIfCached(in *Input) (*video.Video, bool)
-}
-
-// SharedDecodedSource is optionally implemented by sources backed by an
-// active shared decode cache. DecodedShared decodes through the cache
-// (single-flight, byte-budgeted) and reports ok=false when no cache is
-// active, letting streaming engines fall back to their own incremental
-// decode path instead of forcing a materialization the driver never
-// asked for.
-type SharedDecodedSource interface {
-	DecodedShared(in *Input) (v *video.Video, ok bool, err error)
-}
-
-// RangedDecodedSource is optionally implemented by sources that can
-// serve a frame window [first, last) of an input without decoding the
-// whole clip — the VCD's interval-keyed decoded cache. The returned
-// video holds exactly last−first frames (stream order, absolute
-// indices); its plane storage is shared and read-only like Decoded's.
-type RangedDecodedSource interface {
-	DecodedRange(in *Input, first, last int) (*video.Video, error)
-}
-
-// SharedRangedDecodedSource is the ranged analogue of
-// SharedDecodedSource: decode a frame window through the shared cache
-// when one is active, ok=false otherwise.
-type SharedRangedDecodedSource interface {
-	DecodedSharedRange(in *Input, first, last int) (v *video.Video, ok bool, err error)
-}
-
-// TiledDecodedSource is optionally implemented by sources that can
-// serve the (frame window × tile set) rectangle of a tile-mode input —
-// the VCD's (interval × tile-set)-keyed decoded cache. tiles holds
-// row-major tile indices; returned frames are full-dimension with
-// unselected tile regions undefined (engines only read the declared
-// ROI). Plane storage is shared and read-only like Decoded's.
-type TiledDecodedSource interface {
-	DecodedTiles(in *Input, first, last int, tiles []int) (*video.Video, error)
-}
-
-// SharedTiledDecodedSource is the tiled analogue of
-// SharedRangedDecodedSource: decode a (window × tile-set) rectangle
-// through the shared cache when one is active, ok=false otherwise.
-type SharedTiledDecodedSource interface {
-	DecodedSharedTiles(in *Input, first, last int, tiles []int) (v *video.Video, ok bool, err error)
+	Decoded(in *Input, req codec.Request) (*video.Video, error)
+	// SharedCache reports whether requests are served through an active
+	// shared cache (single-flight, byte-budgeted) rather than decoded per
+	// call.
+	SharedCache() bool
 }
 
 // Camera returns the input's originating camera.
@@ -200,24 +157,28 @@ func (e *ErrResource) Error() string {
 	return fmt.Sprintf("vdbms: %s failed on %s: %s", e.System, e.Query, e.Reason)
 }
 
-// DecodeInput decodes an input's full video (shared by engines that
-// operate on raw frames). Inputs staged with a Source are served from
-// it — the VCD's shared, single-flight decoded-input cache — so
-// concurrent instances over the same input decode it exactly once.
+// Decode is the one way engines obtain raw frames: it decodes the
+// (frame window × tile set) rectangle of an input that the query plan
+// declared up front (queries.FrameWindow, queries.ROI via InputTiles).
+// The whole clip is the window [0, len(in.Encoded.Frames)); nil tiles
+// selects full frames. Inputs staged with a Source are served from it —
+// the VCD's shared, single-flight decoded cache, so concurrent
+// instances over the same rectangle decode it exactly once — and a nil
+// Source decodes the payload directly.
 //
 // Every call records one request-level decode span, cache hits
 // included, so span counts are invariant across execution modes (the
 // codec.gop stage measures the actual reconstruction work).
-func DecodeInput(in *Input) (*video.Video, error) {
+func Decode(in *Input, lo, hi int, tiles []int) (*video.Video, error) {
 	sp := metrics.StartSpan(metrics.StageDecode)
 	sp.Trace(in.Trace)
+	req := codec.Request{Lo: lo, Hi: hi, Tiles: tiles, Workers: parallel.Default()}
 	var v *video.Video
 	var err error
 	if in.Source != nil {
-		v, err = in.Source.Decoded(in)
+		v, err = in.Source.Decoded(in, req)
 	} else {
-		sp.Bytes(int64(in.Encoded.Size()))
-		v, err = DecodeAll(in.Encoded)
+		v, err = in.Encoded.DecodeRequest(req)
 	}
 	if err != nil {
 		return nil, err
@@ -227,223 +188,26 @@ func DecodeInput(in *Input) (*video.Video, error) {
 	return v, nil
 }
 
-// PeekDecoded returns the already-decoded video for an input when its
-// source holds one, without triggering a decode. Streaming engines use
-// this to reuse shared decode work opportunistically while keeping
-// their incremental path when the cache is cold.
-func PeekDecoded(in *Input) (*video.Video, bool) {
-	if src, ok := in.Source.(CachedDecodedSource); ok {
-		return src.DecodedIfCached(in)
-	}
-	return nil, false
+// SharedCache reports whether Decode on this input goes through an
+// active shared decoded cache. Streaming engines ask before decoding:
+// with no cache — the paper-faithful sequential mode — they keep their
+// own incremental, memory-flat path instead of forcing a
+// materialization the driver never asked for.
+func (in *Input) SharedCache() bool {
+	return in.Source != nil && in.Source.SharedCache()
 }
 
-// DecodeShared decodes an input through its source's shared
-// decoded-input cache when one is active. ok=false means no cache is
-// active for this input (nil source, or the driver runs in sequential
-// mode) and the caller should use its own decode path.
-//
-// A decode span is recorded only when the request was actually served
-// (ok=true): on ok=false the caller runs its own decode path, which
-// records the request itself, keeping exactly one span per logical
-// decode request in every mode.
-func DecodeShared(in *Input) (*video.Video, bool, error) {
-	if src, ok := in.Source.(SharedDecodedSource); ok {
-		sp := metrics.StartSpan(metrics.StageDecode)
-		sp.Trace(in.Trace)
-		v, active, err := src.DecodedShared(in)
-		if active && err == nil {
-			sp.Frames(len(v.Frames))
-			sp.End()
-		}
-		return v, active, err
-	}
-	return nil, false, nil
-}
-
-// DecodeAll decodes an encoded payload with parallel decode: intra
-// frames seed independent chains that decode concurrently and
-// reassemble in order, and when the payload has fewer chains than
-// workers the codec switches to sub-GOP parallelism (parallel entropy
-// parse, row-parallel reconstruction). Both modes are byte-identical to
-// serial decode.
-func DecodeAll(enc *codec.Encoded) (*video.Video, error) {
-	return enc.DecodeParallel(parallel.Default())
-}
-
-// DecodeRange decodes frames [first, last) of an encoded payload with
-// GOP-parallel partial decode: only the keyframe chains covering the
-// window run, and frames are byte-identical to the corresponding
-// DecodeAll slice.
-func DecodeRange(enc *codec.Encoded, first, last int) (*video.Video, error) {
-	return enc.DecodeRangeParallel(parallel.Default(), first, last)
-}
-
-// DecodeTiles decodes the (frame window × tile set) rectangle of a
-// tile-mode payload with tile-parallel partial decode: only the
-// selected tiles of the window's covering chains reconstruct. Returned
-// frames are full-dimension with unselected tile regions black; the
-// selected regions are byte-identical to the corresponding DecodeRange
-// frames.
-func DecodeTiles(enc *codec.Encoded, first, last int, tiles []int) (*video.Video, error) {
-	return enc.DecodeTiles(parallel.Default(), first, last, tiles)
-}
-
-// DecodeInputRange decodes the frame window [first, last) of an input,
-// declared up front by the query plan (queries.FrameWindow). Inputs
-// staged with a range-capable source are served from the VCD's
-// interval-keyed decoded cache; a full-clip window takes the existing
-// whole-video path unchanged; otherwise the payload's covering GOPs
-// decode directly.
-func DecodeInputRange(in *Input, first, last int) (*video.Video, error) {
-	if first == 0 && last == len(in.Encoded.Frames) {
-		return DecodeInput(in) // full window: the whole-video path records the span
-	}
-	sp := metrics.StartSpan(metrics.StageDecode)
-	sp.Trace(in.Trace)
-	v, err := decodeInputRange(in, first, last)
-	if err != nil {
-		return nil, err
-	}
-	sp.Frames(len(v.Frames))
-	sp.End()
-	return v, nil
-}
-
-// decodeInputRange is DecodeInputRange's uninstrumented body.
-func decodeInputRange(in *Input, first, last int) (*video.Video, error) {
-	if src, ok := in.Source.(RangedDecodedSource); ok {
-		return src.DecodedRange(in, first, last)
-	}
-	if in.Source != nil {
-		// Full-decode-only source: slice its whole-clip decode.
-		v, err := in.Source.Decoded(in)
-		if err != nil {
-			return nil, err
-		}
-		return sliceVideo(v, first, last)
-	}
-	return DecodeRange(in.Encoded, first, last)
-}
-
-// DecodeSharedRange decodes a frame window through the input source's
-// shared decoded-input cache when one is active. ok=false means no
-// cache is active and the caller should use its own (seek-capable)
-// decode path.
-func DecodeSharedRange(in *Input, first, last int) (*video.Video, bool, error) {
-	if first == 0 && last == len(in.Encoded.Frames) {
-		return DecodeShared(in)
-	}
-	sp := metrics.StartSpan(metrics.StageDecode)
-	sp.Trace(in.Trace)
-	v, ok, err := decodeSharedRange(in, first, last)
-	if ok && err == nil {
-		sp.Frames(len(v.Frames))
-		sp.End()
-	}
-	return v, ok, err
-}
-
-// decodeSharedRange is DecodeSharedRange's uninstrumented body.
-func decodeSharedRange(in *Input, first, last int) (*video.Video, bool, error) {
-	if src, ok := in.Source.(SharedRangedDecodedSource); ok {
-		return src.DecodedSharedRange(in, first, last)
-	}
-	if src, ok := in.Source.(SharedDecodedSource); ok {
-		v, active, err := src.DecodedShared(in)
-		if !active || err != nil {
-			return nil, active, err
-		}
-		v, err = sliceVideo(v, first, last)
-		return v, true, err
-	}
-	return nil, false, nil
-}
-
-// InputTiles maps a declared ROI rectangle to the input's tile set.
-// all=true means the request needs every tile (untiled input, or the
-// rectangle touches the whole grid) and should take the existing
-// full-frame paths unchanged. Engines use it to key tile-scoped work
-// (e.g. ingest tables) by the tile set a plan actually touches.
-func InputTiles(in *Input, x1, y1, x2, y2 int) (tiles []int, all bool) {
+// InputTiles maps a declared ROI rectangle to the tile set Decode
+// should reconstruct. nil means full frames: the input is untiled, or
+// the rectangle touches every tile of the grid.
+func InputTiles(in *Input, x1, y1, x2, y2 int) []int {
 	cfg := &in.Encoded.Config
 	if !cfg.Tiled() {
-		return nil, true
+		return nil
 	}
-	tiles = cfg.TilesCovering(x1, y1, x2, y2)
-	return tiles, len(tiles) == cfg.TileCount()
-}
-
-// DecodeInputTiles decodes the (frame window × ROI) rectangle of an
-// input, both declared up front by the query plan (queries.FrameWindow
-// and queries.ROI). Untiled inputs and full-frame ROIs take the range
-// path unchanged; tile-mode inputs reconstruct only the tiles the ROI
-// touches — from a tile-capable source (the VCD's tile-keyed decoded
-// cache) when staged with one, directly off the payload otherwise.
-// Returned frames are full-dimension (unselected tile regions are
-// black), so ROI pixel coordinates need no translation.
-func DecodeInputTiles(in *Input, first, last, x1, y1, x2, y2 int) (*video.Video, error) {
-	tiles, all := InputTiles(in, x1, y1, x2, y2)
-	if all {
-		return DecodeInputRange(in, first, last)
+	tiles := cfg.TilesCovering(x1, y1, x2, y2)
+	if len(tiles) == cfg.TileCount() {
+		return nil
 	}
-	sp := metrics.StartSpan(metrics.StageDecode)
-	sp.Trace(in.Trace)
-	v, err := decodeInputTiles(in, first, last, tiles)
-	if err != nil {
-		return nil, err
-	}
-	sp.Frames(len(v.Frames))
-	sp.End()
-	return v, nil
-}
-
-// decodeInputTiles is DecodeInputTiles's uninstrumented body.
-func decodeInputTiles(in *Input, first, last int, tiles []int) (*video.Video, error) {
-	if src, ok := in.Source.(TiledDecodedSource); ok {
-		return src.DecodedTiles(in, first, last, tiles)
-	}
-	if in.Source != nil {
-		// Tile-unaware source: its full-frame window is a correct
-		// superset of the requested tiles.
-		return decodeInputRange(in, first, last)
-	}
-	return in.Encoded.DecodeTiles(parallel.Default(), first, last, tiles)
-}
-
-// DecodeSharedTiles decodes a (frame window × ROI) rectangle through
-// the input source's shared decoded cache when one is active. ok=false
-// means no cache is active and the caller should use its own decode
-// path. Span accounting mirrors DecodeSharedRange: one request-level
-// span, recorded only when the request was actually served.
-func DecodeSharedTiles(in *Input, first, last, x1, y1, x2, y2 int) (*video.Video, bool, error) {
-	tiles, all := InputTiles(in, x1, y1, x2, y2)
-	if all {
-		return DecodeSharedRange(in, first, last)
-	}
-	sp := metrics.StartSpan(metrics.StageDecode)
-	sp.Trace(in.Trace)
-	v, ok, err := decodeSharedTiles(in, first, last, tiles)
-	if ok && err == nil {
-		sp.Frames(len(v.Frames))
-		sp.End()
-	}
-	return v, ok, err
-}
-
-// decodeSharedTiles is DecodeSharedTiles's uninstrumented body.
-func decodeSharedTiles(in *Input, first, last int, tiles []int) (*video.Video, bool, error) {
-	if src, ok := in.Source.(SharedTiledDecodedSource); ok {
-		return src.DecodedSharedTiles(in, first, last, tiles)
-	}
-	// Tile-unaware shared source: full frames are a correct superset.
-	return decodeSharedRange(in, first, last)
-}
-
-// sliceVideo views frames [first, last) of a decoded clip.
-func sliceVideo(v *video.Video, first, last int) (*video.Video, error) {
-	if first < 0 || last > len(v.Frames) || first > last {
-		return nil, fmt.Errorf("vdbms: frame range [%d, %d) outside [0, %d]", first, last, len(v.Frames))
-	}
-	return &video.Video{FPS: v.FPS, Frames: v.Frames[first:last]}, nil
+	return tiles
 }

@@ -24,7 +24,10 @@ go test -race -run 'TestHistogramMergeConcurrent|TestSpanConcurrentAggregation' 
 go test -race -run 'TestTelemetryModeInvariance' ./internal/vcd
 # Codec hot-path exactness and robustness: the golden corpus pins
 # byte-identity of the word-at-a-time entropy I/O and butterfly
-# transform against the reference formulation across every decode path;
+# transform against the reference formulation, and
+# TestDecodeRequestIdentity holds the one decode path to that decode at
+# every window, tile set and worker count (FuzzDecodeRequest's seeds —
+# arbitrary requests — are among the ^Fuzz seeds);
 # the fuzz seed corpora run as ordinary tests (go test executes every
 # f.Add seed); the allocation pins guard the pooled steady state; the
 # encoder's analysis-pass kernels (SWAR SAD, pruned motion search, zero-
@@ -32,11 +35,13 @@ go test -race -run 'TestTelemetryModeInvariance' ./internal/vcd
 # must reach the decisions of the reference formulas; and the sub-GOP
 # entropy/reconstruction split plus parallel span extraction run under
 # the race detector.
-go test -race -run 'TestGoldenBitstreams|^Fuzz|StateAllocs$|TestExtractSpanParallel|TestSADMatchesReference|TestMotionSearchDecisionIdentical' ./internal/codec ./internal/container
+go test -race -run 'TestGoldenBitstreams|TestDecodeRequestIdentity|^Fuzz|StateAllocs$|TestExtractSpanParallel|TestSADMatchesReference|TestMotionSearchDecisionIdentical' ./internal/codec ./internal/container
 # The same identity suites with the scheduler pinned to one thread: the
-# row-parallel analysis pass and tile-parallel encode must not depend on
-# real parallelism to be bit-identical.
+# row-parallel analysis pass, tile-parallel encode and the decode
+# request's worker pool must not depend on real parallelism to be
+# bit-identical.
 GOMAXPROCS=1 go test -run 'TestGoldenBitstreams|TestParallelMEBitstreamIdentical|TestTileStitchIdentity|TestTiledEncodeDeterministicAcrossWorkers' ./internal/codec
+GOMAXPROCS=1 go test -run 'TestDecodeRequestIdentity|FuzzDecodeRequest' ./internal/codec
 # Tiled spatial decode under the race detector: tile-parallel
 # reconstruction must stitch byte-identically to the full-frame decode
 # at every worker count and grid, the driver-level equivalence test
