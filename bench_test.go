@@ -149,9 +149,12 @@ func BenchmarkFigure6(b *testing.B) {
 		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := core.CompareSystems(core.CompareConfig{
-					Scale: L, Duration: 0.4, Seed: 3,
-					Queries:             []queries.QueryID{queries.Q1, queries.Q2c},
-					InstancesPerScale:   1,
+					Scale: L, Duration: 0.4,
+					Options: vcd.Options{
+						Seed:              3,
+						Queries:           []queries.QueryID{queries.Q1, queries.Q2c},
+						InstancesPerScale: 1,
+					},
 					ScannerMemoryBudget: 6 << 20,
 				})
 				if err != nil {

@@ -30,92 +30,68 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/queries"
-	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/vcd"
-	"repro/internal/vdbms"
-	"repro/internal/vdbms/lightdblike"
-	"repro/internal/vdbms/noscopelike"
-	"repro/internal/vdbms/scannerlike"
 	"repro/internal/vfs"
 )
 
 func main() { os.Exit(run()) }
 
-// exitDebugClose is the exit status when the benchmark itself succeeded
-// but the debug server failed mid-run (listener died, serve error) —
-// distinct from 1 (run failure) and 2 (usage) so scrapers polling
-// /debug endpoints learn their window had a hole.
-const exitDebugClose = 3
-
-// closeDebug shuts the debug server down and maps the outcome to an
-// exit status contribution: 0 when there was no server or it closed
-// cleanly, exitDebugClose when the close surfaced a mid-run failure.
-func closeDebug(closeFn func() error) int {
-	if closeFn == nil {
-		return 0
-	}
-	if err := closeFn(); err != nil {
-		fmt.Fprintf(os.Stderr, "vcd: debug server: %v\n", err)
-		return exitDebugClose
-	}
-	return 0
+// words is vcd's wording of the shared flag groups (internal/cli).
+var words = cli.Words{
+	"queries":       "comma-separated query list (e.g. Q1,Q2a,Q7); default all",
+	"seed":          "parameter sampling seed",
+	"validate":      "validate results against the reference implementation / scene geometry",
+	"instances":     "query instances per unit of scale (the paper uses 4)",
+	"shard-workers": "run the batch through the shard plane with N in-process workers (0/1 = single-process); results are identical at any count",
+	"shard-addrs":   "comma-separated addresses of remote shard workers (vcd -shard-worker); overrides -shard-workers",
+	"shard-worker":  "run as a shard worker: serve coordinator connections instead of executing a benchmark",
+	"report":        "print the stage-breakdown telemetry table after the run",
 }
 
-func run() int {
+func run() (code int) {
+	fs := flag.CommandLine
 	data := flag.String("data", "", "dataset directory written by vcg (required)")
 	system := flag.String("system", "lightdblike", "system under test: scannerlike, lightdblike, noscopelike")
-	queryList := flag.String("queries", "", "comma-separated query list (e.g. Q1,Q2a,Q7); default all")
+	runFlags := cli.BindRun(fs, words)
 	mode := flag.String("mode", "streaming", "result mode: write or streaming")
 	out := flag.String("out", "", "result directory (write mode)")
-	seed := flag.Uint64("seed", 1, "parameter sampling seed")
-	validate := flag.Bool("validate", false, "validate results against the reference implementation / scene geometry")
-	instances := flag.Int("instances", 4, "query instances per unit of scale (the paper uses 4)")
-	queryWorkers := flag.Int("query-workers", 0, "concurrent query instances per batch (0 = one per CPU, 1 = serial); results are identical at any count")
-	sequential := flag.Bool("sequential", false, "paper-faithful execution: one query instance at a time, no shared decode cache (overrides -query-workers)")
 	online := flag.Bool("online", false, "online mode: deliver inputs as live-paced streams (Q1/Q2a/Q2c/Q5)")
 	transport := flag.String("transport", "pipe", "online transport: pipe or rtp")
 	onlineFaults := flag.String("online-faults", "", "online fault spec, e.g. 0.01 or drop=0.01,reorder=0.005,cut=12,dial=2")
 	onlineSeed := flag.Uint64("online-seed", 1, "seed keying the deterministic fault schedule")
 	onlineTimeout := flag.Duration("online-timeout", 0, "per-stream deadline for online sessions (0 = none)")
-	shardWorkers := flag.Int("shard-workers", 0, "run the batch through the shard plane with N in-process workers (0/1 = single-process); results are identical at any count")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated addresses of remote shard workers (vcd -shard-worker); overrides -shard-workers")
-	shardWorker := flag.Bool("shard-worker", false, "run as a shard worker: serve coordinator connections instead of executing a benchmark")
-	shardListen := flag.String("shard-listen", "127.0.0.1:0", "listen address in -shard-worker mode")
+	shardFlags := cli.BindShard(fs, words, 0)
+	worker := cli.BindWorker(fs, words)
 	jsonOut := flag.Bool("json", false, "emit the report as JSON (for downstream tooling)")
-	metricsJSON := flag.String("metrics-json", "", "write pipeline telemetry (stage histograms, gauges, cache stats) as JSON to this file")
-	reportFlag := flag.Bool("report", false, "print the stage-breakdown telemetry table after the run")
-	debugAddr := flag.String("debug-addr", "", "serve live telemetry and pprof handlers on this address (e.g. localhost:6060)")
+	obs := cli.BindObs(fs, words)
 	flag.Parse()
 
-	if *metricsJSON != "" || *reportFlag || *debugAddr != "" {
-		metrics.SetEnabled(true)
+	if err := obs.Start(); err != nil {
+		fatal(err)
 	}
-	var debugClose func() error
-	if *debugAddr != "" {
-		addr, closeFn, err := metrics.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "vcd: serving telemetry on http://%s/debug/metrics\n", addr)
-		debugClose = closeFn
-	}
+	defer func() { code = obs.Exit(code) }()
 
-	if *shardWorker {
-		runShardWorker(*shardListen, *data)
-		return closeDebug(debugClose)
+	if worker.Enabled {
+		return worker.Run(*data)
 	}
 	if *data == "" {
-		fmt.Fprintln(os.Stderr, "vcd: -data is required")
-		flag.Usage()
-		os.Exit(2)
+		return cli.UsageError(fs, errors.New("-data is required"))
+	}
+	opt, err := runFlags.Options()
+	if err != nil {
+		return cli.UsageError(fs, err)
+	}
+	copt, err := shardFlags.Options()
+	if err != nil {
+		return cli.UsageError(fs, err)
 	}
 	store, err := vfs.NewLocal(*data)
 	if err != nil {
@@ -125,36 +101,21 @@ func run() int {
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := systemByName(*system)
+	spec := shard.SystemSpec{Name: *system}
+	sys, err := shard.NewSystem(spec)
 	if err != nil {
 		fatal(err)
-	}
-	qs, err := queries.ParseList(*queryList)
-	if err != nil {
-		fatal(err)
-	}
-	opt := vcd.Options{
-		Queries:           qs,
-		InstancesPerScale: *instances,
-		Seed:              *seed,
-		Validate:          *validate,
-		MaxUpsamplePixels: 1 << 24,
-		Workers:           *queryWorkers,
-		Sequential:        *sequential,
 	}
 	switch *mode {
 	case "write":
 		if *out == "" {
 			fatal(fmt.Errorf("vcd: write mode requires -out"))
 		}
-		rs, err := vfs.NewLocal(*out)
-		if err != nil {
+		opt.Mode = vcd.WriteMode
+		if opt.ResultStore, err = vfs.NewLocal(*out); err != nil {
 			fatal(err)
 		}
-		opt.Mode = vcd.WriteMode
-		opt.ResultStore = rs
 	case "streaming":
-		opt.Mode = vcd.StreamingMode
 	default:
 		fatal(fmt.Errorf("vcd: unknown mode %q", *mode))
 	}
@@ -162,28 +123,16 @@ func run() int {
 	fmt.Printf("vcd: benchmarking %s on %s (L=%d, %dx%d, %.0fs)\n",
 		sys.Name(), *data, ds.Manifest.Scale, ds.Manifest.Width, ds.Manifest.Height, ds.Manifest.Duration)
 	if *online {
-		runOnline(ds, opt, onlineConfig{
-			transport:   *transport,
-			faultSpec:   *onlineFaults,
-			seed:        *onlineSeed,
-			timeout:     *onlineTimeout,
-			metricsJSON: *metricsJSON,
-		})
-		return closeDebug(debugClose)
+		runOnline(ds, opt, obs, *transport, *onlineFaults, *onlineSeed, *onlineTimeout)
+		return 0
 	}
 	var report *vcd.RunReport
-	if *shardWorkers > 1 || *shardAddrs != "" {
-		copt := shard.Options{Shards: *shardWorkers}
-		if *shardAddrs != "" {
-			addrs := splitAddrs(*shardAddrs)
-			copt.Shards = len(addrs)
-			copt.Transport = &shard.AddrTransport{Addrs: addrs}
-		}
+	if copt.Sharded() {
 		var counters *shard.Counters
 		report, counters, err = shard.Run(context.Background(), shard.Plan{
 			Dataset: shard.DatasetSpec{Path: *data},
 			Store:   store,
-			System:  shard.SystemSpec{Name: *system},
+			System:  spec,
 			Scale:   ds.Manifest.Scale,
 			Opt:     opt,
 		}, copt)
@@ -202,12 +151,10 @@ func run() int {
 			fatal(err)
 		}
 	}
-	if *metricsJSON != "" {
-		if err := writeTelemetryArtifact(*metricsJSON, report); err != nil {
-			fatal(err)
-		}
+	if err := obs.WriteArtifact(newTelemetryArtifact(report)); err != nil {
+		fatal(err)
 	}
-	if *reportFlag && report.Telemetry != nil {
+	if obs.Report && report.Telemetry != nil {
 		// The table goes to stderr under -json so the JSON stream stays
 		// machine-parseable.
 		w := os.Stdout
@@ -223,10 +170,10 @@ func run() int {
 		if err := enc.Encode(vcd.Summarize(report)); err != nil {
 			fatal(err)
 		}
-		return closeDebug(debugClose)
+		return 0
 	}
-	printReport(report, *validate)
-	return closeDebug(debugClose)
+	printReport(report, opt.Validate)
+	return 0
 }
 
 // telemetryArtifact is the -metrics-json schema: the run's telemetry
@@ -243,9 +190,8 @@ type telemetryArtifact struct {
 	Events       []metrics.Event               `json:"events,omitempty"`
 }
 
-// writeTelemetryArtifact serializes the run's telemetry atomically
-// (temp file + rename, so a crash never leaves a truncated artifact).
-func writeTelemetryArtifact(path string, r *vcd.RunReport) error {
+// newTelemetryArtifact gathers a finished run's -metrics-json content.
+func newTelemetryArtifact(r *vcd.RunReport) telemetryArtifact {
 	art := telemetryArtifact{
 		System:       r.System,
 		Scale:        r.Scale,
@@ -260,28 +206,7 @@ func writeTelemetryArtifact(path string, r *vcd.RunReport) error {
 			art.Queries[string(qr.Query)] = qr.Telemetry
 		}
 	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// onlineConfig carries the online-mode CLI knobs.
-type onlineConfig struct {
-	transport   string
-	faultSpec   string
-	seed        uint64
-	timeout     time.Duration
-	metricsJSON string
+	return art
 }
 
 // onlineArtifact is the -metrics-json schema for online mode: per-query
@@ -299,17 +224,17 @@ type onlineArtifact struct {
 // streams — optionally degraded by a seeded fault plan — and reports
 // achieved frames per second plus degradation accounting, as the paper
 // requires for online-mode results.
-func runOnline(ds *vcd.Dataset, opt vcd.Options, cfg onlineConfig) {
+func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, faultSpec string, seed uint64, timeout time.Duration) {
 	var transport vcd.OnlineTransport
-	switch cfg.transport {
+	switch transportName {
 	case "pipe":
 		transport = vcd.TransportPipe
 	case "rtp":
 		transport = vcd.TransportRTP
 	default:
-		fatal(fmt.Errorf("vcd: unknown transport %q", cfg.transport))
+		fatal(fmt.Errorf("vcd: unknown transport %q", transportName))
 	}
-	plan, err := stream.ParseFaultSpec(cfg.faultSpec, cfg.seed, "")
+	plan, err := stream.ParseFaultSpec(faultSpec, seed, "")
 	if err != nil {
 		fatal(err)
 	}
@@ -321,7 +246,7 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, cfg onlineConfig) {
 	if metrics.Enabled() {
 		base = metrics.Capture()
 	}
-	art := onlineArtifact{Transport: cfg.transport, FaultSpec: cfg.faultSpec, Seed: cfg.seed,
+	art := onlineArtifact{Transport: transportName, FaultSpec: faultSpec, Seed: seed,
 		Queries: map[string]*vcd.OnlineReport{}}
 	fmt.Printf("\n%-7s %10s %10s %10s %8s %6s %8s %9s\n",
 		"Query", "Frames", "Elapsed", "FPS", "Dropped", "Gaps", "Resyncs", "Degraded")
@@ -334,8 +259,8 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, cfg onlineConfig) {
 		rep, err := vcd.RunOnlineOpts(context.Background(), inst, vcd.OnlineOptions{
 			Transport: transport,
 			Faults:    plan.ForCamera(inst.Inputs[0].Env.Camera.ID),
-			Timeout:   cfg.timeout,
-			Retry:     stream.RetryPolicy{Seed: cfg.seed},
+			Timeout:   timeout,
+			Retry:     stream.RetryPolicy{Seed: seed},
 		})
 		if errors.Is(err, vcd.ErrOnlineUnsupported) {
 			fmt.Printf("%-7s %10s\n", q, "unsupported")
@@ -349,86 +274,13 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, cfg onlineConfig) {
 			q, rep.Frames, rep.Elapsed.Round(1e6), rep.FPS,
 			rep.FramesDropped, rep.Gaps, rep.Resyncs, rep.Degraded)
 	}
-	if cfg.metricsJSON != "" {
+	if obs.MetricsJSON != "" {
 		t := metrics.Capture().Sub(base)
 		art.Telemetry = &t
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		tmp := cfg.metricsJSON + ".tmp"
-		if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.Rename(tmp, cfg.metricsJSON); err != nil {
-			os.Remove(tmp)
-			fatal(err)
-		}
 	}
-}
-
-// runShardWorker serves coordinator connections until SIGINT/SIGTERM:
-// the worker half of multi-process sharded execution. The first signal
-// drains gracefully — the listener closes, the in-flight conversation
-// finishes — and a second signal kills the process outright.
-func runShardWorker(listen, data string) {
-	ctx, stop := serve.SignalContext(context.Background())
-	defer stop()
-	if err := shardWorkerServe(ctx, listen, data); err != nil {
+	if err := obs.WriteArtifact(art); err != nil {
 		fatal(err)
 	}
-}
-
-// shardWorkerServe runs one worker server until ctx ends. With -data
-// the worker reads the dataset from the shared directory; otherwise
-// the job's dataset spec tells it where to look (or how to
-// regenerate). A ctx cancellation (the signal path) is a clean exit.
-func shardWorkerServe(ctx context.Context, listen, data string) error {
-	wopt := shard.WorkerOptions{}
-	if data != "" {
-		store, err := vfs.NewLocal(data)
-		if err != nil {
-			return err
-		}
-		wopt.Store = store
-	}
-	srv, err := shard.ListenWorker(listen, wopt)
-	if err != nil {
-		return err
-	}
-	srv.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	fmt.Printf("vcd: shard worker listening on %s\n", srv.Addr())
-	err = srv.Serve(ctx)
-	if errors.Is(err, context.Canceled) {
-		fmt.Println("vcd: shard worker stopped: signal received")
-		return nil
-	}
-	return err
-}
-
-// splitAddrs parses the -shard-addrs list.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func systemByName(name string) (vdbms.System, error) {
-	switch name {
-	case "scannerlike":
-		return scannerlike.New(scannerlike.Options{}), nil
-	case "lightdblike":
-		return lightdblike.New(lightdblike.Options{}), nil
-	case "noscopelike":
-		return noscopelike.NewDefault(), nil
-	}
-	return nil, fmt.Errorf("vcd: unknown system %q", name)
 }
 
 func printReport(r *vcd.RunReport, validated bool) {

@@ -9,88 +9,77 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/queries"
-	"repro/internal/shard"
 )
 
 func main() { os.Exit(run()) }
 
-// exitDebugClose is the exit status when the experiments themselves
-// succeeded but the debug server failed mid-run — distinct from 1
-// (experiment failure) and 2 (usage) so scrapers polling /debug
-// endpoints learn their window had a hole.
-const exitDebugClose = 3
-
-// closeDebug shuts the debug server down and maps the outcome to an
-// exit status contribution: 0 when there was no server or it closed
-// cleanly, exitDebugClose when the close surfaced a mid-run failure.
-func closeDebug(closeFn func() error) int {
-	if closeFn == nil {
-		return 0
-	}
-	if err := closeFn(); err != nil {
-		fmt.Fprintf(os.Stderr, "vrbench: debug server: %v\n", err)
-		return exitDebugClose
-	}
-	return 0
+// words is vrbench's wording of the shared flag groups (internal/cli).
+var words = cli.Words{
+	"seed":          "dataset seed",
+	"validate":      "validate comparison results against the reference implementation (fig5/fig6)",
+	"shard-workers": "route fig5's batches through the shard plane with N in-process workers (0/1 = single-process); results are identical at any count",
+	"shard-addrs":   "comma-separated addresses of remote shard workers (vrbench -shard-worker); overrides -shard-workers",
+	"shard-worker":  "run as a shard worker: serve coordinator connections instead of running experiments",
+	"report":        "print the stage-breakdown telemetry table after the experiments",
 }
 
 // run holds the whole CLI body so profile-writing defers fire on every
 // exit path (os.Exit would skip them).
 func run() (code int) {
+	fs := flag.CommandLine
 	exp := flag.String("exp", "all", "experiment to run (table1, table2, table9, fig2, fig5, fig6, fig7, fig8, fig9, quality, modes, online, shard, all)")
 	scale := flag.Int("scale", 4, "scale factor L for comparison experiments")
 	duration := flag.Float64("duration", 1.0, "per-camera video duration in seconds (model scale)")
 	videos := flag.Int("videos", 6, "corpus size for the table9 experiment")
 	frames := flag.Int("frames", 240, "frames per corpus for the quality experiment")
-	seed := flag.Uint64("seed", 1, "dataset seed")
 	workers := flag.Int("workers", 0, "dataset-generation worker goroutines (0 = one per CPU); bytes are identical at any count")
-	queryWorkers := flag.Int("query-workers", 0, "concurrent query instances per batch (0 = one per CPU, 1 = serial); results are identical at any count")
-	sequential := flag.Bool("sequential", false, "paper-faithful execution: one query instance at a time, no shared decode cache (overrides -query-workers)")
-	validate := flag.Bool("validate", false, "validate comparison results against the reference implementation (fig5/fig6)")
+	runFlags := cli.BindRun(fs, words)
 	onlineFaults := flag.String("online-faults", "", "comma-separated drop rates for the online experiment (default 0,0.01,0.05)")
 	onlineSeed := flag.Uint64("online-seed", 1, "seed keying the online fault schedule")
-	shardWorkers := flag.Int("shard-workers", 0, "route fig5's batches through the shard plane with N in-process workers (0/1 = single-process); results are identical at any count")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated addresses of remote shard workers (vrbench -shard-worker); overrides -shard-workers")
-	shardWorkerMode := flag.Bool("shard-worker", false, "run as a shard worker: serve coordinator connections instead of running experiments")
-	shardListen := flag.String("shard-listen", "127.0.0.1:0", "listen address in -shard-worker mode")
+	shardFlags := cli.BindShard(fs, words, 0)
+	worker := cli.BindWorker(fs, words)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	metricsJSON := flag.String("metrics-json", "", "write pipeline telemetry (stage histograms, gauges, cache stats) as JSON to this file")
-	reportFlag := flag.Bool("report", false, "print the stage-breakdown telemetry table after the experiments")
-	debugAddr := flag.String("debug-addr", "", "serve live telemetry and pprof handlers on this address (e.g. localhost:6060)")
+	obs := cli.BindObs(fs, words)
 	traceFile := flag.String("trace", "", "write a Go execution trace to this file (stage spans appear as user regions)")
 	flag.Parse()
 
-	if *shardWorkerMode {
-		return runShardWorker(*shardListen)
+	// Jobs carry the dataset generation spec, so vrbench's workers need
+	// no shared filesystem.
+	if worker.Enabled {
+		return worker.Run("")
 	}
-	if *metricsJSON != "" || *reportFlag || *debugAddr != "" {
-		metrics.SetEnabled(true)
+	opt, err := runFlags.Options()
+	if err != nil {
+		return cli.UsageError(fs, err)
 	}
-	if *debugAddr != "" {
-		addr, closeFn, err := metrics.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vrbench: debug-addr: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "vrbench: serving telemetry on http://%s/debug/metrics\n", addr)
-		// A mid-run server failure surfaces from the closer; it must
-		// change the exit status even when the experiments passed.
-		defer func() {
-			if c := closeDebug(closeFn); code == 0 {
-				code = c
-			}
-		}()
+	copt, err := shardFlags.Options()
+	if err != nil {
+		return cli.UsageError(fs, err)
 	}
+	// cfg is the invocation's election; each experiment adds what is its
+	// own (topology, query subset, budgets) to a copy. -validate is
+	// fig5/fig6's, as its usage says: no other experiment reports a
+	// validation result.
+	validate := opt.Validate
+	opt.Validate = false
+	cfg := core.CompareConfig{Options: opt, Scale: *scale, Duration: *duration, GenWorkers: *workers}
+	if err := obs.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "vrbench: %v\n", err)
+		return 1
+	}
+	// A mid-run debug-server failure surfaces from the closer; it must
+	// change the exit status even when the experiments passed.
+	defer func() { code = obs.Exit(code) }()
 	if *traceFile != "" {
 		stop, err := startTrace(*traceFile)
 		if err != nil {
@@ -115,25 +104,20 @@ func run() (code int) {
 	eventBase := metrics.EventSeq()
 
 	runners := map[string]func() error{
-		"table1": runTable1,
-		"table2": runTable2,
-		"table9": func() error { return runTable9(*videos, *duration, *seed, *workers) },
-		"fig2":   func() error { return runFig2(*scale, *seed) },
-		"fig5": func() error {
-			return runFig5(*scale, *duration, *seed, *workers, *queryWorkers, *sequential, *validate,
-				*shardWorkers, *shardAddrs)
-		},
-		"fig6": func() error {
-			return runFig6(*duration, *seed, *workers, *queryWorkers, *sequential, *validate)
-		},
+		"table1":  runTable1,
+		"table2":  runTable2,
+		"table9":  func() error { return runTable9(*videos, *duration, cfg.Seed, *workers) },
+		"fig2":    func() error { return runFig2(*scale, cfg.Seed) },
+		"fig5":    func() error { c := cfg; c.Validate, c.Shard = validate, copt; return runFig5(c) },
+		"fig6":    func() error { c := cfg; c.Validate = validate; return runFig6(c) },
 		"fig7":    runFig7,
-		"fig8":    func() error { return runFig8(*duration, *seed, *workers) },
-		"fig9":    func() error { return runFig9(*duration, *seed) },
-		"quality": func() error { return runQuality(*frames, *seed) },
-		"modes":   func() error { return runModes(*scale, *duration, *seed, *queryWorkers, *sequential) },
-		"online":  func() error { return runOnline(*scale, *duration, *onlineSeed, *onlineFaults) },
-		"shard":   func() error { return runShardSweep(*scale, *duration, *seed, *workers) },
-		"tile":    func() error { return runTileSweep(*scale, *duration, *seed, *workers, *queryWorkers) },
+		"fig8":    func() error { return runFig8(*duration, cfg.Seed, *workers) },
+		"fig9":    func() error { return runFig9(*duration, cfg.Seed) },
+		"quality": func() error { return runQuality(*frames, cfg.Seed) },
+		"modes":   func() error { return runModes(cfg) },
+		"online":  func() error { c := cfg; c.Seed = *onlineSeed; return runOnline(c, *onlineFaults) },
+		"shard":   func() error { return runShardSweep(cfg) },
+		"tile":    func() error { return runTileSweep(cfg) },
 	}
 	order := []string{"table1", "table2", "fig2", "table9", "fig5", "fig6", "fig7", "fig8", "fig9", "quality", "modes", "online", "shard", "tile"}
 
@@ -159,16 +143,14 @@ func run() (code int) {
 		}
 	}
 
-	if *reportFlag {
+	if obs.Report {
 		fmt.Println("\n---- pipeline telemetry ----")
 		metrics.Capture().Sub(base).WriteTable(os.Stdout)
 	}
-	if *metricsJSON != "" {
-		if err := writeMetricsJSON(*metricsJSON, base, traceBase, eventBase); err != nil {
-			fmt.Fprintf(os.Stderr, "vrbench: metrics-json: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
+	if err := obs.WriteArtifact(newMetricsArtifact(base, traceBase, eventBase)); err != nil {
+		fmt.Fprintf(os.Stderr, "vrbench: metrics-json: %v\n", err)
+		if code == 0 {
+			code = 1
 		}
 	}
 	return code
@@ -250,18 +232,12 @@ func shortCorpus(c string) string {
 
 func shortSys(s string) string { return strings.TrimSuffix(s, "like") }
 
-func runFig5(scale int, duration float64, seed uint64, workers, queryWorkers int, sequential, validate bool, shardWorkers int, shardAddrs string) error {
-	fmt.Printf("Figure 5: runtime by query, L=%d (model scale)\n", scale)
+func runFig5(cfg core.CompareConfig) error {
+	fmt.Printf("Figure 5: runtime by query, L=%d (model scale)\n", cfg.Scale)
 	fmt.Println("paper shape: NoScope fastest on Q2(c), supports only Q1/Q2(c);")
 	fmt.Println("composites/VR (Q7-Q10) cost more than micro queries; Q2(c) detector-bound")
-	cfg := core.CompareConfig{
-		Scale: scale, Duration: duration, Seed: seed, Workers: workers,
-		QueryWorkers: queryWorkers, QuerySequential: sequential,
-		Validate:     validate,
-		ShardWorkers: shardWorkers, ShardAddrs: splitAddrs(shardAddrs),
-	}
-	if cfg.Sharded() {
-		fmt.Printf("(sharded execution: %d workers)\n", max(cfg.ShardWorkers, len(cfg.ShardAddrs)))
+	if cfg.Shard.Sharded() {
+		fmt.Printf("(sharded execution: %d workers)\n", cfg.Shard.Shards)
 	}
 	res, err := core.CompareSystems(cfg)
 	if err != nil {
@@ -305,17 +281,13 @@ func printComparison(res *core.ComparisonResult) {
 	}
 }
 
-func runFig6(duration float64, seed uint64, workers, queryWorkers int, sequential, validate bool) error {
+func runFig6(cfg core.CompareConfig) error {
 	fmt.Println("Figure 6: runtime vs scale factor per system")
 	fmt.Println("paper shape: Scanner falls behind as L grows (materialization thrashing);")
 	fmt.Println("Q4 fails on Scanner; LightDB splits Q3/Q4 batches past its 40-video limit")
-	points, err := core.ScaleSweep(core.CompareConfig{
-		Duration: duration, Seed: seed, Workers: workers,
-		QueryWorkers: queryWorkers, QuerySequential: sequential,
-		Validate:            validate,
-		Queries:             []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q4, queries.Q5},
-		ScannerMemoryBudget: 6 << 20,
-	}, []int{1, 2, 4, 8})
+	cfg.Queries = []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q4, queries.Q5}
+	cfg.ScannerMemoryBudget = 6 << 20
+	points, err := core.ScaleSweep(cfg, []int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
@@ -382,12 +354,9 @@ func runQuality(frames int, seed uint64) error {
 	return nil
 }
 
-func runModes(scale int, duration float64, seed uint64, queryWorkers int, sequential bool) error {
+func runModes(cfg core.CompareConfig) error {
 	fmt.Println("§6.4: write vs streaming mode (paper: deltas under 2.5%)")
-	res, err := core.WriteVsStreaming(core.CompareConfig{
-		Scale: scale, Duration: duration, Seed: seed,
-		QueryWorkers: queryWorkers, QuerySequential: sequential,
-	}, nil)
+	res, err := core.WriteVsStreaming(cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -398,7 +367,7 @@ func runModes(scale int, duration float64, seed uint64, queryWorkers int, sequen
 	return nil
 }
 
-func runOnline(scale int, duration float64, seed uint64, ratesSpec string) error {
+func runOnline(cfg core.CompareConfig, ratesSpec string) error {
 	fmt.Println("Online resilience: achieved FPS and degradation vs injected drop rate (RTP)")
 	fmt.Println("paper context: online mode reports frames/second; faults are seeded and replayable")
 	rates := core.OnlineFaultRates
@@ -412,9 +381,7 @@ func runOnline(scale int, duration float64, seed uint64, ratesSpec string) error
 			rates = append(rates, r)
 		}
 	}
-	points, err := core.OnlineResilience(core.CompareConfig{
-		Scale: scale, Duration: duration, Seed: seed,
-	}, rates, nil)
+	points, err := core.OnlineResilience(cfg, rates, nil)
 	if err != nil {
 		return err
 	}
@@ -440,12 +407,9 @@ func runOnline(scale int, duration float64, seed uint64, ratesSpec string) error
 // encoder; at 2x2 each instance's declared ROI reconstructs only the
 // tiles it touches, so decode work shrinks with spatial selectivity
 // while results stay identical within each grid's bitstream.
-func runTileSweep(scale int, duration float64, seed uint64, workers, queryWorkers int) error {
+func runTileSweep(cfg core.CompareConfig) error {
 	fmt.Println("Tiled spatial decode: Q1 batch by tile grid (1x1 = untiled baseline)")
-	points, err := core.TileSweep(core.CompareConfig{
-		Scale: scale, Duration: duration, Seed: seed,
-		Workers: workers, QueryWorkers: queryWorkers,
-	}, [][2]int{{1, 1}, {2, 2}})
+	points, err := core.TileSweep(cfg, [][2]int{{1, 1}, {2, 2}})
 	if err != nil {
 		return err
 	}
@@ -473,13 +437,11 @@ func runTileSweep(scale int, duration float64, seed uint64, workers, queryWorker
 	return nil
 }
 
-func runShardSweep(scale int, duration float64, seed uint64, workers int) error {
+func runShardSweep(cfg core.CompareConfig) error {
 	fmt.Println("Sharded execution: batch runtime by worker count (in-process pipe workers)")
 	fmt.Println("paper shape (Fig. 9 applied to execution): flat on one core, scaling with cores;")
 	fmt.Println("results are byte-identical at every worker count")
-	points, err := core.ShardSweep(core.CompareConfig{
-		Scale: scale, Duration: duration, Seed: seed, Workers: workers,
-	}, "lightdblike", []int{1, 2, 4})
+	points, err := core.ShardSweep(cfg, "lightdblike", []int{1, 2, 4})
 	if err != nil {
 		return err
 	}
@@ -489,34 +451,6 @@ func runShardSweep(scale int, duration float64, seed uint64, workers int) error 
 			p.Shards, p.Elapsed.Round(1e6), p.FPS(), p.Frames, p.Counters.WorkerFailures)
 	}
 	return nil
-}
-
-// runShardWorker serves shard coordinator connections until killed —
-// the worker half of a multi-process vrbench topology. Jobs carry the
-// dataset generation spec, so workers need no shared filesystem.
-func runShardWorker(listen string) int {
-	srv, err := shard.ListenWorker(listen, shard.WorkerOptions{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vrbench: shard-worker: %v\n", err)
-		return 1
-	}
-	fmt.Printf("vrbench: shard worker listening on %s\n", srv.Addr())
-	if err := srv.Serve(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "vrbench: shard-worker: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// splitAddrs parses a comma-separated address list.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 func runFig2(scale int, seed uint64) error {

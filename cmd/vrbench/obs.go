@@ -6,7 +6,6 @@ package main
 // atomic -cpuprofile/-memprofile writers.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -83,10 +82,8 @@ func collectTelemetry(res *core.ComparisonResult) {
 	}
 }
 
-// writeMetricsJSON serializes the telemetry artifact atomically:
-// written to a temp file and renamed into place, so a crash mid-write
-// never leaves a truncated artifact.
-func writeMetricsJSON(path string, base metrics.Snapshot, traceBase, eventBase uint64) error {
+// newMetricsArtifact gathers the invocation's -metrics-json content.
+func newMetricsArtifact(base metrics.Snapshot, traceBase, eventBase uint64) metricsArtifact {
 	art := metricsArtifact{
 		Process: metrics.Capture().Sub(base),
 		Runs:    collected.runs,
@@ -96,24 +93,7 @@ func writeMetricsJSON(path string, base metrics.Snapshot, traceBase, eventBase u
 	if spans := metrics.TraceSpansSince(traceBase); len(spans) > 0 {
 		art.Trace = metrics.SummarizeTraces(spans)
 	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(path, append(data, '\n'))
-}
-
-// atomicWrite lands data at path via temp-file rename.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return art
 }
 
 // startTrace begins a Go execution trace into path; the returned stop

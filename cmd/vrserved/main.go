@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -37,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 )
@@ -44,10 +44,13 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
+	fs := flag.CommandLine
 	listen := flag.String("listen", "127.0.0.1:8080", "admin API listen address")
 	dataDir := flag.String("data-dir", "", "persistence root: job journal, reports, dataset registry (required)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated addresses of shard workers (vcd -shard-worker); empty = in-process workers")
-	shardWorkers := flag.Int("shard-workers", 1, "in-process pipe workers per job in single-node mode")
+	shardFlags := cli.BindShard(fs, cli.Words{
+		"shard-addrs":   "comma-separated addresses of shard workers (vcd -shard-worker); empty = in-process workers",
+		"shard-workers": "in-process pipe workers per job in single-node mode",
+	}, 1)
 	tenantLimit := flag.Int("tenant-limit", 4, "max queued+running jobs per tenant (X-Tenant header); over-limit submissions get 429")
 	queueLimit := flag.Int("queue-limit", 64, "bound on the job queue; submissions beyond it get 429")
 	concurrency := flag.Int("concurrency", 1, "jobs executing at once")
@@ -55,9 +58,11 @@ func run() int {
 	flag.Parse()
 
 	if *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "vrserved: -data-dir is required")
-		flag.Usage()
-		return 2
+		return cli.UsageError(fs, errors.New("-data-dir is required"))
+	}
+	copt, err := shardFlags.Options()
+	if err != nil {
+		return cli.UsageError(fs, err)
 	}
 
 	// A daemon is observable from birth: counters, the event journal,
@@ -65,16 +70,11 @@ func run() int {
 	metrics.SetEnabled(true)
 
 	logger := log.New(os.Stderr, "vrserved: ", log.LstdFlags)
-	var addrs []string
-	for _, part := range strings.Split(*shardAddrs, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			addrs = append(addrs, part)
-		}
-	}
+	addrs := shardFlags.Addrs()
 	s, err := serve.New(serve.Options{
 		DataDir:     *dataDir,
 		WorkerAddrs: addrs,
-		Shards:      *shardWorkers,
+		Shards:      copt.Shards,
 		Heartbeat:   *heartbeat,
 		MaxQueued:   *queueLimit,
 		TenantLimit: *tenantLimit,
@@ -92,7 +92,7 @@ func run() int {
 		return 1
 	}
 	httpSrv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	ctx, stop := serve.SignalContext(context.Background())
+	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 
 	errc := make(chan error, 1)
@@ -100,7 +100,7 @@ func run() int {
 	if len(addrs) > 0 {
 		logger.Printf("serving on http://%s (worker pool: %s)", ln.Addr(), strings.Join(addrs, ", "))
 	} else {
-		logger.Printf("serving on http://%s (single-node, %d in-process workers)", ln.Addr(), *shardWorkers)
+		logger.Printf("serving on http://%s (single-node, %d in-process workers)", ln.Addr(), copt.Shards)
 	}
 
 	// Run the executor until a signal arrives (or the HTTP server dies),

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/queries"
+	"repro/internal/shard"
+	"repro/internal/vcd"
+	"repro/internal/vfs"
 )
 
 func TestPresetsMatchTable2(t *testing.T) {
@@ -180,9 +185,12 @@ func TestCompareSystemsSmoke(t *testing.T) {
 		t.Skip("comparison experiment")
 	}
 	res, err := CompareSystems(CompareConfig{
-		Scale: 1, Duration: 0.5, Seed: 3,
-		Queries:           []queries.QueryID{queries.Q1, queries.Q2c},
-		InstancesPerScale: 2,
+		Scale: 1, Duration: 0.5,
+		Options: vcd.Options{
+			Seed:              3,
+			Queries:           []queries.QueryID{queries.Q1, queries.Q2c},
+			InstancesPerScale: 2,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,15 +216,18 @@ func TestCompareSystemsShardedMatches(t *testing.T) {
 		t.Skip("comparison experiment")
 	}
 	cfg := CompareConfig{
-		Scale: 1, Duration: 0.5, Seed: 3,
-		Queries:           []queries.QueryID{queries.Q1, queries.Q2c, queries.Q5},
-		InstancesPerScale: 2,
+		Scale: 1, Duration: 0.5,
+		Options: vcd.Options{
+			Seed:              3,
+			Queries:           []queries.QueryID{queries.Q1, queries.Q2c, queries.Q5},
+			InstancesPerScale: 2,
+		},
 	}
 	want, err := CompareSystems(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ShardWorkers = 2
+	cfg.Shard.Shards = 2
 	got, err := CompareSystems(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +260,7 @@ func TestWriteVsStreamingSmall(t *testing.T) {
 		t.Skip("modes experiment")
 	}
 	res, err := WriteVsStreaming(CompareConfig{
-		Scale: 1, Duration: 0.5, Seed: 3, InstancesPerScale: 2,
+		Scale: 1, Duration: 0.5, Options: vcd.Options{Seed: 3, InstancesPerScale: 2},
 	}, []queries.QueryID{queries.Q1, queries.Q2a})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +271,56 @@ func TestWriteVsStreamingSmall(t *testing.T) {
 	for _, r := range res {
 		if r.Write <= 0 || r.Streaming <= 0 {
 			t.Errorf("%s: zero durations", r.System)
+		}
+	}
+}
+
+// TestGenSpecCarriesTileGrid: a remote shard worker regenerates its
+// dataset from the job's GenSpec, so the spec — after the JSON wire —
+// must reproduce the coordinator's store byte for byte, tile grid
+// included (a spec without the grid regenerates untiled videos under a
+// coordinator holding tiled ones).
+func TestGenSpecCarriesTileGrid(t *testing.T) {
+	cfg := CompareConfig{
+		Scale: 1, Width: 96, Height: 64, Duration: 0.5,
+		Options:  vcd.Options{Seed: 5},
+		TileRows: 2, TileCols: 2,
+	}.withDefaults()
+	want, err := GenerateStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := json.Marshal(shard.DatasetSpec{Gen: cfg.genSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec shard.DatasetSpec
+	if err := json.Unmarshal(wire, &spec); err != nil {
+		t.Fatal(err)
+	}
+	got := vfs.NewMemory()
+	if err := spec.Gen.Generate(got, 1); err != nil {
+		t.Fatal(err)
+	}
+	names, err := want.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotNames, _ := got.List()
+	if len(names) == 0 || len(gotNames) != len(names) {
+		t.Fatalf("worker regenerated %d files, coordinator holds %d", len(gotNames), len(names))
+	}
+	for _, name := range names {
+		w, err := vfs.ReadAll(want, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := vfs.ReadAll(got, name)
+		if err != nil {
+			t.Fatalf("worker store lacks %s: %v", name, err)
+		}
+		if !bytes.Equal(w, g) {
+			t.Errorf("%s: regenerated bytes differ from GenerateStore's", name)
 		}
 	}
 }

@@ -50,15 +50,8 @@ func WriteVsStreaming(cfg CompareConfig, qs []queries.QueryID) ([]ModesResult, e
 		} {
 			var best time.Duration
 			for rep := 0; rep < reps; rep++ {
-				opt := vcd.Options{
-					Queries:           qs,
-					InstancesPerScale: cfg.InstancesPerScale,
-					Seed:              cfg.Seed,
-					Mode:              mode,
-					MaxUpsamplePixels: 1 << 22,
-					Workers:           cfg.QueryWorkers,
-					Sequential:        cfg.QuerySequential,
-				}
+				opt := cfg.runOptions()
+				opt.Queries, opt.Mode = qs, mode
 				if mode == vcd.WriteMode {
 					opt.ResultStore = vfs.NewMemory()
 				}

@@ -39,11 +39,7 @@ func OnlineResilience(cfg CompareConfig, rates []float64, qs []queries.QueryID) 
 	if err != nil {
 		return nil, err
 	}
-	opt := vcd.Options{
-		InstancesPerScale: 1,
-		Seed:              cfg.Seed,
-		MaxUpsamplePixels: 1 << 22,
-	}
+	opt := cfg.runOptions()
 	var out []OnlinePoint
 	for _, rate := range rates {
 		for _, q := range qs {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/shard"
-	"repro/internal/vcd"
 )
 
 // ShardPoint is one worker count of the sharded-execution sweep.
@@ -49,15 +48,7 @@ func ShardSweep(cfg CompareConfig, system string, counts []int) ([]ShardPoint, e
 			Store:  store,
 			System: spec,
 			Scale:  cfg.Scale,
-			Opt: vcd.Options{
-				Queries:           cfg.Queries,
-				InstancesPerScale: cfg.InstancesPerScale,
-				Seed:              cfg.Seed,
-				Mode:              vcd.StreamingMode,
-				MaxUpsamplePixels: 1 << 22,
-				Workers:           cfg.QueryWorkers,
-				Sequential:        cfg.QuerySequential,
-			},
+			Opt:    cfg.runOptions(),
 		}, shard.Options{Shards: n})
 		if err != nil {
 			return nil, fmt.Errorf("core: shard sweep at %d workers: %w", n, err)

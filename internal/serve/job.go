@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/queries"
 	"repro/internal/shard"
 	"repro/internal/vcd"
 )
@@ -54,6 +55,33 @@ type JobRequest struct {
 	// worker addresses are configured — the pool size is the shard
 	// count there.
 	Shards int `json:"shards,omitempty"`
+}
+
+// runOptions is the request's run election: the vcd.Options a `vcd`
+// invocation with the equivalent flags binds (so both build the same
+// plan), range-checked — a submit body is untrusted input. handleSubmit
+// answers an error 400 before a job exists; buildPlan runs what passed.
+func (r JobRequest) runOptions() (vcd.Options, error) {
+	qs, err := queries.ParseList(strings.Join(r.Queries, ","))
+	if err != nil {
+		return vcd.Options{}, err
+	}
+	if err := shard.CheckLimits(r.Instances, r.Workers, r.Shards); err != nil {
+		return vcd.Options{}, err
+	}
+	seed := r.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return vcd.Options{
+		Queries:           qs,
+		InstancesPerScale: r.Instances,
+		Seed:              seed,
+		Validate:          r.Validate,
+		MaxUpsamplePixels: vcd.UpsampleCapCLI,
+		Workers:           r.Workers,
+		Mode:              vcd.StreamingMode,
+	}, nil
 }
 
 // Job is one submitted batch as a first-class value: identity, tenant,

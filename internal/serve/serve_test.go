@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/shard"
@@ -219,7 +222,7 @@ func TestServeEndToEnd(t *testing.T) {
 			InstancesPerScale: 2,
 			Seed:              42,
 			Validate:          true,
-			MaxUpsamplePixels: 1 << 24,
+			MaxUpsamplePixels: vcd.UpsampleCapCLI,
 			Mode:              vcd.StreamingMode,
 		},
 	}, shard.Options{
@@ -504,7 +507,10 @@ func TestServeBootQuarantinesCorruptJournal(t *testing.T) {
 }
 
 // TestServeSubmitValidation pins the submit-side input checks: bad
-// dataset, system, and query names are 400s, not queued jobs.
+// dataset, system, and query names are 400s, not queued jobs — and so
+// is a run size past shard.CheckLimits (a body asking for 100000
+// in-process shard workers, each loading the dataset, or a 1e9·L batch,
+// must not become a job), while the limits themselves are accepted.
 func TestServeSubmitValidation(t *testing.T) {
 	s, err := New(Options{DataDir: t.TempDir()})
 	if err != nil {
@@ -519,6 +525,9 @@ func TestServeSubmitValidation(t *testing.T) {
 		{JobRequest{Dataset: "nope"}, "not registered"},
 		{JobRequest{Dataset: "d", System: "oracle"}, "unknown system"},
 		{JobRequest{Dataset: "d", Queries: []string{"Q99"}}, "unknown query"},
+		{JobRequest{Dataset: "d", Instances: 1_000_000_000}, "instances per unit of scale exceeds"},
+		{JobRequest{Dataset: "d", Workers: shard.MaxInstanceWorkers + 1}, "query workers exceeds"},
+		{JobRequest{Dataset: "d", Shards: 100_000}, "shard workers exceeds"},
 	}
 	for _, c := range cases {
 		rr := postJSON(t, h, "/api/jobs", c.req, "")
@@ -534,6 +543,54 @@ func TestServeSubmitValidation(t *testing.T) {
 	getJSON(t, h, "/api/jobs", &list)
 	if len(list.Jobs) != 0 {
 		t.Errorf("%d jobs journaled by rejected submissions", len(list.Jobs))
+	}
+	submit(t, h, JobRequest{
+		Dataset: "d", Instances: shard.MaxInstancesPerScale, Workers: shard.MaxInstanceWorkers, Shards: shard.MaxShards,
+	}, "")
+}
+
+// TestPlanMatchesCLI pins the "same plan as `vcd -shard-addrs`" claim
+// (DESIGN.md §5.13) on the configuration itself, not only on output
+// bytes: the CLI binder given vcd's flags and buildPlan given the
+// equivalent submit body produce the same vcd.Options, for explicit
+// values and for every default.
+func TestPlanMatchesCLI(t *testing.T) {
+	s, err := New(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerDataset(s, "d", datasetDir(t))
+	for _, c := range []struct {
+		args []string
+		body JobRequest
+	}{
+		{
+			[]string{"-queries", "Q1,Q5", "-seed", "42", "-instances", "2", "-validate", "-query-workers", "3"},
+			JobRequest{Dataset: "d", Queries: []string{"Q1", "Q5"}, Seed: 42, Instances: 2, Validate: true, Workers: 3},
+		},
+		{nil, JobRequest{Dataset: "d"}},
+	} {
+		fs := flag.NewFlagSet("vcd", flag.ContinueOnError)
+		run := cli.BindRun(fs, cli.Words{"queries": "", "instances": ""})
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		want, err := run.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Through the API, so the body gets the defaults a submission gets.
+		id := submit(t, s.Handler(), c.body, "")
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		plan, _, err := s.buildPlan(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan.Opt, want) {
+			t.Errorf("vcd %v binds %+v, the equivalent job plans %+v", c.args, want, plan.Opt)
+		}
 	}
 }
 

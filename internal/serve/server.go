@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/metrics"
-	"repro/internal/queries"
 	"repro/internal/shard"
 	"repro/internal/vcd"
 	"repro/internal/vfs"
@@ -287,22 +286,9 @@ func (s *Server) buildPlan(j *Job) (shard.Plan, shard.Options, error) {
 	if ds == nil {
 		return shard.Plan{}, shard.Options{}, fmt.Errorf("serve: dataset %q not registered", j.Request.Dataset)
 	}
-	qs, err := queries.ParseList(strings.Join(j.Request.Queries, ","))
+	opt, err := j.Request.runOptions()
 	if err != nil {
 		return shard.Plan{}, shard.Options{}, err
-	}
-	seed := j.Request.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	opt := vcd.Options{
-		Queries:           qs,
-		InstancesPerScale: j.Request.Instances,
-		Seed:              seed,
-		Validate:          j.Request.Validate,
-		MaxUpsamplePixels: 1 << 24,
-		Workers:           j.Request.Workers,
-		Mode:              vcd.StreamingMode,
 	}
 	plan := shard.Plan{
 		Dataset: shard.DatasetSpec{Path: ds.Path},
@@ -466,7 +452,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if _, err := queries.ParseList(strings.Join(req.Queries, ",")); err != nil {
+	if _, err := req.runOptions(); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -53,6 +53,42 @@ type Options struct {
 	FaultWorkers []int
 }
 
+// Sharded reports whether the options ask for the shard plane at all:
+// more than one worker, or a transport to remote ones. The CLIs and the
+// experiments run single-process otherwise.
+func (o Options) Sharded() bool { return o.Shards > 1 || o.Transport != nil }
+
+// Run-size limits: the largest election a command line or a vrserved
+// submit body may ask for. A batch is instances × L instances and every
+// in-process shard worker loads the dataset, so an unbounded number
+// from outside is a memory bomb, not a bigger benchmark (the paper runs
+// 4 instances per unit of scale).
+const (
+	MaxInstancesPerScale = 1024
+	MaxInstanceWorkers   = 1024
+	MaxShards            = 64
+)
+
+// CheckLimits is the one range check on a run election that arrives
+// from outside the program — vrserved answers a violation 400, the CLI
+// binder reports a usage error. Only the top is bounded: zero and below
+// already mean "the default" everywhere these values are read.
+func CheckLimits(instances, instanceWorkers, shards int) error {
+	for _, b := range []struct {
+		what     string
+		got, max int
+	}{
+		{"instances per unit of scale", instances, MaxInstancesPerScale},
+		{"query workers", instanceWorkers, MaxInstanceWorkers},
+		{"shard workers", shards, MaxShards},
+	} {
+		if b.got > b.max {
+			return fmt.Errorf("shard: %d %s exceeds the limit of %d", b.got, b.what, b.max)
+		}
+	}
+	return nil
+}
+
 // Counters is the run's degradation accounting, PR 5's online-counter
 // idiom applied to the execution plane: zero everywhere means the
 // merged report required no retries and is byte-identical to the
@@ -82,18 +118,19 @@ type Plan struct {
 	// Scale is the dataset's scale factor L (batch size = 4·L by
 	// default, as in the single-process driver).
 	Scale int
-	// Opt is the coordinator-side driver configuration. Mode and
-	// ResultStore act at the coordinator (workers ship payloads back in
-	// WriteMode); the execution-shaping subset travels to workers.
+	// Opt is the run configuration. It travels to workers whole, minus
+	// ResultStore: persistence acts at the coordinator (workers ship
+	// payloads back in WriteMode), and Queries drive the coordinator's
+	// scatter — workers execute what they are assigned.
 	Opt vcd.Options
 }
 
 // Run executes the plan across copt.Shards workers and merges a
 // RunReport deterministically: results gather at their global batch
-// index, tallies and validation summaries are recomputed exactly as the
-// single-process driver computes them, and persisted results are
-// written in name order — so a zero-fault sharded run reports
-// byte-identically to vcd.Run on the same seed/config. The returned
+// index, tallies and validation summaries come from the driver's own
+// QueryReport.Tally, and persisted results are written in name order —
+// so a zero-fault sharded run reports byte-identically to vcd.Run on
+// the same seed/config. The returned
 // Counters surface worker failures and retries; faults change them, not
 // the results. Counters are non-nil even when Run fails (alongside the
 // error) so callers can see the degradation that preceded the failure;
@@ -108,7 +145,7 @@ func Run(ctx context.Context, plan Plan, copt Options) (*vcd.RunReport, *Counter
 	if copt.Heartbeat <= 0 {
 		copt.Heartbeat = DefaultHeartbeat
 	}
-	opt := vcd.NormalizeOptions(plan.Opt)
+	opt := plan.Opt.WithDefaults()
 	if opt.Mode == vcd.WriteMode && opt.ResultStore == nil {
 		return nil, nil, errors.New("shard: WriteMode requires a result store")
 	}
@@ -217,19 +254,9 @@ func (c *coordinator) closeAll() {
 // connect dials every worker and sends the job manifest.
 func (c *coordinator) connect(ctx context.Context, transport Transport) error {
 	job := JobSpec{
-		Dataset: c.plan.Dataset,
-		System:  c.plan.System,
-		Opt: OptionsWire{
-			InstancesPerScale: c.opt.InstancesPerScale,
-			Seed:              c.opt.Seed,
-			Validate:          c.opt.Validate,
-			ValidateFraction:  c.opt.ValidateFraction,
-			MaxUpsamplePixels: c.opt.MaxUpsamplePixels,
-			Workers:           c.opt.Workers,
-			Sequential:        c.opt.Sequential,
-			DecodedCacheBytes: c.opt.DecodedCacheBytes,
-			ShipResults:       c.opt.Mode == vcd.WriteMode,
-		},
+		Dataset:     c.plan.Dataset,
+		System:      c.plan.System,
+		Opt:         c.opt,
 		Metrics:     metrics.Enabled(),
 		HeartbeatNS: c.copt.Heartbeat.Nanoseconds(),
 	}
@@ -437,15 +464,6 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 	}
 	n := c.opt.InstancesPerScale * c.plan.Scale
 	qr.BatchSize = n
-	// The batch limit splits the single-process batch into ordered
-	// sub-batches; sharded execution preserves the count arithmetically
-	// (grouping orders execution, it does not change per-instance
-	// results).
-	if bl, ok := c.sys.(vdbms.BatchLimiter); ok {
-		if limit := bl.MaxBatchSize(q); limit > 0 && n > limit {
-			qr.BatchSplits = (n+limit-1)/limit - 1
-		}
-	}
 
 	var batchBase metrics.Snapshot
 	var batchTrace metrics.TraceID
@@ -558,8 +576,10 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 	}
 	qr.Elapsed = time.Since(batchStart)
 
-	// Merge: rebuild the instance slice in global order and recompute
-	// the tallies exactly as runQueryBatch does.
+	// Merge: rebuild the instance slice in global order and tally it with
+	// the driver's own tally (the batch limit's sub-batches are counted
+	// arithmetically there: grouping orders execution, it does not change
+	// per-instance results).
 	msp := metrics.StartSpan(metrics.StageShardMerge)
 	msp.Trace(batchTrace)
 	qr.Instances = make([]vcd.InstanceResult, n)
@@ -585,16 +605,8 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 			inst.Validation = iv
 		}
 		qr.Instances[idx] = inst
-		if res.Err == "" {
-			qr.Completed++
-			qr.Frames += res.Frames
-		} else if res.Resource {
-			qr.ResourceErrors++
-		}
 	}
-	if c.opt.Validate {
-		qr.Validation = vcd.SummarizeValidation(qr.Instances)
-	}
+	qr.Tally(c.sys)
 	// Persisted results write in name order — a deterministic gather
 	// regardless of which worker finished first.
 	if c.opt.Mode == vcd.WriteMode {
@@ -712,7 +724,7 @@ func (c *coordinator) finish(ctx context.Context) ([]*WorkerSummary, error) {
 // remoteError carries a worker-side execution error across the wire.
 // The message is the original error string (so reports and comparisons
 // read identically); IsResource reports the vdbms.ErrResource tally
-// class.
+// class to vcd.IsResourceError.
 type remoteError struct {
 	msg      string
 	resource bool

@@ -27,6 +27,10 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/stream"
+	"repro/internal/vcd"
+	"repro/internal/vcg"
+	"repro/internal/vcity"
+	"repro/internal/vfs"
 )
 
 // Message type bytes.
@@ -43,7 +47,9 @@ const (
 
 // GenSpec regenerates a dataset from hyperparameters: generation is
 // deterministic, so in-memory datasets shard by regeneration rather
-// than by copying bytes across the wire.
+// than by copying bytes across the wire. The spec is everything that
+// shapes the stored bytes — the coordinator's own store is generated
+// from the same value (Generate), so the two cannot drift.
 type GenSpec struct {
 	Scale    int     `json:"scale"`
 	Width    int     `json:"width"`
@@ -53,6 +59,22 @@ type GenSpec struct {
 	Seed     uint64  `json:"seed"`
 	QP       int     `json:"qp"`
 	Captions bool    `json:"captions"`
+	TileRows int     `json:"tile_rows,omitempty"`
+	TileCols int     `json:"tile_cols,omitempty"`
+}
+
+// Generate writes the spec's dataset into store. workers bounds
+// generation parallelism (0 = one per CPU); bytes are identical at
+// every count, which is why it is not part of the spec.
+func (g GenSpec) Generate(store vfs.Store, workers int) error {
+	_, err := vcg.Generate(vcity.Hyperparams{
+		Scale: g.Scale, Width: g.Width, Height: g.Height,
+		Duration: g.Duration, FPS: g.FPS, Seed: g.Seed,
+	}, vcg.Options{
+		Captions: g.Captions, QP: g.QP, Workers: workers,
+		TileRows: g.TileRows, TileCols: g.TileCols,
+	}, store)
+	return err
 }
 
 // DatasetSpec tells a worker where its dataset comes from: a shared
@@ -62,27 +84,6 @@ type GenSpec struct {
 type DatasetSpec struct {
 	Path string   `json:"path,omitempty"`
 	Gen  *GenSpec `json:"gen,omitempty"`
-}
-
-// OptionsWire is the executable subset of vcd.Options a job ships:
-// everything that shapes results (seed, batch multiplier, validation,
-// parameter caps) plus the per-worker execution knobs. Result handling
-// stays coordinator-side — workers always capture result payloads and
-// ship them back.
-type OptionsWire struct {
-	InstancesPerScale int     `json:"instances_per_scale"`
-	Seed              uint64  `json:"seed"`
-	Validate          bool    `json:"validate,omitempty"`
-	ValidateFraction  float64 `json:"validate_fraction,omitempty"`
-	MaxUpsamplePixels int     `json:"max_upsample_pixels,omitempty"`
-	Workers           int     `json:"workers,omitempty"`
-	Sequential        bool    `json:"sequential,omitempty"`
-	DecodedCacheBytes int64   `json:"decoded_cache_bytes,omitempty"`
-	// ShipResults is set when the coordinator runs in WriteMode: workers
-	// capture persisted result payloads and attach them to result
-	// frames. Streaming-mode runs skip the copies, exactly as the
-	// single-process driver skips persistence.
-	ShipResults bool `json:"ship_results,omitempty"`
 }
 
 // SystemSpec names the engine a worker instantiates, with the budgets
@@ -98,7 +99,11 @@ type SystemSpec struct {
 type JobSpec struct {
 	Dataset DatasetSpec `json:"dataset"`
 	System  SystemSpec  `json:"system"`
-	Opt     OptionsWire `json:"opt"`
+	// Opt is the coordinator's normalized run configuration, whole. Its
+	// Mode tells the worker whether to stage result payloads and attach
+	// them to result frames (write) or skip the copies, exactly as the
+	// single-process driver skips persistence (streaming).
+	Opt vcd.Options `json:"opt"`
 	// Metrics tells remote workers to enable their telemetry registry
 	// and report a wire delta in their summary. In-process workers share
 	// the coordinator's registry and must not double-report.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/stream"
+	"repro/internal/vcd"
 )
 
 // TestProtocolRoundTrip frames every message type through the shared
@@ -19,9 +20,9 @@ func TestProtocolRoundTrip(t *testing.T) {
 		v    any
 	}{
 		{msgJob, JobSpec{
-			Dataset: DatasetSpec{Gen: &GenSpec{Scale: 2, Width: 240, Height: 136, Duration: 1, FPS: 15, Seed: 9, QP: 20, Captions: true}},
+			Dataset: DatasetSpec{Gen: &GenSpec{Scale: 2, Width: 240, Height: 136, Duration: 1, FPS: 15, Seed: 9, QP: 20, Captions: true, TileRows: 2, TileCols: 2}},
 			System:  SystemSpec{Name: "scannerlike", ScannerBudget: 16 << 20, ScannerHardLimit: 24 << 20},
-			Opt:     OptionsWire{InstancesPerScale: 4, Seed: 42, Validate: true, ShipResults: true},
+			Opt:     vcd.Options{InstancesPerScale: 4, Seed: 42, Validate: true, Mode: vcd.StreamingMode},
 			Metrics: true, HeartbeatNS: 1e9,
 		}},
 		{msgAssign, Assignment{Query: queries.Q3, Indices: []int{0, 3, 7}, Seq: 2}},

@@ -15,8 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/vcd"
-	"repro/internal/vcg"
-	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/vdbms/lightdblike"
 	"repro/internal/vdbms/noscopelike"
@@ -24,8 +22,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// NewSystem instantiates the named engine with the job's budgets — the
-// worker-side counterpart of core.NewSystems.
+// NewSystem instantiates the named engine with the job's budgets. It is
+// the only name→engine switch: the CLIs, the daemon, the experiments
+// and the workers all resolve a system through it.
 func NewSystem(spec SystemSpec) (vdbms.System, error) {
 	switch spec.Name {
 	case "scannerlike":
@@ -200,25 +199,13 @@ func (w *worker) setup() error {
 		w.base = metrics.Capture()
 		w.traceBase = metrics.TraceSeq()
 	}
-	o := w.job.Opt
-	mode := vcd.StreamingMode
-	if o.ShipResults {
+	opt := w.job.Opt
+	if opt.Mode == vcd.WriteMode {
 		w.results = vfs.NewMemory()
 		w.shipped = map[string]bool{}
-		mode = vcd.WriteMode
+		opt.ResultStore = w.results
 	}
-	w.runner, err = vcd.NewBatchRunner(ds, sys, vcd.Options{
-		InstancesPerScale: o.InstancesPerScale,
-		Seed:              o.Seed,
-		Mode:              mode,
-		ResultStore:       w.results,
-		Validate:          o.Validate,
-		ValidateFraction:  o.ValidateFraction,
-		MaxUpsamplePixels: o.MaxUpsamplePixels,
-		Workers:           o.Workers,
-		Sequential:        o.Sequential,
-		DecodedCacheBytes: o.DecodedCacheBytes,
-	})
+	w.runner, err = vcd.NewBatchRunner(ds, sys, opt)
 	if err != nil {
 		return err
 	}
@@ -232,13 +219,8 @@ func openDataset(spec DatasetSpec) (vfs.Store, error) {
 	case spec.Path != "":
 		return vfs.NewLocal(spec.Path)
 	case spec.Gen != nil:
-		g := spec.Gen
 		store := vfs.NewMemory()
-		_, err := vcg.Generate(vcity.Hyperparams{
-			Scale: g.Scale, Width: g.Width, Height: g.Height,
-			Duration: g.Duration, FPS: g.FPS, Seed: g.Seed,
-		}, vcg.Options{Captions: g.Captions, QP: g.QP}, store)
-		if err != nil {
+		if err := spec.Gen.Generate(store, 0); err != nil {
 			return nil, fmt.Errorf("shard: worker: regenerating dataset: %w", err)
 		}
 		return store, nil
@@ -250,13 +232,7 @@ func openDataset(spec DatasetSpec) (vfs.Store, error) {
 // by the done frame (heartbeats interleave from the conversation-level
 // heartbeater).
 func (w *worker) runAssignment(a Assignment) error {
-	traces := map[int]metrics.TraceID{}
-	for i, idx := range a.Indices {
-		if i < len(a.Traces) {
-			traces[idx] = a.Traces[i]
-		}
-	}
-	results, err := w.runner.RunSubsetTraced(a.Query, a.Indices, a.Traces)
+	results, err := w.runner.RunSubset(a.Query, a.Indices, a.Traces)
 	if err != nil {
 		return fmt.Errorf("shard: worker: %s subset: %w", a.Query, err)
 	}
@@ -267,12 +243,11 @@ func (w *worker) runAssignment(a Assignment) error {
 			Seq:       a.Seq,
 			ElapsedNS: res.Elapsed.Nanoseconds(),
 			Frames:    res.Frames,
-			Trace:     traces[res.Index],
+			Trace:     res.Trace,
 		}
 		if res.Err != nil {
 			wire.Err = res.Err.Error()
-			var resErr *vdbms.ErrResource
-			wire.Resource = errors.As(res.Err, &resErr)
+			wire.Resource = vcd.IsResourceError(res.Err)
 		}
 		if v := res.Validation; v != nil {
 			wire.Validated = &ValidationWire{

@@ -29,46 +29,62 @@ const (
 	StreamingMode
 )
 
-// Options configure a benchmark run.
+// Q4 upsample caps in use (Options.MaxUpsamplePixels): the CLIs and the
+// daemon run against generated datasets of any resolution; the
+// model-scale experiments bound Q4's output lower so a comparison grid
+// fits one machine.
+const (
+	UpsampleCapCLI   = 1 << 24
+	UpsampleCapModel = 1 << 22
+)
+
+// Options configure a benchmark run. It is the one run configuration:
+// the CLIs bind their flags onto it, vrserved builds it from a submit
+// body, the experiments embed it, and the shard plane ships it to
+// workers as JSON unchanged (DESIGN.md "One run configuration").
 type Options struct {
 	// Queries to execute, in benchmark order. Defaults to all.
-	Queries []queries.QueryID
+	Queries []queries.QueryID `json:"queries,omitempty"`
 	// InstancesPerScale is the batch multiplier: batch size = this × L
 	// (the paper uses 4).
-	InstancesPerScale int
+	InstancesPerScale int `json:"instances_per_scale,omitempty"`
 	// Seed drives parameter sampling and input selection.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Mode is the result handling mode.
-	Mode ResultMode
+	Mode ResultMode `json:"mode"`
 	// ResultStore receives written results in WriteMode (required for
-	// that mode).
-	ResultStore vfs.Store
+	// that mode). It never crosses the wire: a shard worker told to
+	// write stages results in a store of its own and ships them back.
+	ResultStore vfs.Store `json:"-"`
 	// Validate enables result validation against the reference
 	// implementation / scene geometry.
-	Validate bool
+	Validate bool `json:"validate,omitempty"`
 	// ValidateFraction validates only the given fraction of instances
 	// (1.0 = all, the default when Validate is set).
-	ValidateFraction float64
+	ValidateFraction float64 `json:"validate_fraction,omitempty"`
 	// MaxUpsamplePixels caps Q4 parameter draws (model-scale guard);
 	// zero means the full paper domain.
-	MaxUpsamplePixels int
+	MaxUpsamplePixels int `json:"max_upsample_pixels,omitempty"`
 	// Workers bounds how many query instances of a batch execute
 	// concurrently. 0 selects the machine default (parallel.Default());
 	// 1 executes serially. Instance ordering in reports and persisted
 	// result names is identical at every worker count.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Sequential forces the paper-faithful contention-free mode: one
 	// instance at a time and no shared decoded-input cache, so each
 	// measured instance sees the machine exactly as the paper's harness
 	// did. It overrides Workers and DecodedCacheBytes.
-	Sequential bool
+	Sequential bool `json:"sequential,omitempty"`
 	// DecodedCacheBytes budgets the shared decoded-input cache staged
 	// inputs decode through. 0 selects DefaultDecodedCacheBytes;
 	// negative disables the cache.
-	DecodedCacheBytes int64
+	DecodedCacheBytes int64 `json:"decoded_cache_bytes,omitempty"`
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills the driver's defaults — the values Run itself
+// uses — so a shard coordinator partitions and merges against the exact
+// configuration its workers execute.
+func (o Options) WithDefaults() Options {
 	if len(o.Queries) == 0 {
 		o.Queries = queries.AllQueries
 	}
@@ -82,14 +98,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = 1
 	}
 	return o
-}
-
-// queryWorkers resolves the effective instance-level concurrency.
-func (o Options) queryWorkers() int {
-	if o.Sequential {
-		return 1
-	}
-	return parallel.Normalize(o.Workers)
 }
 
 // decodedCacheBudget resolves the shared decoded-input cache budget for
@@ -179,12 +187,11 @@ func (r *RunReport) QueryReport(q queries.QueryID) (*QueryReport, bool) {
 // and inputs), submitted to the system, measured, and optionally
 // validated. Batches are submitted in benchmark query order.
 func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
-	opt = opt.withDefaults()
-	if opt.Mode == WriteMode && opt.ResultStore == nil {
-		return nil, errors.New("vcd: WriteMode requires a result store")
+	r, err := NewBatchRunner(ds, sys, opt)
+	if err != nil {
+		return nil, err
 	}
-	report := &RunReport{System: sys.Name(), Scale: ds.Manifest.Scale, Mode: opt.Mode}
-	ds.configureDecodedCache(opt.decodedCacheBudget())
+	report := &RunReport{System: sys.Name(), Scale: ds.Manifest.Scale, Mode: r.opt.Mode}
 	var runBase metrics.Snapshot
 	var traceBase, eventBase uint64
 	if metrics.Enabled() {
@@ -193,8 +200,8 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 		eventBase = metrics.EventSeq()
 	}
 	start := time.Now()
-	for _, q := range opt.Queries {
-		qr, err := runQueryBatch(ds, sys, q, opt)
+	for _, q := range r.opt.Queries {
+		qr, err := r.runQueryBatch(q)
 		if err != nil {
 			return nil, fmt.Errorf("vcd: %s on %s: %w", q, sys.Name(), err)
 		}
@@ -202,9 +209,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 		// Systems "may optionally quiesce or restart upon completing a
 		// batch" (§3.2): let the engine drop batch-scoped state so one
 		// query's caches do not subsidize the next.
-		if quiescer, ok := sys.(interface{ Shutdown() }); ok {
-			quiescer.Shutdown()
-		}
+		r.Quiesce()
 	}
 	report.Elapsed = time.Since(start)
 	report.DecodedCache = ds.DecodedCacheStats()
@@ -217,107 +222,135 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 	return report, nil
 }
 
-// runQueryBatch builds and executes one query batch.
-func runQueryBatch(ds *Dataset, sys vdbms.System, q queries.QueryID, opt Options) (*QueryReport, error) {
-	qr := &QueryReport{Query: q, System: sys.Name()}
-	if !sys.Supports(q) {
+// runQueryBatch builds and executes one whole query batch.
+func (r *BatchRunner) runQueryBatch(q queries.QueryID) (*QueryReport, error) {
+	qr := &QueryReport{Query: q, System: r.sys.Name()}
+	if !r.sys.Supports(q) {
 		qr.Unsupported = true
 		return qr, nil
 	}
-	batch := opt.InstancesPerScale * ds.Manifest.Scale
-	insts, err := BuildBatch(ds, q, batch, opt)
+	insts, err := BuildBatch(r.ds, q, r.opt.InstancesPerScale*r.ds.Manifest.Scale, r.opt)
 	if err != nil {
 		return nil, err
 	}
 	qr.BatchSize = len(insts)
+	idxs := make([]int, len(insts))
+	tids := make([]metrics.TraceID, len(insts))
+	for i := range idxs {
+		idxs[i], tids[i] = i, instanceTrace(r.opt, q, i)
+	}
 
 	// Honor the engine's batch limit by splitting, as the paper's
-	// authors did for LightDB on Q3/Q4.
-	limit := 0
-	if bl, ok := sys.(vdbms.BatchLimiter); ok {
-		limit = bl.MaxBatchSize(q)
+	// authors did for LightDB on Q3/Q4: groups stay ordered (batch
+	// splits are a sequencing contract with the engine), instances
+	// within a group share the worker pool. Per-instance Elapsed remains
+	// that instance's own wall clock; the batch Elapsed is the batch's.
+	group := batchLimit(r.sys, q)
+	if group <= 0 {
+		group = len(insts)
 	}
-	groups := [][]*vdbms.QueryInstance{insts}
-	if limit > 0 && len(insts) > limit {
-		groups = nil
-		for i := 0; i < len(insts); i += limit {
-			end := i + limit
-			if end > len(insts) {
-				end = len(insts)
-			}
-			groups = append(groups, insts[i:end])
-		}
-		qr.BatchSplits = len(groups) - 1
-	}
-
-	// Instances within a group execute concurrently on a bounded worker
-	// pool; groups stay ordered (batch splits are a sequencing contract
-	// with the engine). Each result lands at its global instance index,
-	// so reports and persisted result names are identical at every
-	// worker count. Per-instance Elapsed remains that instance's own
-	// wall clock; the batch Elapsed is the batch's wall clock.
-	workers := opt.queryWorkers()
-	results := make([]InstanceResult, len(insts))
-	validator := newValidator(ds, opt)
+	qr.Instances = make([]InstanceResult, len(insts))
 	var batchBase metrics.Snapshot
 	if metrics.Enabled() {
 		batchBase = metrics.Capture()
 	}
 	batchStart := time.Now()
-	base := 0
-	for _, group := range groups {
-		group, gbase := group, base
-		run := func(worker, i int) {
-			inst := group[i]
-			unpin := ds.pinInputs(inst)
-			results[gbase+i] = executeInstance(ds, sys, inst, opt, gbase+i, worker, instanceTrace(opt, q, gbase+i), -1)
-			unpin()
-		}
-		if workers <= 1 || len(group) <= 1 {
-			for i := range group {
-				run(0, i)
-			}
-		} else {
-			parallel.ForEachWorker(workers, len(group), func(w, i int) error {
-				run(w, i)
-				return nil
-			})
-		}
-		base += len(group)
+	for lo := 0; lo < len(insts); lo += group {
+		hi := min(lo+group, len(insts))
+		r.execute(insts, idxs[lo:hi], tids[lo:hi], qr.Instances[lo:hi])
 	}
 	qr.Elapsed = time.Since(batchStart)
-	for _, res := range results {
-		var resErr *vdbms.ErrResource
-		if errors.As(res.Err, &resErr) {
+	r.validate(insts, idxs, tids, qr.Instances)
+	qr.Tally(r.sys)
+	if metrics.Enabled() {
+		t := metrics.Capture().Sub(batchBase)
+		qr.Telemetry = &t
+	}
+	return qr, nil
+}
+
+// execute is the driver's one instance loop, shared by whole batches
+// (Run) and assigned subsets (RunSubset): insts[idxs[i]] runs on the
+// bounded worker pool with its inputs pinned and lands in out[i], so
+// reports and persisted result names are identical at every worker
+// count.
+func (r *BatchRunner) execute(insts []*vdbms.QueryInstance, idxs []int, tids []metrics.TraceID, out []InstanceResult) {
+	run := func(worker, i int) {
+		inst := insts[idxs[i]]
+		unpin := r.ds.pinInputs(inst)
+		out[i] = executeInstance(r.ds, r.sys, inst, r.opt, idxs[i], worker, tids[i], r.shard)
+		unpin()
+	}
+	workers := parallel.Normalize(r.opt.Workers) // 1 when Sequential (WithDefaults)
+	if workers <= 1 || len(idxs) <= 1 {
+		for i := range idxs {
+			run(0, i)
+		}
+		return
+	}
+	parallel.ForEachWorker(workers, len(idxs), func(w, i int) error {
+		run(w, i)
+		return nil
+	})
+}
+
+// validate is the post-hoc validation pass over executed instances. It
+// runs outside the measured window: the VCD's verification is not part
+// of system execution time.
+func (r *BatchRunner) validate(insts []*vdbms.QueryInstance, idxs []int, tids []metrics.TraceID, out []InstanceResult) {
+	if !r.opt.Validate {
+		return
+	}
+	for i := range out {
+		res := &out[i]
+		if res.Err != nil || res.Validation == nil {
+			continue
+		}
+		sp := metrics.StartSpan(metrics.StageValidate)
+		sp.Trace(tids[i])
+		sp.Shard(r.shard)
+		r.val.validate(insts[idxs[i]], res.Validation)
+		sp.Frames(res.Frames)
+		sp.End()
+	}
+}
+
+// batchLimit is the engine's batch-size limit for q (0 = none).
+func batchLimit(sys vdbms.System, q queries.QueryID) int {
+	if bl, ok := sys.(vdbms.BatchLimiter); ok {
+		return bl.MaxBatchSize(q)
+	}
+	return 0
+}
+
+// IsResourceError reports whether an instance failed with resource
+// exhaustion (e.g. Scanner-like Q4) — a vdbms.ErrResource, or an error
+// carried back from a shard worker that says it was one.
+func IsResourceError(err error) bool {
+	var resErr *vdbms.ErrResource
+	var remote interface{ IsResource() bool }
+	return errors.As(err, &resErr) || (errors.As(err, &remote) && remote.IsResource())
+}
+
+// Tally fills the batch's derived fields from BatchSize and Instances:
+// completions, resource failures and frames, the sub-batches the
+// engine's batch limit forces, and the validation summary. The driver
+// and the shard coordinator's merge both call it, so a merged report
+// cannot count differently from a single-process one.
+func (qr *QueryReport) Tally(sys vdbms.System) {
+	qr.Completed, qr.ResourceErrors, qr.Frames, qr.BatchSplits = 0, 0, 0, 0
+	for _, res := range qr.Instances {
+		if IsResourceError(res.Err) {
 			qr.ResourceErrors++
 		} else if res.Err == nil {
 			qr.Completed++
 			qr.Frames += res.Frames
 		}
 	}
-	qr.Instances = results
-
-	if opt.Validate {
-		// Validation runs outside the measured window, as the VCD's
-		// verification is not part of system execution time.
-		for i := range qr.Instances {
-			res := &qr.Instances[i]
-			if res.Err != nil || res.Validation == nil {
-				continue
-			}
-			sp := metrics.StartSpan(metrics.StageValidate)
-			sp.Trace(instanceTrace(opt, q, i))
-			validator.validate(insts[i], res.Validation)
-			sp.Frames(res.Frames)
-			sp.End()
-		}
-		qr.Validation = validator.summary(qr.Instances)
+	if limit := batchLimit(sys, qr.Query); limit > 0 && qr.BatchSize > limit {
+		qr.BatchSplits = (qr.BatchSize+limit-1)/limit - 1
 	}
-	if metrics.Enabled() {
-		t := metrics.Capture().Sub(batchBase)
-		qr.Telemetry = &t
-	}
-	return qr, nil
+	qr.Validation = summarizeValidation(qr.Instances)
 }
 
 // instanceTrace mints the instance's deterministic trace ID when

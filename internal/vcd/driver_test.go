@@ -14,7 +14,7 @@ import (
 
 func TestBuildBatchSizeAndDeterminism(t *testing.T) {
 	ds := testDataset(t)
-	opt := Options{Seed: 5}.withDefaults()
+	opt := Options{Seed: 5}.WithDefaults()
 	a, err := BuildBatch(ds, queries.Q1, 6, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestBuildBatchSizeAndDeterminism(t *testing.T) {
 		}
 	}
 	// A different seed draws different parameters.
-	c, err := BuildBatch(ds, queries.Q1, 6, Options{Seed: 6}.withDefaults())
+	c, err := BuildBatch(ds, queries.Q1, 6, Options{Seed: 6}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func paramsEq(a, b queries.Params) bool {
 
 func TestBuildBatchParamsInDomain(t *testing.T) {
 	ds := testDataset(t)
-	opt := Options{Seed: 9, MaxUpsamplePixels: 1 << 22}.withDefaults()
+	opt := Options{Seed: 9, MaxUpsamplePixels: 1 << 22}.WithDefaults()
 	for _, q := range queries.MicroQueries {
 		insts, err := BuildBatch(ds, q, 8, opt)
 		if err != nil {
@@ -72,7 +72,7 @@ func TestBuildBatchParamsInDomain(t *testing.T) {
 
 func TestBuildBatchQ8UsesTilePlates(t *testing.T) {
 	ds := testDataset(t)
-	insts, err := BuildBatch(ds, queries.Q8, 4, Options{Seed: 2}.withDefaults())
+	insts, err := BuildBatch(ds, queries.Q8, 4, Options{Seed: 2}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBuildBatchQ8UsesTilePlates(t *testing.T) {
 
 func TestBuildBatchQ9PanoGroups(t *testing.T) {
 	ds := testDataset(t)
-	insts, err := BuildBatch(ds, queries.Q9, 2, Options{Seed: 2}.withDefaults())
+	insts, err := BuildBatch(ds, queries.Q9, 2, Options{Seed: 2}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

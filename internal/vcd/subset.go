@@ -6,21 +6,21 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/queries"
 	"repro/internal/vdbms"
 )
 
-// BatchRunner executes assigned subsets of query batches — the worker
-// side of sharded execution. Batches are deterministic functions of
-// (dataset, query, seed), so a worker rebuilds the full batch locally
-// from the job options and executes only the global instance indices
-// assigned to it; instance parameters never cross the wire. The runner
-// configures the dataset's decoded cache once at construction (each
-// worker process owns its cache), and reuses the driver's exact
-// execution path — pinning, spans, result naming by global index — so
-// a coordinator can merge subset results into a report identical to a
-// single-process run.
+// BatchRunner is one configured (dataset, engine, options) execution
+// context: Run drives whole batches through it and shard workers drive
+// assigned subsets (RunSubset), so both take the same path — pinning,
+// spans, result naming by global index — and a coordinator can merge
+// subset results into a report identical to a single-process run.
+// Batches are deterministic functions of (dataset, query, seed), so a
+// worker rebuilds the full batch locally from the job options and
+// executes only the global instance indices assigned to it; instance
+// parameters never cross the wire. The runner configures the dataset's
+// decoded cache once at construction (each worker process owns its
+// cache).
 type BatchRunner struct {
 	ds    *Dataset
 	sys   vdbms.System
@@ -29,9 +29,9 @@ type BatchRunner struct {
 	shard int
 }
 
-// NewBatchRunner prepares subset execution against ds with sys.
+// NewBatchRunner prepares execution against ds with sys.
 func NewBatchRunner(ds *Dataset, sys vdbms.System, opt Options) (*BatchRunner, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if opt.Mode == WriteMode && opt.ResultStore == nil {
 		return nil, errors.New("vcd: WriteMode requires a result store")
 	}
@@ -45,9 +45,10 @@ func NewBatchRunner(ds *Dataset, sys vdbms.System, opt Options) (*BatchRunner, e
 func (r *BatchRunner) SetShard(shard int) { r.shard = shard }
 
 // IndexedResult is one executed instance tagged with its global batch
-// index.
+// index and the trace ID it executed under.
 type IndexedResult struct {
 	Index int
+	Trace metrics.TraceID
 	InstanceResult
 }
 
@@ -58,71 +59,42 @@ type IndexedResult struct {
 // the single-process driver does. Results are returned tagged with
 // their global indices; persisted result names use the same indices, so
 // subsets from different workers never collide.
-func (r *BatchRunner) RunSubset(q queries.QueryID, indices []int) ([]IndexedResult, error) {
-	return r.RunSubsetTraced(q, indices, nil)
-}
-
-// RunSubsetTraced is RunSubset with coordinator-minted trace IDs:
-// traces[i] is the distributed trace ID of indices[i] (nil or a zero
-// entry leaves the instance locally minted, which yields the same ID —
-// trace IDs are deterministic — but carrying them over the wire keeps
-// the worker oblivious to the minting policy).
-func (r *BatchRunner) RunSubsetTraced(q queries.QueryID, indices []int, traces []metrics.TraceID) ([]IndexedResult, error) {
+//
+// traces[i] is the coordinator-minted distributed trace ID of
+// indices[i]; nil or a zero entry leaves the instance locally minted,
+// which yields the same ID — trace IDs are deterministic — but carrying
+// them over the wire keeps the worker oblivious to the minting policy.
+func (r *BatchRunner) RunSubset(q queries.QueryID, indices []int, traces []metrics.TraceID) ([]IndexedResult, error) {
 	if !r.sys.Supports(q) {
 		return nil, nil
 	}
-	batch := r.opt.InstancesPerScale * r.ds.Manifest.Scale
-	insts, err := BuildBatch(r.ds, q, batch, r.opt)
+	insts, err := BuildBatch(r.ds, q, r.opt.InstancesPerScale*r.ds.Manifest.Scale, r.opt)
 	if err != nil {
 		return nil, err
 	}
-	tids := make(map[int]metrics.TraceID, len(indices))
+	byIndex := make(map[int]metrics.TraceID, len(indices))
 	for i, idx := range indices {
+		if idx < 0 || idx >= len(insts) {
+			return nil, fmt.Errorf("vcd: subset index %d outside batch of %d", idx, len(insts))
+		}
 		if i < len(traces) && traces[i] != 0 {
-			tids[idx] = traces[i]
+			byIndex[idx] = traces[i]
 		} else {
-			tids[idx] = instanceTrace(r.opt, q, idx)
+			byIndex[idx] = instanceTrace(r.opt, q, idx)
 		}
 	}
 	idxs := append([]int(nil), indices...)
 	sort.Ints(idxs)
-	for _, idx := range idxs {
-		if idx < 0 || idx >= len(insts) {
-			return nil, fmt.Errorf("vcd: subset index %d outside batch of %d", idx, len(insts))
-		}
+	tids := make([]metrics.TraceID, len(idxs))
+	for i, idx := range idxs {
+		tids[i] = byIndex[idx]
 	}
+	results := make([]InstanceResult, len(idxs))
+	r.execute(insts, idxs, tids, results)
+	r.validate(insts, idxs, tids, results)
 	out := make([]IndexedResult, len(idxs))
-	run := func(worker, i int) {
-		idx := idxs[i]
-		inst := insts[idx]
-		unpin := r.ds.pinInputs(inst)
-		out[i] = IndexedResult{Index: idx, InstanceResult: executeInstance(r.ds, r.sys, inst, r.opt, idx, worker, tids[idx], r.shard)}
-		unpin()
-	}
-	workers := r.opt.queryWorkers()
-	if workers <= 1 || len(idxs) <= 1 {
-		for i := range idxs {
-			run(0, i)
-		}
-	} else {
-		parallel.ForEachWorker(workers, len(idxs), func(w, i int) error {
-			run(w, i)
-			return nil
-		})
-	}
-	if r.opt.Validate {
-		for i := range out {
-			res := &out[i].InstanceResult
-			if res.Err != nil || res.Validation == nil {
-				continue
-			}
-			sp := metrics.StartSpan(metrics.StageValidate)
-			sp.Trace(tids[out[i].Index])
-			sp.Shard(r.shard)
-			r.val.validate(insts[out[i].Index], res.Validation)
-			sp.Frames(res.Frames)
-			sp.End()
-		}
+	for i, idx := range idxs {
+		out[i] = IndexedResult{Index: idx, Trace: tids[i], InstanceResult: results[i]}
 	}
 	return out, nil
 }
@@ -141,40 +113,10 @@ func (r *BatchRunner) CacheStats() metrics.CacheStats {
 	return r.ds.DecodedCacheStats()
 }
 
-// NormalizeOptions fills the driver's defaults — the values Run itself
-// would use — so a shard coordinator partitions and merges against the
-// exact configuration its workers execute.
-func NormalizeOptions(o Options) Options { return o.withDefaults() }
-
 // ResultNamePrefix returns the persisted-name prefix of one instance's
 // result files (resultName with the per-output key stripped), letting a
 // shard worker attribute store contents to the instance that wrote
 // them.
 func ResultNamePrefix(q queries.QueryID, idx int) string {
 	return fmt.Sprintf("result-%s-%03d-", sanitize(string(q)), idx)
-}
-
-// SummarizeValidation aggregates instance validations into the batch
-// summary — the computation runQueryBatch performs, exported so a
-// coordinator can recompute the summary from gathered per-instance
-// verdicts and arrive at the identical value.
-func SummarizeValidation(insts []InstanceResult) ValidationSummary {
-	var s ValidationSummary
-	var psnrs []float64
-	for _, r := range insts {
-		if r.Validation == nil || !r.Validation.Checked {
-			continue
-		}
-		s.Checked++
-		if r.Validation.Passed {
-			s.Passed++
-		}
-		if r.Validation.PSNR >= 0 {
-			psnrs = append(psnrs, r.Validation.PSNR)
-		}
-		s.SemanticChecked += r.Validation.SemanticChecked
-		s.SemanticPassed += r.Validation.SemanticPassed
-	}
-	s.PSNR = metrics.Describe(psnrs)
-	return s
 }

@@ -396,9 +396,27 @@ func (v *validator) semanticQ2d(inst *vdbms.QueryInstance, val *InstanceValidati
 	}
 }
 
-// summary aggregates instance validations.
-func (v *validator) summary(insts []InstanceResult) ValidationSummary {
-	return SummarizeValidation(insts)
+// summarizeValidation aggregates instance validations into the batch
+// summary (QueryReport.Tally's validation half).
+func summarizeValidation(insts []InstanceResult) ValidationSummary {
+	var s ValidationSummary
+	var psnrs []float64
+	for _, r := range insts {
+		if r.Validation == nil || !r.Validation.Checked {
+			continue
+		}
+		s.Checked++
+		if r.Validation.Passed {
+			s.Passed++
+		}
+		if r.Validation.PSNR >= 0 {
+			psnrs = append(psnrs, r.Validation.PSNR)
+		}
+		s.SemanticChecked += r.Validation.SemanticChecked
+		s.SemanticPassed += r.Validation.SemanticPassed
+	}
+	s.PSNR = metrics.Describe(psnrs)
+	return s
 }
 
 func allClasses() []vcity.ObjectClass {

@@ -59,9 +59,22 @@ go test -race -run 'TestShardEquivalence|TestShardWorkerDeathRecovers' ./interna
 # Worker-server lifecycle under the race detector: serve/close cycles
 # must leak no ctx-watcher goroutines, a half-open coordinator must be
 # dropped by the first-frame deadline without wedging the accept loop,
-# and a SIGTERM'd -shard-worker must drain cleanly.
+# and a SIGTERM'd -shard-worker (the one runner every binary shares)
+# must drain cleanly. internal/cli also pins every binary's flag
+# surface against the goldens (TestFlagSurface).
 go test -race -run 'TestWorkerServer' ./internal/shard
-go test -race -run 'TestShardWorkerSignalShutdown' ./cmd/vcd
+go test -race ./internal/cli ./cmd/...
+# One run configuration (DESIGN.md §5.14): the mirrors stay deleted. A
+# second spelling of the run options, or a per-binary copy of a helper
+# whose job internal/cli owns, fails here.
+if grep -rnE 'OptionsWire|QueryWorkers|QuerySequential' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: a deleted configuration mirror is back (see above)" >&2
+	exit 1
+fi
+if grep -rnE '^func (\([^)]*\) )?(splitAddrs|closeDebug)\(' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: internal/cli owns address parsing (Shard.Addrs) and the debug-server exit path (Obs.Exit); use them" >&2
+	exit 1
+fi
 # Benchmark-as-a-service control plane under the race detector: the
 # executor, per-tenant admission, cancellation plumbing, and restart
 # recovery interleave with HTTP handlers; the end-to-end test asserts
