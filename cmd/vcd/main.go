@@ -183,7 +183,7 @@ func run() (code int) {
 type telemetryArtifact struct {
 	System       string                        `json:"system"`
 	Scale        int                           `json:"scale"`
-	DecodedCache metrics.CacheTelemetry        `json:"decoded_cache"`
+	DecodedCache json.RawMessage               `json:"decoded_cache"`
 	Run          *metrics.Telemetry            `json:"run"`
 	Queries      map[string]*metrics.Telemetry `json:"queries"`
 	Trace        *metrics.TraceReport          `json:"trace,omitempty"`

@@ -6,6 +6,7 @@ package main
 // atomic -cpuprofile/-memprofile writers.
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -28,10 +29,10 @@ type cellTelemetryJSON struct {
 
 // runTelemetryJSON is one system's whole-run roll-up.
 type runTelemetryJSON struct {
-	System       string                 `json:"system"`
-	Scale        int                    `json:"scale"`
-	DecodedCache metrics.CacheTelemetry `json:"decoded_cache"`
-	Telemetry    *metrics.Telemetry     `json:"telemetry"`
+	System       string             `json:"system"`
+	Scale        int                `json:"scale"`
+	DecodedCache json.RawMessage    `json:"decoded_cache"`
+	Telemetry    *metrics.Telemetry `json:"telemetry"`
 }
 
 // metricsArtifact is the -metrics-json schema (see README
@@ -88,11 +89,9 @@ func newMetricsArtifact(base metrics.Snapshot, traceBase, eventBase uint64) metr
 		Process: metrics.Capture().Sub(base),
 		Runs:    collected.runs,
 		Queries: collected.queries,
-		Events:  metrics.EventsSince(eventBase),
+		Trace:   metrics.SummarizeTraces(metrics.TraceSpansSince(traceBase)),
 	}
-	if spans := metrics.TraceSpansSince(traceBase); len(spans) > 0 {
-		art.Trace = metrics.SummarizeTraces(spans)
-	}
+	art.Events, _ = metrics.EventsSince(eventBase)
 	return art
 }
 

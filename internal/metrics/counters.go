@@ -1,143 +1,56 @@
 package metrics
 
-import "sync/atomic"
+import "encoding/json"
 
-// Counter is a concurrency-safe monotonic event counter, the unit the
-// driver's shared caches report their behavior in.
-type Counter struct{ n atomic.Int64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.n.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-// CacheCounters groups the counters a shared cache exports: lookup
-// hit/miss/eviction counts plus the range-decode accounting pair —
-// FramesRequested is how many frames queries asked for, FramesDecoded
-// how many the cache actually reconstructed to serve them (window
-// frames plus GOP-seed runs; ≤ requested when views overlap, ≥ when
-// windows open mid-GOP).
-type CacheCounters struct {
-	Hits            Counter
-	Misses          Counter
-	Evictions       Counter
-	FramesRequested Counter
-	FramesDecoded   Counter
-}
-
-// Snapshot returns an immutable copy of the current counts.
-func (c *CacheCounters) Snapshot() CacheStats {
-	return CacheStats{
-		Hits:            c.Hits.Value(),
-		Misses:          c.Misses.Value(),
-		Evictions:       c.Evictions.Value(),
-		FramesRequested: c.FramesRequested.Value(),
-		FramesDecoded:   c.FramesDecoded.Value(),
-	}
-}
-
-// CacheStats is a point-in-time snapshot of CacheCounters.
+// CacheStats is one owner's reading of the decoded-cache rows of the
+// scalar table (see scalars.go for what each counts) — the typed form
+// run reports and worker summaries carry.
 type CacheStats struct {
-	Hits            int64
-	Misses          int64
-	Evictions       int64
-	FramesRequested int64
-	FramesDecoded   int64
+	Hits            int64 `json:"hits"`
+	Misses          int64 `json:"misses"`
+	Evictions       int64 `json:"evictions"`
+	FramesRequested int64 `json:"frames_requested"`
+	FramesDecoded   int64 `json:"frames_decoded"`
 }
 
-// Sub returns the per-interval delta s − prev, for reporting one run's
-// cache behavior out of cumulative counters.
-func (s CacheStats) Sub(prev CacheStats) CacheStats {
-	return CacheStats{
-		Hits:            s.Hits - prev.Hits,
-		Misses:          s.Misses - prev.Misses,
-		Evictions:       s.Evictions - prev.Evictions,
-		FramesRequested: s.FramesRequested - prev.FramesRequested,
-		FramesDecoded:   s.FramesDecoded - prev.FramesDecoded,
-	}
+// fields lists the struct's fields in the table order of the cache
+// rows: the one place the struct is tied to them (TestScalarTable holds
+// it to the rows' keys).
+func (s *CacheStats) fields() [5]*int64 {
+	return [...]*int64{&s.Hits, &s.Misses, &s.Evictions, &s.FramesRequested, &s.FramesDecoded}
 }
 
-// DecodeRatio returns frames decoded per frame requested — the range
-// layer's amplification factor (1.0 = perfectly aligned windows) — or 0
-// when nothing was requested.
-func (s CacheStats) DecodeRatio() float64 {
-	if s.FramesRequested == 0 {
-		return 0
+// CacheStats returns this set's share of the decoded-cache rows.
+func (c *Set) CacheStats() CacheStats {
+	var s CacheStats
+	for i, f := range s.fields() {
+		*f = c.Value(CacheHits + Scalar(i))
 	}
-	return float64(s.FramesDecoded) / float64(s.FramesRequested)
+	return s
+}
+
+// Merge adds o's counts into s: the coordinator's roll-up of its
+// workers' caches.
+func (s *CacheStats) Merge(o CacheStats) {
+	from := o.fields()
+	for i, f := range s.fields() {
+		*f += *from[i]
+	}
 }
 
 // HitRate returns the fraction of lookups served from the cache, or 0
 // when there were none.
 func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
+	return fraction(s.Hits, s.Hits+s.Misses)
+}
+
+// Report serializes the stats as the decoded-cache section of the
+// telemetry — the counts with their derived ratios, the form every JSON
+// artifact embeds.
+func (s CacheStats) Report() json.RawMessage {
+	var v values
+	for i, f := range s.fields() {
+		v[CacheHits+Scalar(i)] = *f
 	}
-	return float64(s.Hits) / float64(total)
+	return v.section(groupCache)
 }
-
-// ShardCounters groups the shard plane's fault/recovery accounting:
-// the coordinator increments these alongside its per-run shard.Counters
-// so live snapshots (/debug/metrics, /debug/prom) see coordinator
-// behavior without a handle on the current run.
-type ShardCounters struct {
-	WorkerFailures    Counter
-	HeartbeatTimeouts Counter
-	Reassignments     Counter
-	RetriedInstances  Counter
-	DuplicateResults  Counter
-	DialRetries       Counter
-	// ConvFailures counts worker-server conversations that ended in an
-	// error (bad data dir, codec failure, half-open coordinator) — the
-	// signal a silently-failing worker daemon otherwise swallows.
-	ConvFailures Counter
-}
-
-// Snapshot returns an immutable copy of the current counts.
-func (c *ShardCounters) Snapshot() ShardStats {
-	return ShardStats{
-		WorkerFailures:    c.WorkerFailures.Value(),
-		HeartbeatTimeouts: c.HeartbeatTimeouts.Value(),
-		Reassignments:     c.Reassignments.Value(),
-		RetriedInstances:  c.RetriedInstances.Value(),
-		DuplicateResults:  c.DuplicateResults.Value(),
-		DialRetries:       c.DialRetries.Value(),
-		ConvFailures:      c.ConvFailures.Value(),
-	}
-}
-
-// ShardStats is a point-in-time snapshot of ShardCounters, also the
-// mergeable wire form worker summaries carry.
-type ShardStats struct {
-	WorkerFailures    int64 `json:"worker_failures,omitempty"`
-	HeartbeatTimeouts int64 `json:"heartbeat_timeouts,omitempty"`
-	Reassignments     int64 `json:"reassignments,omitempty"`
-	RetriedInstances  int64 `json:"retried_instances,omitempty"`
-	DuplicateResults  int64 `json:"duplicate_results,omitempty"`
-	DialRetries       int64 `json:"dial_retries,omitempty"`
-	ConvFailures      int64 `json:"conv_failures,omitempty"`
-}
-
-// Sub returns the per-interval delta s − prev.
-func (s ShardStats) Sub(prev ShardStats) ShardStats {
-	return ShardStats{
-		WorkerFailures:    s.WorkerFailures - prev.WorkerFailures,
-		HeartbeatTimeouts: s.HeartbeatTimeouts - prev.HeartbeatTimeouts,
-		Reassignments:     s.Reassignments - prev.Reassignments,
-		RetriedInstances:  s.RetriedInstances - prev.RetriedInstances,
-		DuplicateResults:  s.DuplicateResults - prev.DuplicateResults,
-		DialRetries:       s.DialRetries - prev.DialRetries,
-		ConvFailures:      s.ConvFailures - prev.ConvFailures,
-	}
-}
-
-func (s ShardStats) zero() bool { return s == ShardStats{} }
-
-// GlobalShardCounters returns the process-wide shard-plane counters the
-// coordinator feeds.
-func GlobalShardCounters() *ShardCounters { return &reg.shard }

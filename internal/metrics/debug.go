@@ -100,7 +100,9 @@ func serveDebugOn(ln net.Listener) (string, func() error) {
 
 // handleEvents serves the event journal as JSON. ?since=seq returns
 // only events after that sequence number, so a poller can keep a
-// cursor; the response's seq field is the cursor for the next poll.
+// cursor; the response's seq field is the cursor for the next poll and
+// lost is how many events after the cursor the ring had already
+// overwritten (a poller that sees it non-zero polled too slowly).
 func handleEvents(w http.ResponseWriter, r *http.Request) {
 	var since uint64
 	if s := r.URL.Query().Get("since"); s != "" {
@@ -114,8 +116,11 @@ func handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	seq := EventSeq()
+	events, lost := eventRing.span(since, seq)
 	enc.Encode(struct {
 		Seq    uint64  `json:"seq"`
+		Lost   uint64  `json:"lost"`
 		Events []Event `json:"events"`
-	}{EventSeq(), EventsSince(since)})
+	}{seq, lost, events})
 }

@@ -1,11 +1,8 @@
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// The event journal: a fixed-size lock-free ring of structured
+// The event journal: a fixed-size lock-free ring (ring.go) of structured
 // lifecycle events with process-monotonic sequence numbers. The shard
 // plane records job/assignment/failure/recovery transitions here;
 // /debug/events serves the ring with a ?since=seq cursor and run
@@ -58,12 +55,7 @@ type Event struct {
 // the ring wraps.
 const eventRingSize = 1024
 
-// eventRing follows the trace ring's publication scheme: one atomic
-// add claims a sequence number, one atomic pointer store publishes.
-var eventRing struct {
-	seq   atomic.Uint64
-	slots [eventRingSize]atomic.Pointer[Event]
-}
+var eventRing = newRing[Event](eventRingSize)
 
 // RecordEvent journals one lifecycle event, stamping its sequence
 // number and wall-clock time, and returns the sequence number. No-op
@@ -73,42 +65,20 @@ func RecordEvent(e Event) uint64 {
 	if !reg.enabled.Load() {
 		return 0
 	}
-	// Copy into a fresh heap object rather than taking &e: publishing
-	// the parameter itself would force e to escape in every caller,
-	// making the disabled path allocate too.
-	p := new(Event)
-	*p = e
-	p.Seq = eventRing.seq.Add(1)
-	p.TimeNS = time.Now().UnixNano()
-	eventRing.slots[(p.Seq-1)%eventRingSize].Store(p)
-	return p.Seq
+	e.Seq = eventRing.claim()
+	e.TimeNS = time.Now().UnixNano()
+	eventRing.publish(e.Seq, e)
+	return e.Seq
 }
 
 // EventSeq returns the sequence number of the most recent event (0 when
 // none have been recorded). Capture it before a run and pass it to
 // EventsSince for the run's journal interval.
-func EventSeq() uint64 { return eventRing.seq.Load() }
+func EventSeq() uint64 { return eventRing.last() }
 
 // EventsSince returns the journaled events with sequence numbers
-// greater than since, in sequence order. Only the last eventRingSize
-// events are retrievable; anything older has been overwritten.
-func EventsSince(since uint64) []Event {
-	cur := eventRing.seq.Load()
-	if since >= cur {
-		return nil
-	}
-	lo := since
-	if cur > eventRingSize && lo < cur-eventRingSize {
-		lo = cur - eventRingSize
-	}
-	out := make([]Event, 0, cur-lo)
-	for i := lo; i < cur; i++ {
-		p := eventRing.slots[i%eventRingSize].Load()
-		// A slot can hold a newer event than the scanned position if a
-		// writer lapped the ring mid-scan; keep the scan monotonic.
-		if p != nil && p.Seq > since && (len(out) == 0 || p.Seq > out[len(out)-1].Seq) {
-			out = append(out, *p)
-		}
-	}
-	return out
+// greater than since, in sequence order, and how many of them the
+// cursor lost: only the last eventRingSize events are retrievable.
+func EventsSince(since uint64) (events []Event, lost uint64) {
+	return eventRing.span(since, eventRing.last())
 }

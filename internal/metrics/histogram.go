@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -80,6 +82,39 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type HistogramSnapshot struct {
 	Buckets [histBuckets]int64
 	Sum     int64
+}
+
+// A HistogramSnapshot serializes the way the wire telemetry's other
+// arrays do (wire.go): an object of the occupied buckets keyed by index
+// — most of the 488 log-scale buckets are empty in any real interval —
+// with the sum beside them under "sum_ns".
+func histName(i int) string {
+	if i == histBuckets {
+		return "sum_ns"
+	}
+	return strconv.Itoa(i)
+}
+
+func (s HistogramSnapshot) MarshalJSON() ([]byte, error) {
+	return marshalByName(histName, append(s.Buckets[:], s.Sum))
+}
+
+// UnmarshalJSON is where a worker's histogram enters the coordinator:
+// a bucket index outside the layout is a name this build does not
+// have, and a negative count is refused.
+func (s *HistogramSnapshot) UnmarshalJSON(b []byte) error {
+	elems := make([]int64, histBuckets+1)
+	if err := unmarshalByName(b, histName, elems); err != nil {
+		return err
+	}
+	copy(s.Buckets[:], elems)
+	s.Sum = elems[histBuckets]
+	for i, n := range s.Buckets {
+		if n < 0 {
+			return fmt.Errorf("metrics: histogram bucket %d has the negative count %d", i, n)
+		}
+	}
+	return nil
 }
 
 // Count returns the number of recorded observations.

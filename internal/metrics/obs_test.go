@@ -58,7 +58,7 @@ func TestRecordEventCursor(t *testing.T) {
 	if !(s1 > base && s2 > s1 && s3 > s2) {
 		t.Fatalf("sequence numbers not strictly increasing: base=%d got %d,%d,%d", base, s1, s2, s3)
 	}
-	evs := EventsSince(base)
+	evs, _ := EventsSince(base)
 	if len(evs) != 3 {
 		t.Fatalf("EventsSince(base) returned %d events, want 3", len(evs))
 	}
@@ -74,14 +74,18 @@ func TestRecordEventCursor(t *testing.T) {
 		t.Fatalf("event payload mangled: %+v", evs[1])
 	}
 	// Cursor semantics: resuming from a mid-interval seq returns the tail.
-	if tail := EventsSince(s2); len(tail) != 1 || tail[0].Seq != s3 {
+	if tail, _ := EventsSince(s2); len(tail) != 1 || tail[0].Seq != s3 {
 		t.Fatalf("EventsSince(%d) = %+v, want just seq %d", s2, tail, s3)
 	}
-	if rest := EventsSince(s3); rest != nil {
+	if rest, lost := EventsSince(s3); rest != nil || lost != 0 {
 		t.Fatalf("EventsSince(latest) = %+v, want nil", rest)
 	}
 }
 
+// TestEventsSinceLappedRing: a cursor older than the ring's capacity
+// gets the last ring-full of items in sequence order and is told how
+// many it lost — for the event journal and the trace ring alike (one
+// ring implementation backs both).
 func TestEventsSinceLappedRing(t *testing.T) {
 	withMetrics(t)
 	base := EventSeq()
@@ -89,15 +93,32 @@ func TestEventsSinceLappedRing(t *testing.T) {
 	for i := 0; i < total; i++ {
 		RecordEvent(Event{Kind: EventShardAssigned, Shard: i})
 	}
-	evs := EventsSince(base)
-	if len(evs) != eventRingSize {
-		t.Fatalf("lapped ring returned %d events, want the last %d", len(evs), eventRingSize)
+	evs, lost := EventsSince(base)
+	if len(evs) != eventRingSize || lost != 100 {
+		t.Fatalf("lapped journal returned %d events and lost %d, want the last %d and 100", len(evs), lost, eventRingSize)
 	}
 	want := base + uint64(total) - eventRingSize + 1
 	for i, ev := range evs {
 		if ev.Seq != want+uint64(i) {
 			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want+uint64(i))
 		}
+	}
+
+	tbase := TraceSeq()
+	for i := 0; i < traceRingSize+7; i++ {
+		RecordTraceSpan(TraceSpan{Trace: 1, Stage: "x", StartNS: int64(i)})
+	}
+	spans, lost := TraceSpansSince(tbase)
+	if len(spans) != traceRingSize || lost != 7 {
+		t.Fatalf("lapped trace ring returned %d spans and lost %d, want the last %d and 7", len(spans), lost, traceRingSize)
+	}
+	for i, sp := range spans {
+		if sp.StartNS != int64(7+i) {
+			t.Fatalf("span %d is the %dth recorded, want the %dth: a lapped ring must stay in order", i, sp.StartNS, 7+i)
+		}
+	}
+	if s := Capture(); s.vals[eventsOverwritten] < 100 || s.vals[traceSpansOverwritten] < 7 {
+		t.Fatalf("overwritten rows = %d events, %d spans; want at least 100 and 7", s.vals[eventsOverwritten], s.vals[traceSpansOverwritten])
 	}
 }
 
@@ -127,7 +148,7 @@ func TestDisabledObservabilityIsFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("disabled traced span allocates %.1f objects per op, want 0", allocs)
 	}
-	if evs := EventsSince(EventSeq() - 1); len(evs) != 0 && evs[len(evs)-1].Kind == EventWorkerDead && evs[len(evs)-1].Shard == 2 {
+	if evs, _ := EventsSince(EventSeq() - 1); len(evs) != 0 && evs[len(evs)-1].Kind == EventWorkerDead && evs[len(evs)-1].Shard == 2 {
 		t.Fatal("disabled RecordEvent reached the journal")
 	}
 }
@@ -141,7 +162,7 @@ func TestTracedSpanLandsInRing(t *testing.T) {
 	sp.Shard(2)
 	sp.Worker(1)
 	sp.End()
-	spans := TraceSpansSince(base)
+	spans, _ := TraceSpansSince(base)
 	if len(spans) != 1 {
 		t.Fatalf("got %d trace spans, want 1", len(spans))
 	}
@@ -155,7 +176,7 @@ func TestTracedSpanLandsInRing(t *testing.T) {
 	// Untraced spans stay out of the ring.
 	sp2 := StartSpan(StageExecute)
 	sp2.End()
-	if got := TraceSpansSince(base); len(got) != 1 {
+	if got, _ := TraceSpansSince(base); len(got) != 1 {
 		t.Fatalf("untraced span leaked into the ring: %d spans", len(got))
 	}
 }
@@ -174,7 +195,7 @@ func TestSummarizeTracesStragglers(t *testing.T) {
 		// A batch-level merge span: contributes to Spans, not Instances.
 		{Trace: 900, Stage: StageShardMerge.String(), Shard: -1, StartNS: 90e6, DurNS: 1e6},
 	}
-	rep := SummarizeTraces(spans)
+	rep := SummarizeTraces(spans, 0)
 	if rep == nil {
 		t.Fatal("nil report for non-empty span set")
 	}
@@ -201,7 +222,7 @@ func TestSummarizeTracesStragglers(t *testing.T) {
 	if len(rep.Timelines) != 3 || rep.Timelines[0].Trace != 201 {
 		t.Fatalf("timelines not slowest-first: %+v", rep.Timelines)
 	}
-	if SummarizeTraces(nil) != nil {
+	if SummarizeTraces(nil, 0) != nil {
 		t.Fatal("empty span set must summarize to nil")
 	}
 }
@@ -213,7 +234,7 @@ func TestSummarizeTracesJoinsStages(t *testing.T) {
 		{Trace: tid, Stage: StageExecute.String(), Shard: 1, StartNS: 0, DurNS: 10e6},
 		{Trace: tid, Stage: StageValidate.String(), Shard: 1, StartNS: 10e6, DurNS: 5e6},
 	}
-	rep := SummarizeTraces(spans)
+	rep := SummarizeTraces(spans, 0)
 	if rep.Instances != 1 || len(rep.Timelines) != 1 {
 		t.Fatalf("want a single instance timeline, got %+v", rep)
 	}
@@ -336,7 +357,7 @@ func TestWritePromValidExposition(t *testing.T) {
 	sp.Trace(1)
 	sp.Shard(0)
 	sp.End()
-	GlobalShardCounters().WorkerFailures.Inc()
+	Add(ShardWorkerFailures, 1)
 	RecordEvent(Event{Kind: EventWorkerDead, Shard: 0})
 
 	var buf strings.Builder

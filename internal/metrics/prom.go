@@ -11,7 +11,8 @@ import (
 // registry, served at /debug/prom so a stock scraper can watch a
 // long-running worker pool. Stage latency histograms render with
 // cumulative buckets at the log-scale bucket upper edges (seconds);
-// counters and gauges render as single samples. Only stages with
+// every row of the scalar table renders as a single sample, every row
+// of the stage table as one sample per active stage. Only stages with
 // activity are emitted — the bucket layout is fixed, so series stay
 // consistent across scrapes.
 
@@ -24,13 +25,13 @@ func WriteProm(w io.Writer) {
 
 	promHeader(w, "vr_stage_seconds", "histogram", "Latency distribution per pipeline stage.")
 	for i := range s.stages {
-		st := &s.stages[i]
-		if st.lat.Count() == 0 {
+		lat := &s.stages[i].Lat
+		if lat.Count() == 0 {
 			continue
 		}
 		stage := Stage(i).String()
 		var cum int64
-		for b, n := range st.lat.Buckets {
+		for b, n := range lat.Buckets {
 			if n == 0 {
 				continue
 			}
@@ -39,82 +40,25 @@ func WriteProm(w io.Writer) {
 			promSample(w, "vr_stage_seconds_bucket", `stage="`+promEscape(stage)+`",le="`+le+`"`, strconv.FormatInt(cum, 10))
 		}
 		promSample(w, "vr_stage_seconds_bucket", `stage="`+promEscape(stage)+`",le="+Inf"`, strconv.FormatInt(cum, 10))
-		promSample(w, "vr_stage_seconds_sum", `stage="`+promEscape(stage)+`"`, strconv.FormatFloat(float64(st.lat.Sum)/1e9, 'g', -1, 64))
+		promSample(w, "vr_stage_seconds_sum", `stage="`+promEscape(stage)+`"`, strconv.FormatFloat(float64(lat.Sum)/1e9, 'g', -1, 64))
 		promSample(w, "vr_stage_seconds_count", `stage="`+promEscape(stage)+`"`, strconv.FormatInt(cum, 10))
 	}
 
-	promStageCounter(w, s, "vr_stage_frames_total", "Frames processed per stage.",
-		func(st *stageSnapshot) int64 { return st.frames })
-	promStageCounter(w, s, "vr_stage_bytes_total", "Bytes processed per stage.",
-		func(st *stageSnapshot) int64 { return st.bytes })
-	promStageCounter(w, s, "vr_stage_cache_hits_total", "Cache-served span outcomes per stage.",
-		func(st *stageSnapshot) int64 { return st.hits })
-	promStageCounter(w, s, "vr_stage_cache_misses_total", "Decode-served span outcomes per stage.",
-		func(st *stageSnapshot) int64 { return st.misses })
-
-	g := s.gauges
-	promGauge(w, "vr_pool_active", "Worker pools currently running.", g.PoolActive)
-	promGauge(w, "vr_pool_busy", "Pool workers currently executing an item.", g.PoolBusy)
-	promGauge(w, "vr_pool_busy_peak", "High-water mark of busy pool workers.", g.PoolBusyPeak)
-	promGauge(w, "vr_pool_workers", "Total size of currently active pools.", g.PoolWorkers)
-	promGauge(w, "vr_pool_workers_peak", "High-water mark of registered pool workers.", g.PoolWorkersPeak)
-	promCounter(w, "vr_pool_panics_total", "Recovered worker panics.", g.PoolPanics)
-	promGauge(w, "vr_cache_resident_bytes", "Decoded-input cache resident bytes.", g.CacheResident)
-	promGauge(w, "vr_cache_resident_peak_bytes", "High-water mark of cache resident bytes.", g.CacheResidentPeak)
-	promGauge(w, "vr_inflight_decode_windows", "Decode windows currently being filled.", g.InflightDecodes)
-	promGauge(w, "vr_inflight_decode_windows_peak", "High-water mark of in-flight decode windows.", g.InflightPeak)
-
-	c := s.cache
-	promCounter(w, "vr_decoded_cache_hits_total", "Decoded-input cache lookup hits.", c.Hits)
-	promCounter(w, "vr_decoded_cache_misses_total", "Decoded-input cache lookup misses.", c.Misses)
-	promCounter(w, "vr_decoded_cache_evictions_total", "Decoded-input cache evictions.", c.Evictions)
-	promCounter(w, "vr_decoded_cache_frames_requested_total", "Frames requested from the decode layer.", c.FramesRequested)
-	promCounter(w, "vr_decoded_cache_frames_decoded_total", "Frames actually reconstructed by the decode layer.", c.FramesDecoded)
-
-	fp := s.framePool
-	promCounter(w, "vr_frame_pool_gets_total", "Frame pool Get calls.", fp.Gets)
-	promCounter(w, "vr_frame_pool_puts_total", "Frame pool Put calls.", fp.Puts)
-	promCounter(w, "vr_frame_pool_allocs_total", "Frame pool fresh allocations.", fp.Allocs)
-
-	o := s.online
-	promCounter(w, "vr_online_frames_total", "Frames delivered by online sessions.", o.Frames)
-	promCounter(w, "vr_online_frames_dropped_total", "Frames lost to transport faults.", o.Dropped)
-	promCounter(w, "vr_online_gaps_total", "Sequence gaps observed online.", o.Gaps)
-	promCounter(w, "vr_online_resyncs_total", "Keyframe resynchronizations.", o.Resyncs)
-	promCounter(w, "vr_online_retries_total", "Online dial/accept retries.", o.Retries)
-	promCounter(w, "vr_online_degraded_runs_total", "Online runs that observed at least one fault.", o.Degraded)
-
-	sh := s.shard
-	promCounter(w, "vr_shard_worker_failures_total", "Shard workers declared dead.", sh.WorkerFailures)
-	promCounter(w, "vr_shard_heartbeat_timeouts_total", "Worker heartbeat deadlines missed.", sh.HeartbeatTimeouts)
-	promCounter(w, "vr_shard_reassignments_total", "Assignments moved off dead workers.", sh.Reassignments)
-	promCounter(w, "vr_shard_retried_instances_total", "Query instances re-executed after a failure.", sh.RetriedInstances)
-	promCounter(w, "vr_shard_duplicate_results_total", "Duplicate instance results dropped by first-wins dedup.", sh.DuplicateResults)
-	promCounter(w, "vr_shard_dial_retries_total", "Worker dial attempts retried.", sh.DialRetries)
-	promCounter(w, "vr_shard_conv_failures_total", "Worker-server conversations that ended in error.", sh.ConvFailures)
-
-	promCounter(w, "vr_events_total", "Lifecycle events journaled.", int64(EventSeq()))
-	promCounter(w, "vr_trace_spans_total", "Trace spans recorded.", int64(TraceSeq()))
-	promCounter(w, "vr_telemetry_errors_total", "Errors reported to the telemetry error channel.", int64(len(s.errs))+s.errDropped)
-}
-
-func promStageCounter(w io.Writer, s Snapshot, name, help string, val func(*stageSnapshot) int64) {
-	promHeader(w, name, "counter", help)
-	for i := range s.stages {
-		if v := val(&s.stages[i]); v != 0 {
-			promSample(w, name, `stage="`+promEscape(Stage(i).String())+`"`, strconv.FormatInt(v, 10))
+	for sid, row := range stageTable {
+		if row.prom == "" {
+			continue
+		}
+		promHeader(w, row.prom, promTypes[row.kind], row.help)
+		for i := range s.stages {
+			if v := s.stages[i].Scalars[sid]; v != 0 {
+				promSample(w, row.prom, `stage="`+promEscape(Stage(i).String())+`"`, strconv.FormatInt(v, 10))
+			}
 		}
 	}
-}
-
-func promGauge(w io.Writer, name, help string, v int64) {
-	promHeader(w, name, "gauge", help)
-	promSample(w, name, "", strconv.FormatInt(v, 10))
-}
-
-func promCounter(w io.Writer, name, help string, v int64) {
-	promHeader(w, name, "counter", help)
-	promSample(w, name, "", strconv.FormatInt(v, 10))
+	for id, row := range table {
+		promHeader(w, row.prom, promTypes[row.kind], row.help)
+		promSample(w, row.prom, "", strconv.FormatInt(s.vals[id], 10))
+	}
 }
 
 func promHeader(w io.Writer, name, typ, help string) {

@@ -1,9 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -25,91 +26,28 @@ type StageTelemetry struct {
 	MaxMS   float64 `json:"max_ms"`
 }
 
-// FramePoolTelemetry reports FramePool recycling over the interval:
-// reuse rate is the fraction of Gets served by a recycled frame rather
-// than a fresh allocation.
-type FramePoolTelemetry struct {
-	Gets      int64   `json:"gets"`
-	Puts      int64   `json:"puts"`
-	Allocs    int64   `json:"allocs"`
-	ReuseRate float64 `json:"reuse_rate"`
-}
-
-// CacheTelemetry is CacheStats plus its derived ratios, the serialized
-// decoded-cache section of a run report.
-type CacheTelemetry struct {
-	Hits            int64   `json:"hits"`
-	Misses          int64   `json:"misses"`
-	Evictions       int64   `json:"evictions"`
-	FramesRequested int64   `json:"frames_requested"`
-	FramesDecoded   int64   `json:"frames_decoded"`
-	HitRate         float64 `json:"hit_rate"`
-	DecodeRatio     float64 `json:"decode_ratio"`
-}
-
-// Report serializes the stats with their derived ratios — the form
-// every JSON artifact embeds (the ratios were previously computed but
-// never serialized anywhere).
-func (s CacheStats) Report() CacheTelemetry {
-	return CacheTelemetry{
-		Hits:            s.Hits,
-		Misses:          s.Misses,
-		Evictions:       s.Evictions,
-		FramesRequested: s.FramesRequested,
-		FramesDecoded:   s.FramesDecoded,
-		HitRate:         s.HitRate(),
-		DecodeRatio:     s.DecodeRatio(),
-	}
-}
-
-// OnlineTelemetry is the serialized online-mode degradation record:
-// how many frames the live-paced sessions delivered and what the
-// transport faults cost (drops, sequence gaps, keyframe resyncs, dial
-// retries, and how many runs finished degraded).
-type OnlineTelemetry struct {
-	Frames   int64 `json:"frames"`
-	Dropped  int64 `json:"frames_dropped"`
-	Gaps     int64 `json:"gaps"`
-	Resyncs  int64 `json:"resyncs"`
-	Retries  int64 `json:"retries"`
-	Degraded int64 `json:"degraded_runs"`
-}
-
 // Telemetry is one measured interval's machine-readable observability
-// record: per-stage latency histogram summaries, worker-pool and cache
-// gauges, frame-pool recycling, and the telemetry error channel. It is
-// what -metrics-json serializes and what RunReport carries per run and
-// per query batch.
+// record: per-stage latency histogram summaries, one section per group
+// of the scalar table (worker-pool and cache gauges, frame-pool
+// recycling, decoded cache, online and shard counters), each already
+// serialized with its derived ratios, and the telemetry error channel.
+// It is what -metrics-json serializes and what RunReport carries per
+// run and per query batch. Online and Shard are present only when an
+// online session ran or the coordinator recorded a fault.
 type Telemetry struct {
 	Enabled   bool                      `json:"enabled"`
 	WallMS    float64                   `json:"wall_ms,omitempty"`
 	Stages    map[string]StageTelemetry `json:"stages"`
-	Gauges    GaugeSnapshot             `json:"gauges"`
-	FramePool FramePoolTelemetry        `json:"frame_pool"`
-	Cache     CacheTelemetry            `json:"decoded_cache"`
-	// Online carries the interval's online-mode degradation accounting,
-	// present only when an online session ran.
-	Online *OnlineTelemetry `json:"online,omitempty"`
-	// Shard carries the interval's shard-plane fault/recovery counters,
-	// present only when the coordinator recorded any.
-	Shard         *ShardTelemetry `json:"shard,omitempty"`
-	Errors        []string        `json:"errors,omitempty"`
-	ErrorsDropped int64           `json:"errors_dropped,omitempty"`
-}
-
-// ShardTelemetry is the serialized shard-plane fault/recovery record:
-// what worker failures cost the run (heartbeat timeouts, reassignments,
-// re-executed instances, dropped duplicates) and dial retries.
-type ShardTelemetry struct {
-	WorkerFailures    int64 `json:"worker_failures"`
-	HeartbeatTimeouts int64 `json:"heartbeat_timeouts"`
-	Reassignments     int64 `json:"reassignments"`
-	RetriedInstances  int64 `json:"retried_instances"`
-	DuplicateResults  int64 `json:"duplicate_results"`
-	DialRetries       int64 `json:"dial_retries"`
-	// ConvFailures counts worker-server conversations that ended in an
-	// error (worker daemons only; zero on the coordinator side).
-	ConvFailures int64 `json:"conv_failures,omitempty"`
+	Gauges    json.RawMessage           `json:"gauges"`
+	FramePool json.RawMessage           `json:"frame_pool"`
+	Cache     json.RawMessage           `json:"decoded_cache"`
+	Online    json.RawMessage           `json:"online,omitempty"`
+	Shard     json.RawMessage           `json:"shard,omitempty"`
+	// Errors is the interval's share of the telemetry error channel: the
+	// last maxErrors errors recorded during it; ErrorsDropped counts the
+	// earlier ones.
+	Errors        []string `json:"errors,omitempty"`
+	ErrorsDropped int64    `json:"errors_dropped,omitempty"`
 }
 
 // Sub derives the interval telemetry between two captures: stage
@@ -136,55 +74,45 @@ func (t Telemetry) Stage(s Stage) StageTelemetry {
 
 // WriteTable pretty-prints the stage breakdown — the -report view: one
 // row per active stage in pipeline order, with counts, throughput, and
-// latency quantiles.
+// latency quantiles, then one line per serialized section with the rows
+// and ratios the table gives a label. It reads the sections themselves,
+// so a record decoded from JSON prints as the one that was encoded.
 func (t Telemetry) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "%-14s %9s %9s %12s %10s %9s %9s %9s %9s\n",
 		"stage", "count", "frames", "bytes", "total", "p50", "p95", "p99", "max")
-	names := make([]string, 0, len(t.Stages))
-	for name := range t.Stages {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return stageOrder(names[i]) < stageOrder(names[j]) })
-	for _, name := range names {
-		st := t.Stages[name]
-		fmt.Fprintf(w, "%-14s %9d %9d %12d %10s %9s %9s %9s %9s\n",
-			name, st.Count, st.Frames, st.Bytes,
-			fmtMS(st.TotalMS), fmtMS(st.P50MS), fmtMS(st.P95MS), fmtMS(st.P99MS), fmtMS(st.MaxMS))
-	}
-	if t.Cache.Hits+t.Cache.Misses > 0 {
-		fmt.Fprintf(w, "decoded cache: %d hits / %d misses (%.0f%% hit rate), %d evictions, decode ratio %.2f\n",
-			t.Cache.Hits, t.Cache.Misses, t.Cache.HitRate*100, t.Cache.Evictions, t.Cache.DecodeRatio)
-	}
-	if o := t.Online; o != nil {
-		fmt.Fprintf(w, "online: %d frames, %d dropped, %d gap(s), %d resync(s), %d retry(ies), %d degraded run(s)\n",
-			o.Frames, o.Dropped, o.Gaps, o.Resyncs, o.Retries, o.Degraded)
-	}
-	if sh := t.Shard; sh != nil {
-		fmt.Fprintf(w, "shard: %d worker failure(s), %d heartbeat timeout(s), %d reassignment(s), %d retried instance(s), %d duplicate(s), %d dial retry(ies)",
-			sh.WorkerFailures, sh.HeartbeatTimeouts, sh.Reassignments, sh.RetriedInstances, sh.DuplicateResults, sh.DialRetries)
-		if sh.ConvFailures > 0 {
-			fmt.Fprintf(w, ", %d failed conversation(s)", sh.ConvFailures)
+	for _, name := range stageNames {
+		if st, ok := t.Stages[name]; ok {
+			fmt.Fprintf(w, "%-14s %9d %9d %12d %10s %9s %9s %9s %9s\n",
+				name, st.Count, st.Frames, st.Bytes,
+				fmtMS(st.TotalMS), fmtMS(st.P50MS), fmtMS(st.P95MS), fmtMS(st.P99MS), fmtMS(st.MaxMS))
 		}
-		fmt.Fprintln(w)
 	}
-	if t.FramePool.Gets > 0 {
-		fmt.Fprintf(w, "frame pool: %d gets, %d allocs (%.0f%% reuse)\n",
-			t.FramePool.Gets, t.FramePool.Allocs, t.FramePool.ReuseRate*100)
+	for g, section := range [...]json.RawMessage{groupGauges: t.Gauges, groupFramePool: t.FramePool, groupCache: t.Cache, groupOnline: t.Online, groupShard: t.Shard} {
+		var vals map[string]json.Number
+		if json.Unmarshal(section, &vals) != nil {
+			continue // an optional section the interval left out
+		}
+		shown := groups[g].always
+		var parts []string
+		for _, row := range table {
+			if n, ok := vals[row.key]; ok && row.group == group(g) && row.label != "" {
+				parts = append(parts, n.String()+" "+row.label)
+				shown = shown || n != "0"
+			}
+		}
+		for _, r := range ratios {
+			if r.group == group(g) {
+				f, _ := vals[r.key].Float64()
+				parts = append(parts, fmt.Sprintf("%s %.2f", r.label, f))
+			}
+		}
+		if shown {
+			fmt.Fprintf(w, "%s: %s\n", groups[g].label, strings.Join(parts, ", "))
+		}
 	}
-	fmt.Fprintf(w, "pools: peak %d busy workers (%d registered); panics: %d\n",
-		t.Gauges.PoolBusyPeak, t.Gauges.PoolWorkersPeak, t.Gauges.PoolPanics)
 	for _, e := range t.Errors {
 		fmt.Fprintf(w, "error: %s\n", e)
 	}
-}
-
-func stageOrder(name string) int {
-	for i := Stage(0); i < numStages; i++ {
-		if i.String() == name {
-			return int(i)
-		}
-	}
-	return int(numStages)
 }
 
 func fmtMS(ms float64) string {

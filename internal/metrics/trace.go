@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	rtrace "runtime/trace"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,18 +103,8 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", uint8(s))
 }
 
-// stageStats is the per-stage recording sink.
-type stageStats struct {
-	lat     Histogram
-	frames  Counter
-	bytes   Counter
-	hits    Counter  // cache-served span outcomes
-	misses  Counter  // decode-served span outcomes
-	workers MaxGauge // 1 + highest worker id observed
-}
-
-// maxErrors bounds the telemetry error channel; later errors are
-// counted but not retained.
+// maxErrors bounds the telemetry error channel: an interval reports the
+// last maxErrors errors recorded in it and counts the ones before.
 const maxErrors = 16
 
 // registry is the process-wide recording state. One registry (not one
@@ -125,37 +114,19 @@ const maxErrors = 16
 // bucket array.
 var reg struct {
 	enabled atomic.Bool
-	stages  [numStages]stageStats
-
-	// Worker-pool gauges (fed by internal/parallel).
-	poolActive      Gauge    // pools currently running
-	poolBusy        Gauge    // workers currently executing an item
-	poolBusyPeak    MaxGauge // high-water mark of poolBusy
-	poolWorkers     Gauge    // total size of currently active pools
-	poolWorkersPeak MaxGauge
-	poolPanics      Counter
-
-	// Decode-layer gauges (fed by the VCD's decoded-input cache).
-	cacheResident     Gauge
-	cacheResidentPeak MaxGauge
-	inflightDecodes   Gauge
-	inflightPeak      MaxGauge
-	cache             CacheCounters // process-wide mirror of per-run cache counters
-
-	// Online-mode degradation counters (fed by the VCD's online driver):
-	// frames delivered, frames lost to transport faults, sequence gaps,
-	// keyframe resynchronizations, and dial/accept retries.
-	online OnlineCounters
-
-	// Shard-plane fault/recovery counters (fed by the shard
-	// coordinator), mirroring shard.Counters into the process registry
-	// so /debug/metrics and Telemetry see them live.
-	shard ShardCounters
-
-	errMu      sync.Mutex
-	errs       []string
-	errDropped int64
+	// stages holds each stage's latency histogram and its block of
+	// per-stage scalars (stageTable).
+	stages [numStages]struct {
+		lat  Histogram
+		vals [numStageScalars]atomic.Int64
+	}
+	// vals holds the live value of every row of the scalar table that
+	// is fed in this process (the rest are copied in by Capture).
+	vals [maxScalars]atomic.Int64
 }
+
+// errRing is the telemetry error channel.
+var errRing = newRing[string](maxErrors)
 
 // SetEnabled switches span recording on or off. Gauges and counters
 // driven by existing subsystems keep updating either way (they predate
@@ -273,36 +244,30 @@ func (sp *Span) End() {
 		})
 	}
 	if sp.frames != 0 {
-		st.frames.Add(sp.frames)
+		st.vals[stageFrames].Add(sp.frames)
 	}
 	if sp.bytes != 0 {
-		st.bytes.Add(sp.bytes)
+		st.vals[stageBytes].Add(sp.bytes)
 	}
 	if sp.worker >= 0 {
-		st.workers.Observe(int64(sp.worker) + 1)
+		observeMax(&st.vals[stageWorkers], int64(sp.worker)+1)
 	}
 	switch sp.hit {
 	case 1:
-		st.hits.Inc()
+		st.vals[stageHits].Add(1)
 	case 2:
-		st.misses.Inc()
+		st.vals[stageMisses].Add(1)
 	}
 }
 
 // RecordError appends an error to the telemetry error channel — the
 // bounded per-process log surfaced in Telemetry.Errors (worker panics
-// with stack traces land here).
+// with stack traces land here). Like every other sink it is read by
+// interval: a Delta lists the errors recorded between its two captures.
 func RecordError(origin string, err error) {
-	if err == nil {
-		return
+	if err != nil {
+		errRing.publish(errRing.claim(), origin+": "+err.Error())
 	}
-	reg.errMu.Lock()
-	if len(reg.errs) < maxErrors {
-		reg.errs = append(reg.errs, origin+": "+err.Error())
-	} else {
-		reg.errDropped++
-	}
-	reg.errMu.Unlock()
 }
 
 // Pool gauge hooks, called by internal/parallel (which cannot be
@@ -310,130 +275,40 @@ func RecordError(origin string, err error) {
 
 // PoolStarted records a worker pool of the given size going active.
 func PoolStarted(workers int) {
-	reg.poolActive.Inc()
-	reg.poolWorkersPeak.Observe(reg.poolWorkers.Add(int64(workers)))
+	moveGauge(poolActive, 1)
+	moveGauge(poolWorkers, int64(workers))
 }
 
 // PoolFinished records the pool leaving.
 func PoolFinished(workers int) {
-	reg.poolActive.Dec()
-	reg.poolWorkers.Add(int64(-workers))
+	moveGauge(poolActive, -1)
+	moveGauge(poolWorkers, int64(-workers))
 }
 
 // WorkerBusy records one pool worker starting an item.
-func WorkerBusy() { reg.poolBusyPeak.Observe(reg.poolBusy.Inc()) }
+func WorkerBusy() { moveGauge(poolBusy, 1) }
 
 // WorkerIdle records the worker finishing the item.
-func WorkerIdle() { reg.poolBusy.Dec() }
+func WorkerIdle() { moveGauge(poolBusy, -1) }
 
 // PoolPanicked counts one recovered worker panic.
-func PoolPanicked() { reg.poolPanics.Inc() }
+func PoolPanicked() { Add(poolPanics, 1) }
 
 // Decode-layer gauge hooks, called by the VCD's decoded-input cache.
 
 // CacheResident records the cache's current resident byte count.
-func CacheResident(bytes int64) {
-	reg.cacheResident.Set(bytes)
-	reg.cacheResidentPeak.Observe(bytes)
-}
+func CacheResident(bytes int64) { setGauge(cacheResident, bytes) }
 
 // DecodeInflight moves the in-flight decode-window gauge by delta
 // (+1 when a fill starts, −1 when it lands).
-func DecodeInflight(delta int64) {
-	reg.inflightPeak.Observe(reg.inflightDecodes.Add(delta))
-}
-
-// GlobalCacheCounters returns the process-wide mirror of the decoded-
-// input cache counters, updated alongside each cache's own so live
-// snapshots (the -debug-addr listener) see cache behavior without a
-// handle on the current run.
-func GlobalCacheCounters() *CacheCounters { return &reg.cache }
-
-// OnlineCounters groups the degradation accounting of online-mode runs.
-type OnlineCounters struct {
-	Frames   Counter
-	Dropped  Counter
-	Gaps     Counter
-	Resyncs  Counter
-	Retries  Counter
-	Degraded Counter // online runs that observed at least one fault
-}
-
-// Snapshot returns an immutable copy of the current counts.
-func (c *OnlineCounters) Snapshot() OnlineStats {
-	return OnlineStats{
-		Frames:   c.Frames.Value(),
-		Dropped:  c.Dropped.Value(),
-		Gaps:     c.Gaps.Value(),
-		Resyncs:  c.Resyncs.Value(),
-		Retries:  c.Retries.Value(),
-		Degraded: c.Degraded.Value(),
-	}
-}
-
-// OnlineStats is a point-in-time snapshot of OnlineCounters.
-type OnlineStats struct {
-	Frames   int64
-	Dropped  int64
-	Gaps     int64
-	Resyncs  int64
-	Retries  int64
-	Degraded int64
-}
-
-// Sub returns the per-interval delta s − prev.
-func (s OnlineStats) Sub(prev OnlineStats) OnlineStats {
-	return OnlineStats{
-		Frames:   s.Frames - prev.Frames,
-		Dropped:  s.Dropped - prev.Dropped,
-		Gaps:     s.Gaps - prev.Gaps,
-		Resyncs:  s.Resyncs - prev.Resyncs,
-		Retries:  s.Retries - prev.Retries,
-		Degraded: s.Degraded - prev.Degraded,
-	}
-}
-
-func (s OnlineStats) zero() bool { return s == OnlineStats{} }
-
-// GlobalOnlineCounters returns the process-wide online degradation
-// counters the VCD's online driver feeds.
-func GlobalOnlineCounters() *OnlineCounters { return &reg.online }
+func DecodeInflight(delta int64) { moveGauge(inflightDecodes, delta) }
 
 // Snapshot is a point-in-time copy of every recording sink, the unit
 // per-run telemetry deltas are computed from.
 type Snapshot struct {
-	captured   time.Time
-	stages     [numStages]stageSnapshot
-	gauges     GaugeSnapshot
-	cache      CacheStats
-	online     OnlineStats
-	shard      ShardStats
-	framePool  video.PoolCounters
-	errs       []string
-	errDropped int64
-}
-
-type stageSnapshot struct {
-	lat           HistogramSnapshot
-	frames, bytes int64
-	hits, misses  int64
-	workers       int64
-}
-
-// GaugeSnapshot is the instantaneous and high-water gauge state. Peaks
-// are process-cumulative (a high-water mark has no exact interval
-// delta).
-type GaugeSnapshot struct {
-	PoolActive        int64 `json:"pool_active"`
-	PoolBusy          int64 `json:"pool_busy"`
-	PoolBusyPeak      int64 `json:"pool_busy_peak"`
-	PoolWorkers       int64 `json:"pool_workers"`
-	PoolWorkersPeak   int64 `json:"pool_workers_peak"`
-	PoolPanics        int64 `json:"pool_panics"`
-	CacheResident     int64 `json:"cache_resident_bytes"`
-	CacheResidentPeak int64 `json:"cache_resident_peak_bytes"`
-	InflightDecodes   int64 `json:"inflight_decode_windows"`
-	InflightPeak      int64 `json:"inflight_decode_windows_peak"`
+	captured time.Time
+	stages   [numStages]WireStage
+	vals     values
 }
 
 // Capture snapshots every sink. Two Captures bracket a measured region;
@@ -443,34 +318,18 @@ func Capture() Snapshot {
 	s.captured = time.Now()
 	for i := range reg.stages {
 		st := &reg.stages[i]
-		s.stages[i] = stageSnapshot{
-			lat:     st.lat.Snapshot(),
-			frames:  st.frames.Value(),
-			bytes:   st.bytes.Value(),
-			hits:    st.hits.Value(),
-			misses:  st.misses.Value(),
-			workers: st.workers.Value(),
+		s.stages[i].Lat = st.lat.Snapshot()
+		for j := range st.vals {
+			s.stages[i].Scalars[j] = st.vals[j].Load()
 		}
 	}
-	s.gauges = GaugeSnapshot{
-		PoolActive:        reg.poolActive.Value(),
-		PoolBusy:          reg.poolBusy.Value(),
-		PoolBusyPeak:      reg.poolBusyPeak.Value(),
-		PoolWorkers:       reg.poolWorkers.Value(),
-		PoolWorkersPeak:   reg.poolWorkersPeak.Value(),
-		PoolPanics:        reg.poolPanics.Value(),
-		CacheResident:     reg.cacheResident.Value(),
-		CacheResidentPeak: reg.cacheResidentPeak.Value(),
-		InflightDecodes:   reg.inflightDecodes.Value(),
-		InflightPeak:      reg.inflightPeak.Value(),
+	for id := range table {
+		s.vals[id] = reg.vals[id].Load()
 	}
-	s.cache = reg.cache.Snapshot()
-	s.online = reg.online.Snapshot()
-	s.shard = reg.shard.Snapshot()
-	s.framePool = video.PoolCountersSnapshot()
-	reg.errMu.Lock()
-	s.errs = append([]string(nil), reg.errs...)
-	s.errDropped = reg.errDropped
-	reg.errMu.Unlock()
+	// Rows whose live value is kept elsewhere are copied in.
+	s.vals[framePoolGets], s.vals[framePoolPuts], s.vals[framePoolAllocs] = video.PoolCounts()
+	s.vals[eventsTotal], s.vals[eventsOverwritten] = int64(eventRing.last()), int64(eventRing.overwritten())
+	s.vals[traceSpansTotal], s.vals[traceSpansOverwritten] = int64(traceRing.last()), int64(traceRing.overwritten())
+	s.vals[telemetryErrors] = int64(errRing.last())
 	return s
 }

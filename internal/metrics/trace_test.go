@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -137,74 +138,72 @@ func TestSpanConcurrentAggregation(t *testing.T) {
 	}
 }
 
+// TestRecordErrorBounded: the error channel is bounded and read by
+// interval — an interval lists the errors recorded between its own two
+// captures (the last maxErrors of them, the rest counted), never an
+// earlier interval's.
 func TestRecordErrorBounded(t *testing.T) {
 	base := Capture()
 	for i := 0; i < maxErrors+10; i++ {
-		RecordError("test", errors.New("boom"))
-	}
-	s := Capture()
-	if len(s.errs) > maxErrors {
-		t.Fatalf("error channel grew to %d, cap is %d", len(s.errs), maxErrors)
-	}
-	if got := s.errDropped - base.errDropped; got < 10 {
-		t.Fatalf("dropped counter advanced by %d, want >= 10", got)
-	}
-	found := false
-	for _, e := range s.errs {
-		if strings.Contains(e, "test: boom") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("recorded error missing from snapshot: %v", s.errs)
+		RecordError("test", fmt.Errorf("boom %d", i))
 	}
 	RecordError("test", nil) // nil must be ignored
+	mid := Capture()
+	a := mid.Delta(base)
+	if len(a.Errors) != maxErrors || a.ErrorsDropped != 10 {
+		t.Fatalf("interval A: %d errors listed, %d dropped; want %d and 10", len(a.Errors), a.ErrorsDropped, maxErrors)
+	}
+	if want := fmt.Sprintf("test: boom %d", maxErrors+9); a.Errors[len(a.Errors)-1] != want {
+		t.Fatalf("interval A ends with %q, want %q", a.Errors[len(a.Errors)-1], want)
+	}
+
+	// Interval B starts after more than maxErrors earlier errors: it
+	// must list its own and none of A's.
+	RecordError("later", errors.New("job 2 panicked"))
+	b := Capture().Delta(mid)
+	if len(b.Errors) != 1 || b.Errors[0] != "later: job 2 panicked" || b.ErrorsDropped != 0 {
+		t.Fatalf("interval B = %q (dropped %d), want just its own error", b.Errors, b.ErrorsDropped)
+	}
+	if idle := Capture().Delta(Capture()); len(idle.Errors) != 0 || idle.ErrorsDropped != 0 {
+		t.Fatalf("idle interval reports errors: %q (dropped %d)", idle.Errors, idle.ErrorsDropped)
+	}
 }
 
-func TestPoolGauges(t *testing.T) {
+// TestGaugeHooks drives the pool and decode-layer hooks and checks the
+// gauges they move and the peaks that follow them (the per-row laws are
+// TestScalarTable's).
+func TestGaugeHooks(t *testing.T) {
 	base := Capture()
 	PoolStarted(4)
 	WorkerBusy()
 	WorkerBusy()
+	DecodeInflight(1)
 	mid := Capture()
 	WorkerIdle()
 	WorkerIdle()
 	PoolFinished(4)
-	end := Capture()
-
-	if mid.gauges.PoolActive != base.gauges.PoolActive+1 {
-		t.Errorf("PoolActive = %d, want %d", mid.gauges.PoolActive, base.gauges.PoolActive+1)
-	}
-	if mid.gauges.PoolWorkers != base.gauges.PoolWorkers+4 {
-		t.Errorf("PoolWorkers = %d, want %d", mid.gauges.PoolWorkers, base.gauges.PoolWorkers+4)
-	}
-	if mid.gauges.PoolBusy != base.gauges.PoolBusy+2 {
-		t.Errorf("PoolBusy = %d, want %d", mid.gauges.PoolBusy, base.gauges.PoolBusy+2)
-	}
-	if mid.gauges.PoolBusyPeak < 2 {
-		t.Errorf("PoolBusyPeak = %d, want >= 2", mid.gauges.PoolBusyPeak)
-	}
-	if end.gauges.PoolActive != base.gauges.PoolActive || end.gauges.PoolWorkers != base.gauges.PoolWorkers {
-		t.Errorf("pool gauges did not return to baseline: %+v", end.gauges)
-	}
-}
-
-func TestCacheGauges(t *testing.T) {
-	DecodeInflight(1)
-	mid := Capture()
 	DecodeInflight(-1)
 	CacheResident(123456)
 	end := Capture()
-	if mid.gauges.InflightDecodes < 1 {
-		t.Errorf("InflightDecodes = %d, want >= 1", mid.gauges.InflightDecodes)
-	}
-	if end.gauges.CacheResident != 123456 {
-		t.Errorf("CacheResident = %d, want 123456", end.gauges.CacheResident)
-	}
-	if end.gauges.CacheResidentPeak < 123456 {
-		t.Errorf("CacheResidentPeak = %d, want >= 123456", end.gauges.CacheResidentPeak)
-	}
 	CacheResident(0)
+
+	for _, c := range []struct {
+		s    Scalar
+		want int64
+	}{{poolActive, 1}, {poolWorkers, 4}, {poolBusy, 2}, {inflightDecodes, 1}} {
+		if got := mid.vals[c.s] - base.vals[c.s]; got != c.want {
+			t.Errorf("%s moved by %d mid-run, want %d", table[c.s].key, got, c.want)
+		}
+		if end.vals[c.s] != base.vals[c.s] {
+			t.Errorf("%s = %d at the end, want the baseline %d", table[c.s].key, end.vals[c.s], base.vals[c.s])
+		}
+		if hw := mid.vals[c.s+1]; table[c.s+1].kind == peak && hw < mid.vals[c.s] {
+			t.Errorf("%s = %d is below its gauge %d", table[c.s+1].key, hw, mid.vals[c.s])
+		}
+	}
+	if end.vals[cacheResident] != 123456 || end.vals[cacheResidentPeak] < 123456 {
+		t.Errorf("cache resident = %d, peak %d; want 123456 and at least that", end.vals[cacheResident], end.vals[cacheResidentPeak])
+	}
 }
 
 func TestTelemetryWriteTable(t *testing.T) {
@@ -221,16 +220,5 @@ func TestTelemetryWriteTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "stage") || !strings.Contains(out, "p95") {
 		t.Fatalf("table missing header:\n%s", out)
-	}
-}
-
-func TestCacheStatsReportRatios(t *testing.T) {
-	s := CacheStats{Hits: 3, Misses: 1, FramesRequested: 100, FramesDecoded: 25}
-	r := s.Report()
-	if r.HitRate != 0.75 {
-		t.Errorf("HitRate = %g, want 0.75", r.HitRate)
-	}
-	if r.DecodeRatio != 0.25 {
-		t.Errorf("DecodeRatio = %g, want 0.25", r.DecodeRatio)
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -109,24 +108,9 @@ type TraceSpan struct {
 // once the ring wraps.
 const traceRingSize = 4096
 
-// traceRing is the lock-free span sink: a writer claims a slot with one
-// atomic add and publishes with one atomic pointer store. Readers may
-// observe a slot that wrapped to a newer span mid-scan — a span is then
-// reported out of sequence, never torn.
-var traceRing struct {
-	seq   atomic.Uint64
-	slots [traceRingSize]atomic.Pointer[TraceSpan]
-}
+var traceRing = newRing[TraceSpan](traceRingSize)
 
-func recordTraceSpan(ts TraceSpan) {
-	// Copy into a fresh heap object rather than publishing &ts — taking
-	// the parameter's address would make ts escape in every caller,
-	// putting an allocation on gated-off paths too.
-	p := new(TraceSpan)
-	*p = ts
-	i := traceRing.seq.Add(1) - 1
-	traceRing.slots[i%traceRingSize].Store(p)
-}
+func recordTraceSpan(ts TraceSpan) { traceRing.publish(traceRing.claim(), ts) }
 
 // RecordTraceSpan records one externally measured trace span. No-op
 // when instrumentation is disabled.
@@ -156,27 +140,13 @@ func RecordSpanAt(stage Stage, trace TraceID, shard int, start time.Time, d time
 
 // TraceSeq returns the number of trace spans recorded so far; capture
 // it before a run and pass it to TraceSpansSince for the run's spans.
-func TraceSeq() uint64 { return traceRing.seq.Load() }
+func TraceSeq() uint64 { return traceRing.last() }
 
 // TraceSpansSince returns the spans recorded after sequence position
-// since, oldest first. Only the last traceRingSize spans are
-// retrievable; anything older has been overwritten.
-func TraceSpansSince(since uint64) []TraceSpan {
-	cur := traceRing.seq.Load()
-	if since >= cur {
-		return nil
-	}
-	lo := since
-	if cur > traceRingSize && lo < cur-traceRingSize {
-		lo = cur - traceRingSize
-	}
-	out := make([]TraceSpan, 0, cur-lo)
-	for i := lo; i < cur; i++ {
-		if p := traceRing.slots[i%traceRingSize].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	return out
+// since, oldest first, and how many of them were overwritten first:
+// only the last traceRingSize spans are retrievable.
+func TraceSpansSince(since uint64) (spans []TraceSpan, lost uint64) {
+	return traceRing.span(since, traceRing.last())
 }
 
 // TimelineSpan is one span within an instance timeline, offset from the
@@ -219,8 +189,12 @@ const maxTimelines = 256
 // carries: per-worker instance-latency stats, straggler attribution,
 // and the slowest per-instance timelines.
 type TraceReport struct {
-	Spans     int `json:"spans"`
-	Instances int `json:"instances"`
+	Spans int `json:"spans"`
+	// SpansLost counts spans of the run's interval that the trace ring
+	// overwrote before they were collected: the timelines below are
+	// built without them.
+	SpansLost uint64 `json:"spans_lost,omitempty"`
+	Instances int    `json:"instances"`
 	// Workers has one row per shard that executed instances, ordered by
 	// shard id. Unsharded instances aggregate under shard -1.
 	Workers []WorkerTraceStats `json:"workers,omitempty"`
@@ -242,9 +216,10 @@ type TraceReport struct {
 // SummarizeTraces reconstructs per-instance timelines from a span set
 // and computes straggler attribution. A timeline is "an instance" when
 // it contains an execute or gather span; run/batch-level traces (dial,
-// assign, merge) contribute spans but not instance rows. Returns nil
+// assign, merge) contribute spans but not instance rows. lost is what
+// the rings the spans came from reported as overwritten. Returns nil
 // when there are no spans.
-func SummarizeTraces(spans []TraceSpan) *TraceReport {
+func SummarizeTraces(spans []TraceSpan, lost uint64) *TraceReport {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -252,7 +227,7 @@ func SummarizeTraces(spans []TraceSpan) *TraceReport {
 	for _, s := range spans {
 		byTrace[s.Trace] = append(byTrace[s.Trace], s)
 	}
-	rep := &TraceReport{Spans: len(spans), SlowestShard: -1}
+	rep := &TraceReport{Spans: len(spans), SpansLost: lost, SlowestShard: -1}
 	var timelines []InstanceTimeline
 	var latencies []float64
 	perShard := make(map[int]*WorkerTraceStats)

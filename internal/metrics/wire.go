@@ -1,136 +1,127 @@
 package metrics
 
+import (
+	"encoding/json"
+	"fmt"
+)
+
 // The wire telemetry form: Telemetry summarizes an interval into
 // quantiles, which cannot be combined across processes — quantiles of
 // quantiles are meaningless. WireDelta instead carries the interval's
-// raw histogram buckets and counters, which merge exactly (bucket-wise
-// sums), so a shard coordinator can roll worker telemetry up into one
-// record identical in shape to a single-process capture. It is the
-// serialized unit the shard protocol ships in worker summaries.
+// raw histogram buckets and scalars, which merge exactly (bucket-wise
+// sums, scalars by their kind), so a shard coordinator can roll worker
+// telemetry up into one record identical in shape to a single-process
+// capture. It is the serialized unit the shard protocol ships in worker
+// summaries.
+//
+// Every fixed array in it — stages, scalars, histogram buckets —
+// travels as a JSON object of its non-zero elements keyed by name, so
+// the sender is never trusted for a position: a worker from an older
+// build leaves the rows it lacks at zero, and a name this build does not
+// have fails the decode rather than being booked as something else.
 
-// WireBucket is one occupied histogram bucket, sparse-encoded: most of
-// the 488 log-scale buckets are empty in any real interval.
-type WireBucket struct {
-	I int   `json:"i"`
-	N int64 `json:"n"`
+// marshalByName writes the non-zero elements as an object keyed by
+// name(i).
+func marshalByName[T comparable](name func(int) string, elems []T) ([]byte, error) {
+	var zero T
+	out := map[string]T{}
+	for i, e := range elems {
+		if e != zero {
+			out[name(i)] = e
+		}
+	}
+	return json.Marshal(out)
 }
 
-// WireStage is one stage's interval activity in mergeable form.
+// unmarshalByName is its inverse. The sender is another process: a
+// member that cannot be placed is an error, not telemetry.
+func unmarshalByName[T any](b []byte, name func(int) string, elems []T) error {
+	var in map[string]T
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	for i := range elems {
+		elems[i] = in[name(i)]
+		delete(in, name(i))
+	}
+	for unknown := range in {
+		return fmt.Errorf("metrics: wire telemetry names %q, which this build does not have", unknown)
+	}
+	return nil
+}
+
+func (v values) MarshalJSON() ([]byte, error)  { return marshalByName(rowName, v[:len(table)]) }
+func (v *values) UnmarshalJSON(b []byte) error { return unmarshalByName(b, rowName, v[:len(table)]) }
+func rowName(i int) string                     { return table[i].prom }
+
+// stageValues is one reading of a stage's block of scalars (stageTable).
+type stageValues [numStageScalars]int64
+
+func (v stageValues) MarshalJSON() ([]byte, error)  { return marshalByName(stageRowName, v[:]) }
+func (v *stageValues) UnmarshalJSON(b []byte) error { return unmarshalByName(b, stageRowName, v[:]) }
+func stageRowName(i int) string                     { return stageTable[i].key }
+
+// WireStage is one stage's activity in exactly mergeable form — the
+// latency histogram and the stage's scalars. A Snapshot holds one per
+// stage cumulatively, a WireDelta per interval.
 type WireStage struct {
-	Stage   string       `json:"stage"`
-	Buckets []WireBucket `json:"buckets,omitempty"`
-	SumNS   int64        `json:"sum_ns,omitempty"`
-	Frames  int64        `json:"frames,omitempty"`
-	Bytes   int64        `json:"bytes,omitempty"`
-	Hits    int64        `json:"hits,omitempty"`
-	Misses  int64        `json:"misses,omitempty"`
-	Workers int64        `json:"workers,omitempty"`
+	Lat     HistogramSnapshot `json:"lat"`
+	Scalars stageValues       `json:"scalars"`
 }
+
+// active reports whether the stage did anything worth a telemetry row.
+func (ws *WireStage) active() bool {
+	return ws.Lat.Count() != 0 || ws.Scalars[stageFrames] != 0 || ws.Scalars[stageBytes] != 0
+}
+
+// stageSet is every stage's record, indexed by Stage.
+type stageSet [numStages]WireStage
+
+func (s stageSet) MarshalJSON() ([]byte, error)  { return marshalByName(stageName, s[:]) }
+func (s *stageSet) UnmarshalJSON(b []byte) error { return unmarshalByName(b, stageName, s[:]) }
+func stageName(i int) string                     { return stageNames[i] }
 
 // WireDelta is one interval's telemetry in exactly mergeable form.
 type WireDelta struct {
-	WallNS        int64         `json:"wall_ns,omitempty"`
-	Stages        []WireStage   `json:"stages,omitempty"`
-	Gauges        GaugeSnapshot `json:"gauges"`
-	Cache         CacheStats    `json:"cache"`
-	FramePool     FramePoolWire `json:"frame_pool"`
-	Online        OnlineStats   `json:"online"`
-	Shard         ShardStats    `json:"shard"`
-	Errors        []string      `json:"errors,omitempty"`
-	ErrorsDropped int64         `json:"errors_dropped,omitempty"`
+	WallNS        int64    `json:"wall_ns,omitempty"`
+	Stages        stageSet `json:"stages"`
+	Scalars       values   `json:"scalars"`
+	Errors        []string `json:"errors,omitempty"`
+	ErrorsDropped int64    `json:"errors_dropped,omitempty"`
 }
 
-// FramePoolWire is the frame-pool counter delta (raw counts, not the
-// derived reuse rate, so deltas from several processes still add).
-type FramePoolWire struct {
-	Gets, Puts, Allocs int64
-}
-
-// Delta returns the interval s − prev in wire form. Stage latency and
-// counters are exact deltas; gauges are taken from the later capture
-// (peaks are process-cumulative high-water marks with no interval
-// form); the error list is the later capture's bounded channel.
+// Delta returns the interval s − prev in wire form, every scalar by its
+// kind: counters (and stage latency) are exact deltas, gauges and peaks
+// are taken from the later capture (a high-water mark has no interval
+// form). The error list is what the error channel recorded between the
+// two captures, with the ones it has already overwritten counted.
 func (s Snapshot) Delta(prev Snapshot) WireDelta {
-	d := WireDelta{
-		WallNS: s.captured.Sub(prev.captured).Nanoseconds(),
-		Gauges: s.gauges,
-	}
+	d := WireDelta{WallNS: s.captured.Sub(prev.captured).Nanoseconds()}
 	for i := range s.stages {
 		cur, old := &s.stages[i], &prev.stages[i]
-		lat := cur.lat.Sub(old.lat)
-		if lat.Count() == 0 && cur.frames == old.frames && cur.bytes == old.bytes {
-			continue
-		}
-		ws := WireStage{
-			Stage:   Stage(i).String(),
-			SumNS:   lat.Sum,
-			Frames:  cur.frames - old.frames,
-			Bytes:   cur.bytes - old.bytes,
-			Hits:    cur.hits - old.hits,
-			Misses:  cur.misses - old.misses,
-			Workers: cur.workers,
-		}
-		for b, n := range lat.Buckets {
-			if n != 0 {
-				ws.Buckets = append(ws.Buckets, WireBucket{I: b, N: n})
-			}
-		}
-		d.Stages = append(d.Stages, ws)
+		d.Stages[i].Lat = cur.Lat.Sub(old.Lat)
+		delta(stageTable[:], d.Stages[i].Scalars[:], cur.Scalars[:], old.Scalars[:])
 	}
-	d.Cache = s.cache.Sub(prev.cache)
-	d.Online = s.online.Sub(prev.online)
-	d.Shard = s.shard.Sub(prev.shard)
-	d.FramePool = FramePoolWire{
-		Gets:   s.framePool.Gets - prev.framePool.Gets,
-		Puts:   s.framePool.Puts - prev.framePool.Puts,
-		Allocs: s.framePool.Allocs - prev.framePool.Allocs,
-	}
-	d.Errors = s.errs
-	d.ErrorsDropped = s.errDropped
+	delta(table, d.Scalars[:], s.vals[:], prev.vals[:])
+	errs, lost := errRing.span(uint64(prev.vals[telemetryErrors]), uint64(s.vals[telemetryErrors]))
+	d.Errors, d.ErrorsDropped = errs, int64(lost)
 	return d
 }
 
-// Merge folds o into d: histogram buckets and counters sum exactly
-// (HistogramSnapshot.Merge semantics, sparse form), gauge peaks take
-// the maximum across processes, wall time takes the longer interval
-// (shards run concurrently, not back to back), and error lists
-// concatenate under the usual bound.
+// Merge folds o into d: histogram buckets sum exactly, scalars combine
+// by their kind (counters and gauges sum, peaks take the maximum across
+// processes), wall time takes the longer interval (shards run
+// concurrently, not back to back), and error lists concatenate under
+// the usual bound.
 func (d *WireDelta) Merge(o WireDelta) {
 	if o.WallNS > d.WallNS {
 		d.WallNS = o.WallNS
 	}
-	for _, os := range o.Stages {
-		ds := d.stage(os.Stage)
-		var h, oh HistogramSnapshot
-		for _, b := range ds.Buckets {
-			h.Buckets[b.I] = b.N
-		}
-		for _, b := range os.Buckets {
-			oh.Buckets[b.I] = b.N
-		}
-		h = h.Merge(oh)
-		ds.Buckets = ds.Buckets[:0]
-		for i, n := range h.Buckets {
-			if n != 0 {
-				ds.Buckets = append(ds.Buckets, WireBucket{I: i, N: n})
-			}
-		}
-		ds.SumNS += os.SumNS
-		ds.Frames += os.Frames
-		ds.Bytes += os.Bytes
-		ds.Hits += os.Hits
-		ds.Misses += os.Misses
-		if os.Workers > ds.Workers {
-			ds.Workers = os.Workers
-		}
+	for i := range d.Stages {
+		d.Stages[i].Lat = d.Stages[i].Lat.Merge(o.Stages[i].Lat)
+		merge(stageTable[:], d.Stages[i].Scalars[:], o.Stages[i].Scalars[:])
 	}
-	d.Gauges = mergeGauges(d.Gauges, o.Gauges)
-	d.Cache = addCache(d.Cache, o.Cache)
-	d.Online = addOnline(d.Online, o.Online)
-	d.Shard = addShard(d.Shard, o.Shard)
-	d.FramePool.Gets += o.FramePool.Gets
-	d.FramePool.Puts += o.FramePool.Puts
-	d.FramePool.Allocs += o.FramePool.Allocs
+	merge(table, d.Scalars[:], o.Scalars[:])
 	for _, e := range o.Errors {
 		if len(d.Errors) >= maxErrors {
 			d.ErrorsDropped++
@@ -141,135 +132,42 @@ func (d *WireDelta) Merge(o WireDelta) {
 	d.ErrorsDropped += o.ErrorsDropped
 }
 
-// stage returns the named stage's record, appending an empty one on
-// first use. Merge keeps stage order as first-seen, which is pipeline
-// order for deltas produced by Delta (stages are emitted in Stage
-// index order).
-func (d *WireDelta) stage(name string) *WireStage {
-	for i := range d.Stages {
-		if d.Stages[i].Stage == name {
-			return &d.Stages[i]
-		}
-	}
-	d.Stages = append(d.Stages, WireStage{Stage: name})
-	return &d.Stages[len(d.Stages)-1]
-}
-
 // Telemetry summarizes the wire delta into the quantile form reports
 // carry — the same computation Snapshot.Sub performs, applied after
 // any merging.
 func (d WireDelta) Telemetry() Telemetry {
+	v := &d.Scalars
 	t := Telemetry{
-		Enabled: Enabled(),
-		WallMS:  float64(d.WallNS) / 1e6,
-		Stages:  make(map[string]StageTelemetry),
-		Gauges:  d.Gauges,
+		Enabled:       Enabled(),
+		WallMS:        float64(d.WallNS) / 1e6,
+		Stages:        make(map[string]StageTelemetry),
+		Gauges:        v.section(groupGauges),
+		FramePool:     v.section(groupFramePool),
+		Cache:         v.section(groupCache),
+		Online:        v.section(groupOnline),
+		Shard:         v.section(groupShard),
+		Errors:        d.Errors,
+		ErrorsDropped: d.ErrorsDropped,
 	}
-	for _, ws := range d.Stages {
-		var lat HistogramSnapshot
-		for _, b := range ws.Buckets {
-			lat.Buckets[b.I] = b.N
+	for i := range d.Stages {
+		ws := &d.Stages[i]
+		if !ws.active() {
+			continue
 		}
-		lat.Sum = ws.SumNS
-		t.Stages[ws.Stage] = StageTelemetry{
-			Count:   lat.Count(),
-			Frames:  ws.Frames,
-			Bytes:   ws.Bytes,
-			Hits:    ws.Hits,
-			Misses:  ws.Misses,
-			Workers: ws.Workers,
-			TotalMS: float64(lat.Sum) / 1e6,
-			MeanMS:  lat.Mean() / 1e6,
-			P50MS:   float64(lat.Quantile(0.50)) / 1e6,
-			P95MS:   float64(lat.Quantile(0.95)) / 1e6,
-			P99MS:   float64(lat.Quantile(0.99)) / 1e6,
-			MaxMS:   float64(lat.Max()) / 1e6,
-		}
-	}
-	fp := d.FramePool
-	t.FramePool = FramePoolTelemetry{Gets: fp.Gets, Puts: fp.Puts, Allocs: fp.Allocs}
-	if fp.Gets > 0 {
-		t.FramePool.ReuseRate = float64(fp.Gets-fp.Allocs) / float64(fp.Gets)
-	}
-	t.Cache = d.Cache.Report()
-	if !d.Online.zero() {
-		t.Online = &OnlineTelemetry{
-			Frames:   d.Online.Frames,
-			Dropped:  d.Online.Dropped,
-			Gaps:     d.Online.Gaps,
-			Resyncs:  d.Online.Resyncs,
-			Retries:  d.Online.Retries,
-			Degraded: d.Online.Degraded,
+		t.Stages[Stage(i).String()] = StageTelemetry{
+			Count:   ws.Lat.Count(),
+			Frames:  ws.Scalars[stageFrames],
+			Bytes:   ws.Scalars[stageBytes],
+			Hits:    ws.Scalars[stageHits],
+			Misses:  ws.Scalars[stageMisses],
+			Workers: ws.Scalars[stageWorkers],
+			TotalMS: float64(ws.Lat.Sum) / 1e6,
+			MeanMS:  ws.Lat.Mean() / 1e6,
+			P50MS:   float64(ws.Lat.Quantile(0.50)) / 1e6,
+			P95MS:   float64(ws.Lat.Quantile(0.95)) / 1e6,
+			P99MS:   float64(ws.Lat.Quantile(0.99)) / 1e6,
+			MaxMS:   float64(ws.Lat.Max()) / 1e6,
 		}
 	}
-	if !d.Shard.zero() {
-		sh := d.Shard
-		t.Shard = &ShardTelemetry{
-			WorkerFailures:    sh.WorkerFailures,
-			HeartbeatTimeouts: sh.HeartbeatTimeouts,
-			Reassignments:     sh.Reassignments,
-			RetriedInstances:  sh.RetriedInstances,
-			DuplicateResults:  sh.DuplicateResults,
-			DialRetries:       sh.DialRetries,
-			ConvFailures:      sh.ConvFailures,
-		}
-	}
-	t.Errors = d.Errors
-	t.ErrorsDropped = d.ErrorsDropped
 	return t
-}
-
-func addShard(a, b ShardStats) ShardStats {
-	return ShardStats{
-		WorkerFailures:    a.WorkerFailures + b.WorkerFailures,
-		HeartbeatTimeouts: a.HeartbeatTimeouts + b.HeartbeatTimeouts,
-		Reassignments:     a.Reassignments + b.Reassignments,
-		RetriedInstances:  a.RetriedInstances + b.RetriedInstances,
-		DuplicateResults:  a.DuplicateResults + b.DuplicateResults,
-		DialRetries:       a.DialRetries + b.DialRetries,
-		ConvFailures:      a.ConvFailures + b.ConvFailures,
-	}
-}
-
-func mergeGauges(a, b GaugeSnapshot) GaugeSnapshot {
-	return GaugeSnapshot{
-		PoolActive:        a.PoolActive + b.PoolActive,
-		PoolBusy:          a.PoolBusy + b.PoolBusy,
-		PoolBusyPeak:      maxI64(a.PoolBusyPeak, b.PoolBusyPeak),
-		PoolWorkers:       a.PoolWorkers + b.PoolWorkers,
-		PoolWorkersPeak:   maxI64(a.PoolWorkersPeak, b.PoolWorkersPeak),
-		PoolPanics:        a.PoolPanics + b.PoolPanics,
-		CacheResident:     a.CacheResident + b.CacheResident,
-		CacheResidentPeak: maxI64(a.CacheResidentPeak, b.CacheResidentPeak),
-		InflightDecodes:   a.InflightDecodes + b.InflightDecodes,
-		InflightPeak:      maxI64(a.InflightPeak, b.InflightPeak),
-	}
-}
-
-func addCache(a, b CacheStats) CacheStats {
-	return CacheStats{
-		Hits:            a.Hits + b.Hits,
-		Misses:          a.Misses + b.Misses,
-		Evictions:       a.Evictions + b.Evictions,
-		FramesRequested: a.FramesRequested + b.FramesRequested,
-		FramesDecoded:   a.FramesDecoded + b.FramesDecoded,
-	}
-}
-
-func addOnline(a, b OnlineStats) OnlineStats {
-	return OnlineStats{
-		Frames:   a.Frames + b.Frames,
-		Dropped:  a.Dropped + b.Dropped,
-		Gaps:     a.Gaps + b.Gaps,
-		Resyncs:  a.Resyncs + b.Resyncs,
-		Retries:  a.Retries + b.Retries,
-		Degraded: a.Degraded + b.Degraded,
-	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -17,12 +18,12 @@ func TestWireDeltaMergeMatchesCombinedRecording(t *testing.T) {
 	base := Capture()
 	for i := 0; i < 40; i++ {
 		st.lat.RecordNS(int64(i+1) * 1_000_000)
-		st.frames.Add(3)
+		st.vals[stageFrames].Add(3)
 	}
 	mid := Capture()
 	for i := 0; i < 25; i++ {
 		st.lat.RecordNS(int64(i+1) * 7_000_000)
-		st.bytes.Add(10)
+		st.vals[stageBytes].Add(10)
 	}
 	end := Capture()
 
@@ -39,25 +40,21 @@ func TestWireDeltaMergeMatchesCombinedRecording(t *testing.T) {
 		t.Fatalf("merged stage telemetry diverges:\nwhole:  %+v\nmerged: %+v",
 			wholeT.Stages, mergedT.Stages)
 	}
-	if wholeT.Cache != mergedT.Cache || wholeT.FramePool != mergedT.FramePool {
-		t.Fatalf("merged counters diverge: %+v vs %+v", wholeT, mergedT)
+	if !bytes.Equal(wholeT.Cache, mergedT.Cache) || !bytes.Equal(wholeT.FramePool, mergedT.FramePool) {
+		t.Fatalf("merged counters diverge: %s %s vs %s %s", wholeT.Cache, wholeT.FramePool, mergedT.Cache, mergedT.FramePool)
 	}
 }
 
 // TestWireDeltaJSONRoundTrip ensures the wire form survives the shard
 // protocol's JSON framing without loss.
 func TestWireDeltaJSONRoundTrip(t *testing.T) {
-	d := WireDelta{
-		WallNS: 12345,
-		Stages: []WireStage{{
-			Stage:   StageExecute.String(),
-			Buckets: []WireBucket{{I: 3, N: 7}, {I: 400, N: 1}},
-			SumNS:   99, Frames: 4, Bytes: 2048, Workers: 3,
-		}},
-		Cache:  CacheStats{Hits: 5, Misses: 2, FramesRequested: 30, FramesDecoded: 45},
-		Online: OnlineStats{Frames: 10, Dropped: 1},
-		Errors: []string{"worker 2: boom"},
-	}
+	d := WireDelta{WallNS: 12345}
+	ws := &d.Stages[StageExecute]
+	ws.Lat.Buckets[3], ws.Lat.Buckets[400], ws.Lat.Sum = 7, 1, 99
+	ws.Scalars[stageFrames], ws.Scalars[stageBytes], ws.Scalars[stageWorkers] = 4, 2048, 3
+	d.Scalars[CacheHits], d.Scalars[CacheMisses], d.Scalars[CacheRequested], d.Scalars[CacheDecoded] = 5, 2, 30, 45
+	d.Scalars[OnlineFrames], d.Scalars[OnlineDropped] = 10, 1
+	d.Errors = []string{"worker 2: boom"}
 	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -67,17 +64,6 @@ func TestWireDeltaJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d, back) {
-		t.Fatalf("round trip diverged:\n%+v\n%+v", d, back)
-	}
-}
-
-// TestWireDeltaMergeGauges pins gauge semantics: peaks take the max
-// across processes, instantaneous values add.
-func TestWireDeltaMergeGauges(t *testing.T) {
-	a := WireDelta{Gauges: GaugeSnapshot{PoolBusyPeak: 4, PoolWorkers: 2, CacheResidentPeak: 100}}
-	b := WireDelta{Gauges: GaugeSnapshot{PoolBusyPeak: 7, PoolWorkers: 3, CacheResidentPeak: 60}}
-	a.Merge(b)
-	if a.Gauges.PoolBusyPeak != 7 || a.Gauges.PoolWorkers != 5 || a.Gauges.CacheResidentPeak != 100 {
-		t.Fatalf("gauge merge wrong: %+v", a.Gauges)
+		t.Fatalf("round trip diverged:\n%+v\n%+v", d.Scalars, back.Scalars)
 	}
 }

@@ -462,7 +462,8 @@ func TestServeBootQuarantinesCorruptJournal(t *testing.T) {
 		t.Errorf("quarantined copy missing or altered: %v", err)
 	}
 	var quarantined int
-	for _, e := range metrics.EventsSince(since) {
+	evs, _ := metrics.EventsSince(since)
+	for _, e := range evs {
 		if e.Kind == metrics.EventServeJobQuarantined && e.Detail == "jtorn.json" {
 			quarantined++
 		}
@@ -477,7 +478,8 @@ func TestServeBootQuarantinesCorruptJournal(t *testing.T) {
 	if _, err := New(Options{DataDir: dir}); err != nil {
 		t.Fatalf("boot after quarantine: %v", err)
 	}
-	for _, e := range metrics.EventsSince(since) {
+	evs, _ = metrics.EventsSince(since)
+	for _, e := range evs {
 		if e.Kind == metrics.EventServeJobQuarantined {
 			t.Errorf("clean boot recorded a quarantine: %+v", e)
 		}

@@ -188,17 +188,31 @@ func Run(ctx context.Context, plan Plan, copt Options) (*vcd.RunReport, *Counter
 		c.eventBase = metrics.EventSeq()
 	}
 	if err := c.connect(ctx, transport); err != nil {
-		return nil, &c.counters, err
+		return nil, c.tally(), err
 	}
 	report, err := c.run(ctx)
 	if at, ok := transport.(*AddrTransport); ok {
-		c.counters.DialRetries = at.DialRetries()
-		metrics.GlobalShardCounters().DialRetries.Add(c.counters.DialRetries)
+		c.counters.Add(metrics.ShardDialRetries, at.DialRetries())
 	}
 	if err != nil {
-		return nil, &c.counters, err
+		return nil, c.tally(), err
 	}
-	return report, &c.counters, nil
+	return report, c.tally(), nil
+}
+
+// tally reads the run's Counters out of its counter set — the one place
+// the struct is tied to the shard rows of the metrics table
+// (TestCountersMatchShardRows).
+func (c *coordinator) tally() *Counters {
+	return &Counters{
+		Workers:           len(c.workers),
+		WorkerFailures:    c.counters.Value(metrics.ShardWorkerFailures),
+		HeartbeatTimeouts: c.counters.Value(metrics.ShardHeartbeatTimeouts),
+		Reassignments:     c.counters.Value(metrics.ShardReassignments),
+		RetriedInstances:  c.counters.Value(metrics.ShardRetriedInstances),
+		DuplicateResults:  c.counters.Value(metrics.ShardDuplicateResults),
+		DialRetries:       c.counters.Value(metrics.ShardDialRetries),
+	}
 }
 
 // event is one worker-to-coordinator occurrence, funneled from the
@@ -223,13 +237,16 @@ type remoteWorker struct {
 }
 
 type coordinator struct {
-	plan     Plan
-	opt      vcd.Options
-	copt     Options
-	sys      vdbms.System
-	workers  []*remoteWorker
-	events   chan event
-	counters Counters
+	plan    Plan
+	opt     vcd.Options
+	copt    Options
+	sys     vdbms.System
+	workers []*remoteWorker
+	events  chan event
+	// counters is this run's share of the shard rows; every Add also
+	// lands in the process registry, so /debug/metrics and Telemetry see
+	// coordinator behavior live.
+	counters metrics.Set
 	seq      int
 	// traceBase/eventBase bracket the run's interval in the process
 	// trace-span and event-journal rings (captured when metrics are on).
@@ -285,7 +302,6 @@ func (c *coordinator) connect(ctx context.Context, transport Transport) error {
 		sp.End()
 		go c.read(w)
 	}
-	c.counters.Workers = c.copt.Shards
 	return nil
 }
 
@@ -328,12 +344,10 @@ func (c *coordinator) markDead(w *remoteWorker, err error) []int {
 	}
 	w.alive = false
 	w.conn.Close()
-	c.counters.WorkerFailures++
-	metrics.GlobalShardCounters().WorkerFailures.Inc()
+	c.counters.Add(metrics.ShardWorkerFailures, 1)
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {
-		c.counters.HeartbeatTimeouts++
-		metrics.GlobalShardCounters().HeartbeatTimeouts.Inc()
+		c.counters.Add(metrics.ShardHeartbeatTimeouts, 1)
 		metrics.RecordEvent(metrics.Event{Kind: metrics.EventHeartbeatMissed, Shard: w.id})
 	}
 	metrics.RecordEvent(metrics.Event{
@@ -416,7 +430,7 @@ func (c *coordinator) run(ctx context.Context) (*vcd.RunReport, error) {
 	var workerDelta metrics.WireDelta
 	haveRemote := false
 	for _, s := range summaries {
-		report.DecodedCache = addCacheStats(report.DecodedCache, s.Cache)
+		report.DecodedCache.Merge(s.Cache)
 		if s.Telemetry != nil {
 			workerDelta.Merge(*s.Telemetry)
 			haveRemote = true
@@ -436,11 +450,12 @@ func (c *coordinator) run(ctx context.Context) (*vcd.RunReport, error) {
 		// every in-process pipe worker's) with remote workers' shipped
 		// spans; remote spans that predate the per-worker shard tag get it
 		// from the worker identity here.
-		spans := metrics.TraceSpansSince(c.traceBase)
+		spans, lost := metrics.TraceSpansSince(c.traceBase)
 		for _, w := range c.workers {
 			if w.summary == nil {
 				continue
 			}
+			lost += w.summary.SpansLost
 			for _, sp := range w.summary.Spans {
 				if sp.Shard < 0 {
 					sp.Shard = int32(w.id)
@@ -448,8 +463,8 @@ func (c *coordinator) run(ctx context.Context) (*vcd.RunReport, error) {
 				spans = append(spans, sp)
 			}
 		}
-		report.Trace = metrics.SummarizeTraces(spans)
-		report.Events = metrics.EventsSince(c.eventBase)
+		report.Trace = metrics.SummarizeTraces(spans, lost)
+		report.Events, _ = metrics.EventsSince(c.eventBase)
 	}
 	return report, nil
 }
@@ -540,8 +555,7 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 				// A reassigned instance finished twice; execution is
 				// deterministic, so both copies are identical. Keep the
 				// first, count the duplicate.
-				c.counters.DuplicateResults++
-				metrics.GlobalShardCounters().DuplicateResults.Inc()
+				c.counters.Add(metrics.ShardDuplicateResults, 1)
 				metrics.RecordEvent(metrics.Event{
 					Kind: metrics.EventDuplicateDropped, Shard: ev.wid,
 					Query: string(q), Trace: res.Trace,
@@ -664,10 +678,8 @@ func (c *coordinator) reassign(q queries.QueryID, orphaned []int) error {
 				}
 				break
 			}
-			c.counters.Reassignments++
-			c.counters.RetriedInstances += int64(len(idxs))
-			metrics.GlobalShardCounters().Reassignments.Inc()
-			metrics.GlobalShardCounters().RetriedInstances.Add(int64(len(idxs)))
+			c.counters.Add(metrics.ShardReassignments, 1)
+			c.counters.Add(metrics.ShardRetriedInstances, int64(len(idxs)))
 			metrics.RecordEvent(metrics.Event{
 				Kind: metrics.EventInstanceReassigned, Shard: w.id,
 				Query: string(q), Count: len(idxs),
@@ -735,13 +747,3 @@ func (e *remoteError) Error() string { return e.msg }
 // IsResource reports whether the remote error was a resource exhaustion
 // (vdbms.ErrResource on the worker).
 func (e *remoteError) IsResource() bool { return e.resource }
-
-func addCacheStats(a, b metrics.CacheStats) metrics.CacheStats {
-	return metrics.CacheStats{
-		Hits:            a.Hits + b.Hits,
-		Misses:          a.Misses + b.Misses,
-		Evictions:       a.Evictions + b.Evictions,
-		FramesRequested: a.FramesRequested + b.FramesRequested,
-		FramesDecoded:   a.FramesDecoded + b.FramesDecoded,
-	}
-}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"os"
@@ -98,6 +99,16 @@ func TestWorkerServerNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// convFailures reads the process's failed-conversation count off the
+// live telemetry.
+func convFailures() int64 {
+	var shard struct {
+		N int64 `json:"conv_failures"`
+	}
+	json.Unmarshal(metrics.CaptureTelemetry().Shard, &shard) // no section yet = 0
+	return shard.N
+}
+
 // TestWorkerServerHalfOpenCoordinator pins the first-frame deadline: a
 // coordinator that connects but never sends the job manifest is
 // dropped after the heartbeat window — counted and journaled as a
@@ -110,7 +121,7 @@ func TestWorkerServerHalfOpenCoordinator(t *testing.T) {
 
 	srv, errc := startWorkerServer(t, context.Background(), 100*time.Millisecond)
 	defer srv.Close()
-	base := metrics.GlobalShardCounters().ConvFailures.Value()
+	base := convFailures()
 
 	for i := 1; i <= 2; i++ {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -120,10 +131,10 @@ func TestWorkerServerHalfOpenCoordinator(t *testing.T) {
 		// Send nothing: the worker must abandon us on its own. Two
 		// rounds prove the loop advanced past the first wedged peer.
 		deadline := time.Now().Add(5 * time.Second)
-		for metrics.GlobalShardCounters().ConvFailures.Value() < base+int64(i) {
+		for convFailures() < base+int64(i) {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: conversation not dropped within deadline (ConvFailures=%d)",
-					i, metrics.GlobalShardCounters().ConvFailures.Value())
+					i, convFailures())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -132,7 +143,8 @@ func TestWorkerServerHalfOpenCoordinator(t *testing.T) {
 
 	// The drop is journaled for /debug/events.
 	found := false
-	for _, e := range metrics.EventsSince(0) {
+	evs, _ := metrics.EventsSince(0)
+	for _, e := range evs {
 		if e.Kind == metrics.EventConvFailed && strings.Contains(e.Detail, "reading job") {
 			found = true
 			break

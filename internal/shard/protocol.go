@@ -173,13 +173,14 @@ type AssignmentDone struct {
 
 // WorkerSummary is the final ack: the worker's dataset-cache counters
 // and, for remote workers, its telemetry interval in mergeable form
-// plus the trace spans it recorded under coordinator-minted trace IDs.
-// In-process workers omit both — their spans already live in the
-// coordinator's rings.
+// plus the trace spans it recorded under coordinator-minted trace IDs
+// (and how many its ring overwrote first). In-process workers omit
+// them — their spans already live in the coordinator's rings.
 type WorkerSummary struct {
 	Cache     metrics.CacheStats  `json:"cache"`
 	Telemetry *metrics.WireDelta  `json:"telemetry,omitempty"`
 	Spans     []metrics.TraceSpan `json:"spans,omitempty"`
+	SpansLost uint64              `json:"spans_lost,omitempty"`
 }
 
 // WorkerError reports a fatal worker-side failure (dataset load,

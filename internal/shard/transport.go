@@ -213,7 +213,7 @@ func (s *WorkerServer) Addr() string { return s.ln.Addr().String() }
 // (no new conversations), the in-flight conversation — deliberately
 // detached from ctx — runs to completion, and Serve returns ctx.Err().
 // A conversation that ends in an error is logged (Logf), counted
-// (shard ConvFailures), and journaled (EventConvFailed); the loop
+// (vr_shard_conv_failures_total), and journaled (EventConvFailed); the loop
 // accepts the next coordinator. Close() stops the loop cleanly: Serve
 // returns nil rather than the listener's accept error.
 func (s *WorkerServer) Serve(ctx context.Context) error {
@@ -252,7 +252,7 @@ func (s *WorkerServer) Serve(ctx context.Context) error {
 			return err
 		}
 		if err := ServeConn(convCtx, conn, wopt); err != nil {
-			metrics.GlobalShardCounters().ConvFailures.Inc()
+			metrics.Add(metrics.ShardConvFailures, 1)
 			metrics.RecordEvent(metrics.Event{
 				Kind: metrics.EventConvFailed, Shard: -1, Detail: err.Error(),
 			})

@@ -309,7 +309,7 @@ func (w *worker) summarize() error {
 	if w.job.Metrics && !w.opt.InProcess {
 		d := metrics.Capture().Delta(w.base)
 		sum.Telemetry = &d
-		sum.Spans = metrics.TraceSpansSince(w.traceBase)
+		sum.Spans, sum.SpansLost = metrics.TraceSpansSince(w.traceBase)
 	}
 	return w.send(msgSummary, sum)
 }

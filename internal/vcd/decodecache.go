@@ -32,7 +32,11 @@ type decodedCache struct {
 	entries map[string][]*decodedEntry
 	pins    map[string][]*pinWindow
 
-	counters metrics.CacheCounters
+	// counters is this cache's share of the decoded-cache rows; every
+	// Add also lands in the process registry, so live snapshots (the
+	// -debug-addr listener) and interval telemetry see cache behavior
+	// without a handle on the current run's cache.
+	counters metrics.Set
 }
 
 // decodedEntry is one resident frame window [lo, hi) of an input. Once
@@ -61,12 +65,6 @@ type pinWindow struct {
 	lo, hi int
 	count  int
 }
-
-// globalCacheCounters mirrors each cache's per-run counters into the
-// process-wide metrics registry, so live snapshots (the -debug-addr
-// listener) and interval telemetry see cache behavior without a handle
-// on the current run's cache.
-var globalCacheCounters = metrics.GlobalCacheCounters()
 
 func newDecodedCache(budget int64) *decodedCache {
 	if budget <= 0 {
@@ -123,8 +121,7 @@ func (e *decodedEntry) failed() bool {
 // is a per-caller view of exactly hi−lo frames; its plane storage is
 // shared and must be treated as read-only.
 func (c *decodedCache) acquire(name string, lo, hi int, mask uint64, align func(int) int, decode func(lo, hi int) (*video.Video, error)) (*video.Video, error) {
-	c.counters.FramesRequested.Add(int64(hi - lo))
-	globalCacheCounters.FramesRequested.Add(int64(hi - lo))
+	c.counters.Add(metrics.CacheRequested, int64(hi-lo))
 	c.mu.Lock()
 	c.tick++
 	if e := c.coveringLocked(name, lo, hi, mask); e != nil {
@@ -132,8 +129,7 @@ func (c *decodedCache) acquire(name string, lo, hi int, mask uint64, align func(
 		// caller skips a decode.
 		e.lru = c.tick
 		c.mu.Unlock()
-		c.counters.Hits.Inc()
-		globalCacheCounters.Hits.Inc()
+		c.counters.Add(metrics.CacheHits, 1)
 		<-e.done
 		if e.err != nil {
 			return nil, e.err
@@ -169,14 +165,12 @@ func (c *decodedCache) acquire(name string, lo, hi int, mask uint64, align func(
 	e := &decodedEntry{name: name, lo: ulo, hi: uhi, mask: mask, done: make(chan struct{}), lru: c.tick}
 	c.entries[name] = append(kept, e)
 	c.mu.Unlock()
-	c.counters.Misses.Inc()
-	globalCacheCounters.Misses.Inc()
+	c.counters.Add(metrics.CacheMisses, 1)
 	metrics.DecodeInflight(1)
 
 	v, err := decode(alo, hi)
 	if err == nil {
-		c.counters.FramesDecoded.Add(int64(hi - alo))
-		globalCacheCounters.FramesDecoded.Add(int64(hi - alo))
+		c.counters.Add(metrics.CacheDecoded, int64(hi-alo))
 		v = stitchUnion(v, alo, absorbed, ulo, uhi)
 	}
 	c.mu.Lock()
@@ -302,8 +296,7 @@ func (c *decodedCache) evictLocked(keep *decodedEntry) {
 		}
 		c.used -= victim.bytes
 		c.removeLocked(victim)
-		c.counters.Evictions.Inc()
-		globalCacheCounters.Evictions.Inc()
+		c.counters.Add(metrics.CacheEvictions, 1)
 	}
 }
 
@@ -326,7 +319,7 @@ func (c *decodedCache) removeLocked(victim *decodedEntry) {
 
 // stats snapshots the cache counters.
 func (c *decodedCache) stats() metrics.CacheStats {
-	return c.counters.Snapshot()
+	return c.counters.CacheStats()
 }
 
 // viewRange returns a per-consumer view of frames [from, to) of a

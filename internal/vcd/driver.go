@@ -217,7 +217,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 		t := metrics.Capture().Sub(runBase)
 		report.Telemetry = &t
 		report.Trace = metrics.SummarizeTraces(metrics.TraceSpansSince(traceBase))
-		report.Events = metrics.EventsSince(eventBase)
+		report.Events, _ = metrics.EventsSince(eventBase)
 	}
 	return report, nil
 }

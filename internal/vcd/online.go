@@ -444,13 +444,12 @@ func startRTPSession(ctx context.Context, cancel context.CancelFunc, in *vdbms.I
 // recordOnline feeds the run's degradation accounting into the global
 // telemetry counters (mirrored into -metrics-json and /debug/metrics).
 func recordOnline(rep *OnlineReport) {
-	oc := metrics.GlobalOnlineCounters()
-	oc.Frames.Add(int64(rep.Frames))
-	oc.Dropped.Add(int64(rep.FramesDropped))
-	oc.Gaps.Add(int64(rep.Gaps))
-	oc.Resyncs.Add(int64(rep.Resyncs))
-	oc.Retries.Add(int64(rep.Retries))
+	metrics.Add(metrics.OnlineFrames, int64(rep.Frames))
+	metrics.Add(metrics.OnlineDropped, int64(rep.FramesDropped))
+	metrics.Add(metrics.OnlineGaps, int64(rep.Gaps))
+	metrics.Add(metrics.OnlineResyncs, int64(rep.Resyncs))
+	metrics.Add(metrics.OnlineRetries, int64(rep.Retries))
 	if rep.Degraded {
-		oc.Degraded.Inc()
+		metrics.Add(metrics.OnlineDegraded, 1)
 	}
 }

@@ -19,7 +19,7 @@ type ReportSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// DecodedCache carries the shared decoded-input cache counters with
 	// their derived hit-rate and decode-ratio.
-	DecodedCache metrics.CacheTelemetry `json:"decoded_cache"`
+	DecodedCache json.RawMessage `json:"decoded_cache"`
 	// Telemetry is the run's stage-level observability record, present
 	// when metrics are enabled (-metrics-json / -report / -debug-addr).
 	Telemetry *metrics.Telemetry `json:"telemetry,omitempty"`
@@ -89,7 +89,7 @@ func Summarize(r *RunReport) ReportSummary {
 // seed, dataset, and configuration.
 func (s ReportSummary) Canonical() ReportSummary {
 	s.ElapsedMS = 0
-	s.DecodedCache = metrics.CacheTelemetry{}
+	s.DecodedCache = metrics.CacheStats{}.Report()
 	s.Telemetry = nil
 	qs := make([]QuerySummary, len(s.Queries))
 	copy(qs, s.Queries)

@@ -17,20 +17,11 @@ var (
 	poolAllocs atomic.Int64
 )
 
-// PoolCounters is a snapshot of FramePool activity across all pools:
-// Gets issued, Puts accepted, and Allocs — Gets that had to allocate a
-// fresh frame instead of recycling one.
-type PoolCounters struct {
-	Gets, Puts, Allocs int64
-}
-
-// PoolCountersSnapshot returns the cumulative pool counters.
-func PoolCountersSnapshot() PoolCounters {
-	return PoolCounters{
-		Gets:   poolGets.Load(),
-		Puts:   poolPuts.Load(),
-		Allocs: poolAllocs.Load(),
-	}
+// PoolCounts returns the cumulative FramePool activity across all
+// pools: Gets issued, Puts accepted, and Allocs — Gets that had to
+// allocate a fresh frame instead of recycling one.
+func PoolCounts() (gets, puts, allocs int64) {
+	return poolGets.Load(), poolPuts.Load(), poolAllocs.Load()
 }
 
 // FramePool recycles Frames of a single resolution, relieving the

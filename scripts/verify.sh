@@ -20,7 +20,7 @@ go test -race -run 'TestRunOnline|TestPipeWriteCloseWriteRace|TestServeRTPFault'
 # Observability invariants under the race detector: lock-free histogram
 # merges stay lossless, span aggregation stays atomic, and telemetry
 # counts match between sequential and 8-way runs.
-go test -race -run 'TestHistogramMergeConcurrent|TestSpanConcurrentAggregation' ./internal/metrics
+go test -race -run 'TestHistogramMergeConcurrent|TestSpanConcurrentAggregation|TestScalarTable|FuzzWireDelta' ./internal/metrics
 go test -race -run 'TestTelemetryModeInvariance' ./internal/vcd
 # Codec hot-path exactness and robustness: the golden corpus pins
 # byte-identity of the word-at-a-time entropy I/O and butterfly
@@ -73,6 +73,22 @@ if grep -rnE 'OptionsWire|QueryWorkers|QuerySequential' --include='*.go' --exclu
 fi
 if grep -rnE '^func (\([^)]*\) )?(splitAddrs|closeDebug)\(' --include='*.go' --exclude='*_test.go' cmd internal; then
 	echo "verify: internal/cli owns address parsing (Shard.Addrs) and the debug-server exit path (Obs.Exit); use them" >&2
+	exit 1
+fi
+# One scalar table (DESIGN.md §5.7 item 3): a metric is named in
+# internal/metrics/scalars.go (the histogram family and the enabled
+# gauge in prom.go) and nowhere else, and the per-field mirrors stay
+# deleted.
+if grep -rnE '"vr_[a-z_]+"' --include='*.go' --exclude='*_test.go' cmd internal | grep -vE '^internal/metrics/(scalars|prom)\.go:'; then
+	echo "verify: a Prometheus name outside the scalar table (see above); add a row to internal/metrics/scalars.go" >&2
+	exit 1
+fi
+if grep -nE '"vr_[a-z_]+"' internal/metrics/prom.go | grep -vE '"vr_(metrics_enabled|stage_seconds(_bucket|_sum|_count)?)"'; then
+	echo "verify: prom.go names only the enabled gauge and the stage histogram family; everything else is a table row" >&2
+	exit 1
+fi
+if grep -rnE 'GlobalCacheCounters|GlobalShardCounters|GlobalOnlineCounters|ShardTelemetry|OnlineTelemetry|CacheTelemetry|FramePoolWire|func add(Cache|Online|Shard)' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: a deleted per-field metrics mirror is back (see above); the scalar table replaces it" >&2
 	exit 1
 fi
 # Benchmark-as-a-service control plane under the race detector: the
