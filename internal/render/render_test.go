@@ -297,6 +297,55 @@ func BenchmarkRenderFrame(b *testing.B) {
 	b.SetBytes(240 * 136 * 3 / 2)
 }
 
+// benchShapeCity is the bench/ harness's dataset shape: two dry,
+// Moderate-density tiles at 192×108, 15 fps.
+func benchShapeCity(b *testing.B) *vcity.City {
+	city, err := vcity.Generate(vcity.Hyperparams{
+		Scale: 2, Width: 192, Height: 108, Duration: 1, FPS: 15, Seed: 4,
+		TileFilter: func(s vcity.TileSpec) bool {
+			return s.Weather.Precip == vcity.Dry && s.Density.Name == "Moderate"
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return city
+}
+
+// BenchmarkRenderClip renders a 15-frame clip of a camera the renderer
+// did not render last, static layer build included: what one camera
+// costs vcg.Generate at the bench/ harness's shape. One op is one clip.
+func BenchmarkRenderClip(b *testing.B) {
+	city := benchShapeCity(b)
+	cams := city.AllCameras()
+	r := New(city, 192, 108)
+	dst := video.NewFrame(192, 108)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cam := cams[i%len(cams)]
+		for f := 0; f < 15; f++ {
+			r.FrameInto(cam, float64(f)/15, dst)
+		}
+	}
+}
+
+// BenchmarkRenderFirstFrame is the worst case for the static layer, a
+// one-frame clip: every op renders another camera, so every frame pays
+// a layer build. It must stay within 10 % of what a frame cost before
+// the layer existed (CHANGES.md, PR 16).
+func BenchmarkRenderFirstFrame(b *testing.B) {
+	city := benchShapeCity(b)
+	cams := city.AllCameras()
+	r := New(city, 192, 108)
+	dst := video.NewFrame(192, 108)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.FrameInto(cams[i%len(cams)], 0.2, dst)
+	}
+}
+
 func BenchmarkRenderResolutionSweep(b *testing.B) {
 	city, _ := vcity.Generate(vcity.Hyperparams{
 		Scale: 1, Width: 240, Height: 136, Duration: 1, FPS: 15, Seed: 4,

@@ -1,37 +1,78 @@
 package render
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/vcity"
 	"repro/internal/video"
 )
 
-// Renderer rasterizes frames of a Visual City camera. A Renderer is
-// bound to one city and one output resolution; it reuses internal
-// buffers across frames and is not safe for concurrent use (create one
-// Renderer per goroutine — frames are pure functions of time, so
-// renderers never contend).
+// Renderer rasterizes frames of Visual City cameras at one output
+// resolution. Cameras never move and neither do buildings, so a
+// Renderer keeps a static layer for the camera it rendered last —
+// ground, cloudless sky and buildings composited once (DESIGN.md
+// §5.15) — and a frame costs only what depends on time: drifting
+// clouds, moving objects and rain. Frames remain pure functions of
+// (camera, t): any time, in any order, on any Renderer. Rendering
+// another camera rebuilds the layer, so render a camera's frames
+// together. A Renderer is not safe for concurrent use (create one per
+// goroutine; renderers never contend).
 type Renderer struct {
 	city *vcity.City
 	w, h int
-	rgb  []video.Color
+	rgb  []video.Color // the frame being composed; equals static between frames
+
+	// The static layer and the inputs it was built from.
+	tile   *vcity.Tile
+	cam    vcity.Camera
+	view   view
+	light  lightModel
+	static []video.Color // ground, cloudless sky and buildings, composited far to near
+	base   *video.Frame  // static converted to YUV 4:2:0
+	owner  []uint16      // per pixel: ownerGround, ownerCloud, or ownerFace+rank
+	depths []float64     // by rank: mean depth of each static face, far to near
+	rays   []geom.Vec3   // per column: forward + right·dx, the row-independent part of a view ray
+	clouds []span        // per row: the columns that enclose its ownerCloud pixels
+	noise  [2]noiseCell  // the two octaves of the tile's cloud noise
+
+	// Per-frame scratch, kept so a steady-state frame allocates nothing.
+	objs     []vcity.SceneObject
+	faces    []face
+	order    []faceKey
+	dirty    []uint64 // one bit per 2×2 pixel block changed this frame
+	rowWords int      // words of dirty per block row
 }
+
+// Owner values: what the static layer shows at a pixel, so that a
+// moving face can tell whether it is in front of it.
+const (
+	ownerGround uint16 = iota // ground, or sky too low for clouds: everything is in front of it
+	ownerCloud                // sky that clouds drift across: re-evaluated every frame
+	ownerFace                 // ownerFace+k: the static face of rank k, far to near
+)
+
+// span is a half-open range of columns.
+type span struct{ lo, hi int32 }
 
 // New returns a renderer producing w×h frames of the given city.
 func New(city *vcity.City, w, h int) *Renderer {
-	return &Renderer{city: city, w: w, h: h, rgb: make([]video.Color, w*h)}
-}
-
-// face is one rasterizable quad: four world-space corners (planar,
-// wound consistently), a base color, and an optional plate texture.
-type face struct {
-	v     [4]geom.Vec3
-	color video.Color
-	depth float64 // mean camera depth for painter's sorting
-	plate string  // when non-empty, texture the quad with plate glyphs
+	cw, ch := (w+1)/2, (h+1)/2
+	rowWords := (cw + 63) / 64
+	return &Renderer{
+		city: city, w: w, h: h,
+		rgb:      make([]video.Color, w*h),
+		static:   make([]video.Color, w*h),
+		base:     video.NewFrame(w, h),
+		owner:    make([]uint16, w*h),
+		rays:     make([]geom.Vec3, w),
+		clouds:   make([]span, h),
+		dirty:    make([]uint64, ch*rowWords),
+		rowWords: rowWords,
+	}
 }
 
 // Frame renders the camera's view at simulation time t into a freshly
@@ -44,23 +85,97 @@ func (r *Renderer) Frame(cam *vcity.Camera, t float64) *video.Frame {
 
 // FrameInto renders the camera's view at simulation time t into dst,
 // which must have the renderer's dimensions. Every sample of dst is
-// overwritten, so pooled frames with stale contents are fine. This is
-// the allocation-free path used by the streaming generate pipeline.
+// overwritten, so pooled frames with stale contents are fine. After a
+// camera's first frame this path allocates nothing.
 func (r *Renderer) FrameInto(cam *vcity.Camera, t float64, dst *video.Frame) {
 	if dst.W != r.w || dst.H != r.h {
 		panic("render: FrameInto destination dimensions do not match renderer")
 	}
 	tile := r.city.TileOf(cam)
-	weather := tile.Layout.Spec.Weather
-	light := lighting(weather)
+	if tile != r.tile || *cam != r.cam {
+		r.buildLayer(cam, tile)
+	}
+	copy(dst.Y, r.base.Y)
+	copy(dst.U, r.base.U)
+	copy(dst.V, r.base.V)
 
-	r.drawGroundAndSky(cam, tile, t, light)
-	r.drawFaces(cam, tile, t, light)
-	if weather.Precip != vcity.Dry {
+	r.drawClouds(tile, t)
+	r.drawObjects(tile, t)
+	if weather := tile.Layout.Spec.Weather; weather.Precip != vcity.Dry {
 		r.drawRain(tile, weather, t)
 	}
+	r.convertDirty(dst)
+}
 
-	r.toFrameInto(dst)
+// buildLayer composites everything in the camera's view that does not
+// depend on time, records which static thing owns each pixel, and
+// converts the result to YUV once.
+func (r *Renderer) buildLayer(cam *vcity.Camera, tile *vcity.Tile) {
+	r.tile, r.cam = tile, *cam
+	r.view = newView(cam, r.w, r.h)
+	r.light = lighting(tile.Layout.Spec.Weather)
+	r.noise = [2]noiseCell{newNoiseCell(uint64(tile.Index)), newNoiseCell(uint64(tile.Index) ^ 0xabcdef)}
+
+	r.drawGroundAndSky(tile)
+
+	r.faces, r.order = r.faces[:0], r.order[:0]
+	for i := range tile.Layout.Buildings {
+		b := &tile.Layout.Buildings[i]
+		r.appendBoxFaces(
+			geom.Vec3{X: b.Min.X, Y: b.Min.Y, Z: 0},
+			geom.Vec3{X: b.Max.X, Y: b.Max.Y, Z: b.Height},
+			0, b.Facade, "")
+	}
+	if len(r.faces) > math.MaxUint16-int(ownerFace) {
+		panic("render: more static faces in view than the owner plane can name")
+	}
+	sortFaces(r.order)
+	r.depths = r.depths[:0]
+	for rank, k := range r.order {
+		r.depths = append(r.depths, k.depth)
+		r.fill(&r.faces[k.idx], 0, ownerFace+uint16(rank))
+	}
+
+	for cy := 0; cy < r.base.ChromaH(); cy++ {
+		for cx := 0; cx < r.base.ChromaW(); cx++ {
+			r.convertBlock(r.static, r.base, cx, cy)
+		}
+	}
+	copy(r.rgb, r.static)
+	clear(r.dirty)
+}
+
+// view is a camera's projection with everything that depends only on
+// the camera computed once: Camera.Basis costs four trigonometric calls
+// and the focal length a tangent, and the per-vertex paths used to pay
+// both for every projected point.
+type view struct {
+	pos            geom.Vec3
+	fwd, right, up geom.Vec3
+	focal          float64
+	halfW, halfH   float64
+}
+
+func newView(cam *vcity.Camera, w, h int) view {
+	v := view{pos: cam.Pos, halfW: float64(w) / 2, halfH: float64(h) / 2}
+	v.fwd, v.right, v.up = cam.Basis()
+	v.focal = float64(w) / 2 / math.Tan(geom.Deg(cam.FOVDeg)/2)
+	return v
+}
+
+// depth is p's distance along the camera's forward axis.
+func (v *view) depth(p geom.Vec3) float64 { return p.Sub(v.pos).Dot(v.fwd) }
+
+// project is Camera.Project on the cached basis.
+func (v *view) project(p geom.Vec3) (sx, sy float64, ok bool) {
+	d := p.Sub(v.pos)
+	z := d.Dot(v.fwd)
+	if z < 0.1 {
+		return 0, 0, false
+	}
+	sx = v.halfW + v.focal*d.Dot(v.right)/z
+	sy = v.halfH - v.focal*d.Dot(v.up)/z
+	return sx, sy, true
 }
 
 // lightModel captures the per-frame global illumination parameters.
@@ -115,7 +230,8 @@ func (m *lightModel) shade(c video.Color, normal geom.Vec3) video.Color {
 	return out
 }
 
-var groundColors = map[vcity.Material]video.Color{
+// groundColors is indexed by vcity.Material.
+var groundColors = [...]video.Color{
 	vcity.MatGrass:    {R: 70, G: 120, B: 60},
 	vcity.MatRoad:     {R: 62, G: 62, B: 66},
 	vcity.MatLaneMark: {R: 215, G: 210, B: 130},
@@ -123,79 +239,121 @@ var groundColors = map[vcity.Material]video.Color{
 	vcity.MatPlaza:    {R: 120, G: 115, B: 105},
 }
 
-// drawGroundAndSky fills every pixel by casting its view ray: rays that
-// point above the horizon sample the sky (with procedural clouds); the
-// rest intersect the ground plane and sample the tile's material map.
-func (r *Renderer) drawGroundAndSky(cam *vcity.Camera, tile *vcity.Tile, t float64, light lightModel) {
-	fwd, right, up := cam.Basis()
-	focal := float64(r.w) / 2 / math.Tan(geom.Deg(cam.FOVDeg)/2)
-	groundNormal := geom.Vec3{Z: 1}
+// drawGroundAndSky fills every pixel of the static layer by casting its
+// view ray: rays that point above the horizon sample the cloudless sky,
+// and are marked ownerCloud where clouds can cover them; the rest
+// intersect the ground plane and sample the tile's material map.
+func (r *Renderer) drawGroundAndSky(tile *vcity.Tile) {
+	v, light := &r.view, &r.light
+	var shaded [len(groundColors)]video.Color
+	for m, c := range groundColors {
+		shaded[m] = light.shade(c, geom.Vec3{Z: 1})
+	}
+	for px := range r.rays {
+		dx := (float64(px) + 0.5 - v.halfW) / v.focal
+		r.rays[px] = v.fwd.Add(v.right.Scale(dx))
+	}
+	cloudy := tile.Layout.Spec.Weather.CloudCover > 0.02
 	for py := 0; py < r.h; py++ {
+		// View ray through pixel center.
+		dy := (v.halfH - float64(py) - 0.5) / v.focal
+		rise := v.up.Scale(dy)
+		clouds := span{}
 		for px := 0; px < r.w; px++ {
-			// View ray through pixel center.
-			dx := (float64(px) + 0.5 - float64(r.w)/2) / focal
-			dy := (float64(r.h)/2 - float64(py) - 0.5) / focal
-			dir := fwd.Add(right.Scale(dx)).Add(up.Scale(dy))
+			dir := r.rays[px].Add(rise)
 			var c video.Color
+			own := ownerGround
 			if dir.Z >= -1e-6 {
-				c = r.sky(dir, tile, t, light)
+				d := dir.Norm()
+				elev := geom.Clamp(d.Z, 0, 1)
+				c = light.skyHorizon.Lerp(light.skyTop, math.Sqrt(elev))
+				if cloudy && d.Z > 0.02 {
+					own = ownerCloud
+					if clouds.hi == 0 {
+						clouds.lo = int32(px)
+					}
+					clouds.hi = int32(px) + 1
+				}
 			} else {
 				// Intersect z=0 plane.
-				s := -cam.Pos.Z / dir.Z
-				gx := cam.Pos.X + dir.X*s
-				gy := cam.Pos.Y + dir.Y*s
-				mat := tile.Layout.MaterialAt(gx, gy)
-				c = light.shade(groundColors[mat], groundNormal)
+				s := -v.pos.Z / dir.Z
+				gx := v.pos.X + dir.X*s
+				gy := v.pos.Y + dir.Y*s
+				c = shaded[tile.Layout.MaterialAt(gx, gy)]
 				// Distance haze toward the horizon color.
-				dist := math.Hypot(gx-cam.Pos.X, gy-cam.Pos.Y)
+				dist := math.Hypot(gx-v.pos.X, gy-v.pos.Y)
 				haze := geom.Clamp(dist/1200, 0, 0.7)
 				c = c.Lerp(light.skyHorizon, haze)
 			}
-			r.rgb[py*r.w+px] = c
+			r.static[py*r.w+px] = c
+			r.owner[py*r.w+px] = own
 		}
+		r.clouds[py] = clouds
 	}
 }
 
-// sky returns the sky color along direction dir, with value-noise clouds
-// drifting over time.
-func (r *Renderer) sky(dir geom.Vec3, tile *vcity.Tile, t float64, light lightModel) video.Color {
-	d := dir.Norm()
-	elev := geom.Clamp(d.Z, 0, 1)
-	c := light.skyHorizon.Lerp(light.skyTop, math.Sqrt(elev))
+// drawClouds blends value-noise clouds, drifting with time, over the
+// sky pixels no building covers.
+func (r *Renderer) drawClouds(tile *vcity.Tile, t float64) {
+	v, light := &r.view, &r.light
 	cover := tile.Layout.Spec.Weather.CloudCover
-	if cover > 0.02 && d.Z > 0.02 {
-		// Project the direction onto a cloud layer plane and sample noise.
-		scale := 400.0
-		cx := d.X/d.Z*scale + t*6 // clouds drift east
-		cy := d.Y / d.Z * scale
-		n := cloudNoise(cx*0.01, cy*0.01, uint64(tile.Index))
-		thresh := 1 - cover
-		if n > thresh {
-			density := geom.Clamp((n-thresh)/(1.02-thresh), 0, 1)
-			cloud := video.Color{R: 235, G: 235, B: 238}.Scale(0.55 + 0.45*light.diffuse)
-			c = c.Lerp(cloud, density)
+	thresh := 1 - cover
+	cloud := video.Color{R: 235, G: 235, B: 238}.Scale(0.55 + 0.45*light.diffuse)
+	for py, cols := range r.clouds {
+		if cols.lo == cols.hi {
+			continue
+		}
+		dy := (v.halfH - float64(py) - 0.5) / v.focal
+		rise := v.up.Scale(dy)
+		row := py * r.w
+		blocks := r.dirty[(py>>1)*r.rowWords:]
+		for px := int(cols.lo); px < int(cols.hi); px++ {
+			if r.owner[row+px] != ownerCloud {
+				continue
+			}
+			d := r.rays[px].Add(rise).Norm()
+			// Project the direction onto a cloud layer plane and sample
+			// two octaves of noise.
+			scale := 400.0
+			cx := d.X/d.Z*scale + t*6 // clouds drift east
+			cy := d.Y / d.Z * scale
+			x, y := cx*0.01, cy*0.01
+			n := 0.65*r.noise[0].at(x, y) + 0.35*r.noise[1].at(x*2.7, y*2.7)
+			if n > thresh {
+				density := geom.Clamp((n-thresh)/(1.02-thresh), 0, 1)
+				r.rgb[row+px] = r.static[row+px].Lerp(cloud, density)
+				blocks[px>>7] |= 1 << (px >> 1 & 63)
+			}
 		}
 	}
-	return c
 }
 
-// cloudNoise is two octaves of 2D value noise in [0, 1].
-func cloudNoise(x, y float64, seed uint64) float64 {
-	return 0.65*valueNoise(x, y, seed) + 0.35*valueNoise(x*2.7, y*2.7, seed^0xabcdef)
+// noiseCell is 2D value noise in [0, 1] that remembers the four lattice
+// hashes of the cell it sampled last: neighbouring pixels often fall in
+// the same cell.
+type noiseCell struct {
+	seed               uint64
+	xi, yi             float64 // the remembered cell; NaN before the first sample
+	v00, v10, v01, v11 float64
 }
 
-func valueNoise(x, y float64, seed uint64) float64 {
+func newNoiseCell(seed uint64) noiseCell { return noiseCell{seed: seed, xi: math.NaN()} }
+
+func (c *noiseCell) at(x, y float64) float64 {
 	xi, yi := math.Floor(x), math.Floor(y)
 	fx, fy := x-xi, y-yi
 	// Smoothstep interpolation weights.
 	sx := fx * fx * (3 - 2*fx)
 	sy := fy * fy * (3 - 2*fy)
-	v00 := latticeHash(int64(xi), int64(yi), seed)
-	v10 := latticeHash(int64(xi)+1, int64(yi), seed)
-	v01 := latticeHash(int64(xi), int64(yi)+1, seed)
-	v11 := latticeHash(int64(xi)+1, int64(yi)+1, seed)
-	top := v00 + (v10-v00)*sx
-	bot := v01 + (v11-v01)*sx
+	if xi != c.xi || yi != c.yi {
+		c.xi, c.yi = xi, yi
+		c.v00 = latticeHash(int64(xi), int64(yi), c.seed)
+		c.v10 = latticeHash(int64(xi)+1, int64(yi), c.seed)
+		c.v01 = latticeHash(int64(xi), int64(yi)+1, c.seed)
+		c.v11 = latticeHash(int64(xi)+1, int64(yi)+1, c.seed)
+	}
+	top := c.v00 + (c.v10-c.v00)*sx
+	bot := c.v01 + (c.v11-c.v01)*sx
 	return top + (bot-top)*sy
 }
 
@@ -207,106 +365,160 @@ func latticeHash(x, y int64, seed uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// drawFaces collects, sorts, and rasterizes all box faces: buildings
-// first in the collection, then dynamic objects, all depth-sorted
-// together (painter's algorithm, far to near).
-func (r *Renderer) drawFaces(cam *vcity.Camera, tile *vcity.Tile, t float64, light lightModel) {
-	var faces []face
-	for i := range tile.Layout.Buildings {
-		b := &tile.Layout.Buildings[i]
-		faces = appendBoxFaces(faces, cam,
-			geom.Vec3{X: b.Min.X, Y: b.Min.Y, Z: 0},
-			geom.Vec3{X: b.Max.X, Y: b.Max.Y, Z: b.Height},
-			0, b.Facade, light, "")
-	}
-	for _, o := range tile.ObjectsAt(t) {
-		faces = appendObjectFaces(faces, cam, &o, light)
-	}
-	sort.Slice(faces, func(i, j int) bool { return faces[i].depth > faces[j].depth })
-	for i := range faces {
-		r.rasterizeFace(cam, &faces[i])
-	}
+// face is one rasterizable quad, projected: four screen-space corners
+// (wound consistently), a color, and an optional plate texture.
+type face struct {
+	sx, sy [4]float64
+	color  video.Color
+	plate  string // when non-empty, texture the quad with plate glyphs
 }
 
-// appendBoxFaces adds the five visible faces (4 walls + roof) of an
-// axis-aligned box, optionally rotated by yaw about its center.
-func appendBoxFaces(faces []face, cam *vcity.Camera, lo, hi geom.Vec3, yaw float64, c video.Color, light lightModel, plate string) []face {
+// faceKey orders faces for the painter's algorithm: far to near by mean
+// camera depth, and faces of equal depth in the order they were
+// collected. The order is total, so "the face drawn last" is well
+// defined — which is what lets a pixel's static owner stand in for all
+// the static faces behind it (DESIGN.md §5.15).
+type faceKey struct {
+	depth float64
+	idx   int32
+}
+
+func sortFaces(order []faceKey) {
+	slices.SortFunc(order, func(a, b faceKey) int {
+		switch {
+		case a.depth > b.depth:
+			return -1
+		case a.depth < b.depth:
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+}
+
+// appendFace projects a quad and queues it under its sort key. Faces
+// with any vertex behind the near plane are skipped (acceptable for
+// elevated benchmark cameras).
+func (r *Renderer) appendFace(v *[4]geom.Vec3, c video.Color, depth float64, plate string) {
+	r.faces = append(r.faces, face{color: c, plate: plate})
+	f := &r.faces[len(r.faces)-1]
+	for i, p := range v {
+		var ok bool
+		if f.sx[i], f.sy[i], ok = r.view.project(p); !ok {
+			r.faces = r.faces[:len(r.faces)-1]
+			return
+		}
+	}
+	r.order = append(r.order, faceKey{depth: depth, idx: int32(len(r.faces) - 1)})
+}
+
+// boxQuads lists the five visible faces (4 walls + roof) of a box by
+// corner number — footprint corner (−−, +−, ++, −+ in x, y) plus 4 for
+// the top — with each wall's outward normal before rotation.
+var boxQuads = [5]struct {
+	corner [4]uint8
+	nx, ny float64
+	plate  bool
+}{
+	// +X face (front when yaw=0) — carries the license plate.
+	{[4]uint8{1, 2, 6, 5}, 1, 0, true},
+	{[4]uint8{3, 0, 4, 7}, -1, 0, false},
+	{[4]uint8{0, 1, 5, 4}, 0, -1, false},
+	{[4]uint8{2, 3, 7, 6}, 0, 1, false},
+	// Roof.
+	{[4]uint8{4, 5, 6, 7}, 0, 0, false},
+}
+
+// appendBoxFaces queues the camera-facing faces of an axis-aligned box,
+// optionally rotated by yaw about its center.
+func (r *Renderer) appendBoxFaces(lo, hi geom.Vec3, yaw float64, c video.Color, plate string) {
 	cx, cy := (lo.X+hi.X)/2, (lo.Y+hi.Y)/2
-	rot := func(x, y float64) (float64, float64) {
-		if yaw == 0 {
-			return x, y
+	var s, co float64
+	if yaw != 0 {
+		s, co = math.Sincos(yaw)
+	}
+	var corner [8]geom.Vec3
+	for i, xy := range [4][2]float64{{lo.X, lo.Y}, {hi.X, lo.Y}, {hi.X, hi.Y}, {lo.X, hi.Y}} {
+		x, y := xy[0], xy[1]
+		if yaw != 0 {
+			dx, dy := x-cx, y-cy
+			x, y = cx+dx*co-dy*s, cy+dx*s+dy*co
 		}
-		dx, dy := x-cx, y-cy
-		s, co := math.Sincos(yaw)
-		return cx + dx*co - dy*s, cy + dx*s + dy*co
+		corner[i] = geom.Vec3{X: x, Y: y, Z: lo.Z}
+		corner[i+4] = geom.Vec3{X: x, Y: y, Z: hi.Z}
 	}
-	p := func(x, y, z float64) geom.Vec3 {
-		rx, ry := rot(x, y)
-		return geom.Vec3{X: rx, Y: ry, Z: z}
-	}
-	quads := []struct {
-		v      [4]geom.Vec3
-		normal geom.Vec3
-		plate  bool
-	}{
-		// +X face (front when yaw=0) — carries the license plate.
-		{[4]geom.Vec3{p(hi.X, lo.Y, lo.Z), p(hi.X, hi.Y, lo.Z), p(hi.X, hi.Y, hi.Z), p(hi.X, lo.Y, hi.Z)}, rotN(1, 0, yaw), true},
-		{[4]geom.Vec3{p(lo.X, hi.Y, lo.Z), p(lo.X, lo.Y, lo.Z), p(lo.X, lo.Y, hi.Z), p(lo.X, hi.Y, hi.Z)}, rotN(-1, 0, yaw), false},
-		{[4]geom.Vec3{p(lo.X, lo.Y, lo.Z), p(hi.X, lo.Y, lo.Z), p(hi.X, lo.Y, hi.Z), p(lo.X, lo.Y, hi.Z)}, rotN(0, -1, yaw), false},
-		{[4]geom.Vec3{p(hi.X, hi.Y, lo.Z), p(lo.X, hi.Y, lo.Z), p(lo.X, hi.Y, hi.Z), p(hi.X, hi.Y, hi.Z)}, rotN(0, 1, yaw), false},
-		// Roof.
-		{[4]geom.Vec3{p(lo.X, lo.Y, hi.Z), p(hi.X, lo.Y, hi.Z), p(hi.X, hi.Y, hi.Z), p(lo.X, hi.Y, hi.Z)}, geom.Vec3{Z: 1}, false},
-	}
-	for _, q := range quads {
+	for qi := range boxQuads {
+		q := &boxQuads[qi]
+		v := [4]geom.Vec3{corner[q.corner[0]], corner[q.corner[1]], corner[q.corner[2]], corner[q.corner[3]]}
+		normal := geom.Vec3{X: q.nx, Y: q.ny}
+		switch {
+		case q.nx == 0 && q.ny == 0:
+			normal = geom.Vec3{Z: 1}
+		case yaw != 0:
+			normal = geom.Vec3{X: q.nx*co - q.ny*s, Y: q.nx*s + q.ny*co}
+		}
 		// Back-face culling: skip faces pointing away from the camera.
-		center := q.v[0].Add(q.v[2]).Scale(0.5)
-		if q.normal.Dot(cam.Pos.Sub(center)) <= 0 {
+		center := v[0].Add(v[2]).Scale(0.5)
+		if normal.Dot(r.view.pos.Sub(center)) <= 0 {
 			continue
 		}
-		f := face{v: q.v, color: light.shade(c, q.normal), depth: meanDepth(cam, q.v)}
-		if f.depth <= 0 {
+		depth := r.meanDepth(&v)
+		if depth <= 0 {
 			continue
 		}
-		if q.plate && plate != "" {
-			f.plate = plate
+		facePlate := ""
+		if q.plate {
+			facePlate = plate
 		}
-		faces = append(faces, f)
+		r.appendFace(&v, r.light.shade(c, normal), depth, facePlate)
 	}
-	return faces
 }
 
-func rotN(nx, ny float64, yaw float64) geom.Vec3 {
-	if yaw == 0 {
-		return geom.Vec3{X: nx, Y: ny}
-	}
-	s, c := math.Sincos(yaw)
-	return geom.Vec3{X: nx*c - ny*s, Y: nx*s + ny*c}
-}
-
-func meanDepth(cam *vcity.Camera, v [4]geom.Vec3) float64 {
-	fwd, _, _ := cam.Basis()
+func (r *Renderer) meanDepth(v *[4]geom.Vec3) float64 {
 	d := 0.0
 	for _, p := range v {
-		d += p.Sub(cam.Pos).Dot(fwd)
+		d += r.view.depth(p)
 	}
 	return d / 4
 }
 
-// appendObjectFaces adds a dynamic object's box faces, plus a license
-// plate quad for vehicles.
-func appendObjectFaces(faces []face, cam *vcity.Camera, o *vcity.SceneObject, light lightModel) []face {
-	lo := geom.Vec3{X: o.Center.X - o.HalfL, Y: o.Center.Y - o.HalfW, Z: o.Center.Z - o.HalfH}
-	hi := geom.Vec3{X: o.Center.X + o.HalfL, Y: o.Center.Y + o.HalfW, Z: o.Center.Z + o.HalfH}
-	faces = appendBoxFaces(faces, cam, lo, hi, o.Heading, o.Color, light, "")
-	if o.Class == vcity.ClassVehicle && o.Plate != "" {
-		faces = appendPlateFace(faces, cam, o)
+// drawObjects collects the faces of the tile's moving objects, sorts
+// them far to near and rasterizes each over the static layer wherever
+// it is in front of the pixel's static owner. Painting every face of
+// the scene far to near leaves each pixel showing the covering face
+// that sorts last; the static face with that property is the pixel's
+// owner, so comparing against the owner alone gives the same image.
+func (r *Renderer) drawObjects(tile *vcity.Tile, t float64) {
+	r.objs = tile.AppendObjectsAt(r.objs[:0], t)
+	r.faces, r.order = r.faces[:0], r.order[:0]
+	for i := range r.objs {
+		o := &r.objs[i]
+		lo := geom.Vec3{X: o.Center.X - o.HalfL, Y: o.Center.Y - o.HalfW, Z: o.Center.Z - o.HalfH}
+		hi := geom.Vec3{X: o.Center.X + o.HalfL, Y: o.Center.Y + o.HalfW, Z: o.Center.Z + o.HalfH}
+		r.appendBoxFaces(lo, hi, o.Heading, o.Color, "")
+		if o.Class == vcity.ClassVehicle && o.Plate != "" {
+			r.appendPlateFace(o)
+		}
 	}
-	return faces
+	sortFaces(r.order)
+	for _, k := range r.order {
+		// Static faces were collected first, so at equal depth the moving
+		// face sorts later and wins: it is in front of every rank whose
+		// depth is at least its own, and depths falls with rank.
+		lo, hi := 0, len(r.depths)
+		for lo < hi {
+			if mid := (lo + hi) / 2; r.depths[mid] >= k.depth {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		r.fill(&r.faces[k.idx], ownerFace+uint16(lo), 0)
+	}
 }
 
-// appendPlateFace adds the front license plate: a 0.52×0.11 m quad just
-// ahead of the vehicle's +heading face, 0.5 m above ground.
-func appendPlateFace(faces []face, cam *vcity.Camera, o *vcity.SceneObject) []face {
+// appendPlateFace queues the front license plate: a 0.52×0.11 m quad
+// just ahead of the vehicle's +heading face, 0.5 m above ground.
+func (r *Renderer) appendPlateFace(o *vcity.SceneObject) {
 	s, c := math.Sincos(o.Heading)
 	fwd2 := geom.Vec2{X: c, Y: s}
 	side := geom.Vec2{X: -s, Y: c}
@@ -324,38 +536,32 @@ func appendPlateFace(faces []face, cam *vcity.Camera, o *vcity.SceneObject) []fa
 	v := [4]geom.Vec3{mk(-1, 1), mk(1, 1), mk(1, -1), mk(-1, -1)}
 	normal := geom.Vec3{X: c, Y: s}
 	centerV := v[0].Add(v[2]).Scale(0.5)
-	if normal.Dot(cam.Pos.Sub(centerV)) <= 0 {
-		return faces
+	if normal.Dot(r.view.pos.Sub(centerV)) <= 0 {
+		return
 	}
-	d := meanDepth(cam, v)
+	d := r.meanDepth(&v)
 	if d <= 0 {
-		return faces
+		return
 	}
-	faces = append(faces, face{v: v, color: video.Color{R: 240, G: 240, B: 240}, depth: d - 0.05, plate: o.Plate})
-	return faces
+	r.appendFace(&v, video.Color{R: 240, G: 240, B: 240}, d-0.05, o.Plate)
 }
 
-// rasterizeFace projects and scanline-fills one quad. Faces with any
-// vertex behind the near plane are skipped (acceptable for elevated
-// benchmark cameras). Plate faces are textured with glyphs via inverse
-// bilinear UV estimation.
-func (r *Renderer) rasterizeFace(cam *vcity.Camera, f *face) {
-	var sx, sy [4]float64
-	for i, p := range f.v {
-		x, y, _, ok := cam.Project(p, r.w, r.h)
-		if !ok {
-			return
-		}
-		sx[i], sy[i] = x, y
-	}
-	minY := int(math.Floor(math.Min(math.Min(sy[0], sy[1]), math.Min(sy[2], sy[3]))))
-	maxY := int(math.Ceil(math.Max(math.Max(sy[0], sy[1]), math.Max(sy[2], sy[3]))))
+// fill scanline-fills one projected quad. While the layer is built
+// (own != 0) the face is painted into the static layer and becomes the
+// owner of every pixel it covers; in a frame (own == 0) it is painted
+// into rgb only over pixels whose owner is below limit. Plate faces are
+// textured with glyphs via inverse bilinear UV estimation.
+func (r *Renderer) fill(f *face, limit, own uint16) {
+	sx, sy := &f.sx, &f.sy
+	minY := int(math.Floor(min(sy[0], sy[1], sy[2], sy[3])))
+	maxY := int(math.Ceil(max(sy[0], sy[1], sy[2], sy[3])))
 	minY = geom.ClampInt(minY, 0, r.h-1)
 	maxY = geom.ClampInt(maxY, 0, r.h-1)
 	for py := minY; py <= maxY; py++ {
 		yc := float64(py) + 0.5
 		// Collect intersections of the scanline with the quad edges.
-		var xs []float64
+		var xs [4]float64
+		n := 0
 		for i := 0; i < 4; i++ {
 			j := (i + 1) % 4
 			y0, y1 := sy[i], sy[j]
@@ -363,32 +569,46 @@ func (r *Renderer) rasterizeFace(cam *vcity.Camera, f *face) {
 				continue
 			}
 			tEdge := (yc - y0) / (y1 - y0)
-			xs = append(xs, sx[i]+(sx[j]-sx[i])*tEdge)
+			xs[n] = sx[i] + (sx[j]-sx[i])*tEdge
+			n++
 		}
-		if len(xs) < 2 {
+		if n < 2 {
 			continue
 		}
 		lo, hi := xs[0], xs[0]
-		for _, x := range xs[1:] {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
+		for _, x := range xs[1:n] {
+			lo = min(lo, x)
+			hi = max(hi, x)
 		}
 		x0 := geom.ClampInt(int(math.Floor(lo+0.5)), 0, r.w-1)
 		x1 := geom.ClampInt(int(math.Ceil(hi-0.5)), 0, r.w-1)
+		row := py * r.w
+		if own != 0 {
+			for i := row + x0; i <= row+x1; i++ {
+				r.static[i] = f.color
+				r.owner[i] = own
+			}
+			continue
+		}
 		for px := x0; px <= x1; px++ {
+			if r.owner[row+px] >= limit {
+				continue
+			}
 			c := f.color
 			if f.plate != "" {
-				c = r.plateTexel(f, sx, sy, float64(px)+0.5, yc)
+				c = plateTexel(f, float64(px)+0.5, yc)
 			}
-			r.rgb[py*r.w+px] = c
+			r.rgb[row+px] = c
 		}
+		r.markDirty(py, x0, x1)
 	}
 }
 
 // plateTexel samples the plate texture at screen point (x, y) using an
 // affine approximation of the quad's UV mapping (adequate for the small
 // screen footprint of plates).
-func (r *Renderer) plateTexel(f *face, sx, sy [4]float64, x, y float64) video.Color {
+func plateTexel(f *face, x, y float64) video.Color {
+	sx, sy := &f.sx, &f.sy
 	// Basis: v0→v1 is u (text direction), v0→v3 is v (downward).
 	ux, uy := sx[1]-sx[0], sy[1]-sy[0]
 	vx, vy := sx[3]-sx[0], sy[3]-sy[0]
@@ -440,38 +660,66 @@ func (r *Renderer) drawRain(tile *vcity.Tile, w vcity.Weather, t float64) {
 		for dy := 0; dy < length && y+dy < r.h; dy++ {
 			idx := (y+dy)*r.w + x
 			r.rgb[idx] = r.rgb[idx].Lerp(video.Color{R: 200, G: 205, B: 215}, 0.45)
+			r.markDirty(y+dy, x, x)
 		}
 	}
 }
 
-// toFrameInto converts the RGB buffer to YUV 4:2:0 in place in f,
-// overwriting every luma and chroma sample.
-func (r *Renderer) toFrameInto(f *video.Frame) {
-	cw := f.ChromaW()
-	// Luma per pixel; chroma averaged over each 2×2 block.
-	for y := 0; y < r.h; y++ {
-		for x := 0; x < r.w; x++ {
-			Y, _, _ := r.rgb[y*r.w+x].YUV()
-			f.Y[y*r.w+x] = Y
+// markDirty records that pixels x0..x1 of row py may differ from the
+// static layer.
+func (r *Renderer) markDirty(py, x0, x1 int) {
+	blocks := r.dirty[(py>>1)*r.rowWords:]
+	b0, b1 := x0>>1, x1>>1
+	for w := b0 >> 6; w <= b1>>6; w++ {
+		mask := ^uint64(0)
+		if w == b0>>6 {
+			mask &= ^uint64(0) << (b0 & 63)
 		}
+		if w == b1>>6 {
+			mask &= ^uint64(0) >> (63 - b1&63)
+		}
+		blocks[w] |= mask
 	}
-	for cy := 0; cy < f.ChromaH(); cy++ {
-		for cx := 0; cx < cw; cx++ {
-			var su, sv, n int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					x, y := cx*2+dx, cy*2+dy
-					if x >= r.w || y >= r.h {
-						continue
+}
+
+// convertDirty converts the blocks this frame changed to YUV 4:2:0 in
+// dst — the rest of dst already holds the layer's conversion — and puts
+// the static layer back into rgb for the next frame.
+func (r *Renderer) convertDirty(dst *video.Frame) {
+	for cy := 0; cy < dst.ChromaH(); cy++ {
+		for wi, word := range r.dirty[cy*r.rowWords : (cy+1)*r.rowWords] {
+			if word == 0 {
+				continue
+			}
+			r.dirty[cy*r.rowWords+wi] = 0
+			for ; word != 0; word &= word - 1 {
+				cx := wi*64 + bits.TrailingZeros64(word)
+				r.convertBlock(r.rgb, dst, cx, cy)
+				for y := cy * 2; y < cy*2+2 && y < r.h; y++ {
+					for x := cx * 2; x < cx*2+2 && x < r.w; x++ {
+						r.rgb[y*r.w+x] = r.static[y*r.w+x]
 					}
-					_, u, v := r.rgb[y*r.w+x].YUV()
-					su += int(u)
-					sv += int(v)
-					n++
 				}
 			}
-			f.U[cy*cw+cx] = byte(su / n)
-			f.V[cy*cw+cx] = byte(sv / n)
 		}
 	}
+}
+
+// convertBlock converts one 2×2 pixel block of src to YUV 4:2:0 in f:
+// luma per pixel, chroma averaged over the block's pixels inside the
+// image.
+func (r *Renderer) convertBlock(src []video.Color, f *video.Frame, cx, cy int) {
+	var su, sv, n int
+	for y := cy * 2; y < cy*2+2 && y < r.h; y++ {
+		for x := cx * 2; x < cx*2+2 && x < r.w; x++ {
+			Y, u, v := src[y*r.w+x].YUV()
+			f.Y[y*r.w+x] = Y
+			su += int(u)
+			sv += int(v)
+			n++
+		}
+	}
+	ci := cy*f.ChromaW() + cx
+	f.U[ci] = byte(su / n)
+	f.V[ci] = byte(sv / n)
 }

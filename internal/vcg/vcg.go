@@ -231,9 +231,20 @@ func Generate(p vcity.Hyperparams, opt Options, store vfs.Store) (*Result, error
 	// goroutine, so each node's work time is measured without CPU
 	// contention from its peers — the Figure 9 measurement mode, where
 	// every simulated node is its own machine.
-	runCamera := func(ci int) {
+	//
+	// Each worker keeps one renderer and one frame pool for all the
+	// cameras it is handed, so render memory is O(workers × pixels)
+	// whatever the camera count; a frame is a pure function of (camera,
+	// t), so which worker renders a camera cannot show in the bytes.
+	stages := make([]camStage, opt.Workers)
+	runCamera := func(worker, ci int) {
 		camStart := time.Now()
-		meta, err := generateCamera(city, cams[ci], opt, store)
+		st := &stages[worker]
+		if st.r == nil {
+			st.r = render.New(city, p.Width, p.Height)
+			st.pool = video.NewFramePool(p.Width, p.Height)
+		}
+		meta, err := generateCamera(city, cams[ci], opt, store, st)
 		camWork[ci] = time.Since(camStart)
 		results[ci] = camResult{meta: meta, err: err}
 	}
@@ -241,13 +252,13 @@ func Generate(p vcity.Hyperparams, opt Options, store vfs.Store) (*Result, error
 		for node := 0; node < opt.Nodes; node++ {
 			for ci := range cams {
 				if ci%opt.Nodes == node {
-					runCamera(ci)
+					runCamera(0, ci)
 				}
 			}
 		}
 	} else {
-		parallel.ForEach(opt.Workers, len(cams), func(ci int) error {
-			runCamera(ci)
+		parallel.ForEachWorker(opt.Workers, len(cams), func(worker, ci int) error {
+			runCamera(worker, ci)
 			return nil
 		})
 	}
@@ -289,12 +300,20 @@ func Generate(p vcity.Hyperparams, opt Options, store vfs.Store) (*Result, error
 // when capture and encode were separate passes.
 const pipeDepth = 3
 
+// camStage is what one generate worker carries from camera to camera:
+// the renderer (whose static layer it rebuilds per camera) and the pool
+// its frames cycle through.
+type camStage struct {
+	r    *render.Renderer
+	pool *video.FramePool
+}
+
 // generateCamera renders, post-processes, encodes, and stores one
 // camera's video. Rendering and encoding run as a streaming pipeline:
 // the renderer produces frames into a bounded channel and the encoder
 // consumes them in order, with frame buffers recycled through a pool.
 // In Sequential mode the same loop runs on the calling goroutine.
-func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.Store) (VideoMeta, error) {
+func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.Store, st *camStage) (VideoMeta, error) {
 	p := city.Params
 	cfg := codec.Config{
 		Width: p.Width, Height: p.Height, FPS: p.FPS,
@@ -306,8 +325,7 @@ func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.
 	if err != nil {
 		return VideoMeta{}, fmt.Errorf("vcg: camera %s: %w", cam.ID, err)
 	}
-	r := render.New(city, p.Width, p.Height)
-	pool := video.NewFramePool(p.Width, p.Height)
+	r, pool := st.r, st.pool
 	recSeed := p.Seed ^ fnv(cam.ID)
 	n := p.FrameCount()
 	if n == 0 {

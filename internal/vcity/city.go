@@ -216,10 +216,15 @@ func (o *SceneObject) Corners() [8]geom.Vec3 {
 // ObjectsAt returns the poses of all dynamic objects in the tile at
 // simulation time t (seconds).
 func (t *Tile) ObjectsAt(time float64) []SceneObject {
-	out := make([]SceneObject, 0, len(t.Vehicles)+len(t.Pedestrians))
+	return t.AppendObjectsAt(make([]SceneObject, 0, len(t.Vehicles)+len(t.Pedestrians)), time)
+}
+
+// AppendObjectsAt appends the poses ObjectsAt returns to dst, so a
+// caller asking frame after frame can reuse one slice.
+func (t *Tile) AppendObjectsAt(dst []SceneObject, time float64) []SceneObject {
 	for _, v := range t.Vehicles {
 		pos, heading := v.PositionAt(time)
-		out = append(out, SceneObject{
+		dst = append(dst, SceneObject{
 			Class:   ClassVehicle,
 			ID:      v.ID,
 			Plate:   v.Plate,
@@ -233,7 +238,7 @@ func (t *Tile) ObjectsAt(time float64) []SceneObject {
 	}
 	for _, p := range t.Pedestrians {
 		pos, heading := p.PositionAt(time)
-		out = append(out, SceneObject{
+		dst = append(dst, SceneObject{
 			Class:   ClassPedestrian,
 			ID:      p.ID,
 			Color:   p.Color,
@@ -244,7 +249,7 @@ func (t *Tile) ObjectsAt(time float64) []SceneObject {
 			Heading: heading,
 		})
 	}
-	return out
+	return dst
 }
 
 // TileOf returns the tile owning the given camera.
