@@ -9,15 +9,7 @@ import (
 // frame per capture interval at the city's configured resolution and
 // frame rate.
 func Capture(city *vcity.City, cam *vcity.Camera) *video.Video {
-	p := city.Params
-	r := New(city, p.Width, p.Height)
-	out := video.NewVideo(p.FPS)
-	n := p.FrameCount()
-	for i := 0; i < n; i++ {
-		t := float64(i) / float64(p.FPS)
-		out.Append(r.Frame(cam, t))
-	}
-	return out
+	return CaptureFrames(city, cam, 0, city.Params.FrameCount())
 }
 
 // CaptureFrames renders n frames of cam starting at time t0.

@@ -2,6 +2,7 @@ package vcity
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -364,6 +365,25 @@ func TestObjectsAtCount(t *testing.T) {
 	objs := tile.ObjectsAt(3)
 	if len(objs) != len(tile.Vehicles)+len(tile.Pedestrians) {
 		t.Errorf("ObjectsAt returned %d, want %d", len(objs), len(tile.Vehicles)+len(tile.Pedestrians))
+	}
+}
+
+// TestAppendObjectsAtReusesSlice pins what the renderer's steady state
+// relies on: appending into a slice that already has the capacity
+// allocates nothing and yields exactly ObjectsAt's poses.
+func TestAppendObjectsAtReusesSlice(t *testing.T) {
+	city, _ := Generate(Hyperparams{Scale: 1, Seed: 10})
+	tile := city.Tiles[0]
+	buf := tile.AppendObjectsAt(nil, 0)
+	tm := 0.0
+	if allocs := testing.AllocsPerRun(20, func() {
+		tm += 0.1
+		buf = tile.AppendObjectsAt(buf[:0], tm)
+	}); allocs != 0 {
+		t.Errorf("%.1f allocations per AppendObjectsAt into a reused slice, want 0", allocs)
+	}
+	if want := tile.ObjectsAt(tm); !reflect.DeepEqual(buf, want) {
+		t.Error("AppendObjectsAt and ObjectsAt disagree at the same instant")
 	}
 }
 
