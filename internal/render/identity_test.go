@@ -21,8 +21,10 @@ import (
 // the renderer as it was before the static layer — every pixel of every
 // frame derived from scratch — and TestRenderMatchesOracle holds
 // render.Renderer to it byte for byte over a seeded corpus, on every
-// architecture. testdata/render_golden.sha256 pins the same frames
-// across commits.
+// architecture; the one deliberate difference, the edge-column fix, is
+// a guarded line in the oracle whose whole effect
+// TestEdgeColumnFixIsConfined measures. testdata/render_golden.sha256
+// pins the same frames across commits.
 
 // corpusSeeds at Scale 3 draw every weather, every density and both
 // maps (checked by corpusCities); seed s renders at corpusSizes[s%3].
@@ -117,6 +119,7 @@ func TestRenderMatchesOracle(t *testing.T) {
 		}
 		walker.SetCity(c.city)
 		oracle := newOracle(c.city, c.w, c.h)
+		oracle.clip = true
 		pooled := video.NewFrame(c.w, c.h)
 		cams := c.city.AllCameras()
 		check := func(cam *vcity.Camera, tm float64, into bool) {
@@ -148,6 +151,51 @@ func TestRenderMatchesOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d frames compared", frames)
+}
+
+// TestEdgeColumnFixIsConfined measures everything the renderer does
+// differently from the one it replaced. The old rasterizer clamped a
+// scanline span into the image before asking whether it was on screen,
+// so a face wholly left or right of the image painted column 0 or w−1
+// on every row it spanned. Rejecting such spans (oracle.clip, and the
+// renderer) must change those two luma columns and the chroma columns
+// over them, and nothing else.
+func TestEdgeColumnFixIsConfined(t *testing.T) {
+	frames, changed := 0, 0
+	for _, c := range corpusCities(t) {
+		old, fixed := newOracle(c.city, c.w, c.h), newOracle(c.city, c.w, c.h)
+		fixed.clip = true
+		for _, cam := range c.city.AllCameras() {
+			for _, tm := range goldenTimes {
+				a, b := old.Frame(cam, tm), fixed.Frame(cam, tm)
+				frames++
+				differs := false
+				for _, p := range []struct {
+					name   string
+					a, b   []byte
+					stride int
+				}{{"Y", a.Y, b.Y, a.W}, {"U", a.U, b.U, a.ChromaW()}, {"V", a.V, b.V, a.ChromaW()}} {
+					for i := range p.a {
+						if p.a[i] == p.b[i] {
+							continue
+						}
+						differs = true
+						if x := i % p.stride; x != 0 && x != p.stride-1 {
+							t.Fatalf("seed %d %s t=%v: the fix moved %s(%d, %d), not an edge column",
+								c.seed, cam.ID, tm, p.name, x, i/p.stride)
+						}
+					}
+				}
+				if differs {
+					changed++
+				}
+			}
+		}
+	}
+	if changed == 0 {
+		t.Error("the fix changed no frame of the corpus: the oracle's clip guard is not reached")
+	}
+	t.Logf("%d of %d frames differ, in edge columns only", changed, frames)
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/render_golden.sha256")

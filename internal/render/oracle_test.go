@@ -2,9 +2,17 @@
 // layer (commit a2ebd41), which derives every pixel of every frame from
 // scratch. It is kept verbatim — `git diff a2ebd41:internal/render/renderer.go
 // internal/render/oracle_test.go` shows this header, the package clause,
-// the dot import, Renderer → oracleRenderer and New → newOracle — so that
+// the dot import, Renderer → oracleRenderer, New → newOracle and the clip
+// field with its one guarded `continue` in rasterizeFace — so that
 // TestRenderMatchesOracle compares the renderer against what it replaced,
 // not against a paraphrase. Do not tidy it.
+//
+// With clip unset this is the old renderer, bug included: a scanline span
+// was clamped into [0, w−1] before anyone asked whether it was on screen,
+// so a face wholly left or right of the image painted the edge column.
+// The renderer rejects such spans; clip makes the oracle do the same, and
+// TestEdgeColumnFixIsConfined shows the two oracles differ in nothing but
+// the two edge columns.
 
 package render_test
 
@@ -27,6 +35,7 @@ type oracleRenderer struct {
 	city *vcity.City
 	w, h int
 	rgb  []video.Color
+	clip bool // test-only: reject off-image spans before clamping (the edge-column fix)
 }
 
 // New returns a renderer producing w×h frames of the given city.
@@ -381,6 +390,9 @@ func (r *oracleRenderer) rasterizeFace(cam *vcity.Camera, f *face) {
 		for _, x := range xs[1:] {
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
+		}
+		if r.clip && (int(math.Ceil(hi-0.5)) < 0 || int(math.Floor(lo+0.5)) > r.w-1) {
+			continue
 		}
 		x0 := geom.ClampInt(int(math.Floor(lo+0.5)), 0, r.w-1)
 		x1 := geom.ClampInt(int(math.Ceil(hi-0.5)), 0, r.w-1)

@@ -395,20 +395,32 @@ func sortFaces(order []faceKey) {
 	})
 }
 
-// appendFace projects a quad and queues it under its sort key. Faces
-// with any vertex behind the near plane are skipped (acceptable for
-// elevated benchmark cameras).
-func (r *Renderer) appendFace(v *[4]geom.Vec3, c video.Color, depth float64, plate string) {
-	r.faces = append(r.faces, face{color: c, plate: plate})
+// appendFace projects a quad and queues it under its sort key, leaving
+// its color to the caller. It returns nil for a face that draws
+// nothing: one with a vertex behind the near plane (acceptable for
+// elevated benchmark cameras), or one wholly outside the image.
+func (r *Renderer) appendFace(v *[4]geom.Vec3, depth float64, plate string) *face {
+	r.faces = append(r.faces, face{plate: plate})
 	f := &r.faces[len(r.faces)-1]
 	for i, p := range v {
 		var ok bool
 		if f.sx[i], f.sy[i], ok = r.view.project(p); !ok {
 			r.faces = r.faces[:len(r.faces)-1]
-			return
+			return nil
 		}
 	}
+	// No scanline crosses a face whose corners are all at or above the
+	// first pixel centre or all below the last, and fill rejects every
+	// span of a face left or right of the image; the pixel of margin
+	// there covers the rounding of fill's edge interpolation.
+	sx, sy := &f.sx, &f.sy
+	if max(sy[0], sy[1], sy[2], sy[3]) <= 0.5 || min(sy[0], sy[1], sy[2], sy[3]) > float64(r.h)-0.5 ||
+		max(sx[0], sx[1], sx[2], sx[3]) <= -1.5 || min(sx[0], sx[1], sx[2], sx[3]) >= float64(r.w)+0.5 {
+		r.faces = r.faces[:len(r.faces)-1]
+		return nil
+	}
 	r.order = append(r.order, faceKey{depth: depth, idx: int32(len(r.faces) - 1)})
+	return f
 }
 
 // boxQuads lists the five visible faces (4 walls + roof) of a box by
@@ -469,7 +481,9 @@ func (r *Renderer) appendBoxFaces(lo, hi geom.Vec3, yaw float64, c video.Color, 
 		if q.plate {
 			facePlate = plate
 		}
-		r.appendFace(&v, r.light.shade(c, normal), depth, facePlate)
+		if f := r.appendFace(&v, depth, facePlate); f != nil {
+			f.color = r.light.shade(c, normal)
+		}
 	}
 }
 
@@ -543,7 +557,9 @@ func (r *Renderer) appendPlateFace(o *vcity.SceneObject) {
 	if d <= 0 {
 		return
 	}
-	r.appendFace(&v, video.Color{R: 240, G: 240, B: 240}, d-0.05, o.Plate)
+	if f := r.appendFace(&v, d-0.05, o.Plate); f != nil {
+		f.color = video.Color{R: 240, G: 240, B: 240}
+	}
 }
 
 // fill scanline-fills one projected quad. While the layer is built
@@ -580,8 +596,13 @@ func (r *Renderer) fill(f *face, limit, own uint16) {
 			lo = min(lo, x)
 			hi = max(hi, x)
 		}
-		x0 := geom.ClampInt(int(math.Floor(lo+0.5)), 0, r.w-1)
-		x1 := geom.ClampInt(int(math.Ceil(hi-0.5)), 0, r.w-1)
+		x0, x1 := int(math.Floor(lo+0.5)), int(math.Ceil(hi-0.5))
+		if x1 < 0 || x0 > r.w-1 {
+			// Wholly left or right of the image. Clamping first would
+			// paint such a span into the edge column.
+			continue
+		}
+		x0, x1 = max(x0, 0), min(x1, r.w-1)
 		row := py * r.w
 		if own != 0 {
 			for i := row + x0; i <= row+x1; i++ {
