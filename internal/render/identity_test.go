@@ -74,18 +74,20 @@ func corpusCities(t *testing.T) []corpusCity {
 	return out
 }
 
+// plane is one sample plane of two frames being compared.
+type plane struct {
+	name   string
+	a, b   []byte
+	stride int
+}
+
+func planes(a, b *video.Frame) []plane {
+	return []plane{{"Y", a.Y, b.Y, a.W}, {"U", a.U, b.U, a.ChromaW()}, {"V", a.V, b.V, a.ChromaW()}}
+}
+
 // sameFrame reports the first sample at which got differs from want.
 func sameFrame(want, got *video.Frame) error {
-	for _, p := range []struct {
-		name      string
-		a, b      []byte
-		stride    int
-		planeRows int
-	}{
-		{"Y", want.Y, got.Y, want.W, want.H},
-		{"U", want.U, got.U, want.ChromaW(), want.ChromaH()},
-		{"V", want.V, got.V, want.ChromaW(), want.ChromaH()},
-	} {
+	for _, p := range planes(want, got) {
 		if len(p.a) != len(p.b) {
 			return fmt.Errorf("plane %s has %d samples, want %d", p.name, len(p.b), len(p.a))
 		}
@@ -170,11 +172,7 @@ func TestEdgeColumnFixIsConfined(t *testing.T) {
 				a, b := old.Frame(cam, tm), fixed.Frame(cam, tm)
 				frames++
 				differs := false
-				for _, p := range []struct {
-					name   string
-					a, b   []byte
-					stride int
-				}{{"Y", a.Y, b.Y, a.W}, {"U", a.U, b.U, a.ChromaW()}, {"V", a.V, b.V, a.ChromaW()}} {
+				for _, p := range planes(a, b) {
 					for i := range p.a {
 						if p.a[i] == p.b[i] {
 							continue

@@ -99,11 +99,9 @@ func (r *Renderer) FrameInto(cam *vcity.Camera, t float64, dst *video.Frame) {
 	copy(dst.U, r.base.U)
 	copy(dst.V, r.base.V)
 
-	r.drawClouds(tile, t)
-	r.drawObjects(tile, t)
-	if weather := tile.Layout.Spec.Weather; weather.Precip != vcity.Dry {
-		r.drawRain(tile, weather, t)
-	}
+	r.drawClouds(t)
+	r.drawObjects(t)
+	r.drawRain(t)
 	r.convertDirty(dst)
 }
 
@@ -116,7 +114,7 @@ func (r *Renderer) buildLayer(cam *vcity.Camera, tile *vcity.Tile) {
 	r.light = lighting(tile.Layout.Spec.Weather)
 	r.noise = [2]noiseCell{newNoiseCell(uint64(tile.Index)), newNoiseCell(uint64(tile.Index) ^ 0xabcdef)}
 
-	r.drawGroundAndSky(tile)
+	r.drawGroundAndSky()
 
 	r.faces, r.order = r.faces[:0], r.order[:0]
 	for i := range tile.Layout.Buildings {
@@ -124,7 +122,7 @@ func (r *Renderer) buildLayer(cam *vcity.Camera, tile *vcity.Tile) {
 		r.appendBoxFaces(
 			geom.Vec3{X: b.Min.X, Y: b.Min.Y, Z: 0},
 			geom.Vec3{X: b.Max.X, Y: b.Max.Y, Z: b.Height},
-			0, b.Facade, "")
+			0, b.Facade)
 	}
 	if len(r.faces) > math.MaxUint16-int(ownerFace) {
 		panic("render: more static faces in view than the owner plane can name")
@@ -136,12 +134,12 @@ func (r *Renderer) buildLayer(cam *vcity.Camera, tile *vcity.Tile) {
 		r.fill(&r.faces[k.idx], 0, ownerFace+uint16(rank))
 	}
 
+	copy(r.rgb, r.static)
 	for cy := 0; cy < r.base.ChromaH(); cy++ {
 		for cx := 0; cx < r.base.ChromaW(); cx++ {
-			r.convertBlock(r.static, r.base, cx, cy)
+			r.convertBlock(r.base, cx, cy)
 		}
 	}
-	copy(r.rgb, r.static)
 	clear(r.dirty)
 }
 
@@ -243,8 +241,8 @@ var groundColors = [...]video.Color{
 // view ray: rays that point above the horizon sample the cloudless sky,
 // and are marked ownerCloud where clouds can cover them; the rest
 // intersect the ground plane and sample the tile's material map.
-func (r *Renderer) drawGroundAndSky(tile *vcity.Tile) {
-	v, light := &r.view, &r.light
+func (r *Renderer) drawGroundAndSky() {
+	v, light, layout := &r.view, &r.light, r.tile.Layout
 	var shaded [len(groundColors)]video.Color
 	for m, c := range groundColors {
 		shaded[m] = light.shade(c, geom.Vec3{Z: 1})
@@ -253,7 +251,7 @@ func (r *Renderer) drawGroundAndSky(tile *vcity.Tile) {
 		dx := (float64(px) + 0.5 - v.halfW) / v.focal
 		r.rays[px] = v.fwd.Add(v.right.Scale(dx))
 	}
-	cloudy := tile.Layout.Spec.Weather.CloudCover > 0.02
+	cloudy := layout.Spec.Weather.CloudCover > 0.02
 	for py := 0; py < r.h; py++ {
 		// View ray through pixel center.
 		dy := (v.halfH - float64(py) - 0.5) / v.focal
@@ -279,7 +277,7 @@ func (r *Renderer) drawGroundAndSky(tile *vcity.Tile) {
 				s := -v.pos.Z / dir.Z
 				gx := v.pos.X + dir.X*s
 				gy := v.pos.Y + dir.Y*s
-				c = shaded[tile.Layout.MaterialAt(gx, gy)]
+				c = shaded[layout.MaterialAt(gx, gy)]
 				// Distance haze toward the horizon color.
 				dist := math.Hypot(gx-v.pos.X, gy-v.pos.Y)
 				haze := geom.Clamp(dist/1200, 0, 0.7)
@@ -294,10 +292,9 @@ func (r *Renderer) drawGroundAndSky(tile *vcity.Tile) {
 
 // drawClouds blends value-noise clouds, drifting with time, over the
 // sky pixels no building covers.
-func (r *Renderer) drawClouds(tile *vcity.Tile, t float64) {
+func (r *Renderer) drawClouds(t float64) {
 	v, light := &r.view, &r.light
-	cover := tile.Layout.Spec.Weather.CloudCover
-	thresh := 1 - cover
+	thresh := 1 - r.tile.Layout.Spec.Weather.CloudCover
 	cloud := video.Color{R: 235, G: 235, B: 238}.Scale(0.55 + 0.45*light.diffuse)
 	for py, cols := range r.clouds {
 		if cols.lo == cols.hi {
@@ -429,20 +426,17 @@ func (r *Renderer) appendFace(v *[4]geom.Vec3, depth float64, plate string) *fac
 var boxQuads = [5]struct {
 	corner [4]uint8
 	nx, ny float64
-	plate  bool
 }{
-	// +X face (front when yaw=0) — carries the license plate.
-	{[4]uint8{1, 2, 6, 5}, 1, 0, true},
-	{[4]uint8{3, 0, 4, 7}, -1, 0, false},
-	{[4]uint8{0, 1, 5, 4}, 0, -1, false},
-	{[4]uint8{2, 3, 7, 6}, 0, 1, false},
-	// Roof.
-	{[4]uint8{4, 5, 6, 7}, 0, 0, false},
+	{[4]uint8{1, 2, 6, 5}, 1, 0}, // +X, the front when yaw=0
+	{[4]uint8{3, 0, 4, 7}, -1, 0},
+	{[4]uint8{0, 1, 5, 4}, 0, -1},
+	{[4]uint8{2, 3, 7, 6}, 0, 1},
+	{[4]uint8{4, 5, 6, 7}, 0, 0}, // roof
 }
 
 // appendBoxFaces queues the camera-facing faces of an axis-aligned box,
 // optionally rotated by yaw about its center.
-func (r *Renderer) appendBoxFaces(lo, hi geom.Vec3, yaw float64, c video.Color, plate string) {
+func (r *Renderer) appendBoxFaces(lo, hi geom.Vec3, yaw float64, c video.Color) {
 	cx, cy := (lo.X+hi.X)/2, (lo.Y+hi.Y)/2
 	var s, co float64
 	if yaw != 0 {
@@ -477,11 +471,7 @@ func (r *Renderer) appendBoxFaces(lo, hi geom.Vec3, yaw float64, c video.Color, 
 		if depth <= 0 {
 			continue
 		}
-		facePlate := ""
-		if q.plate {
-			facePlate = plate
-		}
-		if f := r.appendFace(&v, depth, facePlate); f != nil {
+		if f := r.appendFace(&v, depth, ""); f != nil {
 			f.color = r.light.shade(c, normal)
 		}
 	}
@@ -501,14 +491,14 @@ func (r *Renderer) meanDepth(v *[4]geom.Vec3) float64 {
 // the scene far to near leaves each pixel showing the covering face
 // that sorts last; the static face with that property is the pixel's
 // owner, so comparing against the owner alone gives the same image.
-func (r *Renderer) drawObjects(tile *vcity.Tile, t float64) {
-	r.objs = tile.AppendObjectsAt(r.objs[:0], t)
+func (r *Renderer) drawObjects(t float64) {
+	r.objs = r.tile.AppendObjectsAt(r.objs[:0], t)
 	r.faces, r.order = r.faces[:0], r.order[:0]
 	for i := range r.objs {
 		o := &r.objs[i]
 		lo := geom.Vec3{X: o.Center.X - o.HalfL, Y: o.Center.Y - o.HalfW, Z: o.Center.Z - o.HalfH}
 		hi := geom.Vec3{X: o.Center.X + o.HalfL, Y: o.Center.Y + o.HalfW, Z: o.Center.Z + o.HalfH}
-		r.appendBoxFaces(lo, hi, o.Heading, o.Color, "")
+		r.appendBoxFaces(lo, hi, o.Heading, o.Color)
 		if o.Class == vcity.ClassVehicle && o.Plate != "" {
 			r.appendPlateFace(o)
 		}
@@ -666,14 +656,19 @@ func plateTexel(f *face, x, y float64) video.Color {
 
 // drawRain overlays deterministic rain streaks: short bright vertical
 // strokes whose count scales with precipitation level.
-func (r *Renderer) drawRain(tile *vcity.Tile, w vcity.Weather, t float64) {
-	density := 0.0005
-	if w.Precip == vcity.Rain {
+func (r *Renderer) drawRain(t float64) {
+	var density float64
+	switch r.tile.Layout.Spec.Weather.Precip {
+	case vcity.Dry:
+		return
+	case vcity.Drizzle:
+		density = 0.0005
+	case vcity.Rain:
 		density = 0.002
 	}
 	n := int(float64(r.w*r.h) * density)
 	frame := int64(t * 1000)
-	rng := vcity.NewRNG(uint64(frame)*0x9e3779b97f4a7c15 + uint64(tile.Index))
+	rng := vcity.NewRNG(uint64(frame)*0x9e3779b97f4a7c15 + uint64(r.tile.Index))
 	for i := 0; i < n; i++ {
 		x := rng.Intn(r.w)
 		y := rng.Intn(r.h)
@@ -704,8 +699,7 @@ func (r *Renderer) markDirty(py, x0, x1 int) {
 }
 
 // convertDirty converts the blocks this frame changed to YUV 4:2:0 in
-// dst — the rest of dst already holds the layer's conversion — and puts
-// the static layer back into rgb for the next frame.
+// dst; the rest of dst already holds the layer's conversion.
 func (r *Renderer) convertDirty(dst *video.Frame) {
 	for cy := 0; cy < dst.ChromaH(); cy++ {
 		for wi, word := range r.dirty[cy*r.rowWords : (cy+1)*r.rowWords] {
@@ -714,27 +708,23 @@ func (r *Renderer) convertDirty(dst *video.Frame) {
 			}
 			r.dirty[cy*r.rowWords+wi] = 0
 			for ; word != 0; word &= word - 1 {
-				cx := wi*64 + bits.TrailingZeros64(word)
-				r.convertBlock(r.rgb, dst, cx, cy)
-				for y := cy * 2; y < cy*2+2 && y < r.h; y++ {
-					for x := cx * 2; x < cx*2+2 && x < r.w; x++ {
-						r.rgb[y*r.w+x] = r.static[y*r.w+x]
-					}
-				}
+				r.convertBlock(dst, wi*64+bits.TrailingZeros64(word), cy)
 			}
 		}
 	}
 }
 
-// convertBlock converts one 2×2 pixel block of src to YUV 4:2:0 in f:
+// convertBlock converts one 2×2 pixel block of rgb to YUV 4:2:0 in f —
 // luma per pixel, chroma averaged over the block's pixels inside the
-// image.
-func (r *Renderer) convertBlock(src []video.Color, f *video.Frame, cx, cy int) {
+// image — and puts the static layer back into rgb for the next frame.
+func (r *Renderer) convertBlock(f *video.Frame, cx, cy int) {
 	var su, sv, n int
 	for y := cy * 2; y < cy*2+2 && y < r.h; y++ {
 		for x := cx * 2; x < cx*2+2 && x < r.w; x++ {
-			Y, u, v := src[y*r.w+x].YUV()
-			f.Y[y*r.w+x] = Y
+			i := y*r.w + x
+			Y, u, v := r.rgb[i].YUV()
+			r.rgb[i] = r.static[i]
+			f.Y[i] = Y
 			su += int(u)
 			sv += int(v)
 			n++
