@@ -91,6 +91,26 @@ if grep -rnE 'GlobalCacheCounters|GlobalShardCounters|GlobalOnlineCounters|Shard
 	echo "verify: a deleted per-field metrics mirror is back (see above); the scalar table replaces it" >&2
 	exit 1
 fi
+# The generator under the race detector (DESIGN.md §5.15): each
+# generate worker keeps one renderer from camera to camera, so which
+# renderer — holding which camera's static layer — meets a camera now
+# depends on scheduling; TestWorkerCountDoesNotChangeBytes under -race
+# is the test that layer invalidation is right (-short: the oracle
+# corpus is single-threaded, a quarter of it is enough under the race
+# detector's tenfold slowdown). The identity suites run again, whole,
+# with the scheduler pinned to one thread.
+go test -race -short ./internal/render ./internal/vcg
+GOMAXPROCS=1 go test -run 'TestRenderMatchesOracle|TestWorkerCountDoesNotChangeBytes' ./internal/render ./internal/vcg
+# One renderer in the product: the renderer that derived every pixel of
+# every frame survives only as the test oracle.
+if grep -rn 'oracleRenderer' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: the oracle renderer belongs in _test.go files only (see above)" >&2
+	exit 1
+fi
+if [ "$(grep -rn 'func .*drawGroundAndSky(' --include='*.go' --exclude='*_test.go' cmd internal | wc -l)" -ne 1 ]; then
+	echo "verify: want exactly one drawGroundAndSky in non-test Go — the static layer's builder, not a second per-frame path" >&2
+	exit 1
+fi
 # Benchmark-as-a-service control plane under the race detector: the
 # executor, per-tenant admission, cancellation plumbing, and restart
 # recovery interleave with HTTP handlers; the end-to-end test asserts
