@@ -312,10 +312,10 @@ func benchShapeCity(b *testing.B) *vcity.City {
 	return city
 }
 
-// BenchmarkRenderClip renders a 15-frame clip of a camera the renderer
-// did not render last, static layer build included: what one camera
-// costs vcg.Generate at the bench/ harness's shape. One op is one clip.
-func BenchmarkRenderClip(b *testing.B) {
+// benchClips renders clip after clip of the given length, each of a
+// camera the renderer did not render last, so every clip pays a static
+// layer build. One op is one clip.
+func benchClips(b *testing.B, frames int) {
 	city := benchShapeCity(b)
 	cams := city.AllCameras()
 	r := New(city, 192, 108)
@@ -324,27 +324,26 @@ func BenchmarkRenderClip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cam := cams[i%len(cams)]
-		for f := 0; f < 15; f++ {
+		for f := 0; f < frames; f++ {
 			r.FrameInto(cam, float64(f)/15, dst)
 		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+}
+
+// BenchmarkRenderClip is what one camera costs vcg.Generate: a fresh
+// camera's clip, layer build included, at the bench/ harness's 15
+// frames and at ten times that (README, "Performance → Generation").
+func BenchmarkRenderClip(b *testing.B) {
+	for _, frames := range []int{15, 150} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) { benchClips(b, frames) })
 	}
 }
 
 // BenchmarkRenderFirstFrame is the worst case for the static layer, a
-// one-frame clip: every op renders another camera, so every frame pays
-// a layer build. It must stay within 10 % of what a frame cost before
-// the layer existed (CHANGES.md, PR 16).
-func BenchmarkRenderFirstFrame(b *testing.B) {
-	city := benchShapeCity(b)
-	cams := city.AllCameras()
-	r := New(city, 192, 108)
-	dst := video.NewFrame(192, 108)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.FrameInto(cams[i%len(cams)], 0.2, dst)
-	}
-}
+// one-frame clip: every frame pays a layer build. It must stay within
+// 10 % of what a frame cost before the layer existed (CHANGES.md).
+func BenchmarkRenderFirstFrame(b *testing.B) { benchClips(b, 1) }
 
 func BenchmarkRenderResolutionSweep(b *testing.B) {
 	city, _ := vcity.Generate(vcity.Hyperparams{
