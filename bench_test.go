@@ -209,76 +209,6 @@ func BenchmarkFigure9(b *testing.B) {
 	}
 }
 
-// BenchmarkRunBatch measures batch execution in the sequential
-// paper-faithful mode vs 8-way concurrent execution with the shared
-// decoded-input cache, reporting the cache hit rate per configuration.
-//
-//   - full: a Q1–Q6 mix at the paper's default batch size (4·L
-//     instances per query). Result encoding (part of measured execution
-//     in both modes per §3.2) dominates the full-frame queries, so the
-//     cache's win here is bounded by the decode share.
-//   - decode-bound: the small-output queries (Q1 crop, Q5 sample) at
-//     higher instance redundancy, where per-instance cost is mostly
-//     input decode — the shared cache collapses it to one decode per
-//     distinct camera.
-//
-// On a single-CPU host the speedup is purely avoided work; with more
-// cores the worker pool overlaps the remaining compute as well.
-//
-// Expected shape on one CPU (VR_OBS=1 span totals for the full mix):
-// decode shrinks ~166ms -> ~71ms (70% cache hit rate plus GOP-parallel
-// decode on the misses) while result.encode (~340ms) and the kernels
-// are mode-invariant, so parallel wins by the decode share — roughly
-// 7%, not more. A single-run table once showed parallel 24% SLOWER on
-// this mix; that inversion never reproduced under min-of-5 sampling
-// (parallel beat serial in every back-to-back run) and traced to
-// cross-row scheduler noise, which is why the tracked comparison is the
-// paired, per-plan vcd.cache_speedup of `bash bench/run.sh` (the qmix
-// and qcache traced passes, bench/README.md).
-func BenchmarkRunBatch(b *testing.B) {
-	obsEnabled(b)
-	ds := sharedDataset(b)
-	configs := []struct {
-		name      string
-		queries   []queries.QueryID
-		instances int
-	}{
-		{"full", []queries.QueryID{
-			queries.Q1, queries.Q2a, queries.Q2b, queries.Q2d, queries.Q5, queries.Q6a,
-		}, 4},
-		{"decode-bound", []queries.QueryID{queries.Q1, queries.Q5}, 16},
-	}
-	for _, cfg := range configs {
-		for _, tc := range []struct {
-			name string
-			opt  vcd.Options
-		}{
-			{"serial", vcd.Options{Sequential: true}},
-			// Workers: 0 selects parallel.Default(), which is bounded
-			// by GOMAXPROCS — benchmarking an oversubscribed pool on a
-			// small host measures scheduler churn, not the driver.
-			{"parallel", vcd.Options{}},
-		} {
-			b.Run(cfg.name+"/"+tc.name, func(b *testing.B) {
-				var hitRate float64
-				for i := 0; i < b.N; i++ {
-					opt := tc.opt
-					opt.Queries = cfg.queries
-					opt.InstancesPerScale = cfg.instances
-					opt.Seed = 7
-					opt.Mode = vcd.StreamingMode
-					report, err := vcd.Run(ds, LightDBLike(), opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hitRate = report.DecodedCache.HitRate()
-				}
-				b.ReportMetric(hitRate, "cache-hit-rate")
-			})
-		}
-	}
-}
-
 // BenchmarkWriteVsStream measures the §6.4 result-mode comparison: the
 // write-mode overhead should be small relative to processing.
 func BenchmarkWriteVsStream(b *testing.B) {

@@ -41,29 +41,6 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParseAUSteadyStateAllocs pins the sub-GOP entropy pass: parsing an
-// access unit into warm pooled symbol buffers allocates nothing.
-func TestParseAUSteadyStateAllocs(t *testing.T) {
-	v := mixedVideo(96, 64, 2, 13)
-	enc, err := EncodeVideo(v, Config{QP: 20, GOP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbW, mbH := 96/16, 64/16
-	var s auSyms
-	s.mbs = getMBs(mbW * mbH) // held warm across runs
-	au := enc.Frames[0]
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := parseAU(au.Data, mbW, mbH, &s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	putMBs(s.mbs)
-	if allocs != 0 {
-		t.Fatalf("steady-state AU parse allocates %.1f times, want 0", allocs)
-	}
-}
-
 // TestEncodeSteadyStateAllocs pins the encoder's steady-state allocation
 // behavior: after the first frame has sized the bitstream scratch, each
 // Encode allocates exactly once — the access unit, copied out at its

@@ -120,9 +120,7 @@ func (c *Config) selectTiles(tiles []int) ([]int, error) {
 // unaffected by the tile set. Selected pixels are byte-identical to a
 // serial whole-clip decode at every worker count.
 //
-// Each work item is recorded as one codec.gop span. An untiled
-// whole-clip request with fewer chains than workers cannot fill the
-// pool with chains alone and takes the sub-GOP path instead (subgop.go).
+// Each work item is recorded as one codec.gop span.
 func (e *Encoded) DecodeRequest(req Request) (*video.Video, error) {
 	n := len(e.Frames)
 	if req.Lo < 0 || req.Hi > n || req.Lo > req.Hi {
@@ -135,9 +133,6 @@ func (e *Encoded) DecodeRequest(req Request) (*video.Video, error) {
 	}
 	tiled := cfg.Tiled()
 	chains := e.coveringChains(req.Lo, req.Hi)
-	if !tiled && req.Lo == 0 && req.Hi == n && n > 0 && e.Frames[0].Keyframe && len(chains) < req.Workers {
-		return e.decodeSubGOP(req.Workers, chains)
-	}
 
 	out := video.NewVideo(cfg.FPS)
 	out.Frames = make([]*video.Frame, req.Hi-req.Lo)

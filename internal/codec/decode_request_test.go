@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/video"
 )
 
@@ -184,7 +185,7 @@ func identityWindows(n, gop int) [][2]int {
 // reference decode. It covers what the per-entry-point suites used to
 // (parallel vs serial, every range vs the full-decode slice, tile ROI vs
 // full frame) because there is only the one entry point left; workers=8
-// on the untiled whole-clip rows takes the sub-GOP path.
+// on the untiled whole-clip rows has more workers than chains.
 func TestDecodeRequestIdentity(t *testing.T) {
 	for _, s := range identityStreams(t) {
 		t.Run(s.name, func(t *testing.T) {
@@ -222,6 +223,28 @@ func TestDecodeRequestIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneChainRequestIsOneWorkItem: a whole-clip request on a one-GOP
+// untiled stream has one work item however many workers it is offered —
+// it publishes exactly one codec.gop span covering every frame, and no
+// other stage.
+func TestOneChainRequestIsOneWorkItem(t *testing.T) {
+	enc, err := EncodeVideo(gradientVideo(96, 64, 8), Config{QP: 22, GOP: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics.SetEnabled(true)
+	defer metrics.SetEnabled(false)
+	base := metrics.Capture()
+	if _, err := enc.DecodeRequest(Request{Hi: len(enc.Frames), Workers: 8}); err != nil {
+		t.Fatal(err)
+	}
+	stages := metrics.Capture().Sub(base).Stages
+	gop := stages[metrics.StageGOPDecode.String()]
+	if len(stages) != 1 || gop.Count != 1 || gop.Frames != int64(len(enc.Frames)) {
+		t.Fatalf("stages %+v, want one codec.gop span of %d frames and nothing else", stages, len(enc.Frames))
 	}
 }
 
@@ -320,7 +343,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		streams[i], refs[i] = enc, referenceDecode(f, enc)
 	}
 	f.Add(false, 0, 9, []byte{}, 1)
-	f.Add(false, 0, 9, []byte{}, 8) // sub-GOP path
+	f.Add(false, 0, 9, []byte{}, 8) // more workers than chains
 	f.Add(true, 0, 9, []byte{}, 8)
 	f.Add(true, 5, 7, []byte{2}, 2)
 	f.Add(true, 3, 3, []byte{3, 0}, 0)

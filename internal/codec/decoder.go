@@ -112,12 +112,9 @@ func (d *Decoder) Decode(data []byte) (*video.Frame, error) {
 			}
 		}
 	}
-	return d.finishFrame(), nil
-}
 
-// finishFrame copies the reconstructed planes into a pooled frame and
-// rotates current → reference.
-func (d *Decoder) finishFrame() *video.Frame {
+	// Copy the reconstructed planes into a pooled frame and rotate
+	// current → reference.
 	f := d.newFrame()
 	d.curY.storeTo(f.Y, f.W, f.H)
 	d.curU.storeTo(f.U, f.ChromaW(), f.ChromaH())
@@ -127,7 +124,7 @@ func (d *Decoder) finishFrame() *video.Frame {
 	d.refU, d.curU = d.curU, d.refU
 	d.refV, d.curV = d.curV, d.refV
 	d.haveRef = true
-	return f
+	return f, nil
 }
 
 // readFrameHeader parses the 1-bit frame type and 6-bit QP field.

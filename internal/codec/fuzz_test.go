@@ -171,11 +171,5 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("seed keyframe rejected: %v", err)
 		}
 		dec2.Decode(data)
-
-		// The sub-GOP entropy pass must be exactly as robust as the serial
-		// parser: same inputs, error or symbols, never a panic.
-		var s auSyms
-		parseAU(data, (cfg.Width+15)/16, (cfg.Height+15)/16, &s)
-		putMBs(s.mbs)
 	})
 }

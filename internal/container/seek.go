@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 )
 
 // This file exposes the trailing INDX box for random access: mapping a
@@ -260,43 +259,4 @@ func (x *Index) SpanEntries(track int, span Span) []IndexEntry {
 	}
 	entries := x.TrackEntries(track)
 	return entries[span.First:span.Last]
-}
-
-// ExtractSpanParallel reads the samples of a track's span using the
-// index's per-frame byte offsets: every access unit is an independent
-// positioned read, spread across up to workers goroutines. The result is
-// identical to ExtractSpan — samples in track order — but the I/O has no
-// serial scan, which is what lets the codec's sub-GOP entropy pass start
-// on every frame at once.
-func ExtractSpanParallel(ra io.ReaderAt, track int, x *Index, span Span, workers int) ([]Sample, error) {
-	entries := x.SpanEntries(track, span)
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	sp := metrics.StartSpan(metrics.StageSeek)
-	sp.Frames(len(entries))
-	sp.Bytes(int64(span.Length))
-	defer sp.End()
-	out := make([]Sample, len(entries))
-	err := parallel.ForEach(workers, len(entries), func(i int) error {
-		e := entries[i]
-		// Positioned read of the sample box minus its 8-byte header.
-		payload := make([]byte, 13+e.Size)
-		if _, err := ra.ReadAt(payload, int64(e.Offset)+8); err != nil {
-			return fmt.Errorf("container: reading sample at %d: %w", e.Offset, err)
-		}
-		s, err := parseSample(payload)
-		if err != nil {
-			return err
-		}
-		if s.Track != track {
-			return fmt.Errorf("container: sample at %d belongs to track %d, want %d", e.Offset, s.Track, track)
-		}
-		out[i] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

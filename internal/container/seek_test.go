@@ -84,6 +84,9 @@ func checkSpans(t *testing.T, data []byte, idx *Index, enc *codec.Encoded) {
 			if !got[0].Keyframe {
 				t.Fatalf("window frames [%d, %d): span does not start on a keyframe", first, last)
 			}
+			if n := len(idx.SpanEntries(vt, span)); n != len(got) {
+				t.Fatalf("window frames [%d, %d): SpanEntries lists %d frames, span has %d", first, last, n, len(got))
+			}
 		}
 	}
 	// A window past the end of the track is empty, not an error.
@@ -145,53 +148,4 @@ func TestIndexFallbackLinearScan(t *testing.T) {
 		}
 	}
 	checkSpans(t, noIndex, scanned, enc)
-}
-
-// TestExtractSpanParallel asserts that positioned per-frame reads driven
-// by the index's byte offsets yield exactly the samples the serial span
-// scan does, at every window and several worker counts.
-func TestExtractSpanParallel(t *testing.T) {
-	data, enc := muxedMultiGOP(t, 11, 4)
-	idx, err := ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt := f.VideoTrack()
-	n := len(idx.TrackEntries(vt))
-	fps := enc.Config.FPS
-	for first := 0; first < n; first++ {
-		for last := first + 1; last <= n; last++ {
-			span := idx.WindowSpan(vt, Ticks90k(first, fps), Ticks90k(last, fps))
-			serial, err := ExtractSpan(bytes.NewReader(data), vt, span)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := len(idx.SpanEntries(vt, span)); got != len(serial) {
-				t.Fatalf("frames [%d, %d): SpanEntries lists %d frames, span has %d", first, last, got, len(serial))
-			}
-			for _, workers := range []int{1, 4} {
-				par, err := ExtractSpanParallel(bytes.NewReader(data), vt, idx, span, workers)
-				if err != nil {
-					t.Fatalf("frames [%d, %d) workers=%d: %v", first, last, workers, err)
-				}
-				if len(par) != len(serial) {
-					t.Fatalf("frames [%d, %d) workers=%d: %d samples, want %d", first, last, workers, len(par), len(serial))
-				}
-				for i := range par {
-					if par[i].PTS != serial[i].PTS || par[i].Keyframe != serial[i].Keyframe ||
-						!bytes.Equal(par[i].Data, serial[i].Data) {
-						t.Fatalf("frames [%d, %d) workers=%d: sample %d differs from serial extraction", first, last, workers, i)
-					}
-				}
-			}
-		}
-	}
-	// An empty span yields no samples and no error.
-	if got, err := ExtractSpanParallel(bytes.NewReader(data), vt, idx, Span{}, 4); err != nil || got != nil {
-		t.Fatalf("empty span: got %d samples, err %v", len(got), err)
-	}
 }

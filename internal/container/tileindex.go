@@ -183,9 +183,9 @@ func tileOffsets(e IndexEntry, sizes []uint32) ([]uint64, error) {
 // payload bytes are fetched by positioned reads, and each sample is
 // reassembled as a partial access unit — a directory carrying zero for
 // the absent tiles, which the codec layer treats as "not fetched". The
-// samples come back in track order, mirroring ExtractSpanParallel;
-// byte traffic is proportional to the selected tiles' share of the
-// span, which is where the spatial-selectivity win comes from.
+// samples come back in track order, as ExtractSpan returns them; byte
+// traffic is proportional to the selected tiles' share of the span,
+// which is where the spatial-selectivity win comes from.
 func ExtractTileSpan(ra io.ReaderAt, track int, x *Index, tx *TileIndex, span Span, tiles []int, workers int) ([]Sample, error) {
 	entries := x.SpanEntries(track, span)
 	if len(entries) == 0 {

@@ -463,6 +463,7 @@ func TestWireDeltaRejectsForeignInput(t *testing.T) {
 		`{"stages":{"decode":{"lat":{"-1":1}}}}`,
 		`{"stages":{"decode":{"lat":{"3":-5}}}}`,
 		`{"stages":{"no.such.stage":{"lat":{"3":1}}}}`,
+		`{"stages":{"codec.entropy":{"lat":{"3":1}}}}`, // a stage only older builds record
 		`{"stages":{"decode":{"scalars":{"no_such_row":1}}}}`,
 		`{"scalars":{"vr_no_such_total":1}}`,
 		`{"scalars":{"vr_pool_busy":1.5}}`,

@@ -43,12 +43,6 @@ const (
 	// StageGOPDecode is one GOP chain (or serial clip) reconstruction
 	// inside the codec — the actual decode work behind StageDecode.
 	StageGOPDecode
-	// StageEntropy is one access unit's entropy parse when the codec's
-	// sub-GOP decode path splits parsing from reconstruction.
-	StageEntropy
-	// StageTransform is one frame's reconstruction (dequant + inverse
-	// transform + motion compensation) on the sub-GOP decode path.
-	StageTransform
 	// StageExecute is one query-instance execution.
 	StageExecute
 	// StageValidate is one instance validation.
@@ -82,8 +76,6 @@ var stageNames = [numStages]string{
 	"container.seek",
 	"decode",
 	"codec.gop",
-	"codec.entropy",
-	"codec.transform",
 	"execute",
 	"validate",
 	"result.encode",

@@ -596,33 +596,57 @@ func TestPlanMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestServeSubmitBodyLimit pins the bound on a submission's body: an
-// oversized request is a 413 with a JSON error, creates no job, and
-// leaves the tenant's only slot free for the next, well-formed one.
+// TestServeSubmitBodyLimit pins the bound on both JSON bodies the API
+// reads: an oversized request is a 413 with a JSON error and creates
+// nothing — no dataset, no job — and the next, well-formed request on
+// the same endpoint goes through (the tenant's only slot is still free).
 func TestServeSubmitBodyLimit(t *testing.T) {
 	s, err := New(Options{DataDir: t.TempDir(), TenantLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerDataset(s, "d", datasetDir(t))
 	h := s.Handler()
+	pad := strings.Repeat("x", maxBodyBytes)
+	data := datasetDir(t)
 
-	body := `{"dataset":"d","pad":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
-	req := httptest.NewRequest("POST", "/api/jobs", strings.NewReader(body))
-	req.Header.Set("X-Tenant", "t1")
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	var apiErr apiError
-	if err := json.Unmarshal(rr.Body.Bytes(), &apiErr); err != nil || rr.Code != http.StatusRequestEntityTooLarge ||
-		!strings.Contains(apiErr.Error, "exceeds") {
-		t.Fatalf("oversized submit = %d: %s (want 413 with a JSON error)", rr.Code, rr.Body)
+	for _, tc := range []struct {
+		path, body string
+		created    func() int
+		wellFormed func()
+	}{
+		{"/api/datasets", `{"name":"` + pad + `","path":"` + data + `"}`,
+			func() int {
+				var list struct{ Datasets []DatasetInfo }
+				getJSON(t, h, "/api/datasets", &list)
+				return len(list.Datasets)
+			},
+			func() {
+				if rr := postJSON(t, h, "/api/datasets", map[string]string{"name": "d", "path": data}, ""); rr.Code != http.StatusCreated {
+					t.Fatalf("register after an oversized one = %d: %s", rr.Code, rr.Body)
+				}
+			}},
+		{"/api/jobs", `{"dataset":"d","pad":"` + pad + `"}`,
+			func() int {
+				var list struct{ Jobs []Job }
+				getJSON(t, h, "/api/jobs", &list)
+				return len(list.Jobs)
+			},
+			func() { submit(t, h, JobRequest{Dataset: "d"}, "t1") }},
+	} {
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		req.Header.Set("X-Tenant", "t1")
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		var apiErr apiError
+		if err := json.Unmarshal(rr.Body.Bytes(), &apiErr); err != nil || rr.Code != http.StatusRequestEntityTooLarge ||
+			!strings.Contains(apiErr.Error, "exceeds") {
+			t.Fatalf("oversized POST %s = %d: %s (want 413 with a JSON error)", tc.path, rr.Code, rr.Body)
+		}
+		if n := tc.created(); n != 0 {
+			t.Errorf("oversized POST %s created %d records", tc.path, n)
+		}
+		tc.wellFormed()
 	}
-	var list struct{ Jobs []Job }
-	getJSON(t, h, "/api/jobs", &list)
-	if len(list.Jobs) != 0 {
-		t.Errorf("%d jobs created by an oversized submission", len(list.Jobs))
-	}
-	submit(t, h, JobRequest{Dataset: "d"}, "t1")
 }
 
 // TestServeDebugSurface pins that the ops endpoints ride the admin

@@ -69,10 +69,6 @@ type Options struct {
 	// Runner overrides the execution plane (tests, benchmarks). Nil
 	// selects shard.Run.
 	Runner RunnerFunc
-	// BeforeJob, when set, runs after a job's queued→running transition
-	// and before its plan executes — a test seam for holding a job
-	// in-flight deterministically.
-	BeforeJob func(ctx context.Context, j *Job)
 	// Logf receives operational log lines (nil discards).
 	Logf func(format string, args ...any)
 }
@@ -232,9 +228,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.mu.Unlock()
 	metrics.RecordEvent(metrics.Event{Kind: metrics.EventServeJobStarted, Shard: -1, Detail: j.ID, Query: j.Tenant})
 	s.opt.Logf("serve: job %s started (tenant %s, dataset %s, system %s)", j.ID, j.Tenant, j.Request.Dataset, j.Request.System)
-	if s.opt.BeforeJob != nil {
-		s.opt.BeforeJob(jctx, j)
-	}
 
 	var report *vcd.RunReport
 	var counters *shard.Counters
@@ -347,6 +340,28 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds a request body. A JobRequest or a dataset
+// registration is a few hundred bytes; the bound only keeps a client
+// from making the daemon buffer an arbitrarily large one.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. On failure it answers 413 (oversized) or 400 (malformed) itself
+// and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // handleRegisterDataset validates and registers a dataset directory:
 // the manifest is loaded once here, so submissions and plans know the
 // scale without touching the filesystem again.
@@ -355,8 +370,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -421,24 +435,13 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	}{list})
 }
 
-// maxSubmitBytes bounds a job submission's body. A JobRequest is a few
-// hundred bytes; the bound only keeps a client from making the daemon
-// buffer an arbitrarily large one.
-const maxSubmitBytes = 1 << 20
-
 // handleSubmit admits, journals, and enqueues one job. Admission
 // happens before the job exists: an over-limit tenant or a full queue
 // is answered 429, and an oversized body 413, without perturbing
 // anything already running.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	tenant := tenantOf(r)

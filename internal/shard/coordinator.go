@@ -43,8 +43,6 @@ type Options struct {
 	// worker that stalls without closing its socket surfaces as a write
 	// timeout instead of wedging the gather loop.
 	Heartbeat time.Duration
-	// Retry governs worker dials (AddrTransport).
-	Retry stream.RetryPolicy
 	// Faults kills in-process worker connections deterministically
 	// (worker i uses the plan scoped to "worker-i"); the robustness
 	// tests' seeded failure source.

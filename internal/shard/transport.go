@@ -118,8 +118,9 @@ func (c *cutConn) Write(p []byte) (int, error) {
 
 // AddrTransport dials worker processes listening on fixed addresses
 // (vrbench/vcd -shard-worker -shard-listen). Dials go through
-// stream.Retry under the coordinator's policy; DialRetries counts the
-// extra attempts for degradation accounting.
+// stream.Retry under the transport's Retry policy (the zero value is
+// the default policy); DialRetries counts the extra attempts for
+// degradation accounting.
 type AddrTransport struct {
 	Addrs []string
 	Retry stream.RetryPolicy

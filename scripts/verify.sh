@@ -32,10 +32,20 @@ go test -race -run 'TestTelemetryModeInvariance' ./internal/vcd
 # f.Add seed); the allocation pins guard the pooled steady state; the
 # encoder's analysis-pass kernels (SWAR SAD, pruned motion search, zero-
 # block certificates — FuzzQuantizeZeroBlock is among the ^Fuzz seeds)
-# must reach the decisions of the reference formulas; and the sub-GOP
-# entropy/reconstruction split plus parallel span extraction run under
-# the race detector.
-go test -race -run 'TestGoldenBitstreams|TestDecodeRequestIdentity|^Fuzz|StateAllocs$|TestExtractSpanParallel|TestSADMatchesReference|TestMotionSearchDecisionIdentical' ./internal/codec ./internal/container
+# must reach the decisions of the reference formulas.
+go test -race -run 'TestGoldenBitstreams|TestDecodeRequestIdentity|^Fuzz|StateAllocs$|TestSADMatchesReference|TestMotionSearchDecisionIdentical' ./internal/codec ./internal/container
+# One decode loop (DESIGN.md §5.6): the sub-GOP path — a second parser,
+# a second reconstructor, a clip-sized symbol pool, its two stages and
+# the parallel span reader that fed it — stays deleted, and
+# Decoder.Decode is the only reader of a frame header.
+if grep -rnE 'decodeSubGOP|parseAU|auSyms|mbsPool|ExtractSpanParallel|StageEntropy|StageTransform' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: the deleted sub-GOP decode path is back (see above); DecodeRequest's (tile × GOP chain) loop is the one route from access units to frames" >&2
+	exit 1
+fi
+if [ "$(grep -rn 'readFrameHeader(' --include='*.go' --exclude='*_test.go' internal/codec | wc -l)" -ne 2 ]; then
+	echo "verify: want readFrameHeader defined once and called once (Decoder.Decode) — a second caller is a second bitstream parser" >&2
+	exit 1
+fi
 # The same identity suites with the scheduler pinned to one thread: the
 # row-parallel analysis pass, tile-parallel encode and the decode
 # request's worker pool must not depend on real parallelism to be
