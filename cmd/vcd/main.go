@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -151,7 +150,8 @@ func run() (code int) {
 			fatal(err)
 		}
 	}
-	if err := obs.WriteArtifact(newTelemetryArtifact(report)); err != nil {
+	summary := vcd.Summarize(report)
+	if err := obs.WriteArtifact(vcd.Artifact{Runs: []vcd.ReportSummary{summary}}); err != nil {
 		fatal(err)
 	}
 	if obs.Report && report.Telemetry != nil {
@@ -165,59 +165,15 @@ func run() (code int) {
 		report.Telemetry.WriteTable(w)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(vcd.Summarize(report)); err != nil {
+		data, err := vcd.MarshalReport(summary)
+		if err != nil {
 			fatal(err)
 		}
+		os.Stdout.Write(data)
 		return 0
 	}
 	printReport(report, opt.Validate)
 	return 0
-}
-
-// telemetryArtifact is the -metrics-json schema: the run's telemetry
-// plus each query batch's interval record, the distributed-trace
-// summary (per-instance timelines, straggler attribution), and the
-// event journal covering the run.
-type telemetryArtifact struct {
-	System       string                        `json:"system"`
-	Scale        int                           `json:"scale"`
-	DecodedCache json.RawMessage               `json:"decoded_cache"`
-	Run          *metrics.Telemetry            `json:"run"`
-	Queries      map[string]*metrics.Telemetry `json:"queries"`
-	Trace        *metrics.TraceReport          `json:"trace,omitempty"`
-	Events       []metrics.Event               `json:"events,omitempty"`
-}
-
-// newTelemetryArtifact gathers a finished run's -metrics-json content.
-func newTelemetryArtifact(r *vcd.RunReport) telemetryArtifact {
-	art := telemetryArtifact{
-		System:       r.System,
-		Scale:        r.Scale,
-		DecodedCache: r.DecodedCache.Report(),
-		Run:          r.Telemetry,
-		Queries:      map[string]*metrics.Telemetry{},
-		Trace:        r.Trace,
-		Events:       r.Events,
-	}
-	for i := range r.Queries {
-		if qr := &r.Queries[i]; qr.Telemetry != nil {
-			art.Queries[string(qr.Query)] = qr.Telemetry
-		}
-	}
-	return art
-}
-
-// onlineArtifact is the -metrics-json schema for online mode: per-query
-// degradation reports plus the run's telemetry (including the online
-// counter block).
-type onlineArtifact struct {
-	Transport string                       `json:"transport"`
-	FaultSpec string                       `json:"fault_spec,omitempty"`
-	Seed      uint64                       `json:"seed"`
-	Queries   map[string]*vcd.OnlineReport `json:"queries"`
-	Telemetry *metrics.Telemetry           `json:"telemetry,omitempty"`
 }
 
 // runOnline executes the online-capable queries against live-paced
@@ -225,14 +181,9 @@ type onlineArtifact struct {
 // achieved frames per second plus degradation accounting, as the paper
 // requires for online-mode results.
 func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, faultSpec string, seed uint64, timeout time.Duration) {
-	var transport vcd.OnlineTransport
-	switch transportName {
-	case "pipe":
-		transport = vcd.TransportPipe
-	case "rtp":
-		transport = vcd.TransportRTP
-	default:
-		fatal(fmt.Errorf("vcd: unknown transport %q", transportName))
+	transport, err := vcd.ParseOnlineTransport(transportName)
+	if err != nil {
+		fatal(err)
 	}
 	plan, err := stream.ParseFaultSpec(faultSpec, seed, "")
 	if err != nil {
@@ -242,11 +193,8 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, fa
 	if len(qs) == 0 {
 		qs = []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q5}
 	}
-	var base metrics.Snapshot
-	if metrics.Enabled() {
-		base = metrics.Capture()
-	}
-	art := onlineArtifact{Transport: transportName, FaultSpec: faultSpec, Seed: seed,
+	iv := metrics.Begin()
+	online := &vcd.OnlineRun{Transport: transport, FaultSpec: faultSpec, Seed: seed,
 		Queries: map[string]*vcd.OnlineReport{}}
 	fmt.Printf("\n%-7s %10s %10s %10s %8s %6s %8s %9s\n",
 		"Query", "Frames", "Elapsed", "FPS", "Dropped", "Gaps", "Resyncs", "Degraded")
@@ -269,16 +217,13 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, fa
 		if err != nil {
 			fatal(err)
 		}
-		art.Queries[string(q)] = rep
+		online.Queries[string(q)] = rep
 		fmt.Printf("%-7s %10d %10s %10.1f %8d %6d %8d %9v\n",
 			q, rep.Frames, rep.Elapsed.Round(1e6), rep.FPS,
 			rep.FramesDropped, rep.Gaps, rep.Resyncs, rep.Degraded)
 	}
-	if obs.MetricsJSON != "" {
-		t := metrics.Capture().Sub(base)
-		art.Telemetry = &t
-	}
-	if err := obs.WriteArtifact(art); err != nil {
+	process := iv.End()
+	if err := obs.WriteArtifact(vcd.Artifact{Process: &process, Online: online}); err != nil {
 		fatal(err)
 	}
 }

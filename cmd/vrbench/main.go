@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/queries"
+	"repro/internal/vcd"
 )
 
 func main() { os.Exit(run()) }
@@ -99,17 +100,18 @@ func run() (code int) {
 	if *memprofile != "" {
 		defer writeHeapProfile(*memprofile)
 	}
-	base := metrics.Capture()
-	traceBase := metrics.TraceSeq()
-	eventBase := metrics.EventSeq()
+	iv := metrics.Begin()
+	// art is the -metrics-json artifact: the invocation's interval plus
+	// the runs of the comparison experiments (fig5, fig6).
+	var art vcd.Artifact
 
 	runners := map[string]func() error{
 		"table1":  runTable1,
 		"table2":  runTable2,
 		"table9":  func() error { return runTable9(*videos, *duration, cfg.Seed, *workers) },
 		"fig2":    func() error { return runFig2(*scale, cfg.Seed) },
-		"fig5":    func() error { c := cfg; c.Validate, c.Shard = validate, copt; return runFig5(c) },
-		"fig6":    func() error { c := cfg; c.Validate = validate; return runFig6(c) },
+		"fig5":    func() error { c := cfg; c.Validate, c.Shard = validate, copt; return runFig5(c, &art) },
+		"fig6":    func() error { c := cfg; c.Validate = validate; return runFig6(c, &art) },
 		"fig7":    runFig7,
 		"fig8":    func() error { return runFig8(*duration, cfg.Seed, *workers) },
 		"fig9":    func() error { return runFig9(*duration, cfg.Seed) },
@@ -143,11 +145,13 @@ func run() (code int) {
 		}
 	}
 
+	process := iv.End()
 	if obs.Report {
 		fmt.Println("\n---- pipeline telemetry ----")
-		metrics.Capture().Sub(base).WriteTable(os.Stdout)
+		process.Telemetry.WriteTable(os.Stdout)
 	}
-	if err := obs.WriteArtifact(newMetricsArtifact(base, traceBase, eventBase)); err != nil {
+	art.Process = &process
+	if err := obs.WriteArtifact(art); err != nil {
 		fmt.Fprintf(os.Stderr, "vrbench: metrics-json: %v\n", err)
 		if code == 0 {
 			code = 1
@@ -232,7 +236,7 @@ func shortCorpus(c string) string {
 
 func shortSys(s string) string { return strings.TrimSuffix(s, "like") }
 
-func runFig5(cfg core.CompareConfig) error {
+func runFig5(cfg core.CompareConfig, art *vcd.Artifact) error {
 	fmt.Printf("Figure 5: runtime by query, L=%d (model scale)\n", cfg.Scale)
 	fmt.Println("paper shape: NoScope fastest on Q2(c), supports only Q1/Q2(c);")
 	fmt.Println("composites/VR (Q7-Q10) cost more than micro queries; Q2(c) detector-bound")
@@ -243,6 +247,7 @@ func runFig5(cfg core.CompareConfig) error {
 	if err != nil {
 		return err
 	}
+	art.Runs = append(art.Runs, res.Summaries()...)
 	printComparison(res)
 	for _, r := range res.Runs {
 		if r.Shard != nil {
@@ -254,7 +259,6 @@ func runFig5(cfg core.CompareConfig) error {
 }
 
 func printComparison(res *core.ComparisonResult) {
-	collectTelemetry(res)
 	systems := []string{"scannerlike", "lightdblike", "noscopelike"}
 	fmt.Printf("%-7s %15s %15s %15s\n", "Query", systems[0], systems[1], systems[2])
 	for _, q := range res.Config.Queries {
@@ -262,7 +266,7 @@ func printComparison(res *core.ComparisonResult) {
 		for _, s := range systems {
 			cell, ok := res.Cell(s, q)
 			switch {
-			case !ok || !cell.Supported:
+			case !ok || cell.Unsupported:
 				fmt.Printf(" %15s", "unsupported")
 			case cell.ResourceErrors > 0 && cell.ResourceErrors == cell.BatchSize:
 				fmt.Printf(" %15s", "FAILED(mem)")
@@ -281,7 +285,7 @@ func printComparison(res *core.ComparisonResult) {
 	}
 }
 
-func runFig6(cfg core.CompareConfig) error {
+func runFig6(cfg core.CompareConfig, art *vcd.Artifact) error {
 	fmt.Println("Figure 6: runtime vs scale factor per system")
 	fmt.Println("paper shape: Scanner falls behind as L grows (materialization thrashing);")
 	fmt.Println("Q4 fails on Scanner; LightDB splits Q3/Q4 batches past its 40-video limit")
@@ -293,6 +297,7 @@ func runFig6(cfg core.CompareConfig) error {
 	}
 	for _, pt := range points {
 		fmt.Printf("\n-- L = %d --\n", pt.Scale)
+		art.Runs = append(art.Runs, pt.Result.Summaries()...)
 		printComparison(pt.Result)
 	}
 	return nil
@@ -422,7 +427,7 @@ func runTileSweep(cfg core.CompareConfig) error {
 			}
 			fmt.Printf("%-8s %-14s %12s %8d %12d %9.0f%%\n",
 				p.Grid(), run.System, cell.Elapsed.Round(1e6), cell.Frames,
-				run.Cache.FramesDecoded, 100*run.Cache.HitRate())
+				run.DecodedCache.FramesDecoded, 100*run.DecodedCache.HitRate())
 		}
 	}
 	if len(points) == 2 {

@@ -1,99 +1,15 @@
 package main
 
-// Observability plumbing for the vrbench CLI: the -metrics-json
-// artifact (process-level plus per-system/per-query telemetry gathered
-// from comparison experiments), the -trace execution tracer, and the
-// atomic -cpuprofile/-memprofile writers.
+// Observability plumbing for the vrbench CLI: the -trace execution
+// tracer and the atomic -cpuprofile/-memprofile writers.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-
-	"repro/internal/core"
-	"repro/internal/metrics"
 )
-
-// cellTelemetryJSON is one (system, query) batch's telemetry in the
-// -metrics-json artifact.
-type cellTelemetryJSON struct {
-	System    string             `json:"system"`
-	Query     string             `json:"query"`
-	Scale     int                `json:"scale"`
-	ElapsedMS float64            `json:"elapsed_ms"`
-	Telemetry *metrics.Telemetry `json:"telemetry"`
-}
-
-// runTelemetryJSON is one system's whole-run roll-up.
-type runTelemetryJSON struct {
-	System       string             `json:"system"`
-	Scale        int                `json:"scale"`
-	DecodedCache json.RawMessage    `json:"decoded_cache"`
-	Telemetry    *metrics.Telemetry `json:"telemetry"`
-}
-
-// metricsArtifact is the -metrics-json schema (see README
-// "Observability"): process-level telemetry, per-run and per-query
-// roll-ups, plus the invocation's distributed-trace summary and event
-// journal.
-type metricsArtifact struct {
-	Process metrics.Telemetry    `json:"process"`
-	Runs    []runTelemetryJSON   `json:"runs,omitempty"`
-	Queries []cellTelemetryJSON  `json:"queries,omitempty"`
-	Trace   *metrics.TraceReport `json:"trace,omitempty"`
-	Events  []metrics.Event      `json:"events,omitempty"`
-}
-
-// collected accumulates per-batch and per-run telemetry from every
-// comparison result printed during the invocation. Experiments run
-// sequentially, so no locking is needed.
-var collected struct {
-	runs    []runTelemetryJSON
-	queries []cellTelemetryJSON
-}
-
-// collectTelemetry records a comparison result's telemetry for the
-// -metrics-json artifact.
-func collectTelemetry(res *core.ComparisonResult) {
-	if !metrics.Enabled() {
-		return
-	}
-	for _, cell := range res.Cells {
-		if cell.Telemetry == nil {
-			continue
-		}
-		collected.queries = append(collected.queries, cellTelemetryJSON{
-			System:    cell.System,
-			Query:     string(cell.Query),
-			Scale:     res.Config.Scale,
-			ElapsedMS: cell.Elapsed.Seconds() * 1000,
-			Telemetry: cell.Telemetry,
-		})
-	}
-	for _, run := range res.Runs {
-		collected.runs = append(collected.runs, runTelemetryJSON{
-			System:       run.System,
-			Scale:        res.Config.Scale,
-			DecodedCache: run.Cache.Report(),
-			Telemetry:    run.Telemetry,
-		})
-	}
-}
-
-// newMetricsArtifact gathers the invocation's -metrics-json content.
-func newMetricsArtifact(base metrics.Snapshot, traceBase, eventBase uint64) metricsArtifact {
-	art := metricsArtifact{
-		Process: metrics.Capture().Sub(base),
-		Runs:    collected.runs,
-		Queries: collected.queries,
-		Trace:   metrics.SummarizeTraces(metrics.TraceSpansSince(traceBase)),
-	}
-	art.Events, _ = metrics.EventsSince(eventBase)
-	return art
-}
 
 // startTrace begins a Go execution trace into path; the returned stop
 // flushes, closes, and reports any error.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -26,18 +28,48 @@ import (
 // three carry shared groups and a README table column.
 var binaries = []string{"vcd", "vrbench", "vrserved", "vcg"}
 
-// helpOutput builds every binary once and returns each one's -h text
-// without its first line (which names the binary's path).
-func helpOutput(t *testing.T) map[string]string {
+// built is the directory every binary is built into, once per test
+// binary (TestMain removes it).
+var built struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if built.dir != "" {
+		os.RemoveAll(built.dir)
+	}
+	os.Exit(code)
+}
+
+// binDir builds every binary and returns where they are.
+func binDir(t *testing.T) string {
 	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	dir := t.TempDir()
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "repro/cmd/...")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	built.once.Do(func() {
+		if built.dir, built.err = os.MkdirTemp("", "cli-bin-"); built.err != nil {
+			return
+		}
+		build := exec.Command("go", "build", "-o", built.dir+string(filepath.Separator), "repro/cmd/...")
+		if out, err := build.CombinedOutput(); err != nil {
+			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
 	}
+	return built.dir
+}
+
+// helpOutput returns each binary's -h text without its first line
+// (which names the binary's path).
+func helpOutput(t *testing.T) map[string]string {
+	t.Helper()
+	dir := binDir(t)
 	help := map[string]string{}
 	for _, bin := range binaries {
 		out, err := exec.Command(filepath.Join(dir, bin), "-h").CombinedOutput()
@@ -264,7 +296,7 @@ func TestCloseDebugExitPath(t *testing.T) {
 // temp file left behind), and no flag means no file.
 func TestWriteArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
-	art := map[string]int{"frames": 3}
+	art := vcd.Artifact{Online: &vcd.OnlineRun{Transport: vcd.TransportRTP, Seed: 3}}
 	if err := (&Obs{}).WriteArtifact(art); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +304,7 @@ func TestWriteArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "{\n  \"frames\": 3\n}\n" {
+	if want := "{\n  \"online\": {\n    \"transport\": \"rtp\",\n    \"seed\": 3,\n    \"queries\": null\n  }\n}\n"; err != nil || string(data) != want {
 		t.Errorf("artifact = %q, %v", data, err)
 	}
 	names, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -75,15 +74,12 @@ func (o *Obs) Exit(code int) int {
 	return code
 }
 
-// WriteArtifact lands the binary's telemetry artifact at -metrics-json
-// as indented JSON, atomically; without the flag it does nothing.
-func (o *Obs) WriteArtifact(artifact any) error {
+// WriteArtifact lands the binary's telemetry artifact at -metrics-json,
+// atomically, in the report files' byte form; without the flag it does
+// nothing.
+func (o *Obs) WriteArtifact(a vcd.Artifact) error {
 	if o.MetricsJSON == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return vcd.WriteFileAtomic(o.MetricsJSON, append(data, '\n'))
+	return vcd.WriteReportFile(o.MetricsJSON, a)
 }

@@ -198,7 +198,7 @@ func TestCompareSystemsSmoke(t *testing.T) {
 	// NoScope must win Q2(c) — its architectural specialty.
 	ns, _ := res.Cell("noscopelike", queries.Q2c)
 	sc, _ := res.Cell("scannerlike", queries.Q2c)
-	if !ns.Supported || !sc.Supported {
+	if ns.Unsupported || sc.Unsupported {
 		t.Fatal("Q2(c) should be supported by both")
 	}
 	if ns.Elapsed >= sc.Elapsed {
@@ -232,20 +232,27 @@ func TestCompareSystemsShardedMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("%d sharded cells, want %d", len(got.Cells), len(want.Cells))
+	if len(got.Runs) != len(want.Runs) {
+		t.Fatalf("%d sharded runs, want %d", len(got.Runs), len(want.Runs))
 	}
-	for i := range want.Cells {
-		w, g := want.Cells[i], got.Cells[i]
-		if g.System != w.System || g.Query != w.Query || g.Supported != w.Supported ||
-			g.Frames != w.Frames || g.Completed != w.Completed || g.BatchSize != w.BatchSize ||
-			g.ResourceErrors != w.ResourceErrors || g.BatchSplits != w.BatchSplits ||
-			g.ValidationPass != w.ValidationPass {
-			t.Errorf("cell %s/%s diverged: sharded {frames %d completed %d} vs {frames %d completed %d}",
-				w.System, w.Query, g.Frames, g.Completed, w.Frames, w.Completed)
+	for i, run := range got.Runs {
+		wr := want.Runs[i]
+		if run.System != wr.System || len(run.Queries) != len(wr.Queries) {
+			t.Fatalf("run %d: %s with %d batches, want %s with %d", i, run.System, len(run.Queries), wr.System, len(wr.Queries))
 		}
-	}
-	for _, run := range got.Runs {
+		for j := range wr.Queries {
+			w, g := &wr.Queries[j], &run.Queries[j]
+			if g.System != w.System || g.Query != w.Query || g.Unsupported != w.Unsupported ||
+				g.Frames != w.Frames || g.Completed != w.Completed || g.BatchSize != w.BatchSize ||
+				g.ResourceErrors != w.ResourceErrors || g.BatchSplits != w.BatchSplits ||
+				g.Validation.PassRate() != w.Validation.PassRate() {
+				t.Errorf("cell %s/%s diverged: sharded {frames %d completed %d} vs {frames %d completed %d}",
+					w.System, w.Query, g.Frames, g.Completed, w.Frames, w.Completed)
+			}
+		}
+		if wr.Shard != nil {
+			t.Errorf("%s: single-process run carries shard counters", wr.System)
+		}
 		if run.Shard == nil {
 			t.Fatalf("%s: sharded run missing counters", run.System)
 		}

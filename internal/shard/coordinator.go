@@ -181,10 +181,7 @@ func Run(ctx context.Context, plan Plan, copt Options) (*vcd.RunReport, *Counter
 	defer c.closeAll()
 	// Bracket the observability interval before connect: the job
 	// submission event and the dial spans belong to this run.
-	if metrics.Enabled() {
-		c.traceBase = metrics.TraceSeq()
-		c.eventBase = metrics.EventSeq()
-	}
+	c.iv = metrics.Begin()
 	if err := c.connect(ctx, transport); err != nil {
 		return nil, c.tally(), err
 	}
@@ -246,10 +243,8 @@ type coordinator struct {
 	// coordinator behavior live.
 	counters metrics.Set
 	seq      int
-	// traceBase/eventBase bracket the run's interval in the process
-	// trace-span and event-journal rings (captured when metrics are on).
-	traceBase uint64
-	eventBase uint64
+	// iv brackets the run in the process registry and rings.
+	iv metrics.Interval
 }
 
 // instTrace mints one instance's deterministic trace ID — identical to
@@ -407,10 +402,6 @@ func (c *coordinator) assign(w *remoteWorker, q queries.QueryID, indices []int) 
 // collect worker summaries and merge the report.
 func (c *coordinator) run(ctx context.Context) (*vcd.RunReport, error) {
 	report := &vcd.RunReport{System: c.sys.Name(), Scale: c.plan.Scale, Mode: c.opt.Mode}
-	var runBase metrics.Snapshot
-	if metrics.Enabled() {
-		runBase = metrics.Capture()
-	}
 	start := time.Now()
 	for _, q := range c.opt.Queries {
 		qr, err := c.runQuery(ctx, q)
@@ -421,50 +412,54 @@ func (c *coordinator) run(ctx context.Context) (*vcd.RunReport, error) {
 	}
 	report.Elapsed = time.Since(start)
 
-	summaries, err := c.finish(ctx)
-	if err != nil {
+	if err := c.finish(ctx); err != nil {
 		return nil, err
 	}
-	var workerDelta metrics.WireDelta
-	haveRemote := false
-	for _, s := range summaries {
-		report.DecodedCache.Merge(s.Cache)
-		if s.Telemetry != nil {
-			workerDelta.Merge(*s.Telemetry)
-			haveRemote = true
+	// The coordinator's own interval already contains every span
+	// recorded by in-process pipe workers; remote workers contribute
+	// their deltas and shipped spans through their summaries (a remote
+	// span that predates the per-worker shard tag gets it from the worker
+	// identity here).
+	d, spans, lost := c.iv.Read()
+	for _, w := range c.workers {
+		if w.summary == nil {
+			continue
+		}
+		report.DecodedCache.Merge(w.summary.Cache)
+		if d != nil && w.summary.Telemetry != nil {
+			d.Merge(*w.summary.Telemetry)
+		}
+		lost += w.summary.SpansLost
+		for _, sp := range w.summary.Spans {
+			if sp.Shard < 0 {
+				sp.Shard = int32(w.id)
+			}
+			spans = append(spans, sp)
 		}
 	}
-	if metrics.Enabled() {
-		// The coordinator's own interval already contains every span
-		// recorded by in-process pipe workers; remote workers contribute
-		// their deltas through the summary merge.
-		d := metrics.Capture().Delta(runBase)
-		if haveRemote {
-			d.Merge(workerDelta)
-		}
-		t := d.Telemetry()
-		report.Telemetry = &t
-		// The trace report joins the coordinator's own spans (which include
-		// every in-process pipe worker's) with remote workers' shipped
-		// spans; remote spans that predate the per-worker shard tag get it
-		// from the worker identity here.
-		spans, lost := metrics.TraceSpansSince(c.traceBase)
-		for _, w := range c.workers {
-			if w.summary == nil {
-				continue
-			}
-			lost += w.summary.SpansLost
-			for _, sp := range w.summary.Spans {
-				if sp.Shard < 0 {
-					sp.Shard = int32(w.id)
-				}
-				spans = append(spans, sp)
-			}
-		}
-		report.Trace = metrics.SummarizeTraces(spans, lost)
-		report.Events, _ = metrics.EventsSince(c.eventBase)
-	}
+	report.Record = c.iv.Close(d, c.ownSpans(spans), lost)
 	return report, nil
+}
+
+// ownSpans keeps the spans whose trace IDs this run's plan minted — its
+// instances', its batches' and the run's. The interval is cut from
+// process-wide rings, which in a daemon the coordinators and in-process
+// workers of other jobs running at the time write to as well.
+func (c *coordinator) ownSpans(spans []metrics.TraceSpan) []metrics.TraceSpan {
+	own := map[metrics.TraceID]bool{metrics.RunTraceID(c.opt.Seed): true}
+	for _, q := range c.opt.Queries {
+		own[metrics.BatchTraceID(c.opt.Seed, string(q))] = true
+		for idx := 0; idx < c.opt.InstancesPerScale*c.plan.Scale; idx++ {
+			own[c.instTrace(q, idx)] = true
+		}
+	}
+	kept := spans[:0]
+	for _, sp := range spans {
+		if own[sp.Trace] {
+			kept = append(kept, sp)
+		}
+	}
+	return kept
 }
 
 // runQuery scatters one query batch and gathers its results into a
@@ -478,10 +473,9 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 	n := c.opt.InstancesPerScale * c.plan.Scale
 	qr.BatchSize = n
 
-	var batchBase metrics.Snapshot
+	iv := metrics.Begin()
 	var batchTrace metrics.TraceID
 	if metrics.Enabled() {
-		batchBase = metrics.Capture()
 		batchTrace = metrics.BatchTraceID(c.opt.Seed, string(q))
 	}
 	batchStart := time.Now()
@@ -520,9 +514,13 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 		}
 	}
 
-	// Gather: per-instance results land at their global index; worker
-	// deaths reassign whatever the dead worker still owed.
-	results := make([]*InstanceResultWire, n)
+	// Gather: per-instance results land at their global index, in the
+	// driver's own type (the batch limit's sub-batches are counted
+	// arithmetically by Tally: grouping orders execution, it does not
+	// change per-instance results); worker deaths reassign whatever the
+	// dead worker still owed.
+	qr.Instances = make([]vcd.InstanceResult, n)
+	arrived := make([]bool, n)
 	files := map[string][]byte{}
 	remaining := n
 	for remaining > 0 {
@@ -549,7 +547,7 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 				continue // stale frame from a pre-reassignment epoch
 			}
 			delete(w.outstanding, res.Index)
-			if results[res.Index] != nil {
+			if arrived[res.Index] {
 				// A reassigned instance finished twice; execution is
 				// deterministic, so both copies are identical. Keep the
 				// first, count the duplicate.
@@ -560,7 +558,7 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 				})
 				continue
 			}
-			results[res.Index] = &res
+			arrived[res.Index], qr.Instances[res.Index] = true, res.InstanceResult
 			for _, f := range res.Files {
 				files[f.Name] = f.Data
 			}
@@ -588,36 +586,9 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 	}
 	qr.Elapsed = time.Since(batchStart)
 
-	// Merge: rebuild the instance slice in global order and tally it with
-	// the driver's own tally (the batch limit's sub-batches are counted
-	// arithmetically there: grouping orders execution, it does not change
-	// per-instance results).
+	// Merge: tally with the driver's own tally, then persist.
 	msp := metrics.StartSpan(metrics.StageShardMerge)
 	msp.Trace(batchTrace)
-	qr.Instances = make([]vcd.InstanceResult, n)
-	for idx, res := range results {
-		inst := vcd.InstanceResult{
-			Elapsed: time.Duration(res.ElapsedNS),
-			Frames:  res.Frames,
-		}
-		if res.Err != "" {
-			inst.Err = &remoteError{msg: res.Err, resource: res.Resource}
-		}
-		if v := res.Validated; v != nil {
-			iv := &vcd.InstanceValidation{
-				Checked:         v.Checked,
-				PSNR:            v.PSNR,
-				Passed:          v.Passed,
-				SemanticChecked: v.SemanticChecked,
-				SemanticPassed:  v.SemanticPassed,
-			}
-			if v.Err != "" {
-				iv.Err = errors.New(v.Err)
-			}
-			inst.Validation = iv
-		}
-		qr.Instances[idx] = inst
-	}
 	qr.Tally(c.sys)
 	// Persisted results write in name order — a deterministic gather
 	// regardless of which worker finished first.
@@ -639,10 +610,7 @@ func (c *coordinator) runQuery(ctx context.Context, q queries.QueryID) (*vcd.Que
 		Kind: metrics.EventMergeComplete, Query: string(q),
 		Trace: batchTrace, Count: n, Shard: -1,
 	})
-	if metrics.Enabled() {
-		t := metrics.Capture().Sub(batchBase)
-		qr.Telemetry = &t
-	}
+	qr.Telemetry = iv.Telemetry()
 	return qr, nil
 }
 
@@ -689,9 +657,9 @@ func (c *coordinator) reassign(q queries.QueryID, orphaned []int) error {
 }
 
 // finish tells every surviving worker the run is over and collects
-// their summaries. A worker dying at this stage loses only its
-// telemetry contribution, never results.
-func (c *coordinator) finish(ctx context.Context) ([]*WorkerSummary, error) {
+// their summaries (remoteWorker.summary). A worker dying at this stage
+// loses only its telemetry contribution, never results.
+func (c *coordinator) finish(ctx context.Context) error {
 	waiting := map[int]bool{}
 	for _, w := range c.alive() {
 		if err := c.write(w, msgFinish, struct{}{}); err != nil {
@@ -700,13 +668,12 @@ func (c *coordinator) finish(ctx context.Context) ([]*WorkerSummary, error) {
 		}
 		waiting[w.id] = true
 	}
-	var out []*WorkerSummary
 	for len(waiting) > 0 {
 		var ev event
 		select {
 		case ev = <-c.events:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if !waiting[ev.wid] {
 			continue
@@ -722,26 +689,10 @@ func (c *coordinator) finish(ctx context.Context) ([]*WorkerSummary, error) {
 		}
 		var sum WorkerSummary
 		if err := decode(ev.kind, ev.body, &sum); err != nil {
-			return nil, err
+			return err
 		}
 		w.summary = &sum
-		out = append(out, &sum)
 		delete(waiting, ev.wid)
 	}
-	return out, nil
+	return nil
 }
-
-// remoteError carries a worker-side execution error across the wire.
-// The message is the original error string (so reports and comparisons
-// read identically); IsResource reports the vdbms.ErrResource tally
-// class to vcd.IsResourceError.
-type remoteError struct {
-	msg      string
-	resource bool
-}
-
-func (e *remoteError) Error() string { return e.msg }
-
-// IsResource reports whether the remote error was a resource exhaustion
-// (vdbms.ErrResource on the worker).
-func (e *remoteError) IsResource() bool { return e.resource }

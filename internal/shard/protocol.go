@@ -131,17 +131,6 @@ type Assignment struct {
 	Traces []metrics.TraceID `json:"traces,omitempty"`
 }
 
-// ValidationWire is the serializable part of an instance's validation
-// verdict (outputs stay worker-side; only the verdict travels).
-type ValidationWire struct {
-	Checked         bool    `json:"checked"`
-	PSNR            float64 `json:"psnr"`
-	Passed          bool    `json:"passed"`
-	SemanticChecked int     `json:"semantic_checked,omitempty"`
-	SemanticPassed  int     `json:"semantic_passed,omitempty"`
-	Err             string  `json:"err,omitempty"`
-}
-
 // ResultFile is one persisted result payload, named exactly as the
 // single-process driver would name it.
 type ResultFile struct {
@@ -149,20 +138,16 @@ type ResultFile struct {
 	Data []byte `json:"data"`
 }
 
-// InstanceResultWire is one executed instance streaming back.
+// InstanceResultWire is one executed instance streaming back: the
+// frame (assignment epoch, persisted payloads) around the driver's own
+// result, which crosses as itself. Its Trace echoes the instance's trace
+// ID so the coordinator's gather spans join the worker's spans under one
+// timeline.
 type InstanceResultWire struct {
-	Query     string          `json:"query"`
-	Index     int             `json:"index"`
-	Seq       int             `json:"seq"`
-	ElapsedNS int64           `json:"elapsed_ns"`
-	Frames    int             `json:"frames"`
-	Err       string          `json:"err,omitempty"`
-	Resource  bool            `json:"resource,omitempty"`
-	Validated *ValidationWire `json:"validation,omitempty"`
-	Files     []ResultFile    `json:"files,omitempty"`
-	// Trace echoes the instance's trace ID so the coordinator's gather
-	// spans join the worker's spans under one timeline.
-	Trace metrics.TraceID `json:"trace,omitempty"`
+	Query string       `json:"query"`
+	Seq   int          `json:"seq"`
+	Files []ResultFile `json:"files,omitempty"`
+	vcd.IndexedResult
 }
 
 // AssignmentDone closes one assignment.

@@ -32,10 +32,16 @@ func TestProtocolRoundTrip(t *testing.T) {
 		}},
 		{msgAssign, Assignment{Query: queries.Q3, Indices: []int{0, 3, 7}, Seq: 2}},
 		{msgResult, InstanceResultWire{
-			Query: "q3", Index: 3, Seq: 2, ElapsedNS: 12345, Frames: 15,
-			Err: "boom", Resource: true,
-			Validated: &ValidationWire{Checked: true, PSNR: 31.5, Passed: true},
-			Files:     []ResultFile{{Name: "result-q3-003-cam.vrmf", Data: []byte{1, 2, 3}}},
+			Query: "q3", Seq: 2,
+			Files: []ResultFile{{Name: "result-q3-003-cam.vrmf", Data: []byte{1, 2, 3}}},
+			IndexedResult: vcd.IndexedResult{Index: 3, Trace: 77, InstanceResult: vcd.InstanceResult{
+				Elapsed: 12345, Frames: 15,
+				Err: &vcd.InstanceError{Msg: "boom", Resource: true},
+				Validation: &vcd.InstanceValidation{
+					Checked: true, PSNR: 31.5, Passed: true, SemanticChecked: 4, SemanticPassed: 3,
+					Err: &vcd.InstanceError{Msg: "no output"},
+				},
+			}},
 		}},
 		{msgDone, AssignmentDone{Query: "q3", Seq: 2}},
 		{msgSummary, WorkerSummary{Cache: metrics.CacheStats{Hits: 5, Misses: 2}}},

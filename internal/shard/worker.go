@@ -90,10 +90,9 @@ type worker struct {
 	runner  *vcd.BatchRunner
 	results vfs.Store       // worker-local result staging
 	shipped map[string]bool // result files already sent
-	base    metrics.Snapshot
-	// traceBase marks where this job's spans start in the local trace
-	// ring; summarize ships everything after it (remote workers only).
-	traceBase uint64
+	// iv brackets the job in this process's sinks; summarize ships its
+	// reading (begun only by a remote worker the job asks for metrics).
+	iv metrics.Interval
 }
 
 func (w *worker) send(kind byte, v any) error {
@@ -196,8 +195,7 @@ func (w *worker) setup() error {
 	}
 	if w.job.Metrics && !w.opt.InProcess {
 		metrics.SetEnabled(true)
-		w.base = metrics.Capture()
-		w.traceBase = metrics.TraceSeq()
+		w.iv = metrics.Begin()
 	}
 	opt := w.job.Opt
 	if opt.Mode == vcd.WriteMode {
@@ -237,30 +235,7 @@ func (w *worker) runAssignment(a Assignment) error {
 		return fmt.Errorf("shard: worker: %s subset: %w", a.Query, err)
 	}
 	for _, res := range results {
-		wire := InstanceResultWire{
-			Query:     string(a.Query),
-			Index:     res.Index,
-			Seq:       a.Seq,
-			ElapsedNS: res.Elapsed.Nanoseconds(),
-			Frames:    res.Frames,
-			Trace:     res.Trace,
-		}
-		if res.Err != nil {
-			wire.Err = res.Err.Error()
-			wire.Resource = vcd.IsResourceError(res.Err)
-		}
-		if v := res.Validation; v != nil {
-			wire.Validated = &ValidationWire{
-				Checked:         v.Checked,
-				PSNR:            v.PSNR,
-				Passed:          v.Passed,
-				SemanticChecked: v.SemanticChecked,
-				SemanticPassed:  v.SemanticPassed,
-			}
-			if v.Err != nil {
-				wire.Validated.Err = v.Err.Error()
-			}
-		}
+		wire := InstanceResultWire{Query: string(a.Query), Seq: a.Seq, IndexedResult: res}
 		if w.results != nil {
 			files, err := w.collectFiles(vcd.ResultNamePrefix(a.Query, res.Index))
 			if err != nil {
@@ -306,10 +281,6 @@ func (w *worker) collectFiles(prefix string) ([]ResultFile, error) {
 // workers, the telemetry interval in mergeable wire form.
 func (w *worker) summarize() error {
 	sum := WorkerSummary{Cache: w.runner.CacheStats()}
-	if w.job.Metrics && !w.opt.InProcess {
-		d := metrics.Capture().Delta(w.base)
-		sum.Telemetry = &d
-		sum.Spans, sum.SpansLost = metrics.TraceSpansSince(w.traceBase)
-	}
+	sum.Telemetry, sum.Spans, sum.SpansLost = w.iv.Read()
 	return w.send(msgSummary, sum)
 }

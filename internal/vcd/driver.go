@@ -109,12 +109,34 @@ func (o Options) decodedCacheBudget() int64 {
 	return o.DecodedCacheBytes
 }
 
-// InstanceResult records one executed query instance.
+// InstanceResult records one executed query instance. It is also what
+// a shard worker sends back: the JSON below is the wire form.
 type InstanceResult struct {
-	Elapsed    time.Duration
-	Frames     int
-	Err        error
-	Validation *InstanceValidation
+	Elapsed    time.Duration       `json:"elapsed_ns"`
+	Frames     int                 `json:"frames"`
+	Err        *InstanceError      `json:"err,omitempty"`
+	Validation *InstanceValidation `json:"validation,omitempty"`
+}
+
+// InstanceError is an instance's (or its validation's) failure as the
+// report keeps it: the message, and whether it was resource exhaustion
+// (a vdbms.ErrResource, e.g. Scanner-like Q4) — the one class the tally
+// counts apart. It is made where the result is born, so a result reads
+// the same in the process that executed it and across the shard wire.
+type InstanceError struct {
+	Msg      string `json:"msg"`
+	Resource bool   `json:"resource,omitempty"`
+}
+
+func (e *InstanceError) Error() string { return e.Msg }
+
+// instanceError converts err (nil stays nil).
+func instanceError(err error) *InstanceError {
+	if err == nil {
+		return nil
+	}
+	var resErr *vdbms.ErrResource
+	return &InstanceError{Msg: err.Error(), Resource: errors.As(err, &resErr)}
 }
 
 // QueryReport aggregates a query batch.
@@ -157,19 +179,10 @@ type RunReport struct {
 	// DecodedCache reports the shared decoded-input cache activity over
 	// the run (zero when the cache is disabled).
 	DecodedCache metrics.CacheStats
-	// Telemetry is the run's interval observability record — per-stage
-	// latency histograms, pool/cache gauges, frame-pool recycling —
-	// present when metrics are enabled (metrics.SetEnabled).
-	Telemetry *metrics.Telemetry
-	// Trace is the run's distributed-trace summary: per-instance
-	// timelines reconstructed from trace-tagged spans, with per-worker
-	// straggler attribution. Present when metrics are enabled. Trace IDs
-	// are deterministic (same seed + plan ⇒ same IDs), so single-process
-	// and sharded runs of one plan are directly comparable.
-	Trace *metrics.TraceReport
-	// Events is the run's lifecycle event-journal interval (populated by
-	// the shard plane; empty for single-process runs).
-	Events []metrics.Event
+	// Record is the run's interval in the observability layer —
+	// Telemetry, Trace, Events, EventsLost — present when metrics are
+	// enabled (metrics.SetEnabled).
+	metrics.Record
 }
 
 // QueryReport returns the report for q, if present.
@@ -192,13 +205,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 		return nil, err
 	}
 	report := &RunReport{System: sys.Name(), Scale: ds.Manifest.Scale, Mode: r.opt.Mode}
-	var runBase metrics.Snapshot
-	var traceBase, eventBase uint64
-	if metrics.Enabled() {
-		runBase = metrics.Capture()
-		traceBase = metrics.TraceSeq()
-		eventBase = metrics.EventSeq()
-	}
+	iv := metrics.Begin()
 	start := time.Now()
 	for _, q := range r.opt.Queries {
 		qr, err := r.runQueryBatch(q)
@@ -213,12 +220,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 	}
 	report.Elapsed = time.Since(start)
 	report.DecodedCache = ds.DecodedCacheStats()
-	if metrics.Enabled() {
-		t := metrics.Capture().Sub(runBase)
-		report.Telemetry = &t
-		report.Trace = metrics.SummarizeTraces(metrics.TraceSpansSince(traceBase))
-		report.Events, _ = metrics.EventsSince(eventBase)
-	}
+	report.Record = iv.End()
 	return report, nil
 }
 
@@ -250,10 +252,7 @@ func (r *BatchRunner) runQueryBatch(q queries.QueryID) (*QueryReport, error) {
 		group = len(insts)
 	}
 	qr.Instances = make([]InstanceResult, len(insts))
-	var batchBase metrics.Snapshot
-	if metrics.Enabled() {
-		batchBase = metrics.Capture()
-	}
+	iv := metrics.Begin()
 	batchStart := time.Now()
 	for lo := 0; lo < len(insts); lo += group {
 		hi := min(lo+group, len(insts))
@@ -262,10 +261,7 @@ func (r *BatchRunner) runQueryBatch(q queries.QueryID) (*QueryReport, error) {
 	qr.Elapsed = time.Since(batchStart)
 	r.validate(insts, idxs, tids, qr.Instances)
 	qr.Tally(r.sys)
-	if metrics.Enabled() {
-		t := metrics.Capture().Sub(batchBase)
-		qr.Telemetry = &t
-	}
+	qr.Telemetry = iv.Telemetry()
 	return qr, nil
 }
 
@@ -323,15 +319,6 @@ func batchLimit(sys vdbms.System, q queries.QueryID) int {
 	return 0
 }
 
-// IsResourceError reports whether an instance failed with resource
-// exhaustion (e.g. Scanner-like Q4) — a vdbms.ErrResource, or an error
-// carried back from a shard worker that says it was one.
-func IsResourceError(err error) bool {
-	var resErr *vdbms.ErrResource
-	var remote interface{ IsResource() bool }
-	return errors.As(err, &resErr) || (errors.As(err, &remote) && remote.IsResource())
-}
-
 // Tally fills the batch's derived fields from BatchSize and Instances:
 // completions, resource failures and frames, the sub-batches the
 // engine's batch limit forces, and the validation summary. The driver
@@ -340,11 +327,11 @@ func IsResourceError(err error) bool {
 func (qr *QueryReport) Tally(sys vdbms.System) {
 	qr.Completed, qr.ResourceErrors, qr.Frames, qr.BatchSplits = 0, 0, 0, 0
 	for _, res := range qr.Instances {
-		if IsResourceError(res.Err) {
-			qr.ResourceErrors++
-		} else if res.Err == nil {
+		if res.Err == nil {
 			qr.Completed++
 			qr.Frames += res.Frames
+		} else if res.Err.Resource {
+			qr.ResourceErrors++
 		}
 	}
 	if limit := batchLimit(sys, qr.Query); limit > 0 && qr.BatchSize > limit {
@@ -418,7 +405,7 @@ func executeInstance(ds *Dataset, sys vdbms.System, inst *vdbms.QueryInstance, o
 	sp.Worker(worker)
 	sp.Trace(tid)
 	sp.Shard(shard)
-	res.Err = sys.Execute(inst, sink)
+	res.Err = instanceError(sys.Execute(inst, sink))
 	sp.Frames(res.Frames)
 	sp.End()
 	res.Elapsed = time.Since(start)

@@ -2,6 +2,7 @@ package vcd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -59,6 +60,26 @@ func (t OnlineTransport) String() string {
 // readable.
 func (t OnlineTransport) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + t.String() + `"`), nil
+}
+
+// UnmarshalJSON reads it back.
+func (t *OnlineTransport) UnmarshalJSON(b []byte) (err error) {
+	var name string
+	if err = json.Unmarshal(b, &name); err == nil {
+		*t, err = ParseOnlineTransport(name)
+	}
+	return err
+}
+
+// ParseOnlineTransport resolves a transport name (-transport).
+func ParseOnlineTransport(name string) (OnlineTransport, error) {
+	switch name {
+	case "pipe":
+		return TransportPipe, nil
+	case "rtp":
+		return TransportRTP, nil
+	}
+	return 0, fmt.Errorf("vcd: unknown transport %q", name)
 }
 
 // OnlineOptions configures one online query execution.

@@ -10,8 +10,8 @@ import (
 // ReportSummary is the machine-readable benchmark report: the global
 // election (scale, resolution, mode) plus per-query runtime, throughput,
 // and validation descriptive statistics, as §3.2 requires evaluators to
-// report. It is what `vcd -json` prints and what vrserved persists per
-// job.
+// report. It is what `vcd -json` prints, what vrserved persists per job
+// and what an Artifact holds per run (DESIGN.md "One report path").
 type ReportSummary struct {
 	System    string  `json:"system"`
 	Scale     int     `json:"scale"`
@@ -20,10 +20,32 @@ type ReportSummary struct {
 	// DecodedCache carries the shared decoded-input cache counters with
 	// their derived hit-rate and decode-ratio.
 	DecodedCache json.RawMessage `json:"decoded_cache"`
-	// Telemetry is the run's stage-level observability record, present
+	// Record is the run's telemetry, trace summary and events, present
 	// when metrics are enabled (-metrics-json / -report / -debug-addr).
-	Telemetry *metrics.Telemetry `json:"telemetry,omitempty"`
-	Queries   []QuerySummary     `json:"queries"`
+	metrics.Record
+	Queries []QuerySummary `json:"queries"`
+}
+
+// Artifact is the one -metrics-json file: every binary that has the
+// flag writes this type through cli.Obs.WriteArtifact.
+type Artifact struct {
+	// Process is the whole invocation's interval, where the binary runs
+	// more than one thing (vrbench's experiments, vcd's online sessions).
+	Process *metrics.Record `json:"process,omitempty"`
+	// Runs holds one summary per benchmark run, in execution order.
+	Runs []ReportSummary `json:"runs,omitempty"`
+	// Online is `vcd -online`'s election and per-query degradation
+	// reports.
+	Online *OnlineRun `json:"online,omitempty"`
+}
+
+// OnlineRun is an online invocation: transport, seeded fault schedule,
+// and each online-capable query's report.
+type OnlineRun struct {
+	Transport OnlineTransport          `json:"transport"`
+	FaultSpec string                   `json:"fault_spec,omitempty"`
+	Seed      uint64                   `json:"seed"`
+	Queries   map[string]*OnlineReport `json:"queries"`
 }
 
 // QuerySummary is one query batch's row of the report.
@@ -56,7 +78,7 @@ func Summarize(r *RunReport) ReportSummary {
 		System: r.System, Scale: r.Scale, Mode: mode,
 		ElapsedMS:    r.Elapsed.Seconds() * 1000,
 		DecodedCache: r.DecodedCache.Report(),
-		Telemetry:    r.Telemetry,
+		Record:       r.Record,
 	}
 	for _, qr := range r.Queries {
 		out.Queries = append(out.Queries, QuerySummary{
@@ -81,7 +103,8 @@ func Summarize(r *RunReport) ReportSummary {
 
 // Canonical strips the summary down to its deterministic content: what
 // two runs of the same plan must agree on byte-for-byte. Timing
-// (elapsed, fps), telemetry, and decoded-cache locality are excluded —
+// (elapsed, fps), the observability record (telemetry, trace, events),
+// and decoded-cache locality are excluded —
 // they legitimately vary run to run and across topologies (per-worker
 // caches split the hit pattern) — exactly the exclusion set the shard
 // plane's equivalence tests use. Everything else (completions, frame
@@ -90,7 +113,7 @@ func Summarize(r *RunReport) ReportSummary {
 func (s ReportSummary) Canonical() ReportSummary {
 	s.ElapsedMS = 0
 	s.DecodedCache = metrics.CacheStats{}.Report()
-	s.Telemetry = nil
+	s.Record = metrics.Record{}
 	qs := make([]QuerySummary, len(s.Queries))
 	copy(qs, s.Queries)
 	for i := range qs {
@@ -104,8 +127,10 @@ func (s ReportSummary) Canonical() ReportSummary {
 
 // MarshalReport renders a summary in the canonical artifact byte form:
 // two-space indented JSON with a trailing newline.
-func MarshalReport(s ReportSummary) ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
+func MarshalReport(s ReportSummary) ([]byte, error) { return marshalIndented(s) }
+
+func marshalIndented(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -127,9 +152,10 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// WriteReportFile persists a report summary atomically as JSON.
-func WriteReportFile(path string, s ReportSummary) error {
-	data, err := MarshalReport(s)
+// WriteReportFile persists a report summary or an artifact atomically
+// in MarshalReport's byte form.
+func WriteReportFile[T ReportSummary | Artifact](path string, v T) error {
+	data, err := marshalIndented(v)
 	if err != nil {
 		return err
 	}

@@ -45,10 +45,11 @@ func NewBatchRunner(ds *Dataset, sys vdbms.System, opt Options) (*BatchRunner, e
 func (r *BatchRunner) SetShard(shard int) { r.shard = shard }
 
 // IndexedResult is one executed instance tagged with its global batch
-// index and the trace ID it executed under.
+// index and the trace ID it executed under — what a shard result frame
+// embeds.
 type IndexedResult struct {
-	Index int
-	Trace metrics.TraceID
+	Index int             `json:"index"`
+	Trace metrics.TraceID `json:"trace,omitempty"`
 	InstanceResult
 }
 

@@ -20,16 +20,18 @@ import (
 // Q2(c) and Q2(d) additionally use semantic validation against the
 // scene geometry that produced the input.
 type InstanceValidation struct {
-	Outputs map[string]*video.Video
+	// Outputs stay in the process that executed the instance; only the
+	// verdict below travels.
+	Outputs map[string]*video.Video `json:"-"`
 
-	Checked bool
-	PSNR    float64
-	Passed  bool
+	Checked bool    `json:"checked"`
+	PSNR    float64 `json:"psnr"`
+	Passed  bool    `json:"passed"`
 	// Semantic validation (Q2(c): detections matched to scene objects
 	// within Jaccard distance ε; Q2(d): foreground retention).
-	SemanticChecked int
-	SemanticPassed  int
-	Err             error
+	SemanticChecked int            `json:"semantic_checked,omitempty"`
+	SemanticPassed  int            `json:"semantic_passed,omitempty"`
+	Err             *InstanceError `json:"err,omitempty"`
 }
 
 // ValidationSummary aggregates a batch's validation results, providing
@@ -93,7 +95,7 @@ func (v *validator) validate(inst *vdbms.QueryInstance, val *InstanceValidation)
 	}
 	refs, err := v.reference(inst)
 	if err != nil {
-		val.Err = fmt.Errorf("vcd: reference execution: %w", err)
+		val.Err = instanceError(fmt.Errorf("vcd: reference execution: %w", err))
 		return
 	}
 	threshold := metrics.PSNRThreshold
@@ -106,13 +108,13 @@ func (v *validator) validate(inst *vdbms.QueryInstance, val *InstanceValidation)
 		out, ok := val.Outputs[key]
 		if !ok {
 			val.Passed = false
-			val.Err = fmt.Errorf("vcd: system produced no output %q", key)
+			val.Err = &InstanceError{Msg: fmt.Sprintf("vcd: system produced no output %q", key)}
 			return
 		}
 		p, err := metrics.VideoPSNR(out, ref)
 		if err != nil {
 			val.Passed = false
-			val.Err = err
+			val.Err = instanceError(err)
 			return
 		}
 		if p < worst {
@@ -281,7 +283,7 @@ func cheapEnv(in *vdbms.Input) *queries.Env {
 func (v *validator) semanticQ2c(inst *vdbms.QueryInstance, val *InstanceValidation) {
 	out, ok := val.Outputs["out"]
 	if !ok {
-		val.Err = fmt.Errorf("vcd: Q2(c) produced no output")
+		val.Err = &InstanceError{Msg: "vcd: Q2(c) produced no output"}
 		val.Passed = false
 		return
 	}
