@@ -24,8 +24,7 @@ type Record struct {
 // journal. Begun with metrics off it stays inert: every reading is
 // empty, whatever is enabled meanwhile.
 type Interval struct {
-	on           bool
-	base         Snapshot
+	base         *Snapshot // nil: begun with metrics off
 	trace, event uint64
 }
 
@@ -34,25 +33,26 @@ func Begin() Interval {
 	if !Enabled() {
 		return Interval{}
 	}
-	return Interval{on: true, base: Capture(), trace: TraceSeq(), event: EventSeq()}
+	base := Capture()
+	return Interval{base: &base, trace: TraceSeq(), event: EventSeq()}
 }
 
 // Telemetry summarises the registry's share of the interval so far.
 func (iv Interval) Telemetry() *Telemetry {
-	if !iv.on {
+	if iv.base == nil {
 		return nil
 	}
-	t := Capture().Sub(iv.base)
+	t := Capture().Sub(*iv.base)
 	return &t
 }
 
 // Read returns the interval so far in the form that merges across
 // processes: what a shard worker ships and its coordinator folds.
 func (iv Interval) Read() (d *WireDelta, spans []TraceSpan, lost uint64) {
-	if !iv.on {
+	if iv.base == nil {
 		return nil, nil, 0
 	}
-	delta := Capture().Delta(iv.base)
+	delta := Capture().Delta(*iv.base)
 	spans, lost = TraceSpansSince(iv.trace)
 	return &delta, spans, lost
 }
@@ -60,7 +60,7 @@ func (iv Interval) Read() (d *WireDelta, spans []TraceSpan, lost uint64) {
 // Close summarises a reading — the interval's own, or one a coordinator
 // has merged its workers' into — and adds the interval's events.
 func (iv Interval) Close(d *WireDelta, spans []TraceSpan, lost uint64) Record {
-	if !iv.on {
+	if iv.base == nil {
 		return Record{}
 	}
 	t := d.Telemetry()
