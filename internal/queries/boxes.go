@@ -121,12 +121,9 @@ func rectFrom(x1, y1, x2, y2 float64) geom.Rect {
 	return geom.Rect{MinX: x1, MinY: y1, MaxX: x2, MaxY: y2}
 }
 
-// RenderBoxesFrame draws detections of the wanted classes onto an
-// ω-background frame of the given size — one frame of the bounding box
-// video B.
-func RenderBoxesFrame(w, h, index int, dets []metrics.Detection, want map[string]bool) *video.Frame {
-	bf := video.NewFrame(w, h)
-	bf.Index = index
+// eachBox calls draw with the rectangle and class color of every
+// detection of a wanted class (nil wants all), in drawing order.
+func eachBox(dets []metrics.Detection, want map[string]bool, draw func(r geom.Rect, c video.Color)) {
 	for _, d := range dets {
 		if want != nil && !want[d.Class] {
 			continue
@@ -135,9 +132,57 @@ func RenderBoxesFrame(w, h, index int, dets []metrics.Detection, want map[string
 		if d.Class == vcity.ClassPedestrian.String() {
 			cls = vcity.ClassPedestrian
 		}
-		render.FillRect(bf, d.Box, ClassColor(cls))
+		draw(d.Box, ClassColor(cls))
 	}
+}
+
+// RenderBoxesFrame draws detections of the wanted classes onto an
+// ω-background frame of the given size — one frame of the bounding box
+// video B.
+func RenderBoxesFrame(w, h, index int, dets []metrics.Detection, want map[string]bool) *video.Frame {
+	bf := video.NewFrame(w, h)
+	bf.Index = index
+	eachBox(dets, want, func(r geom.Rect, c video.Color) { render.FillRect(bf, r, c) })
 	return bf
+}
+
+// OverlayBoxes is Q6(a) for an engine that reads the serialized boxes:
+// the ω-coalesce of f with RenderBoxesFrame(f.W, f.H, f.Index, dets,
+// want), byte for byte, at the cost of the boxes' area. Away from the
+// boxes B is ω and the output is f, so f is copied once and the
+// predicate runs only over each box's bounds — widened to even
+// coordinates, because FillRect writes the chroma of every 2×2 block it
+// touches and coalescing reads that chroma for all four of the block's
+// lumas: the fringe outside the box changes too. B exists only inside
+// those bounds, in a pooled scratch frame.
+func OverlayBoxes(f *video.Frame, dets []metrics.Detection, want map[string]bool) *video.Frame {
+	out := copyFrame(f)
+	bf := getFrame(f.W, f.H)
+	cw := f.ChromaW()
+	eachBounds := func(visit func(x0, y0, x1, y1 int)) {
+		eachBox(dets, want, func(r geom.Rect, _ video.Color) {
+			// The pixels FillRect draws, out to whole 2×2 blocks.
+			x0, y0, x1, y1 := render.PixelRect(r, f.W, f.H)
+			if x0 < x1 && y0 < y1 {
+				visit(x0&^1, y0&^1, min((x1+1)&^1, f.W), min((y1+1)&^1, f.H))
+			}
+		})
+	}
+	// All bounds go to ω before any box is drawn, and every box is
+	// drawn before any bounds are coalesced: boxes overlap.
+	eachBounds(func(x0, y0, x1, y1 int) {
+		for y := y0; y < y1; y++ {
+			fill(bf.Y[y*f.W+x0:y*f.W+x1], Omega.Y)
+		}
+		for cy := y0 / 2; cy < (y1+1)/2; cy++ {
+			fill(bf.U[cy*cw+x0/2:cy*cw+(x1+1)/2], Omega.U)
+			fill(bf.V[cy*cw+x0/2:cy*cw+(x1+1)/2], Omega.V)
+		}
+	})
+	eachBox(dets, want, func(r geom.Rect, c video.Color) { render.FillRect(bf, r, c) })
+	eachBounds(func(x0, y0, x1, y1 int) { coalesceRect(out, f, bf, x0, y0, x1, y1) })
+	RecycleFrame(bf)
+	return out
 }
 
 // RenderBoxesVideo draws per-frame detections into a full bounding-box

@@ -104,88 +104,91 @@ func (b *blurrer) frame(f *video.Frame) *video.Frame {
 	return out
 }
 
-// plane is the separable blur evaluated a row at a time. Each pass adds
-// one kernel tap to a whole row of accumulators before moving to the next
-// tap, so every output still sums its taps in ascending kernel order from
-// zero — the clamp-every-tap reference (blurPlane in fused_test.go),
-// bit-for-bit — while the inner loops walk contiguous float rows: border
-// clamping happens once per source row (horizontal, into pad) or once per
-// tap row (vertical), and samples convert to float once, not once per tap.
+// plane is the separable blur with every output's tap sum held in a
+// register, four outputs at a time (taps4); nothing is stored until all
+// of an output's taps are in. Borders are clamped once per line, into a
+// padded copy: pad for a source row, and the ends of each column of
+// tmp, which holds the horizontally blurred plane transposed — column x
+// at tmp[x*th:], entry j being row clamp(j−r) — so that the vertical
+// pass is the horizontal pass again, over contiguous samples.
 func (b *blurrer) plane(dst, src []byte, w, h int) {
 	k := b.k
+	if len(k) == 0 { // d = 0: every tap sum is empty
+		clear(dst)
+		return
+	}
 	r := len(k) / 2
-	padLen := w + len(k) - 1
-	tp := b.tmp(w*h + padLen + w)
-	tmp, pad, acc := (*tp)[:w*h], (*tp)[w*h:w*h+padLen], (*tp)[w*h+padLen:]
+	padLen, th := w+len(k)-1, h+len(k)-1
+	tp := b.tmp(w*th + padLen)
+	tmp, pad := (*tp)[:w*th], (*tp)[w*th:]
 
-	// Horizontal pass: pad[j] is the source sample at column j−r, clamped.
 	for y := 0; y < h; y++ {
 		row := src[y*w : (y+1)*w]
-		for j := range pad {
-			pad[j] = float64(row[geom.ClampInt(j-r, 0, w-1)])
+		for x, v := range row {
+			pad[r+x] = float64(v)
 		}
-		trow := tmp[y*w : (y+1)*w]
-		clear(trow)
-		for i, kv := range k {
-			for x, v := range pad[i : i+w] {
-				trow[x] += kv * v
-			}
+		fill(pad[:r], pad[r])
+		fill(pad[r+w:], pad[r+w-1])
+		x := 0
+		for ; x+4 <= w; x += 4 {
+			s0, s1, s2, s3 := taps4(k, pad[x:x+len(k)+3])
+			tmp[x*th+r+y], tmp[(x+1)*th+r+y], tmp[(x+2)*th+r+y], tmp[(x+3)*th+r+y] = s0, s1, s2, s3
+		}
+		for ; x < w; x++ {
+			tmp[x*th+r+y] = taps1(k, pad[x:x+len(k)])
 		}
 	}
 
-	// Vertical pass.
-	for y := 0; y < h; y++ {
-		clear(acc)
-		for i, kv := range k {
-			sy := geom.ClampInt(y+i-r, 0, h-1)
-			for x, v := range tmp[sy*w : (sy+1)*w] {
-				acc[x] += kv * v
-			}
+	for x := 0; x < w; x++ {
+		col := tmp[x*th : (x+1)*th]
+		fill(col[:r], col[r])
+		fill(col[r+h:], col[r+h-1])
+		y := 0
+		for ; y+4 <= h; y += 4 {
+			s0, s1, s2, s3 := taps4(k, col[y:y+len(k)+3])
+			dst[y*w+x], dst[(y+1)*w+x], dst[(y+2)*w+x], dst[(y+3)*w+x] = blurByte(s0), blurByte(s1), blurByte(s2), blurByte(s3)
 		}
-		drow := dst[y*w : (y+1)*w]
-		for x, s := range acc {
-			drow[x] = byte(geom.Clamp(s, 0, 255) + 0.5)
+		for ; y < h; y++ {
+			dst[y*w+x] = blurByte(taps1(k, col[y:y+len(k)]))
 		}
 	}
 	b.scratch.Put(tp)
 }
 
-// maskFrameQ2d is the fused Q2(d) masking kernel: JoinPFrame specialized
-// to the background-subtraction projection. The mask decision depends
-// only on luma; chroma follows the co-located even-coordinate pixel's
-// decision, exactly as the closure form does.
-func maskFrameQ2d(fv, fb *video.Frame, eps float64) *video.Frame {
-	out := getFrame(fv.W, fv.H)
-	out.Index = fv.Index
-	w := fv.W
-	cw := fv.ChromaW()
-	for y := 0; y < fv.H; y++ {
-		vrow := fv.Y[y*w : (y+1)*w]
-		brow := fb.Y[y*w : (y+1)*w]
-		orow := out.Y[y*w : (y+1)*w]
-		chromaRow := y%2 == 0
-		crow := y / 2 * cw
-		for x := 0; x < w; x++ {
-			pv := vrow[x]
-			masked := maskBelow(Pixel{Y: pv}, Pixel{Y: brow[x]}, eps)
-			if masked {
-				orow[x] = Omega.Y
-			} else {
-				orow[x] = pv
-			}
-			if chromaRow && x%2 == 0 {
-				ci := crow + x/2
-				if masked {
-					out.U[ci] = Omega.U
-					out.V[ci] = Omega.V
-				} else {
-					out.U[ci] = fv.U[ci]
-					out.V[ci] = fv.V[ci]
-				}
-			}
-		}
+// taps1 is one output of the blur over p[0], p[1], …: from zero, k[i]·p[i]
+// added in ascending tap order — the expression of the clamp-every-tap
+// reference (blurPlane in fused_test.go), so the sum is bit-for-bit its.
+func taps1(k, p []float64) float64 {
+	var s float64
+	for i, kv := range k {
+		s += kv * p[i]
 	}
-	return out
+	return s
+}
+
+// taps4 is taps1 for the four outputs that start at p[0], p[1], p[2] and
+// p[3], tap by tap: of the four samples a tap reads, three carry over
+// from the tap before. p holds len(k)+3 samples.
+func taps4(k, p []float64) (s0, s1, s2, s3 float64) {
+	p = p[:len(k)+3]
+	v0, v1, v2 := p[0], p[1], p[2]
+	for i, kv := range k {
+		v3 := p[i+3]
+		s0 += kv * v0
+		s1 += kv * v1
+		s2 += kv * v2
+		s3 += kv * v3
+		v0, v1, v2 = v1, v2, v3
+	}
+	return s0, s1, s2, s3
+}
+
+func blurByte(s float64) byte { return byte(geom.Clamp(s, 0, 255) + 0.5) }
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // coalesceFrame is the fused Q6(a) kernel: JoinPFrame specialized to the
@@ -193,15 +196,24 @@ func maskFrameQ2d(fv, fb *video.Frame, eps float64) *video.Frame {
 func coalesceFrame(fa, fb *video.Frame) *video.Frame {
 	out := getFrame(fa.W, fa.H)
 	out.Index = fa.Index
+	coalesceRect(out, fa, fb, 0, 0, fa.W, fa.H)
+	return out
+}
+
+// coalesceRect writes the ω-coalesce of fa and fb over the pixels
+// [x0, x1) × [y0, y1) into out. x0 and y0 must be even: a pixel's
+// chroma sample is written by the even-coordinate pixel of its 2×2
+// block.
+func coalesceRect(out, fa, fb *video.Frame, x0, y0, x1, y1 int) {
 	w := fa.W
 	cw := fa.ChromaW()
-	for y := 0; y < fa.H; y++ {
+	for y := y0; y < y1; y++ {
 		arow := fa.Y[y*w : (y+1)*w]
 		brow := fb.Y[y*w : (y+1)*w]
 		orow := out.Y[y*w : (y+1)*w]
 		chromaRow := y%2 == 0
 		crow := y / 2 * cw
-		for x := 0; x < w; x++ {
+		for x := x0; x < x1; x++ {
 			ci := crow + x/2
 			bp := Pixel{Y: brow[x], U: fb.U[ci], V: fb.V[ci]}
 			omega := IsOmega(bp)
@@ -221,7 +233,6 @@ func coalesceFrame(fa, fb *video.Frame) *video.Frame {
 			}
 		}
 	}
-	return out
 }
 
 // grayFrame is the fused Q2(a) kernel: copy luma into a pooled frame and
@@ -238,9 +249,9 @@ func grayFrame(f *video.Frame) *video.Frame {
 	return out
 }
 
-// captionFrame copies f into a pooled frame (every sample overwritten)
-// for Q6(b)'s compositor to draw on.
-func captionFrame(f *video.Frame) *video.Frame {
+// copyFrame copies f into a pooled frame (every sample overwritten) for
+// Q6(b)'s compositor and Q6(a)'s box overlay to draw on.
+func copyFrame(f *video.Frame) *video.Frame {
 	out := getFrame(f.W, f.H)
 	out.Index = f.Index
 	copy(out.Y, f.Y)

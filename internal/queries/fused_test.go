@@ -63,9 +63,67 @@ func videosEqual(t *testing.T, label string, a, b *video.Video) {
 }
 
 // frameDims covers even, odd-width, odd-height, odd-both, and tiny
-// (kernel-wider-than-plane for the blur border logic) shapes.
+// (kernel-wider-than-plane for the blur border logic) shapes, and the
+// shape the benchmark runs (bench/).
 var frameDims = []struct{ w, h int }{
-	{64, 48}, {63, 48}, {64, 47}, {63, 47}, {5, 3}, {2, 2},
+	{64, 48}, {63, 48}, {64, 47}, {63, 47}, {5, 3}, {2, 2}, {192, 108},
+}
+
+// maskClosureForm is Q2(d) as Table 4 spells it — Window, AggregateMean
+// and a JoinPFrame over the maskBelow projection — the form the
+// sliding-window operator must equal byte for byte.
+func maskClosureForm(v *video.Video, m int, eps float64) *video.Video {
+	out := video.NewVideo(v.FPS)
+	for i, window := range Window(v, m) {
+		out.Append(JoinPFrame(v.Frames[i], AggregateMean(window), func(pv, pb Pixel) Pixel {
+			if maskBelow(pv, pb, eps) {
+				return Omega
+			}
+			return pv
+		}))
+	}
+	return out
+}
+
+// maskStreamed is Q2(d) through the streaming operator: push every
+// frame, then drain.
+func maskStreamed(v *video.Video, m int, eps float64) *video.Video {
+	out := video.NewVideo(v.FPS)
+	s := NewMaskStream(m, eps)
+	for _, f := range v.Frames {
+		if g := s.Push(f); g != nil {
+			out.Append(g)
+		}
+	}
+	for g := s.Drain(); g != nil; g = s.Drain() {
+		out.Append(g)
+	}
+	return out
+}
+
+// maskTestVideo is noise with what a mask test needs over it: a static
+// region (masked at any ε), a region that flickers a few levels around
+// a base (deviations on both sides of the threshold), and a band of
+// black, where the relative deviation divides by 1 instead of 0.
+func maskTestVideo(n, w, h int, seed int64) *video.Video {
+	v := noiseVideo(n, w, h, seed)
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	first := v.Frames[0]
+	for _, f := range v.Frames[1:] {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				switch {
+				case y < h/3:
+					f.SetY(x, y, first.Y[y*w+x])
+				case y < 2*h/3 && x < w/2:
+					f.SetY(x, y, byte(geom.ClampInt(int(first.Y[y*w+x])/4+rng.Intn(9)-4, 0, 255)))
+				case y >= h-2:
+					f.SetY(x, y, byte(rng.Intn(2)))
+				}
+			}
+		}
+	}
+	return v
 }
 
 // TestFusedKernelsMatchClosureForms is the fused-operator contract:
@@ -77,17 +135,10 @@ func TestFusedKernelsMatchClosureForms(t *testing.T) {
 			fa := noiseFrame(dim.w, dim.h, 3, 101)
 			fb := noiseFrame(dim.w, dim.h, 3, 202)
 
+			mv := maskTestVideo(5, dim.w, dim.h, 303)
 			for _, eps := range []float64{0.05, 0.2, 0.5} {
-				want := JoinPFrame(fa, fb, func(pv, pb Pixel) Pixel {
-					if maskBelow(pv, pb, eps) {
-						return Omega
-					}
-					return pv
-				})
-				got := maskFrameQ2d(fa, fb, eps)
-				if !framesEqual(want, got) {
-					t.Errorf("maskFrameQ2d(eps=%g) diverges from JoinPFrame", eps)
-				}
+				videosEqual(t, fmt.Sprintf("MaskStream(m=3, eps=%g) vs JoinPFrame over AggregateMean", eps),
+					maskClosureForm(mv, 3, eps), maskStreamed(mv, 3, eps))
 			}
 
 			want := JoinPFrame(fa, fb, OmegaCoalesce)
@@ -96,7 +147,10 @@ func TestFusedKernelsMatchClosureForms(t *testing.T) {
 				t.Error("coalesceFrame diverges from JoinPFrame(OmegaCoalesce)")
 			}
 
-			for _, d := range []int{3, 5, 9, 17} {
+			// Table 3 draws d from [3, 20]; an even d puts the kernel
+			// off-centre (r = d/2). Below 3 an engine that skipped
+			// Validate still gets the reference's bytes.
+			for d := 0; d <= 20; d++ {
 				k := gaussianKernel(d)
 				bl := newBlurrer(d)
 				want := blurFrame(fa, k)
@@ -109,8 +163,8 @@ func TestFusedKernelsMatchClosureForms(t *testing.T) {
 			if !framesEqual(fa.Grayscale(), grayFrame(fa)) {
 				t.Error("grayFrame diverges from Frame.Grayscale")
 			}
-			if !framesEqual(fa.Clone(), captionFrame(fa)) {
-				t.Error("captionFrame diverges from Clone")
+			if !framesEqual(fa.Clone(), copyFrame(fa)) {
+				t.Error("copyFrame diverges from Clone")
 			}
 		})
 	}

@@ -157,25 +157,13 @@ func DetectionsQ2c(v *video.Video, p Params, env *Env) ([][]metrics.Detection, e
 
 // RunQ2d performs background masking: each frame is compared against
 // the mean of its m-frame window; pixels whose relative difference
-// |(p_v - p_b) / p_v| is below ε are replaced with ω.
+// |(p_v - p_b) / p_v| is below ε are replaced with ω. The window slides
+// (maskstream.go): a frame costs the same whatever m is.
 func RunQ2d(v *video.Video, p Params) (*video.Video, error) {
 	if err := (&p).Validate(Q2d, widthOf(v), heightOf(v), v.Duration()); err != nil {
 		return nil, err
 	}
-	windows := Window(v, p.M)
-	// Fused path: per-frame background mean into a pooled frame, fused
-	// mask kernel, background recycled immediately — it never escapes.
-	frames, _ := parallel.Map(parallel.Default(), len(v.Frames), func(i int) (*video.Frame, error) {
-		b := AggregateMean(windows[i])
-		masked := maskFrameQ2d(v.Frames[i], b, p.Epsilon)
-		RecycleFrame(b)
-		return masked, nil
-	})
-	out := video.NewVideo(v.FPS)
-	for _, f := range frames {
-		out.Append(f)
-	}
-	return out, nil
+	return maskVideo(v, p.M, p.Epsilon, parallel.Default()), nil
 }
 
 // maskBelow implements the Q2(d) threshold test on luma: true when the
@@ -257,7 +245,7 @@ func RunQ6b(v *video.Video, p Params) (*video.Video, error) {
 	frames, _ := parallel.Map(parallel.Default(), len(v.Frames), func(i int) (*video.Frame, error) {
 		f := v.Frames[i]
 		t := float64(i) / float64(v.FPS)
-		g := captionFrame(f)
+		g := copyFrame(f)
 		for _, cue := range p.Captions.ActiveAt(t) {
 			scale := f.H / 180
 			if scale < 1 {

@@ -324,10 +324,3 @@ func Recombine(regions []Region, w, h, fps int) (*video.Video, error) {
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

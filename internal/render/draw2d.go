@@ -9,13 +9,17 @@ import (
 // reference implementations of the box-overlay (Q2(c), Q6(a)) and
 // captioning (Q6(b)) queries.
 
+// PixelRect is the pixels [x0, x1) × [y0, y1) a rectangle covers in a
+// w×h frame: its corners truncated to integers and clamped to the frame.
+func PixelRect(r geom.Rect, w, h int) (x0, y0, x1, y1 int) {
+	return geom.ClampInt(int(r.MinX), 0, w), geom.ClampInt(int(r.MinY), 0, h),
+		geom.ClampInt(int(r.MaxX), 0, w), geom.ClampInt(int(r.MaxY), 0, h)
+}
+
 // FillRect fills the pixel rectangle with a solid YUV color.
 func FillRect(f *video.Frame, r geom.Rect, c video.Color) {
 	y8, u8, v8 := c.YUV()
-	x0 := geom.ClampInt(int(r.MinX), 0, f.W)
-	y0 := geom.ClampInt(int(r.MinY), 0, f.H)
-	x1 := geom.ClampInt(int(r.MaxX), 0, f.W)
-	y1 := geom.ClampInt(int(r.MaxY), 0, f.H)
+	x0, y0, x1, y1 := PixelRect(r, f.W, f.H)
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
 			f.Set(x, y, y8, u8, v8)

@@ -435,6 +435,7 @@ func encodeResult(v *video.Video) ([]byte, error) {
 		return nil, nil
 	}
 	sp := metrics.StartSpan(metrics.StageResultEncode)
+	defer sp.End() // a failed encode is a span too
 	sp.Frames(len(v.Frames))
 	w, h := v.Resolution()
 	enc, err := codec.EncodeVideo(v, codec.Config{
@@ -448,7 +449,6 @@ func encodeResult(v *video.Video) ([]byte, error) {
 		return nil, err
 	}
 	sp.Bytes(int64(len(buf.data)))
-	sp.End()
 	return buf.data, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/vdbms"
 	"repro/internal/vdbms/lightdblike"
 	"repro/internal/vdbms/scannerlike"
+	"repro/internal/video"
 )
 
 // requestStages are the request-level stages whose span counts are
@@ -172,5 +173,23 @@ func TestRunCountsLostEvents(t *testing.T) {
 	}
 	if data, _ := MarshalReport(Summarize(quiet)); quiet.EventsLost != 0 || strings.Contains(string(data), "events_lost") {
 		t.Errorf("quiet run reports %d lost events", quiet.EventsLost)
+	}
+}
+
+// TestFailedResultEncodeStillRecordsItsSpan: a result the encoder
+// refuses (frames of two sizes) returns the error and leaves its
+// result.encode span behind, like a failed decode does.
+func TestFailedResultEncodeStillRecordsItsSpan(t *testing.T) {
+	metrics.SetEnabled(true)
+	t.Cleanup(func() { metrics.SetEnabled(false) })
+	v := video.NewVideo(15)
+	v.Append(video.NewFrame(32, 32))
+	v.Append(video.NewFrame(16, 16))
+	base := metrics.Capture()
+	if _, err := encodeResult(v); err == nil {
+		t.Fatal("a video of mixed frame sizes encoded")
+	}
+	if n := metrics.Capture().Sub(base).Stage(metrics.StageResultEncode).Count; n != 1 {
+		t.Errorf("failed result encode recorded %d spans, want 1", n)
 	}
 }

@@ -8,7 +8,6 @@ package lightdblike
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/alpr"
 	"repro/internal/codec"
@@ -94,58 +93,39 @@ func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	return sink.Emit("out", out)
 }
 
-// runQ2d streams with a bounded ring buffer of m frames: the background
-// reference is computed over the lookahead window without materializing
-// the input.
+// runQ2d streams through the sliding-window mask: the operator holds the
+// m-frame lookahead window and its running sum, so the input is never
+// materialized and a frame costs the same whatever m is.
 func (e *Engine) runQ2d(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	in := inst.Inputs[0]
-	p := inst.Params
+	mask := queries.NewMaskStream(inst.Params.M, inst.Params.Epsilon)
+	out := video.NewVideo(in.Encoded.Config.FPS)
 	// Like streamMapRange's streaming fallback, the decode span covers
-	// the fused decode+mask loop: one span per call in every mode.
+	// the fused decode+mask loop: one span per call in every mode, ended
+	// on every path.
 	sp := metrics.StartSpan(metrics.StageDecode)
 	sp.Trace(in.Trace)
 	sp.Cache(false)
 	dec, err := newStreamDecoder(in)
-	if err != nil {
-		return err
-	}
-	out := video.NewVideo(in.Encoded.Config.FPS)
-	var ring []*video.Frame
-	emit := func(cur *video.Frame, window []*video.Frame) {
-		bg := queries.AggregateMean(window)
-		masked := queries.JoinPFrame(cur, bg, func(pv, pb queries.Pixel) queries.Pixel {
-			den := float64(pv.Y)
-			if den == 0 {
-				den = 1
-			}
-			if math.Abs(float64(pv.Y)-float64(pb.Y))/den < p.Epsilon {
-				return queries.Omega
-			}
-			return pv
-		})
-		out.Append(masked)
-	}
-	for {
-		f, ok, err := dec.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
+	for err == nil {
+		var f *video.Frame
+		var ok bool
+		if f, ok, err = dec.next(); err != nil || !ok {
 			break
 		}
 		sp.Frames(1)
-		ring = append(ring, f)
-		if len(ring) == p.M {
-			emit(ring[0], ring)
-			ring = ring[1:]
+		if g := mask.Push(f); g != nil {
+			out.Append(g)
 		}
 	}
 	sp.End()
-	// Drain: remaining frames use shrinking windows, matching the
+	if err != nil {
+		return err
+	}
+	// Drain: the remaining frames have shrinking windows, matching the
 	// reference semantics at the end of the video.
-	for len(ring) > 0 {
-		emit(ring[0], ring)
-		ring = ring[1:]
+	for g := mask.Drain(); g != nil; g = mask.Drain() {
+		out.Append(g)
 	}
 	return sink.Emit("out", out)
 }
@@ -231,8 +211,7 @@ func (e *Engine) runQ6a(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 			obs := tile.GroundTruth(env.Camera, t, f.W, f.H)
 			dets = env.Detector.Detect(f, env.Camera.ID, obs)
 		}
-		bf := queries.RenderBoxesFrame(f.W, f.H, i, dets, want)
-		return queries.JoinPFrame(f, bf, queries.OmegaCoalesce), nil
+		return queries.OverlayBoxes(f, dets, want), nil
 	})
 	if err != nil {
 		return err

@@ -178,6 +178,7 @@ func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transf
 	// span covers the fused decode+transform loop: the engine's
 	// streaming evaluation does not separate the two.
 	sp := metrics.StartSpan(metrics.StageDecode)
+	defer sp.End() // on the error returns too, with the frames decoded so far
 	sp.Trace(in.Trace)
 	sp.Cache(false)
 	dec, err := newStreamDecoder(in)
@@ -198,6 +199,7 @@ func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transf
 		if !ok {
 			break
 		}
+		sp.Frames(1)
 		idx := f.Index
 		decoded.Append(f.Clone())
 		// Append stamps window-relative indices; cached frames must keep
@@ -215,8 +217,6 @@ func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transf
 		}
 	}
 	e.cache.put(in, decoded, seed, dec.pos)
-	sp.Frames(len(decoded.Frames))
-	sp.End()
 	return out, nil
 }
 

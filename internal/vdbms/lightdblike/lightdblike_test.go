@@ -4,10 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
+	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/vdbms/vdbmstest"
+	"repro/internal/video"
 )
 
 func TestSupportsEverything(t *testing.T) {
@@ -211,5 +214,47 @@ func TestQ6aConsumesSerializedBoxes(t *testing.T) {
 	total := len(a.Frames) * len(a.Frames[0].Y)
 	if diff > total/200 {
 		t.Errorf("serialized-boxes path differs from fallback on %d/%d pixels", diff, total)
+	}
+}
+
+// cachedSource stands in for the VCD's shared decoded cache: SharedCache
+// reports true, so the engine takes its vdbms.Decode branch.
+type cachedSource struct{}
+
+func (cachedSource) Decoded(in *vdbms.Input, req codec.Request) (*video.Video, error) {
+	return in.Encoded.DecodeRequest(req)
+}
+func (cachedSource) SharedCache() bool { return true }
+
+// TestFailedDecodeStillRecordsItsSpan: an instance whose input breaks
+// mid-stream returns the error and leaves its decode span behind — the
+// timeline of a failed job is the one that gets read. Q2(a) covers
+// streamMapRange's streaming branch and, behind a shared cache,
+// vdbms.Decode; Q2(d) covers its own decode loop in both modes.
+func TestFailedDecodeStillRecordsItsSpan(t *testing.T) {
+	fx := vdbmstest.NewFixture(t, 8)
+	good := fx.Traffic(0)
+	enc := *good.Encoded
+	enc.Frames = append([]codec.EncodedFrame(nil), enc.Frames...)
+	enc.Frames[2].Data = enc.Frames[2].Data[:len(enc.Frames[2].Data)/2]
+	metrics.SetEnabled(true)
+	t.Cleanup(func() { metrics.SetEnabled(false) })
+	for _, mode := range []struct {
+		name   string
+		source vdbms.DecodedSource
+	}{{"sequential", nil}, {"cached", cachedSource{}}} {
+		for _, q := range []queries.QueryID{queries.Q2a, queries.Q2d} {
+			in := *good
+			in.Encoded, in.Source = &enc, mode.source
+			inst := &vdbms.QueryInstance{Query: q, Params: fx.DefaultParams(t, q), Inputs: []*vdbms.Input{&in}}
+			base := metrics.Capture()
+			err := New(Options{}).Execute(inst, vdbmstest.NewCollectSink())
+			if err == nil {
+				t.Fatalf("%s %s: a truncated access unit decoded", mode.name, q)
+			}
+			if n := metrics.Capture().Sub(base).Stage(metrics.StageDecode).Count; n != 1 {
+				t.Errorf("%s %s: failed instance recorded %d decode spans, want 1", mode.name, q, n)
+			}
+		}
 	}
 }

@@ -171,6 +171,7 @@ func (e *ErrResource) Error() string {
 // codec.gop stage measures the actual reconstruction work).
 func Decode(in *Input, lo, hi int, tiles []int) (*video.Video, error) {
 	sp := metrics.StartSpan(metrics.StageDecode)
+	defer sp.End() // a failed request is a span too
 	sp.Trace(in.Trace)
 	req := codec.Request{Lo: lo, Hi: hi, Tiles: tiles, Workers: parallel.Default()}
 	var v *video.Video
@@ -184,7 +185,6 @@ func Decode(in *Input, lo, hi int, tiles []int) (*video.Video, error) {
 		return nil, err
 	}
 	sp.Frames(len(v.Frames))
-	sp.End()
 	return v, nil
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Verify recipe: vet, build, the full test suite, the race detector over
 # the whole module, the identity suites with the scheduler pinned to one
-# thread, the guards that keep deleted code deleted, and the benchmark
-# module's own vet and smoke test.
+# thread, the guards that keep deleted code deleted, the kernel
+# benchmarks once, and the benchmark module's own vet and smoke test.
 set -eux
 
 go vet ./...
@@ -92,6 +92,20 @@ if grep -rnE 'QueryCell|SystemRun|ValidationWire|remoteError|telemetryArtifact|o
 	echo "verify: a deleted report mirror is back (see above); add the field to the vcd type it mirrors" >&2
 	exit 1
 fi
+# Execute-stage kernels (DESIGN.md §5.5): the engines call the fused
+# kernels of internal/queries. Per-pixel closure dispatch and a window
+# re-summed for every output frame stay out of internal/vdbms, and the
+# per-frame Q2(d) mask the sliding window replaced stays deleted. The
+# kernel benchmarks run once so that they cannot rot.
+if grep -rnE 'JoinPFrame\(|PMapFrame\(|AggregateMean\(' --include='*.go' --exclude='*_test.go' internal/vdbms; then
+	echo "verify: an engine dispatches a closure per pixel or re-sums a window per frame (see above); use queries.NewMaskStream / OverlayBoxes / NewGaussianBlur, or add a fused kernel beside them" >&2
+	exit 1
+fi
+if grep -rn 'maskFrameQ2d' --include='*.go' --exclude='*_test.go' cmd internal; then
+	echo "verify: maskFrameQ2d is back (see above); Q2(d) is the sliding window of internal/queries/maskstream.go" >&2
+	exit 1
+fi
+go test -run '^$' -bench Kernels -benchtime 1x ./internal/queries
 # The benchmark (bench/, a module of its own that the root's ./... does
 # not descend into) must build and its smoke test — every workload once,
 # end to end and traced — must pass, so the ruler cannot rot between the
