@@ -230,6 +230,19 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		})
 	}
+	// Q5 at the bench/ shape: the power-of-two factors it draws, one
+	// integer ratio (α = β = 2) and one whose rows are not (β = 8).
+	for _, ab := range []int{2, 8} {
+		b.Run(fmt.Sprintf("Q5/alpha=beta=%d", ab), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out := video.NewVideo(v.FPS)
+				for _, f := range v.Frames {
+					out.Append(f.Downsample(w/ab, h/ab))
+				}
+				kernelSink = out
+			}
+		})
+	}
 	for _, n := range []int{0, 4} {
 		b.Run(fmt.Sprintf("Q6a/boxes=%d", n), func(b *testing.B) {
 			dets := boxDets(rand.New(rand.NewSource(6)), n, w, h)

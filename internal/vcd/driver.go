@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/codec"
-	"repro/internal/container"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/queries"
@@ -374,29 +372,10 @@ func traceInputs(inst *vdbms.QueryInstance, tid metrics.TraceID) {
 // and the instance's decode spans.
 func executeInstance(ds *Dataset, sys vdbms.System, inst *vdbms.QueryInstance, opt Options, idx, worker int, tid metrics.TraceID, shard int) InstanceResult {
 	var res InstanceResult
-	var capture *InstanceValidation
-	wantValidate := opt.Validate && sampleForValidation(opt, idx)
-	if wantValidate {
-		capture = &InstanceValidation{Outputs: map[string]*video.Video{}}
+	sink := &resultSink{opt: opt, query: inst.Query, idx: idx}
+	if opt.Validate && sampleForValidation(opt, idx) {
+		sink.capture = &InstanceValidation{Outputs: map[string]*video.Video{}}
 	}
-	sink := vdbms.SinkFunc(func(key string, v *video.Video) error {
-		res.Frames += len(v.Frames)
-		if capture != nil {
-			capture.Outputs[key] = v
-		}
-		// Per §3.2 the result of a query is an H264- or HEVC-encoded
-		// video in both modes; streaming mode merely discards it
-		// instead of persisting it. Encoding is therefore always part
-		// of the measured execution.
-		payload, err := encodeResult(v)
-		if err != nil {
-			return err
-		}
-		if opt.Mode == WriteMode {
-			return opt.ResultStore.Write(resultName(inst.Query, idx, key), payload)
-		}
-		return nil
-	})
 	if tid != 0 {
 		traceInputs(inst, tid)
 	}
@@ -406,10 +385,12 @@ func executeInstance(ds *Dataset, sys vdbms.System, inst *vdbms.QueryInstance, o
 	sp.Trace(tid)
 	sp.Shard(shard)
 	res.Err = instanceError(sys.Execute(inst, sink))
+	sink.abandon()
+	res.Frames = sink.frames
 	sp.Frames(res.Frames)
 	sp.End()
 	res.Elapsed = time.Since(start)
-	res.Validation = capture
+	res.Validation = sink.capture
 	return res
 }
 
@@ -425,31 +406,6 @@ func sampleForValidation(opt Options, idx int) bool {
 		k = 1
 	}
 	return idx%k == 0
-}
-
-// encodeResult compresses a result video into a muxed container
-// payload — the encoded form every query result takes in both result
-// modes.
-func encodeResult(v *video.Video) ([]byte, error) {
-	if len(v.Frames) == 0 {
-		return nil, nil
-	}
-	sp := metrics.StartSpan(metrics.StageResultEncode)
-	defer sp.End() // a failed encode is a span too
-	sp.Frames(len(v.Frames))
-	w, h := v.Resolution()
-	enc, err := codec.EncodeVideo(v, codec.Config{
-		Width: w, Height: h, FPS: v.FPS, QP: 18,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vcd: encoding result: %w", err)
-	}
-	var buf resultBuffer
-	if err := container.Mux(&buf, enc, nil); err != nil {
-		return nil, err
-	}
-	sp.Bytes(int64(len(buf.data)))
-	return buf.data, nil
 }
 
 func resultName(q queries.QueryID, idx int, key string) string {
@@ -468,11 +424,4 @@ func sanitize(s string) string {
 		}
 	}
 	return string(out)
-}
-
-type resultBuffer struct{ data []byte }
-
-func (b *resultBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }

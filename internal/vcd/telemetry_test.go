@@ -186,7 +186,10 @@ func TestFailedResultEncodeStillRecordsItsSpan(t *testing.T) {
 	v.Append(video.NewFrame(32, 32))
 	v.Append(video.NewFrame(16, 16))
 	base := metrics.Capture()
-	if _, err := encodeResult(v); err == nil {
+	sink := &resultSink{opt: Options{Mode: StreamingMode}}
+	err := sink.Emit("out", v)
+	sink.abandon()
+	if err == nil {
 		t.Fatal("a video of mixed frame sizes encoded")
 	}
 	if n := metrics.Capture().Sub(base).Stage(metrics.StageResultEncode).Count; n != 1 {

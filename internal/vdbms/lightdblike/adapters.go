@@ -32,34 +32,22 @@ func (e *Engine) runQ1(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	f1, f2, _ := queries.FrameWindow(inst.Query, p, cfg.FPS, len(in.Encoded.Frames))
 	// The angular Select's pixel footprint also bounds the tile set: on
 	// tile-mode inputs only the tiles under the crop reconstruct.
-	out, err := e.streamMapRange(in, f1, f2, vdbms.InputTiles(in, x1, y1, x2, y2), func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMapRange(in, f1, f2, vdbms.InputTiles(in, x1, y1, x2, y2), sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		return f.Crop(x1, y1, x2, y2), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 func (e *Engine) runQ2a(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
-	out, err := e.streamMap(inst.Inputs[0], func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(inst.Inputs[0], sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		return f.Grayscale(), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 func (e *Engine) runQ2b(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	blur := gaussianUDF(inst.Params.D)
-	out, err := e.streamMap(inst.Inputs[0], func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(inst.Inputs[0], sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		return blur(f), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
@@ -70,7 +58,7 @@ func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	for _, c := range inst.Params.Classes {
 		want[c.String()] = true
 	}
-	out, err := e.streamMap(in, func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(in, sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		t := env.FrameTime(i, in.Encoded.Config.FPS)
 		obs := tile.GroundTruth(env.Camera, t, f.W, f.H)
 		bf := video.NewFrame(f.W, f.H)
@@ -87,10 +75,6 @@ func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 		}
 		return bf, nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 // runQ2d streams through the sliding-window mask: the operator holds the
@@ -99,35 +83,35 @@ func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 func (e *Engine) runQ2d(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	in := inst.Inputs[0]
 	mask := queries.NewMaskStream(inst.Params.M, inst.Params.Epsilon)
-	out := video.NewVideo(in.Encoded.Config.FPS)
-	// Like streamMapRange's streaming fallback, the decode span covers
-	// the fused decode+mask loop: one span per call in every mode, ended
-	// on every path.
+	w, err := vdbms.OpenResult(sink, "out", in.Encoded.Config.FPS)
+	if err != nil {
+		return err
+	}
+	// As in eval's streaming branch the decoder runs ahead of mask + write,
+	// under one decode span per call in every mode, ended on every path.
 	sp := metrics.StartSpan(metrics.StageDecode)
 	sp.Trace(in.Trace)
 	sp.Cache(false)
 	dec, err := newStreamDecoder(in)
-	for err == nil {
-		var f *video.Frame
-		var ok bool
-		if f, ok, err = dec.next(); err != nil || !ok {
-			break
-		}
-		sp.Frames(1)
-		if g := mask.Push(f); g != nil {
-			out.Append(g)
-		}
+	if err == nil {
+		err = dec.ahead(len(in.Encoded.Frames), func(f *video.Frame) error {
+			sp.Frames(1)
+			if g := mask.Push(f); g != nil {
+				return w.Write(g)
+			}
+			return nil
+		})
 	}
 	sp.End()
+	// Drain: the remaining frames have shrinking windows, matching the
+	// reference semantics at the end of the video.
+	for g := mask.Drain(); err == nil && g != nil; g = mask.Drain() {
+		err = w.Write(g)
+	}
 	if err != nil {
 		return err
 	}
-	// Drain: the remaining frames have shrinking windows, matching the
-	// reference semantics at the end of the video.
-	for g := mask.Drain(); g != nil; g = mask.Drain() {
-		out.Append(g)
-	}
-	return sink.Emit("out", out)
+	return w.Close()
 }
 
 func (e *Engine) runQ3(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
@@ -148,18 +132,14 @@ func (e *Engine) runQ4(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	p := inst.Params
 	// Angular upsampling: the FOV is unchanged; only sampling density
 	// increases, so the adapter maps (α, β) through the angle model.
-	out, err := e.streamMap(in, func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(in, sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		return f.BilinearResize(f.W*p.Alpha, f.H*p.Beta), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 func (e *Engine) runQ5(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	p := inst.Params
-	out, err := e.streamMap(inst.Inputs[0], func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(inst.Inputs[0], sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		nw, nh := f.W/p.Alpha, f.H/p.Beta
 		if nw < 1 {
 			nw = 1
@@ -169,10 +149,6 @@ func (e *Engine) runQ5(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 		}
 		return f.Downsample(nw, nh), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 // runQ6a consumes the VCD's serialized bounding-box records (the
@@ -200,7 +176,7 @@ func (e *Engine) runQ6a(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	for _, c := range classes {
 		want[c.String()] = true
 	}
-	out, err := e.streamMap(in, func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(in, sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		var dets []metrics.Detection
 		if perFrame != nil {
 			if i < len(perFrame) {
@@ -213,10 +189,6 @@ func (e *Engine) runQ6a(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 		}
 		return queries.OverlayBoxes(f, dets, want), nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 // runQ6b is the CPU-only caption compositor plugin: for every pixel of
@@ -228,7 +200,7 @@ func (e *Engine) runQ6b(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	doc := inst.Params.Captions
 	fps := in.Encoded.Config.FPS
 	textY, textU, textV := video.Color{R: 250, G: 250, B: 250}.YUV()
-	out, err := e.streamMap(in, func(i int, f *video.Frame) (*video.Frame, error) {
+	return e.emitMap(in, sink, func(i int, f *video.Frame) (*video.Frame, error) {
 		t := float64(i) / float64(fps)
 		active := doc.ActiveAt(t)
 		if len(active) == 0 {
@@ -251,10 +223,6 @@ func (e *Engine) runQ6b(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 		}
 		return g, nil
 	})
-	if err != nil {
-		return err
-	}
-	return sink.Emit("out", out)
 }
 
 // cueCoversPixel tests whether a caption glyph covers the pixel — the

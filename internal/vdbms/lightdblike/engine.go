@@ -7,7 +7,14 @@
 //
 //   - Streaming evaluation: frames are decoded, transformed, and
 //     emitted one at a time, so memory stays flat as scale grows (why
-//     LightDB holds up at higher scale factors in Figure 6).
+//     LightDB holds up at higher scale factors in Figure 6). Emitted
+//     means written to the sink's frame writer (vdbms.OpenResult): the
+//     driver's encodes each frame as it arrives, so a per-frame query
+//     holds O(pipe depth) output frames, and with no shared cache the
+//     decoder runs a few frames ahead of transform + encode on a second
+//     goroutine — decode → operator → encode as a pipeline. Q3 and
+//     Q7–Q10, whose operators need random access, materialise their
+//     input through the same loop into a collecting writer.
 //   - Operations are expressed in angular coordinates; benchmark
 //     queries defined in pixels are adapted by mapping pixel offsets
 //     through the camera's field of view and back (the paper:
@@ -24,6 +31,7 @@ package lightdblike
 
 import (
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/queries"
 	"repro/internal/vdbms"
 	"repro/internal/video"
@@ -113,42 +121,67 @@ func (e *Engine) Execute(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	return &vdbms.ErrUnsupported{System: e.Name(), Query: inst.Query}
 }
 
-// streamMap is the engine's core evaluation loop over a whole input:
-// decode one frame at a time, apply the (lazily composed) transform, and
-// append to the output.
-func (e *Engine) streamMap(in *vdbms.Input, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
-	return e.streamMapRange(in, 0, len(in.Encoded.Frames), nil, transform)
+// transform maps the decoded frame at absolute stream index i to an
+// output frame; nil drops the frame.
+type transform func(i int, f *video.Frame) (*video.Frame, error)
+
+// emitMap evaluates a per-frame query over a whole input into the
+// sink's "out" result.
+func (e *Engine) emitMap(in *vdbms.Input, sink vdbms.Sink, t transform) error {
+	return e.emitMapRange(in, 0, len(in.Encoded.Frames), nil, sink, t)
 }
 
-// mapFrames applies transform to frames holding stream indices lo,
-// lo+1, …, appending the frames it keeps to out, which it returns.
-func mapFrames(out *video.Video, lo int, frames []*video.Frame, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
-	for i, f := range frames {
-		g, err := transform(lo+i, f)
-		if err != nil {
-			return nil, err
-		}
-		if g != nil {
-			out.Append(g)
-		}
+// emitMapRange is emitMap restricted to a (frame window × tile set)
+// rectangle (see eval).
+func (e *Engine) emitMapRange(in *vdbms.Input, lo, hi int, tiles []int, sink vdbms.Sink, t transform) error {
+	w, err := vdbms.OpenResult(sink, "out", in.Encoded.Config.FPS)
+	if err != nil {
+		return err
 	}
-	return out, nil
+	if err := e.eval(in, lo, hi, tiles, t, w); err != nil {
+		return err // w stays open: an abandoned result is never delivered
+	}
+	return w.Close()
 }
 
-// streamMapRange is streamMap restricted to the (frame window × tile
-// set) rectangle the plan declared: frames outside [lo, hi) are never
-// decoded (except the GOP seed run in front of it), and with tiles
-// non-nil (vdbms.InputTiles) only those tiles need be valid. transform
-// receives absolute stream indices. Recently decoded inputs are served
-// from the engine's decode cache without touching the codec.
-func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transform func(i int, f *video.Frame) (*video.Frame, error)) (*video.Video, error) {
+// streamMap is emitMap into a collecting writer, for the queries whose
+// operators need the mapped input materialised (Q3, Q7–Q10).
+func (e *Engine) streamMap(in *vdbms.Input, t transform) (*video.Video, error) {
+	var out *video.Video
+	err := e.emitMap(in, vdbms.SinkFunc(func(_ string, v *video.Video) error { out = v; return nil }), t)
+	return out, err
+}
+
+// eval is the engine's one evaluation loop, restricted to the (frame
+// window × tile set) rectangle the plan declared: frames outside
+// [lo, hi) are never decoded (except the GOP seed run in front of it),
+// and with tiles non-nil (vdbms.InputTiles) only those tiles need be
+// valid. Each frame is decoded, transformed (t receives absolute stream
+// indices) and written to w before the next one is looked at; a written
+// frame belongs to w. Recently decoded inputs are served from the
+// engine's decode cache without touching the codec.
+func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w video.Writer) error {
 	n := len(in.Encoded.Frames)
 	lo = max(lo, 0)
 	hi = max(min(hi, n), lo)
-	out := video.NewVideo(in.Encoded.Config.FPS)
+	// mapFrames maps and writes frames holding stream indices lo, lo+1, …
+	mapFrames := func(frames []*video.Frame) error {
+		for i, f := range frames {
+			g, err := t(lo+i, f)
+			if err != nil {
+				return err
+			}
+			if g != nil {
+				if err := w.Write(g); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	// Every path below records exactly one request-level decode span
 	// (the shared branch records it inside vdbms.Decode), so span counts
-	// per streamMapRange call are invariant across modes.
+	// per eval call are invariant across modes.
 	if cached, ok := e.cache.get(in, lo, hi); ok {
 		// A locally resident full-frame window serves any tile set.
 		sp := metrics.StartSpan(metrics.StageDecode)
@@ -156,68 +189,67 @@ func (e *Engine) streamMapRange(in *vdbms.Input, lo, hi int, tiles []int, transf
 		sp.Cache(true)
 		sp.Frames(len(cached.Frames))
 		sp.End()
-		return mapFrames(out, lo, cached.Frames, transform)
+		return mapFrames(cached.Frames)
 	}
 	// When the driver runs with its shared decoded-input cache, use it
 	// as the decode layer: concurrent instances over the same rectangle
 	// decode it exactly once (single-flight), only the declared tiles
-	// reconstruct, and the cache's byte budget bounds residency. With no
-	// active cache — the paper-faithful sequential mode — the engine
-	// keeps its streaming (memory-flat) full-frame path below and never
-	// forces a materialization itself.
+	// reconstruct, and the cache's byte budget bounds residency. The
+	// cores are busy with other instances then: no goroutine is added.
 	if in.SharedCache() {
 		shared, err := vdbms.Decode(in, lo, hi, tiles)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return mapFrames(out, lo, shared.Frames, transform)
+		return mapFrames(shared.Frames)
 	}
-	// Streaming fallback: seek to the keyframe governing the window
-	// start, decode the seed run for reference state only, and stop at
-	// the window end — frames past hi are never touched. The decode
-	// span covers the fused decode+transform loop: the engine's
-	// streaming evaluation does not separate the two.
+	// Streaming: with no active cache — the paper-faithful sequential
+	// mode — the engine never forces a materialization. It seeks to the
+	// keyframe governing the window start, decodes the seed run for
+	// reference state only, and stops at the window end. The decoder
+	// runs ahead of transform + write (hence result encode) on a second
+	// goroutine, and the decode span covers the fused loop: streaming
+	// evaluation does not separate the stages.
 	sp := metrics.StartSpan(metrics.StageDecode)
 	defer sp.End() // on the error returns too, with the frames decoded so far
 	sp.Trace(in.Trace)
 	sp.Cache(false)
 	dec, err := newStreamDecoder(in)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	seed := 0
 	if lo < hi {
 		seed = in.Encoded.KeyframeBefore(lo)
 	}
 	dec.pos = seed
-	decoded := video.NewVideo(in.Encoded.Config.FPS)
-	for dec.pos < hi {
-		f, ok, err := dec.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	// The decoder's frames go to the cache as they are, absolute indices
+	// included (the detector seeds its RNG from them).
+	decoded := &video.Video{FPS: in.Encoded.Config.FPS}
+	err = dec.ahead(hi, func(f *video.Frame) error {
 		sp.Frames(1)
-		idx := f.Index
-		decoded.Append(f.Clone())
-		// Append stamps window-relative indices; cached frames must keep
-		// their absolute ones (the detector seeds its RNG from them).
-		decoded.Frames[len(decoded.Frames)-1].Index = idx
-		if idx < lo {
-			continue // seed run
+		if f.Index >= lo { // else seed run
+			g, err := t(f.Index, f)
+			if err != nil {
+				return err
+			}
+			if g == f {
+				f = f.Clone() // w re-stamps the frame it is given
+			}
+			if g != nil {
+				if err := w.Write(g); err != nil {
+					return err
+				}
+			}
 		}
-		g, err := transform(idx, f)
-		if err != nil {
-			return nil, err
-		}
-		if g != nil {
-			out.Append(g)
-		}
+		decoded.Frames = append(decoded.Frames, f)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	e.cache.put(in, decoded, seed, dec.pos)
-	return out, nil
+	e.cache.put(in, decoded, seed, seed+len(decoded.Frames))
+	return nil
 }
 
 // streamDecoder decodes an input incrementally.
@@ -239,15 +271,29 @@ func newStreamDecoder(in *vdbms.Input) (*streamDecoder, error) {
 	return &streamDecoder{in: in, dec: d}, nil
 }
 
-func (s *streamDecoder) next() (*video.Frame, bool, error) {
-	if s.pos >= len(s.in.Encoded.Frames) {
-		return nil, false, nil
-	}
-	f, err := s.dec.Decode(s.in.Encoded.Frames[s.pos].Data)
-	if err != nil {
-		return nil, false, err
-	}
-	f.Index = s.pos
-	s.pos++
-	return f, true, nil
+// aheadDepth bounds how many decoded frames may wait for the consumer
+// of ahead: a frame is ≈ 80 µs of decode at the bench shape, so a few
+// frames of slack absorb scheduling jitter, and peak frame memory stays
+// aheadDepth+2 frames whatever the clip length (vcg's render→encode
+// pipe has the same depth).
+const aheadDepth = 3
+
+// ahead decodes frames [s.pos, hi), hi within the clip, on a producer
+// goroutine and hands each, stamped with its stream index, to consume
+// on the calling one, at most aheadDepth+1 frames ahead of the frame
+// being consumed. The first error from either side stops both.
+func (s *streamDecoder) ahead(hi int, consume func(*video.Frame) error) error {
+	return parallel.Pipe(aheadDepth, func(emit func(*video.Frame) error) error {
+		for ; s.pos < hi; s.pos++ {
+			f, err := s.dec.Decode(s.in.Encoded.Frames[s.pos].Data)
+			if err != nil {
+				return err
+			}
+			f.Index = s.pos
+			if err := emit(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, consume)
 }

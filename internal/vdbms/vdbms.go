@@ -105,6 +105,37 @@ type SinkFunc func(key string, v *video.Video) error
 // Emit invokes the function.
 func (f SinkFunc) Emit(key string, v *video.Video) error { return f(key, v) }
 
+// FrameSink is implemented by sinks that take a result a frame at a
+// time — the driver's, which encodes each frame as it is written, so a
+// result costs the engine O(1) frames instead of O(clip). Engines reach
+// it through OpenResult.
+type FrameSink interface {
+	// Open starts the result stored under key. A written frame belongs
+	// to the writer (it stamps Index as video.Video.Append does); Close
+	// completes the result, and a result abandoned before Close — the
+	// engine failed midway — is never delivered.
+	Open(key string, fps int) (video.Writer, error)
+}
+
+// OpenResult is how an engine spells a result it produces frame by
+// frame: the sink's own writer when it is a FrameSink, otherwise a
+// writer that collects the frames and Emits the video on Close.
+func OpenResult(sink Sink, key string, fps int) (video.Writer, error) {
+	if fs, ok := sink.(FrameSink); ok {
+		return fs.Open(key, fps)
+	}
+	return &collector{sink: sink, key: key, v: video.NewVideo(fps)}, nil
+}
+
+type collector struct {
+	sink Sink
+	key  string
+	v    *video.Video
+}
+
+func (c *collector) Write(f *video.Frame) error { c.v.Append(f); return nil }
+func (c *collector) Close() error               { return c.sink.Emit(c.key, c.v) }
+
 // System is a VDBMS under benchmark.
 type System interface {
 	// Name identifies the engine in reports.

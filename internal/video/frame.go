@@ -214,32 +214,43 @@ func resizePlane(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	}
 }
 
-// boxPlane box-filters src (sw×sh) down into dst (dw×dh).
+// boxPlane box-filters src (sw×sh) down into dst (dw×dh): output sample
+// (x, y) is the rounded mean of source columns [x·sw/dw, (x+1)·sw/dw) ×
+// rows [y·sh/dh, (y+1)·sh/dh), each at least one sample wide. The
+// column bounds are the same on every output row, so they are divided
+// out once per call and the row bounds once per output row; the box
+// rows are summed per source column first, so a source sample costs one
+// add in a straight loop however small the boxes are.
 func boxPlane(dst []byte, dw, dh int, src []byte, sw, sh int) {
 	if dw <= 0 || dh <= 0 {
 		return
 	}
+	cols := make([]int, 2*dw) // [x0, x1) of output column x at 2x, 2x+1
+	for x := 0; x < dw; x++ {
+		x0 := x * sw / dw
+		cols[2*x], cols[2*x+1] = x0, max((x+1)*sw/dw, x0+1)
+	}
+	acc := make([]uint32, sw) // per source column, the sum over the box rows
 	for y := 0; y < dh; y++ {
 		sy0 := y * sh / dh
-		sy1 := (y + 1) * sh / dh
-		if sy1 <= sy0 {
-			sy1 = sy0 + 1
+		sy1 := max((y+1)*sh/dh, sy0+1)
+		for i, v := range src[sy0*sw : (sy0+1)*sw] {
+			acc[i] = uint32(v)
 		}
-		for x := 0; x < dw; x++ {
-			sx0 := x * sw / dw
-			sx1 := (x + 1) * sw / dw
-			if sx1 <= sx0 {
-				sx1 = sx0 + 1
+		for sy := sy0 + 1; sy < sy1; sy++ {
+			for i, v := range src[sy*sw : (sy+1)*sw] {
+				acc[i] += uint32(v)
 			}
-			sum, n := 0, 0
-			for sy := sy0; sy < sy1; sy++ {
-				row := src[sy*sw:]
-				for sx := sx0; sx < sx1; sx++ {
-					sum += int(row[sx])
-					n++
-				}
+		}
+		out := dst[y*dw : (y+1)*dw]
+		for x := range out {
+			x0, x1 := cols[2*x], cols[2*x+1]
+			sum := 0
+			for _, a := range acc[x0:x1] {
+				sum += int(a)
 			}
-			dst[y*dw+x] = byte((sum + n/2) / n)
+			n := (x1 - x0) * (sy1 - sy0)
+			out[x] = byte((sum + n/2) / n)
 		}
 	}
 }

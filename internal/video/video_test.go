@@ -1,6 +1,7 @@
 package video
 
 import (
+	"bytes"
 	"io"
 	"testing"
 	"testing/quick"
@@ -264,5 +265,64 @@ func TestDiscardWriter(t *testing.T) {
 	}
 	if err := Discard.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// boxPlaneRef is boxPlane as it was before its bounds were hoisted: two
+// integer divisions per output sample and a re-sliced source row per box
+// row. It is the reference the kernel must equal byte for byte.
+func boxPlaneRef(dst []byte, dw, dh int, src []byte, sw, sh int) {
+	if dw <= 0 || dh <= 0 {
+		return
+	}
+	for y := 0; y < dh; y++ {
+		sy0 := y * sh / dh
+		sy1 := (y + 1) * sh / dh
+		if sy1 <= sy0 {
+			sy1 = sy0 + 1
+		}
+		for x := 0; x < dw; x++ {
+			sx0 := x * sw / dw
+			sx1 := (x + 1) * sw / dw
+			if sx1 <= sx0 {
+				sx1 = sx0 + 1
+			}
+			sum, n := 0, 0
+			for sy := sy0; sy < sy1; sy++ {
+				row := src[sy*sw:]
+				for sx := sx0; sx < sx1; sx++ {
+					sum += int(row[sx])
+					n++
+				}
+			}
+			dst[y*dw+x] = byte((sum + n/2) / n)
+		}
+	}
+}
+
+// TestBoxPlaneMatchesReference: Q5's kernel over integer and
+// non-integer ratios, on the luma plane and on the (rounded-up, so
+// often odd-sized) chroma planes Downsample hands it.
+func TestBoxPlaneMatchesReference(t *testing.T) {
+	for _, c := range []struct{ sw, sh, dw, dh int }{
+		{192, 108, 96, 54}, {192, 108, 64, 36}, {192, 108, 27, 15}, {192, 108, 1, 1},
+		{5, 3, 2, 2}, {191, 107, 95, 53}, {7, 5, 3, 4}, {9, 9, 8, 2},
+	} {
+		src := NewFrame(c.sw, c.sh)
+		rng := uint32(c.sw*131 + c.dh)
+		for _, p := range [][]byte{src.Y, src.U, src.V} {
+			for i := range p {
+				rng = rng*1664525 + 1013904223
+				p[i] = byte(rng >> 24)
+			}
+		}
+		got := src.Downsample(c.dw, c.dh)
+		want := NewFrame(c.dw, c.dh)
+		boxPlaneRef(want.Y, c.dw, c.dh, src.Y, c.sw, c.sh)
+		boxPlaneRef(want.U, want.ChromaW(), want.ChromaH(), src.U, src.ChromaW(), src.ChromaH())
+		boxPlaneRef(want.V, want.ChromaW(), want.ChromaH(), src.V, src.ChromaW(), src.ChromaH())
+		if !bytes.Equal(got.Y, want.Y) || !bytes.Equal(got.U, want.U) || !bytes.Equal(got.V, want.V) {
+			t.Errorf("%dx%d -> %dx%d: Downsample differs from the reference box filter", c.sw, c.sh, c.dw, c.dh)
+		}
 	}
 }

@@ -2,7 +2,8 @@
 # Verify recipe: vet, build, the full test suite, the race detector over
 # the whole module, the identity suites with the scheduler pinned to one
 # thread, the guards that keep deleted code deleted, the kernel
-# benchmarks once, and the benchmark module's own vet and smoke test.
+# benchmarks once, the result-writer and decode-ahead suites across
+# -cpu 1,2,4, and the benchmark module's own vet and smoke test.
 set -eux
 
 go vet ./...
@@ -106,6 +107,29 @@ if grep -rn 'maskFrameQ2d' --include='*.go' --exclude='*_test.go' cmd internal; 
 	exit 1
 fi
 go test -run '^$' -bench Kernels -benchtime 1x ./internal/queries
+# One result path (DESIGN.md §5.5 "Result writer"): every query result
+# reaches the encoder through vcd's one result writer, whether the
+# engine writes it frame by frame or emits it whole, and the LightDB-
+# like evaluation loop writes each frame as it is produced. A second
+# encoder construction in internal/vcd is a second result-encode path
+# (codec.EncodeVideo there stages inputs — the stitched Q10 panorama,
+# Q6(a)'s box video — in batch.go only); an out.Append( in engine.go is
+# a result held O(clip) again.
+if [ "$(grep -rn 'codec\.NewEncoder(' --include='*.go' --exclude='*_test.go' internal/vcd | wc -l)" -ne 1 ] ||
+	grep -rn 'codec\.EncodeVideo(' --include='*.go' --exclude='*_test.go' internal/vcd | grep -v '^internal/vcd/batch\.go:'; then
+	echo "verify: want one codec.NewEncoder( in internal/vcd (the result writer) and codec.EncodeVideo( only where batch.go stages inputs — results go through resultWriter" >&2
+	exit 1
+fi
+if grep -n 'out\.Append(' internal/vdbms/lightdblike/engine.go; then
+	echo "verify: lightdblike's evaluation loop collects its output again (see above); write each frame to the video.Writer it is given" >&2
+	exit 1
+fi
+# The result writer and the decode-ahead pipe with and without a second
+# P (they are in the whole-module race step above at the default
+# GOMAXPROCS; the -cpu sweep is what runs the pipe on one thread, where
+# producer and consumer only interleave, and on several).
+go test -race -cpu 1,2,4 -run 'TestOneResultThreeRoutes|TestResultWriterRetainsOnlyForValidation|TestResultFailuresLeaveNothingBehind' ./internal/vcd
+go test -race -cpu 1,2,4 -run 'TestStreamingFailuresUnwind|TestDecodeAhead|TestIdentityTransformLeavesTheCacheItsOwnFrames' ./internal/vdbms/lightdblike
 # The benchmark (bench/, a module of its own that the root's ./... does
 # not descend into) must build and its smoke test — every workload once,
 # end to end and traced — must pass, so the ruler cannot rot between the
