@@ -87,8 +87,9 @@ func (e *Engine) runQ2d(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	if err != nil {
 		return err
 	}
-	// As in eval's streaming branch the decoder runs ahead of mask + write,
-	// under one decode span per call in every mode, ended on every path.
+	// As in eval's streaming branch the decoder runs ahead of mask + write
+	// when the instance has the machine (streamDecoder.ahead), under one
+	// decode span per call in every mode, ended on every path.
 	sp := metrics.StartSpan(metrics.StageDecode)
 	sp.Trace(in.Trace)
 	sp.Cache(false)

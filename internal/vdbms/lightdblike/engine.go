@@ -278,12 +278,18 @@ func newStreamDecoder(in *vdbms.Input) (*streamDecoder, error) {
 // pipe has the same depth).
 const aheadDepth = 3
 
-// ahead decodes frames [s.pos, hi), hi within the clip, on a producer
-// goroutine and hands each, stamped with its stream index, to consume
-// on the calling one, at most aheadDepth+1 frames ahead of the frame
-// being consumed. The first error from either side stops both.
+// ahead decodes frames [s.pos, hi), hi within the clip, and hands each,
+// stamped with its stream index, to consume on the calling goroutine.
+// With no shared cache — Sequential: the instance has the machine — the
+// decoding runs on a producer goroutine, at most aheadDepth+1 frames
+// ahead of the frame being consumed, and the first error from either
+// side stops both. Under the shared cache the driver's workers already
+// keep the cores busy, and a producer would only be one more runnable
+// goroutine for the scheduler to interleave with the other instances
+// (an instance's time would then depend on what ran beside it): there
+// the frames are decoded on the calling goroutine, one by one.
 func (s *streamDecoder) ahead(hi int, consume func(*video.Frame) error) error {
-	return parallel.Pipe(aheadDepth, func(emit func(*video.Frame) error) error {
+	produce := func(emit func(*video.Frame) error) error {
 		for ; s.pos < hi; s.pos++ {
 			f, err := s.dec.Decode(s.in.Encoded.Frames[s.pos].Data)
 			if err != nil {
@@ -295,5 +301,9 @@ func (s *streamDecoder) ahead(hi int, consume func(*video.Frame) error) error {
 			}
 		}
 		return nil
-	}, consume)
+	}
+	if s.in.SharedCache() {
+		return produce(consume)
+	}
+	return parallel.Pipe(aheadDepth, produce, consume)
 }

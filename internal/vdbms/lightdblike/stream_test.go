@@ -196,6 +196,39 @@ func TestDecodeAheadIsBounded(t *testing.T) {
 	}
 }
 
+// TestDecodeAheadStaysInlineUnderSharedCache: behind the driver's
+// shared cache — concurrent mode, the cores busy with other instances —
+// the decoder gets no goroutine of its own: each frame is decoded when
+// the consumer asks for it, so an instance's timing does not depend on
+// how the scheduler interleaves a producer with the other workers.
+func TestDecodeAheadStaysInlineUnderSharedCache(t *testing.T) {
+	const n = 10
+	dec := &scriptedDecoder{}
+	s := scriptedStream(n, dec)
+	s.in.Source = cachedSource{}
+	goroutines := runtime.NumGoroutine()
+	consumed := 0
+	err := s.ahead(n, func(*video.Frame) error {
+		consumed++
+		if got := int(dec.decoded.Load()); got != consumed {
+			t.Errorf("frame %d consumed with %d decoded: the decoder ran ahead", consumed, got)
+		}
+		if g := runtime.NumGoroutine(); g > goroutines {
+			t.Errorf("%d goroutines during the loop, %d before it", g, goroutines)
+		}
+		return nil
+	})
+	if err != nil || consumed != n {
+		t.Fatalf("err %v after %d of %d frames", err, consumed, n)
+	}
+	// A consumer error comes straight back, and stops the decoder there.
+	s = scriptedStream(n, dec)
+	s.in.Source = cachedSource{}
+	if err := s.ahead(n, func(*video.Frame) error { return errWrite }); err != errWrite || s.pos != 0 {
+		t.Errorf("err = %v at frame %d, want the consumer's at frame 0", err, s.pos)
+	}
+}
+
 // TestStreamingBranchAllocatesOneFramePerDecode pins the streaming
 // branch's frame traffic: the decoder's frame goes to the decode cache
 // as it is, so a decoded frame costs one frame allocation (a Frame and
