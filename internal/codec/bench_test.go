@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/video"
 )
 
 // obsEnabled turns the metrics registry on when the benchmark runs with
@@ -53,6 +54,41 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := enc.Decode(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeStream is the decode loop as an engine runs it: one
+// Decoder walks a golden stream access unit by access unit and every
+// frame is kept (nothing goes back to the pool, as with a cached or
+// forwarded frame), so the figure includes the frame allocation.
+// mixed_rc is dense AC blocks under rate control; gradient_h264_qp24 is
+// mostly DC-only and skipped macroblocks.
+func BenchmarkDecodeStream(b *testing.B) {
+	for _, gc := range goldenCases() {
+		if gc.name != "mixed_rc" && gc.name != "gradient_h264_qp24" {
+			continue
+		}
+		b.Run(gc.name, func(b *testing.B) {
+			enc, err := EncodeVideo(gc.src(), gc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dec, err := NewDecoder(enc.Config)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kept := make([]*video.Frame, len(enc.Frames))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, f := range enc.Frames {
+					if kept[j], err = dec.Decode(f.Data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(enc.Frames)), "us/frame")
+		})
 	}
 }
 

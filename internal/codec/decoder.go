@@ -95,17 +95,18 @@ func (d *Decoder) Decode(data []byte) (*video.Frame, error) {
 		return nil, fmt.Errorf("codec: P-frame received before any keyframe")
 	}
 
+	t := tablesFor(qp)
 	mbW := d.curY.w / 16
 	mbH := d.curY.h / 16
 	for my := 0; my < mbH; my++ {
 		pmvx, pmvy := 0, 0
 		for mx := 0; mx < mbW; mx++ {
 			if isKey {
-				if err := d.decodeIntraMB(&r, mx, my, qp); err != nil {
+				if err := d.decodeIntraMB(&r, mx, my, t); err != nil {
 					return nil, err
 				}
 			} else {
-				pmvx, pmvy, err = d.decodeInterMB(&r, mx, my, qp, pmvx, pmvy)
+				pmvx, pmvy, err = d.decodeInterMB(&r, mx, my, t, pmvx, pmvy)
 				if err != nil {
 					return nil, err
 				}
@@ -140,28 +141,28 @@ func readFrameHeader(r *bitReader) (isKey bool, qp int, err error) {
 	return ft == 0, int(qpBits), nil
 }
 
-func (d *Decoder) decodeIntraMB(r *bitReader, mx, my, qp int) error {
-	var levels [64]int32
+func (d *Decoder) decodeIntraMB(r *bitReader, mx, my int, t *qpTables) error {
+	var res [64]int32
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
-			coded, err := decodeBlock(r, &levels)
+			coded, err := decodeResidual(r, t, &res)
 			if err != nil {
 				return err
 			}
-			reconstructIntra(d.curY, mx*16+bx*8, my*16+by*8, &levels, qp, coded)
+			storeIntra(d.curY, mx*16+bx*8, my*16+by*8, &res, coded)
 		}
 	}
 	for _, p := range [2]*plane{d.curU, d.curV} {
-		coded, err := decodeBlock(r, &levels)
+		coded, err := decodeResidual(r, t, &res)
 		if err != nil {
 			return err
 		}
-		reconstructIntra(p, mx*8, my*8, &levels, qp, coded)
+		storeIntra(p, mx*8, my*8, &res, coded)
 	}
 	return nil
 }
 
-func (d *Decoder) decodeInterMB(r *bitReader, mx, my, qp, pmvx, pmvy int) (int, int, error) {
+func (d *Decoder) decodeInterMB(r *bitReader, mx, my int, t *qpTables, pmvx, pmvy int) (int, int, error) {
 	skip, err := r.readBits(1)
 	if err != nil {
 		return 0, 0, err
@@ -183,31 +184,36 @@ func (d *Decoder) decodeInterMB(r *bitReader, mx, my, qp, pmvx, pmvy int) (int, 
 	}
 	mvx, mvy := pmvx+int(dmvx), pmvy+int(dmvy)
 
-	var levels [64]int32
+	var res [64]int32
 	for by := 0; by < 2; by++ {
 		for bx := 0; bx < 2; bx++ {
-			coded, err := decodeBlock(r, &levels)
+			coded, err := decodeResidual(r, t, &res)
 			if err != nil {
 				return 0, 0, err
 			}
-			reconstructInter(d.curY, d.refY, cx+bx*8, cy+by*8, mvx, mvy, &levels, qp, coded)
+			storeInter(d.curY, d.refY, cx+bx*8, cy+by*8, mvx, mvy, &res, coded)
 		}
 	}
 	cmvx, cmvy := mvx/2, mvy/2
 	for _, pp := range [2]struct{ cur, ref *plane }{{d.curU, d.refU}, {d.curV, d.refV}} {
-		coded, err := decodeBlock(r, &levels)
+		coded, err := decodeResidual(r, t, &res)
 		if err != nil {
 			return 0, 0, err
 		}
-		reconstructInter(pp.cur, pp.ref, mx*8, my*8, cmvx, cmvy, &levels, qp, coded)
+		storeInter(pp.cur, pp.ref, mx*8, my*8, cmvx, cmvy, &res, coded)
 	}
 	return mvx, mvy, nil
 }
 
-// decodeBlock reads one entropy-coded block into zigzag-ordered levels,
-// reporting whether the block was coded. Uncoded blocks leave levels
-// untouched — callers skip the transform entirely for them.
-func decodeBlock(r *bitReader, levels *[64]int32) (bool, error) {
+// decodeResidual reads one entropy-coded block and inverse-transforms it
+// into res, reporting whether the block was coded (res is untouched for
+// an uncoded block — callers skip the residual entirely). It is
+// decodeBlock and dequantizeBlock in one pass: each level goes straight
+// to its dequantized coefficient slot, with the row/column masks and the
+// |level| sum the butterfly inverse needs gathered on the way, so no
+// level array is filled, cleared or scanned. The syntax checks are
+// decodeBlock's, at the same bit positions.
+func decodeResidual(r *bitReader, t *qpTables, res *[64]int32) (bool, error) {
 	coded, err := r.readBits(1)
 	if err != nil {
 		return false, err
@@ -215,12 +221,18 @@ func decodeBlock(r *bitReader, levels *[64]int32) (bool, error) {
 	if coded == 0 {
 		return false, nil
 	}
-	*levels = [64]int32{}
+	var coefs [64]float64
+	var rowMask, colMask uint8
+	var sumAbs int64
 	dc, err := r.readSE()
 	if err != nil {
 		return false, err
 	}
-	levels[0] = dc
+	if dc != 0 {
+		coefs[0] = float64(dc) * t.Deq[0]
+		rowMask, colMask = 1, 1
+		sumAbs = abs64(dc)
+	}
 	nAC, err := r.readUE()
 	if err != nil {
 		return false, err
@@ -245,8 +257,17 @@ func decodeBlock(r *bitReader, levels *[64]int32) (bool, error) {
 		if lvl == 0 {
 			return false, fmt.Errorf("codec: zero level in run-level pair")
 		}
-		levels[pos] = lvl
+		z := zigzag[pos]
+		coefs[z] = float64(lvl) * t.Deq[pos]
+		rowMask |= 1 << uint(z>>3)
+		colMask |= 1 << uint(z&7)
+		sumAbs += abs64(lvl)
 		pos++
 	}
+	if rowMask == 0 {
+		*res = [64]int32{}
+		return true, nil
+	}
+	idct8Fast(&coefs, res, rowMask, colMask, float64(sumAbs)*t.Step*certEps+certFloor)
 	return true, nil
 }

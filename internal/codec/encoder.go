@@ -393,10 +393,21 @@ func extractIntra(p *plane, x0, y0 int, res *[64]int32) {
 }
 
 // reconstructIntra writes the dequantized intra block back into the
-// plane so it can serve as reference data. An uncoded block has an
-// all-zero residual, so reconstruction collapses to the 128 bias — no
-// transform needed.
+// plane so it can serve as reference data.
 func reconstructIntra(p *plane, x0, y0 int, levels *[64]int32, qp int, coded bool) {
+	if !coded {
+		storeIntra(p, x0, y0, nil, false)
+		return
+	}
+	var res [64]int32
+	dequantizeBlock(levels, qp, &res)
+	storeIntra(p, x0, y0, &res, true)
+}
+
+// storeIntra writes the intra residual res plus the 128 bias into the
+// plane. An uncoded block has an all-zero residual, so it collapses to
+// the bias and res is not read.
+func storeIntra(p *plane, x0, y0 int, res *[64]int32, coded bool) {
 	if !coded {
 		for y := 0; y < 8; y++ {
 			row := p.pix[(y0+y)*p.w+x0 : (y0+y)*p.w+x0+8]
@@ -406,8 +417,6 @@ func reconstructIntra(p *plane, x0, y0 int, levels *[64]int32, qp int, coded boo
 		}
 		return
 	}
-	var res [64]int32
-	dequantizeBlock(levels, qp, &res)
 	for y := 0; y < 8; y++ {
 		row := p.pix[(y0+y)*p.w+x0:]
 		for x := 0; x < 8; x++ {
@@ -441,16 +450,26 @@ func extractInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32) {
 }
 
 // reconstructInter writes prediction + dequantized residual back into
-// the current plane. An uncoded block has an all-zero residual, so
-// reconstruction is exactly the motion-compensated prediction
-// (prediction samples are already in [0, 255], so the clamp is a no-op).
+// the current plane.
 func reconstructInter(cur, ref *plane, x0, y0, mvx, mvy int, levels *[64]int32, qp int, coded bool) {
 	if !coded {
-		copyMB(cur, ref, x0, y0, 8, mvx, mvy)
+		storeInter(cur, ref, x0, y0, mvx, mvy, nil, false)
 		return
 	}
 	var res [64]int32
 	dequantizeBlock(levels, qp, &res)
+	storeInter(cur, ref, x0, y0, mvx, mvy, &res, true)
+}
+
+// storeInter writes prediction + residual res into the current plane.
+// An uncoded block has an all-zero residual, so it is exactly the
+// motion-compensated prediction (prediction samples are already in
+// [0, 255], so the clamp is a no-op) and res is not read.
+func storeInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32, coded bool) {
+	if !coded {
+		copyMB(cur, ref, x0, y0, 8, mvx, mvy)
+		return
+	}
 	sx, sy := x0+mvx, y0+mvy
 	if sx >= 0 && sy >= 0 && sx+8 <= ref.w && sy+8 <= ref.h {
 		for y := 0; y < 8; y++ {

@@ -130,7 +130,8 @@ func fuzzDecoderCfg() Config { return Config{Width: 48, Height: 48, QP: 20, GOP:
 // FuzzDecodeFrame throws arbitrary access units at the decoder, both as
 // the first frame and after a valid keyframe (so the P-frame syntax is
 // reachable). Corrupted input must yield an error or a frame — never a
-// panic, out-of-range access, or hang.
+// panic, out-of-range access, or hang — and the same error or frame as
+// the reference decoder of transform_fast_test.go.
 func FuzzDecodeFrame(f *testing.F) {
 	cfg := fuzzDecoderCfg()
 	v := mixedVideo(cfg.Width, cfg.Height, 3, 17)
@@ -154,12 +155,24 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // dense ones
 	f.Add(bytes.Repeat([]byte{0x00}, 64)) // long zero runs (Exp-Golomb limit)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reference decoder (decodeBlock, then the exact float64
+		// inverse) is the second oracle: same error text, same frame.
+		agree := func(when string, dec *Decoder, ref *refDecoder) {
+			got, gotErr := dec.Decode(data)
+			want, wantErr := ref.Decode(data)
+			if errString(gotErr) != errString(wantErr) {
+				t.Fatalf("%s: decoder says %q, reference parser %q", when, errString(gotErr), errString(wantErr))
+			}
+			if gotErr == nil && !sameFrame(got, want) {
+				t.Fatalf("%s: decoded frame diverges from the reference decode", when)
+			}
+		}
 		// Fresh decoder: input is the first AU.
 		dec, err := NewDecoder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.Decode(data) // error or frame; must not panic
+		agree("first unit", dec, newRefDecoder(cfg)) // error or frame; must not panic
 
 		// Warm decoder: input arrives after a valid keyframe, so P-frame
 		// parsing and motion compensation run against real reference state.
@@ -167,9 +180,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref2 := newRefDecoder(cfg)
 		if _, err := dec2.Decode(key); err != nil {
 			t.Fatalf("seed keyframe rejected: %v", err)
 		}
-		dec2.Decode(data)
+		if _, err := ref2.Decode(key); err != nil {
+			t.Fatalf("reference decoder rejected the seed keyframe: %v", err)
+		}
+		agree("after a keyframe", dec2, ref2)
 	})
 }

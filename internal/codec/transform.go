@@ -317,11 +317,7 @@ func dequantizeBlock(levels *[64]int32, qp int, res *[64]int32) {
 		coefs[z] = float64(l) * t.Deq[i]
 		rowMask |= 1 << uint(z>>3)
 		colMask |= 1 << uint(z&7)
-		if l < 0 {
-			sumAbs -= int64(l)
-		} else {
-			sumAbs += int64(l)
-		}
+		sumAbs += abs64(l)
 	}
 	if rowMask == 0 {
 		*res = [64]int32{}
@@ -329,4 +325,13 @@ func dequantizeBlock(levels *[64]int32, qp int, res *[64]int32) {
 	}
 	delta := float64(sumAbs)*t.Step*certEps + certFloor
 	idct8Fast(&coefs, res, rowMask, colMask, delta)
+}
+
+// abs64 is |v| without int32's overflow at math.MinInt32, a level the
+// wire can carry.
+func abs64(v int32) int64 {
+	if v < 0 {
+		return -int64(v)
+	}
+	return int64(v)
 }

@@ -106,70 +106,114 @@ func fdct8Fast(src *[64]int32, dst *[64]float64) {
 	}
 }
 
-// idct1dFast computes one inverse 1-D pass out[n] = Σₖ in[k]·B[k][n]
-// via the even/odd butterfly. mask flags which in[k] may be nonzero:
+// idct1dFast computes one inverse 1-D pass x[n] = Σₖ i[k]·B[k][n] via the
+// even/odd butterfly, operands and results in registers so that callers
+// walk columns and rows in place. mask flags which i[k] may be nonzero:
 // all-zero halves are skipped outright (their contribution is exactly
 // zero), and the ubiquitous DC-only even half collapses to a single
 // multiply.
-func idct1dFast(in, out *[8]float64, mask uint8) {
-	var e, o [4]float64
+func idct1dFast(i0, i1, i2, i3, i4, i5, i6, i7 float64, mask uint8) (x0, x1, x2, x3, x4, x5, x6, x7 float64) {
+	var e0, e1, e2, e3, o0, o1, o2, o3 float64
 	switch {
 	case mask&0x55 == 0:
 		// Even half entirely zero: e stays 0.
 	case mask&0x54 == 0:
 		// DC only: B[0][n] is the constant dc0.
-		v := in[0] * dc0
-		e[0], e[1], e[2], e[3] = v, v, v, v
+		e0 = i0 * dc0
+		e1, e2, e3 = e0, e0, e0
 	default:
-		for n := 0; n < 4; n++ {
-			e[n] = in[0]*ievenB[n][0] + in[2]*ievenB[n][1] + in[4]*ievenB[n][2] + in[6]*ievenB[n][3]
-		}
+		e0 = i0*ievenB[0][0] + i2*ievenB[0][1] + i4*ievenB[0][2] + i6*ievenB[0][3]
+		e1 = i0*ievenB[1][0] + i2*ievenB[1][1] + i4*ievenB[1][2] + i6*ievenB[1][3]
+		e2 = i0*ievenB[2][0] + i2*ievenB[2][1] + i4*ievenB[2][2] + i6*ievenB[2][3]
+		e3 = i0*ievenB[3][0] + i2*ievenB[3][1] + i4*ievenB[3][2] + i6*ievenB[3][3]
 	}
 	if mask&0xAA != 0 {
-		for n := 0; n < 4; n++ {
-			o[n] = in[1]*ioddB[n][0] + in[3]*ioddB[n][1] + in[5]*ioddB[n][2] + in[7]*ioddB[n][3]
+		o0 = i1*ioddB[0][0] + i3*ioddB[0][1] + i5*ioddB[0][2] + i7*ioddB[0][3]
+		o1 = i1*ioddB[1][0] + i3*ioddB[1][1] + i5*ioddB[1][2] + i7*ioddB[1][3]
+		o2 = i1*ioddB[2][0] + i3*ioddB[2][1] + i5*ioddB[2][2] + i7*ioddB[2][3]
+		o3 = i1*ioddB[3][0] + i3*ioddB[3][1] + i5*ioddB[3][2] + i7*ioddB[3][3]
+	}
+	return e0 + o0, e1 + o1, e2 + o2, e3 + o3, e3 - o3, e2 - o2, e1 - o1, e0 - o0
+}
+
+const (
+	// roundMagic is 1.5·2⁵²: for |s| < 2⁵¹ the sum s+roundMagic lies in
+	// [2⁵², 2⁵³), where a float64 holds integers only, so the addition
+	// itself rounds s to the nearest integer (ties to even) and
+	// subtracting roundMagic — exact — leaves that integer.
+	roundMagic = 3 << 51
+	// roundLimit keeps the trick well inside its domain; samples this
+	// large only arise from fuzzed levels, whose guard band is far above
+	// ½ anyway.
+	roundLimit = 1 << 50
+)
+
+// roundCertifiedRow is the certified rounding of the fast IDCT samples
+// row[n] at (y, n) into out[n]: int32(math.Round(s)) for a sample at
+// least delta away from a math.Round boundary, else the exactly
+// recomputed sample, rounded.
+//
+// r is the integer nearest s, so ½−|s−r| is s's distance to the nearest
+// half-integer: roundCertifiedSlow's test in other words. r differs from
+// math.Round(s) only on an exact tie, and a tie is at distance 0, inside
+// every band (delta ≥ certFloor > 0). A row with a sample this does not
+// settle is redone by roundCertifiedSlow, which settles every sample.
+func roundCertifiedRow(src *[64]float64, y int, row []float64, out []int32, delta float64) {
+	for n, s := range row {
+		r := (s + roundMagic) - roundMagic
+		if !(0.5-math.Abs(s-r) >= delta && math.Abs(s) < roundLimit) {
+			for n, s := range row {
+				out[n] = roundCertifiedSlow(src, y, n, s, delta)
+			}
+			return
 		}
+		out[n] = int32(r)
 	}
-	for n := 0; n < 4; n++ {
-		out[n] = e[n] + o[n]
-		out[7-n] = e[n] - o[n]
+}
+
+// roundCertifiedSlow is the rounding decision spelled with math.Floor
+// and math.Round, for the rows roundCertifiedRow does not settle: a
+// sample inside the band goes to the exact formulation, and one too
+// large for the nearest-integer trick is rounded as it always was.
+func roundCertifiedSlow(src *[64]float64, y, n int, s, delta float64) int32 {
+	a := math.Abs(s)
+	if math.Abs(a-math.Floor(a)-0.5) >= delta {
+		return int32(math.Round(s))
 	}
+	transformFallbacks.Add(1)
+	return int32(math.Round(idctSampleExact(src, y, n)))
 }
 
 // idct8Fast computes the inverse 2D DCT of src into dst: butterfly
 // column pass (skipping all-zero coefficient columns via colMask and
 // all-zero rows via rowMask), butterfly row pass, then certified
-// rounding per sample — any value within delta of a math.Round boundary
-// is recomputed exactly so dst is bit-identical to idct8.
+// rounding a row at a time — any value within delta of a math.Round
+// boundary is recomputed exactly so dst is bit-identical to idct8.
 func idct8Fast(src *[64]float64, dst *[64]int32, rowMask, colMask uint8, delta float64) {
+	if rowMask == 1 && colMask == 1 {
+		// DC only: both passes reduce to the constant dc0, so all 64
+		// samples are the one value (c·dc0)·dc0 — what the general passes
+		// below compute for every sample — rounded and certified once.
+		s := [1]float64{src[0] * dc0 * dc0}
+		roundCertifiedRow(src, 0, s[:], dst[:1], delta)
+		for i := range dst {
+			dst[i] = dst[0]
+		}
+		return
+	}
 	var tmp [64]float64
-	var in, out [8]float64
 	for x := 0; x < 8; x++ {
 		if colMask&(1<<uint(x)) == 0 {
 			continue // whole coefficient column zero: tmp column stays zero
 		}
-		for k := 0; k < 8; k++ {
-			in[k] = src[k*8+x]
-		}
-		idct1dFast(&in, &out, rowMask)
-		for n := 0; n < 8; n++ {
-			tmp[n*8+x] = out[n]
-		}
+		tmp[x], tmp[8+x], tmp[16+x], tmp[24+x], tmp[32+x], tmp[40+x], tmp[48+x], tmp[56+x] =
+			idct1dFast(src[x], src[8+x], src[16+x], src[24+x], src[32+x], src[40+x], src[48+x], src[56+x], rowMask)
 	}
+	var row [8]float64
 	for y := 0; y < 8; y++ {
-		for k := 0; k < 8; k++ {
-			in[k] = tmp[y*8+k]
-		}
-		idct1dFast(&in, &out, colMask)
-		for n := 0; n < 8; n++ {
-			s := out[n]
-			a := math.Abs(s)
-			if math.Abs(a-math.Floor(a)-0.5) >= delta {
-				dst[y*8+n] = int32(math.Round(s))
-			} else {
-				transformFallbacks.Add(1)
-				dst[y*8+n] = int32(math.Round(idctSampleExact(src, y, n)))
-			}
-		}
+		t := tmp[y*8 : y*8+8 : y*8+8]
+		row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7] =
+			idct1dFast(t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], colMask)
+		roundCertifiedRow(src, y, row[:], dst[y*8:y*8+8], delta)
 	}
 }

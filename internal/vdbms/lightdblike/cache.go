@@ -32,10 +32,11 @@ func newDecodeCache(capacity int) *decodeCache {
 	return &decodeCache{cap: capacity, entries: make(map[uint64]*cacheEntry)}
 }
 
-// key hashes the input's encoded content. The first and last access
+// cacheKey hashes the input's encoded content. The first and last access
 // units plus the payload size identify a video's content for caching
-// purposes without hashing megabytes.
-func (c *decodeCache) key(in *vdbms.Input) uint64 {
+// purposes without hashing megabytes. An evaluation computes it once
+// and hands it to both get and put.
+func cacheKey(in *vdbms.Input) uint64 {
 	h := fnv.New64a()
 	fs := in.Encoded.Frames
 	if len(fs) > 0 {
@@ -51,10 +52,10 @@ func (c *decodeCache) key(in *vdbms.Input) uint64 {
 	return h.Sum64()
 }
 
-// get returns frames [lo, hi) when the cached window covers them. The
-// returned video's frames are shared and read-only.
-func (c *decodeCache) get(in *vdbms.Input, lo, hi int) (*video.Video, bool) {
-	k := c.key(in)
+// get returns frames [lo, hi) of the input with key k when the cached
+// window covers them. The returned video's frames are shared and
+// read-only.
+func (c *decodeCache) get(k uint64, lo, hi int) (*video.Video, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
@@ -65,14 +66,13 @@ func (c *decodeCache) get(in *vdbms.Input, lo, hi int) (*video.Video, bool) {
 	return &video.Video{FPS: e.v.FPS, Frames: e.v.Frames[lo-e.lo : hi-e.lo]}, true
 }
 
-// put memoizes the decoded window [lo, hi) of an input. A resident
-// entry is replaced only when the new window covers it, so a narrow
-// decode never shadows a wider one.
-func (c *decodeCache) put(in *vdbms.Input, v *video.Video, lo, hi int) {
+// put memoizes the decoded window [lo, hi) of the input with key k. A
+// resident entry is replaced only when the new window covers it, so a
+// narrow decode never shadows a wider one.
+func (c *decodeCache) put(k uint64, v *video.Video, lo, hi int) {
 	if c.cap <= 0 {
 		return
 	}
-	k := c.key(in)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[k]; ok {

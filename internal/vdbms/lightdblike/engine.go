@@ -182,7 +182,8 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	// Every path below records exactly one request-level decode span
 	// (the shared branch records it inside vdbms.Decode), so span counts
 	// per eval call are invariant across modes.
-	if cached, ok := e.cache.get(in, lo, hi); ok {
+	key := cacheKey(in)
+	if cached, ok := e.cache.get(key, lo, hi); ok {
 		// A locally resident full-frame window serves any tile set.
 		sp := metrics.StartSpan(metrics.StageDecode)
 		sp.Trace(in.Trace)
@@ -248,7 +249,7 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	if err != nil {
 		return err
 	}
-	e.cache.put(in, decoded, seed, seed+len(decoded.Frames))
+	e.cache.put(key, decoded, seed, seed+len(decoded.Frames))
 	return nil
 }
 

@@ -107,7 +107,7 @@ func TestDecodeCacheKeyedByContent(t *testing.T) {
 	// hit the same cache entry.
 	dup := *in
 	dup.Name = in.Name + "-dup"
-	if _, hit := e.cache.get(in, 0, len(in.Encoded.Frames)); hit {
+	if _, hit := e.cache.get(cacheKey(in), 0, len(in.Encoded.Frames)); hit {
 		t.Fatal("cache unexpectedly warm")
 	}
 	if err := e.Execute(&vdbms.QueryInstance{
@@ -115,7 +115,7 @@ func TestDecodeCacheKeyedByContent(t *testing.T) {
 	}, vdbmstest.NewCollectSink()); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := e.cache.get(&dup, 0, len(dup.Encoded.Frames)); !hit {
+	if _, hit := e.cache.get(cacheKey(&dup), 0, len(dup.Encoded.Frames)); !hit {
 		t.Error("content-identical duplicate missed the decode cache")
 	}
 }
@@ -126,10 +126,10 @@ func TestDecodeCacheLRUEviction(t *testing.T) {
 	a, b := fx.Traffic(0), fx.Traffic(1)
 	e.Execute(&vdbms.QueryInstance{Query: queries.Q2a, Inputs: []*vdbms.Input{a}}, vdbmstest.NewCollectSink())
 	e.Execute(&vdbms.QueryInstance{Query: queries.Q2a, Inputs: []*vdbms.Input{b}}, vdbmstest.NewCollectSink())
-	if _, hit := e.cache.get(a, 0, len(a.Encoded.Frames)); hit {
+	if _, hit := e.cache.get(cacheKey(a), 0, len(a.Encoded.Frames)); hit {
 		t.Error("LRU should have evicted the first input")
 	}
-	if _, hit := e.cache.get(b, 0, len(b.Encoded.Frames)); !hit {
+	if _, hit := e.cache.get(cacheKey(b), 0, len(b.Encoded.Frames)); !hit {
 		t.Error("most recent input should be cached")
 	}
 }

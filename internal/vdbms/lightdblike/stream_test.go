@@ -117,7 +117,7 @@ func TestStreamingFailuresUnwind(t *testing.T) {
 			if sink.written != c.written || sink.closed != 0 || sink.emitted != 0 {
 				t.Errorf("sink saw %d writes (want %d), %d closes, %d emits: a failed result must stay open", sink.written, c.written, sink.closed, sink.emitted)
 			}
-			if _, hit := e.cache.get(c.in, 0, 1); hit {
+			if _, hit := e.cache.get(cacheKey(c.in), 0, 1); hit {
 				t.Error("a failed evaluation left frames in the decode cache")
 			}
 			waitGoroutines(t, goroutines)
@@ -274,7 +274,7 @@ func TestIdentityTransformLeavesTheCacheItsOwnFrames(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cached, ok := e.cache.get(in, 0, hi)
+	cached, ok := e.cache.get(cacheKey(in), 0, hi)
 	if !ok || len(out.Frames) != hi-lo {
 		t.Fatalf("cache hit %v, %d frames written", ok, len(out.Frames))
 	}

@@ -32,6 +32,15 @@ func (f *Frame) ChromaH() int { return (f.H + 1) / 2 }
 // use Y=16, U=V=128 which is black in studio-range YUV) frame of the
 // given dimensions.
 func NewFrame(w, h int) *Frame {
+	f := newFrameUnfilled(w, h)
+	f.Fill(16, 128, 128)
+	return f
+}
+
+// newFrameUnfilled allocates a frame without painting it black, for the
+// constructors and the pool whose callers overwrite every luma and
+// chroma sample.
+func newFrameUnfilled(w, h int) *Frame {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("video: invalid frame dimensions %dx%d", w, h))
 	}
@@ -40,30 +49,33 @@ func NewFrame(w, h int) *Frame {
 	// limits so an append to one plane can never bleed into the next.
 	ySize, cSize := w*h, cw*ch
 	buf := make([]byte, ySize+2*cSize)
-	f := &Frame{
+	return &Frame{
 		W: w, H: h,
 		Y: buf[:ySize:ySize],
 		U: buf[ySize : ySize+cSize : ySize+cSize],
-		V: buf[ySize+2*cSize-cSize:],
+		V: buf[ySize+cSize:],
 	}
-	for i := range f.Y {
-		f.Y[i] = 16
+}
+
+// fillBytes sets every byte of s to v with a doubling copy: memmove
+// speed instead of a byte loop.
+func fillBytes(s []byte, v byte) {
+	if len(s) == 0 {
+		return
 	}
-	for i := range f.U {
-		f.U[i] = 128
-		f.V[i] = 128
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
 	}
-	return f
 }
 
 // Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
-	g := &Frame{
-		W: f.W, H: f.H, Index: f.Index,
-		Y: append([]byte(nil), f.Y...),
-		U: append([]byte(nil), f.U...),
-		V: append([]byte(nil), f.V...),
-	}
+	g := newFrameUnfilled(f.W, f.H)
+	g.Index = f.Index
+	copy(g.Y, f.Y)
+	copy(g.U, f.U)
+	copy(g.V, f.V)
 	return g
 }
 
@@ -94,13 +106,9 @@ func (f *Frame) Set(x, y int, Y, U, V byte) {
 
 // Fill sets every pixel of the frame to the given YUV color.
 func (f *Frame) Fill(Y, U, V byte) {
-	for i := range f.Y {
-		f.Y[i] = Y
-	}
-	for i := range f.U {
-		f.U[i] = U
-		f.V[i] = V
-	}
+	fillBytes(f.Y, Y)
+	fillBytes(f.U, U)
+	fillBytes(f.V, V)
 }
 
 // Crop returns a new frame containing the rectangle [x1,x2)×[y1,y2) of f.
@@ -112,7 +120,7 @@ func (f *Frame) Crop(x1, y1, x2, y2 int) *Frame {
 	x2 = clampInt(x2, x1+1, f.W)
 	y2 = clampInt(y2, y1+1, f.H)
 	w, h := x2-x1, y2-y1
-	out := NewFrame(w, h)
+	out := newFrameUnfilled(w, h)
 	out.Index = f.Index
 	for y := 0; y < h; y++ {
 		copy(out.Y[y*w:(y+1)*w], f.Y[(y+y1)*f.W+x1:(y+y1)*f.W+x2])
@@ -145,7 +153,7 @@ func (f *Frame) Grayscale() *Frame {
 // BilinearResize returns f interpolated to the new resolution (w, h)
 // using bilinear interpolation on all three planes.
 func (f *Frame) BilinearResize(w, h int) *Frame {
-	out := NewFrame(w, h)
+	out := newFrameUnfilled(w, h)
 	out.Index = f.Index
 	resizePlane(out.Y, w, h, f.Y, f.W, f.H)
 	resizePlane(out.U, out.ChromaW(), out.ChromaH(), f.U, f.ChromaW(), f.ChromaH())
@@ -160,7 +168,7 @@ func (f *Frame) Downsample(w, h int) *Frame {
 	if w >= f.W || h >= f.H {
 		return f.BilinearResize(w, h)
 	}
-	out := NewFrame(w, h)
+	out := newFrameUnfilled(w, h)
 	out.Index = f.Index
 	boxPlane(out.Y, w, h, f.Y, f.W, f.H)
 	boxPlane(out.U, out.ChromaW(), out.ChromaH(), f.U, f.ChromaW(), f.ChromaH())

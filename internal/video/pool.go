@@ -39,7 +39,7 @@ func NewFramePool(w, h int) *FramePool {
 	p := &FramePool{w: w, h: h}
 	p.pool.New = func() any {
 		poolAllocs.Add(1)
-		return NewFrame(w, h)
+		return newFrameUnfilled(w, h)
 	}
 	return p
 }

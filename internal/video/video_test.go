@@ -326,3 +326,68 @@ func TestBoxPlaneMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestUnfilledConstructorsWriteEverySample holds the constructors that
+// skip NewFrame's black fill to their side of the bargain: every luma
+// and chroma sample of the result is written. A pooled frame is poisoned
+// and recycled first, so the pool has stale content to hand out; the
+// sources hold no zero and no poison sample and every constructor here
+// copies or averages, so a zero — the byte of a fresh unfilled allocation — or a
+// poison byte in a result is a sample nobody wrote. Odd dimensions put
+// the chroma planes' rounded-up last row and column under the check.
+func TestUnfilledConstructorsWriteEverySample(t *testing.T) {
+	const poison = 0xAA
+	for _, dim := range [][2]int{{1, 1}, {2, 2}, {3, 5}, {7, 4}, {16, 16}, {33, 17}, {64, 48}} {
+		w, h := dim[0], dim[1]
+		pool := NewFramePool(w, h)
+		stale := pool.Get()
+		stale.Fill(poison, poison, poison)
+		pool.Put(stale)
+
+		src := pool.Get() // unspecified content: every sample is set below
+		if len(src.Y) != w*h || len(src.U) != src.ChromaW()*src.ChromaH() || len(src.V) != len(src.U) ||
+			cap(src.Y) != len(src.Y) || cap(src.U) != len(src.U) {
+			t.Fatalf("%dx%d: pooled frame has planes of %d/%d/%d samples (caps %d/%d)",
+				w, h, len(src.Y), len(src.U), len(src.V), cap(src.Y), cap(src.U))
+		}
+		for i := range src.Y {
+			src.Y[i] = byte(1 + i%100)
+		}
+		for i := range src.U {
+			src.U[i] = byte(1 + i%90)
+			src.V[i] = byte(100 + i%60)
+		}
+		results := map[string]*Frame{
+			"Clone":               src.Clone(),
+			"Crop whole":          src.Crop(0, 0, w, h),
+			"Crop odd origin":     src.Crop(1, 1, w, h),
+			"Crop degenerate":     src.Crop(w, h, w, h),
+			"BilinearResize up":   src.BilinearResize(2*w+1, 2*h+1),
+			"BilinearResize same": src.BilinearResize(w, h),
+			"Downsample":          src.Downsample((w+1)/2, (h+1)/2),
+			"Downsample by 3":     src.Downsample((w+2)/3, (h+2)/3),
+		}
+		for name, f := range results {
+			for pi, plane := range [][]byte{f.Y, f.U, f.V} {
+				for i, v := range plane {
+					if v == 0 || v == poison {
+						t.Errorf("%dx%d %s: plane %d sample %d of a %dx%d result reads %#x: never written",
+							w, h, name, pi, i, f.W, f.H, v)
+						break
+					}
+				}
+			}
+		}
+		black := NewFrame(w, h)
+		for i := range black.Y {
+			if black.Y[i] != 16 {
+				t.Fatalf("%dx%d: NewFrame luma sample %d is %d, want 16", w, h, i, black.Y[i])
+			}
+		}
+		for i := range black.U {
+			if black.U[i] != 128 || black.V[i] != 128 {
+				t.Fatalf("%dx%d: NewFrame chroma sample %d is %d/%d, want 128", w, h, i, black.U[i], black.V[i])
+			}
+		}
+	}
+}

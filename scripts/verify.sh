@@ -1,8 +1,8 @@
 #!/bin/sh
 # Verify recipe: vet, build, the full test suite, the race detector over
 # the whole module, the identity suites with the scheduler pinned to one
-# thread, the guards that keep deleted code deleted, the kernel
-# benchmarks once, the result-writer and decode-ahead suites across
+# thread, the guards that keep deleted code deleted, the kernel and
+# decode-stream benchmarks once, the result-writer and decode-ahead suites across
 # -cpu 1,2,4, and the benchmark module's own vet and smoke test.
 set -eux
 
@@ -44,6 +44,19 @@ fi
 # bit-identical.
 GOMAXPROCS=1 go test -run 'TestGoldenBitstreams|TestParallelMEBitstreamIdentical|TestTileStitchIdentity|TestTiledEncodeDeterministicAcrossWorkers' ./internal/codec
 GOMAXPROCS=1 go test -run 'TestDecodeRequestIdentity|FuzzDecodeRequest' ./internal/codec
+# One route from bitstream to residual (DESIGN.md §5.9 item 2): the
+# decoder reads each block with decodeResidual, levels straight into
+# dequantized coefficients. The two-step form it replaced — a level array
+# filled by decodeBlock, scanned again by dequantizeBlock — is the tests'
+# reference and the encoder's reconstruction, and stays out of the decode
+# loop. The tests that hold the fused path to it run on one thread too,
+# and the decode loop's benchmark runs once so that it cannot rot.
+if grep -nE '(decodeBlock|dequantizeBlock)\(' internal/codec/decoder.go internal/codec/tile.go; then
+	echo "verify: the decoder fills a level array again (see above); decodeResidual is the one route from bitstream to residual" >&2
+	exit 1
+fi
+GOMAXPROCS=1 go test -run 'TestDecodeResidualMatchesReference|TestDecodeErrorIdentity|TestIDCTHalfIntegers|TestCertifiedRoundingMatchesPerSample|FuzzDecodeFrame' ./internal/codec
+go test -run '^$' -bench 'DecodeStream' -benchtime 1x ./internal/codec
 # One run configuration (DESIGN.md §5.14): the mirrors stay deleted. A
 # second spelling of the run options, or a per-binary copy of a helper
 # whose job internal/cli owns, fails here.
