@@ -124,3 +124,28 @@ func TestDecodeOverwritesPooledFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestNewEncoderFromWarmPoolAllocs pins what an encoder costs once its
+// padded size has been released once: the Encoder itself — no plane, no
+// analysis scratch. sync.Pool may drop a
+// release (a quarter of them under -race), so the pin is the cheapest of
+// several build-and-release cycles; a cold build of this size makes 15
+// allocations.
+func TestNewEncoderFromWarmPoolAllocs(t *testing.T) {
+	cfg := Config{Width: 96, Height: 64, QP: 20}
+	cycle := func() {
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.Release()
+	}
+	cycle()
+	best := testing.AllocsPerRun(1, cycle)
+	for i := 0; i < 20; i++ {
+		best = min(best, testing.AllocsPerRun(1, cycle))
+	}
+	if best != 1 {
+		t.Fatalf("building and releasing an encoder on a warm pool allocates %.0f times, want 1", best)
+	}
+}

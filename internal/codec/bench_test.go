@@ -42,6 +42,89 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// residualBlocks collects the residual blocks an encode of v analyses,
+// each with its Σ|res|: the intra blocks of the first frame and, for
+// every later frame, each macroblock's four luma and two chroma blocks
+// after motion search against the previous source frame.
+func residualBlocks(v *video.Video) (blocks [][64]int32, sums []int64) {
+	w, h := v.Resolution()
+	load := func(f *video.Frame) [3]*plane {
+		ps := [3]*plane{newPlane(w, h, 16), newPlane((w+1)/2, (h+1)/2, 8), newPlane((w+1)/2, (h+1)/2, 8)}
+		ps[0].loadFrom(f.Y, f.W, f.H)
+		ps[1].loadFrom(f.U, f.ChromaW(), f.ChromaH())
+		ps[2].loadFrom(f.V, f.ChromaW(), f.ChromaH())
+		return ps
+	}
+	add := func(extract func(res *[64]int32) int64) {
+		var res [64]int32
+		sums = append(sums, extract(&res))
+		blocks = append(blocks, res)
+	}
+	var ref [3]*plane
+	for i, f := range v.Frames {
+		cur := load(f)
+		for cy := 0; cy < cur[0].h; cy += 16 {
+			for cx := 0; cx < cur[0].w; cx += 16 {
+				mvx, mvy := 0, 0
+				if i > 0 {
+					mvx, mvy, _ = motionSearch(cur[0], ref[0], cx, cy, PresetH264.SearchRange, 0, 0)
+				}
+				for b := 0; b < 6; b++ {
+					p, x0, y0, bmx, bmy := 0, cx+b%2*8, cy+b/2*8, mvx, mvy
+					if b >= 4 {
+						p, x0, y0, bmx, bmy = b-3, cx/2, cy/2, mvx/2, mvy/2
+					}
+					if i == 0 {
+						add(func(res *[64]int32) int64 { return extractIntra(cur[p], x0, y0, res) })
+					} else {
+						add(func(res *[64]int32) int64 { return extractInter(cur[p], ref[p], x0, y0, bmx, bmy, res) })
+					}
+				}
+			}
+		}
+		ref = cur
+	}
+	return blocks, sums
+}
+
+// BenchmarkEncodeBlocks is the encoder's block path by itself: quantize,
+// reconstruct (quantizeResidual does both) and entropy-code every
+// residual block of the mixed_rc golden source, at the result writer's QP
+// and one coarser. ns/block is what an encoder change is sized with;
+// coded-share says how many of the blocks survived the zero certificates.
+func BenchmarkEncodeBlocks(b *testing.B) {
+	var blocks [][64]int32
+	var sums []int64
+	for _, gc := range goldenCases() {
+		if gc.name == "mixed_rc" {
+			blocks, sums = residualBlocks(gc.src())
+		}
+	}
+	for _, qp := range []int{18, 22} {
+		b.Run(fmt.Sprintf("qp=%d", qp), func(b *testing.B) {
+			t := tablesFor(qp)
+			var levels [64]int32
+			w := &bitWriter{}
+			coded := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coded = 0
+				w.buf, w.cur, w.nCur = w.buf[:0], 0, 0
+				for j := range blocks {
+					res := blocks[j]
+					mask := quantizeResidual(&res, sums[j], t, &levels)
+					emitBlock(w, &levels, mask)
+					if mask != 0 {
+						coded++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+			b.ReportMetric(float64(coded)/float64(len(blocks)), "coded-share")
+		})
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	src := gradientVideo(192, 108, 15)
 	enc, err := EncodeVideo(src, Config{QP: 24})

@@ -56,13 +56,17 @@ func (w *bitWriter) writeBits64(v uint64, n uint) {
 
 // writeUE writes v using unsigned Exp-Golomb coding: n leading zeros
 // followed by the n+1 significant bits of v+1, where n = bitlen(v+1)-1.
-// The whole code is at most 32 zeros plus 33 value bits.
+// The whole code is at most 32 zeros plus 33 value bits. Up to n = 15 it
+// is at most 31 bits and goes out in one write: the prefix is the zero
+// high bits of v+1 taken 2n+1 wide.
 func (w *bitWriter) writeUE(v uint32) {
 	x := uint64(v) + 1
 	n := uint(bits.Len64(x)) - 1
-	if n > 0 {
-		w.writeBits(0, n)
+	if n < 16 {
+		w.writeBits(uint32(x), 2*n+1)
+		return
 	}
+	w.writeBits(0, n)
 	w.writeBits64(x, n+1)
 }
 

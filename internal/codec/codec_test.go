@@ -256,9 +256,10 @@ func TestQuantizeLosslessAtQPZero(t *testing.T) {
 		res[i] = int32((i*7)%200 - 100)
 	}
 	var levels [64]int32
-	quantizeBlock(&res, 0, &levels)
-	var back [64]int32
-	dequantizeBlock(&levels, 0, &back)
+	back := res
+	if quantizeResidual(&back, sumAbsOf(&res), tablesFor(0), &levels) == 0 {
+		t.Fatal("block not coded")
+	}
 	for i := range res {
 		d := res[i] - back[i]
 		if d < -2 || d > 2 {

@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/video"
@@ -120,23 +122,22 @@ type EncodedFrame struct {
 // Encoder compresses a frame sequence. It is not safe for concurrent
 // use by multiple goroutines, but internally parallelizes the analysis
 // pass across macroblock rows when configured with Workers > 1.
+//
+// An encoder's planes and scratch come from a pool (encpool.go); Release
+// hands them back when the stream is complete. One that is never
+// released is simply collected.
 type Encoder struct {
 	cfg     Config
 	workers int
 
-	// Reconstructed reference planes (what the decoder will see).
-	refY, refU, refV *plane
-	curY, curU, curV *plane
-
-	// mbs is the per-frame analysis scratch (one entry per macroblock),
-	// reused across frames to avoid reallocation.
-	mbs []mbCode
-	// wbuf is the entropy pass's bitstream scratch, reused across frames;
-	// each access unit is copied out at its exact final size.
-	wbuf []byte
+	// The pooled state: reference and current planes, per-macroblock
+	// analysis scratch, bitstream scratch. Nil in tile mode (each tile's
+	// sub-encoder holds its own) and after Release.
+	*encState
 
 	frameIdx int
 	rc       rateControl
+	released bool
 
 	// tiles, when non-nil, switches the encoder to tile mode: each entry
 	// is a self-contained sub-encoder for one tile rectangle (tile.go).
@@ -146,11 +147,14 @@ type Encoder struct {
 // mbCode is the analysis result for one macroblock: the mode decision,
 // motion vector, and quantized levels of its six 8×8 blocks (4 luma,
 // U, V), produced by the — possibly row-parallel — analysis pass and
-// consumed by the serial entropy pass.
+// consumed by the serial entropy pass. mask[b] is block b's nonzero mask
+// (bit i = zigzag position i; the block is coded iff it is nonzero) and
+// levels[b] is defined at its set bits only: the other entries hold
+// whatever an earlier block, frame or stream left there.
 type mbCode struct {
 	skip     bool
 	mvx, mvy int
-	coded    [6]bool
+	mask     [6]uint64
 	levels   [6][64]int32
 }
 
@@ -172,20 +176,21 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 		}
 		return &Encoder{cfg: c, workers: workers, tiles: tiles}, nil
 	}
-	cw, ch := (c.Width+1)/2, (c.Height+1)/2
-	e := &Encoder{
-		cfg:     c,
-		workers: workers,
-		refY:    newPlane(c.Width, c.Height, 16),
-		refU:    newPlane(cw, ch, 8),
-		refV:    newPlane(cw, ch, 8),
-		curY:    newPlane(c.Width, c.Height, 16),
-		curU:    newPlane(cw, ch, 8),
-		curV:    newPlane(cw, ch, 8),
+	return &Encoder{cfg: c, workers: workers, encState: getEncState(c.Width, c.Height), rc: newRateControl(c)}, nil
+}
+
+// Release hands the encoder's planes and scratch back to the pool for
+// the next encoder of the same padded size. The stream is over: Encode
+// fails afterwards. Releasing twice is harmless.
+func (e *Encoder) Release() {
+	e.released = true
+	for i := range e.tiles {
+		e.tiles[i].enc.Release()
 	}
-	e.mbs = make([]mbCode, (e.curY.w/16)*(e.curY.h/16))
-	e.rc = newRateControl(c)
-	return e, nil
+	if e.encState != nil {
+		putEncState(e.encState)
+		e.encState = nil
+	}
 }
 
 // Config returns the encoder's effective configuration.
@@ -194,6 +199,9 @@ func (e *Encoder) Config() Config { return e.cfg }
 // Encode compresses the next frame and returns its access unit. The
 // frame dimensions must match the configuration.
 func (e *Encoder) Encode(f *video.Frame) (EncodedFrame, error) {
+	if e.released {
+		return EncodedFrame{}, errors.New("codec: Encode on a released encoder")
+	}
 	if e.tiles != nil {
 		return e.encodeTiled(f)
 	}
@@ -254,8 +262,8 @@ func (e *Encoder) Encode(f *video.Frame) (EncodedFrame, error) {
 			mb := &e.mbs[my*mbW+mx]
 			switch {
 			case isKey:
-				for bi := range mb.levels {
-					emitBlock(w, &mb.levels[bi], mb.coded[bi])
+				for bi := range mb.mask {
+					emitBlock(w, &mb.levels[bi], mb.mask[bi])
 				}
 			case mb.skip:
 				w.writeBits(1, 1) // skip flag
@@ -264,8 +272,8 @@ func (e *Encoder) Encode(f *video.Frame) (EncodedFrame, error) {
 				w.writeBits(0, 1) // not skipped
 				w.writeSE(int32(mb.mvx - pmvx))
 				w.writeSE(int32(mb.mvy - pmvy))
-				for bi := range mb.levels {
-					emitBlock(w, &mb.levels[bi], mb.coded[bi])
+				for bi := range mb.mask {
+					emitBlock(w, &mb.levels[bi], mb.mask[bi])
 				}
 				pmvx, pmvy = mb.mvx, mb.mvy
 			}
@@ -302,6 +310,7 @@ func (e *Encoder) analyzeRow(my int, isKey bool, qp int) {
 // row touches only its own plane region.
 func (e *Encoder) analyzeIntraRow(my, qp int) {
 	mbW := e.curY.w / 16
+	t := tablesFor(qp)
 	var res [64]int32
 	for mx := 0; mx < mbW; mx++ {
 		mb := &e.mbs[my*mbW+mx]
@@ -310,18 +319,18 @@ func (e *Encoder) analyzeIntraRow(my, qp int) {
 		for by := 0; by < 2; by++ {
 			for bx := 0; bx < 2; bx++ {
 				x0, y0 := mx*16+bx*8, my*16+by*8
-				extractIntra(e.curY, x0, y0, &res)
-				mb.coded[bi] = quantizeBlock(&res, qp, &mb.levels[bi])
-				reconstructIntra(e.curY, x0, y0, &mb.levels[bi], qp, mb.coded[bi])
+				sum := extractIntra(e.curY, x0, y0, &res)
+				mb.mask[bi] = quantizeResidual(&res, sum, t, &mb.levels[bi])
+				storeIntra(e.curY, x0, y0, &res, mb.mask[bi] != 0)
 				bi++
 			}
 		}
 		// Chroma.
 		for _, p := range [2]*plane{e.curU, e.curV} {
 			x0, y0 := mx*8, my*8
-			extractIntra(p, x0, y0, &res)
-			mb.coded[bi] = quantizeBlock(&res, qp, &mb.levels[bi])
-			reconstructIntra(p, x0, y0, &mb.levels[bi], qp, mb.coded[bi])
+			sum := extractIntra(p, x0, y0, &res)
+			mb.mask[bi] = quantizeResidual(&res, sum, t, &mb.levels[bi])
+			storeIntra(p, x0, y0, &res, mb.mask[bi] != 0)
 			bi++
 		}
 	}
@@ -335,6 +344,7 @@ func (e *Encoder) analyzeIntraRow(my, qp int) {
 // start, exactly as the serial encoder orders it.
 func (e *Encoder) analyzeInterRow(my, qp int) {
 	mbW := e.curY.w / 16
+	t := tablesFor(qp)
 	var res [64]int32
 	pmvx, pmvy := 0, 0
 	for mx := 0; mx < mbW; mx++ {
@@ -363,9 +373,9 @@ func (e *Encoder) analyzeInterRow(my, qp int) {
 		for by := 0; by < 2; by++ {
 			for bx := 0; bx < 2; bx++ {
 				x0, y0 := cx+bx*8, cy+by*8
-				extractInter(e.curY, e.refY, x0, y0, mvx, mvy, &res)
-				mb.coded[bi] = quantizeBlock(&res, qp, &mb.levels[bi])
-				reconstructInter(e.curY, e.refY, x0, y0, mvx, mvy, &mb.levels[bi], qp, mb.coded[bi])
+				sum := extractInter(e.curY, e.refY, x0, y0, mvx, mvy, &res)
+				mb.mask[bi] = quantizeResidual(&res, sum, t, &mb.levels[bi])
+				storeInter(e.curY, e.refY, x0, y0, mvx, mvy, &res, mb.mask[bi] != 0)
 				bi++
 			}
 		}
@@ -373,35 +383,30 @@ func (e *Encoder) analyzeInterRow(my, qp int) {
 		cmvx, cmvy := mvx/2, mvy/2
 		for _, pp := range [2]struct{ cur, ref *plane }{{e.curU, e.refU}, {e.curV, e.refV}} {
 			x0, y0 := mx*8, my*8
-			extractInter(pp.cur, pp.ref, x0, y0, cmvx, cmvy, &res)
-			mb.coded[bi] = quantizeBlock(&res, qp, &mb.levels[bi])
-			reconstructInter(pp.cur, pp.ref, x0, y0, cmvx, cmvy, &mb.levels[bi], qp, mb.coded[bi])
+			sum := extractInter(pp.cur, pp.ref, x0, y0, cmvx, cmvy, &res)
+			mb.mask[bi] = quantizeResidual(&res, sum, t, &mb.levels[bi])
+			storeInter(pp.cur, pp.ref, x0, y0, cmvx, cmvy, &res, mb.mask[bi] != 0)
 			bi++
 		}
 		pmvx, pmvy = mvx, mvy
 	}
 }
 
-// extractIntra loads the 8×8 block at (x0, y0) biased by -128.
-func extractIntra(p *plane, x0, y0 int, res *[64]int32) {
+// extractIntra loads the 8×8 block at (x0, y0) biased by -128 and
+// returns Σ|res|, the quantizer's pre-transform bound — the block's SAD
+// against the bias, taken a row per load like sadBlock's.
+func extractIntra(p *plane, x0, y0 int, res *[64]int32) (sumAbs int64) {
+	var lanes uint64
 	for y := 0; y < 8; y++ {
-		row := p.pix[(y0+y)*p.w+x0:]
-		for x := 0; x < 8; x++ {
-			res[y*8+x] = int32(row[x]) - 128
+		row := p.pix[(y0+y)*p.w+x0:][:8]
+		out := res[y*8 : y*8+8 : y*8+8]
+		for x, s := range row {
+			out[x] = int32(s) - 128
 		}
+		lanes += sad8Lanes(binary.LittleEndian.Uint64(row), 0x8080808080808080)
 	}
-}
-
-// reconstructIntra writes the dequantized intra block back into the
-// plane so it can serve as reference data.
-func reconstructIntra(p *plane, x0, y0 int, levels *[64]int32, qp int, coded bool) {
-	if !coded {
-		storeIntra(p, x0, y0, nil, false)
-		return
-	}
-	var res [64]int32
-	dequantizeBlock(levels, qp, &res)
-	storeIntra(p, x0, y0, &res, true)
+	// Lanes hold at most 16·255 each, so their sum fits the top lane.
+	return int64(lanes * laneOne >> 48)
 }
 
 // storeIntra writes the intra residual res plus the 128 bias into the
@@ -426,39 +431,36 @@ func storeIntra(p *plane, x0, y0 int, res *[64]int32, coded bool) {
 }
 
 // extractInter loads the motion-compensated residual for the 8×8 block
-// at (x0, y0) with motion vector (mvx, mvy). Interior predictions (the
-// common case) read reference rows directly; blocks whose prediction
-// crosses the plane edge take the clamped per-sample path.
-func extractInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32) {
+// at (x0, y0) with motion vector (mvx, mvy) and returns Σ|res|, the
+// quantizer's pre-transform bound. Interior predictions (the common
+// case) read reference rows directly and take the sum as the block's SAD,
+// a row per load like sadBlock's; blocks whose prediction crosses the
+// plane edge take the clamped per-sample path.
+func extractInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32) (sumAbs int64) {
 	sx, sy := x0+mvx, y0+mvy
 	if sx >= 0 && sy >= 0 && sx+8 <= ref.w && sy+8 <= ref.h {
+		var lanes uint64
 		for y := 0; y < 8; y++ {
-			row := cur.pix[(y0+y)*cur.w+x0 : (y0+y)*cur.w+x0+8]
-			rrow := ref.pix[(sy+y)*ref.w+sx : (sy+y)*ref.w+sx+8]
-			for x := 0; x < 8; x++ {
-				res[y*8+x] = int32(row[x]) - int32(rrow[x])
+			row := cur.pix[(y0+y)*cur.w+x0:][:8]
+			rrow := ref.pix[(sy+y)*ref.w+sx:][:8]
+			out := res[y*8 : y*8+8 : y*8+8]
+			for x := range out {
+				out[x] = int32(row[x]) - int32(rrow[x])
 			}
+			lanes += sad8Lanes(binary.LittleEndian.Uint64(row), binary.LittleEndian.Uint64(rrow))
 		}
-		return
+		// Lanes hold at most 16·255 each, so their sum fits the top lane.
+		return int64(lanes * laneOne >> 48)
 	}
 	for y := 0; y < 8; y++ {
 		row := cur.pix[(y0+y)*cur.w+x0:]
 		for x := 0; x < 8; x++ {
-			res[y*8+x] = int32(row[x]) - int32(ref.at(x0+x+mvx, y0+y+mvy))
+			v := int32(row[x]) - int32(ref.at(x0+x+mvx, y0+y+mvy))
+			res[y*8+x] = v
+			sumAbs += abs64(v)
 		}
 	}
-}
-
-// reconstructInter writes prediction + dequantized residual back into
-// the current plane.
-func reconstructInter(cur, ref *plane, x0, y0, mvx, mvy int, levels *[64]int32, qp int, coded bool) {
-	if !coded {
-		storeInter(cur, ref, x0, y0, mvx, mvy, nil, false)
-		return
-	}
-	var res [64]int32
-	dequantizeBlock(levels, qp, &res)
-	storeInter(cur, ref, x0, y0, mvx, mvy, &res, true)
+	return sumAbs
 }
 
 // storeInter writes prediction + residual res into the current plane.
@@ -489,15 +491,20 @@ func storeInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32, coded boo
 	}
 }
 
-// copyMB copies a bs×bs block from ref to cur at (x0, y0) displaced by
-// (mvx, mvy) in the reference. Interior source blocks copy whole rows;
-// edge-crossing predictions fall back to clamped per-sample reads.
+// copyMB copies a bs×bs block (bs is 8 or 16) from ref to cur at
+// (x0, y0) displaced by (mvx, mvy) in the reference. Interior source
+// blocks move a row as one or two 8-byte words; edge-crossing predictions
+// fall back to clamped per-sample reads.
 func copyMB(cur, ref *plane, x0, y0, bs, mvx, mvy int) {
 	sx, sy := x0+mvx, y0+mvy
 	if sx >= 0 && sy >= 0 && sx+bs <= ref.w && sy+bs <= ref.h {
 		for y := 0; y < bs; y++ {
-			copy(cur.pix[(y0+y)*cur.w+x0:(y0+y)*cur.w+x0+bs],
-				ref.pix[(sy+y)*ref.w+sx:(sy+y)*ref.w+sx+bs])
+			dst := cur.pix[(y0+y)*cur.w+x0:][:bs]
+			src := ref.pix[(sy+y)*ref.w+sx:][:bs]
+			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+			if bs == 16 {
+				binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+			}
 		}
 		return
 	}
@@ -509,33 +516,29 @@ func copyMB(cur, ref *plane, x0, y0, bs, mvx, mvy int) {
 	}
 }
 
-// emitBlock entropy-codes one quantized block: a coded flag, then the
-// DC level (SE), the count of nonzero AC levels (UE), and for each a
-// (zero-run, level) pair. Uncoded blocks (all levels zero) emit only
-// the flag.
-func emitBlock(w *bitWriter, levels *[64]int32, coded bool) {
-	if !coded {
+// emitBlock entropy-codes one quantized block from its nonzero mask: a
+// coded flag, then the DC level (SE), the count of nonzero AC levels
+// (UE) — the mask's population — and for each a (zero-run, level) pair,
+// the run being the distance between set bits. An uncoded block (mask 0)
+// emits only the flag. levels is read at the mask's positions only.
+func emitBlock(w *bitWriter, levels *[64]int32, mask uint64) {
+	if mask == 0 {
 		w.writeBits(0, 1)
 		return
 	}
 	w.writeBits(1, 1)
-	w.writeSE(levels[0])
-	nAC := 0
-	for i := 1; i < 64; i++ {
-		if levels[i] != 0 {
-			nAC++
-		}
+	var dc int32
+	if mask&1 != 0 {
+		dc = levels[0]
 	}
-	w.writeUE(uint32(nAC))
-	run := 0
-	for i := 1; i < 64; i++ {
-		if levels[i] == 0 {
-			run++
-			continue
-		}
-		w.writeUE(uint32(run))
-		w.writeSE(levels[i])
-		run = 0
+	w.writeSE(dc)
+	ac := mask &^ 1
+	w.writeUE(uint32(bits.OnesCount64(ac)))
+	for next := 1; ac != 0; ac &= ac - 1 {
+		pos := bits.TrailingZeros64(ac)
+		w.writeUE(uint32(pos - next))
+		w.writeSE(levels[pos&63])
+		next = pos + 1
 	}
 }
 
@@ -565,6 +568,7 @@ func EncodeVideo(v *video.Video, cfg Config) (*Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer enc.Release()
 	out := &Encoded{Config: enc.Config(), Frames: make([]EncodedFrame, 0, len(v.Frames))}
 	for _, f := range v.Frames {
 		ef, err := enc.Encode(f)

@@ -21,13 +21,22 @@ import (
 // FuzzBitioRoundTrip drives bitWriter/bitReader with a symbol script
 // decoded from the fuzz input: each 5-byte record is one op (UE, SE, or
 // fixed-width) and its value. Whatever was written must read back
-// identically, and the exhausted stream must fail cleanly.
+// identically, and the exhausted stream must fail cleanly. A second
+// writer spells every Exp-Golomb code with the two writes writeUE used to
+// make (writeUETwoWrites, transform_fast_test.go): the bytes must match.
 func FuzzBitioRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 2, 0x12, 0x34, 0x56, 0x78})
 	f.Add([]byte{2, 0, 0, 0, 1, 0, 0, 0, 0, 33, 1, 0x80, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{3, 0xAA, 0x55, 0xAA, 0x55}, 20))
+	var probes []byte // the one-write/two-write switch, as UE and as SE, between odd-width fields
+	for _, v := range ueProbeValues() {
+		probes = binary.BigEndian.AppendUint32(append(probes, 0), v)
+		probes = binary.BigEndian.AppendUint32(append(probes, 1), v)
+		probes = append(probes, 2, 0, 0, 0, 5)
+	}
+	f.Add(probes)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		type op struct {
 			kind byte
@@ -35,12 +44,13 @@ func FuzzBitioRoundTrip(f *testing.F) {
 			n    uint
 		}
 		var ops []op
-		w := &bitWriter{}
+		w, two := &bitWriter{}, &bitWriter{}
 		for i := 0; i+5 <= len(script) && len(ops) < 1024; i += 5 {
 			o := op{kind: script[i] % 3, v: binary.BigEndian.Uint32(script[i+1 : i+5])}
 			switch o.kind {
 			case 0:
 				w.writeUE(o.v)
+				writeUETwoWrites(two, o.v)
 			case 1:
 				// math.MinInt32 is outside the SE mapping's domain (2k-1 /
 				// -2k over uint32 covers every other int32).
@@ -48,15 +58,24 @@ func FuzzBitioRoundTrip(f *testing.F) {
 					o.v++
 				}
 				w.writeSE(int32(o.v))
+				if v := int32(o.v); v > 0 {
+					writeUETwoWrites(two, uint32(2*v-1))
+				} else {
+					writeUETwoWrites(two, uint32(-2*v))
+				}
 			case 2:
 				o.n = uint(script[i])%32 + 1
 				o.v &= 1<<o.n - 1
 				w.writeBits(o.v, o.n)
+				two.writeBits(o.v, o.n)
 			}
 			ops = append(ops, o)
 		}
 		wantBits := w.bitLen()
 		data := w.bytes()
+		if two.bitLen() != wantBits || !bytes.Equal(two.bytes(), data) {
+			t.Fatalf("one-write Exp-Golomb codes give %d bits %x, two writes %d bits %x", wantBits, data, two.bitLen(), two.bytes())
+		}
 		if got := (len(data)*8 - wantBits); got < 0 || got > 7 {
 			t.Fatalf("bitLen %d inconsistent with %d output bytes", wantBits, len(data))
 		}

@@ -114,12 +114,27 @@ func sad8Lanes(a, b uint64) uint64 {
 // block (bs is 8 or 16) of cur at (cx, cy) and the block of ref at
 // (cx+mvx, cy+mvy), reference samples outside the plane clamped to its
 // edge. earlyOut aborts after the first row at which the running sum
-// exceeds the given bound.
+// exceeds the given bound. A 16×16 block whose reference lies inside the
+// plane — nearly every motion-search candidate — takes a loop of its own,
+// free of the per-row edge and block-size tests.
 func sadBlock(cur, ref *plane, cx, cy, mvx, mvy, bs int, earlyOut int) int {
 	rx, ry := cx+mvx, cy+mvy
 	interior := rx >= 0 && ry >= 0 && rx+bs <= ref.w && ry+bs <= ref.h
-	var edge [16]byte
 	sum := 0
+	if interior && bs == 16 {
+		c, r := cur.pix[cy*cur.w+cx:], ref.pix[ry*ref.w+rx:]
+		for y := 0; y < 16; y++ {
+			cr, rr := c[y*cur.w:][:16], r[y*ref.w:][:16]
+			lanes := sad8Lanes(binary.LittleEndian.Uint64(cr), binary.LittleEndian.Uint64(rr)) +
+				sad8Lanes(binary.LittleEndian.Uint64(cr[8:]), binary.LittleEndian.Uint64(rr[8:]))
+			sum += int(lanes * laneOne >> 48)
+			if sum > earlyOut {
+				return sum
+			}
+		}
+		return sum
+	}
+	var edge [16]byte
 	for y := 0; y < bs; y++ {
 		c := cur.pix[(cy+y)*cur.w+cx:][:bs]
 		var r []byte

@@ -217,6 +217,9 @@ func newTileCoders(c Config) ([]tileCoder, error) {
 	for i, r := range rects {
 		enc, err := NewEncoder(tileConfig(c, r))
 		if err != nil {
+			for j := range tiles[:i] {
+				tiles[j].enc.Release()
+			}
 			return nil, fmt.Errorf("codec: tile %d: %w", i, err)
 		}
 		tiles[i] = tileCoder{rect: r, enc: enc, buf: video.NewFrame(r.W, r.H)}

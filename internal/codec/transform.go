@@ -166,7 +166,7 @@ type qpTables struct {
 	Step float64     // scalar quantizer step (exactly qStep(qp))
 	Bias float64     // dead-zone bias, exactly Step/3 as the reference computes it
 	Deq  [64]float64 // per-zigzag-position dequant scale
-	// Zero-block certificates (see quantizeBlock): a DC coefficient below
+	// Zero certificates (see quantizeResidual): a DC coefficient below
 	// ZeroDC rounds to level 0 and an AC coefficient below ZeroAC falls in
 	// the dead zone, both short of the true thresholds (Step/2 and
 	// Step−Bias) by the relative margin zeroMargin.
@@ -189,48 +189,66 @@ var (
 func tablesFor(qp int) *qpTables {
 	qpTabOnce.Do(func() {
 		for q := 0; q <= qpFieldMax; q++ {
-			step := qStep(q)
-			qpTab[q].Step = step
-			qpTab[q].Bias = step / 3
-			qpTab[q].ZeroDC = step / 2 * (1 - zeroMargin)
-			qpTab[q].ZeroAC = (step - step/3) * (1 - zeroMargin)
-			for i := 0; i < 64; i++ {
-				qpTab[q].Deq[i] = step
-			}
+			qpTab[q] = newQPTables(qStep(q))
 		}
 	})
 	return &qpTab[qp]
 }
 
-// quantizeBlock transforms and quantizes one residual block. Frequency
-// position 0 (DC) uses plain rounding; AC positions use a dead-zone to
-// suppress low-energy coefficients. The quantized levels are written in
-// zigzag order. Returns true if any level is nonzero.
+// newQPTables builds the tables of one quantizer step.
+func newQPTables(step float64) (t qpTables) {
+	t.Step = step
+	t.Bias = step / 3
+	t.ZeroDC = step / 2 * (1 - zeroMargin)
+	t.ZeroAC = (step - step/3) * (1 - zeroMargin)
+	for i := range t.Deq {
+		t.Deq[i] = step
+	}
+	return t
+}
+
+// unzigzag inverts zigzag: unzigzag[z] is the scan position of the
+// coefficient at flat index z.
+var unzigzag = func() (u [64]uint8) {
+	for i, z := range zigzag {
+		u[z] = uint8(i)
+	}
+	return u
+}()
+
+// quantizeResidual is the encoder's block in one pass: it transforms and
+// quantizes the residual res (whose Σ|res| the extraction already summed
+// into sumAbs) and, for a block that keeps any level, leaves in res the
+// residual the decoder will reconstruct from those levels. The result is
+// the block's nonzero mask — bit i set iff the level at zigzag position i
+// is nonzero — and it is the only description of the block there is:
+// levels holds a value at the mask's positions and whatever it held
+// before everywhere else, the block is coded iff the mask is nonzero, and
+// for an uncoded block res is left as it was (callers store the
+// prediction alone). Frequency position 0 (DC) uses plain rounding; AC
+// positions use a dead zone to suppress low-energy coefficients.
 //
 // The transform runs on the butterfly fast path; every level whose fast
 // coefficient lands inside the certified-rounding guard band is redone
 // with the exact reference formulation, keeping the output bit-identical
-// to a fully exact encode.
+// to a fully exact encode (DESIGN.md §5.9).
 //
-// Most residual blocks quantize to all zeros, and two certificates settle
-// those without quantizing a single coefficient (DESIGN.md §5.9). Before
-// the transform: every basis product is at most ½·½, so |coef| ≤ ¼·Σ|res|
-// (and |DC| = ⅛·|Σres| is at most half of that — ZeroAC/2 < ZeroDC, so
-// the AC test covers it). After it: the largest fast coefficient plus the
-// guard band bounds the exact ones.
-func quantizeBlock(res *[64]int32, qp int, levels *[64]int32) bool {
-	t := tablesFor(qp)
-	var sumAbs int64
-	for i := 0; i < 64; i++ {
-		v := res[i]
-		if v < 0 {
-			v = -v
-		}
-		sumAbs += int64(v)
-	}
+// Nearly every coefficient quantizes to zero, and two certificates settle
+// those before any division. Before the transform: every basis product is
+// at most ½·½, so |coef| ≤ ¼·Σ|res| (and |DC| = ⅛·|Σres| is at most half
+// of that — ZeroAC/2 < ZeroDC, so the AC test covers it); a block below
+// the bound is uncoded without being transformed. After it, coefficient by
+// coefficient: a fast value below ZeroAC − delta (ZeroDC − delta at DC)
+// bounds the exact one below the dead-zone edge, so its level is 0 and it
+// is never offered to the guard band.
+//
+// Each surviving level goes straight to its dequantized coefficient slot,
+// in place of the coefficient it came from (every other slot is set to
+// zero on the way), with the row/column masks and the |level| sum the
+// butterfly inverse needs — what a scan of the level array would find.
+func quantizeResidual(res *[64]int32, sumAbs int64, t *qpTables, levels *[64]int32) uint64 {
 	if float64(sumAbs)/4 < t.ZeroAC {
-		*levels = [64]int32{}
-		return false
+		return 0
 	}
 	var coefs [64]float64
 	fdct8Fast(res, &coefs)
@@ -239,92 +257,78 @@ func quantizeBlock(res *[64]int32, qp int, levels *[64]int32) bool {
 	// of two butterfly passes, ≤ ~2⁻⁴⁸·Σ|res|; certEps leaves two orders
 	// of magnitude of margin on top of that.
 	delta := float64(sumAbs)*certEps + certFloor
-
-	maxAC := 0.0
-	for _, c := range coefs[1:] {
-		if a := math.Abs(c); a > maxAC {
-			maxAC = a
-		}
-	}
-	if math.Abs(coefs[0])+delta < t.ZeroDC && maxAC+delta < t.ZeroAC {
-		*levels = [64]int32{}
-		return false
-	}
-
 	step, bias := t.Step, t.Bias
-	nz := false
-	for i := 0; i < 64; i++ {
-		c := coefs[zigzag[i]]
+	dstep := delta / step
+
+	var mask uint64
+	var rowMask, colMask uint8
+	var lvlSum int64
+	if c := coefs[0]; math.Abs(c) < t.ZeroDC-delta {
+		coefs[0] = 0
+	} else {
+		u := c / step
+		// Round boundaries sit at half-integers; the division adds at
+		// most a couple of ulps on top of delta.
+		a := math.Abs(u)
+		du := dstep + a*1e-14 + certFloor
 		var l int32
-		if i == 0 {
-			u := c / step
-			// Round boundaries sit at half-integers; the division adds at
-			// most a couple of ulps on top of delta.
-			du := delta/step + math.Abs(u)*1e-14 + certFloor
-			a := math.Abs(u)
-			if math.Abs(a-math.Floor(a)-0.5) < du {
-				transformFallbacks.Add(1)
-				l = int32(math.Round(fdctCoefExact(res, zigzag[i]) / step))
-			} else {
-				l = int32(math.Round(u))
-			}
+		if math.Abs(a-float64(int64(a))-0.5) < du {
+			transformFallbacks.Add(1)
+			l = int32(math.Round(fdctCoefExact(res, 0) / step))
 		} else {
-			// Dead-zone quantizer: bias magnitudes toward zero. Truncation
-			// boundaries sit at integers of (|c|+bias)/step; the sign branch
-			// is boundary-free because both branches yield 0 for |c| < step.
-			a := math.Abs(c)
-			u := (a + bias) / step
-			du := delta/step + u*1e-14 + certFloor
-			frac := u - math.Floor(u)
-			if frac < du || frac > 1-du {
-				transformFallbacks.Add(1)
-				ce := fdctCoefExact(res, zigzag[i])
-				if ce >= 0 {
-					l = int32((ce + bias) / step)
-				} else {
-					l = -int32((-ce + bias) / step)
-				}
-			} else if c >= 0 {
-				l = int32(u)
-			} else {
-				l = -int32(u)
-			}
+			l = int32(math.Round(u))
 		}
-		levels[i] = l
+		coefs[0] = float64(l) * t.Deq[0]
 		if l != 0 {
-			nz = true
+			levels[0] = l
+			mask, rowMask, colMask = 1, 1, 1
+			lvlSum = abs64(l)
 		}
 	}
-	return nz
-}
-
-// dequantizeBlock inverts quantizeBlock: reconstructs coefficients from
-// zigzag-ordered levels and applies the inverse transform. The scan
-// also collects the nonzero row/column masks the butterfly inverse uses
-// to skip all-zero groups, and the |level| sum that scales its
-// certified-rounding guard band.
-func dequantizeBlock(levels *[64]int32, qp int, res *[64]int32) {
-	t := tablesFor(qp)
-	var coefs [64]float64
-	var rowMask, colMask uint8
-	var sumAbs int64
-	for i := 0; i < 64; i++ {
-		l := levels[i]
-		if l == 0 {
+	zeroAC := t.ZeroAC - delta
+	for z := 1; z < 64; z++ {
+		c := coefs[z]
+		a := math.Abs(c)
+		if a < zeroAC {
+			coefs[z] = 0
 			continue
 		}
-		z := zigzag[i]
-		coefs[z] = float64(l) * t.Deq[i]
+		// Dead-zone quantizer: bias magnitudes toward zero. Truncation
+		// boundaries sit at integers of (|c|+bias)/step; the sign branch
+		// is boundary-free because both branches yield 0 for |c| < step.
+		u := (a + bias) / step
+		du := dstep + u*1e-14 + certFloor
+		frac := u - float64(int64(u))
+		var l int32
+		if frac < du || frac > 1-du {
+			transformFallbacks.Add(1)
+			ce := fdctCoefExact(res, z)
+			if ce >= 0 {
+				l = int32((ce + bias) / step)
+			} else {
+				l = -int32((-ce + bias) / step)
+			}
+		} else if c >= 0 {
+			l = int32(u)
+		} else {
+			l = -int32(u)
+		}
+		if l == 0 {
+			coefs[z] = 0
+			continue
+		}
+		pos := unzigzag[z]
+		levels[pos] = l
+		mask |= 1 << pos
+		coefs[z] = float64(l) * t.Deq[pos]
 		rowMask |= 1 << uint(z>>3)
 		colMask |= 1 << uint(z&7)
-		sumAbs += abs64(l)
+		lvlSum += abs64(l)
 	}
-	if rowMask == 0 {
-		*res = [64]int32{}
-		return
+	if mask != 0 {
+		idct8Fast(&coefs, res, rowMask, colMask, float64(lvlSum)*t.Step*certEps+certFloor)
 	}
-	delta := float64(sumAbs)*t.Step*certEps + certFloor
-	idct8Fast(&coefs, res, rowMask, colMask, delta)
+	return mask
 }
 
 // abs64 is |v| without int32's overflow at math.MinInt32, a level the

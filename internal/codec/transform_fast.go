@@ -69,15 +69,20 @@ func init() {
 	dc0 = dctBasis[0][0]
 }
 
-// fdct1dFast computes one forward 1-D pass out[k] = Σₙ in[n]·B[k][n]
-// via the even/odd butterfly.
-func fdct1dFast(in, out *[8]float64) {
-	s0, s1, s2, s3 := in[0]+in[7], in[1]+in[6], in[2]+in[5], in[3]+in[4]
-	d0, d1, d2, d3 := in[0]-in[7], in[1]-in[6], in[2]-in[5], in[3]-in[4]
-	for u := 0; u < 4; u++ {
-		out[2*u] = s0*fevenB[u][0] + s1*fevenB[u][1] + s2*fevenB[u][2] + s3*fevenB[u][3]
-		out[2*u+1] = d0*foddB[u][0] + d1*foddB[u][1] + d2*foddB[u][2] + d3*foddB[u][3]
-	}
+// fdct1dFast computes one forward 1-D pass X[k] = Σₙ x[n]·B[k][n] via
+// the even/odd butterfly, operands and results in registers like
+// idct1dFast so that fdct8Fast walks rows and columns in place.
+func fdct1dFast(x0, x1, x2, x3, x4, x5, x6, x7 float64) (X0, X1, X2, X3, X4, X5, X6, X7 float64) {
+	s0, s1, s2, s3 := x0+x7, x1+x6, x2+x5, x3+x4
+	d0, d1, d2, d3 := x0-x7, x1-x6, x2-x5, x3-x4
+	return s0*fevenB[0][0] + s1*fevenB[0][1] + s2*fevenB[0][2] + s3*fevenB[0][3],
+		d0*foddB[0][0] + d1*foddB[0][1] + d2*foddB[0][2] + d3*foddB[0][3],
+		s0*fevenB[1][0] + s1*fevenB[1][1] + s2*fevenB[1][2] + s3*fevenB[1][3],
+		d0*foddB[1][0] + d1*foddB[1][1] + d2*foddB[1][2] + d3*foddB[1][3],
+		s0*fevenB[2][0] + s1*fevenB[2][1] + s2*fevenB[2][2] + s3*fevenB[2][3],
+		d0*foddB[2][0] + d1*foddB[2][1] + d2*foddB[2][2] + d3*foddB[2][3],
+		s0*fevenB[3][0] + s1*fevenB[3][1] + s2*fevenB[3][2] + s3*fevenB[3][3],
+		d0*foddB[3][0] + d1*foddB[3][1] + d2*foddB[3][2] + d3*foddB[3][3]
 }
 
 // fdct8Fast computes the forward 2D DCT of src into dst with butterfly
@@ -85,24 +90,16 @@ func fdct1dFast(in, out *[8]float64) {
 // rounding.
 func fdct8Fast(src *[64]int32, dst *[64]float64) {
 	var tmp [64]float64
-	var in, out [8]float64
 	for y := 0; y < 8; y++ {
-		for n := 0; n < 8; n++ {
-			in[n] = float64(src[y*8+n])
-		}
-		fdct1dFast(&in, &out)
-		for k := 0; k < 8; k++ {
-			tmp[y*8+k] = out[k]
-		}
+		s := src[y*8 : y*8+8 : y*8+8]
+		t := tmp[y*8 : y*8+8 : y*8+8]
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = fdct1dFast(
+			float64(s[0]), float64(s[1]), float64(s[2]), float64(s[3]),
+			float64(s[4]), float64(s[5]), float64(s[6]), float64(s[7]))
 	}
 	for x := 0; x < 8; x++ {
-		for n := 0; n < 8; n++ {
-			in[n] = tmp[n*8+x]
-		}
-		fdct1dFast(&in, &out)
-		for k := 0; k < 8; k++ {
-			dst[k*8+x] = out[k]
-		}
+		dst[x], dst[8+x], dst[16+x], dst[24+x], dst[32+x], dst[40+x], dst[48+x], dst[56+x] =
+			fdct1dFast(tmp[x], tmp[8+x], tmp[16+x], tmp[24+x], tmp[32+x], tmp[40+x], tmp[48+x], tmp[56+x])
 	}
 }
 

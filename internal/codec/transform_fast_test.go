@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -46,6 +47,245 @@ func refDequantizeBlock(levels *[64]int32, qp int, res *[64]int32) {
 		coefs[zigzag[i]] = float64(levels[i]) * step
 	}
 	idct8(&coefs, res)
+}
+
+// The encoder's block path as it stood before quantizeResidual and the
+// nonzero mask, verbatim apart from the names of the three functions whose
+// successors kept theirs (emitBlock, fdct1dFast/fdct8Fast, writeUE) and of
+// the calls between them: the
+// quantizer filling a 64-entry level array (Σ|res| loop, block-wide
+// post-transform certificate, math.Floor per coefficient), the scan that
+// dequantized it, the two reconstruct wrappers, the two-scan entropy
+// coder, the gather-copy forward butterfly and the two-write Exp-Golomb
+// code. quantizeResidual, emitBlock, fdct8Fast and writeUE must reproduce
+// them on every input.
+
+// quantizeBlock transforms and quantizes one residual block. Frequency
+// position 0 (DC) uses plain rounding; AC positions use a dead-zone to
+// suppress low-energy coefficients. The quantized levels are written in
+// zigzag order. Returns true if any level is nonzero.
+//
+// The transform runs on the butterfly fast path; every level whose fast
+// coefficient lands inside the certified-rounding guard band is redone
+// with the exact reference formulation, keeping the output bit-identical
+// to a fully exact encode.
+//
+// Most residual blocks quantize to all zeros, and two certificates settle
+// those without quantizing a single coefficient (DESIGN.md §5.9). Before
+// the transform: every basis product is at most ½·½, so |coef| ≤ ¼·Σ|res|
+// (and |DC| = ⅛·|Σres| is at most half of that — ZeroAC/2 < ZeroDC, so
+// the AC test covers it). After it: the largest fast coefficient plus the
+// guard band bounds the exact ones.
+func quantizeBlock(res *[64]int32, qp int, levels *[64]int32) bool {
+	t := tablesFor(qp)
+	var sumAbs int64
+	for i := 0; i < 64; i++ {
+		v := res[i]
+		if v < 0 {
+			v = -v
+		}
+		sumAbs += int64(v)
+	}
+	if float64(sumAbs)/4 < t.ZeroAC {
+		*levels = [64]int32{}
+		return false
+	}
+	var coefs [64]float64
+	refFdct8Fast(res, &coefs)
+
+	// Guard band: |fast − exact| is bounded by the summation-order error
+	// of two butterfly passes, ≤ ~2⁻⁴⁸·Σ|res|; certEps leaves two orders
+	// of magnitude of margin on top of that.
+	delta := float64(sumAbs)*certEps + certFloor
+
+	maxAC := 0.0
+	for _, c := range coefs[1:] {
+		if a := math.Abs(c); a > maxAC {
+			maxAC = a
+		}
+	}
+	if math.Abs(coefs[0])+delta < t.ZeroDC && maxAC+delta < t.ZeroAC {
+		*levels = [64]int32{}
+		return false
+	}
+
+	step, bias := t.Step, t.Bias
+	nz := false
+	for i := 0; i < 64; i++ {
+		c := coefs[zigzag[i]]
+		var l int32
+		if i == 0 {
+			u := c / step
+			// Round boundaries sit at half-integers; the division adds at
+			// most a couple of ulps on top of delta.
+			du := delta/step + math.Abs(u)*1e-14 + certFloor
+			a := math.Abs(u)
+			if math.Abs(a-math.Floor(a)-0.5) < du {
+				transformFallbacks.Add(1)
+				l = int32(math.Round(fdctCoefExact(res, zigzag[i]) / step))
+			} else {
+				l = int32(math.Round(u))
+			}
+		} else {
+			// Dead-zone quantizer: bias magnitudes toward zero. Truncation
+			// boundaries sit at integers of (|c|+bias)/step; the sign branch
+			// is boundary-free because both branches yield 0 for |c| < step.
+			a := math.Abs(c)
+			u := (a + bias) / step
+			du := delta/step + u*1e-14 + certFloor
+			frac := u - math.Floor(u)
+			if frac < du || frac > 1-du {
+				transformFallbacks.Add(1)
+				ce := fdctCoefExact(res, zigzag[i])
+				if ce >= 0 {
+					l = int32((ce + bias) / step)
+				} else {
+					l = -int32((-ce + bias) / step)
+				}
+			} else if c >= 0 {
+				l = int32(u)
+			} else {
+				l = -int32(u)
+			}
+		}
+		levels[i] = l
+		if l != 0 {
+			nz = true
+		}
+	}
+	return nz
+}
+
+// dequantizeBlock inverts quantizeBlock: reconstructs coefficients from
+// zigzag-ordered levels and applies the inverse transform. The scan
+// also collects the nonzero row/column masks the butterfly inverse uses
+// to skip all-zero groups, and the |level| sum that scales its
+// certified-rounding guard band.
+func dequantizeBlock(levels *[64]int32, qp int, res *[64]int32) {
+	t := tablesFor(qp)
+	var coefs [64]float64
+	var rowMask, colMask uint8
+	var sumAbs int64
+	for i := 0; i < 64; i++ {
+		l := levels[i]
+		if l == 0 {
+			continue
+		}
+		z := zigzag[i]
+		coefs[z] = float64(l) * t.Deq[i]
+		rowMask |= 1 << uint(z>>3)
+		colMask |= 1 << uint(z&7)
+		sumAbs += abs64(l)
+	}
+	if rowMask == 0 {
+		*res = [64]int32{}
+		return
+	}
+	delta := float64(sumAbs)*t.Step*certEps + certFloor
+	idct8Fast(&coefs, res, rowMask, colMask, delta)
+}
+
+// reconstructIntra writes the dequantized intra block back into the
+// plane so it can serve as reference data.
+func reconstructIntra(p *plane, x0, y0 int, levels *[64]int32, qp int, coded bool) {
+	if !coded {
+		storeIntra(p, x0, y0, nil, false)
+		return
+	}
+	var res [64]int32
+	dequantizeBlock(levels, qp, &res)
+	storeIntra(p, x0, y0, &res, true)
+}
+
+// reconstructInter writes prediction + dequantized residual back into
+// the current plane.
+func reconstructInter(cur, ref *plane, x0, y0, mvx, mvy int, levels *[64]int32, qp int, coded bool) {
+	if !coded {
+		storeInter(cur, ref, x0, y0, mvx, mvy, nil, false)
+		return
+	}
+	var res [64]int32
+	dequantizeBlock(levels, qp, &res)
+	storeInter(cur, ref, x0, y0, mvx, mvy, &res, true)
+}
+
+// emitBlockTwoScans entropy-codes one quantized block: a coded flag, then the
+// DC level (SE), the count of nonzero AC levels (UE), and for each a
+// (zero-run, level) pair. Uncoded blocks (all levels zero) emit only
+// the flag.
+func emitBlockTwoScans(w *bitWriter, levels *[64]int32, coded bool) {
+	if !coded {
+		w.writeBits(0, 1)
+		return
+	}
+	w.writeBits(1, 1)
+	w.writeSE(levels[0])
+	nAC := 0
+	for i := 1; i < 64; i++ {
+		if levels[i] != 0 {
+			nAC++
+		}
+	}
+	w.writeUE(uint32(nAC))
+	run := 0
+	for i := 1; i < 64; i++ {
+		if levels[i] == 0 {
+			run++
+			continue
+		}
+		w.writeUE(uint32(run))
+		w.writeSE(levels[i])
+		run = 0
+	}
+}
+
+// refFdct1dFast computes one forward 1-D pass out[k] = Σₙ in[n]·B[k][n]
+// via the even/odd butterfly.
+func refFdct1dFast(in, out *[8]float64) {
+	s0, s1, s2, s3 := in[0]+in[7], in[1]+in[6], in[2]+in[5], in[3]+in[4]
+	d0, d1, d2, d3 := in[0]-in[7], in[1]-in[6], in[2]-in[5], in[3]-in[4]
+	for u := 0; u < 4; u++ {
+		out[2*u] = s0*fevenB[u][0] + s1*fevenB[u][1] + s2*fevenB[u][2] + s3*fevenB[u][3]
+		out[2*u+1] = d0*foddB[u][0] + d1*foddB[u][1] + d2*foddB[u][2] + d3*foddB[u][3]
+	}
+}
+
+// refFdct8Fast computes the forward 2D DCT of src into dst with butterfly
+// 1-D passes (rows, then columns), matching fdct8 up to summation-order
+// rounding.
+func refFdct8Fast(src *[64]int32, dst *[64]float64) {
+	var tmp [64]float64
+	var in, out [8]float64
+	for y := 0; y < 8; y++ {
+		for n := 0; n < 8; n++ {
+			in[n] = float64(src[y*8+n])
+		}
+		refFdct1dFast(&in, &out)
+		for k := 0; k < 8; k++ {
+			tmp[y*8+k] = out[k]
+		}
+	}
+	for x := 0; x < 8; x++ {
+		for n := 0; n < 8; n++ {
+			in[n] = tmp[n*8+x]
+		}
+		refFdct1dFast(&in, &out)
+		for k := 0; k < 8; k++ {
+			dst[k*8+x] = out[k]
+		}
+	}
+}
+
+// writeUETwoWrites writes v using unsigned Exp-Golomb coding: n leading zeros
+// followed by the n+1 significant bits of v+1, where n = bitlen(v+1)-1.
+// The whole code is at most 32 zeros plus 33 value bits.
+func writeUETwoWrites(w *bitWriter, v uint32) {
+	x := uint64(v) + 1
+	n := uint(bits.Len64(x)) - 1
+	if n > 0 {
+		w.writeBits(0, n)
+	}
+	w.writeBits64(x, n+1)
 }
 
 // decodeBlock is the decoder's block parser as it stood before
@@ -156,7 +396,7 @@ func TestQuantizeBlockEquivalence(t *testing.T) {
 			}
 			b := blk
 			var got, want [64]int32
-			gotNZ := quantizeBlock(&b, qp, &got)
+			gotNZ := maskQuantize(&b, qp, &got)
 			wantNZ := refQuantizeBlock(&b, qp, &want)
 			if got != want || gotNZ != wantNZ {
 				t.Fatalf("block %d qp %d: fast quantize diverges from reference", bi, qp)
@@ -201,7 +441,12 @@ func TestButterfly1DMatchesBasis(t *testing.T) {
 				mask |= 1 << uint(i)
 			}
 		}
-		fdct1dFast(&in, &fOut)
+		fOut[0], fOut[1], fOut[2], fOut[3], fOut[4], fOut[5], fOut[6], fOut[7] =
+			fdct1dFast(in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7])
+		var refOut [8]float64
+		if refFdct1dFast(&in, &refOut); refOut != fOut {
+			t.Fatalf("trial %d: register fdct1dFast %v, array form %v: the fast values must be bit-equal", trial, fOut, refOut)
+		}
 		iOut[0], iOut[1], iOut[2], iOut[3], iOut[4], iOut[5], iOut[6], iOut[7] =
 			idct1dFast(in[0], in[1], in[2], in[3], in[4], in[5], in[6], in[7], mask)
 		for k := 0; k < 8; k++ {
@@ -231,9 +476,8 @@ func TestTransformFallbacksRare(t *testing.T) {
 				continue
 			}
 			b := blk
-			var levels, res [64]int32
-			quantizeBlock(&b, qp, &levels)
-			dequantizeBlock(&levels, qp, &res)
+			var levels [64]int32
+			quantizeResidual(&b, sumAbsOf(&b), tablesFor(qp), &levels)
 			decisions += 2 * 64
 		}
 	}

@@ -54,10 +54,12 @@ func (s *resultSink) Emit(key string, v *video.Video) error {
 }
 
 // abandon ends the result.encode span of every result the engine left
-// open — it failed midway: a failed result is a span too.
+// open — it failed midway: a failed result is a span too — and hands
+// its encoder's state back.
 func (s *resultSink) abandon() {
 	for _, w := range s.writers {
 		w.sp.End()
+		w.release()
 	}
 }
 
@@ -101,8 +103,17 @@ func (w *resultWriter) Write(f *video.Frame) error {
 	return nil
 }
 
+// release hands the encoder's pooled state back once the result has its
+// last frame, or never will.
+func (w *resultWriter) release() {
+	if w.enc != nil {
+		w.enc.Release()
+	}
+}
+
 // Close completes the result. One that had no frame is the nil payload.
 func (w *resultWriter) Close() error {
+	w.release()
 	var buf bytes.Buffer
 	if w.out != nil {
 		if err := container.Mux(&buf, w.out, nil); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -225,6 +226,9 @@ func TestResultWriterRetainsOnlyForValidation(t *testing.T) {
 // another size mid-stream), a decode error under a result already two
 // frames long and a result-store error each come back from Execute as
 // the instance's error, end the spans they opened, and persist nothing.
+// A result abandoned midway also hands its encoder's state back: the
+// next result of that size allocates its access units and container, not
+// planes.
 func TestResultFailuresLeaveNothingBehind(t *testing.T) {
 	ds := testDataset(t)
 	metrics.SetEnabled(true)
@@ -279,6 +283,54 @@ func TestResultFailuresLeaveNothingBehind(t *testing.T) {
 			}
 		}
 	})
+	t.Run("pool", func(t *testing.T) {
+		// result writes six frames of a w×h video and reports the bytes
+		// the process allocated meanwhile.
+		result := func(w, h int, abandon bool) uint64 {
+			frames := make([]*video.Frame, 6)
+			for i := range frames {
+				frames[i] = video.NewFrame(w, h)
+				for p := range frames[i].Y {
+					frames[i].Y[p] = byte(p%w + p/w + 2*i)
+				}
+			}
+			sink := &resultSink{opt: Options{Mode: StreamingMode}, query: queries.Q1}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, _ := sink.Open("out", 30)
+			for _, f := range frames {
+				if err := out.Write(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !abandon {
+				if err := out.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink.abandon()
+			runtime.ReadMemStats(&after)
+			if err := out.Write(frames[0]); err == nil || !strings.Contains(err.Error(), "released") {
+				t.Fatalf("Write after the result ended = %v, want the released encoder's refusal", err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		// A size per attempt that nothing else encodes — nor an earlier run
+		// of this test under -count or -cpu — so the first result finds the
+		// pool cold. sync.Pool may drop a release (a quarter of them under
+		// -race): one attempt has to show the reuse.
+		for try := 0; try < 8; try++ {
+			w, h := 208+16*int(poolTestSizes.Add(1)), 144
+			state := uint64(w*h*3 + w/16*h/16*1600) // six planes and the analysis scratch
+			if cold := result(w, h, true); cold < state {
+				t.Fatalf("the first %dx%d result allocated %d bytes, less than its encoder's state (%d): the measure is blind", w, h, cold, state)
+			}
+			if warm := result(w, h, false); warm < state/4 {
+				return
+			}
+		}
+		t.Error("no result after an abandoned one of its size ran without allocating encoder state")
+	})
 	t.Run("store", func(t *testing.T) {
 		base := metrics.Capture()
 		res := executeInstance(ds, lightdblike.New(lightdblike.Options{}), batch[0],
@@ -291,6 +343,9 @@ func TestResultFailuresLeaveNothingBehind(t *testing.T) {
 		}
 	})
 }
+
+// poolTestSizes numbers the frame sizes the pool subtest has used.
+var poolTestSizes atomic.Int64
 
 // shrinkAtFrame5 hands the sink a frame of another size as the sixth
 // frame of every result the wrapped engine writes.

@@ -321,16 +321,17 @@ func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.
 		Workers:  opt.Workers,
 		TileRows: opt.TileRows, TileCols: opt.TileCols,
 	}
-	enc, err := codec.NewEncoder(cfg)
-	if err != nil {
-		return VideoMeta{}, fmt.Errorf("vcg: camera %s: %w", cam.ID, err)
-	}
-	r, pool := st.r, st.pool
-	recSeed := p.Seed ^ fnv(cam.ID)
 	n := p.FrameCount()
 	if n == 0 {
 		return VideoMeta{}, fmt.Errorf("vcg: camera %s: cannot encode empty video", cam.ID)
 	}
+	enc, err := codec.NewEncoder(cfg)
+	if err != nil {
+		return VideoMeta{}, fmt.Errorf("vcg: camera %s: %w", cam.ID, err)
+	}
+	defer enc.Release()
+	r, pool := st.r, st.pool
+	recSeed := p.Seed ^ fnv(cam.ID)
 	renderFrame := func(i int) *video.Frame {
 		sp := metrics.StartSpan(metrics.StageRender)
 		f := pool.Get()

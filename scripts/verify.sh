@@ -1,8 +1,8 @@
 #!/bin/sh
 # Verify recipe: vet, build, the full test suite, the race detector over
 # the whole module, the identity suites with the scheduler pinned to one
-# thread, the guards that keep deleted code deleted, the kernel and
-# decode-stream benchmarks once, the result-writer and decode-ahead suites across
+# thread, the guards that keep deleted code deleted, the kernel, encode
+# and decode-stream benchmarks once, the result-writer and decode-ahead suites across
 # -cpu 1,2,4, and the benchmark module's own vet and smoke test.
 set -eux
 
@@ -48,15 +48,32 @@ GOMAXPROCS=1 go test -run 'TestDecodeRequestIdentity|FuzzDecodeRequest' ./intern
 # decoder reads each block with decodeResidual, levels straight into
 # dequantized coefficients. The two-step form it replaced — a level array
 # filled by decodeBlock, scanned again by dequantizeBlock — is the tests'
-# reference and the encoder's reconstruction, and stays out of the decode
-# loop. The tests that hold the fused path to it run on one thread too,
-# and the decode loop's benchmark runs once so that it cannot rot.
+# reference, and stays out of the decode loop. The tests that hold the
+# fused path to it run on one thread too, and the decode loop's benchmark
+# runs once so that it cannot rot.
 if grep -nE '(decodeBlock|dequantizeBlock)\(' internal/codec/decoder.go internal/codec/tile.go; then
 	echo "verify: the decoder fills a level array again (see above); decodeResidual is the one route from bitstream to residual" >&2
 	exit 1
 fi
 GOMAXPROCS=1 go test -run 'TestDecodeResidualMatchesReference|TestDecodeErrorIdentity|TestIDCTHalfIntegers|TestCertifiedRoundingMatchesPerSample|FuzzDecodeFrame' ./internal/codec
 go test -run '^$' -bench 'DecodeStream' -benchtime 1x ./internal/codec
+# One route from residual to bitstream (DESIGN.md §5.9 item 4): the
+# encoder's block is quantizeResidual's nonzero mask — levels written at
+# its set bits only, the reconstruction taken from the same pass, the
+# entropy coder walking the set bits. The array forms it replaced
+# (quantizeBlock filling 64 levels, dequantizeBlock and a two-scan
+# emitBlock reading all 64 again) are the tests' reference: neither
+# function, nor a loop over a whole level array, comes back into the
+# encoder. The identity and pool tests run on one thread too (the
+# row-parallel analysis pass shares the pool and the mask with the serial
+# one), and the encoder's benchmarks run once so that they cannot rot.
+if grep -rnE '(quantizeBlock|dequantizeBlock)\(' --include='*.go' --exclude='*_test.go' internal/codec ||
+	grep -nE 'range [^{]*levels|levels\[i\]' internal/codec/encoder.go internal/codec/tile.go internal/codec/transform.go; then
+	echo "verify: the encoder fills or scans a whole level array again (see above); quantizeResidual's mask is the one route from residual to bitstream" >&2
+	exit 1
+fi
+GOMAXPROCS=1 go test -run 'TestQuantizeMaskMatchesReference|TestEmitBlockMatchesReference|TestWriteUEOneWrite|TestExtractReturnsResidualSum|TestCopyMBMatchesReference|TestSADMatchesReference|TestMotionSearchDecisionIdentical|TestPooledEncoderIsFresh|TestReleasedEncoderRefusesFrames|TestNewEncoderFromWarmPoolAllocs|TestEncodeSteadyStateAllocs|FuzzBitioRoundTrip|FuzzQuantizeZeroBlock' ./internal/codec
+go test -run '^$' -bench 'Encode$|EncodeBlocks' -benchtime 1x ./internal/codec
 # One run configuration (DESIGN.md §5.14): the mirrors stay deleted. A
 # second spelling of the run options, or a per-binary copy of a helper
 # whose job internal/cli owns, fails here.
