@@ -129,6 +129,32 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkFDCT8 times the forward transform alone over the residual
+// blocks of the mixed_rc golden source: fdct8Lanes, which quantizeResidual
+// calls (the SSE2 twin on amd64), against fdct8Fast, its Go twin.
+func BenchmarkFDCT8(b *testing.B) {
+	var blocks [][64]int32
+	for _, gc := range goldenCases() {
+		if gc.name == "mixed_rc" {
+			blocks, _ = residualBlocks(gc.src())
+		}
+	}
+	for _, k := range []struct {
+		name string
+		fdct func(*[64]int32, *[64]float64)
+	}{{"fdct8Lanes", fdct8Lanes}, {"fdct8Fast", fdct8Fast}} {
+		b.Run(k.name, func(b *testing.B) {
+			var coefs [64]float64
+			for i := 0; i < b.N; i++ {
+				for j := range blocks {
+					k.fdct(&blocks[j], &coefs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+		})
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	src := gradientVideo(192, 108, 15)
 	enc, err := EncodeVideo(src, Config{QP: 24})

@@ -1,9 +1,13 @@
 package codec
 
-// SSE2 twins of the kernels in kernels_generic.go (kernels_amd64.s). SSE2
-// is part of the amd64 baseline, so there is nothing to detect. Each
-// kernel is exact integer arithmetic and returns, sample for sample, what
-// its generic twin returns (TestKernelsMatchGeneric, FuzzPixelKernels).
+// SSE2 twins of the kernels in kernels_generic.go and of fdct8Fast
+// (kernels_amd64.s). SSE2 is part of the amd64 baseline, so there is
+// nothing to detect. The pixel kernels are exact integer arithmetic and
+// return, sample for sample, what their generic twins return
+// (TestKernelsMatchGeneric, FuzzPixelKernels). The forward DCT is
+// lane-parallel float64: each lane runs fdct8Fast's operations in
+// fdct8Fast's order, so each coefficient is its twin's, bit for bit
+// (TestFDCT8MatchesFast, FuzzFDCT8).
 //
 // The assembly reads (addClamp8 also writes) rows 0…n−1 of each block
 // through a bare pointer. Each wrapper therefore first indexes, in Go, the
@@ -24,6 +28,9 @@ func residual8SSE2(cur *byte, cs int, ref *byte, rs int, res *[64]int32) int64
 //go:noescape
 func addClamp8SSE2(dst *byte, ds int, pred *byte, ps int, res *[64]int32)
 
+//go:noescape
+func fdct8SSE2(src *[64]int32, dst *[64]float64)
+
 func sad16(a []byte, as int, b []byte, bs int, bound int) int {
 	_, _ = a[15*as:][15], b[15*bs:][15]
 	return sad16SSE2(&a[0], as, &b[0], bs, bound)
@@ -42,4 +49,10 @@ func residual8(cur []byte, cs int, ref []byte, rs int, res *[64]int32) int64 {
 func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	_, _ = dst[7*ds:][7], pred[7*ps:][7]
 	addClamp8SSE2(&dst[0], ds, &pred[0], ps, res)
+}
+
+// fdct8Lanes is fdct8Fast, two rows or two columns per SSE2 register.
+func fdct8Lanes(src *[64]int32, dst *[64]float64) {
+	_, _ = src[63], dst[63]
+	fdct8SSE2(src, dst)
 }

@@ -17,3 +17,5 @@ func residual8(cur []byte, cs int, ref []byte, rs int, res *[64]int32) int64 {
 func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	addClamp8Generic(dst, ds, pred, ps, res)
 }
+
+func fdct8Lanes(src *[64]int32, dst *[64]float64) { fdct8Fast(src, dst) }

@@ -45,7 +45,7 @@ func fdct8(src *[64]int32, dst *[64]float64) {
 		for k := 0; k < 8; k++ {
 			var s float64
 			for n := 0; n < 8; n++ {
-				s += float64(src[y*8+n]) * dctBasis[k][n]
+				s += float64(float64(src[y*8+n]) * dctBasis[k][n])
 			}
 			tmp[y*8+k] = s
 		}
@@ -55,7 +55,7 @@ func fdct8(src *[64]int32, dst *[64]float64) {
 		for k := 0; k < 8; k++ {
 			var s float64
 			for n := 0; n < 8; n++ {
-				s += tmp[n*8+x] * dctBasis[k][n]
+				s += float64(tmp[n*8+x] * dctBasis[k][n])
 			}
 			dst[k*8+x] = s
 		}
@@ -72,7 +72,7 @@ func idct8(src *[64]float64, dst *[64]int32) {
 		for n := 0; n < 8; n++ {
 			var s float64
 			for k := 0; k < 8; k++ {
-				s += src[k*8+x] * dctBasis[k][n]
+				s += float64(src[k*8+x] * dctBasis[k][n])
 			}
 			tmp[n*8+x] = s
 		}
@@ -82,7 +82,7 @@ func idct8(src *[64]float64, dst *[64]int32) {
 		for n := 0; n < 8; n++ {
 			var s float64
 			for k := 0; k < 8; k++ {
-				s += tmp[y*8+k] * dctBasis[k][n]
+				s += float64(tmp[y*8+k] * dctBasis[k][n])
 			}
 			dst[y*8+n] = int32(math.Round(s))
 		}
@@ -99,13 +99,13 @@ func fdctCoefExact(src *[64]int32, z int) float64 {
 	for y := 0; y < 8; y++ {
 		var s float64
 		for n := 0; n < 8; n++ {
-			s += float64(src[y*8+n]) * dctBasis[x][n]
+			s += float64(float64(src[y*8+n]) * dctBasis[x][n])
 		}
 		tcol[y] = s
 	}
 	var s float64
 	for n := 0; n < 8; n++ {
-		s += tcol[n] * dctBasis[k][n]
+		s += float64(tcol[n] * dctBasis[k][n])
 	}
 	return s
 }
@@ -118,13 +118,13 @@ func idctSampleExact(src *[64]float64, y, n int) float64 {
 	for k := 0; k < 8; k++ {
 		var s float64
 		for j := 0; j < 8; j++ {
-			s += src[j*8+k] * dctBasis[j][y]
+			s += float64(src[j*8+k] * dctBasis[j][y])
 		}
 		trow[k] = s
 	}
 	var s float64
 	for k := 0; k < 8; k++ {
-		s += trow[k] * dctBasis[k][n]
+		s += float64(trow[k] * dctBasis[k][n])
 	}
 	return s
 }
@@ -251,7 +251,7 @@ func quantizeResidual(res *[64]int32, sumAbs int64, t *qpTables, levels *[64]int
 		return 0
 	}
 	var coefs [64]float64
-	fdct8Fast(res, &coefs)
+	fdct8Lanes(res, &coefs)
 
 	// Guard band: |fast − exact| is bounded by the summation-order error
 	// of two butterfly passes, ≤ ~2⁻⁴⁸·Σ|res|; certEps leaves two orders

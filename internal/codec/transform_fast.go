@@ -25,6 +25,13 @@ import (
 // output is bit-identical to the reference path on every input (the
 // golden corpus and the equivalence tests in transform_fast_test.go
 // enforce this).
+//
+// Both formulations round every product explicitly — float64(a*b) + c,
+// never a*b + c — because the Go spec lets a compiler fuse the latter
+// into one multiply-add, which rounds once instead of twice, and the arm64
+// compiler does: the fast values, the guard band's premise and the exact
+// fallbacks would all depend on the architecture. On amd64 the
+// conversions compile to nothing.
 
 const (
 	// certEps scales the certified-rounding guard band by the block's
@@ -55,8 +62,17 @@ var (
 	ievenB, ioddB [4][4]float64
 	// dc0 is dctBasis[0][n], constant across n.
 	dc0 float64
+	// fdctLanes is the forward butterfly by output, each constant twice,
+	// one per SSE2 lane (kernels_amd64.s): X[k] = Σⱼ v[j]·fdctLanes[k][j][·],
+	// v the mirrored sums for even k and the differences for odd k.
+	fdctLanes [8][4][2]float64
 )
 
+// init derives the butterfly tables from dctBasis, which transform.go's
+// init has built by now. Package-level initializers run before every
+// init, and the inits in file-name order, so a table filled from dctBasis
+// anywhere earlier — a package-level initializer, or an init in
+// kernels_amd64.go — would read zeros.
 func init() {
 	for u := 0; u < 4; u++ {
 		for j := 0; j < 4; j++ {
@@ -64,6 +80,8 @@ func init() {
 			foddB[u][j] = dctBasis[2*u+1][j]
 			ievenB[u][j] = dctBasis[2*j][u]
 			ioddB[u][j] = dctBasis[2*j+1][u]
+			fdctLanes[2*u][j] = [2]float64{fevenB[u][j], fevenB[u][j]}
+			fdctLanes[2*u+1][j] = [2]float64{foddB[u][j], foddB[u][j]}
 		}
 	}
 	dc0 = dctBasis[0][0]
@@ -75,14 +93,14 @@ func init() {
 func fdct1dFast(x0, x1, x2, x3, x4, x5, x6, x7 float64) (X0, X1, X2, X3, X4, X5, X6, X7 float64) {
 	s0, s1, s2, s3 := x0+x7, x1+x6, x2+x5, x3+x4
 	d0, d1, d2, d3 := x0-x7, x1-x6, x2-x5, x3-x4
-	return s0*fevenB[0][0] + s1*fevenB[0][1] + s2*fevenB[0][2] + s3*fevenB[0][3],
-		d0*foddB[0][0] + d1*foddB[0][1] + d2*foddB[0][2] + d3*foddB[0][3],
-		s0*fevenB[1][0] + s1*fevenB[1][1] + s2*fevenB[1][2] + s3*fevenB[1][3],
-		d0*foddB[1][0] + d1*foddB[1][1] + d2*foddB[1][2] + d3*foddB[1][3],
-		s0*fevenB[2][0] + s1*fevenB[2][1] + s2*fevenB[2][2] + s3*fevenB[2][3],
-		d0*foddB[2][0] + d1*foddB[2][1] + d2*foddB[2][2] + d3*foddB[2][3],
-		s0*fevenB[3][0] + s1*fevenB[3][1] + s2*fevenB[3][2] + s3*fevenB[3][3],
-		d0*foddB[3][0] + d1*foddB[3][1] + d2*foddB[3][2] + d3*foddB[3][3]
+	return float64(s0*fevenB[0][0]) + float64(s1*fevenB[0][1]) + float64(s2*fevenB[0][2]) + float64(s3*fevenB[0][3]),
+		float64(d0*foddB[0][0]) + float64(d1*foddB[0][1]) + float64(d2*foddB[0][2]) + float64(d3*foddB[0][3]),
+		float64(s0*fevenB[1][0]) + float64(s1*fevenB[1][1]) + float64(s2*fevenB[1][2]) + float64(s3*fevenB[1][3]),
+		float64(d0*foddB[1][0]) + float64(d1*foddB[1][1]) + float64(d2*foddB[1][2]) + float64(d3*foddB[1][3]),
+		float64(s0*fevenB[2][0]) + float64(s1*fevenB[2][1]) + float64(s2*fevenB[2][2]) + float64(s3*fevenB[2][3]),
+		float64(d0*foddB[2][0]) + float64(d1*foddB[2][1]) + float64(d2*foddB[2][2]) + float64(d3*foddB[2][3]),
+		float64(s0*fevenB[3][0]) + float64(s1*fevenB[3][1]) + float64(s2*fevenB[3][2]) + float64(s3*fevenB[3][3]),
+		float64(d0*foddB[3][0]) + float64(d1*foddB[3][1]) + float64(d2*foddB[3][2]) + float64(d3*foddB[3][3])
 }
 
 // fdct8Fast computes the forward 2D DCT of src into dst with butterfly
@@ -119,16 +137,16 @@ func idct1dFast(i0, i1, i2, i3, i4, i5, i6, i7 float64, mask uint8) (x0, x1, x2,
 		e0 = i0 * dc0
 		e1, e2, e3 = e0, e0, e0
 	default:
-		e0 = i0*ievenB[0][0] + i2*ievenB[0][1] + i4*ievenB[0][2] + i6*ievenB[0][3]
-		e1 = i0*ievenB[1][0] + i2*ievenB[1][1] + i4*ievenB[1][2] + i6*ievenB[1][3]
-		e2 = i0*ievenB[2][0] + i2*ievenB[2][1] + i4*ievenB[2][2] + i6*ievenB[2][3]
-		e3 = i0*ievenB[3][0] + i2*ievenB[3][1] + i4*ievenB[3][2] + i6*ievenB[3][3]
+		e0 = float64(i0*ievenB[0][0]) + float64(i2*ievenB[0][1]) + float64(i4*ievenB[0][2]) + float64(i6*ievenB[0][3])
+		e1 = float64(i0*ievenB[1][0]) + float64(i2*ievenB[1][1]) + float64(i4*ievenB[1][2]) + float64(i6*ievenB[1][3])
+		e2 = float64(i0*ievenB[2][0]) + float64(i2*ievenB[2][1]) + float64(i4*ievenB[2][2]) + float64(i6*ievenB[2][3])
+		e3 = float64(i0*ievenB[3][0]) + float64(i2*ievenB[3][1]) + float64(i4*ievenB[3][2]) + float64(i6*ievenB[3][3])
 	}
 	if mask&0xAA != 0 {
-		o0 = i1*ioddB[0][0] + i3*ioddB[0][1] + i5*ioddB[0][2] + i7*ioddB[0][3]
-		o1 = i1*ioddB[1][0] + i3*ioddB[1][1] + i5*ioddB[1][2] + i7*ioddB[1][3]
-		o2 = i1*ioddB[2][0] + i3*ioddB[2][1] + i5*ioddB[2][2] + i7*ioddB[2][3]
-		o3 = i1*ioddB[3][0] + i3*ioddB[3][1] + i5*ioddB[3][2] + i7*ioddB[3][3]
+		o0 = float64(i1*ioddB[0][0]) + float64(i3*ioddB[0][1]) + float64(i5*ioddB[0][2]) + float64(i7*ioddB[0][3])
+		o1 = float64(i1*ioddB[1][0]) + float64(i3*ioddB[1][1]) + float64(i5*ioddB[1][2]) + float64(i7*ioddB[1][3])
+		o2 = float64(i1*ioddB[2][0]) + float64(i3*ioddB[2][1]) + float64(i5*ioddB[2][2]) + float64(i7*ioddB[2][3])
+		o3 = float64(i1*ioddB[3][0]) + float64(i3*ioddB[3][1]) + float64(i5*ioddB[3][2]) + float64(i7*ioddB[3][3])
 	}
 	return e0 + o0, e1 + o1, e2 + o2, e3 + o3, e3 - o3, e2 - o2, e1 - o1, e0 - o0
 }

@@ -104,13 +104,16 @@ func (b *blurrer) frame(f *video.Frame) *video.Frame {
 	return out
 }
 
-// plane is the separable blur with every output's tap sum held in a
-// register, four outputs at a time (taps4); nothing is stored until all
-// of an output's taps are in. Borders are clamped once per line, into a
-// padded copy: pad for a source row, and the ends of each column of
-// tmp, which holds the horizontally blurred plane transposed — column x
-// at tmp[x*th:], entry j being row clamp(j−r) — so that the vertical
-// pass is the horizontal pass again, over contiguous samples.
+// plane is the separable blur in two row-major passes over the scratch
+// plane tmp, whose h+d−1 rows of w hold the horizontally blurred plane
+// with its border rows clamped. The horizontal pass widens each source
+// row into pad, whose r samples at either end repeat the row's end
+// samples, and writes its tap sums (blurTaps, taps one sample apart) to
+// row r+y of tmp. The r rows above and d−1−r below are then copies of
+// the first and last of those — the vertical clamp, once per plane — and
+// the vertical pass is the same tap loop with taps w apart: output row y
+// reads tmp rows y…y+d−1 and is stored as bytes (blurTapsByte). Each
+// output's sum is the reference's expression, so dst is blurPlane's.
 func (b *blurrer) plane(dst, src []byte, w, h int) {
 	k := b.k
 	if len(k) == 0 { // d = 0: every tap sum is empty
@@ -118,69 +121,26 @@ func (b *blurrer) plane(dst, src []byte, w, h int) {
 		return
 	}
 	r := len(k) / 2
-	padLen, th := w+len(k)-1, h+len(k)-1
-	tp := b.tmp(w*th + padLen)
+	th := h + len(k) - 1
+	tp := b.tmp(w*th + w + len(k) - 1)
 	tmp, pad := (*tp)[:w*th], (*tp)[w*th:]
 
 	for y := 0; y < h; y++ {
-		row := src[y*w : (y+1)*w]
-		for x, v := range row {
-			pad[r+x] = float64(v)
-		}
+		widen(pad[r:r+w], src[y*w:(y+1)*w])
 		fill(pad[:r], pad[r])
 		fill(pad[r+w:], pad[r+w-1])
-		x := 0
-		for ; x+4 <= w; x += 4 {
-			s0, s1, s2, s3 := taps4(k, pad[x:x+len(k)+3])
-			tmp[x*th+r+y], tmp[(x+1)*th+r+y], tmp[(x+2)*th+r+y], tmp[(x+3)*th+r+y] = s0, s1, s2, s3
-		}
-		for ; x < w; x++ {
-			tmp[x*th+r+y] = taps1(k, pad[x:x+len(k)])
-		}
+		blurTaps(tmp[(r+y)*w:(r+y+1)*w], pad, 1, k)
 	}
-
-	for x := 0; x < w; x++ {
-		col := tmp[x*th : (x+1)*th]
-		fill(col[:r], col[r])
-		fill(col[r+h:], col[r+h-1])
-		y := 0
-		for ; y+4 <= h; y += 4 {
-			s0, s1, s2, s3 := taps4(k, col[y:y+len(k)+3])
-			dst[y*w+x], dst[(y+1)*w+x], dst[(y+2)*w+x], dst[(y+3)*w+x] = blurByte(s0), blurByte(s1), blurByte(s2), blurByte(s3)
-		}
-		for ; y < h; y++ {
-			dst[y*w+x] = blurByte(taps1(k, col[y:y+len(k)]))
-		}
+	for y := 0; y < r; y++ {
+		copy(tmp[y*w:(y+1)*w], tmp[r*w:(r+1)*w])
+	}
+	for y := r + h; y < th; y++ {
+		copy(tmp[y*w:(y+1)*w], tmp[(r+h-1)*w:(r+h)*w])
+	}
+	for y := 0; y < h; y++ {
+		blurTapsByte(dst[y*w:(y+1)*w], tmp[y*w:], w, k)
 	}
 	b.scratch.Put(tp)
-}
-
-// taps1 is one output of the blur over p[0], p[1], …: from zero, k[i]·p[i]
-// added in ascending tap order — the expression of the clamp-every-tap
-// reference (blurPlane in fused_test.go), so the sum is bit-for-bit its.
-func taps1(k, p []float64) float64 {
-	var s float64
-	for i, kv := range k {
-		s += kv * p[i]
-	}
-	return s
-}
-
-// taps4 is taps1 for the four outputs that start at p[0], p[1], p[2] and
-// p[3], tap by tap: of the four samples a tap reads, three carry over
-// from the tap before. p holds len(k)+3 samples.
-func taps4(k, p []float64) (s0, s1, s2, s3 float64) {
-	p = p[:len(k)+3]
-	v0, v1, v2 := p[0], p[1], p[2]
-	for i, kv := range k {
-		v3 := p[i+3]
-		s0 += kv * v0
-		s1 += kv * v1
-		s2 += kv * v2
-		s3 += kv * v3
-		v0, v1, v2 = v1, v2, v3
-	}
-	return s0, s1, s2, s3
 }
 
 func blurByte(s float64) byte { return byte(geom.Clamp(s, 0, 255) + 0.5) }

@@ -63,10 +63,13 @@ func videosEqual(t *testing.T, label string, a, b *video.Video) {
 }
 
 // frameDims covers even, odd-width, odd-height, odd-both, and tiny
-// (kernel-wider-than-plane for the blur border logic) shapes, and the
-// shape the benchmark runs (bench/).
+// (kernel-wider-than-plane for the blur border logic) shapes, the shape
+// the benchmark runs (bench/), and widths that leave the blur's 16-output
+// kernels a tail: one column (17, 33 and their chroma), and the pairs of
+// a 120-wide chroma plane (240).
 var frameDims = []struct{ w, h int }{
 	{64, 48}, {63, 48}, {64, 47}, {63, 47}, {5, 3}, {2, 2}, {192, 108},
+	{17, 5}, {33, 9}, {240, 136},
 }
 
 // maskClosureForm is Q2(d) as Table 4 spells it — Window, AggregateMean
@@ -259,7 +262,8 @@ func TestPMapFrameAllocsWithRecycle(t *testing.T) {
 
 // blurFrame and blurPlane are the reference Gaussian blur — every tap
 // clamped, a fresh scratch plane per call — that blurrer must match
-// bit-for-bit.
+// bit-for-bit. Each product is rounded explicitly, as in the kernels, so
+// that no architecture fuses it into the sum (kernels_generic.go).
 func blurFrame(f *video.Frame, k []float64) *video.Frame {
 	out := video.NewFrame(f.W, f.H)
 	out.Index = f.Index
@@ -278,7 +282,7 @@ func blurPlane(dst, src []byte, w, h int, k []float64) {
 			var s float64
 			for i, kv := range k {
 				sx := geom.ClampInt(x+i-r, 0, w-1)
-				s += kv * float64(src[y*w+sx])
+				s += float64(kv * float64(src[y*w+sx]))
 			}
 			tmp[y*w+x] = s
 		}
@@ -289,7 +293,7 @@ func blurPlane(dst, src []byte, w, h int, k []float64) {
 			var s float64
 			for i, kv := range k {
 				sy := geom.ClampInt(y+i-r, 0, h-1)
-				s += kv * tmp[sy*w+x]
+				s += float64(kv * tmp[sy*w+x])
 			}
 			dst[y*w+x] = byte(geom.Clamp(s, 0, 255) + 0.5)
 		}

@@ -202,7 +202,9 @@ func BenchmarkKernels(b *testing.B) {
 			RecycleFrame(f)
 		}
 	}
-	for _, d := range []int{3, 11, 20} {
+	// ns/sample is per blurred output sample, luma and chroma alike.
+	samples := frames * (w*h + 2*(w/2)*(h/2))
+	for _, d := range []int{3, 8, 13, 20} {
 		b.Run(fmt.Sprintf("Q2b/d=%d", d), func(b *testing.B) {
 			blur := NewGaussianBlur(d)
 			for i := 0; i < b.N; i++ {
@@ -212,6 +214,7 @@ func BenchmarkKernels(b *testing.B) {
 				}
 				recycle(out)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
 		})
 	}
 	for _, m := range []int{2, 15, 60} {

@@ -69,21 +69,58 @@ func RunQ2b(v *video.Video, p Params) (*video.Video, error) {
 }
 
 // gaussianKernel builds a normalized 1D Gaussian of length d with
-// σ = d/4 (a conventional choice keeping ~95% of mass inside).
+// σ = d/4 (a conventional choice keeping ~95% of mass inside). Its bits
+// are the same on every architecture and CPU (TestBlurGolden): sigma,
+// mid and den are rounded explicitly, so no compiler fuses a product of
+// theirs into a multiply-add, and the exponential is gaussExp, not
+// math.Exp.
 func gaussianKernel(d int) []float64 {
-	sigma := float64(d) / 4
+	sigma := float64(float64(d) / 4)
 	k := make([]float64, d)
 	sum := 0.0
-	mid := float64(d-1) / 2
+	mid := float64(float64(d-1) / 2)
+	den := float64(2 * sigma * sigma)
 	for i := range k {
 		x := float64(i) - mid
-		k[i] = math.Exp(-x * x / (2 * sigma * sigma))
+		k[i] = gaussExp(-x * x / den)
 		sum += k[i]
 	}
 	for i := range k {
 		k[i] /= sum
 	}
 	return k
+}
+
+// gaussExp is e^x for the kernel's exponents, x ∈ (−2, 0], computed as
+// math.Exp computes it on an amd64 CPU with FMA (Go's math/exp_amd64.s,
+// after Shibata's SLEEF): its fused steps are math.FMA, which rounds once
+// on every machine, and every other product is rounded explicitly. So
+// the kernel has that machine's bits everywhere, where math.Exp itself
+// runs one of three polynomials — amd64 with FMA, amd64 without, arm64 —
+// that differ in the last bit of several of the kernels of Table 3's
+// range.
+func gaussExp(x float64) float64 {
+	const (
+		log2e = 1.4426950408889634073599246810018920
+		ln2U  = 0.69314718055966295651160180568695068359375
+		ln2L  = 0.28235290563031577122588448175013436025525412068e-12
+	)
+	e := math.RoundToEven(float64(log2e * x))
+	x = math.FMA(-ln2U, e, x)
+	x = math.FMA(-ln2L, e, x)
+	x *= 0.0625
+	p := 2.4801587301587301587e-5
+	for _, c := range [...]float64{
+		1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3,
+		4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1,
+	} {
+		p = math.FMA(p, x, c)
+	}
+	x = float64(x * p)
+	for i := 0; i < 3; i++ {
+		x = float64(x * (x + 2))
+	}
+	return math.Ldexp(math.FMA(x, x+2, 1), int(e))
 }
 
 // RunQ2c produces the bounding-box video: for every frame, the detector

@@ -76,15 +76,26 @@ fi
 # edge-extended reference, so every candidate is one sad16 call; the
 # clamped SAD loop and plane.rowAt stay deleted (refSADBlock in
 # analysis_test.go is the reference). The !amd64 build of the generic
-# kernels is vetted and its tests compiled, so that it cannot rot.
+# kernels — the codec's and the blur's — is vetted and its tests
+# compiled, so that it cannot rot.
 if grep -rnE 'rowAt\(|sadBlock\(' --include='*.go' --exclude='*_test.go' internal/codec; then
 	echo "verify: a clamped SAD loop is back in the codec (see above); motion search reads the extended reference (extPlane) through sad16" >&2
 	exit 1
 fi
-GOARCH=arm64 go vet ./internal/codec
+GOARCH=arm64 go vet ./internal/codec ./internal/queries
 GOARCH=arm64 go test -c -o /dev/null ./internal/codec
-GOMAXPROCS=1 go test -run 'TestQuantizeMaskMatchesReference|TestEmitBlockMatchesReference|TestWriteUEOneWrite|TestExtractReturnsResidualSum|TestCopyMBMatchesReference|TestSADMatchesReference|TestMotionSearchDecisionIdentical|TestPooledEncoderIsFresh|TestReleasedEncoderRefusesFrames|TestNewEncoderFromWarmPoolAllocs|TestEncodeSteadyStateAllocs|TestKernelsMatchGeneric|TestKernelsRefuseOutOfSliceBlocks|TestExtendedPlaneMatchesAt|FuzzPixelKernels|FuzzBitioRoundTrip|FuzzQuantizeZeroBlock' ./internal/codec
-go test -run '^$' -bench 'Encode$|EncodeBlocks|MotionSearch$' -benchtime 1x ./internal/codec
+GOARCH=arm64 go test -c -o /dev/null ./internal/queries
+GOMAXPROCS=1 go test -run 'TestQuantizeMaskMatchesReference|TestEmitBlockMatchesReference|TestWriteUEOneWrite|TestExtractReturnsResidualSum|TestCopyMBMatchesReference|TestSADMatchesReference|TestMotionSearchDecisionIdentical|TestPooledEncoderIsFresh|TestReleasedEncoderRefusesFrames|TestNewEncoderFromWarmPoolAllocs|TestEncodeSteadyStateAllocs|TestKernelsMatchGeneric|TestKernelsRefuseOutOfSliceBlocks|TestExtendedPlaneMatchesAt|FuzzPixelKernels|FuzzBitioRoundTrip|FuzzQuantizeZeroBlock|TestFDCT8MatchesFast|FuzzFDCT8' ./internal/codec
+GOMAXPROCS=1 go test -run 'TestBlurKernelsMatchGeneric|TestBlurKernelsRefuseOutOfSlice|FuzzBlurPlane|TestBlurGolden|TestFusedKernelsMatchClosureForms' ./internal/queries
+go test -run '^$' -bench 'Encode$|EncodeBlocks|MotionSearch$|FDCT8' -benchtime 1x ./internal/codec
+# Lane-parallel float kernels (DESIGN.md §5.9 item 4): the blur's and the
+# forward DCT's SSE2 twins run their Go twins' operations in order, and
+# the expressions that define output bytes round every product, so no
+# compiler fuses a multiply-add into them. The arm64 compiler would
+# (fused-ops.sh reads its assembly); an amd64 one targeting FMA hardware
+# may, so the identity tests and goldens run under GOAMD64=v3 too.
+sh scripts/fused-ops.sh
+GOAMD64=v3 go test -run 'Blur|FDCT|KernelsMatchGeneric|Golden' ./internal/queries ./internal/codec
 # One run configuration (DESIGN.md §5.14): the mirrors stay deleted. A
 # second spelling of the run options, or a per-binary copy of a helper
 # whose job internal/cli owns, fails here.
