@@ -37,38 +37,29 @@ import (
 	"repro/internal/video"
 )
 
-// Options configure the engine.
-type Options struct {
-	// MaxBatchVideos bounds Q3/Q4 batch sizes (default 40).
-	MaxBatchVideos int
-	// DecodeCacheEntries is the number of recently decoded inputs the
-	// engine memoizes (default 2). Repeated inputs — e.g. a corpus of
-	// duplicated videos — hit the cache and skip decoding entirely,
-	// which is the caching behavior the paper's Table 9 shows
-	// distorting results on the "Duplicates" dataset.
-	DecodeCacheEntries int
-}
+// Options configure the engine. It has no settings; callers pass
+// Options{}.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.MaxBatchVideos <= 0 {
-		o.MaxBatchVideos = 40
-	}
-	if o.DecodeCacheEntries <= 0 {
-		o.DecodeCacheEntries = 2
-	}
-	return o
-}
+const (
+	// maxBatchVideos bounds Q3/Q4 batch sizes.
+	maxBatchVideos = 40
+	// decodeCacheEntries is the number of recently decoded inputs the
+	// engine memoizes. Repeated inputs — e.g. a corpus of duplicated
+	// videos — hit the cache and skip decoding entirely, which is the
+	// caching behavior the paper's Table 9 shows distorting results on
+	// the "Duplicates" dataset.
+	decodeCacheEntries = 2
+)
 
 // Engine is the LightDB-like system.
 type Engine struct {
-	opt   Options
 	cache *decodeCache
 }
 
-// New returns an engine with the given options.
-func New(opt Options) *Engine {
-	o := opt.withDefaults()
-	return &Engine{opt: o, cache: newDecodeCache(o.DecodeCacheEntries)}
+// New returns an engine.
+func New(Options) *Engine {
+	return &Engine{cache: newDecodeCache(decodeCacheEntries)}
 }
 
 // Name implements vdbms.System.
@@ -81,7 +72,7 @@ func (e *Engine) Supports(q queries.QueryID) bool { return true }
 // MaxBatchSize implements vdbms.BatchLimiter.
 func (e *Engine) MaxBatchSize(q queries.QueryID) int {
 	if q == queries.Q3 || q == queries.Q4 {
-		return e.opt.MaxBatchVideos
+		return maxBatchVideos
 	}
 	return 0
 }

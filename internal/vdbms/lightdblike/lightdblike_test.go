@@ -42,7 +42,7 @@ func TestExecutesMicroQueries(t *testing.T) {
 }
 
 func TestBatchLimitOnlyQ3Q4(t *testing.T) {
-	e := New(Options{MaxBatchVideos: 40})
+	e := New(Options{})
 	if e.MaxBatchSize(queries.Q3) != 40 || e.MaxBatchSize(queries.Q4) != 40 {
 		t.Error("Q3/Q4 should be limited to 40 videos per batch")
 	}
@@ -101,7 +101,7 @@ func TestDecodeCacheHitSpeedsUpRepeats(t *testing.T) {
 
 func TestDecodeCacheKeyedByContent(t *testing.T) {
 	fx := vdbmstest.NewFixture(t, 4)
-	e := New(Options{DecodeCacheEntries: 2})
+	e := New(Options{})
 	in := fx.Traffic(0)
 	// A renamed duplicate (the Table 9 "duplicates" construction) must
 	// hit the same cache entry.
@@ -122,7 +122,7 @@ func TestDecodeCacheKeyedByContent(t *testing.T) {
 
 func TestDecodeCacheLRUEviction(t *testing.T) {
 	fx := vdbmstest.NewFixture(t, 5)
-	e := New(Options{DecodeCacheEntries: 1})
+	e := &Engine{cache: newDecodeCache(1)}
 	a, b := fx.Traffic(0), fx.Traffic(1)
 	e.Execute(&vdbms.QueryInstance{Query: queries.Q2a, Inputs: []*vdbms.Input{a}}, vdbmstest.NewCollectSink())
 	e.Execute(&vdbms.QueryInstance{Query: queries.Q2a, Inputs: []*vdbms.Input{b}}, vdbmstest.NewCollectSink())
