@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // from the pre-SWAR encoder: the kernels in plane.go and
 // kernels_{generic,amd64}.go must reproduce their decisions on every
 // input (DESIGN.md §5.9). The quantizer's reference
-// is refQuantizeBlock in transform_fast_test.go.
+// is quantizeBlock in transform_test.go.
 
 func refSADBlock(cur, ref *plane, cx, cy, mvx, mvy, bs int, earlyOut int) int {
 	sum := 0
@@ -273,24 +274,24 @@ func TestMotionSearchDecisionIdentical(t *testing.T) {
 	}
 }
 
-// certificateEdgeSeeds yields residuals (one int8 per sample) that sit on
-// the zero certificates' edges at qp: Σ|res| around the ¼·Σ|res| bound as
-// impulses and as a spread of ±1s, flat blocks around the DC threshold,
-// single-frequency blocks around the AC dead zone — plus noise at a
-// fraction of the step.
-func certificateEdgeSeeds(qp int) [][]byte {
+// zeroEdgeSeeds yields residuals (one int8 per sample) that sit on the
+// quantizer's zero decisions at qp: Σ|res| around ZeroSum as a spread of
+// ±1s and as impulses, the first a negative one at sample 0, where the
+// odd rows' largest entries meet and the shifts' flooring adds to its
+// magnitude; negative impulses just under the certificate's bound without
+// its slack; for eight coefficient positions across the six
+// classes, a basis block whose coefficient there lands just short of the
+// smallest |Y| that keeps a level, on it and just past it (as far as int8
+// samples reach) — plus noise at a fraction of the step.
+func zeroEdgeSeeds(qp int) [][]byte {
 	var seeds [][]byte
 	t := tablesFor(qp)
-	edge := int(4 * t.ZeroAC)
 	for k := -2; k <= 2; k++ {
-		n := edge + k
-		if n < 0 {
-			continue
-		}
+		n := max(0, int(t.ZeroSum)+k)
 		impulses, spread := make([]byte, 64), make([]byte, 64)
 		for i, left := 0, n; left > 0; i = (i + 1) % 64 {
 			v := min(left, 100)
-			impulses[(i*27+5)%64] += byte(int8(v) * int8(1-2*(i&1)))
+			impulses[(i*27)%64] += byte(int8(v) * int8(2*(i&1)-1))
 			left -= v
 		}
 		for i := 0; i < n; i++ {
@@ -299,25 +300,36 @@ func certificateEdgeSeeds(qp int) [][]byte {
 		}
 		seeds = append(seeds, impulses, spread)
 	}
-	for k := -1; k <= 1; k++ {
-		// A flat block of value v has DC 8v and nothing else.
-		flat := make([]byte, 64)
-		v := int(t.ZeroDC/8) + k
-		if v < -128 || v > 127 {
-			continue
+	var norm [8]float64
+	for k, row := range basis8 {
+		for _, a := range row {
+			norm[k] += float64(a*a) / 64
 		}
-		for i := range flat {
-			flat[i] = byte(int8(v))
+		norm[k] = math.Sqrt(norm[k])
+	}
+	// Negative impulses just under the certificate's linear part, the
+	// bound without its slack: at some positions the shifts' flooring
+	// carries them over a threshold, and the slack is what keeps them coded.
+	linear := int64(1<<63 - 1)
+	for z := range t.Quant {
+		linear = min(linear, (64*t.threshold(z)+rowMax8[z>>3]*rowMax8[z&7]-1)/(rowMax8[z>>3]*rowMax8[z&7]))
+	}
+	for _, pos := range []int{0, 9, 11, 15, 25, 27, 63} {
+		for _, d := range []int64{1, 2} {
+			impulse := make([]byte, 64)
+			impulse[pos] = byte(int8(-min(max(linear-d, 1), 128)))
+			seeds = append(seeds, impulse)
 		}
-		seeds = append(seeds, flat)
-		// One horizontal and one diagonal basis function, scaled so
-		// the peak coefficient lands near the dead-zone edge.
-		for _, uv := range [][2]int{{1, 0}, {3, 5}} {
+	}
+	for _, kj := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}, {0, 4}, {3, 5}, {7, 7}} {
+		k, j := kj[0], kj[1]
+		thr := float64(t.threshold(k*8+j)) / (norm[k] * norm[j])
+		for _, f := range []float64{0.8, 1, 1.25} {
 			wave := make([]byte, 64)
 			for y := 0; y < 8; y++ {
 				for x := 0; x < 8; x++ {
-					a := (t.ZeroAC + float64(k)) * dctBasis[uv[0]][x] * dctBasis[uv[1]][y]
-					wave[y*8+x] = byte(int8(max(-128, min(127, a))))
+					a := f * thr * float64(basis8[j][x]) / (8 * norm[j]) * float64(basis8[k][y]) / (8 * norm[k])
+					wave[y*8+x] = byte(int8(max(-128, min(127, math.Round(a)))))
 				}
 			}
 			seeds = append(seeds, wave)
@@ -326,7 +338,7 @@ func certificateEdgeSeeds(qp int) [][]byte {
 	// Noise at a fraction of the step: mostly-zero blocks of every kind.
 	rng := rand.New(rand.NewSource(int64(qp)))
 	for _, frac := range []float64{0.25, 0.5, 1} {
-		amp := min(127, 1+int(t.Step*frac))
+		amp := min(127, 1+int(stepOf(qp)*frac))
 		noise := make([]byte, 64)
 		for i := range noise {
 			noise[i] = byte(int8(rng.Intn(2*amp+1) - amp))
@@ -336,13 +348,13 @@ func certificateEdgeSeeds(qp int) [][]byte {
 	return seeds
 }
 
-// FuzzQuantizeZeroBlock pins the zero certificates against the exact
-// reference quantizer at every encoder QP. The fuzz input is the residual
-// itself, one int8 per sample; the seeds sit on the certificates' edges
-// (certificateEdgeSeeds).
+// FuzzQuantizeZeroBlock pins the mask quantizer's zero decisions against
+// the array form at every encoder QP. The fuzz input is the residual
+// itself, one int8 per sample; the seeds sit on the zero thresholds
+// (zeroEdgeSeeds).
 func FuzzQuantizeZeroBlock(f *testing.F) {
 	for qp := qpMin; qp <= qpMax; qp++ {
-		for _, seed := range certificateEdgeSeeds(qp) {
+		for _, seed := range zeroEdgeSeeds(qp) {
 			f.Add(uint8(qp), seed)
 		}
 	}
@@ -355,7 +367,7 @@ func FuzzQuantizeZeroBlock(f *testing.F) {
 			res[i] = int32(int8(data[i]))
 		}
 		gotNZ := maskQuantize(&res, int(qp), &got)
-		wantNZ := refQuantizeBlock(&res, int(qp), &want)
+		wantNZ := quantizeBlock(&res, int(qp), &want)
 		if got != want || gotNZ != wantNZ {
 			t.Fatalf("qp %d residual %v: levels %v coded %v, want %v coded %v", qp, res, got, gotNZ, want, wantNZ)
 		}

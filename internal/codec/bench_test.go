@@ -95,7 +95,7 @@ func residualBlocks(v *video.Video) (blocks [][64]int32, sums []int64) {
 // reconstruct (quantizeResidual does both) and entropy-code every
 // residual block of the mixed_rc golden source, at the result writer's QP
 // and one coarser. ns/block is what an encoder change is sized with;
-// coded-share says how many of the blocks survived the zero certificates.
+// coded-share says how many of the blocks keep a level.
 func BenchmarkEncodeBlocks(b *testing.B) {
 	var blocks [][64]int32
 	var sums []int64
@@ -129,9 +129,10 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkFDCT8 times the forward transform alone over the residual
-// blocks of the mixed_rc golden source: fdct8Lanes, which quantizeResidual
-// calls (the SSE2 twin on amd64), against fdct8Fast, its Go twin.
+// BenchmarkFDCT8 times the forward transform and quantizer alone over the
+// residual blocks of the mixed_rc golden source at QP 18: fdctQuant, which
+// quantizeResidual calls (the SSE2 twin on amd64), against
+// fdctQuantGeneric, its Go twin.
 func BenchmarkFDCT8(b *testing.B) {
 	var blocks [][64]int32
 	for _, gc := range goldenCases() {
@@ -141,13 +142,61 @@ func BenchmarkFDCT8(b *testing.B) {
 	}
 	for _, k := range []struct {
 		name string
-		fdct func(*[64]int32, *[64]float64)
-	}{{"fdct8Lanes", fdct8Lanes}, {"fdct8Fast", fdct8Fast}} {
+		fdct func(*[64]int32, *qpTables, *[64]int16) uint64
+	}{{"fdctQuant", fdctQuant}, {"fdctQuantGeneric", fdctQuantGeneric}} {
 		b.Run(k.name, func(b *testing.B) {
-			var coefs [64]float64
+			var lv [64]int16
 			for i := 0; i < b.N; i++ {
 				for j := range blocks {
-					k.fdct(&blocks[j], &coefs)
+					k.fdct(&blocks[j], tablesFor(18), &lv)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+		})
+	}
+}
+
+// BenchmarkIDCT8 times the inverse transform alone over the coded blocks
+// of the mixed_rc golden source at QP 18, as quantizeResidual hands them
+// over: idct8 (the SSE2 kernel on amd64 past its DC and top-row
+// shortcuts) against the Go twin's passes.
+func BenchmarkIDCT8(b *testing.B) {
+	type block struct {
+		coefs            [64]int32
+		rowMask, colMask uint8
+	}
+	var blocks []block
+	for _, gc := range goldenCases() {
+		if gc.name != "mixed_rc" {
+			continue
+		}
+		res, _ := residualBlocks(gc.src())
+		for i := range res {
+			var levels [64]int32
+			quantizeBlock(&res[i], 18, &levels)
+			var bl block
+			for j, l := range levels {
+				if l != 0 {
+					z := zigzag[j]
+					bl.coefs[z] = l * tablesFor(18).Deq[z]
+					bl.rowMask |= 1 << uint(z>>3)
+					bl.colMask |= 1 << uint(z&7)
+				}
+			}
+			if bl.rowMask != 0 {
+				blocks = append(blocks, bl)
+			}
+		}
+	}
+	for _, k := range []struct {
+		name string
+		idct func(*[64]int32, *[64]int32, uint8, uint8)
+	}{{"idct8", idct8}, {"idct8Generic", func(src, dst *[64]int32, rowMask, _ uint8) { idct8Generic(src, dst, rowMask) }}} {
+		b.Run(k.name, func(b *testing.B) {
+			var res [64]int32
+			for i := 0; i < b.N; i++ {
+				for j := range blocks {
+					k.idct(&blocks[j].coefs, &res, blocks[j].rowMask, blocks[j].colMask)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")

@@ -1,7 +1,7 @@
 // Package codec implements the block-based video codec that stands in
 // for H.264/HEVC in this reproduction of Visual Road. It provides
 // I/P-frame encoding with 16×16-macroblock motion compensation, 8×8
-// DCT transform coding, scalar quantization with dead-zone, zigzag
+// integer transform coding, scalar quantization with dead-zone, zigzag
 // run-level entropy coding using Exp-Golomb codes, and a simple
 // GOP-level bitrate controller.
 //

@@ -226,6 +226,9 @@ func TestSignedExpGolombRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDCTInverts: the inverse undoes the forward transform to within a
+// sample once each coefficient is divided by its basis norms, as the
+// dequantizer's scale does.
 func TestDCTInverts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,10 +236,14 @@ func TestDCTInverts(t *testing.T) {
 		for i := range src {
 			src[i] = int32(rng.Intn(511) - 255)
 		}
-		var coefs [64]float64
-		var back [64]int32
-		fdct8(&src, &coefs)
-		idct8(&coefs, &back)
+		var coefs, back [64]int32
+		fdct8Generic(&src, &coefs)
+		for z, c := range coefs {
+			// 256·c/(nₖ·nⱼ)², in the inverse's units: 2²⁰·c/classNorm2.
+			n := classNorm2[posClass(z>>3, z&7)]
+			coefs[z] = int32((int64(c)<<21/n + 1) >> 1)
+		}
+		idct8(&coefs, &back, 0xFF, 0xFF)
 		for i := range src {
 			d := src[i] - back[i]
 			if d < -1 || d > 1 {

@@ -209,10 +209,10 @@ func (d *Decoder) decodeInterMB(r *bitReader, mx, my int, t *qpTables, pmvx, pmv
 // into res, reporting whether the block was coded (res is untouched for
 // an uncoded block — callers skip the residual entirely). It is
 // decodeBlock and dequantizeBlock in one pass: each level goes straight
-// to its dequantized coefficient slot, with the row/column masks and the
-// |level| sum the butterfly inverse needs gathered on the way, so no
-// level array is filled, cleared or scanned. The syntax checks are
-// decodeBlock's, at the same bit positions.
+// to its dequantized coefficient slot, with the row/column masks the
+// inverse skips by gathered on the way, so no level array is filled,
+// cleared or scanned. The syntax checks are decodeBlock's, at the same
+// bit positions.
 func decodeResidual(r *bitReader, t *qpTables, res *[64]int32) (bool, error) {
 	coded, err := r.readBits(1)
 	if err != nil {
@@ -221,17 +221,17 @@ func decodeResidual(r *bitReader, t *qpTables, res *[64]int32) (bool, error) {
 	if coded == 0 {
 		return false, nil
 	}
-	var coefs [64]float64
+	var coefs [64]int32
 	var rowMask, colMask uint8
-	var sumAbs int64
 	dc, err := r.readSE()
 	if err != nil {
 		return false, err
 	}
 	if dc != 0 {
-		coefs[0] = float64(dc) * t.Deq[0]
+		if coefs[0], err = dequantize(dc, t, 0); err != nil {
+			return false, err
+		}
 		rowMask, colMask = 1, 1
-		sumAbs = abs64(dc)
 	}
 	nAC, err := r.readUE()
 	if err != nil {
@@ -258,16 +258,27 @@ func decodeResidual(r *bitReader, t *qpTables, res *[64]int32) (bool, error) {
 			return false, fmt.Errorf("codec: zero level in run-level pair")
 		}
 		z := zigzag[pos]
-		coefs[z] = float64(lvl) * t.Deq[pos]
+		if coefs[z], err = dequantize(lvl, t, z); err != nil {
+			return false, err
+		}
 		rowMask |= 1 << uint(z>>3)
 		colMask |= 1 << uint(z&7)
-		sumAbs += abs64(lvl)
 		pos++
 	}
 	if rowMask == 0 {
 		*res = [64]int32{}
 		return true, nil
 	}
-	idct8Fast(&coefs, res, rowMask, colMask, float64(sumAbs)*t.Step*certEps+certFloor)
+	idct8(&coefs, res, rowMask, colMask)
 	return true, nil
+}
+
+// dequantize is level l's coefficient at raster position z, or the syntax
+// error of a level the inverse transform has no room for.
+func dequantize(l int32, t *qpTables, z int) (int32, error) {
+	c := int64(l) * int64(t.Deq[z])
+	if c > coefLimit || c < -coefLimit {
+		return 0, fmt.Errorf("codec: level %d out of range", l)
+	}
+	return int32(c), nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The encoder's block — quantizeResidual, emitBlock, writeUE — against
-// the array forms it replaced, kept verbatim in transform_fast_test.go.
+// the array forms in transform_test.go.
 
 // sumAbsOf is Σ|res|, what extractIntra and extractInter hand the
 // quantizer.
@@ -39,36 +39,48 @@ func maskQuantize(res *[64]int32, qp int, levels *[64]int32) bool {
 	return mask != 0
 }
 
-// withTables runs f with the tables of an arbitrary step installed at QP
-// 63 — no encoder reaches it — so that the array form, which looks its
-// tables up by QP, can be driven at steps no QP has.
+// withTables runs f with the tables t installed at QP 63 — no encoder
+// reaches it — so that the array form, which looks its tables up by QP,
+// can be driven by tables no QP has.
 func withTables(t qpTables, f func(qp int)) {
-	tablesFor(qpFieldMax) // built before it is overwritten
 	saved := qpTab[qpFieldMax]
 	qpTab[qpFieldMax] = t
 	defer func() { qpTab[qpFieldMax] = saved }()
 	f(qpFieldMax)
 }
 
-// basisBlock is amp·B[u][x]·B[v][y] rounded to residual samples: a block
-// whose energy sits at coefficient (v, u), of about amp.
+// basisBlock is amp·Aᵤ[x]·Aᵥ[y] rounded to residual samples, A the
+// transform's rows scaled to unit length: a block whose energy sits at
+// coefficient (v, u), of about amp in orthonormal units.
 func basisBlock(u, v int, amp float64) (b [64]int32) {
+	var norm [8]float64
+	for k, row := range basis8 {
+		for _, a := range row {
+			norm[k] += float64(a * a)
+		}
+		norm[k] = math.Sqrt(norm[k])
+	}
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
-			b[y*8+x] = int32(max(-255, min(255, math.Round(amp*dctBasis[u][x]*dctBasis[v][y]))))
+			s := amp * float64(basis8[u][x]) / norm[u] * float64(basis8[v][y]) / norm[v]
+			b[y*8+x] = int32(max(-255, min(255, math.Round(s))))
 		}
 	}
 	return b
 }
 
+// stepOf is qp's quantizer step in orthonormal units: the DC's
+// dequantization over the DC basis product 8, in 1/256ths.
+func stepOf(qp int) float64 { return float64(tablesFor(qp).Deq[0]) / 32 }
+
 // encoderTestResiduals yields the residual blocks the mask path's
-// shortcuts key on, at one QP: all-zero, blocks on the edges of both zero
-// certificates, DC-only, a single AC at each of the 63 positions (a few
+// shortcuts key on, at one QP: all-zero, blocks around the zero
+// thresholds, DC-only, a single AC at each of the 63 positions (a few
 // steps strong, and saturated), energy confined to the 4×4 low-frequency
 // corner, dense ±255, and seeded random blocks.
 func encoderTestResiduals(qp int, rng *rand.Rand) [][64]int32 {
 	blocks := [][64]int32{{}}
-	for _, seed := range certificateEdgeSeeds(qp) {
+	for _, seed := range zeroEdgeSeeds(qp) {
 		var b [64]int32
 		for i, v := range seed {
 			b[i] = int32(int8(v))
@@ -82,7 +94,7 @@ func encoderTestResiduals(qp int, rng *rand.Rand) [][64]int32 {
 		}
 		blocks = append(blocks, flat)
 	}
-	step := tablesFor(qp).Step
+	step := stepOf(qp)
 	for z := 1; z < 64; z++ {
 		blocks = append(blocks, basisBlock(z&7, z>>3, 3.4*step), basisBlock(z&7, z>>3, -2000))
 	}
@@ -109,28 +121,23 @@ func encoderTestResiduals(qp int, rng *rand.Rand) [][64]int32 {
 // dequantizeBlock on one residual: the mask is the reference's nonzero
 // levels, levels are written there and nowhere else, coded is the
 // reference's flag, the residual left behind is the reference's
-// reconstruction (or untouched when uncoded), the planes both store paths
-// write are equal, and no more certified-rounding fallbacks are taken. It
-// returns the reference's levels and flag.
+// reconstruction (or untouched when uncoded), and the planes both store
+// paths write are equal. It returns the reference's levels and flag.
 func checkBlock(t *testing.T, what string, res *[64]int32, qp int, planes *blockPlanes) (want [64]int32, wantCoded bool) {
 	t.Helper()
 	ref := *res
-	before := TransformFallbacks()
 	wantCoded = quantizeBlock(&ref, qp, &want)
 	var wantRes [64]int32
 	if wantCoded {
 		dequantizeBlock(&want, qp, &wantRes)
 	}
-	refTook := TransformFallbacks() - before
 
 	got := *res
 	var levels [64]int32
 	for i := range levels {
 		levels[i] = levelPoison
 	}
-	before = TransformFallbacks()
 	mask := quantizeResidual(&got, sumAbsOf(res), tablesFor(qp), &levels)
-	took := TransformFallbacks() - before
 
 	for i, l := range want {
 		switch bit := mask>>uint(i)&1 != 0; {
@@ -150,9 +157,6 @@ func checkBlock(t *testing.T, what string, res *[64]int32, qp int, planes *block
 	}
 	if !wantCoded && got != *res {
 		t.Fatalf("%s: an uncoded block's residual was modified", what)
-	}
-	if took > refTook {
-		t.Fatalf("%s: %d certified-rounding fallbacks, the array form %d", what, took, refTook)
 	}
 	planes.check(t, what, &want, wantCoded, &got, qp)
 	return want, wantCoded
@@ -185,12 +189,10 @@ func (p *blockPlanes) check(t *testing.T, what string, levels *[64]int32, coded 
 }
 
 // TestQuantizeMaskMatchesReference holds the encoder's block to the array
-// forms at every encoder QP over encoderTestResiduals, and — at steps
-// made for the purpose — with one coefficient on a decision boundary and
-// a few ulps either side of it: the dead-zone truncation, the DC
-// rounding, the per-coefficient zero certificates and the Σ|res|
-// certificate. There the levels must also be those of the exact
-// formulation at that step.
+// forms at every encoder QP over encoderTestResiduals, and — with tables
+// made for the purpose — with one coefficient on a decision boundary,
+// |Y|·Quant + Round a multiple of 2^Shift, and two either side of it. There
+// the level must also be the one the boundary defines.
 func TestQuantizeMaskMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	planes := newBlockPlanes(rng)
@@ -207,22 +209,6 @@ func TestQuantizeMaskMatchesReference(t *testing.T) {
 		t.Fatalf("%d of %d blocks coded: the corpus misses one side", coded, blocks)
 	}
 
-	// exactLevels is refQuantizeBlock at an arbitrary step.
-	exactLevels := func(res *[64]int32, step float64) (levels [64]int32) {
-		var coefs [64]float64
-		fdct8(res, &coefs)
-		for i := range levels {
-			switch c := coefs[zigzag[i]]; {
-			case i == 0:
-				levels[i] = int32(math.Round(c / step))
-			case c >= 0:
-				levels[i] = int32((c + step/3) / step)
-			default:
-				levels[i] = -int32((-c + step/3) / step)
-			}
-		}
-		return levels
-	}
 	var sparse [64]int32
 	for _, i := range []int{3, 17, 18, 40, 62} {
 		sparse[i] = int32(rng.Intn(301)) - 150
@@ -233,67 +219,50 @@ func TestQuantizeMaskMatchesReference(t *testing.T) {
 	}
 	boundaries := 0
 	for pi, pat := range [][64]int32{{0: 100}, {27: -255}, basisBlock(1, 0, 60), basisBlock(3, 5, -90), sparse, flat} {
-		var coefs [64]float64
-		fdct8Fast(&pat, &coefs)
-		sum := sumAbsOf(&pat)
-		delta := float64(sum)*certEps + certFloor
-		// Targets: the DC, the strongest AC and the weakest AC that is not
-		// rounding noise.
+		var coefs [64]int32
+		fdct8Generic(&pat, &coefs)
+		// Targets: the DC, the strongest AC and the weakest nonzero AC.
 		targets := []int{0}
 		strong, weak := 0, 0
 		for z := 1; z < 64; z++ {
-			a := math.Abs(coefs[z])
-			if strong == 0 || a > math.Abs(coefs[strong]) {
+			a := max(coefs[z], -coefs[z])
+			if strong == 0 || a > max(coefs[strong], -coefs[strong]) {
 				strong = z
 			}
-			if a > 1 && (weak == 0 || a < math.Abs(coefs[weak])) {
+			if a > 0 && (weak == 0 || a < max(coefs[weak], -coefs[weak])) {
 				weak = z
 			}
 		}
-		for _, z := range []int{strong, weak} {
-			if z != 0 && math.Abs(coefs[z]) > 1 {
-				targets = append(targets, z)
-			}
-		}
-		var steps []float64
+		targets = append(targets, strong, weak)
 		for _, z := range targets {
-			a := math.Abs(coefs[z])
-			if a < 1 {
+			a := int64(max(coefs[z], -coefs[z]))
+			if a == 0 {
 				continue
 			}
-			for _, m := range []float64{1, 2, 7} {
-				if z == 0 {
-					steps = append(steps, a/(m-0.5)) // |c|/step on a half-integer
-				} else {
-					steps = append(steps, a/(m-1.0/3)) // (|c|+step/3)/step on an integer
-				}
-			}
-			// The coefficient's own zero certificate, ZeroDC or ZeroAC − delta.
-			if z == 0 {
-				steps = append(steps, (a+delta)*2/(1-zeroMargin))
-			} else {
-				steps = append(steps, (a+delta)*1.5/(1-zeroMargin))
-			}
-		}
-		steps = append(steps, float64(sum)/4*1.5/(1-zeroMargin)) // the Σ|res| certificate
-		for _, s0 := range steps {
-			step := s0
-			for k := 0; k < 4; k++ {
-				step = math.Nextafter(step, 0)
-			}
-			for k := -4; k <= 4; k++ {
-				withTables(newQPTables(step), func(qp int) {
-					want, _ := checkBlock(t, fmt.Sprintf("pattern %d step %v (%+d ulps)", pi, step, k), &pat, qp, planes)
-					if exact := exactLevels(&pat, step); want != exact {
-						t.Fatalf("pattern %d step %v: levels %v, exact formulation %v", pi, step, want, exact)
+			tab := *tablesFor(24)
+			for _, m := range []int64{1, 2, 7} {
+				for d := int64(-2); d <= 2; d++ {
+					round := m<<tab.Shift - a*int64(tab.Quant[z]) + d
+					if round < 0 {
+						continue
 					}
-				})
-				boundaries++
-				step = math.Nextafter(step, math.Inf(1))
+					tab.Round[z] = int32(round)
+					wantLevel := m
+					if d < 0 {
+						wantLevel = m - 1
+					}
+					withTables(tab, func(qp int) {
+						want, _ := checkBlock(t, fmt.Sprintf("pattern %d position %d level %d%+d", pi, z, m, d), &pat, qp, planes)
+						if l := int64(want[unzigzag[z]]); max(l, -l) != wantLevel {
+							t.Fatalf("pattern %d position %d: level %d, %+d from the boundary to %d", pi, z, l, d, m)
+						}
+					})
+					boundaries++
+				}
 			}
 		}
 	}
-	t.Logf("%d blocks over QP %d–%d (%d coded), %d boundary steps", blocks, qpMin, qpMax, coded, boundaries)
+	t.Logf("%d blocks over QP %d–%d (%d coded), %d boundary tables", blocks, qpMin, qpMax, coded, boundaries)
 }
 
 // TestEmitBlockMatchesReference holds the mask-driven entropy coder to

@@ -23,7 +23,7 @@ import (
 // fixed-width) and its value. Whatever was written must read back
 // identically, and the exhausted stream must fail cleanly. A second
 // writer spells every Exp-Golomb code with the two writes writeUE used to
-// make (writeUETwoWrites, transform_fast_test.go): the bytes must match.
+// make (writeUETwoWrites, transform_test.go): the bytes must match.
 func FuzzBitioRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -150,7 +150,7 @@ func fuzzDecoderCfg() Config { return Config{Width: 48, Height: 48, QP: 20, GOP:
 // the first frame and after a valid keyframe (so the P-frame syntax is
 // reachable). Corrupted input must yield an error or a frame — never a
 // panic, out-of-range access, or hang — and the same error or frame as
-// the reference decoder of transform_fast_test.go.
+// the reference decoder of transform_test.go.
 func FuzzDecodeFrame(f *testing.F) {
 	cfg := fuzzDecoderCfg()
 	v := mixedVideo(cfg.Width, cfg.Height, 3, 17)
@@ -174,8 +174,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64)) // dense ones
 	f.Add(bytes.Repeat([]byte{0x00}, 64)) // long zero runs (Exp-Golomb limit)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The reference decoder (decodeBlock, then the exact float64
-		// inverse) is the second oracle: same error text, same frame.
+		// The reference decoder (decodeBlock, then dequantizeBlock
+		// in full) is the second oracle: same error text, same frame.
 		agree := func(when string, dec *Decoder, ref *refDecoder) {
 			got, gotErr := dec.Decode(data)
 			want, wantErr := ref.Decode(data)

@@ -1,20 +1,19 @@
 package codec
 
-// SSE2 twins of the kernels in kernels_generic.go and of fdct8Fast
-// (kernels_amd64.s). SSE2 is part of the amd64 baseline, so there is
-// nothing to detect. The pixel kernels are exact integer arithmetic and
-// return, sample for sample, what their generic twins return
-// (TestKernelsMatchGeneric, FuzzPixelKernels). The forward DCT is
-// lane-parallel float64: each lane runs fdct8Fast's operations in
-// fdct8Fast's order, so each coefficient is its twin's, bit for bit
-// (TestFDCT8MatchesFast, FuzzFDCT8).
+// SSE2 twins of the kernels in kernels_generic.go and of transform.go's
+// fdctQuantGeneric and idct8Generic (kernels_amd64.s). SSE2 is part of
+// the amd64 baseline, so there is nothing to detect. Every kernel is exact
+// integer arithmetic and returns, sample for sample, what its generic
+// twin returns (TestKernelsMatchGeneric, FuzzPixelKernels;
+// TestFDCT8MatchesFast, FuzzFDCT8, TestIDCT8MatchesGeneric and FuzzIDCT8
+// for the transforms).
 //
-// The assembly reads (addClamp8 also writes) rows 0…n−1 of each block
+// The pixel kernels read (addClamp8 also writes) rows 0…n−1 of each block
 // through a bare pointer. Each wrapper therefore first indexes, in Go, the
 // last byte of each block — the last row's start, then its last sample —
 // so a block that does not fit its slice panics here rather than reach
 // memory outside it; a negative stride, whose rows would start before
-// the slice, fails the first index.
+// the slice, fails the first index. The transforms take fixed-size arrays.
 
 //go:noescape
 func sad16SSE2(a *byte, as int, b *byte, bs int, bound int) int
@@ -29,7 +28,10 @@ func residual8SSE2(cur *byte, cs int, ref *byte, rs int, res *[64]int32) int64
 func addClamp8SSE2(dst *byte, ds int, pred *byte, ps int, res *[64]int32)
 
 //go:noescape
-func fdct8SSE2(src *[64]int32, dst *[64]float64)
+func idct8SSE2(src *[64]int32, dst *[64]int32)
+
+//go:noescape
+func fdctQuantSSE2(src *[64]int32, quant *[64]int16, round *[64]int32, shift uint64, lv *[64]int16) uint64
 
 func sad16(a []byte, as int, b []byte, bs int, bound int) int {
 	_, _ = a[15*as:][15], b[15*bs:][15]
@@ -51,8 +53,8 @@ func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	addClamp8SSE2(&dst[0], ds, &pred[0], ps, res)
 }
 
-// fdct8Lanes is fdct8Fast, two rows or two columns per SSE2 register.
-func fdct8Lanes(src *[64]int32, dst *[64]float64) {
-	_, _ = src[63], dst[63]
-	fdct8SSE2(src, dst)
+func fdctQuant(src *[64]int32, t *qpTables, lv *[64]int16) uint64 {
+	return fdctQuantSSE2(src, &t.Quant, &t.Round, uint64(t.Shift), lv)
 }
+
+func idct8Rows(src *[64]int32, dst *[64]int32, rowMask uint8) { idct8SSE2(src, dst) }

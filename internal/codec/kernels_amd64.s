@@ -1,11 +1,11 @@
 #include "textflag.h"
 
-// SSE2 pixel kernels and the forward DCT; see kernels_amd64.go for the
-// Go wrappers that bounds-check every block before calling in, and
-// kernels_generic.go (fdct8Fast for the DCT) for the reference each one
-// equals. Every row is unrolled: the SAD kernels test the bound after
-// each row, as their twins do, so an aborted SAD returns the same partial
-// sum.
+// SSE2 pixel kernels and the forward transform and quantizer; see
+// kernels_amd64.go for the Go wrappers that bounds-check every block
+// before calling in, and kernels_generic.go (transform.go's
+// fdctQuantGeneric for the transform) for the reference each one equals.
+// Every row is unrolled: the SAD kernels test the bound after each row,
+// as their twins do, so an aborted SAD returns the same partial sum.
 
 // One 16-sample SAD row: R8 += Σ|(SI) − (DI)|; leave for done once R8 >
 // DX; step SI and DI one row.
@@ -168,127 +168,389 @@ TEXT ·addClamp8SSE2(SB), NOSPLIT, $0-40
 	STOREROW
 	RET
 
-// The forward DCT (fdct8SSE2) is lane-parallel: two rows, then two
-// columns, per register, and every lane runs fdct8Fast's operations in
-// fdct8Fast's order — exact int32 to float64 conversion, the butterfly's
-// sums and differences, then each output from its first product, the
-// next three products added in turn — so every coefficient is
-// fdct8Fast's, bit for bit. R8 points at fdctLanes, the butterfly's
-// constants by output, each in both lanes.
+// The forward transform and quantizer (fdctQuantSSE2) run fdct1d in
+// eight int16 lanes: a
+// register holds one row of the block, so a butterfly across the eight
+// registers transforms the eight columns at once; after a transpose the
+// same butterfly transforms the rows, and a second transpose puts the
+// coefficient rows back in registers. Residuals of at most ±255 keep every
+// intermediate value inside int16, so PACKSSLW's saturation never bites
+// and wrapping int16 adds and PSRAW are fdct1d's int32 adds and >>. X8–X15
+// are scratch.
 
-// The butterfly's mirrored sums and differences of x0…x7 in X0…X7, in
-// place: s0…s3 in X0…X3, d0…d3 in X7, X6, X5, X4.
-#define BUTTERFLY \
-	MOVAPD X0, X8; \
-	ADDPD  X7, X0; \
-	SUBPD  X7, X8; \
-	MOVAPD X8, X7; \
-	MOVAPD X1, X8; \
-	ADDPD  X6, X1; \
-	SUBPD  X6, X8; \
-	MOVAPD X8, X6; \
-	MOVAPD X2, X8; \
-	ADDPD  X5, X2; \
-	SUBPD  X5, X8; \
-	MOVAPD X8, X5; \
-	MOVAPD X3, X8; \
-	ADDPD  X4, X3; \
-	SUBPD  X4, X8; \
-	MOVAPD X8, X4
+// fdct1d on X0…X7, output k in Xk.
+#define FDCT1D \
+	MOVO   X0, X8; \
+	PADDW  X7, X0; \
+	PSUBW  X7, X8; \
+	MOVO   X1, X9; \
+	PADDW  X6, X1; \
+	PSUBW  X6, X9; \
+	MOVO   X2, X10; \
+	PADDW  X5, X2; \
+	PSUBW  X5, X10; \
+	MOVO   X3, X11; \
+	PADDW  X4, X3; \
+	PSUBW  X4, X11; \
+	MOVO   X0, X4; \
+	PADDW  X3, X0; \
+	PSUBW  X3, X4; \
+	MOVO   X1, X5; \
+	PADDW  X2, X1; \
+	PSUBW  X2, X5; \
+	MOVO   X0, X2; \
+	PADDW  X1, X0; \
+	PSUBW  X1, X2; \
+	MOVO   X5, X3; \
+	PSRAW  $1, X3; \
+	PADDW  X4, X3; \
+	PSRAW  $1, X4; \
+	PSUBW  X5, X4; \
+	MOVO   X8, X12; \
+	PSRAW  $1, X12; \
+	PADDW  X8, X12; \
+	PADDW  X9, X12; \
+	PADDW  X10, X12; \
+	MOVO   X10, X13; \
+	PSRAW  $1, X13; \
+	PADDW  X10, X13; \
+	MOVO   X8, X14; \
+	PSUBW  X11, X14; \
+	PSUBW  X13, X14; \
+	MOVO   X9, X13; \
+	PSRAW  $1, X13; \
+	PADDW  X9, X13; \
+	MOVO   X8, X15; \
+	PADDW  X11, X15; \
+	PSUBW  X13, X15; \
+	MOVO   X11, X13; \
+	PSRAW  $1, X13; \
+	PADDW  X11, X13; \
+	PADDW  X9, X13; \
+	PSUBW  X10, X13; \
+	MOVO   X13, X1; \
+	PSRAW  $2, X1; \
+	PADDW  X12, X1; \
+	MOVO   X12, X7; \
+	PSRAW  $2, X7; \
+	PSUBW  X13, X7; \
+	MOVO   X15, X6; \
+	PSRAW  $2, X6; \
+	PADDW  X14, X6; \
+	MOVO   X14, X5; \
+	PSRAW  $2, X5; \
+	MOVO   X15, X8; \
+	PSUBW  X5, X8; \
+	MOVO   X3, X9; \
+	MOVO   X6, X10; \
+	MOVO   X4, X11; \
+	MOVO   X2, X4; \
+	MOVO   X9, X2; \
+	MOVO   X10, X3; \
+	MOVO   X8, X5; \
+	MOVO   X11, X6
 
-// Output r = v0·c0 + v1·c1 + v2·c2 + v3·c3, c the four constants at
-// off(R8), added left to right; t is scratch.
-#define DOT4(v0, v1, v2, v3, off, r, t) \
-	MOVUPD off(R8), r; \
-	MULPD  v0, r; \
-	MOVUPD off+16(R8), t; \
-	MULPD  v1, t; \
-	ADDPD  t, r; \
-	MOVUPD off+32(R8), t; \
-	MULPD  v2, t; \
-	ADDPD  t, r; \
-	MOVUPD off+48(R8), t; \
-	MULPD  v3, t; \
-	ADDPD  t, r
+// Transpose the 8×8 int16 block in X0…X7 (row k in Xk) in place.
+#define TRANSPOSE8 \
+	MOVO       X0, X8; \
+	PUNPCKLWL  X1, X0; \
+	PUNPCKHWL  X1, X8; \
+	MOVO       X2, X9; \
+	PUNPCKLWL  X3, X2; \
+	PUNPCKHWL  X3, X9; \
+	MOVO       X4, X10; \
+	PUNPCKLWL  X5, X4; \
+	PUNPCKHWL  X5, X10; \
+	MOVO       X6, X11; \
+	PUNPCKLWL  X7, X6; \
+	PUNPCKHWL  X7, X11; \
+	MOVO       X0, X1; \
+	PUNPCKLLQ  X2, X0; \
+	PUNPCKHLQ  X2, X1; \
+	MOVO       X8, X3; \
+	PUNPCKLLQ  X9, X8; \
+	PUNPCKHLQ  X9, X3; \
+	MOVO       X4, X5; \
+	PUNPCKLLQ  X6, X4; \
+	PUNPCKHLQ  X6, X5; \
+	MOVO       X10, X7; \
+	PUNPCKLLQ  X11, X10; \
+	PUNPCKHLQ  X11, X7; \
+	MOVO       X0, X12; \
+	PUNPCKLQDQ X4, X0; \
+	PUNPCKHQDQ X4, X12; \
+	MOVO       X1, X13; \
+	PUNPCKLQDQ X5, X1; \
+	PUNPCKHQDQ X5, X13; \
+	MOVO       X8, X14; \
+	PUNPCKLQDQ X10, X8; \
+	PUNPCKHQDQ X10, X14; \
+	MOVO       X3, X15; \
+	PUNPCKLQDQ X7, X3; \
+	PUNPCKHQDQ X7, X15; \
+	MOVO       X1, X2; \
+	MOVO       X12, X1; \
+	MOVO       X3, X6; \
+	MOVO       X13, X3; \
+	MOVO       X8, X4; \
+	MOVO       X14, X5; \
+	MOVO       X15, X7
 
-// Outputs k (even, table offset ce) and k+1 (odd, co) of rows y and y+1,
-// transposed to (y, k…k+1) and (y+1, k…k+1) and stored at off(DI) and
-// off+64(DI).
-#define ROWOUT(ce, co, off) \
-	DOT4(X0, X1, X2, X3, ce, X8, X9); \
-	DOT4(X7, X6, X5, X4, co, X10, X11); \
-	MOVAPD   X8, X12; \
-	UNPCKLPD X10, X8; \
-	UNPCKHPD X10, X12; \
-	MOVUPD   X8, off(DI); \
-	MOVUPD   X12, off+64(DI)
+// Row r of src (eight int32 at r*32(SI)) as eight int16 in x.
+#define LOADROW(r, x) \
+	MOVOU r*32(SI), x; \
+	MOVOU r*32+16(SI), X8; \
+	PACKSSLW X8, x
 
-// Samples n and n+1 of rows y (at off(SI)) and y+1 (off+32(SI)),
-// converted, as the column vectors (y, n), (y+1, n) in a and
-// (y, n+1), (y+1, n+1) in b.
-#define ROWLOAD(off, a, b) \
-	CVTPL2PD off(SI), a; \
-	CVTPL2PD off+32(SI), X8; \
-	MOVAPD   a, b; \
-	UNPCKLPD X8, a; \
-	UNPCKHPD X8, b
+// Quantize coefficient row r, int16 in x, into levels at r*16(DI): |Y|
+// (the sign s = Y >> 15, |Y| = (Y ^ s) − s), times the row's multipliers
+// at r*16(AX) as 32-bit products (PMULLW and PMULHW give their low and
+// high halves, interleaved), plus the row's rounding at r*32(BX), shifted
+// right by X14, packed back to int16 and given Y's sign again. |Y| <
+// 2¹⁴ and Quant < 2¹⁵ keep every product below 2²⁹ and every level inside
+// int16. X9–X13 are scratch.
+#define QUANTROW(r, x) \
+	MOVO      x, X9; \
+	PSRAW     $15, X9; \
+	PXOR      X9, x; \
+	PSUBW     X9, x; \
+	MOVOU     r*16(AX), X10; \
+	MOVO      x, X11; \
+	PMULLW    X10, x; \
+	PMULHW    X10, X11; \
+	MOVO      x, X12; \
+	PUNPCKLWL X11, x; \
+	PUNPCKHWL X11, X12; \
+	MOVOU     r*32(BX), X13; \
+	PADDL     X13, x; \
+	MOVOU     r*32+16(BX), X13; \
+	PADDL     X13, X12; \
+	PSRAL     X14, x; \
+	PSRAL     X14, X12; \
+	PACKSSLW  X12, x; \
+	PXOR      X9, x; \
+	PSUBW     X9, x; \
+	MOVOU     x, r*16(DI)
 
-// func fdct8SSE2(src *[64]int32, dst *[64]float64)
-//
-// The row pass writes its 64 values to dst, which the column pass then
-// transforms in place, two columns at a time.
-TEXT ·fdct8SSE2(SB), NOSPLIT, $0-16
+// The nonzero flags of the 16 levels in a and b, as bits 0…15 of R8
+// (PCMPEQW against the zero in X15 flags the zero ones), shifted into
+// place in DX.
+#define NONZERO16(a, b, at) \
+	MOVO     a, X9; \
+	PCMPEQW  X15, X9; \
+	MOVO     b, X10; \
+	PCMPEQW  X15, X10; \
+	PACKSSWB X10, X9; \
+	PMOVMSKB X9, R8; \
+	XORQ     $0xFFFF, R8; \
+	SHLQ     $at, R8; \
+	ORQ      R8, DX
+
+// func fdctQuantSSE2(src *[64]int32, quant *[64]int16, round *[64]int32, shift uint64, lv *[64]int16) uint64
+TEXT ·fdctQuantSSE2(SB), NOSPLIT, $0-48
+	MOVQ src+0(FP), SI
+	MOVQ quant+8(FP), AX
+	MOVQ round+16(FP), BX
+	MOVQ lv+32(FP), DI
+	LOADROW(0, X0)
+	LOADROW(1, X1)
+	LOADROW(2, X2)
+	LOADROW(3, X3)
+	LOADROW(4, X4)
+	LOADROW(5, X5)
+	LOADROW(6, X6)
+	LOADROW(7, X7)
+	FDCT1D
+	TRANSPOSE8
+	FDCT1D
+	TRANSPOSE8
+	MOVQ shift+24(FP), X14
+	QUANTROW(0, X0)
+	QUANTROW(1, X1)
+	QUANTROW(2, X2)
+	QUANTROW(3, X3)
+	QUANTROW(4, X4)
+	QUANTROW(5, X5)
+	QUANTROW(6, X6)
+	QUANTROW(7, X7)
+	PXOR X15, X15
+	XORQ DX, DX
+	NONZERO16(X0, X1, 0)
+	NONZERO16(X2, X3, 16)
+	NONZERO16(X4, X5, 32)
+	NONZERO16(X6, X7, 48)
+	MOVQ DX, ret+40(FP)
+	RET
+
+// The inverse transform (idct8SSE2) runs idct1d in four int32 lanes, with
+// wrapping PADDL/PSUBL and PSRAL as Go's int32 +, − and >>. The row pass
+// takes four rows at a time: two 4×4 transposes turn their coefficients
+// into eight registers d0…d7 with a row per lane, the butterfly runs
+// across them, and two transposes back store the four rows to dst. The
+// column pass then transforms dst in place, four columns per register,
+// and rounds, (x + 128) >> 8. X8–X15 are scratch.
+
+// Transpose the 4×4 int32 block in a, b, c, d in place.
+#define TRANSPOSE4(a, b, c, d) \
+	MOVO       a, X8; \
+	PUNPCKLLQ  b, a; \
+	PUNPCKHLQ  b, X8; \
+	MOVO       c, X9; \
+	PUNPCKLLQ  d, c; \
+	PUNPCKHLQ  d, X9; \
+	MOVO       a, b; \
+	PUNPCKLQDQ c, a; \
+	PUNPCKHQDQ c, b; \
+	MOVO       X8, c; \
+	PUNPCKLQDQ X9, c; \
+	MOVO       X8, d; \
+	PUNPCKHQDQ X9, d
+
+// idct1d on X0…X7, output n in Xn.
+#define IDCT1D \
+	MOVO  X0, X8; \
+	PADDL X4, X8; \
+	PSUBL X4, X0; \
+	MOVO  X2, X9; \
+	PSRAL $1, X9; \
+	PSUBL X6, X9; \
+	MOVO  X6, X10; \
+	PSRAL $1, X10; \
+	PADDL X2, X10; \
+	MOVO  X8, X2; \
+	PADDL X10, X2; \
+	PSUBL X10, X8; \
+	MOVO  X0, X4; \
+	PADDL X9, X4; \
+	PSUBL X9, X0; \
+	MOVO  X7, X9; \
+	PSRAL $1, X9; \
+	PADDL X7, X9; \
+	MOVO  X5, X10; \
+	PSUBL X3, X10; \
+	PSUBL X9, X10; \
+	MOVO  X3, X9; \
+	PSRAL $1, X9; \
+	PADDL X3, X9; \
+	MOVO  X1, X11; \
+	PADDL X7, X11; \
+	PSUBL X9, X11; \
+	MOVO  X5, X9; \
+	PSRAL $1, X9; \
+	PADDL X5, X9; \
+	MOVO  X7, X12; \
+	PSUBL X1, X12; \
+	PADDL X9, X12; \
+	MOVO  X1, X9; \
+	PSRAL $1, X9; \
+	PADDL X1, X9; \
+	PADDL X3, X9; \
+	PADDL X5, X9; \
+	MOVO  X9, X1; \
+	PSRAL $2, X1; \
+	PADDL X10, X1; \
+	PSRAL $2, X10; \
+	PSUBL X10, X9; \
+	MOVO  X12, X3; \
+	PSRAL $2, X3; \
+	PADDL X11, X3; \
+	PSRAL $2, X11; \
+	PSUBL X12, X11; \
+	MOVO  X2, X12; \
+	PADDL X9, X12; \
+	PSUBL X9, X2; \
+	MOVO  X4, X13; \
+	PADDL X11, X13; \
+	PSUBL X11, X4; \
+	MOVO  X0, X14; \
+	PADDL X3, X14; \
+	PSUBL X3, X0; \
+	MOVO  X8, X15; \
+	PADDL X1, X15; \
+	PSUBL X1, X8; \
+	MOVO  X0, X5; \
+	MOVO  X4, X6; \
+	MOVO  X2, X7; \
+	MOVO  X8, X4; \
+	MOVO  X12, X0; \
+	MOVO  X13, X1; \
+	MOVO  X14, X2; \
+	MOVO  X15, X3
+
+// func idct8SSE2(src *[64]int32, dst *[64]int32)
+TEXT ·idct8SSE2(SB), NOSPLIT, $0-16
 	MOVQ src+0(FP), SI
 	MOVQ dst+8(FP), DI
-	MOVQ DI, DX
-	LEAQ ·fdctLanes(SB), R8
-	MOVQ $4, CX
+	MOVQ $2, CX
 
-fdctrows:
-	ROWLOAD(0, X0, X1)
-	ROWLOAD(8, X2, X3)
-	ROWLOAD(16, X4, X5)
-	ROWLOAD(24, X6, X7)
-	BUTTERFLY
-	ROWOUT(0, 64, 0)
-	ROWOUT(128, 192, 16)
-	ROWOUT(256, 320, 32)
-	ROWOUT(384, 448, 48)
-	ADDQ $64, SI
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  fdctrows
+idctrows:
+	MOVOU 0(SI), X0
+	MOVOU 32(SI), X1
+	MOVOU 64(SI), X2
+	MOVOU 96(SI), X3
+	TRANSPOSE4(X0, X1, X2, X3)
+	MOVOU 16(SI), X4
+	MOVOU 48(SI), X5
+	MOVOU 80(SI), X6
+	MOVOU 112(SI), X7
+	TRANSPOSE4(X4, X5, X6, X7)
+	IDCT1D
+	TRANSPOSE4(X0, X1, X2, X3)
+	MOVOU X0, 0(DI)
+	MOVOU X1, 32(DI)
+	MOVOU X2, 64(DI)
+	MOVOU X3, 96(DI)
+	TRANSPOSE4(X4, X5, X6, X7)
+	MOVOU X4, 16(DI)
+	MOVOU X5, 48(DI)
+	MOVOU X6, 80(DI)
+	MOVOU X7, 112(DI)
+	ADDQ  $128, SI
+	ADDQ  $128, DI
+	DECQ  CX
+	JNZ   idctrows
 
-	MOVQ DX, DI
-	MOVQ $4, CX
+	MOVQ dst+8(FP), DI
+	MOVQ $2, CX
 
-fdctcols:
-	MOVUPD 0(DI), X0
-	MOVUPD 64(DI), X1
-	MOVUPD 128(DI), X2
-	MOVUPD 192(DI), X3
-	MOVUPD 256(DI), X4
-	MOVUPD 320(DI), X5
-	MOVUPD 384(DI), X6
-	MOVUPD 448(DI), X7
-	BUTTERFLY
-	DOT4(X0, X1, X2, X3, 0, X8, X9)
-	MOVUPD X8, 0(DI)
-	DOT4(X7, X6, X5, X4, 64, X10, X11)
-	MOVUPD X10, 64(DI)
-	DOT4(X0, X1, X2, X3, 128, X8, X9)
-	MOVUPD X8, 128(DI)
-	DOT4(X7, X6, X5, X4, 192, X10, X11)
-	MOVUPD X10, 192(DI)
-	DOT4(X0, X1, X2, X3, 256, X8, X9)
-	MOVUPD X8, 256(DI)
-	DOT4(X7, X6, X5, X4, 320, X10, X11)
-	MOVUPD X10, 320(DI)
-	DOT4(X0, X1, X2, X3, 384, X8, X9)
-	MOVUPD X8, 384(DI)
-	DOT4(X7, X6, X5, X4, 448, X10, X11)
-	MOVUPD X10, 448(DI)
-	ADDQ   $16, DI
-	DECQ   CX
-	JNZ    fdctcols
+idctcols:
+	MOVOU 0(DI), X0
+	MOVOU 32(DI), X1
+	MOVOU 64(DI), X2
+	MOVOU 96(DI), X3
+	MOVOU 128(DI), X4
+	MOVOU 160(DI), X5
+	MOVOU 192(DI), X6
+	MOVOU 224(DI), X7
+	IDCT1D
+	MOVQ   $128, AX
+	MOVQ   AX, X8
+	PSHUFD $0, X8, X8
+	PADDL X8, X0
+	PADDL X8, X1
+	PADDL X8, X2
+	PADDL X8, X3
+	PADDL X8, X4
+	PADDL X8, X5
+	PADDL X8, X6
+	PADDL X8, X7
+	PSRAL $8, X0
+	PSRAL $8, X1
+	PSRAL $8, X2
+	PSRAL $8, X3
+	PSRAL $8, X4
+	PSRAL $8, X5
+	PSRAL $8, X6
+	PSRAL $8, X7
+	MOVOU X0, 0(DI)
+	MOVOU X1, 32(DI)
+	MOVOU X2, 64(DI)
+	MOVOU X3, 96(DI)
+	MOVOU X4, 128(DI)
+	MOVOU X5, 160(DI)
+	MOVOU X6, 192(DI)
+	MOVOU X7, 224(DI)
+	ADDQ  $16, DI
+	DECQ  CX
+	JNZ   idctcols
 	RET

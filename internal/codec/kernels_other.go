@@ -18,4 +18,8 @@ func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	addClamp8Generic(dst, ds, pred, ps, res)
 }
 
-func fdct8Lanes(src *[64]int32, dst *[64]float64) { fdct8Fast(src, dst) }
+func fdctQuant(src *[64]int32, t *qpTables, lv *[64]int16) uint64 {
+	return fdctQuantGeneric(src, t, lv)
+}
+
+func idct8Rows(src *[64]int32, dst *[64]int32, rowMask uint8) { idct8Generic(src, dst, rowMask) }

@@ -208,92 +208,184 @@ func TestKernelsRefuseOutOfSliceBlocks(t *testing.T) {
 	}
 }
 
-// checkFDCT8 holds fdct8Lanes to fdct8Fast on blk, as float64 bits, with
-// every output slot poisoned first.
-func checkFDCT8(t *testing.T, blk *[64]int32) {
+// fdctTestQPs are the QPs the transform twins are held to each other at:
+// the extremes and the operating points, every step class among them.
+var fdctTestQPs = []int{qpMin, 1, 5, 12, 18, 22, 24, 29, 44, qpMax}
+
+// checkFDCT8 holds fdctQuant to fdctQuantGeneric on blk at qp: the same
+// levels, every slot poisoned first, and the same nonzero mask.
+func checkFDCT8(t *testing.T, blk *[64]int32, qp int) {
 	t.Helper()
-	var got, want [64]float64
+	var got, want [64]int16
 	for i := range got {
-		got[i], want[i] = math.NaN(), math.Inf(-1)
+		got[i], want[i] = math.MinInt16, math.MaxInt16
 	}
-	fdct8Lanes(blk, &got)
-	fdct8Fast(blk, &want)
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("fdct8Lanes of %v: coefficient %d is %v (%#x), want %v (%#x)",
-				*blk, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
+	gm := fdctQuant(blk, tablesFor(qp), &got)
+	wm := fdctQuantGeneric(blk, tablesFor(qp), &want)
+	if got != want || gm != wm {
+		t.Fatalf("fdctQuant of %v at qp %d: %v mask %#x, want %v mask %#x", *blk, qp, got, gm, want, wm)
 	}
 }
 
-// TestFDCT8MatchesFast holds the SSE2 forward DCT to fdct8Fast, bit for
-// bit (on other architectures the two are one function and this is a
-// self-check): 100,000 random residual blocks (|res| ≤ 255), 20,000 of
-// arbitrary int32 entries among them MinInt32 and MaxInt32, an impulse
-// at every position at several heights, and constant blocks.
+// TestFDCT8MatchesFast holds the SSE2 forward transform and quantizer to
+// its Go twin, fdctQuantGeneric (on other architectures the two are one
+// function and this is a self-check), over the residuals it is defined on,
+// |res| ≤ 255, at fdctTestQPs: 20,000 random blocks, blocks of ±255 in
+// every sign pattern of rows and a set of column patterns (the largest
+// coefficients and intermediate values), an impulse at every position at
+// several heights, and constant blocks.
 func TestFDCT8MatchesFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var blk [64]int32
-	for n := 0; n < 100000; n++ {
+	for n := 0; n < 20000; n++ {
 		for i := range blk {
 			blk[i] = int32(rng.Intn(511)) - 255
 		}
-		checkFDCT8(t, &blk)
+		checkFDCT8(t, &blk, fdctTestQPs[n%len(fdctTestQPs)])
 	}
-	for n := 0; n < 20000; n++ {
-		for i := range blk {
-			switch rng.Intn(4) {
-			case 0:
-				blk[i] = math.MinInt32
-			case 1:
-				blk[i] = math.MaxInt32
-			default:
-				blk[i] = int32(rng.Uint32())
-			}
+	check := func() {
+		for _, qp := range fdctTestQPs {
+			checkFDCT8(t, &blk, qp)
 		}
-		checkFDCT8(t, &blk)
 	}
-	heights := []int32{1, -1, 255, -255, math.MinInt32, math.MaxInt32}
+	for rows := 0; rows < 256; rows++ {
+		for _, cols := range []int{0, 0x0F, 0x33, 0x55, 0xF0, 0xFF, 0x96, 0x69} {
+			for i := range blk {
+				blk[i] = 255
+				if (rows>>uint(i>>3)^cols>>uint(i&7))&1 != 0 {
+					blk[i] = -255
+				}
+			}
+			check()
+		}
+	}
+	heights := []int32{1, -1, 2, -3, 127, -128, 255, -255}
 	for pos := range blk {
 		for _, v := range heights {
 			blk = [64]int32{}
 			blk[pos] = v
-			checkFDCT8(t, &blk)
+			check()
 		}
 	}
-	for _, v := range append(heights, 0, 7, -128) {
+	for _, v := range append(heights, 0, 7) {
 		for i := range blk {
 			blk[i] = v
 		}
-		checkFDCT8(t, &blk)
+		check()
 	}
 }
 
-// FuzzFDCT8 is TestFDCT8MatchesFast's property on arbitrary blocks: data
-// supplies the 64 int32 entries, repeated as needed.
+// FuzzFDCT8 is TestFDCT8MatchesFast's property on arbitrary residuals at
+// any encoder QP: data supplies the 64 samples as int16 words, repeated as
+// needed and folded into [-255, 255].
 func FuzzFDCT8(f *testing.F) {
-	words := func(vs ...int32) []byte {
-		out := make([]byte, 0, 4*len(vs))
+	words := func(vs ...int16) []byte {
+		out := make([]byte, 0, 2*len(vs))
 		for _, v := range vs {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+			out = binary.LittleEndian.AppendUint16(out, uint16(v))
 		}
 		return out
 	}
-	f.Add(words(math.MinInt32, math.MaxInt32))
-	f.Add(words(255, -255, 0, 1))
-	f.Add(words(0, 0, 0, 0, 0, 0, 0, 9))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), words(-255, 255))
+	f.Add(uint8(18), words(255, -255, 0, 1))
+	f.Add(uint8(51), words(0, 0, 0, 0, 0, 0, 0, 9))
+	f.Fuzz(func(t *testing.T, qp uint8, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		var blk [64]int32
 		for i := range blk {
+			w := int32(int16(binary.LittleEndian.Uint16([]byte{data[(2*i)%len(data)], data[(2*i+1)%len(data)]})))
+			blk[i] = w % 256
+		}
+		checkFDCT8(t, &blk, int(qp)%(qpMax+1))
+	})
+}
+
+// checkIDCT8 holds idct8SSE2's dispatch, idct8Rows, to idct8Generic on
+// src: with every row and with only the rows in rowMask, which must hold
+// src's nonzero rows; every output slot is poisoned first.
+func checkIDCT8(t *testing.T, src *[64]int32, rowMask uint8) {
+	t.Helper()
+	var got, want, masked [64]int32
+	for i := range got {
+		got[i], want[i], masked[i] = math.MinInt32, math.MaxInt32, 77
+	}
+	idct8Rows(src, &got, rowMask)
+	idct8Generic(src, &want, 0xFF)
+	idct8Generic(src, &masked, rowMask)
+	if got != want || masked != want {
+		t.Fatalf("idct8 of %v (rows %#x): kernel %v, all rows %v, masked rows %v", *src, rowMask, got, want, masked)
+	}
+}
+
+// rowsOf is the mask of src's nonzero coefficient rows.
+func rowsOf(src *[64]int32) (m uint8) {
+	for i, c := range src {
+		if c != 0 {
+			m |= 1 << uint(i>>3)
+		}
+	}
+	return m
+}
+
+// TestIDCT8MatchesGeneric holds the SSE2 inverse transform to its Go twin
+// (on other architectures the two are one function and this is a
+// self-check): 20,000 dense blocks within the dequantized range
+// ±coefLimit, sparse blocks of one to eight coefficients, a single
+// coefficient at every position at the range's ends, and blocks of
+// MinInt32/MaxInt32, whose sums wrap in int32 in both.
+func TestIDCT8MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var src [64]int32
+	for n := 0; n < 20000; n++ {
+		for i := range src {
+			src[i] = int32(rng.Intn(2*coefLimit+1)) - coefLimit
+		}
+		checkIDCT8(t, &src, 0xFF)
+	}
+	for n := 0; n < 20000; n++ {
+		src = [64]int32{}
+		for k := 1 + n%8; k > 0; k-- {
+			src[rng.Intn(64)] = int32(rng.Intn(4001)) - 2000
+		}
+		if m := rowsOf(&src); m != 0 {
+			checkIDCT8(t, &src, m)
+		}
+	}
+	for pos := range src {
+		for _, v := range []int32{1, -1, 128, -129, coefLimit, -coefLimit} {
+			src = [64]int32{}
+			src[pos] = v
+			checkIDCT8(t, &src, rowsOf(&src))
+		}
+	}
+	for n := 0; n < 100; n++ {
+		for i := range src {
+			src[i] = [3]int32{math.MinInt32, math.MaxInt32, int32(rng.Uint32())}[rng.Intn(3)]
+		}
+		checkIDCT8(t, &src, 0xFF)
+	}
+}
+
+// FuzzIDCT8 is TestIDCT8MatchesGeneric's property on arbitrary blocks:
+// data supplies the 64 int32 coefficients, repeated as needed.
+func FuzzIDCT8(f *testing.F) {
+	f.Add([]byte{0, 0, 16, 0})
+	f.Add([]byte{0xFF, 0xFF, 0xEF, 0xFF, 1, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0x7F})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var src [64]int32
+		for i := range src {
 			var w [4]byte
 			for j := range w {
 				w[j] = data[(4*i+j)%len(data)]
 			}
-			blk[i] = int32(binary.LittleEndian.Uint32(w[:]))
+			src[i] = int32(binary.LittleEndian.Uint32(w[:]))
 		}
-		checkFDCT8(t, &blk)
+		checkIDCT8(t, &src, 0xFF)
 	})
 }

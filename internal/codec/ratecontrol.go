@@ -1,7 +1,5 @@
 package codec
 
-import "math"
-
 // rateControl adapts the per-frame quantization parameter toward a
 // target bitrate. It is a simple proportional controller over a virtual
 // buffer: the encoder deposits the frame's actual bits and withdraws the
@@ -30,21 +28,36 @@ func newRateControl(cfg Config) rateControl {
 // pixel, so short clips land near the target before the controller has
 // feedback to work with. The model assumes structured video spends
 // about 0.6 bpp at QP 10 and halves its rate every 6 QP (the step-size
-// doubling of qStep).
+// doubling of the quantizer tables): it solves 0.6·2^((10−qp)/6) = bpp
+// for qp, rounded to nearest, as 10 + ⌊(⌊12·log2(0.6/bpp)⌋ + 1)/2⌋. The
+// logarithm is counted, not computed: octaves by exact halving and
+// doubling, then the semitones the rest reaches — so no transcendental
+// function, whose last bit may differ between machines, decides a QP.
 func initialQP(targetBitsPerFrame float64, w, h int) int {
 	bpp := targetBitsPerFrame / float64(w*h)
 	if bpp <= 0 {
 		return 28
 	}
-	// Solve 0.6 * 2^((10-qp)/6) = bpp for qp.
-	qp := 10 + int(6*math.Log2(0.6/bpp)+0.5)
-	if qp < qpMin {
-		qp = qpMin
+	r, twelfths := 0.6/bpp, -1
+	for ; r >= 2 && twelfths < 12*qpMax; r /= 2 {
+		twelfths += 12
 	}
-	if qp > qpMax {
-		qp = qpMax
+	for ; r < 1 && twelfths > -12*qpMax; r *= 2 {
+		twelfths -= 12
 	}
-	return qp
+	for _, s := range semitone {
+		if r >= s {
+			twelfths++
+		}
+	}
+	return min(max(10+(twelfths+1)>>1, qpMin), qpMax)
+}
+
+// semitone[i] is 2^(i/12), rounded to float64.
+var semitone = [12]float64{
+	1, 1.0594630943592953, 1.122462048309373, 1.189207115002721,
+	1.2599210498948732, 1.3348398541700344, 1.4142135623730951, 1.4983070768766815,
+	1.5874010519681994, 1.681792830507429, 1.7817974362806785, 1.8877486253633868,
 }
 
 // frameQP returns the QP to use for the next frame. Keyframes are coded

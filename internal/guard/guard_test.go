@@ -40,6 +40,9 @@ var rows = []row{
 	{name: "encode-no-level-scan", in: []string{"internal/codec/encoder.go", "internal/codec/tile.go", "internal/codec/transform.go"},
 		match: named[ast.Node](`^range .*levels|levels\[i\]$`), section: "§5.9 item 4", plant: "package codec\n\nfunc f(levels *[64]int32) {\n\tfor i := range levels {\n\t\tlevels[i] = 0\n\t}\n}\n",
 		reason: "the encoder scans a whole level array again; read levels at the mask's set bits"},
+	{name: "integer-codec", in: []string{"internal/codec"}, section: "§5.9 item 2", plant: "package codec\n\nimport \"math\"\n\nvar _ = math.Pi\n",
+		match:  named[*ast.BasicLit](`^math$`),
+		reason: "the codec imports math again; its transform, quantizer and rate control are integer or exact, so its bytes are the same on every machine"},
 	{name: "sad-extended-ref", in: []string{"internal/codec"}, section: "§5.9 item 4", plant: "package codec\n\nfunc f(p plane) { p.rowAt(0) }\n",
 		match:  named[*ast.CallExpr](`(rowAt|sadBlock)$`),
 		reason: "a clamped SAD loop is back in the codec; motion search reads the extended reference (extPlane) through sad16"},

@@ -1,23 +1,21 @@
 #!/bin/sh
 # Fails if the arm64 compiler fuses a multiply and an add (FMADDD,
 # FMSUBD, FNMADDD, FNMSUBD) in a function whose float64 arithmetic
-# decides output bytes: the Q2(b) blur and its Gaussian kernel, and the
-# codec's forward and inverse transforms, exact and butterfly (DESIGN.md
-# §5.9 item 4). The Go spec lets a compiler fuse x*y + z, even across
-# statements, but not float64(x*y) + z; a fused op rounds once where the
-# amd64 code rounds twice, so the bytes would depend on the architecture.
-# An op is charged to the function whose source line it was compiled
-# from, so an inlined copy is caught too; a line that calls math.FMA
-# asks for its fused op. Run from the repository root.
+# decides output bytes: the Q2(b) blur and its Gaussian kernel (DESIGN.md
+# §5.9 item 4; the codec is integer arithmetic, §5.9 item 2). The Go spec
+# lets a compiler fuse x*y + z, even across statements, but not
+# float64(x*y) + z; a fused op rounds once where the amd64 code rounds
+# twice, so the bytes would depend on the architecture. An op is charged
+# to the function whose source line it was compiled from, so an inlined
+# copy is caught too; a line that calls math.FMA asks for its fused op.
+# Run from the repository root.
 set -eu
 
-funcs='gaussianKernel gaussExp tapSum blurTapsGeneric blurTapsByteGeneric blurByte
-fdct8 idct8 fdctCoefExact idctSampleExact fdct1dFast idct1dFast fdct8Fast idct8Fast'
+funcs='gaussianKernel gaussExp tapSum blurTapsGeneric blurTapsByteGeneric blurByte'
 
 found=$(
-	for pkg in queries codec; do
-		GOARCH=arm64 go build -gcflags="repro/internal/$pkg=-S" -o /dev/null "./internal/$pkg" 2>&1
-	done | grep -E '[[:space:]]F(N)?M(ADD|SUB)D[[:space:]]' | grep -oE '[^( ]+\.go:[0-9]+' | sort -u |
+	GOARCH=arm64 go build -gcflags="repro/internal/queries=-S" -o /dev/null ./internal/queries 2>&1 |
+		grep -E '[[:space:]]F(N)?M(ADD|SUB)D[[:space:]]' | grep -oE '[^( ]+\.go:[0-9]+' | sort -u |
 		while IFS=: read -r file line; do
 			sed -n "${line}p" "$file" | grep -q 'math\.FMA(' && continue
 			fn=$(awk -v n="$line" 'NR > n { exit } /^func / { f = $0 } END { print f }' "$file" |

@@ -35,11 +35,11 @@ go test -race -cpu 1,2,4 -run Result ./internal/vcd
 go test -race -cpu 1,2,4 ./internal/vdbms/lightdblike
 # Every benchmark once, so that none can rot.
 go test -run '^$' -bench . -benchtime 1x ./...
-# Float arithmetic that defines output bytes is fusion-proof and
-# CPU-independent (DESIGN.md §5.9 item 4): no fused multiply-add in the
-# arm64 assembly of the byte-defining functions, and the identities and
-# goldens hold on an amd64 target with FMA and with math.Exp's non-FMA
-# path.
+# Float arithmetic that defines output bytes (the Q2(b) blur; the codec is
+# integer) is fusion-proof and CPU-independent (DESIGN.md §5.9 item 4): no
+# fused multiply-add in the arm64 assembly of the byte-defining functions,
+# and the identities and goldens hold on an amd64 target with FMA and with
+# math.Exp's non-FMA path.
 sh scripts/fused-ops.sh
 GOAMD64=v3 go test ./internal/codec ./internal/queries
 GODEBUG=cpu.fma=off go test ./internal/codec ./internal/queries
