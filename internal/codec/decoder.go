@@ -242,11 +242,7 @@ func decodeResidual(r *bitReader, t *qpTables, res *[64]int32) (bool, error) {
 	}
 	pos := 1
 	for i := uint32(0); i < nAC; i++ {
-		run, err := r.readUE()
-		if err != nil {
-			return false, err
-		}
-		lvl, err := r.readSE()
+		run, lvl, err := r.readPair()
 		if err != nil {
 			return false, err
 		}

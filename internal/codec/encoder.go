@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -398,42 +397,27 @@ func (e *Encoder) analyzeInterRow(my, qp int) {
 	}
 }
 
+// bias128 is a row of the intra bias: at stride 0, an 8×8 block of 128s.
+var bias128 = [8]byte{128, 128, 128, 128, 128, 128, 128, 128}
+
 // extractIntra loads the 8×8 block at (x0, y0) biased by -128 and
-// returns Σ|res|, the quantizer's pre-transform bound — the block's SAD
-// against the bias, taken a row per load like sad8Generic's.
+// returns Σ|res|, the quantizer's pre-transform bound: one residual8 call
+// against the bias block.
 func extractIntra(p *plane, x0, y0 int, res *[64]int32) (sumAbs int64) {
-	var lanes uint64
-	for y := 0; y < 8; y++ {
-		row := p.pix[(y0+y)*p.w+x0:][:8]
-		out := res[y*8 : y*8+8 : y*8+8]
-		for x, s := range row {
-			out[x] = int32(s) - 128
-		}
-		lanes += sad8Lanes(binary.LittleEndian.Uint64(row), 0x8080808080808080)
-	}
-	// Lanes hold at most 16·255 each, so their sum fits the top lane.
-	return int64(lanes * laneOne >> 48)
+	return residual8(p.pix[y0*p.w+x0:], p.w, bias128[:], 0, res)
 }
 
 // storeIntra writes the intra residual res plus the 128 bias into the
-// plane. An uncoded block has an all-zero residual, so it collapses to
-// the bias and res is not read.
+// plane, one addClamp8 call against the bias block. An uncoded block has
+// an all-zero residual, so it is the bias block itself and res is not
+// read.
 func storeIntra(p *plane, x0, y0 int, res *[64]int32, coded bool) {
+	dst := p.pix[y0*p.w+x0:]
 	if !coded {
-		for y := 0; y < 8; y++ {
-			row := p.pix[(y0+y)*p.w+x0 : (y0+y)*p.w+x0+8]
-			for x := range row {
-				row[x] = 128
-			}
-		}
+		copy8(dst, p.w, bias128[:], 0)
 		return
 	}
-	for y := 0; y < 8; y++ {
-		row := p.pix[(y0+y)*p.w+x0:]
-		for x := 0; x < 8; x++ {
-			row[x] = clampSample(res[y*8+x] + 128)
-		}
-	}
+	addClamp8(dst, p.w, bias128[:], 0, res)
 }
 
 // extractInter loads the motion-compensated residual for the 8×8 block
@@ -484,19 +468,17 @@ func storeInter(cur, ref *plane, x0, y0, mvx, mvy int, res *[64]int32, coded boo
 }
 
 // copyMB copies a bs×bs block (bs is 8 or 16) from ref to cur at
-// (x0, y0) displaced by (mvx, mvy) in the reference. Interior source
-// blocks move a row as one or two 8-byte words; edge-crossing predictions
-// fall back to clamped per-sample reads.
+// (x0, y0) displaced by (mvx, mvy) in the reference. An interior source
+// block is one copy8 or copy16 call; edge-crossing predictions fall back
+// to clamped per-sample reads.
 func copyMB(cur, ref *plane, x0, y0, bs, mvx, mvy int) {
 	sx, sy := x0+mvx, y0+mvy
 	if sx >= 0 && sy >= 0 && sx+bs <= ref.w && sy+bs <= ref.h {
-		for y := 0; y < bs; y++ {
-			dst := cur.pix[(y0+y)*cur.w+x0:][:bs]
-			src := ref.pix[(sy+y)*ref.w+sx:][:bs]
-			binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
-			if bs == 16 {
-				binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
-			}
+		dst, src := cur.pix[y0*cur.w+x0:], ref.pix[sy*ref.w+sx:]
+		if bs == 16 {
+			copy16(dst, cur.w, src, ref.w)
+		} else {
+			copy8(dst, cur.w, src, ref.w)
 		}
 		return
 	}
@@ -511,8 +493,9 @@ func copyMB(cur, ref *plane, x0, y0, bs, mvx, mvy int) {
 // emitBlock entropy-codes one quantized block from its nonzero mask: a
 // coded flag, then the DC level (SE), the count of nonzero AC levels
 // (UE) — the mask's population — and for each a (zero-run, level) pair,
-// the run being the distance between set bits. An uncoded block (mask 0)
-// emits only the flag. levels is read at the mask's positions only.
+// the run being the distance between set bits. A pair whose two codes
+// fit 32 bits goes out in one write. An uncoded block (mask 0) emits only
+// the flag. levels is read at the mask's positions only.
 func emitBlock(w *bitWriter, levels *[64]int32, mask uint64) {
 	if mask == 0 {
 		w.writeBits(0, 1)
@@ -528,8 +511,14 @@ func emitBlock(w *bitWriter, levels *[64]int32, mask uint64) {
 	w.writeUE(uint32(bits.OnesCount64(ac)))
 	for next := 1; ac != 0; ac &= ac - 1 {
 		pos := bits.TrailingZeros64(ac)
-		w.writeUE(uint32(pos - next))
-		w.writeSE(levels[pos&63])
+		rc, rw := ueCode(uint32(pos - next))
+		lc, lw := seCode(levels[pos&63])
+		if rw+lw <= 32 {
+			w.writeBits(uint32(rc<<lw|lc), rw+lw) // the pair in one write
+		} else {
+			w.writeCode(rc, rw)
+			w.writeCode(lc, lw)
+		}
 		next = pos + 1
 	}
 }

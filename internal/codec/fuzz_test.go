@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -109,36 +110,208 @@ func FuzzBitioRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBitReaderRaw feeds arbitrary bytes straight into the reader: every
-// symbol read returns a value or an error, and the stream drains in a
-// bounded number of steps.
+// bitReaderRef is the per-bit reader bitReader stands in for: it takes
+// one bit at a time, counts an Exp-Golomb code's zeros one by one, and
+// fails at the first bit the stream does not hold. pos counts the bits
+// consumed.
+type bitReaderRef struct {
+	buf []byte
+	pos int
+}
+
+func (r *bitReaderRef) bit() (uint32, error) {
+	if r.pos >= len(r.buf)*8 {
+		return 0, errTruncated
+	}
+	b := uint32(r.buf[r.pos/8]>>(7-r.pos%8)) & 1
+	r.pos++
+	return b, nil
+}
+
+func (r *bitReaderRef) readBits(n uint) (uint32, error) {
+	var v uint32
+	for ; n > 0; n-- {
+		b, err := r.bit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | b
+	}
+	return v, nil
+}
+
+// readUE fails on the 33rd zero of a prefix, and on a 32-zero code whose
+// value, 2³² + suffix − 1, does not fit 32 bits.
+func (r *bitReaderRef) readUE() (uint32, error) {
+	zeros := uint(0)
+	for {
+		b, err := r.bit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 1 {
+			break
+		}
+		if zeros++; zeros > 32 {
+			return 0, errInvalidUE
+		}
+	}
+	suffix, err := r.readBits(zeros)
+	if err != nil {
+		return 0, err
+	}
+	v := uint64(1)<<zeros + uint64(suffix) - 1
+	if v > math.MaxUint32 {
+		return 0, errInvalidUE
+	}
+	return uint32(v), nil
+}
+
+func (r *bitReaderRef) readSE() (int32, error) {
+	u, err := r.readUE()
+	if err != nil {
+		return 0, err
+	}
+	if u%2 == 1 {
+		return int32(u/2) + 1, nil
+	}
+	return -int32(u / 2), nil
+}
+
+func (r *bitReaderRef) readPair() (uint32, int32, error) {
+	run, err := r.readUE()
+	if err != nil {
+		return 0, 0, err
+	}
+	lvl, err := r.readSE()
+	return run, lvl, err
+}
+
+// symbolReader is what bitReader and bitReaderRef share.
+type symbolReader interface {
+	readUE() (uint32, error)
+	readSE() (int32, error)
+	readBits(n uint) (uint32, error)
+	readPair() (uint32, int32, error)
+}
+
+// readOp runs op on r: op%4 picks readUE, readSE, readBits of op>>2 % 33
+// bits or readPair.
+func readOp(r symbolReader, op byte) (v [2]int64, err error) {
+	switch op % 4 {
+	case 0:
+		u, err := r.readUE()
+		return [2]int64{int64(u)}, err
+	case 1:
+		s, err := r.readSE()
+		return [2]int64{int64(s)}, err
+	case 2:
+		b, err := r.readBits(uint(op>>2) % 33)
+		return [2]int64{int64(b)}, err
+	}
+	run, lvl, err := r.readPair()
+	return [2]int64{int64(run), int64(lvl)}, err
+}
+
+// FuzzBitReaderRaw feeds arbitrary bytes to bitReader and to the per-bit
+// bitReaderRef and reads both with one op script, each byte an op: a
+// readUE, a readSE, a readBits of 0…32 bits or a readPair (a readUE and a
+// readSE). At every step the two must return the same value or the same
+// error, and after a read that succeeds have consumed the same number of
+// bits. The first error ends the script: a decoder abandons a stream that
+// fails, so a reader's position after an error is no part of its
+// contract. The stream drains in a bounded number of steps. An empty
+// script reads UE, SE and bits in turn.
 func FuzzBitReaderRaw(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0xFF, 0x00, 0xAB})
-	f.Add(bytes.Repeat([]byte{0x00}, 16))
-	f.Add(bytes.Repeat([]byte{0x80}, 16))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bitReader{buf: data}
-		// Each iteration consumes at least one bit or errors, so this is
-		// bounded by the bit length.
-		for i := 0; i <= len(data)*8+1; i++ {
-			switch i % 3 {
-			case 0:
-				if _, err := r.readUE(); err != nil {
-					return
-				}
-			case 1:
-				if _, err := r.readSE(); err != nil {
-					return
-				}
-			case 2:
-				if _, err := r.readBits(uint(i)%17 + 1); err != nil {
-					return
-				}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0x00}, []byte{})
+	f.Add([]byte{0xFF, 0x00, 0xAB}, []byte{})
+	f.Add(bytes.Repeat([]byte{0x00}, 16), []byte{})
+	f.Add(bytes.Repeat([]byte{0x80}, 16), []byte{})
+	// 32 zeros, the marker, then the 32-bit suffix 5: an overlong code
+	// for the value 4, and the one 32-zero code that fits, 2³²−1.
+	f.Add([]byte{0, 0, 0, 0, 0x80, 0, 0, 0x02, 0x80}, []byte{0})
+	f.Add([]byte{0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0xFF}, []byte{0, 3})
+	// Pairs at and around the table's reach, across word refills.
+	var w bitWriter
+	for i := uint32(0); i < 40; i++ {
+		w.writeUE(i % 33)
+		w.writeSE(int32(i%21) - 10)
+	}
+	f.Add(w.bytes(), []byte{3})
+	f.Add(bytes.Repeat([]byte{0x5A, 0xC3, 0x01}, 12), []byte{3, 2<<2 | 2, 1, 0, 32<<2 | 2, 3, 3})
+	// The stream ends inside a pair whose window, padded with zeros, is
+	// the table's pair (0, 1): the pair is truncated.
+	f.Add([]byte{0x05}, []byte{5<<2 | 2, 3})
+	f.Fuzz(func(t *testing.T, data, script []byte) {
+		fast, ref := &bitReader{buf: data}, &bitReaderRef{buf: data}
+		// A step consumes at least one bit or fails, but for a 0-bit
+		// read, so the loop bound is a small multiple of the bit length.
+		for i := 0; i <= 2*(len(data)*8+1); i++ {
+			op := byte(i % 3)
+			if i%3 == 2 {
+				op |= byte(i%17+1) << 2
+			}
+			if len(script) > 0 {
+				op = script[i%len(script)]
+			}
+			got, gotErr := readOp(fast, op)
+			want, wantErr := readOp(ref, op)
+			if errString(gotErr) != errString(wantErr) {
+				t.Fatalf("step %d (op %#x): bitReader says %q, the per-bit reader %q", i, op, errString(gotErr), errString(wantErr))
+			}
+			if wantErr != nil {
+				return
+			}
+			if got != want || readerAt(fast) != ref.pos {
+				t.Fatalf("step %d (op %#x): bitReader read %v to bit %d, the per-bit reader %v to bit %d", i, op, got, readerAt(fast), want, ref.pos)
 			}
 		}
 	})
+}
+
+// TestPairTableMatchesReaders checks pairTable against the readers, both
+// ways. Every pairBits-bit window, read as a stream of its own by readUE
+// then readSE, must give its entry: the pair and its width when both
+// codes end within the window, else zero. Every pair whose codes fit the
+// window, written by the writer and looked up, must be there.
+func TestPairTableMatchesReaders(t *testing.T) {
+	for win := uint32(0); win < 1<<pairBits; win++ {
+		var w bitWriter
+		w.writeBits(win, pairBits)
+		r := bitReader{buf: w.bytes()}
+		var want uint32
+		if run, err := r.readUE(); err == nil {
+			if lvl, err := r.readSE(); err == nil && readerAt(&r) <= pairBits {
+				want = uint32(uint16(int16(lvl)))<<16 | run<<8 | uint32(readerAt(&r))
+			}
+		}
+		if got := pairTable[win]; got != want {
+			t.Fatalf("window %0*b: entry %#x, the readers give %#x", pairBits, win, got, want)
+		}
+	}
+	pairs := 0
+	for run := uint32(0); run < 64; run++ {
+		for lvl := int32(-64); lvl <= 64; lvl++ {
+			_, rw := ueCode(run)
+			_, lw := seCode(lvl)
+			if rw+lw > pairBits {
+				continue
+			}
+			pairs++
+			var w bitWriter
+			w.writeUE(run)
+			w.writeSE(lvl)
+			w.writeBits(0x7FF, pairBits) // whatever follows the pair
+			e := pairTable[binary.BigEndian.Uint16(w.bytes())>>(16-pairBits)]
+			if e&0xFF != uint32(rw+lw) || e>>8&0xFF != run || int32(e)>>16 != lvl {
+				t.Fatalf("pair (%d, %d), %d bits: entry %#x", run, lvl, rw+lw, e)
+			}
+		}
+	}
+	if pairs < 100 {
+		t.Fatalf("only %d pairs fit %d bits", pairs, pairBits)
+	}
 }
 
 // fuzzDecoderCfg is the fixed configuration FuzzDecodeFrame decodes

@@ -8,8 +8,8 @@ package codec
 // TestFDCT8MatchesFast, FuzzFDCT8, TestIDCT8MatchesGeneric and FuzzIDCT8
 // for the transforms).
 //
-// The pixel kernels read (addClamp8 also writes) rows 0…n−1 of each block
-// through a bare pointer. Each wrapper therefore first indexes, in Go, the
+// The pixel kernels read (addClamp8, copy8 and copy16 also write) rows
+// 0…n−1 of each block through a bare pointer. Each wrapper therefore first indexes, in Go, the
 // last byte of each block — the last row's start, then its last sample —
 // so a block that does not fit its slice panics here rather than reach
 // memory outside it; a negative stride, whose rows would start before
@@ -26,6 +26,12 @@ func residual8SSE2(cur *byte, cs int, ref *byte, rs int, res *[64]int32) int64
 
 //go:noescape
 func addClamp8SSE2(dst *byte, ds int, pred *byte, ps int, res *[64]int32)
+
+//go:noescape
+func copy8SSE2(dst *byte, ds int, src *byte, ss int)
+
+//go:noescape
+func copy16SSE2(dst *byte, ds int, src *byte, ss int)
 
 //go:noescape
 func idct8SSE2(src *[64]int32, dst *[64]int32)
@@ -51,6 +57,16 @@ func residual8(cur []byte, cs int, ref []byte, rs int, res *[64]int32) int64 {
 func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	_, _ = dst[7*ds:][7], pred[7*ps:][7]
 	addClamp8SSE2(&dst[0], ds, &pred[0], ps, res)
+}
+
+func copy8(dst []byte, ds int, src []byte, ss int) {
+	_, _ = dst[7*ds:][7], src[7*ss:][7]
+	copy8SSE2(&dst[0], ds, &src[0], ss)
+}
+
+func copy16(dst []byte, ds int, src []byte, ss int) {
+	_, _ = dst[15*ds:][15], src[15*ss:][15]
+	copy16SSE2(&dst[0], ds, &src[0], ss)
 }
 
 func fdctQuant(src *[64]int32, t *qpTables, lv *[64]int16) uint64 {

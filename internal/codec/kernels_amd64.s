@@ -168,6 +168,54 @@ TEXT ·addClamp8SSE2(SB), NOSPLIT, $0-40
 	STOREROW
 	RET
 
+// One copy row of 8 or 16 samples: (DI) to (SI) as one MOVQ or MOVOU
+// load and store; step SI and DI one row.
+#define COPYROW(MOV, X) \
+	MOV  (DI), X; \
+	MOV  X, (SI); \
+	ADDQ AX, SI; \
+	ADDQ BX, DI
+
+// func copy8SSE2(dst *byte, ds int, src *byte, ss int)
+TEXT ·copy8SSE2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), SI
+	MOVQ ds+8(FP), AX
+	MOVQ src+16(FP), DI
+	MOVQ ss+24(FP), BX
+	COPYROW(MOVQ, R8)
+	COPYROW(MOVQ, R9)
+	COPYROW(MOVQ, R8)
+	COPYROW(MOVQ, R9)
+	COPYROW(MOVQ, R8)
+	COPYROW(MOVQ, R9)
+	COPYROW(MOVQ, R8)
+	COPYROW(MOVQ, R9)
+	RET
+
+// func copy16SSE2(dst *byte, ds int, src *byte, ss int)
+TEXT ·copy16SSE2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), SI
+	MOVQ ds+8(FP), AX
+	MOVQ src+16(FP), DI
+	MOVQ ss+24(FP), BX
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	COPYROW(MOVOU, X0)
+	COPYROW(MOVOU, X1)
+	RET
+
 // The forward transform and quantizer (fdctQuantSSE2) run fdct1d in
 // eight int16 lanes: a
 // register holds one row of the block, so a butterfly across the eight

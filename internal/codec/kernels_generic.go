@@ -91,3 +91,20 @@ func addClamp8Generic(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 		}
 	}
 }
+
+// copy8Generic copies the 8×8 block at src (row stride ss) to dst (row
+// stride ds), a row per 8-byte word.
+func copy8Generic(dst []byte, ds int, src []byte, ss int) {
+	for y := 0; y < 8; y++ {
+		binary.LittleEndian.PutUint64(dst[y*ds:], binary.LittleEndian.Uint64(src[y*ss:]))
+	}
+}
+
+// copy16Generic is copy8Generic for 16×16 blocks, a row per two words.
+func copy16Generic(dst []byte, ds int, src []byte, ss int) {
+	for y := 0; y < 16; y++ {
+		d, s := dst[y*ds:][:16], src[y*ss:][:16]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+	}
+}

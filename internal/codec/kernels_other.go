@@ -18,6 +18,10 @@ func addClamp8(dst []byte, ds int, pred []byte, ps int, res *[64]int32) {
 	addClamp8Generic(dst, ds, pred, ps, res)
 }
 
+func copy8(dst []byte, ds int, src []byte, ss int) { copy8Generic(dst, ds, src, ss) }
+
+func copy16(dst []byte, ds int, src []byte, ss int) { copy16Generic(dst, ds, src, ss) }
+
 func fdctQuant(src *[64]int32, t *qpTables, lv *[64]int16) uint64 {
 	return fdctQuantGeneric(src, t, lv)
 }

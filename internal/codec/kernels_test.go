@@ -42,21 +42,37 @@ func checkKernels(t *testing.T, a []byte, as int, b []byte, bs int, res *[64]int
 		}
 	}
 
-	var got, want [64]int32
-	for i := range got {
-		got[i], want[i] = -0x55555556, 0x2AAAAAAA // every entry must be written
-	}
-	if gs, ws := residual8(a, as, b, bs, &got), residual8Generic(a, as, b, bs, &want); gs != ws || got != want {
-		t.Fatalf("residual8 stride %d/%d: sum %d res %v, want sum %d res %v", as, bs, gs, got, ws, want)
-	}
+	// The block kernels also read b at stride 0, as the intra blocks read
+	// their row of 128s.
+	for _, bs := range []int{bs, 0} {
+		var got, want [64]int32
+		for i := range got {
+			got[i], want[i] = -0x55555556, 0x2AAAAAAA // every entry must be written
+		}
+		if gs, ws := residual8(a, as, b, bs, &got), residual8Generic(a, as, b, bs, &want); gs != ws || got != want {
+			t.Fatalf("residual8 stride %d/%d: sum %d res %v, want sum %d res %v", as, bs, gs, got, ws, want)
+		}
 
-	// addClamp8 writes into a copy of a, around the block too: only the
-	// block's bytes may change.
-	gd, wd := bytes.Clone(a), bytes.Clone(a)
-	addClamp8(gd, as, b, bs, res)
-	addClamp8Generic(wd, as, b, bs, res)
-	if !bytes.Equal(gd, wd) {
-		t.Fatalf("addClamp8 stride %d/%d residual %v: %v, want %v", as, bs, *res, gd, wd)
+		// The writing kernels write into a copy of a, around the block
+		// too: only the block's bytes may change.
+		gd, wd := bytes.Clone(a), bytes.Clone(a)
+		addClamp8(gd, as, b, bs, res)
+		addClamp8Generic(wd, as, b, bs, res)
+		if !bytes.Equal(gd, wd) {
+			t.Fatalf("addClamp8 stride %d/%d residual %v: %v, want %v", as, bs, *res, gd, wd)
+		}
+		for _, n := range []int{8, 16} {
+			kernel, generic := copy8, copy8Generic
+			if n == 16 {
+				kernel, generic = copy16, copy16Generic
+			}
+			gd, wd := bytes.Clone(a), bytes.Clone(a)
+			kernel(gd, as, b, bs)
+			generic(wd, as, b, bs)
+			if !bytes.Equal(gd, wd) {
+				t.Fatalf("copy%d stride %d/%d: %v, want %v", n, as, bs, gd, wd)
+			}
+		}
 	}
 }
 
@@ -190,12 +206,18 @@ func TestKernelsRefuseOutOfSliceBlocks(t *testing.T) {
 	var res [64]int32
 	buf := make([]byte, span(20))
 	for name, call := range map[string]func(){
-		"sad16 short":        func() { sad16(buf[:span(20)-1], 20, buf, 20, 0) },
-		"sad16 negative":     func() { sad16(buf[15*20:], -20, buf, 20, 0) },
-		"sad8 short":         func() { sad8(buf, 20, buf[:7*20+7], 20, 0) },
-		"residual8 short":    func() { residual8(buf[:7*20+7], 20, buf, 20, &res) },
-		"addClamp8 short":    func() { addClamp8(buf[:7*20+7], 20, buf, 20, &res) },
-		"addClamp8 negative": func() { addClamp8(buf[7*20:], -20, buf, 20, &res) },
+		"sad16 short":         func() { sad16(buf[:span(20)-1], 20, buf, 20, 0) },
+		"sad16 negative":      func() { sad16(buf[15*20:], -20, buf, 20, 0) },
+		"sad8 short":          func() { sad8(buf, 20, buf[:7*20+7], 20, 0) },
+		"residual8 short":     func() { residual8(buf[:7*20+7], 20, buf, 20, &res) },
+		"addClamp8 short":     func() { addClamp8(buf[:7*20+7], 20, buf, 20, &res) },
+		"addClamp8 negative":  func() { addClamp8(buf[7*20:], -20, buf, 20, &res) },
+		"copy8 short":         func() { copy8(buf[:7*20+7], 20, buf, 20) },
+		"copy8 short source":  func() { copy8(buf, 20, buf[:7*20+7], 20) },
+		"copy8 short row":     func() { copy8(buf, 20, buf[:7], 0) },
+		"copy16 short":        func() { copy16(buf[:span(20)-1], 20, buf, 20) },
+		"copy16 short source": func() { copy16(buf, 20, buf[:span(20)-1], 20) },
+		"copy16 negative":     func() { copy16(buf[15*20:], -20, buf, 20) },
 	} {
 		func() {
 			defer func() {

@@ -533,9 +533,10 @@ func writeLevels(w *bitWriter, levels *[64]int32) {
 	}
 }
 
-// readerAt is a bit reader's position: two readers over one buffer that
-// agree on it have consumed the same bits.
-func readerAt(r *bitReader) [3]uint64 { return [3]uint64{uint64(r.pos), r.acc, uint64(r.nAcc)} }
+// readerAt is a bit reader's position, the number of bits it has
+// consumed: two readers over one buffer that agree on it stand at the
+// same bit, however their refills were timed.
+func readerAt(r *bitReader) int { return r.pos*8 - int(r.nAcc) }
 
 // residualTestBlocks yields zigzag-ordered level blocks for the fused
 // residual decode: the shapes its shortcuts key on (DC-only, a single AC

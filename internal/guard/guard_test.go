@@ -15,6 +15,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"regexp"
 	"slices"
 	"strconv"
@@ -88,6 +89,9 @@ var rows = []row{
 	{name: "lightdb-streams", in: []string{"internal/vdbms/lightdblike/engine.go"}, section: "§5.5", plant: "package lightdblike\n\nfunc f() { out.Append(nil) }\n",
 		match:  named[*ast.CallExpr](`out\.Append$`),
 		reason: "lightdblike's evaluation loop collects its output again; write each frame to the video.Writer it is given"},
+	{name: "asm-twin", in: []string{"internal/codec", "internal/queries"}, section: "§5.9 item 4", plant: "package codec\n\nfunc copy32SSE2(dst *byte)\n",
+		match:  untwinned,
+		reason: "an assembly kernel without its Go twin: xSSE2 needs a func xGeneric in its package, and a _test.go file there that uses it"},
 	{name: "gofmt", in: []string{"."}, tests: true, match: unformatted, plant: "package x\n\nvar  y = 1\n",
 		reason: "not gofmt-formatted; run gofmt -w on it"},
 }
@@ -121,6 +125,37 @@ func unless(m matcher, allow string) matcher {
 	return func(f *srcFile, n ast.Node) bool { return m(f, n) && !re.MatchString(f.name(n)) }
 }
 
+// untwinned matches a body-less declaration of a function xSSE2 whose
+// package has no Go function xGeneric, or no _test.go file that uses it.
+func untwinned(f *srcFile, n ast.Node) bool {
+	d, ok := n.(*ast.FuncDecl)
+	if !ok || d.Body != nil || !strings.HasSuffix(d.Name.Name, "SSE2") {
+		return false
+	}
+	twin := strings.TrimSuffix(d.Name.Name, "SSE2") + "Generic"
+	declared, used := false, false
+	for _, g := range f.pkg {
+		test := strings.HasSuffix(g.path, "_test.go")
+		ast.Inspect(g.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body == nil {
+					return false
+				}
+				declared = declared || !test && n.Recv == nil && n.Name.Name == twin
+				ast.Inspect(n.Body, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					used = used || test && ok && id.Name == twin
+					return true
+				})
+				return false
+			}
+			return true
+		})
+	}
+	return !declared || !used
+}
+
 // unformatted matches a file that gofmt would change.
 func unformatted(f *srcFile, n ast.Node) bool { return n == f.ast && !f.formatted }
 
@@ -131,6 +166,7 @@ type srcFile struct {
 	ast       *ast.File
 	formatted bool
 	imports   map[string]string // local package name → import path
+	pkg       []*srcFile        // the files of its directory (load), or itself alone
 }
 
 func parse(path string, src []byte) (*srcFile, error) {
@@ -140,6 +176,7 @@ func parse(path string, src []byte) (*srcFile, error) {
 	}
 	out, err := format.Source(src)
 	f := &srcFile{path: path, ast: a, formatted: err == nil && string(out) == string(src), imports: map[string]string{}}
+	f.pkg = []*srcFile{f}
 	for _, im := range a.Imports {
 		p, _ := strconv.Unquote(im.Path.Value)
 		local := p[strings.LastIndex(p, "/")+1:]
@@ -201,6 +238,13 @@ func load(t *testing.T) (files []*srcFile) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	dirs := map[string][]*srcFile{}
+	for _, f := range files {
+		dirs[path.Dir(f.path)] = append(dirs[path.Dir(f.path)], f)
+	}
+	for _, f := range files {
+		f.pkg = dirs[path.Dir(f.path)]
 	}
 	return files
 }
@@ -267,14 +311,16 @@ func TestGuards(t *testing.T) {
 
 // TestGuardRowsFire wants each row's planted file to fire exactly that
 // row: to add a match to a tree that TestGuards finds clean. The first
-// three files check a name in a comment, a package imported under
-// another name and a field that shares a forbidden function's name.
+// four files check a name in a comment, a package imported under
+// another name, a field that shares a forbidden function's name and an
+// assembly kernel whose twin no test uses.
 func TestGuardRowsFire(t *testing.T) {
 	type plant struct{ path, src, want string }
 	plants := []plant{
 		{"internal/queries", "package queries\n\n// maskFrameQ2d was the per-frame Q2(d) mask.\nvar x int\n", ""},
 		{"internal/vcd", "package vcd\n\nimport c \"repro/internal/codec\"\n\nvar _, _ = c.NewEncoder(c.Config{})\n", "one-result-encoder"},
 		{"internal/cli", "package cli\n\ntype obs struct{ closeDebug func() error }\n", ""},
+		{"internal/queries", "package queries\n\nfunc copy32SSE2()\n\nfunc copy32Generic() {}\n", "asm-twin"}, // a twin no test uses
 	}
 	for _, r := range rows {
 		plants = append(plants, plant{r.in[0], r.plant, r.name}) // a path equal to a scope entry is in it

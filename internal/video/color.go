@@ -16,17 +16,6 @@ func (c Color) YUV() (y, u, v byte) {
 	return clampByte(yf), clampByte(uf), clampByte(vf)
 }
 
-// RGBFromYUV converts a studio-range BT.601 YUV triple back to RGB.
-func RGBFromYUV(y, u, v byte) Color {
-	yf := float64(y) - 16
-	uf := float64(u) - 128
-	vf := float64(v) - 128
-	r := 1.164*yf + 1.596*vf
-	g := 1.164*yf - 0.392*uf - 0.813*vf
-	b := 1.164*yf + 2.017*uf
-	return Color{uint8(clampByte(r)), uint8(clampByte(g)), uint8(clampByte(b))}
-}
-
 // Scale returns c with each channel multiplied by k (clamped).
 func (c Color) Scale(k float64) Color {
 	return Color{

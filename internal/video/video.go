@@ -83,21 +83,6 @@ func (r *sliceReader) Next() (*Frame, error) {
 	return f, nil
 }
 
-// Collect drains a Reader into an in-memory Video at the given FPS.
-func Collect(r Reader, fps int) (*Video, error) {
-	v := NewVideo(fps)
-	for {
-		f, err := r.Next()
-		if err == io.EOF {
-			return v, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		v.Append(f)
-	}
-}
-
 // FuncWriter adapts a function to the Writer interface.
 type FuncWriter struct {
 	Fn      func(*Frame) error
