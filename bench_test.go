@@ -69,12 +69,29 @@ func sharedDataset(b *testing.B) *vcd.Dataset {
 	return benchDataset.ds
 }
 
+// modelPreset scales a paper preset down to model scale: resolution is
+// divided by the divisor (keeping aspect), and the duration replaced.
+func modelPreset(p core.Preset, divisor int, duration float64) vcity.Hyperparams {
+	h := p.Params
+	h.Width = evenDim(h.Width / divisor)
+	h.Height = evenDim(h.Height / divisor)
+	h.Duration = duration
+	return h
+}
+
+func evenDim(v int) int {
+	if v < 16 {
+		v = 16
+	}
+	return v &^ 1
+}
+
 // BenchmarkTable2Presets measures dataset generation for each Table 2
 // preset at model scale (1/4 linear resolution, 0.5 s clips) — the cost
 // structure of the paper's pregenerated datasets.
 func BenchmarkTable2Presets(b *testing.B) {
 	for _, p := range core.Presets {
-		params := core.ModelPreset(p, 4, 0.5)
+		params := modelPreset(p, 4, 0.5)
 		params.FPS = 15
 		params.Seed = 1
 		b.Run(p.Name, func(b *testing.B) {

@@ -105,9 +105,6 @@ func (w *bitWriter) bytes() []byte {
 	return w.buf
 }
 
-// bitLen returns the number of bits written so far.
-func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // errTruncated reports a bitstream that ended mid-symbol.
 var errTruncated = errors.New("codec: truncated bitstream")
 

@@ -25,6 +25,9 @@ import (
 // identically, and the exhausted stream must fail cleanly. A second
 // writer spells every Exp-Golomb code with the two writes writeUE used to
 // make (writeUETwoWrites, transform_test.go): the bytes must match.
+// bitLen returns the number of bits written so far.
+func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.nCur) }
+
 func FuzzBitioRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})

@@ -18,9 +18,9 @@ import (
 //	dir[0..T)  — uint32 big-endian payload length per tile, row-major
 //	payloads   — the tiles' self-contained access units, concatenated
 //
-// A zero directory length marks a tile whose payload was not fetched
-// (container.ExtractTileSpan produces such partial AUs); offsets of the
-// present tiles still fall out of the directory prefix sums. Tile
+// A zero directory length marks a tile whose payload is absent from the
+// unit: decoding that tile is an error, and the offsets of the present
+// tiles still fall out of the directory prefix sums. Tile
 // boundaries are aligned down to multiples of 16 so every tile starts
 // on a macroblock row/column and chroma offsets stay even — each tile's
 // 4:2:0 planes are exact sub-rectangles of the frame's.
@@ -139,7 +139,8 @@ func (c *Config) validateTiles() error {
 		return fmt.Errorf("codec: negative tile grid %dx%d", c.TileRows, c.TileCols)
 	}
 	rows, cols := c.tileGrid()
-	if rows*cols > maxTiles {
+	// Bound each dimension first: the product of two large ones wraps.
+	if rows > maxTiles || cols > maxTiles || rows*cols > maxTiles {
 		return fmt.Errorf("codec: tile grid %dx%d exceeds %d tiles", rows, cols, maxTiles)
 	}
 	if rows*cols == 1 {
@@ -315,8 +316,8 @@ func tilePayload(data []byte, tiles, t int) ([]byte, error) {
 
 // TileSizes returns the per-tile payload sizes recorded in a tiled
 // access unit's length directory, validating that the directory
-// accounts for the unit exactly. The container's TIDX box is built from
-// these at mux time.
+// accounts for the unit exactly. The container checks every tiled
+// sample with it at mux time.
 func TileSizes(data []byte, tiles int) ([]uint32, error) {
 	offs, err := tileDirectory(data, tiles)
 	if err != nil {

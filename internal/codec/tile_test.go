@@ -91,6 +91,7 @@ func TestTileConfigValidation(t *testing.T) {
 		{Width: 64, Height: 48, TileRows: 4, TileCols: 2},     // 4 rows need 64px
 		{Width: 2048, Height: 2048, TileRows: 9, TileCols: 8}, // 72 > 64 tiles
 		{Width: 64, Height: 48, TileRows: -1, TileCols: 2},
+		{Width: 240, Height: 136, TileRows: 274177, TileCols: 67280421310721}, // the product wraps to 1
 	}
 	for _, cfg := range bad {
 		if _, err := NewEncoder(cfg); err == nil {

@@ -7,6 +7,9 @@
 //	SAMP — one sample: track index, keyframe flag, timestamp, payload
 //	INDX — optional trailing sample index enabling random access
 //
+// Readers skip a box of any other tag, such as the TIDX tile index that
+// earlier builds wrote after INDX.
+//
 // Video samples are codec access units; text samples carry WebVTT
 // payloads, which is how Q6(b)'s caption track is "embedded as a
 // metadata track within the input video's container" per the paper.
@@ -119,10 +122,6 @@ type indexEntry struct {
 	pts      uint64
 	offset   uint64
 	size     uint32
-	// tiles holds the per-tile payload sizes of a tiled video sample
-	// (parsed from the access unit's directory at write time); nil for
-	// untiled tracks. Close aggregates them into the TIDX box.
-	tiles []uint32
 }
 
 // NewWriter begins a container file on w.
@@ -168,10 +167,9 @@ func (cw *Writer) WriteSample(s Sample) error {
 		return fmt.Errorf("container: sample references track %d of %d", s.Track, len(cw.tracks))
 	}
 	cw.started = true
-	var tiles []uint32
+	// A tiled access unit's directory must account for its payload.
 	if t := &cw.tracks[s.Track]; t.Kind == TrackVideo && t.Codec.Tiled() {
-		var err error
-		if tiles, err = codec.TileSizes(s.Data, t.Codec.TileCount()); err != nil {
+		if _, err := codec.TileSizes(s.Data, t.Codec.TileCount()); err != nil {
 			return fmt.Errorf("container: sample for tiled track %d: %w", s.Track, err)
 		}
 	}
@@ -194,7 +192,7 @@ func (cw *Writer) WriteSample(s Sample) error {
 	}
 	cw.index = append(cw.index, indexEntry{
 		track: uint32(s.Track), keyframe: s.Keyframe, pts: s.PTS,
-		offset: off, size: uint32(len(s.Data)), tiles: tiles,
+		offset: off, size: uint32(len(s.Data)),
 	})
 	return nil
 }
@@ -225,10 +223,7 @@ func (cw *Writer) Close() error {
 		binary.BigEndian.PutUint32(b4[:], e.size)
 		buf.Write(b4[:])
 	}
-	if err := cw.writeBox(tagIndex, buf.Bytes()); err != nil {
-		return err
-	}
-	return cw.writeTileIndexes()
+	return cw.writeBox(tagIndex, buf.Bytes())
 }
 
 func (cw *Writer) writeBox(tag [4]byte, payload []byte) error {

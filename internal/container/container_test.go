@@ -2,6 +2,8 @@ package container
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"testing"
 
 	"repro/internal/codec"
@@ -197,17 +199,157 @@ func TestTrackLookups(t *testing.T) {
 	}
 }
 
-func TestWriteReadFile(t *testing.T) {
-	enc := testEncoded(t, 2)
-	path := t.TempDir() + "/test.vrmf"
-	if err := WriteFile(path, enc, []byte("WEBVTT\n")); err != nil {
-		t.Fatal(err)
+// muxedTiled builds a muxed container whose video track is tile-mode
+// (2x2 grid) across several GOPs.
+func muxedTiled(t *testing.T, frames, gop int) ([]byte, *codec.Encoded) {
+	t.Helper()
+	v := video.NewVideo(10)
+	for i := 0; i < frames; i++ {
+		f := video.NewFrame(48, 32)
+		for j := range f.Y {
+			f.Y[j] = byte(i*31 + j)
+		}
+		v.Append(f)
 	}
-	got, vtt, err := ReadFile(path)
+	enc, err := codec.EncodeVideo(v, codec.Config{
+		Width: 48, Height: 32, FPS: 10, QP: 20, GOP: gop, TileRows: 2, TileCols: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Frames) != 2 || string(vtt) != "WEBVTT\n" {
-		t.Errorf("ReadFile = %d frames, %q", len(got.Frames), vtt)
+	var buf bytes.Buffer
+	if err := Mux(&buf, enc, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), enc
+}
+
+// TestTiledConfigRoundTrip pins that the tile grid survives mux/demux
+// and that untiled tracks keep the pre-tile TRAK byte layout.
+func TestTiledConfigRoundTrip(t *testing.T) {
+	data, enc := muxedTiled(t, 8, 4)
+	got, _, err := Demux(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Config.TileRows != 2 || got.Config.TileCols != 2 {
+		t.Fatalf("demuxed grid %dx%d, want 2x2", got.Config.TileRows, got.Config.TileCols)
+	}
+	if got.Config != enc.Config {
+		t.Fatalf("demuxed config %+v differs from encoded %+v", got.Config, enc.Config)
+	}
+	// Untiled: no trailing tile fields, config round-trips with zero grid.
+	untiled, enc2 := muxedMultiGOP(t, 4, 2)
+	got2, _, err := Demux(bytes.NewReader(untiled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got2.Config.TileRows != 0 || got2.Config.TileCols != 0 {
+		t.Fatalf("untiled demux reports grid %dx%d", got2.Config.TileRows, got2.Config.TileCols)
+	}
+	if got2.Config != enc2.Config {
+		t.Fatalf("untiled config changed across mux: %+v vs %+v", got2.Config, enc2.Config)
+	}
+}
+
+// TestTileIndexAbsent: files this build writes, tiled or not, hold no
+// TIDX box; the last box is the INDX sample index.
+func TestTileIndexAbsent(t *testing.T) {
+	tiled, _ := muxedTiled(t, 4, 2)
+	untiled, _ := muxedMultiGOP(t, 4, 2)
+	for name, data := range map[string][]byte{"tiled": tiled, "untiled": untiled} {
+		r := bytes.NewReader(data)
+		var last [4]byte
+		for {
+			tag, _, err := readBox(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tag != tagFile && tag != tagTrack && tag != tagSample && tag != tagIndex {
+				t.Fatalf("%s: box %q written", name, tag[:])
+			}
+			last = tag
+		}
+		if last != tagIndex {
+			t.Errorf("%s: last box %q, want INDX", name, last[:])
+		}
+	}
+}
+
+// TestWriterChecksTileDirectory: a tiled track's sample must be an
+// access unit whose tile directory accounts for its payload.
+func TestWriterChecksTileDirectory(t *testing.T) {
+	_, enc := muxedTiled(t, 1, 1)
+	cw, err := NewWriter(&bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cw.AddTrack(Track{Kind: TrackVideo, Codec: enc.Config}); err != nil {
+		t.Fatal(err)
+	}
+	au := enc.Frames[0].Data
+	if err := cw.WriteSample(Sample{Track: 0, Keyframe: true, Data: au[:len(au)-1]}); err == nil {
+		t.Error("a tiled sample one byte short of its directory: want error")
+	}
+	if err := cw.WriteSample(Sample{Track: 0, Keyframe: true, Data: au}); err != nil {
+		t.Errorf("a whole tiled access unit: %v", err)
+	}
+}
+
+// TestTileIndexBoxStillReads reads a tiled file as earlier builds wrote
+// it, with a TIDX box (track, tile count, sample count, then every
+// sample's tile payload sizes) after INDX: Demux, ReadIndex and
+// ExtractSpan give what they give for the same file without the box.
+func TestTileIndexBoxStillReads(t *testing.T) {
+	data, enc := muxedTiled(t, 10, 5)
+	payload := binary.BigEndian.AppendUint32(nil, 0)
+	payload = binary.BigEndian.AppendUint32(payload, 4)
+	payload = binary.BigEndian.AppendUint32(payload, uint32(len(enc.Frames)))
+	for _, f := range enc.Frames {
+		sizes, err := codec.TileSizes(f.Data, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sz := range sizes {
+			payload = binary.BigEndian.AppendUint32(payload, sz)
+		}
+	}
+	old := append([]byte("TIDX"), binary.BigEndian.AppendUint32(nil, uint32(len(payload)))...)
+	old = append(append(bytes.Clone(data), old...), payload...)
+
+	for name, file := range map[string][]byte{"without TIDX": data, "with TIDX": old} {
+		got, _, err := Demux(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Config != enc.Config || len(got.Frames) != len(enc.Frames) {
+			t.Fatalf("%s: demuxed %+v with %d frames, want %+v with %d", name, got.Config, len(got.Frames), enc.Config, len(enc.Frames))
+		}
+		for i := range enc.Frames {
+			if !bytes.Equal(got.Frames[i].Data, enc.Frames[i].Data) {
+				t.Fatalf("%s: frame %d payload differs", name, i)
+			}
+		}
+		r := bytes.NewReader(file)
+		idx, err := ReadIndex(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		span := idx.WindowSpan(0, Ticks90k(3, 10), Ticks90k(9, 10))
+		samples, err := ExtractSpan(r, 0, span)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(samples) != span.Last-span.First {
+			t.Fatalf("%s: span [%d, %d) yielded %d samples", name, span.First, span.Last, len(samples))
+		}
+		for i, s := range samples {
+			if !bytes.Equal(s.Data, enc.Frames[span.First+i].Data) {
+				t.Fatalf("%s: span sample %d differs", name, i)
+			}
+		}
 	}
 }

@@ -1,11 +1,8 @@
 package container
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/codec"
 	"repro/internal/metrics"
@@ -75,38 +72,6 @@ func Demux(r io.Reader) (*codec.Encoded, []byte, error) {
 		if len(ts) > 0 {
 			vtt = ts[0].Data
 		}
-	}
-	return enc, vtt, nil
-}
-
-// WriteFile muxes the encoded video (and optional captions) to path.
-func WriteFile(path string, enc *codec.Encoded, vtt []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := Mux(bw, enc, vtt); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile demuxes the container at path.
-func ReadFile(path string) (*codec.Encoded, []byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	enc, vtt, err := Demux(bufio.NewReader(f))
-	if err != nil {
-		return nil, nil, fmt.Errorf("container: %s: %w", path, err)
 	}
 	return enc, vtt, nil
 }

@@ -248,15 +248,3 @@ func ExtractSpan(r io.ReadSeeker, track int, span Span) ([]Sample, error) {
 	}
 	return out, nil
 }
-
-// SpanEntries returns the per-frame index entries of a track's span, in
-// track order. Each entry carries the byte offset and size of one access
-// unit, so a reader can fetch any subset of a span's frames — or all of
-// them concurrently — without scanning between boxes.
-func (x *Index) SpanEntries(track int, span Span) []IndexEntry {
-	if span.Empty() {
-		return nil
-	}
-	entries := x.TrackEntries(track)
-	return entries[span.First:span.Last]
-}

@@ -37,15 +37,6 @@ func TestPresetsMatchTable2(t *testing.T) {
 	}
 }
 
-func TestPresetByName(t *testing.T) {
-	if _, err := PresetByName("1k-short"); err != nil {
-		t.Error(err)
-	}
-	if _, err := PresetByName("8k-epic"); err == nil {
-		t.Error("unknown preset should fail")
-	}
-}
-
 func TestTable1Static(t *testing.T) {
 	if len(Table1) != 7 {
 		t.Errorf("Table 1 has %d rows, paper lists 7", len(Table1))

@@ -34,33 +34,6 @@ var Presets = []Preset{
 	{"4k-long", vcity.Hyperparams{Scale: 4, Width: 3840, Height: 2160, Duration: 60 * 60, FPS: 30}},
 }
 
-// PresetByName finds a preset.
-func PresetByName(name string) (Preset, error) {
-	for _, p := range Presets {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Preset{}, fmt.Errorf("core: unknown preset %q", name)
-}
-
-// ModelPreset scales a paper preset down to model scale: resolution is
-// divided by the divisor (keeping aspect), and the duration replaced.
-func ModelPreset(p Preset, divisor int, duration float64) vcity.Hyperparams {
-	h := p.Params
-	h.Width = evenDim(h.Width / divisor)
-	h.Height = evenDim(h.Height / divisor)
-	h.Duration = duration
-	return h
-}
-
-func evenDim(v int) int {
-	if v < 16 {
-		v = 16
-	}
-	return v &^ 1
-}
-
 // ModelResolution maps the paper's named resolutions to model-scale
 // dimensions (1/4 linear scale).
 func ModelResolution(name string) (w, h int, err error) {

@@ -1,7 +1,7 @@
 // Package geom provides the small geometric vocabulary shared by the
 // Visual Road simulator, renderer, and validators: 2D/3D vectors,
-// axis-aligned rectangles, and the box-overlap metrics (IoU / Jaccard
-// distance) used for semantic validation of detection queries.
+// axis-aligned rectangles, and the box-overlap metric (IoU; the Jaccard
+// distance is 1 − IoU) used for semantic validation of detection queries.
 package geom
 
 import "math"
@@ -33,12 +33,6 @@ func (v Vec2) Norm() Vec2 {
 		return v
 	}
 	return v.Scale(1 / l)
-}
-
-// Rot returns v rotated by theta radians counterclockwise.
-func (v Vec2) Rot(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
 }
 
 // Vec3 is a point or direction in city space: X east, Y north, Z up (meters).
@@ -87,17 +81,6 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// RectFromCorners returns the well-formed rectangle spanning the two points.
-func RectFromCorners(x1, y1, x2, y2 float64) Rect {
-	if x2 < x1 {
-		x1, x2 = x2, x1
-	}
-	if y2 < y1 {
-		y1, y2 = y2, y1
-	}
-	return Rect{x1, y1, x2, y2}
-}
-
 // W returns the rectangle's width.
 func (r Rect) W() float64 { return r.MaxX - r.MinX }
 
@@ -129,27 +112,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	return i
 }
 
-// Union returns the smallest rectangle containing both r and o.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	return Rect{
-		math.Min(r.MinX, o.MinX),
-		math.Min(r.MinY, o.MinY),
-		math.Max(r.MaxX, o.MaxX),
-		math.Max(r.MaxY, o.MaxY),
-	}
-}
-
-// Contains reports whether the point (x, y) lies inside r.
-func (r Rect) Contains(x, y float64) bool {
-	return x >= r.MinX && x < r.MaxX && y >= r.MinY && y < r.MaxY
-}
-
 // Clip constrains r to the bounds rectangle.
 func (r Rect) Clip(bounds Rect) Rect { return r.Intersect(bounds) }
 
@@ -163,11 +125,6 @@ func IoU(a, b Rect) float64 {
 	union := a.Area() + b.Area() - inter
 	return inter / union
 }
-
-// JaccardDistance returns 1 - IoU(a, b), the metric the Visual Road VCD
-// uses for semantic validation of bounding boxes (threshold ε = 0.5,
-// matching the PASCAL VOC convention referenced by the paper).
-func JaccardDistance(a, b Rect) float64 { return 1 - IoU(a, b) }
 
 // Deg converts degrees to radians.
 func Deg(d float64) float64 { return d * math.Pi / 180 }

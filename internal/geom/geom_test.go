@@ -30,30 +30,6 @@ func TestVec2Basics(t *testing.T) {
 	}
 }
 
-func TestVec2RotQuarterTurn(t *testing.T) {
-	v := Vec2{1, 0}.Rot(math.Pi / 2)
-	if !almostEq(v.X, 0) || !almostEq(v.Y, 1) {
-		t.Errorf("Rot(π/2) = %v, want (0,1)", v)
-	}
-}
-
-func TestVec2RotPreservesLength(t *testing.T) {
-	f := func(x, y, theta float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(theta) ||
-			math.IsInf(x, 0) || math.IsInf(y, 0) || math.IsInf(theta, 0) {
-			return true
-		}
-		x = math.Mod(x, 1e6)
-		y = math.Mod(y, 1e6)
-		theta = math.Mod(theta, 2*math.Pi)
-		v := Vec2{x, y}
-		return math.Abs(v.Rot(theta).Len()-v.Len()) < 1e-6*(1+v.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVec3CrossOrthogonal(t *testing.T) {
 	a := Vec3{1, 2, 3}
 	b := Vec3{-2, 1, 0.5}
@@ -66,14 +42,6 @@ func TestVec3CrossOrthogonal(t *testing.T) {
 func TestVec3NormZero(t *testing.T) {
 	if got := (Vec3{}).Norm(); got != (Vec3{}) {
 		t.Errorf("zero Norm() = %v", got)
-	}
-}
-
-func TestRectFromCornersNormalizes(t *testing.T) {
-	r := RectFromCorners(10, 20, 2, 4)
-	want := Rect{2, 4, 10, 20}
-	if r != want {
-		t.Errorf("RectFromCorners = %v, want %v", r, want)
 	}
 }
 
@@ -99,32 +67,6 @@ func TestRectIntersect(t *testing.T) {
 	}
 	if !a.Intersect(Rect{20, 20, 30, 30}).Empty() {
 		t.Error("disjoint rects should intersect to empty")
-	}
-}
-
-func TestRectUnion(t *testing.T) {
-	a := Rect{0, 0, 2, 2}
-	b := Rect{5, 5, 7, 8}
-	got := a.Union(b)
-	want := Rect{0, 0, 7, 8}
-	if got != want {
-		t.Errorf("Union = %v, want %v", got, want)
-	}
-	if got := (Rect{}).Union(b); got != b {
-		t.Errorf("empty Union b = %v, want %v", got, b)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Errorf("a Union empty = %v, want %v", got, a)
-	}
-}
-
-func TestRectContains(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	if !r.Contains(0, 0) {
-		t.Error("Min corner should be contained")
-	}
-	if r.Contains(10, 5) {
-		t.Error("Max edge should be excluded")
 	}
 }
 
@@ -156,10 +98,8 @@ func TestIoUProperties(t *testing.T) {
 		a := Rect{norm(ax), norm(ay), norm(ax) + norm(aw) + 0.1, norm(ay) + norm(ah) + 0.1}
 		b := Rect{norm(bx), norm(by), norm(bx) + norm(bw) + 0.1, norm(by) + norm(bh) + 0.1}
 		iou := IoU(a, b)
-		// Symmetric, bounded, consistent with Jaccard distance.
-		return iou >= 0 && iou <= 1 &&
-			almostEq(iou, IoU(b, a)) &&
-			almostEq(JaccardDistance(a, b), 1-iou)
+		// Symmetric and bounded.
+		return iou >= 0 && iou <= 1 && almostEq(iou, IoU(b, a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

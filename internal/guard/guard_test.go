@@ -3,7 +3,9 @@
 // route may appear, in the non-test Go under cmd/ and internal/; the
 // last row holds every Go file of the tree to gofmt. The rows read the
 // parsed syntax, so a name in a comment is not a match, and a call is
-// matched by its import path, whatever the file calls the package.
+// matched by its import path, whatever the file calls the package. The
+// one rule that needs the whole tree at once, that a product path
+// reaches every function under internal/, is TestReachable.
 package guard
 
 import (

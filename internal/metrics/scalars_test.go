@@ -219,7 +219,7 @@ func TestScalarTable(t *testing.T) {
 	pool := video.NewFramePool(8, 8)
 	pool.Put(pool.Get())
 	RecordEvent(Event{Kind: EventJobSubmitted})
-	RecordTraceSpan(TraceSpan{Trace: 1, Stage: "x"})
+	recordTraceSpan(TraceSpan{Trace: 1, Stage: "x"})
 	RecordError("test", fmt.Errorf("boom"))
 	moved := Capture().Delta(base).Scalars
 	for _, id := range []Scalar{framePoolGets, framePoolPuts, framePoolAllocs, eventsTotal, traceSpansTotal, telemetryErrors} {

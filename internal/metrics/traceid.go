@@ -112,14 +112,6 @@ var traceRing = newRing[TraceSpan](traceRingSize)
 
 func recordTraceSpan(ts TraceSpan) { traceRing.publish(traceRing.claim(), ts) }
 
-// RecordTraceSpan records one externally measured trace span. No-op
-// when instrumentation is disabled.
-func RecordTraceSpan(ts TraceSpan) {
-	if reg.enabled.Load() {
-		recordTraceSpan(ts)
-	}
-}
-
 // RecordSpanAt records a completed unit of work into the stage's
 // latency histogram and, when trace is non-zero, the trace ring — for
 // callers that measure externally (the shard coordinator's

@@ -2,6 +2,7 @@ package render
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -234,7 +235,7 @@ func TestPlateGlyphsRendered(t *testing.T) {
 	tile := city.Tiles[0]
 	v := tile.Vehicles[0]
 	pos, heading := v.PositionAt(1.0)
-	front := geom.Vec2{X: 1, Y: 0}.Rot(heading)
+	front := geom.Vec2{X: math.Cos(heading), Y: math.Sin(heading)}
 	camPos := pos.Add(front.Scale(4))
 	cam := &vcity.Camera{
 		ID: "probe", Kind: vcity.TrafficCamera, Tile: 0, Pano: -1,

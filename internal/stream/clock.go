@@ -1,9 +1,9 @@
 // Package stream implements the online (real-time) video delivery modes
-// of the Visual Road driver: rate-throttled forward-only sources that
-// expose frames at the capture rate of the originating camera, an
-// in-process pipe transport (standing in for named pipes on a local
-// file system), and an RTP-style packet transport over loopback sockets
-// (standing in for RFC 3550 RTP). In online mode the VCD "blocks on
+// of the Visual Road driver: a camera's access units, sent forward-only
+// at its capture rate (PumpVideo, RTPSender), over an in-process pipe
+// transport (standing in for named pipes on a local file system) or an
+// RTP-style packet transport over loopback sockets (standing in for
+// RFC 3550 RTP). In online mode the VCD "blocks on
 // attempts to read video data beyond this rate".
 //
 // Because online delivery crosses goroutines and real sockets, the
@@ -89,11 +89,4 @@ func (c *FakeClock) SleepCtx(ctx context.Context, d time.Duration) error {
 	}
 	c.Sleep(d)
 	return nil
-}
-
-// Advance moves the clock forward by d.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -147,6 +148,10 @@ func (p *FaultPlan) FailDial(i int) bool {
 	return p != nil && i < p.DialFailures
 }
 
+// maxStallMS is the longest stall, in milliseconds, that a
+// time.Duration holds.
+const maxStallMS = math.MaxInt64 / int64(time.Millisecond)
+
 // ParseFaultSpec builds a plan from a comma-separated k=v spec, e.g.
 // "drop=0.01,reorder=0.005,corrupt=0.001,stall=0.02,cut=12,dial=2".
 // A bare number is shorthand for drop=<n>. An empty spec returns nil
@@ -157,9 +162,8 @@ func ParseFaultSpec(spec string, seed uint64, camera string) (*FaultPlan, error)
 		return nil, nil
 	}
 	p := &FaultPlan{Seed: seed, Camera: camera}
-	if v, err := strconv.ParseFloat(spec, 64); err == nil {
-		p.DropRate = v
-		return p, nil
+	if _, err := strconv.ParseFloat(spec, 64); err == nil {
+		spec = "drop=" + spec
 	}
 	for _, part := range strings.Split(spec, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
@@ -170,7 +174,7 @@ func ParseFaultSpec(spec string, seed uint64, camera string) (*FaultPlan, error)
 		switch key {
 		case "drop", "reorder", "corrupt", "stall":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return nil, fmt.Errorf("stream: fault spec %s=%q: want a rate in [0,1]", key, val)
 			}
 			switch key {
@@ -184,9 +188,9 @@ func ParseFaultSpec(spec string, seed uint64, camera string) (*FaultPlan, error)
 				p.StallRate = f
 			}
 		case "stallms":
-			ms, err := strconv.Atoi(val)
-			if err != nil || ms < 0 {
-				return nil, fmt.Errorf("stream: fault spec stallms=%q: want a non-negative integer", val)
+			ms, err := strconv.ParseInt(val, 10, 64)
+			if err != nil || ms < 0 || ms > maxStallMS {
+				return nil, fmt.Errorf("stream: fault spec stallms=%q: want an integer in [0,%d]", val, maxStallMS)
 			}
 			p.Stall = time.Duration(ms) * time.Millisecond
 		case "cut":

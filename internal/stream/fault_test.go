@@ -79,7 +79,8 @@ func TestParseFaultSpec(t *testing.T) {
 	if p, err = ParseFaultSpec("", 9, "cam"); err != nil || p != nil {
 		t.Errorf("empty spec: plan=%+v err=%v", p, err)
 	}
-	for _, bad := range []string{"drop=2", "wibble=1", "drop", "cut=x"} {
+	for _, bad := range []string{"drop=2", "wibble=1", "drop", "cut=x",
+		"1.5", "-0.3", "NaN", "drop=NaN", "stall=nan", "stallms=9999999999999"} {
 		if _, err := ParseFaultSpec(bad, 9, "cam"); err == nil {
 			t.Errorf("spec %q should fail", bad)
 		}
@@ -100,7 +101,7 @@ func TestPipeWriteCloseWriteRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if err := p.Write(codec.EncodedFrame{Data: []byte{1}}); err != nil {
+					if err := p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}); err != nil {
 						return
 					}
 				}
@@ -109,7 +110,7 @@ func TestPipeWriteCloseWriteRace(t *testing.T) {
 		go p.CloseWrite()
 		go func() {
 			for {
-				if _, err := p.Next(); err != nil {
+				if _, err := p.NextCtx(context.Background()); err != nil {
 					return
 				}
 			}
@@ -120,9 +121,9 @@ func TestPipeWriteCloseWriteRace(t *testing.T) {
 
 func TestPipeCloseReadUnblocksWriter(t *testing.T) {
 	p := NewPipe(1)
-	p.Write(codec.EncodedFrame{Data: []byte{1}}) // fill the buffer
+	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}) // fill the buffer
 	errc := make(chan error, 1)
-	go func() { errc <- p.Write(codec.EncodedFrame{Data: []byte{2}}) }()
+	go func() { errc <- p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{2}}) }()
 	time.Sleep(10 * time.Millisecond) // let the writer block
 	p.CloseRead()
 	select {
@@ -133,14 +134,14 @@ func TestPipeCloseReadUnblocksWriter(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Write still blocked after CloseRead")
 	}
-	if _, err := p.Next(); err != io.ErrClosedPipe {
+	if _, err := p.NextCtx(context.Background()); err != io.ErrClosedPipe {
 		t.Errorf("Next after CloseRead = %v, want ErrClosedPipe", err)
 	}
 }
 
 func TestPipeWriteCtxCancelled(t *testing.T) {
 	p := NewPipe(1)
-	p.Write(codec.EncodedFrame{Data: []byte{1}})
+	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- p.WriteCtx(ctx, codec.EncodedFrame{Data: []byte{2}}) }()
@@ -158,16 +159,16 @@ func TestPipeWriteCtxCancelled(t *testing.T) {
 
 func TestPipeNextDrainsBeforeEOF(t *testing.T) {
 	p := NewPipe(4)
-	p.Write(codec.EncodedFrame{Data: []byte{1}})
-	p.Write(codec.EncodedFrame{Data: []byte{2}})
+	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}})
+	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{2}})
 	p.CloseWrite()
 	for want := 1; want <= 2; want++ {
-		f, err := p.Next()
+		f, err := p.NextCtx(context.Background())
 		if err != nil || f.Data[0] != byte(want) {
 			t.Fatalf("drain %d: frame=%v err=%v", want, f.Data, err)
 		}
 	}
-	if _, err := p.Next(); err != io.EOF {
+	if _, err := p.NextCtx(context.Background()); err != io.EOF {
 		t.Errorf("after drain Next = %v, want EOF", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/video"
 )
 
 // Pipe is the in-process stand-in for the VCD's named-pipe transport:
@@ -18,9 +17,9 @@ import (
 //
 // Shutdown is two-sided, like a real pipe: CloseWrite (producer done)
 // lets the consumer drain buffered units then read io.EOF; CloseRead
-// (consumer hangs up) unblocks a producer stuck in Write with
+// (consumer hangs up) unblocks a producer stuck in WriteCtx with
 // io.ErrClosedPipe. The data channel itself is never closed, so a
-// concurrent Write can never panic with send-on-closed-channel.
+// concurrent WriteCtx can never panic with send-on-closed-channel.
 type Pipe struct {
 	ch    chan codec.EncodedFrame
 	wonce sync.Once
@@ -41,14 +40,10 @@ func NewPipe(depth int) *Pipe {
 	}
 }
 
-// Write enqueues one access unit, blocking if the pipe is full. Writing
-// to a closed pipe (either side) reports io.ErrClosedPipe.
-func (p *Pipe) Write(f codec.EncodedFrame) error {
-	return p.WriteCtx(context.Background(), f)
-}
-
-// WriteCtx is Write with cancellation: a producer blocked on a full
-// pipe unwinds with ctx.Err() when the context ends.
+// WriteCtx enqueues one access unit, blocking if the pipe is full.
+// Writing to a closed pipe (either side) reports io.ErrClosedPipe; a
+// producer blocked on a full pipe unwinds with ctx.Err() when the
+// context ends.
 func (p *Pipe) WriteCtx(ctx context.Context, f codec.EncodedFrame) error {
 	select {
 	case <-p.wdone:
@@ -75,21 +70,17 @@ func (p *Pipe) CloseWrite() {
 	p.wonce.Do(func() { close(p.wdone) })
 }
 
-// CloseRead hangs up the consumer side: pending and future Writes
-// return io.ErrClosedPipe, so an abandoned producer always unwinds.
+// CloseRead hangs up the consumer side: pending and future WriteCtx
+// calls return io.ErrClosedPipe, so an abandoned producer always unwinds.
 // Buffered access units are discarded.
 func (p *Pipe) CloseRead() {
 	p.ronce.Do(func() { close(p.rdone) })
 }
 
-// Next dequeues the next access unit, blocking until one is available;
-// io.EOF after CloseWrite drains, io.ErrClosedPipe after CloseRead.
-func (p *Pipe) Next() (codec.EncodedFrame, error) {
-	return p.NextCtx(context.Background())
-}
-
-// NextCtx is Next with cancellation: a consumer blocked on an empty
-// pipe unwinds with ctx.Err() when the context ends.
+// NextCtx dequeues the next access unit, blocking until one is
+// available; io.EOF after CloseWrite drains, io.ErrClosedPipe after
+// CloseRead. A consumer blocked on an empty pipe unwinds with ctx.Err()
+// when the context ends.
 func (p *Pipe) NextCtx(ctx context.Context) (codec.EncodedFrame, error) {
 	// A consumer that hung up stays hung up; otherwise buffered units
 	// are delivered before the writer's shutdown signal, so the
@@ -158,36 +149,4 @@ func PumpVideo(ctx context.Context, p *Pipe, enc *codec.Encoded, clock Clock, pl
 		}
 	}
 	return nil
-}
-
-// DecodingReader adapts a pipe of access units into a decoded frame
-// Reader using the given codec configuration.
-type DecodingReader struct {
-	pipe *Pipe
-	dec  *codec.Decoder
-	idx  int
-}
-
-// NewDecodingReader returns a Reader decoding the pipe's access units.
-func NewDecodingReader(p *Pipe, cfg codec.Config) (*DecodingReader, error) {
-	dec, err := codec.NewDecoder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &DecodingReader{pipe: p, dec: dec}, nil
-}
-
-// Next decodes and returns the next frame; io.EOF at end of stream.
-func (r *DecodingReader) Next() (*video.Frame, error) {
-	au, err := r.pipe.Next()
-	if err != nil {
-		return nil, err
-	}
-	f, err := r.dec.Decode(au.Data)
-	if err != nil {
-		return nil, err
-	}
-	f.Index = r.idx
-	r.idx++
-	return f, nil
 }

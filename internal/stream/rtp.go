@@ -131,13 +131,8 @@ func NewRTPSender(conn net.Conn, ssrc uint32, fps int, clock Clock) *RTPSender {
 // InjectFaults attaches a deterministic fault plan to the sender.
 func (s *RTPSender) InjectFaults(plan *FaultPlan) { s.plan = plan }
 
-// SendAccessUnit fragments and transmits one encoded frame.
-func (s *RTPSender) SendAccessUnit(au []byte, frameIndex int) error {
-	return s.SendAccessUnitCtx(context.Background(), au, frameIndex)
-}
-
-// SendAccessUnitCtx is SendAccessUnit with cancellation: pacing sleeps
-// abort with ctx.Err() when the context ends.
+// SendAccessUnitCtx fragments and transmits one encoded frame. Pacing
+// sleeps abort with ctx.Err() when the context ends.
 func (s *RTPSender) SendAccessUnitCtx(ctx context.Context, au []byte, frameIndex int) error {
 	if s.clock != nil {
 		if s.sent == 0 {

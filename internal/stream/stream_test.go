@@ -28,71 +28,13 @@ func encodedFixture(t *testing.T, frames int) *codec.Encoded {
 	return enc
 }
 
-func TestThrottledReaderPacing(t *testing.T) {
-	v := video.NewVideo(10)
-	for i := 0; i < 5; i++ {
-		v.Append(video.NewFrame(4, 4))
-	}
-	clock := NewFakeClock(time.Unix(0, 0))
-	r := NewThrottledReader(v.Reader(), 10, clock)
-	frames, err := r.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 5 {
-		t.Fatalf("drained %d frames", len(frames))
-	}
-	// Frame i is due at i*100ms; with an instant consumer the reader
-	// must have slept ~100ms per subsequent frame.
-	var total time.Duration
-	for _, d := range clock.Slept {
-		total += d
-	}
-	// Frames 1..4 each cost one 100 ms interval; the EOF probe also
-	// waits for the would-be frame 5 (an online stream's length is
-	// unknown until the source ends).
-	if total < 350*time.Millisecond || total > 550*time.Millisecond {
-		t.Errorf("total sleep %v, want ~400-500ms for 5 frames at 10 fps", total)
-	}
-}
-
-func TestThrottledReaderNoSleepWhenConsumerSlow(t *testing.T) {
-	v := video.NewVideo(10)
-	for i := 0; i < 3; i++ {
-		v.Append(video.NewFrame(4, 4))
-	}
-	clock := NewFakeClock(time.Unix(0, 0))
-	r := NewThrottledReader(v.Reader(), 10, clock)
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	// The consumer dawdles past the next frame's due time.
-	clock.Advance(time.Second)
-	before := len(clock.Slept)
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if len(clock.Slept) != before {
-		t.Error("reader slept although the frame was already due")
-	}
-}
-
-func TestThrottledReaderEOF(t *testing.T) {
-	v := video.NewVideo(10)
-	clock := NewFakeClock(time.Unix(0, 0))
-	r := NewThrottledReader(v.Reader(), 10, clock)
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("empty stream Next = %v, want EOF", err)
-	}
-}
-
 func TestPipeBlocksAndDrains(t *testing.T) {
 	enc := encodedFixture(t, 6)
 	p := NewPipe(2)
 	go PumpVideo(context.Background(), p, enc, nil, nil)
 	n := 0
 	for {
-		f, err := p.Next()
+		f, err := p.NextCtx(context.Background())
 		if err == io.EOF {
 			break
 		}
@@ -112,38 +54,8 @@ func TestPipeBlocksAndDrains(t *testing.T) {
 func TestPipeWriteAfterClose(t *testing.T) {
 	p := NewPipe(1)
 	p.CloseWrite()
-	if err := p.Write(codec.EncodedFrame{Data: []byte{1}}); err != io.ErrClosedPipe {
+	if err := p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}); err != io.ErrClosedPipe {
 		t.Errorf("Write after close = %v, want ErrClosedPipe", err)
-	}
-}
-
-func TestDecodingReader(t *testing.T) {
-	enc := encodedFixture(t, 4)
-	p := NewPipe(4)
-	go PumpVideo(context.Background(), p, enc, nil, nil)
-	r, err := NewDecodingReader(p, enc.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		f, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.W != 48 || f.H != 32 {
-			t.Fatalf("decoded frame %dx%d", f.W, f.H)
-		}
-		if f.Index != n {
-			t.Fatalf("frame index %d, want %d", f.Index, n)
-		}
-		n++
-	}
-	if n != 4 {
-		t.Errorf("decoded %d frames", n)
 	}
 }
 
@@ -202,7 +114,7 @@ func TestRTPFragmentation(t *testing.T) {
 	c1, c2 := net.Pipe()
 	sender := NewRTPSender(c1, 1, 30, nil)
 	go func() {
-		sender.SendAccessUnit(big, 0)
+		sender.SendAccessUnitCtx(context.Background(), big, 0)
 		sender.Close()
 	}()
 	recv := NewRTPReceiver(c2)
@@ -255,14 +167,15 @@ func TestRTPSequenceGapDetected(t *testing.T) {
 	}
 }
 
+// TestFakeClockAdvance: a fake clock advances by what it sleeps, and
+// records the sleep.
 func TestFakeClockAdvance(t *testing.T) {
 	c := NewFakeClock(time.Unix(100, 0))
-	c.Advance(2 * time.Second)
-	if got := c.Now(); got != time.Unix(102, 0) {
+	if got := c.Now(); got != time.Unix(100, 0) {
 		t.Errorf("Now = %v", got)
 	}
 	c.Sleep(time.Second)
-	if got := c.Now(); got != time.Unix(103, 0) {
+	if got := c.Now(); got != time.Unix(101, 0) {
 		t.Errorf("after Sleep Now = %v", got)
 	}
 	if len(c.Slept) != 1 || c.Slept[0] != time.Second {

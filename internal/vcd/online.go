@@ -218,18 +218,13 @@ type onlineSession struct {
 	shutdown func() error
 }
 
-// RunOnline executes one query instance against a live-paced stream of
-// the instance's first input, delivered over the chosen transport, and
-// reports the achieved frame rate. clock may be nil for wall-clock
-// pacing or a fake clock for tests.
-func RunOnline(inst *vdbms.QueryInstance, transport OnlineTransport, clock stream.Clock, sink vdbms.Sink) (*OnlineReport, error) {
-	return RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: transport, Clock: clock, Sink: sink})
-}
-
-// RunOnlineOpts is RunOnline with a lifecycle context and the full
-// option set: fault injection, per-stream deadline, and retry policy.
-// Every exit path — success, decode or kernel failure, cancellation,
-// deadline — unwinds the producer goroutine before returning.
+// RunOnlineOpts executes one query instance against a live-paced
+// stream of the instance's first input, delivered over opt.Transport,
+// and reports the achieved frame rate. A nil opt.Clock paces on the
+// wall clock; tests inject a fake one. The options also carry fault
+// injection, a per-stream deadline and the retry policy. Every exit
+// path — success, decode or kernel failure, cancellation, deadline —
+// unwinds the producer goroutine before returning.
 func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOptions) (*OnlineReport, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -18,7 +18,7 @@ import (
 
 // checkNoGoroutineLeak snapshots the goroutine count and returns a
 // function asserting the count settled back — the leak-free contract of
-// every RunOnline exit path.
+// every RunOnlineOpts exit path.
 func checkNoGoroutineLeak(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()

@@ -40,6 +40,5 @@ var errTransientDial = &net.OpError{Op: "dial", Net: "tcp", Err: errDialFault{}}
 
 type errDialFault struct{}
 
-func (errDialFault) Error() string   { return "injected dial fault" }
-func (errDialFault) Timeout() bool   { return true }
-func (errDialFault) Temporary() bool { return true }
+func (errDialFault) Error() string { return "injected dial fault" }
+func (errDialFault) Timeout() bool { return true }

@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestRunOnlinePipe(t *testing.T) {
 	})
 	// A fake clock removes wall-clock pacing from the test.
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnline(inst, TransportPipe, clock, sink)
+	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe, Clock: clock, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRunOnlineRTP(t *testing.T) {
 		got = v
 		return nil
 	})
-	rep, err := RunOnline(inst, TransportRTP, nil, sink)
+	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportRTP, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRunOnlineThrottledPacing(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	if _, err := RunOnline(inst, TransportPipe, clock, nil); err != nil {
+	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe, Clock: clock}); err != nil {
 		t.Fatal(err)
 	}
 	// The producer paced frames at the capture rate: the fake clock
@@ -95,7 +96,7 @@ func TestRunOnlineThrottledPacing(t *testing.T) {
 func TestRunOnlineUnsupportedQuery(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q9, queries.Params{})
-	if _, err := RunOnline(inst, TransportPipe, nil, nil); err == nil {
+	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe}); err == nil {
 		t.Error("Q9 has no online kernel and should fail")
 	}
 }

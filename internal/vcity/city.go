@@ -152,23 +152,6 @@ func (c *City) TrafficCameras() []*Camera {
 	return out
 }
 
-// PanoramicGroups returns, per tile, the groups of four sub-cameras
-// composing each panoramic camera, keyed by "tile<i>-pano<j>".
-func (c *City) PanoramicGroups() map[string][]*Camera {
-	groups := make(map[string][]*Camera)
-	for _, t := range c.Tiles {
-		for _, cam := range t.Cameras {
-			if cam.Kind != PanoramicSubCamera {
-				continue
-			}
-			// The sub index is the trailing "-subN"; group by the prefix.
-			key := cam.ID[:len(cam.ID)-5]
-			groups[key] = append(groups[key], cam)
-		}
-	}
-	return groups
-}
-
 // CameraByID finds a camera by its identifier.
 func (c *City) CameraByID(id string) (*Camera, bool) {
 	for _, t := range c.Tiles {

@@ -1,6 +1,7 @@
 package vcity
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -138,7 +139,7 @@ func TestPlateAtFacingGate(t *testing.T) {
 			continue
 		}
 		pos, heading := v.PositionAt(tm)
-		front := geom.Vec2{X: cosApprox(heading), Y: sinApprox(heading)}
+		front := geom.Vec2{X: math.Cos(heading), Y: math.Sin(heading)}
 		toCam := geom.Vec2{X: cam.Pos.X - pos.X, Y: cam.Pos.Y - pos.Y}.Norm()
 		if front.Dot(toCam) < 0.3 { // cos 70° ≈ 0.34 with slack
 			t.Errorf("plate identifiable while facing away (dot=%v)", front.Dot(toCam))
@@ -148,9 +149,6 @@ func TestPlateAtFacingGate(t *testing.T) {
 		}
 	}
 }
-
-func cosApprox(a float64) float64 { return geom.Vec2{X: 1}.Rot(a).X }
-func sinApprox(a float64) float64 { return geom.Vec2{X: 1}.Rot(a).Y }
 
 // TestPlateObservabilitySweep checks plate observability across a
 // spread of seeds. Individual small cities may expose no identifiable

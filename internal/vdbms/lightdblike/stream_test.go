@@ -240,7 +240,7 @@ func TestStreamingBranchAllocatesOneFramePerDecode(t *testing.T) {
 	drop := func(int, *video.Frame) (*video.Frame, error) { return nil, nil }
 	allocs := func(hi int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if err := New(Options{}).eval(in, 0, hi, nil, drop, video.Discard); err != nil {
+			if err := New(Options{}).eval(in, 0, hi, nil, drop, &video.FuncWriter{Fn: func(*video.Frame) error { return nil }}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -57,20 +57,6 @@ func (m *Memory) List() ([]string, error) {
 	return out, nil
 }
 
-// Delete removes the object.
-func (m *Memory) Delete(name string) error {
-	if _, err := cleanName(name); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.objects[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	delete(m.objects, name)
-	return nil
-}
-
 // Size returns the total stored bytes.
 func (m *Memory) Size() int {
 	m.mu.RLock()

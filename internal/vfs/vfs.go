@@ -26,8 +26,6 @@ type Store interface {
 	Open(name string) (io.ReadCloser, error)
 	// List returns all object names, sorted.
 	List() ([]string, error)
-	// Delete removes an object; deleting a missing object is an error.
-	Delete(name string) error
 }
 
 // ErrNotFound is reported when an object does not exist.
@@ -95,19 +93,6 @@ func (l *Local) List() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Delete removes the object.
-func (l *Local) Delete(name string) error {
-	name, err := cleanName(name)
-	if err != nil {
-		return err
-	}
-	err = os.Remove(filepath.Join(l.dir, name))
-	if os.IsNotExist(err) {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return err
 }
 
 // Distributed simulates an HDFS-style store: objects are hashed onto N
@@ -204,25 +189,6 @@ func (d *Distributed) List() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Delete removes the object from every replica that has it; it is an
-// error only if no replica had it.
-func (d *Distributed) Delete(name string) error {
-	if _, err := cleanName(name); err != nil {
-		return err
-	}
-	home := d.home(name)
-	found := false
-	for r := 0; r < d.replicas; r++ {
-		if err := d.nodes[(home+r)%len(d.nodes)].Delete(name); err == nil {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return nil
 }
 
 // ReadAll is a convenience that opens and fully reads an object.

@@ -60,9 +60,6 @@ func TestStoreNotFound(t *testing.T) {
 			if _, err := s.Open("missing"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("Open(missing) = %v, want ErrNotFound", err)
 			}
-			if err := s.Delete("missing"); !errors.Is(err, ErrNotFound) {
-				t.Errorf("Delete(missing) = %v, want ErrNotFound", err)
-			}
 		})
 	}
 }
@@ -79,20 +76,6 @@ func TestStoreListSorted(t *testing.T) {
 			}
 			if len(names) != 3 || names[0] != "alpha" || names[2] != "charlie" {
 				t.Errorf("List = %v", names)
-			}
-		})
-	}
-}
-
-func TestStoreDelete(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			s.Write("victim", []byte("x"))
-			if err := s.Delete("victim"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Open("victim"); !errors.Is(err, ErrNotFound) {
-				t.Error("object survives deletion")
 			}
 		})
 	}

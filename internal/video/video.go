@@ -1,17 +1,6 @@
 package video
 
-import (
-	"fmt"
-	"io"
-)
-
-// Reader is a forward-only iterator over decoded frames. Next returns
-// io.EOF after the final frame. Online benchmark sources implement
-// Reader with rate throttling; offline sources allow the whole sequence
-// to be drained immediately.
-type Reader interface {
-	Next() (*Frame, error)
-}
+import "fmt"
 
 // Writer consumes decoded frames, e.g. into an encoder or a sink.
 type Writer interface {
@@ -64,25 +53,6 @@ func (v *Video) Clone() *Video {
 	return out
 }
 
-// Reader returns a forward-only iterator over the video's frames.
-func (v *Video) Reader() Reader {
-	return &sliceReader{frames: v.Frames}
-}
-
-type sliceReader struct {
-	frames []*Frame
-	pos    int
-}
-
-func (r *sliceReader) Next() (*Frame, error) {
-	if r.pos >= len(r.frames) {
-		return nil, io.EOF
-	}
-	f := r.frames[r.pos]
-	r.pos++
-	return f, nil
-}
-
 // FuncWriter adapts a function to the Writer interface.
 type FuncWriter struct {
 	Fn      func(*Frame) error
@@ -99,7 +69,3 @@ func (w *FuncWriter) Close() error {
 	}
 	return nil
 }
-
-// Discard is a Writer that drops all frames; it backs the benchmark's
-// streaming (discard) execution mode.
-var Discard Writer = &FuncWriter{Fn: func(*Frame) error { return nil }}

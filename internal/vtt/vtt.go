@@ -7,7 +7,6 @@ package vtt
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -41,11 +40,6 @@ func (d *Document) ActiveAt(t float64) []Cue {
 		}
 	}
 	return out
-}
-
-// Sort orders cues by start time (stable on ties).
-func (d *Document) Sort() {
-	sort.SliceStable(d.Cues, func(i, j int) bool { return d.Cues[i].Start < d.Cues[j].Start })
 }
 
 // Marshal serializes the document as a WebVTT file.

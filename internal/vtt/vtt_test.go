@@ -140,18 +140,6 @@ func TestActiveAt(t *testing.T) {
 	}
 }
 
-func TestSortStable(t *testing.T) {
-	doc := &Document{Cues: []Cue{
-		{Start: 5, End: 6, Text: "LATE"},
-		{Start: 1, End: 2, Text: "EARLY"},
-		{Start: 1, End: 3, Text: "EARLY2"},
-	}}
-	doc.Sort()
-	if doc.Cues[0].Text != "EARLY" || doc.Cues[1].Text != "EARLY2" || doc.Cues[2].Text != "LATE" {
-		t.Errorf("Sort order = %+v", doc.Cues)
-	}
-}
-
 func TestTimestampFormatting(t *testing.T) {
 	if got := timestamp(3661.25); got != "01:01:01.250" {
 		t.Errorf("timestamp = %q", got)

@@ -16,7 +16,7 @@ go test ./...
 # The race detector over every package. What interleaves: the worker
 # pool and parallel generation, the row- and tile-parallel encoder, the
 # decode request's worker pool, concurrent query batches over the shared
-# decoded cache, every RunOnline exit path, the lock-free metrics
+# decoded cache, every RunOnlineOpts exit path, the lock-free metrics
 # registry, the shard plane, the vrserved control plane, and internal/cli
 # building and running every binary. Fuzz seed corpora run as ordinary
 # tests. internal/render goes -short: its single-threaded oracle corpus
