@@ -31,13 +31,6 @@ const legibleWidth = 42
 // be accepted.
 const matchThreshold = 0.70
 
-// Result is one recognized plate.
-type Result struct {
-	Plate      string
-	Box        geom.Rect
-	Confidence float64
-}
-
 // Recognizer recognizes license plates in frames.
 type Recognizer struct {
 	// Alphabet is the glyph set considered during template matching.

@@ -111,10 +111,3 @@ func tileGrid(tile *vcity.Tile, cells int) []string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -7,12 +7,14 @@ import (
 	"repro/internal/codec"
 	"repro/internal/detect"
 	"repro/internal/queries"
+	"repro/internal/stablehash"
 	"repro/internal/vcd"
 	"repro/internal/vcg"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/vdbms/lightdblike"
 	"repro/internal/vdbms/scannerlike"
+	"repro/internal/vfs"
 	"repro/internal/video"
 	"repro/internal/vtt"
 )
@@ -209,7 +211,7 @@ func BuildCorpora(cfg Table9Config) ([]Corpus, error) {
 // cameras.
 func renderedCorpus(cfg Table9Config, name string, seed uint64, profile vcg.Profile) (Corpus, error) {
 	scale := (cfg.NumVideos + vcity.DefaultCameraConfig.Traffic - 1) / vcity.DefaultCameraConfig.Traffic
-	store := newMemStore()
+	store := vfs.NewMemory()
 	_, err := vcg.Generate(vcity.Hyperparams{
 		Scale: scale, Width: cfg.Width, Height: cfg.Height,
 		Duration: cfg.Duration, FPS: cfg.FPS, Seed: seed,
@@ -301,7 +303,7 @@ func fillNoise(f *video.Frame, rng *vcity.RNG) {
 // the corpus inputs round-robin with identical parameter seeds across
 // corpora.
 func runCorpusBatch(corpus Corpus, sys vdbms.System, q queries.QueryID, cfg Table9Config) (time.Duration, error) {
-	sampler := vcd.NewParamSampler(cfg.Seed^hash64(string(q)), cfg.Width, cfg.Height, cfg.Duration)
+	sampler := vcd.NewParamSampler(cfg.Seed^stablehash.String(string(q)), cfg.Width, cfg.Height, cfg.Duration)
 	sampler.MaxUpsamplePixels = vcd.UpsampleCapModel
 	var insts []*vdbms.QueryInstance
 	for i := 0; i < cfg.Instances; i++ {
@@ -349,13 +351,4 @@ func RunCorpusBatchForBench(corpus Corpus, q queries.QueryID, cfg Table9Config) 
 		total += d
 	}
 	return total, nil
-}
-
-func hash64(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

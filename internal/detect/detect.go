@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/stablehash"
 	"repro/internal/vcity"
 	"repro/internal/video"
 )
@@ -105,7 +106,7 @@ func (d *Detector) Detect(f *video.Frame, camID string, obs []vcity.Observation)
 	if d.CostPasses > 0 {
 		d.costKernel(f)
 	}
-	rng := vcity.NewRNG(d.Seed ^ fnv(camID) ^ (uint64(f.Index)+1)*0x9e3779b97f4a7c15)
+	rng := vcity.NewRNG(d.Seed ^ stablehash.String(camID) ^ (uint64(f.Index)+1)*0x9e3779b97f4a7c15)
 	var out []metrics.Detection
 	for _, o := range obs {
 		area := o.Box.Area()
@@ -220,13 +221,4 @@ func poissonish(rng *vcity.RNG, mean float64) int {
 		k++
 	}
 	return k
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -11,6 +11,7 @@ package guard
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/format"
 	"go/parser"
 	"go/token"
@@ -94,6 +95,9 @@ var rows = []row{
 	{name: "asm-twin", in: []string{"internal/codec", "internal/queries"}, section: "§5.9 item 4", plant: "package codec\n\nfunc copy32SSE2(dst *byte)\n",
 		match:  untwinned,
 		reason: "an assembly kernel without its Go twin: xSSE2 needs a func xGeneric in its package, and a _test.go file there that uses it"},
+	{name: "one-stable-hash", in: code, except: []string{"internal/stablehash/stablehash.go"}, section: "§6", plant: "package main\n\nvar h uint64 = 0x94D049BB133111EB\n",
+		match:  named[*ast.BasicLit](`^(14695981039346656037|1099511628211|10723151780598845931)$`),
+		reason: "a second copy of FNV-1a-64 or the splitmix64 finalizer; call internal/stablehash, whose outputs partitions, trace IDs and seeds are pinned to"},
 	{name: "gofmt", in: []string{"."}, tests: true, match: unformatted, plant: "package x\n\nvar  y = 1\n",
 		reason: "not gofmt-formatted; run gofmt -w on it"},
 }
@@ -194,7 +198,8 @@ func parse(path string, src []byte) (*srcFile, error) {
 // function by its name, a call by its callee as written ("f", "x.y.f")
 // but with a package read as its import path ("repro/internal/codec.f"),
 // a string literal by its value, a range loop as "range " and its operand,
-// and an index expression as written.
+// an integer literal by its decimal value, and an index expression as
+// written.
 func (f *srcFile) name(n ast.Node) string {
 	switch n := n.(type) {
 	case *ast.Ident:
@@ -209,6 +214,9 @@ func (f *srcFile) name(n ast.Node) string {
 		}
 		return types.ExprString(n.Fun)
 	case *ast.BasicLit:
+		if n.Kind == token.INT {
+			return constant.MakeFromLiteral(n.Value, n.Kind, 0).ExactString()
+		}
 		v, _ := strconv.Unquote(n.Value)
 		return v
 	case *ast.RangeStmt:

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path"
 	"slices"
@@ -24,6 +25,7 @@ var keep = map[string]string{
 	"internal/queries.sumScratch":          "the per-frame window sum the fused kernels' tests compare against (DESIGN.md §5.5)",
 	"internal/core.RunCorpusBatchForBench": "the paper's Table 9 benchmark (root bench_test.go) has no other way into unexported core",
 	"internal/vdbms/vdbmstest":             "the engines' shared conformance suite, a package that _test.go files import",
+	"internal/difftest":                    "the differential test harness the shard and vcd tests run, a package that _test.go files import",
 }
 
 // stdMethods are method names the standard library calls through its own
@@ -39,16 +41,17 @@ func (f finding) String() string {
 	if f.name == "" {
 		return fmt.Sprintf("%s: a keep entry that declares nothing; drop it [guard reachable; DESIGN.md §3]", f.at)
 	}
-	return fmt.Sprintf("%s: %s is reached from no product path; delete it, or move it into the _test.go that calls it [guard reachable; DESIGN.md §3]", f.at, f.name)
+	return fmt.Sprintf("%s: %s is reached from no product path; delete it, or move it into the _test.go that uses it [guard reachable; DESIGN.md §3]", f.at, f.name)
 }
 
-// TestReachable wants every function and method declared in the non-test
-// Go under internal/ reached from a product path: from the non-test code
-// of cmd/, bench/, examples/ and the root package, through other reached
-// code, to a fixpoint. Loading a package reaches its package-level
-// declarations and its init functions; a method is reached when reached
-// code selects its name. Code that only a _test.go file calls belongs in
-// that file, or is deleted.
+// TestReachable wants every function, method and type declared in the
+// non-test Go under internal/ reached from a product path: from the
+// non-test code of cmd/, bench/, examples/ and the root package, through
+// other reached code, to a fixpoint. Loading a package reaches its
+// package-level variables and constants and its init functions; a method
+// is reached when reached code selects its name, and a type when reached
+// code names it outside its own methods' receivers. Code that only a
+// _test.go file uses belongs in that file, or is deleted.
 func TestReachable(t *testing.T) {
 	for _, f := range unreached(load(t), keep) {
 		t.Error(f)
@@ -56,18 +59,19 @@ func TestReachable(t *testing.T) {
 }
 
 // unreached walks the files from their roots and returns what it did not
-// reach. An identifier reaches the function of that name in its own
-// package; a selector on an imported package reaches that package's
-// function, and any other selector reaches every method of its name.
+// reach. An identifier reaches the function or type of that name in its
+// own package; a selector on an imported package reaches that package's
+// function or type, and any other selector reaches every method of its
+// name.
 // Both over-approximate (a local variable may shadow a function, two
 // types may share a method name), so a finding is never a false alarm.
 func unreached(files []*srcFile, keep map[string]string) (out []finding) {
 	type decl struct {
 		f    *srcFile
-		d    *ast.FuncDecl
+		d    ast.Node // *ast.FuncDecl or *ast.TypeSpec
 		live bool
 	}
-	funcs := map[string][]*decl{}   // "dir.name" → its declarations, one per build
+	funcs := map[string][]*decl{}   // "dir.name" → its functions and types, one per build
 	methods := map[string][]*decl{} // method name → its declarations
 	var code, roots []*srcFile
 	for _, f := range files {
@@ -81,10 +85,19 @@ func unreached(files []*srcFile, keep map[string]string) (out []finding) {
 		}
 		code = append(code, f)
 		for _, d := range f.ast.Decls {
-			if d, ok := d.(*ast.FuncDecl); ok && d.Recv == nil {
-				funcs[dir+"."+d.Name.Name] = append(funcs[dir+"."+d.Name.Name], &decl{f: f, d: d})
-			} else if ok {
-				methods[d.Name.Name] = append(methods[d.Name.Name], &decl{f: f, d: d})
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					funcs[dir+"."+d.Name.Name] = append(funcs[dir+"."+d.Name.Name], &decl{f: f, d: d})
+				} else {
+					methods[d.Name.Name] = append(methods[d.Name.Name], &decl{f: f, d: d})
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					if ts, ok := sp.(*ast.TypeSpec); ok {
+						funcs[dir+"."+ts.Name.Name] = append(funcs[dir+"."+ts.Name.Name], &decl{f: f, d: ts})
+					}
+				}
 			}
 		}
 	}
@@ -96,8 +109,17 @@ func unreached(files []*srcFile, keep map[string]string) (out []finding) {
 	var work []item
 	reach := func(ds []*decl) {
 		for _, d := range ds {
-			if !d.live {
-				d.live = true
+			if d.live {
+				continue
+			}
+			d.live = true
+			if fd, ok := d.d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				// A method's receiver does not name its type.
+				work = append(work, item{d.f, fd.Type})
+				if fd.Body != nil {
+					work = append(work, item{d.f, fd.Body})
+				}
+			} else {
 				work = append(work, item{d.f, d.d})
 			}
 		}
@@ -124,10 +146,10 @@ func unreached(files []*srcFile, keep map[string]string) (out []finding) {
 	}
 	for _, f := range code {
 		for _, d := range f.ast.Decls {
-			if fd, ok := d.(*ast.FuncDecl); !ok {
-				work = append(work, item{f, d})
-			} else if fd.Recv == nil && fd.Name.Name == "init" {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "init" {
 				reach(funcs[path.Dir(f.path)+".init"])
+			} else if gd, ok := d.(*ast.GenDecl); ok && gd.Tok != token.TYPE {
+				work = append(work, item{f, d})
 			}
 		}
 	}
@@ -153,19 +175,39 @@ func unreached(files []*srcFile, keep map[string]string) (out []finding) {
 	}
 
 	for _, f := range code {
+		isLive := func(key string, n ast.Node) bool {
+			return slices.ContainsFunc(funcs[key], func(d *decl) bool { return d.d == n && d.live })
+		}
 		for _, d := range f.ast.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+			var decls []ast.Node
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decls = append(decls, d)
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					if ts, ok := sp.(*ast.TypeSpec); ok {
+						decls = append(decls, ts)
+					}
+				}
 			}
-			name, live := fd.Name.Name, selected[fd.Name.Name]
-			if fd.Recv == nil {
-				live = slices.ContainsFunc(funcs[path.Dir(f.path)+"."+name], func(d *decl) bool { return d.d == fd && d.live })
-			} else {
-				name = "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + name
-			}
-			if !live {
-				out = append(out, finding{fmt.Sprintf("%s:%d", f.path, fset.Position(fd.Pos()).Line), name})
+			for _, n := range decls {
+				var name string
+				var live bool
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					name = n.Name.Name
+					live = isLive(path.Dir(f.path)+"."+name, n)
+				case *ast.FuncDecl:
+					name, live = n.Name.Name, selected[n.Name.Name]
+					if n.Recv == nil {
+						live = isLive(path.Dir(f.path)+"."+name, n)
+					} else {
+						name = "(" + types.ExprString(n.Recv.List[0].Type) + ")." + name
+					}
+				}
+				if !live {
+					out = append(out, finding{fmt.Sprintf("%s:%d", f.path, fset.Position(n.Pos()).Line), name})
+				}
 			}
 		}
 	}
@@ -192,6 +234,10 @@ func TestReachableFires(t *testing.T) {
 			"internal/geom/planted.go":      "package geom\n\nfunc Planted() { planted() }\n\nfunc planted() { Rect{}.planted() }\n\nfunc (Rect) planted() {}\n",
 			"internal/geom/planted_test.go": fmt.Sprintf(testCaller, "geom", "Planted"),
 		}, keep, []string{"Planted", "planted", "(Rect).planted"}},
+		{"a test is the only user of a type", map[string]string{
+			"internal/geom/planted.go":      "package geom\n\ntype Planted struct{}\n",
+			"internal/geom/planted_test.go": "package geom\n\nvar _ Planted\n",
+		}, keep, []string{"Planted"}},
 		{"the TIDX reader is back", map[string]string{
 			"internal/container/tileindex.go":      "package container\n\nfunc ExtractTileSpan() {}\n",
 			"internal/container/tileindex_test.go": fmt.Sprintf(testCaller, "container", "ExtractTileSpan"),

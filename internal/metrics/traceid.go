@@ -3,6 +3,8 @@ package metrics
 import (
 	"sort"
 	"time"
+
+	"repro/internal/stablehash"
 )
 
 // Cross-process tracing: every query instance gets a deterministic
@@ -18,41 +20,17 @@ import (
 // run/batch-level coordinator stage). Zero means untraced.
 type TraceID uint64
 
-// FNV-1a and splitmix64 constants — the same stable-hash idiom the
-// shard partitioner uses, so trace IDs are reproducible everywhere.
-const (
-	fnvOffset  = 14695981039346656037
-	fnvPrime   = 1099511628211
-	splitmixM1 = 0xbf58476d1ce4e5b9
-	splitmixM2 = 0x94d049bb133111eb
-)
-
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= splitmixM1
-	h ^= h >> 27
-	h *= splitmixM2
-	h ^= h >> 31
-	return h
-}
-
-func fnvBytes(h uint64, bs ...byte) uint64 {
-	for _, b := range bs {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
+// seedHash is FNV-1a over the run seed's little-endian bytes, the
+// prefix of every trace ID.
+func seedHash(seed uint64) uint64 {
+	return stablehash.FNV(stablehash.Offset, []byte{
+		byte(seed), byte(seed >> 8), byte(seed >> 16), byte(seed >> 24),
+		byte(seed >> 32), byte(seed >> 40), byte(seed >> 48), byte(seed >> 56)})
 }
 
 // traceID finalizes a hash into a non-zero TraceID.
 func traceID(h uint64) TraceID {
-	id := mix64(h)
+	id := stablehash.Mix(h)
 	if id == 0 {
 		id = 1
 	}
@@ -64,11 +42,8 @@ func traceID(h uint64) TraceID {
 // index, so coordinator and workers (and a single-process run of the
 // same plan) derive identical IDs with no wire round-trip required.
 func InstanceTraceID(seed uint64, query string, index int) TraceID {
-	h := fnvBytes(fnvOffset,
-		byte(seed), byte(seed>>8), byte(seed>>16), byte(seed>>24),
-		byte(seed>>32), byte(seed>>40), byte(seed>>48), byte(seed>>56))
-	h = fnvString(h, query)
-	h = fnvBytes(h, '#', byte(index), byte(index>>8), byte(index>>16), byte(index>>24))
+	h := stablehash.FNV(seedHash(seed), query)
+	h = stablehash.FNV(h, []byte{'#', byte(index), byte(index >> 8), byte(index >> 16), byte(index >> 24)})
 	return traceID(h)
 }
 
@@ -76,20 +51,13 @@ func InstanceTraceID(seed uint64, query string, index int) TraceID {
 // stages (partition, assign, merge) — same determinism contract as
 // InstanceTraceID, distinguished by the absence of an index component.
 func BatchTraceID(seed uint64, query string) TraceID {
-	h := fnvBytes(fnvOffset,
-		byte(seed), byte(seed>>8), byte(seed>>16), byte(seed>>24),
-		byte(seed>>32), byte(seed>>40), byte(seed>>48), byte(seed>>56))
-	h = fnvString(h, query)
-	return traceID(h ^ fnvPrime)
+	return traceID(stablehash.FNV(seedHash(seed), query) ^ stablehash.Prime)
 }
 
 // RunTraceID mints the trace ID for run-level stages (worker dial) that
 // precede any particular query batch.
 func RunTraceID(seed uint64) TraceID {
-	h := fnvBytes(fnvOffset,
-		byte(seed), byte(seed>>8), byte(seed>>16), byte(seed>>24),
-		byte(seed>>32), byte(seed>>40), byte(seed>>48), byte(seed>>56))
-	return traceID(h)
+	return traceID(seedHash(seed))
 }
 
 // TraceSpan is one completed, trace-tagged unit of work: what crosses

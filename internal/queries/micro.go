@@ -146,20 +146,7 @@ func RunQ2c(v *video.Video, p Params, env *Env) (*video.Video, error) {
 		f := v.Frames[i]
 		t := env.FrameTime(i, v.FPS)
 		obs := tile.GroundTruth(env.Camera, t, f.W, f.H)
-		dets := env.Detector.Detect(f, env.Camera.ID, obs)
-		bf := video.NewFrame(f.W, f.H) // initialized to ω (black)
-		bf.Index = i
-		for _, d := range dets {
-			if !want[d.Class] {
-				continue
-			}
-			cls := vcity.ClassVehicle
-			if d.Class == vcity.ClassPedestrian.String() {
-				cls = vcity.ClassPedestrian
-			}
-			render.FillRect(bf, d.Box, ClassColor(cls))
-		}
-		return bf, nil
+		return RenderBoxesFrame(f.W, f.H, i, env.Detector.Detect(f, env.Camera.ID, obs), want), nil
 	})
 	out := video.NewVideo(v.FPS)
 	for _, bf := range frames {

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/stablehash"
 	"repro/internal/vcity"
 	"repro/internal/video"
 )
@@ -357,7 +358,7 @@ func (c *noiseCell) at(x, y float64) float64 {
 func latticeHash(x, y int64, seed uint64) float64 {
 	h := uint64(x)*0x9e3779b97f4a7c15 ^ uint64(y)*0xbf58476d1ce4e5b9 ^ seed
 	h ^= h >> 31
-	h *= 0x94d049bb133111eb
+	h *= stablehash.MixMul
 	h ^= h >> 29
 	return float64(h>>11) / (1 << 53)
 }

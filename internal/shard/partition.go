@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/queries"
+	"repro/internal/stablehash"
 )
 
 // Partitioning is a pure function of the instance key and the shard
@@ -20,33 +21,14 @@ func instanceKey(q queries.QueryID, idx int) string {
 	return fmt.Sprintf("%s#%04d", q, idx)
 }
 
-// keyHash is the stable 64-bit hash of an instance key: FNV-1a mixed
-// through a splitmix64 finalizer for avalanche on short keys.
-func keyHash(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	// splitmix64 finalizer
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // shardOf maps one instance to its home shard.
 func shardOf(q queries.QueryID, idx, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	return int(keyHash(instanceKey(q, idx)) % uint64(shards))
+	// FNV-1a through the splitmix64 finalizer, for avalanche on short
+	// keys.
+	return int(stablehash.Mix(stablehash.String(instanceKey(q, idx))) % uint64(shards))
 }
 
 // Partition splits the global indices [0, n) of query q across shards.

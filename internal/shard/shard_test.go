@@ -1,291 +1,12 @@
 package shard_test
 
 import (
-	"bytes"
-	"context"
 	"reflect"
-	"sync"
 	"testing"
 
-	"repro/internal/detect"
 	"repro/internal/queries"
 	"repro/internal/shard"
-	"repro/internal/stream"
-	"repro/internal/vcd"
-	"repro/internal/vcg"
-	"repro/internal/vcity"
-	"repro/internal/vdbms"
-	"repro/internal/vdbms/scannerlike"
-	"repro/internal/vfs"
 )
-
-// The test dataset's hyperparameters, shared between the in-process
-// store and the GenSpec remote workers regenerate from.
-const (
-	genScale = 1
-	genW     = 128
-	genH     = 96
-	genFPS   = 15
-	genSeed  = 7
-	genQP    = 18
-)
-
-const genDur = 1.0
-
-func testGenSpec() *shard.GenSpec {
-	return &shard.GenSpec{
-		Scale: genScale, Width: genW, Height: genH,
-		Duration: genDur, FPS: genFPS, Seed: genSeed, QP: genQP,
-		Captions: true,
-	}
-}
-
-var (
-	storeOnce sync.Once
-	storeMem  *vfs.Memory
-	storeErr  error
-)
-
-// testStore generates the tiny benchmark dataset once per test binary.
-func testStore(t *testing.T) *vfs.Memory {
-	t.Helper()
-	storeOnce.Do(func() {
-		storeMem = vfs.NewMemory()
-		_, storeErr = vcg.Generate(vcity.Hyperparams{
-			Scale: genScale, Width: genW, Height: genH,
-			Duration: genDur, FPS: genFPS, Seed: genSeed,
-		}, vcg.Options{Captions: true, QP: genQP}, storeMem)
-	})
-	if storeErr != nil {
-		t.Fatal(storeErr)
-	}
-	return storeMem
-}
-
-// equivalenceQueries mirror the driver's concurrency-equivalence suite:
-// decode sharing, the blur pipeline, masking, resize, staged boxes.
-var equivalenceQueries = []queries.QueryID{
-	queries.Q1, queries.Q2b, queries.Q2d, queries.Q5, queries.Q6a,
-}
-
-func equivalenceOptions(store *vfs.Memory) vcd.Options {
-	return vcd.Options{
-		Queries:           equivalenceQueries,
-		InstancesPerScale: 2,
-		Seed:              42,
-		Mode:              vcd.WriteMode,
-		ResultStore:       store,
-		Validate:          true,
-	}
-}
-
-type outcome struct {
-	report *vcd.RunReport
-	store  *vfs.Memory
-}
-
-// baseline runs the single-process driver — the byte-identity oracle.
-func baseline(t *testing.T, sys vdbms.System) outcome {
-	t.Helper()
-	ds, err := vcd.LoadDataset(testStore(t), detect.ProfileSynthetic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := vfs.NewMemory()
-	report, err := vcd.Run(ds, sys, equivalenceOptions(results))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outcome{report: report, store: results}
-}
-
-// shardRun executes the same configuration through the coordinator.
-func shardRun(t *testing.T, copt shard.Options) (outcome, *shard.Counters) {
-	t.Helper()
-	results := vfs.NewMemory()
-	report, counters, err := shard.Run(context.Background(), shard.Plan{
-		Dataset: shard.DatasetSpec{Gen: testGenSpec()},
-		Store:   testStore(t),
-		System:  shard.SystemSpec{Name: "scannerlike"},
-		Scale:   genScale,
-		Opt:     equivalenceOptions(results),
-	}, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return outcome{report: report, store: results}, counters
-}
-
-// compareOutcomes checks everything observable about two runs except
-// timing and cache locality (per-worker caches legitimately split the
-// hit pattern): headline report fields, per-instance results, validation
-// verdicts and summaries, and every persisted result byte.
-func compareOutcomes(t *testing.T, label string, want, got outcome) {
-	t.Helper()
-	if got.report.System != want.report.System || got.report.Scale != want.report.Scale ||
-		got.report.Mode != want.report.Mode {
-		t.Errorf("%s: report header = {%s %d %v}, want {%s %d %v}", label,
-			got.report.System, got.report.Scale, got.report.Mode,
-			want.report.System, want.report.Scale, want.report.Mode)
-	}
-	if len(want.report.Queries) != len(got.report.Queries) {
-		t.Fatalf("%s: %d query reports, want %d", label, len(got.report.Queries), len(want.report.Queries))
-	}
-	for qi := range want.report.Queries {
-		wq, gq := &want.report.Queries[qi], &got.report.Queries[qi]
-		if gq.Query != wq.Query || gq.System != wq.System || gq.BatchSize != wq.BatchSize ||
-			gq.Completed != wq.Completed || gq.Unsupported != wq.Unsupported ||
-			gq.ResourceErrors != wq.ResourceErrors || gq.BatchSplits != wq.BatchSplits ||
-			gq.Frames != wq.Frames {
-			t.Errorf("%s: %s report diverged: got {batch %d completed %d frames %d splits %d}, want {batch %d completed %d frames %d splits %d}",
-				label, wq.Query, gq.BatchSize, gq.Completed, gq.Frames, gq.BatchSplits,
-				wq.BatchSize, wq.Completed, wq.Frames, wq.BatchSplits)
-			continue
-		}
-		if len(gq.Instances) != len(wq.Instances) {
-			t.Errorf("%s: %s has %d instances, want %d", label, wq.Query, len(gq.Instances), len(wq.Instances))
-			continue
-		}
-		for i := range wq.Instances {
-			wi, gi := &wq.Instances[i], &gq.Instances[i]
-			if gi.Frames != wi.Frames {
-				t.Errorf("%s: %s[%d] frames = %d, want %d", label, wq.Query, i, gi.Frames, wi.Frames)
-			}
-			werr, gerr := "", ""
-			if wi.Err != nil {
-				werr = wi.Err.Error()
-			}
-			if gi.Err != nil {
-				gerr = gi.Err.Error()
-			}
-			if gerr != werr {
-				t.Errorf("%s: %s[%d] err = %q, want %q", label, wq.Query, i, gerr, werr)
-			}
-			wv, gv := wi.Validation, gi.Validation
-			if (wv == nil) != (gv == nil) {
-				t.Errorf("%s: %s[%d] validation presence differs", label, wq.Query, i)
-				continue
-			}
-			if wv == nil {
-				continue
-			}
-			if gv.Checked != wv.Checked || gv.Passed != wv.Passed || gv.PSNR != wv.PSNR ||
-				gv.SemanticChecked != wv.SemanticChecked || gv.SemanticPassed != wv.SemanticPassed {
-				t.Errorf("%s: %s[%d] validation = %+v, want %+v", label, wq.Query, i, *gv, *wv)
-			}
-		}
-		if !reflect.DeepEqual(gq.Validation, wq.Validation) {
-			t.Errorf("%s: %s validation summary = %+v, want %+v", label, wq.Query, gq.Validation, wq.Validation)
-		}
-	}
-	wantNames, err := want.store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotNames, err := got.store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantNames) != len(gotNames) {
-		t.Fatalf("%s: persisted %d results, want %d", label, len(gotNames), len(wantNames))
-	}
-	for i, name := range wantNames {
-		if gotNames[i] != name {
-			t.Fatalf("%s: result name %q, want %q", label, gotNames[i], name)
-		}
-		wb, err := vfs.ReadAll(want.store, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := vfs.ReadAll(got.store, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wb, gb) {
-			t.Errorf("%s: persisted result %s differs (%d vs %d bytes)", label, name, len(gb), len(wb))
-		}
-	}
-}
-
-// TestShardEquivalence is the sharding determinism contract: the merged
-// report of a zero-fault sharded run matches the single-process run of
-// the same seed and configuration, at every shard count, with zero
-// degradation counters.
-func TestShardEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end sharded runs in -short mode")
-	}
-	want := baseline(t, scannerlike.New(scannerlike.Options{}))
-	for _, shards := range []int{1, 2, 4} {
-		got, counters := shardRun(t, shard.Options{Shards: shards})
-		compareOutcomes(t, shardLabel(shards), want, got)
-		if counters.Workers != shards {
-			t.Errorf("shards=%d: counters report %d workers", shards, counters.Workers)
-		}
-		if counters.WorkerFailures != 0 || counters.Reassignments != 0 ||
-			counters.RetriedInstances != 0 || counters.DuplicateResults != 0 {
-			t.Errorf("shards=%d: zero-fault run has degradation counters %+v", shards, *counters)
-		}
-	}
-}
-
-func shardLabel(n int) string {
-	return "shards=" + string(rune('0'+n))
-}
-
-// TestShardWorkerDeathRecovers kills one worker mid-run with a seeded
-// connection cut and checks the coordinator retries its shard on a
-// survivor: the run completes, the merged output is still identical to
-// the single-process run, and only the degradation counters show the
-// fault — PR 5's resilience contract applied to the execution plane.
-func TestShardWorkerDeathRecovers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end sharded runs in -short mode")
-	}
-	want := baseline(t, scannerlike.New(scannerlike.Options{}))
-	got, counters := shardRun(t, shard.Options{
-		Shards:       3,
-		Faults:       &stream.FaultPlan{Seed: 1, CutAtPacket: 1},
-		FaultWorkers: []int{1},
-	})
-	compareOutcomes(t, "killed-worker", want, got)
-	if counters.WorkerFailures < 1 {
-		t.Errorf("worker death not detected: counters %+v", *counters)
-	}
-	if counters.Reassignments < 1 || counters.RetriedInstances < 1 {
-		t.Errorf("no retry recorded after worker death: counters %+v", *counters)
-	}
-}
-
-// TestShardTCPTransport runs the same contract over real sockets with
-// workers that regenerate the dataset from the job's GenSpec — the
-// multi-process topology minus the fork.
-func TestShardTCPTransport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end sharded runs in -short mode")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		srv, err := shard.ListenWorker("127.0.0.1:0", shard.WorkerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		go srv.Serve(ctx)
-		addrs = append(addrs, srv.Addr())
-	}
-	want := baseline(t, scannerlike.New(scannerlike.Options{}))
-	got, counters := shardRun(t, shard.Options{
-		Shards:    2,
-		Transport: &shard.AddrTransport{Addrs: addrs},
-	})
-	compareOutcomes(t, "tcp", want, got)
-	if counters.WorkerFailures != 0 {
-		t.Errorf("tcp run recorded failures: %+v", *counters)
-	}
-}
 
 // TestPartitionStable pins the partitioning contract: a permutation-free
 // function of (query, index, shard count) — every index lands in exactly

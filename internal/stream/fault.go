@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/stablehash"
 )
 
 // FaultPlan is a deterministic schedule of transport faults. Every
@@ -64,29 +66,13 @@ func (p *FaultPlan) Active() bool {
 		p.StallRate > 0 || p.CutAtPacket > 0 || p.DialFailures > 0
 }
 
-// mix64 is one splitmix64 round — the package's own copy of the
-// generator vcity.RNG builds on, kept local so the transport layer has
-// no dependency on the city generator.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func fnv64s(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+// mix64 is one splitmix64 round, the step vcity.RNG takes.
+func mix64(x uint64) uint64 { return stablehash.Mix(x + 0x9e3779b97f4a7c15) }
 
 // roll returns a uniform value in [0, 1) for the index'th event of the
 // given fault kind, independent across kinds and indices.
 func (p *FaultPlan) roll(kind string, index int) float64 {
-	h := mix64(p.Seed ^ fnv64s(p.Camera) ^ fnv64s(kind) ^ uint64(index)*0xd1342543de82ef95)
+	h := mix64(p.Seed ^ stablehash.String(p.Camera) ^ stablehash.String(kind) ^ uint64(index)*0xd1342543de82ef95)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -117,7 +103,7 @@ func (p *FaultPlan) CorruptPacket(i int) (pos int, ok bool) {
 	if p.roll("corrupt", i) >= p.CorruptRate {
 		return 0, false
 	}
-	return int(mix64(p.Seed^fnv64s(p.Camera)^fnv64s("corrupt-pos")^uint64(i)) >> 33), true
+	return int(mix64(p.Seed^stablehash.String(p.Camera)^stablehash.String("corrupt-pos")^uint64(i)) >> 33), true
 }
 
 // CutPacket reports whether the i'th framed write (0-based) is the one

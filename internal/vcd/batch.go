@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/queries"
+	"repro/internal/stablehash"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/video"
@@ -15,8 +16,8 @@ import (
 // parameters drawn uniformly from their Table 3 domains. The VDBMS does
 // not participate in parameter selection.
 func BuildBatch(ds *Dataset, q queries.QueryID, n int, opt Options) ([]*vdbms.QueryInstance, error) {
-	rng := vcity.NewRNG(opt.Seed ^ fnvID(string(q)))
-	sampler := NewParamSampler(opt.Seed^fnvID(string(q)+"-params"),
+	rng := vcity.NewRNG(opt.Seed ^ stablehash.String(string(q)))
+	sampler := NewParamSampler(opt.Seed^stablehash.String(string(q)+"-params"),
 		ds.Manifest.Width, ds.Manifest.Height, ds.Manifest.Duration)
 	sampler.MaxUpsamplePixels = opt.MaxUpsamplePixels
 
@@ -208,13 +209,4 @@ func (d *Dataset) BoxesFor(in *vdbms.Input) (*vdbms.BoxesInput, error) {
 	d.boxes[key] = boxes
 	d.mu.Unlock()
 	return boxes, nil
-}
-
-func fnvID(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

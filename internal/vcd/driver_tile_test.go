@@ -2,8 +2,6 @@ package vcd
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -11,9 +9,6 @@ import (
 	"repro/internal/vcg"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
-	"repro/internal/vdbms/lightdblike"
-	"repro/internal/vdbms/noscopelike"
-	"repro/internal/vdbms/scannerlike"
 	"repro/internal/vfs"
 )
 
@@ -33,63 +28,6 @@ func tiledTestDataset(t *testing.T, rows, cols int) *Dataset {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-// TestRunTileDecodeEquivalence is the tile-aware decode contract at the
-// driver level: on a tile-mode dataset, serving Q1's (frame window ×
-// ROI) rectangle by tile-subset decode must be observably identical —
-// per-instance results, validation verdicts, and persisted result
-// bytes — to the whole-clip baseline (wholeClipSource) that reconstructs
-// whole frames of the same bitstream. All three engine families are covered because
-// each reaches the tiles by a different route: scannerlike ingests
-// tile-scoped tables, lightdblike bounds its angular Select's pixel
-// footprint, and noscopelike decodes the declared rectangle up front.
-func TestRunTileDecodeEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-configuration benchmark run in -short mode")
-	}
-	engines := []struct {
-		name string
-		mk   func() vdbms.System
-	}{
-		{"scannerlike", func() vdbms.System { return scannerlike.New(scannerlike.Options{}) }},
-		{"lightdblike", func() vdbms.System { return lightdblike.New(lightdblike.Options{}) }},
-		{"noscopelike", func() vdbms.System { return noscopelike.NewDefault() }},
-	}
-	for _, grid := range [][2]int{{2, 2}, {3, 2}} {
-		rows, cols := grid[0], grid[1]
-		ds := tiledTestDataset(t, rows, cols)
-		for _, eng := range engines {
-			if rows == 3 && eng.name != "noscopelike" {
-				continue // one engine suffices for the second grid
-			}
-			t.Run(fmt.Sprintf("%dx%d/%s", rows, cols, eng.name), func(t *testing.T) {
-				baseline := runWholeClipBaseline(t, ds, eng.mk(), Options{Workers: 1})
-
-				tiled := runWindowed(t, ds, eng.mk(), Options{Workers: 1})
-				compareOutcomes(t, "tile/workers=1", baseline, tiled)
-
-				// The tile path can only narrow decode work, never widen it.
-				fullSt := baseline.report.DecodedCache
-				tileSt := tiled.report.DecodedCache
-				if tileSt.FramesRequested == 0 {
-					t.Error("tiled run requested no frames through the decoded cache")
-				}
-				if tileSt.FramesRequested > fullSt.FramesRequested {
-					t.Errorf("tiled run requested %d frames, whole-clip baseline %d",
-						tileSt.FramesRequested, fullSt.FramesRequested)
-				}
-
-				wide := runWindowed(t, ds, eng.mk(), Options{Workers: 8})
-				compareOutcomes(t, "tile/workers=8", baseline, wide)
-
-				prev := runtime.GOMAXPROCS(1)
-				pinned := runWindowed(t, ds, eng.mk(), Options{Workers: 8})
-				runtime.GOMAXPROCS(prev)
-				compareOutcomes(t, "tile/workers=8/GOMAXPROCS=1", baseline, pinned)
-			})
-		}
-	}
 }
 
 // TestDatasetDecodedTiles pins the tile-keyed cache semantics at the

@@ -6,14 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/queries"
-	"repro/internal/render"
 	"repro/internal/stream"
-	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/video"
 )
@@ -166,22 +166,8 @@ func onlineKernel(q queries.QueryID, p queries.Params, in *vdbms.Input) (framePr
 		return func(i int, f *video.Frame) (*video.Frame, error) {
 			t := env.FrameTime(i, fps)
 			obs := tile.GroundTruth(env.Camera, t, f.W, f.H)
-			dets := env.Detector.Detect(f, env.Camera.ID, obs)
-			// The box video of the offline reference (RunQ2c): class
-			// color inside each requested-class box, ω elsewhere.
-			bf := video.NewFrame(f.W, f.H)
-			bf.Index = i
-			for _, d := range dets {
-				if !want[d.Class] {
-					continue
-				}
-				cls := vcity.ClassVehicle
-				if d.Class == vcity.ClassPedestrian.String() {
-					cls = vcity.ClassPedestrian
-				}
-				render.FillRect(bf, d.Box, queries.ClassColor(cls))
-			}
-			return bf, nil
+			// The box video of the offline reference (RunQ2c).
+			return queries.RenderBoxesFrame(f.W, f.H, i, env.Detector.Detect(f, env.Camera.ID, obs), want), nil
 		}, nil
 	case queries.Q5:
 		return func(i int, f *video.Frame) (*video.Frame, error) {
@@ -274,7 +260,7 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	}
 	defer sess.shutdown()
 
-	dec, err := newOnlineDecoder(cfg)
+	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -469,3 +455,33 @@ func recordOnline(rep *OnlineReport) {
 		metrics.Add(metrics.OnlineDegraded, 1)
 	}
 }
+
+// dialRTP connects to an RTP-over-TCP endpoint with bounded retry:
+// transient refusals (and injected dial faults from plan) back off on
+// the session clock and try again, up to the policy's attempt budget.
+// It returns the receiver and the number of retries that were needed.
+func dialRTP(ctx context.Context, clock stream.Clock, addr string, plan *stream.FaultPlan, pol stream.RetryPolicy) (*stream.RTPReceiver, int, error) {
+	var conn net.Conn
+	dials := 0
+	retries, err := stream.Retry(ctx, clock, pol, func() error {
+		dials++
+		if plan.FailDial(dials - 1) {
+			return errTransientDial
+		}
+		var derr error
+		conn, derr = (&net.Dialer{}).DialContext(ctx, "tcp", addr)
+		return derr
+	})
+	if err != nil {
+		return nil, retries, err
+	}
+	return stream.NewRTPReceiver(conn), retries, nil
+}
+
+// errTransientDial is the injected stand-in for a refused connection.
+var errTransientDial = &net.OpError{Op: "dial", Net: "tcp", Err: errDialFault{}}
+
+type errDialFault struct{}
+
+func (errDialFault) Error() string { return "injected dial fault" }
+func (errDialFault) Timeout() bool { return true }

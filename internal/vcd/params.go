@@ -132,7 +132,7 @@ func (s *ParamSampler) Sample(q queries.QueryID, ctx SampleContext) (queries.Par
 		// Client resolutions mimic common headset panels.
 		res := [][2]int{{ctx.InputW / 2, ctx.InputH / 2}, {ctx.InputW * 3 / 4, ctx.InputH * 3 / 4}}
 		r := res[s.rng.Intn(len(res))]
-		p.ClientW, p.ClientH = maxInt(r[0], 16), maxInt(r[1], 16)
+		p.ClientW, p.ClientH = max(r[0], 16), max(r[1], 16)
 	}
 	return p, nil
 }
@@ -164,11 +164,4 @@ func (s *ParamSampler) randomClass() vcity.ObjectClass {
 		return vcity.ClassPedestrian
 	}
 	return vcity.ClassVehicle
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,8 +106,8 @@ func Summarize(r *RunReport) ReportSummary {
 // (elapsed, fps), the observability record (telemetry, trace, events),
 // and decoded-cache locality are excluded —
 // they legitimately vary run to run and across topologies (per-worker
-// caches split the hit pattern) — exactly the exclusion set the shard
-// plane's equivalence tests use. Everything else (completions, frame
+// caches split the hit pattern) — exactly the exclusion set the
+// differential test's reference comparison uses. Everything else (completions, frame
 // counts, batch splits, validation statistics) is a pure function of
 // seed, dataset, and configuration.
 func (s ReportSummary) Canonical() ReportSummary {

@@ -361,14 +361,18 @@ func (s shrinkingSink) Emit(string, *video.Video) error { panic("engine emitted 
 
 func (s shrinkingSink) Open(key string, fps int) (video.Writer, error) {
 	w, err := s.FrameSink.Open(key, fps)
-	n := 0
-	return &video.FuncWriter{
-		Fn: func(f *video.Frame) error {
-			if n++; n == 6 {
-				f = f.Crop(0, 0, f.W/2, f.H/2)
-			}
-			return w.Write(f)
-		},
-		CloseFn: w.Close,
-	}, err
+	return &shrinkingWriter{Writer: w}, err
+}
+
+// shrinkingWriter crops the sixth frame it is given to a quarter.
+type shrinkingWriter struct {
+	video.Writer
+	n int
+}
+
+func (w *shrinkingWriter) Write(f *video.Frame) error {
+	if w.n++; w.n == 6 {
+		f = f.Crop(0, 0, f.W/2, f.H/2)
+	}
+	return w.Writer.Write(f)
 }

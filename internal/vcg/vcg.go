@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/render"
+	"repro/internal/stablehash"
 	"repro/internal/vcity"
 	"repro/internal/vfs"
 	"repro/internal/video"
@@ -59,7 +60,7 @@ type Options struct {
 	// Workers bounds this process's parallelism: cameras are generated
 	// concurrently on a pool of this many workers, and each camera's
 	// encoder parallelizes motion estimation across the same count.
-	// Zero selects DefaultParallelism(). Output bytes are identical at
+	// Zero selects parallel.Default(). Output bytes are identical at
 	// every worker count.
 	Workers int
 	// Sequential disables all process-local parallelism: nodes and
@@ -127,7 +128,7 @@ func (o Options) withDefaults() Options {
 		o.Nodes = 1
 	}
 	if o.Workers <= 0 {
-		o.Workers = DefaultParallelism()
+		o.Workers = parallel.Default()
 	}
 	if o.Sequential {
 		o.Workers = 1
@@ -331,7 +332,7 @@ func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.
 	}
 	defer enc.Release()
 	r, pool := st.r, st.pool
-	recSeed := p.Seed ^ fnv(cam.ID)
+	recSeed := p.Seed ^ stablehash.String(cam.ID)
 	renderFrame := func(i int) *video.Frame {
 		sp := metrics.StartSpan(metrics.StageRender)
 		f := pool.Get()
@@ -403,7 +404,7 @@ func generateCamera(city *vcity.City, cam *vcity.Camera, opt Options, store vfs.
 // in Q6(b): one annotation roughly every three seconds, with randomly
 // varied position and non-overlapping durations.
 func GenerateCaptions(cameraID string, duration float64, seed uint64) *vtt.Document {
-	rng := vcity.NewRNG(seed ^ fnv(cameraID) ^ 0xcaf7105)
+	rng := vcity.NewRNG(seed ^ stablehash.String(cameraID) ^ 0xcaf7105)
 	doc := &vtt.Document{}
 	t := rng.Range(0.2, 1.0)
 	i := 0
@@ -465,17 +466,4 @@ type writeCounter struct {
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.data = append(w.data, p...)
 	return len(p), nil
-}
-
-// DefaultParallelism returns a sensible worker count for local runs:
-// the machine's CPU count, bounded by GOMAXPROCS and capped at 8.
-func DefaultParallelism() int { return parallel.Default() }
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/parallel"
 	"repro/internal/vcity"
 	"repro/internal/vfs"
 )
@@ -304,7 +305,7 @@ func TestSequentialForcesOneWorker(t *testing.T) {
 	if o.Workers != 1 {
 		t.Errorf("Sequential left Workers = %d, want 1", o.Workers)
 	}
-	if d := (Options{}).withDefaults(); d.Workers != DefaultParallelism() {
-		t.Errorf("default Workers = %d, want DefaultParallelism() = %d", d.Workers, DefaultParallelism())
+	if d := (Options{}).withDefaults(); d.Workers != parallel.Default() {
+		t.Errorf("default Workers = %d, want parallel.Default() = %d", d.Workers, parallel.Default())
 	}
 }

@@ -15,7 +15,11 @@
 // simulator computes exact ground truth without manual annotation.
 package vcity
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/stablehash"
+)
 
 // RNG is a splitmix64-based deterministic random number generator. It
 // supports stream splitting so independent subsystems (tile layout,
@@ -32,10 +36,7 @@ func NewRNG(s uint64) *RNG { return &RNG{state: s} }
 // Uint64 returns the next 64 random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stablehash.Mix(r.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -63,13 +64,9 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // without advancing r. Identical (seed, label) pairs always produce
 // identical streams.
 func (r *RNG) Split(label string) *RNG {
-	h := fnv64(label)
 	// Mix the label hash with the current state through one splitmix
 	// round so sibling splits differ even for similar labels.
-	z := r.state + h*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &RNG{state: z ^ (z >> 31)}
+	return &RNG{state: stablehash.Mix(r.state + stablehash.String(label)*0x9e3779b97f4a7c15)}
 }
 
 // SplitN derives an independent generator from r's seed and an index.
@@ -88,13 +85,4 @@ func (r *RNG) Gaussian(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-func fnv64(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -28,17 +28,16 @@ var errWrite = errors.New("writer refused the frame")
 
 func (s *frameSink) Emit(string, *video.Video) error { s.emitted++; return nil }
 
-func (s *frameSink) Open(string, int) (video.Writer, error) {
-	return &video.FuncWriter{
-		Fn: func(*video.Frame) error {
-			if s.written++; s.written == s.failAt {
-				return errWrite
-			}
-			return nil
-		},
-		CloseFn: func() error { s.closed++; return nil },
-	}, nil
+func (s *frameSink) Open(string, int) (video.Writer, error) { return s, nil }
+
+func (s *frameSink) Write(*video.Frame) error {
+	if s.written++; s.written == s.failAt {
+		return errWrite
+	}
+	return nil
 }
+
+func (s *frameSink) Close() error { s.closed++; return nil }
 
 // waitGoroutines waits for the goroutine count to come back to base: a
 // pipe's producer has returned by the time Pipe does, but its goroutine
@@ -238,9 +237,10 @@ func TestStreamingBranchAllocatesOneFramePerDecode(t *testing.T) {
 	fx := vdbmstest.NewFixture(t, 10)
 	in := fx.Traffic(0)
 	drop := func(int, *video.Frame) (*video.Frame, error) { return nil, nil }
+	sink := &frameSink{}
 	allocs := func(hi int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if err := New(Options{}).eval(in, 0, hi, nil, drop, &video.FuncWriter{Fn: func(*video.Frame) error { return nil }}); err != nil {
+			if err := New(Options{}).eval(in, 0, hi, nil, drop, sink); err != nil {
 				t.Fatal(err)
 			}
 		})

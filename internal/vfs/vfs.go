@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/stablehash"
 )
 
 // Store is a flat object store keyed by name.
@@ -131,12 +133,7 @@ func NewDistributed(root string, n, replicas int) (*Distributed, error) {
 func (d *Distributed) Nodes() int { return len(d.nodes) }
 
 func (d *Distributed) home(name string) int {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(len(d.nodes)))
+	return int(stablehash.String(name) % uint64(len(d.nodes)))
 }
 
 // Write stores the object on its home node and the next replicas-1

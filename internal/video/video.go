@@ -52,20 +52,3 @@ func (v *Video) Clone() *Video {
 	}
 	return out
 }
-
-// FuncWriter adapts a function to the Writer interface.
-type FuncWriter struct {
-	Fn      func(*Frame) error
-	CloseFn func() error
-}
-
-// Write invokes the wrapped function.
-func (w *FuncWriter) Write(f *Frame) error { return w.Fn(f) }
-
-// Close invokes the wrapped close function if present.
-func (w *FuncWriter) Close() error {
-	if w.CloseFn != nil {
-		return w.CloseFn()
-	}
-	return nil
-}

@@ -17,10 +17,11 @@ go test ./...
 # pool and parallel generation, the row- and tile-parallel encoder, the
 # decode request's worker pool, concurrent query batches over the shared
 # decoded cache, every RunOnlineOpts exit path, the lock-free metrics
-# registry, the shard plane, the vrserved control plane, and internal/cli
-# building and running every binary. Fuzz seed corpora run as ordinary
-# tests. internal/render goes -short: its single-threaded oracle corpus
-# takes > 3 min whole under the detector.
+# registry, the shard plane and the differential test's topologies, the
+# vrserved control plane, and internal/cli building and running every
+# binary. Fuzz seed corpora run as ordinary tests. internal/render goes
+# -short: its single-threaded oracle corpus takes > 3 min whole under
+# the detector.
 go test -race $(go list ./... | grep -v /internal/render)
 go test -race -short ./internal/render
 # Every suite with the scheduler pinned to one thread: the row-parallel
