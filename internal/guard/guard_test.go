@@ -98,6 +98,12 @@ var rows = []row{
 	{name: "one-stable-hash", in: code, except: []string{"internal/stablehash/stablehash.go"}, section: "§6", plant: "package main\n\nvar h uint64 = 0x94D049BB133111EB\n",
 		match:  named[*ast.BasicLit](`^(14695981039346656037|1099511628211|10723151780598845931)$`),
 		reason: "a second copy of FNV-1a-64 or the splitmix64 finalizer; call internal/stablehash, whose outputs partitions, trace IDs and seeds are pinned to"},
+	{name: "one-rtp-sender", in: code, want: 1, section: "§5.8", plant: "package main\n\nimport \"repro/internal/stream\"\n\nvar _ = stream.NewRTPSender(nil, 0, 0, nil)\n",
+		match:  named[*ast.CallExpr](`^(repro/internal/stream\.)?NewRTPSender$`),
+		reason: "one stream.NewRTPSender, SendVideo's; online video reaches every transport through it, so every fault key applies to each"},
+	{name: "one-rtp-receiver", in: code, want: 1, section: "§5.8", plant: "package main\n\nimport \"repro/internal/stream\"\n\nvar _ = stream.NewRTPReceiver(nil)\n",
+		match:  named[*ast.CallExpr](`^(repro/internal/stream\.)?NewRTPReceiver$`),
+		reason: "one stream.NewRTPReceiver, vcd's connect; online mode reads every transport through it, indexing frames by RTP timestamp"},
 	{name: "gofmt", in: []string{"."}, tests: true, match: unformatted, plant: "package x\n\nvar  y = 1\n",
 		reason: "not gofmt-formatted; run gofmt -w on it"},
 }

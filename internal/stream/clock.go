@@ -1,16 +1,17 @@
 // Package stream implements the online (real-time) video delivery modes
 // of the Visual Road driver: a camera's access units, sent forward-only
-// at its capture rate (PumpVideo, RTPSender), over an in-process pipe
-// transport (standing in for named pipes on a local file system) or an
-// RTP-style packet transport over loopback sockets (standing in for
-// RFC 3550 RTP). In online mode the VCD "blocks on
-// attempts to read video data beyond this rate".
+// at its capture rate as RTP packets (SendVideo, RTPSender) and
+// reassembled by an RTPReceiver. One sender and one receiver serve both
+// transports; only the connection differs: an in-memory net.Pipe
+// (standing in for named pipes on a local file system) or a loopback
+// TCP socket (standing in for RFC 3550 RTP). In online mode the VCD
+// "blocks on attempts to read video data beyond this rate".
 //
 // Because online delivery crosses goroutines and real sockets, the
 // package also carries the resilience vocabulary the driver builds on:
-// context-interruptible clocks, a leak-proof pipe with independent
-// read/write shutdown, deterministic fault injection (FaultPlan), gap
-// reporting (StreamGapError), and bounded retry (Retry).
+// context-interruptible clocks, deterministic fault injection
+// (FaultPlan), gap reporting (StreamGapError), and bounded retry
+// (Retry).
 package stream
 
 import (

@@ -18,9 +18,10 @@ import (
 // wall-clock speed. A failure observed at one fault rate is therefore a
 // replayable test fixture, not a flake.
 //
-// Packet-level faults (drop, reorder, corrupt, cut) apply to the RTP
-// transport; stalls apply to pipe writes; dial failures apply to the
-// client's connection attempts. A nil or zero plan injects nothing.
+// Stalls and packet-level faults (drop, reorder, corrupt, cut) apply in
+// the RTP sender, dial failures to the client's connection attempts;
+// every key applies on both transports. A nil or zero plan injects
+// nothing.
 type FaultPlan struct {
 	// Seed keys the fault schedule; combined with Camera so each
 	// camera's stream degrades independently under one benchmark seed.
@@ -40,8 +41,8 @@ type FaultPlan struct {
 	// in the decoder, not the framing.
 	CorruptRate float64
 
-	// StallRate is the per-frame probability the pipe producer stalls
-	// for Stall before writing (a slow-disk / scheduling hiccup model).
+	// StallRate is the per-frame probability the sender stalls for
+	// Stall before sending (a slow-disk / scheduling hiccup model).
 	StallRate float64
 	// Stall is the injected stall duration (default 50ms when StallRate
 	// is set).
@@ -112,8 +113,8 @@ func (p *FaultPlan) CutPacket(i int) bool {
 	return p != nil && p.CutAtPacket > 0 && i == p.CutAtPacket-1
 }
 
-// StallBefore reports whether the producer stalls before writing frame
-// i to the pipe, and for how long.
+// StallBefore reports whether the sender stalls before sending frame
+// i, and for how long.
 func (p *FaultPlan) StallBefore(i int) (time.Duration, bool) {
 	if p == nil || p.StallRate <= 0 {
 		return 0, false

@@ -6,11 +6,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/codec"
 )
 
 func TestFaultPlanDeterminism(t *testing.T) {
@@ -90,86 +89,118 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 }
 
-// Regression: concurrent Write and CloseWrite used to race on a closed
-// data channel (send-on-closed-channel panic). Run under -race.
-func TestPipeWriteCloseWriteRace(t *testing.T) {
-	for iter := 0; iter < 50; iter++ {
-		p := NewPipe(1)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					if err := p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}); err != nil {
-						return
-					}
-				}
-			}()
+// FuzzParseFaultSpec: any spec parses to an error, to a nil plan when
+// it is blank, or to a plan whose rates lie in [0, 1] and whose stall,
+// cut and dial counts are not negative; and parsing is a function of
+// its inputs.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("0.02", uint64(9), "cam")
+	f.Add("drop=0.01,reorder=0.005,corrupt=0.001,stall=0.02,stallms=20,cut=12,dial=2", uint64(9), "cam")
+	f.Add(" \t", uint64(0), "")
+	f.Add("drop=NaN", uint64(1), "c")
+	f.Add("stallms=9999999999999", uint64(1), "c")
+	f.Add("cut=-1,dial=3", uint64(2), "cam-2")
+	f.Fuzz(func(t *testing.T, spec string, seed uint64, camera string) {
+		p, err := ParseFaultSpec(spec, seed, camera)
+		q, err2 := ParseFaultSpec(spec, seed, camera)
+		if !reflect.DeepEqual(p, q) || (err == nil) != (err2 == nil) {
+			t.Fatalf("%q parsed twice: %+v, %v and %+v, %v", spec, p, err, q, err2)
 		}
-		go p.CloseWrite()
+		blank := strings.TrimSpace(spec) == ""
+		switch {
+		case err != nil:
+			if p != nil || blank {
+				t.Fatalf("%q: plan %+v with error %v", spec, p, err)
+			}
+		case p == nil:
+			if !blank {
+				t.Fatalf("%q: no plan and no error", spec)
+			}
+		default:
+			for _, r := range []float64{p.DropRate, p.ReorderRate, p.CorruptRate, p.StallRate} {
+				if !(r >= 0 && r <= 1) {
+					t.Fatalf("%q: rate %v outside [0, 1] in %+v", spec, r, p)
+				}
+			}
+			if p.Stall < 0 || p.CutAtPacket < 0 || p.DialFailures < 0 || p.Seed != seed || p.Camera != camera {
+				t.Fatalf("%q: plan %+v", spec, p)
+			}
+		}
+	})
+}
+
+// The receiver hanging up races a send: the sender must return, with
+// no hang and no panic. Run under -race.
+func TestPipeWriteCloseWriteRace(t *testing.T) {
+	enc := encodedFixture(t, 6)
+	for iter := 0; iter < 50; iter++ {
+		recv, errc := sendOverPipe(context.Background(), enc, nil, nil)
+		read := make(chan struct{})
 		go func() {
+			defer close(read)
 			for {
-				if _, err := p.NextCtx(context.Background()); err != nil {
+				if _, err := recv.NextAccessUnit(); err != nil {
 					return
 				}
 			}
 		}()
-		wg.Wait()
+		go recv.Close()
+		select {
+		case <-errc:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: sender still blocked after the receiver closed", iter)
+		}
+		<-read
 	}
 }
 
 func TestPipeCloseReadUnblocksWriter(t *testing.T) {
-	p := NewPipe(1)
-	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}) // fill the buffer
-	errc := make(chan error, 1)
-	go func() { errc <- p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{2}}) }()
-	time.Sleep(10 * time.Millisecond) // let the writer block
-	p.CloseRead()
+	recv, errc := sendOverPipe(context.Background(), encodedFixture(t, 2), nil, nil)
+	time.Sleep(10 * time.Millisecond) // let the sender block: nobody reads
+	recv.Close()
 	select {
 	case err := <-errc:
 		if err != io.ErrClosedPipe {
-			t.Errorf("blocked Write after CloseRead = %v, want ErrClosedPipe", err)
+			t.Errorf("blocked send after the receiver closed = %v, want io.ErrClosedPipe", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Write still blocked after CloseRead")
-	}
-	if _, err := p.NextCtx(context.Background()); err != io.ErrClosedPipe {
-		t.Errorf("Next after CloseRead = %v, want ErrClosedPipe", err)
+		t.Fatal("send still blocked after the receiver closed")
 	}
 }
 
 func TestPipeWriteCtxCancelled(t *testing.T) {
-	p := NewPipe(1)
-	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}})
 	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- p.WriteCtx(ctx, codec.EncodedFrame{Data: []byte{2}}) }()
-	time.Sleep(10 * time.Millisecond)
+	recv, errc := sendOverPipe(ctx, encodedFixture(t, 2), nil, nil)
+	defer recv.Close()
+	time.Sleep(10 * time.Millisecond) // let the sender block: nobody reads
 	cancel()
 	select {
 	case err := <-errc:
 		if err != context.Canceled {
-			t.Errorf("WriteCtx after cancel = %v, want context.Canceled", err)
+			t.Errorf("blocked send after cancel = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WriteCtx still blocked after cancel")
+		t.Fatal("send still blocked after cancel")
 	}
 }
 
+// Everything sent reaches the receiver before io.EOF, including a
+// packet the reorder fault held back and the sender flushes on close.
 func TestPipeNextDrainsBeforeEOF(t *testing.T) {
-	p := NewPipe(4)
-	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}})
-	p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{2}})
-	p.CloseWrite()
-	for want := 1; want <= 2; want++ {
-		f, err := p.NextCtx(context.Background())
-		if err != nil || f.Data[0] != byte(want) {
-			t.Fatalf("drain %d: frame=%v err=%v", want, f.Data, err)
-		}
+	enc := encodedFixture(t, 1)
+	if n := len(enc.Frames[0].Data); n > rtpMTU {
+		t.Fatalf("fixture access unit is %d bytes, want one packet", n)
 	}
-	if _, err := p.NextCtx(context.Background()); err != io.EOF {
-		t.Errorf("after drain Next = %v, want EOF", err)
+	recv, errc := sendOverPipe(context.Background(), enc, nil, &FaultPlan{Seed: 1, ReorderRate: 1})
+	au, err := recv.NextAccessUnit()
+	if err != nil || !bytes.Equal(au, enc.Frames[0].Data) {
+		t.Fatalf("held access unit: %d bytes, %v", len(au), err)
+	}
+	if _, err := recv.NextAccessUnit(); err != io.EOF {
+		t.Errorf("after drain: %v, want io.EOF", err)
+	}
+	if err := <-errc; err != nil {
+		t.Errorf("sender: %v", err)
 	}
 }
 
@@ -479,8 +510,15 @@ func TestPumpVideoStallFault(t *testing.T) {
 	enc := encodedFixture(t, 4)
 	fc := NewFakeClock(time.Unix(0, 0))
 	plan := &FaultPlan{Seed: 2, StallRate: 1, Stall: 30 * time.Millisecond}
-	p := NewPipe(8)
-	if err := PumpVideo(context.Background(), p, enc, fc, plan); err != nil {
+	recv, errc := sendOverPipe(context.Background(), enc, fc, plan)
+	for {
+		if _, err := recv.NextAccessUnit(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	stalls := 0
@@ -491,6 +529,46 @@ func TestPumpVideoStallFault(t *testing.T) {
 	}
 	if stalls != 4 {
 		t.Errorf("injected %d stalls, want one per frame (4); slept %v", stalls, fc.Slept)
+	}
+}
+
+// A reordered packet arrives after its successor: the successor opens
+// one gap of one packet, and the late packet is dropped silently rather
+// than read as a second, wrapped-around gap.
+func TestRTPLatePacketIsNotAGap(t *testing.T) {
+	enc := encodedFixture(t, 20)
+	addr, errc, err := ServeRTP(context.Background(), enc, nil, &FaultPlan{Seed: 99, Camera: "cam", ReorderRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := NewRTPReceiver(conn)
+	defer recv.Close()
+	var gaps []StreamGapError
+	aus := 0
+	for {
+		_, err := recv.NextAccessUnit()
+		if err == io.EOF {
+			break
+		}
+		var gap *StreamGapError
+		if errors.As(err, &gap) {
+			gaps = append(gaps, *gap)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		aus++
+	}
+	if serr := <-errc; serr != nil {
+		t.Fatalf("sender: %v", serr)
+	}
+	if len(gaps) != 1 || gaps[0].Missing != 1 || aus != 18 {
+		t.Errorf("gaps %+v and %d access units, want one gap of 1 packet and 18", gaps, aus)
 	}
 }
 

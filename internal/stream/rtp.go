@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -18,9 +17,9 @@ import (
 // headers carrying version, marker, payload type, sequence number,
 // 90 kHz timestamp, and SSRC. Access units larger than the MTU are
 // fragmented across packets; the marker bit flags the final packet of
-// each access unit. Delivery runs over a loopback TCP connection with
-// length-prefixed packets (a common RTP-over-TCP framing), which keeps
-// the benchmark deterministic while exercising a real network path.
+// each access unit. Packets are length-prefixed (a common RTP-over-TCP
+// framing) on any net.Conn: a loopback TCP socket, or one end of an
+// in-memory net.Pipe.
 
 const (
 	rtpVersion     = 2
@@ -108,7 +107,7 @@ func FrameIndexOf(ts uint32, fps int) int {
 // RTPSender streams encoded access units over a connection, paced at
 // the camera's capture rate when a clock is supplied (nil clock = no
 // pacing, for tests). An attached FaultPlan degrades the outgoing
-// packet stream deterministically.
+// stream deterministically: every fault key but dial applies here.
 type RTPSender struct {
 	conn  net.Conn
 	ssrc  uint32
@@ -131,8 +130,10 @@ func NewRTPSender(conn net.Conn, ssrc uint32, fps int, clock Clock) *RTPSender {
 // InjectFaults attaches a deterministic fault plan to the sender.
 func (s *RTPSender) InjectFaults(plan *FaultPlan) { s.plan = plan }
 
-// SendAccessUnitCtx fragments and transmits one encoded frame. Pacing
-// sleeps abort with ctx.Err() when the context ends.
+// SendAccessUnitCtx fragments and transmits one encoded frame, after
+// its capture time on the pacing clock and any stall the fault plan
+// injects before it. Pacing and stall sleeps abort with ctx.Err() when
+// the context ends.
 func (s *RTPSender) SendAccessUnitCtx(ctx context.Context, au []byte, frameIndex int) error {
 	if s.clock != nil {
 		if s.sent == 0 {
@@ -143,6 +144,15 @@ func (s *RTPSender) SendAccessUnitCtx(ctx context.Context, au []byte, frameIndex
 			if err := s.clock.SleepCtx(ctx, wait); err != nil {
 				return err
 			}
+		}
+	}
+	if d, ok := s.plan.StallBefore(frameIndex); ok {
+		sleeper := s.clock
+		if sleeper == nil {
+			sleeper = RealClock{}
+		}
+		if err := sleeper.SleepCtx(ctx, d); err != nil {
+			return err
 		}
 	}
 	ts := uint32(uint64(frameIndex) * rtpClockRate / uint64(s.fps))
@@ -258,6 +268,11 @@ func (r *RTPReceiver) NextAccessUnit() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if r.haveSeq && int16(pkt.Seq-r.lastSeq) <= 0 {
+			// Late or duplicate: a reordered packet whose successor
+			// already arrived. Its loss was reported as a gap then.
+			continue
+		}
 		if r.skipToMarker {
 			// Tail of the access unit broken by a gap; the packet after
 			// its marker starts clean.
@@ -359,13 +374,37 @@ func ReadFramed(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// SendVideo streams an encoded video over conn as RTP, one access unit
+// per capture interval on clock (nil clock: no pacing), and closes conn
+// at the end. plan degrades the stream deterministically: stalls before
+// access units (slept on the wall clock when clock is nil) and drop,
+// reorder, corrupt and cut per packet. Cancelling ctx closes conn, so a
+// send blocked on a reader that stopped returns ctx.Err().
+func SendVideo(ctx context.Context, conn net.Conn, enc *codec.Encoded, clock Clock, plan *FaultPlan) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	sender := NewRTPSender(conn, 0x56525244, enc.Config.FPS, clock)
+	sender.InjectFaults(plan)
+	for i, f := range enc.Frames {
+		if err := sender.SendAccessUnitCtx(ctx, f.Data, i); err != nil {
+			conn.Close()
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return err
+		}
+	}
+	return sender.Close()
+}
+
 // ServeRTP streams an encoded video over a loopback TCP listener and
-// returns the address to connect to. The server sends to the first
-// client, then closes. Exactly one error (nil on success) is reported
-// on errc when the server goroutine exits, so callers can always join
-// it; cancelling ctx closes the listener and any live connection,
-// unblocking accept and in-flight writes. plan degrades the outgoing
-// packet stream deterministically.
+// returns the address to connect to. The server accepts one client,
+// sends to it with SendVideo, then closes. Exactly one error (nil on
+// success) is reported on errc when the server goroutine exits, so
+// callers can always join it; cancelling ctx closes the listener and
+// any live connection, unblocking accept and in-flight writes.
 func ServeRTP(ctx context.Context, enc *codec.Encoded, clock Clock, plan *FaultPlan) (addr string, errc <-chan error, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -375,30 +414,11 @@ func ServeRTP(ctx context.Context, enc *codec.Encoded, clock Clock, plan *FaultP
 		ctx = context.Background()
 	}
 	ch := make(chan error, 1)
-	done := make(chan struct{})
-
-	var mu sync.Mutex
-	var conn net.Conn
-	// The watcher tears down the transport on cancellation so the
-	// server goroutine can never stay blocked in Accept or Write; it
-	// exits with the server on the done channel.
+	stop := context.AfterFunc(ctx, func() { ln.Close() })
 	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-			mu.Lock()
-			if conn != nil {
-				conn.Close()
-			}
-			mu.Unlock()
-		case <-done:
-		}
-	}()
-
-	go func() {
-		defer close(done)
-		defer ln.Close()
 		c, err := ln.Accept()
+		stop()
+		ln.Close()
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				err = cerr
@@ -406,19 +426,7 @@ func ServeRTP(ctx context.Context, enc *codec.Encoded, clock Clock, plan *FaultP
 			ch <- err
 			return
 		}
-		mu.Lock()
-		conn = c
-		mu.Unlock()
-		sender := NewRTPSender(c, 0x56525244, enc.Config.FPS, clock)
-		sender.InjectFaults(plan)
-		for i, f := range enc.Frames {
-			if err := sender.SendAccessUnitCtx(ctx, f.Data, i); err != nil {
-				ch <- err
-				sender.Close()
-				return
-			}
-		}
-		ch <- sender.Close()
+		ch <- SendVideo(ctx, c, enc, clock, plan)
 	}()
 	return ln.Addr().String(), ch, nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -28,34 +29,51 @@ func encodedFixture(t *testing.T, frames int) *codec.Encoded {
 	return enc
 }
 
+// sendOverPipe starts SendVideo on one end of a net.Pipe and returns a
+// receiver on the other end and the sender's terminal error.
+func sendOverPipe(ctx context.Context, enc *codec.Encoded, clock Clock, plan *FaultPlan) (*RTPReceiver, <-chan error) {
+	c1, c2 := net.Pipe()
+	errc := make(chan error, 1)
+	go func() { errc <- SendVideo(ctx, c1, enc, clock, plan) }()
+	return NewRTPReceiver(c2), errc
+}
+
+// The pipe transport is synchronous: the sender blocks until the
+// receiver reads, and the receiver gets every access unit in order,
+// then io.EOF.
 func TestPipeBlocksAndDrains(t *testing.T) {
 	enc := encodedFixture(t, 6)
-	p := NewPipe(2)
-	go PumpVideo(context.Background(), p, enc, nil, nil)
-	n := 0
-	for {
-		f, err := p.NextCtx(context.Background())
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f.Data) == 0 {
-			t.Fatal("empty access unit")
-		}
-		n++
+	recv, errc := sendOverPipe(context.Background(), enc, nil, nil)
+	select {
+	case err := <-errc:
+		t.Fatalf("sender finished with nobody reading: %v", err)
+	case <-time.After(10 * time.Millisecond):
 	}
-	if n != 6 {
-		t.Errorf("received %d access units, want 6", n)
+	for i := range enc.Frames {
+		au, err := recv.NextAccessUnit()
+		if err != nil {
+			t.Fatalf("access unit %d: %v", i, err)
+		}
+		if !bytes.Equal(au, enc.Frames[i].Data) {
+			t.Fatalf("access unit %d out of order or altered", i)
+		}
+		if got := FrameIndexOf(recv.LastTimestamp(), enc.Config.FPS); got != i {
+			t.Fatalf("access unit %d carries frame index %d", i, got)
+		}
+	}
+	if _, err := recv.NextAccessUnit(); err != io.EOF {
+		t.Errorf("after six access units: %v, want io.EOF", err)
+	}
+	if err := <-errc; err != nil {
+		t.Errorf("sender: %v", err)
 	}
 }
 
 func TestPipeWriteAfterClose(t *testing.T) {
-	p := NewPipe(1)
-	p.CloseWrite()
-	if err := p.WriteCtx(context.Background(), codec.EncodedFrame{Data: []byte{1}}); err != io.ErrClosedPipe {
-		t.Errorf("Write after close = %v, want ErrClosedPipe", err)
+	c1, c2 := net.Pipe()
+	NewRTPReceiver(c2).Close()
+	if err := SendVideo(context.Background(), c1, encodedFixture(t, 2), nil, nil); err != io.ErrClosedPipe {
+		t.Errorf("send to a closed receiver = %v, want io.ErrClosedPipe", err)
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 )
 
 // Online mode simulates real-time video processing: the VCD exposes a
-// camera's encoded stream through a forward-only transport throttled to
-// the capture rate (a pipe, standing in for named pipes, or RTP), and
-// the system under test consumes it frame by frame with no knowledge of
-// the total duration. Results are reported in frames per second, as the
-// paper requires for online queries.
+// camera's encoded stream as RTP packets throttled to the capture rate,
+// over an in-memory pipe (standing in for named pipes) or a loopback
+// TCP socket, and the system under test consumes it frame by frame with
+// no knowledge of the total duration. Results are reported in frames
+// per second, as the paper requires for online queries.
 //
 // Because online delivery crosses goroutines and real sockets, the run
 // is governed by a context (cancellation and per-stream deadlines
@@ -193,17 +193,6 @@ var ErrOnlineUnsupported = errors.New("no online kernel")
 // online decoder recovers at.
 func isIntra(au []byte) bool { return len(au) > 0 && au[0]&0x80 == 0 }
 
-// onlineSession is one live transport hooked to its producer goroutine.
-type onlineSession struct {
-	// next returns the next access unit and the source frame index it
-	// carries (-1 when the transport has no indexing, i.e. the pipe).
-	next func() ([]byte, int, error)
-	// shutdown tears the transport down and joins the producer
-	// goroutine, returning its terminal error; idempotent, safe on
-	// every exit path.
-	shutdown func() error
-}
-
 // RunOnlineOpts executes one query instance against a live-paced
 // stream of the instance's first input, delivered over opt.Transport,
 // and reports the achieved frame rate. A nil opt.Clock paces on the
@@ -246,19 +235,15 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	// clock the producer may pace the whole stream ahead of the first
 	// consumer read, and that simulated time is part of the run.
 	start := clock.Now()
-	var sess *onlineSession
-	switch opt.Transport {
-	case TransportPipe:
-		sess = startPipeSession(ctx, cancel, in, opt.Clock, opt.Faults)
-	case TransportRTP:
-		sess, err = startRTPSession(ctx, cancel, in, clock, opt, rep)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("vcd: unknown transport %d", opt.Transport)
+	recv, join, retries, err := connect(ctx, cancel, in.Encoded, clock, opt)
+	rep.Retries = retries
+	if retries > 0 {
+		rep.Degraded = true
 	}
-	defer sess.shutdown()
+	if err != nil {
+		return nil, err
+	}
+	defer join()
 
 	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
@@ -269,9 +254,9 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	expect := 0     // next source frame index expected from the stream
 	resync := false // discard inter frames until the next keyframe
 	for {
-		au, fi, err := sess.next()
+		au, err := recv.NextAccessUnit()
 		if err == io.EOF {
-			if perr := sess.shutdown(); perr != nil && perr != io.ErrClosedPipe {
+			if perr := join(); perr != nil {
 				return nil, perr
 			}
 			break
@@ -294,18 +279,16 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 			// Join the producer so the server-side root cause (a write
 			// failure, an injected cut) isn't lost behind the receiver
 			// symptom.
-			if perr := sess.shutdown(); perr != nil && perr != io.ErrClosedPipe && !errors.Is(perr, context.Canceled) {
+			if perr := join(); perr != nil && perr != io.ErrClosedPipe && !errors.Is(perr, context.Canceled) {
 				return nil, fmt.Errorf("vcd: online receiver: %w (sender: %v)", err, perr)
 			}
 			return nil, err
 		}
-		if fi < 0 {
-			fi = expect
-		}
+		fi := stream.FrameIndexOf(recv.LastTimestamp(), cfg.FPS)
 		if fi < expect {
-			// Stale delivery behind a reorder fault; its indices were
-			// accounted when the stream jumped ahead. Unusable either
-			// way — the reference state has moved past it.
+			// A timestamp behind the stream. The sender's increase and
+			// the receiver drops late packets, so only a damaged stream
+			// delivers one; the reference state has moved past it.
 			rep.Degraded = true
 			resync = true
 			continue
@@ -367,80 +350,68 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	return rep, nil
 }
 
-// startPipeSession wires a PumpVideo producer to a pipe and returns the
-// session. pacing keeps the historical contract: a nil caller clock
-// paces on the wall clock inside PumpVideo.
-func startPipeSession(ctx context.Context, cancel context.CancelFunc, in *vdbms.Input, pacing stream.Clock, plan *stream.FaultPlan) *onlineSession {
-	if pacing == nil {
-		pacing = stream.RealClock{}
+// connect opens the session's stream. The transport decides only how
+// the connection is made: the pipe is an in-memory net.Pipe whose
+// sending end runs SendVideo, RTP a loopback TCP socket served by
+// ServeRTP. One retry loop dials either, failing the attempts the plan
+// schedules (dial=N) and backing off on the session clock. It returns
+// the receiver, the retries needed, and join: an idempotent teardown
+// that closes the receiver, cancels the session and returns the
+// sender's terminal error, safe on every exit path.
+func connect(ctx context.Context, cancel context.CancelFunc, enc *codec.Encoded, clock stream.Clock, opt OnlineOptions) (*stream.RTPReceiver, func() error, int, error) {
+	var sent <-chan error // the sender's terminal error, once one runs
+	var dial func() (net.Conn, error)
+	switch opt.Transport {
+	case TransportPipe:
+		dial = func() (net.Conn, error) {
+			c, s := net.Pipe()
+			ch := make(chan error, 1)
+			go func() { ch <- stream.SendVideo(ctx, s, enc, clock, opt.Faults) }()
+			sent = ch
+			return c, nil
+		}
+	case TransportRTP:
+		addr, errc, err := stream.ServeRTP(ctx, enc, clock, opt.Faults)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		sent = errc
+		dial = func() (net.Conn, error) { return (&net.Dialer{}).DialContext(ctx, "tcp", addr) }
+	default:
+		return nil, nil, 0, fmt.Errorf("vcd: unknown transport %d", opt.Transport)
 	}
-	p := stream.NewPipe(4)
-	pumpErr := make(chan error, 1)
-	go func() { pumpErr <- stream.PumpVideo(ctx, p, in.Encoded, pacing, plan) }()
-	var once sync.Once
-	var perr error
-	return &onlineSession{
-		next: func() ([]byte, int, error) {
-			f, err := p.NextCtx(ctx)
-			if err != nil {
-				return nil, -1, err
-			}
-			return f.Data, -1, nil
-		},
-		shutdown: func() error {
-			once.Do(func() {
-				p.CloseRead()
-				cancel()
-				perr = <-pumpErr
-			})
-			return perr
-		},
-	}
-}
-
-// startRTPSession serves the input over loopback RTP and dials it with
-// bounded retry, recording retries on the report.
-func startRTPSession(ctx context.Context, cancel context.CancelFunc, in *vdbms.Input, clock stream.Clock, opt OnlineOptions, rep *OnlineReport) (*onlineSession, error) {
-	pacing := opt.Clock
-	if pacing == nil {
-		pacing = stream.RealClock{}
-	}
-	addr, errc, err := stream.ServeRTP(ctx, in.Encoded, pacing, opt.Faults)
-	if err != nil {
-		return nil, err
-	}
+	var recv *stream.RTPReceiver
 	var once sync.Once
 	var serr error
 	join := func() error {
 		once.Do(func() {
+			if recv != nil {
+				recv.Close()
+			}
 			cancel()
-			serr = <-errc
+			if sent != nil {
+				serr = <-sent
+			}
 		})
 		return serr
 	}
-	recv, retries, err := dialRTP(ctx, clock, addr, opt.Faults, opt.Retry)
-	rep.Retries = retries
-	if retries > 0 {
-		rep.Degraded = true
-	}
+	dials := 0
+	retries, err := stream.Retry(ctx, clock, opt.Retry, func() error {
+		dials++
+		if opt.Faults.FailDial(dials - 1) {
+			return errTransientDial
+		}
+		conn, err := dial()
+		if err == nil {
+			recv = stream.NewRTPReceiver(conn)
+		}
+		return err
+	})
 	if err != nil {
 		join()
-		return nil, err
+		return nil, nil, retries, err
 	}
-	fps := in.Encoded.Config.FPS
-	return &onlineSession{
-		next: func() ([]byte, int, error) {
-			au, err := recv.NextAccessUnit()
-			if err != nil {
-				return nil, -1, err
-			}
-			return au, stream.FrameIndexOf(recv.LastTimestamp(), fps), nil
-		},
-		shutdown: func() error {
-			recv.Close()
-			return join()
-		},
-	}, nil
+	return recv, join, retries, nil
 }
 
 // recordOnline feeds the run's degradation accounting into the global
@@ -454,28 +425,6 @@ func recordOnline(rep *OnlineReport) {
 	if rep.Degraded {
 		metrics.Add(metrics.OnlineDegraded, 1)
 	}
-}
-
-// dialRTP connects to an RTP-over-TCP endpoint with bounded retry:
-// transient refusals (and injected dial faults from plan) back off on
-// the session clock and try again, up to the policy's attempt budget.
-// It returns the receiver and the number of retries that were needed.
-func dialRTP(ctx context.Context, clock stream.Clock, addr string, plan *stream.FaultPlan, pol stream.RetryPolicy) (*stream.RTPReceiver, int, error) {
-	var conn net.Conn
-	dials := 0
-	retries, err := stream.Retry(ctx, clock, pol, func() error {
-		dials++
-		if plan.FailDial(dials - 1) {
-			return errTransientDial
-		}
-		var derr error
-		conn, derr = (&net.Dialer{}).DialContext(ctx, "tcp", addr)
-		return derr
-	})
-	if err != nil {
-		return nil, retries, err
-	}
-	return stream.NewRTPReceiver(conn), retries, nil
 }
 
 // errTransientDial is the injected stand-in for a refused connection.

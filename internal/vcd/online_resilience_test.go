@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +43,72 @@ func checkNoGoroutineLeak(t *testing.T) func() {
 	}
 }
 
+// forEachTransport runs test once per online transport, as a subtest
+// named after it.
+func forEachTransport(t *testing.T, test func(*testing.T, OnlineTransport)) {
+	for _, tr := range []OnlineTransport{TransportPipe, TransportRTP} {
+		t.Run(tr.String(), func(t *testing.T) { test(t, tr) })
+	}
+}
+
+// One sender and one receiver serve both transports, so every fault key
+// degrades them identically: equal reports (but for Transport) or equal
+// errors, and each fault leaves its trace.
+func TestRunOnlineTransportsAgree(t *testing.T) {
+	ds := testDataset(t)
+	run := func(spec string, tr OnlineTransport) (*OnlineReport, error) {
+		plan, err := stream.ParseFaultSpec(spec, 7, "cam")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
+		return RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			Transport: tr,
+			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+			Faults:    plan,
+		})
+	}
+	clean, err := run("", TransportPipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec  string
+		trace func(*OnlineReport, error) bool
+	}{
+		{"", func(r *OnlineReport, err error) bool { return err == nil && !r.Degraded }},
+		{"drop=0.2", lost},
+		{"reorder=0.2", lost},
+		{"corrupt=0.2", lost},
+		{"cut=3", func(_ *OnlineReport, err error) bool { return errors.Is(err, stream.ErrTruncated) }},
+		{"dial=2", func(r *OnlineReport, err error) bool { return err == nil && r.Retries == 2 }},
+		{"stall=0.5,stallms=200", func(r *OnlineReport, err error) bool { return err == nil && r.Elapsed > clean.Elapsed }},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			pipe, perr := run(tc.spec, TransportPipe)
+			rtp, rerr := run(tc.spec, TransportRTP)
+			if fmt.Sprint(perr) != fmt.Sprint(rerr) {
+				t.Fatalf("errors differ: pipe %v, rtp %v", perr, rerr)
+			}
+			if pipe != nil && rtp != nil {
+				pipe.Transport = rtp.Transport
+				if *pipe != *rtp {
+					t.Errorf("reports differ:\n  pipe %+v\n  rtp  %+v", pipe, rtp)
+				}
+			}
+			if !tc.trace(rtp, rerr) {
+				t.Errorf("no trace of the fault: %+v, %v", rtp, rerr)
+			}
+		})
+	}
+}
+
+// lost reports a run that completed degraded: frames dropped, a gap,
+// or the Degraded flag.
+func lost(r *OnlineReport, err error) bool {
+	return err == nil && (r.FramesDropped > 0 || r.Gaps > 0 || r.Degraded)
+}
+
 // corruptInput clones the input with frame idx's access unit replaced
 // by undecodable bytes, leaving the dataset's copy untouched.
 func corruptInput(in *vdbms.Input, idx int) *vdbms.Input {
@@ -56,6 +124,24 @@ func corruptInput(in *vdbms.Input, idx int) *vdbms.Input {
 
 func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	ds := testDataset(t)
+	connectionCut := func(tr OnlineTransport) func(t *testing.T) error {
+		return func(t *testing.T) error {
+			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
+			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+				Transport: tr,
+				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+				Faults:    &stream.FaultPlan{Seed: 1, CutAtPacket: 2},
+			})
+			if !errors.Is(err, stream.ErrTruncated) {
+				t.Errorf("err = %v, want ErrTruncated", err)
+			}
+			// The sender's root cause must ride along, not be lost.
+			if err != nil && !strings.Contains(err.Error(), stream.ErrFaultCut.Error()) {
+				t.Errorf("missing the sender's cut: %v", err)
+			}
+			return nil
+		}
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T) error
@@ -133,22 +219,8 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			}
 			return nil
 		}},
-		{"rtp-connection-cut", func(t *testing.T) error {
-			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-				Transport: TransportRTP,
-				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-				Faults:    &stream.FaultPlan{Seed: 1, CutAtPacket: 2},
-			})
-			if !errors.Is(err, stream.ErrTruncated) {
-				t.Errorf("err = %v, want ErrTruncated", err)
-			}
-			// The server-side root cause must ride along, not be lost.
-			if err != nil && !errors.Is(err, stream.ErrTruncated) {
-				t.Errorf("missing truncation cause: %v", err)
-			}
-			return nil
-		}},
+		{"pipe-connection-cut", connectionCut(TransportPipe)},
+		{"rtp-connection-cut", connectionCut(TransportRTP)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,13 +259,18 @@ func framesEqual(a, b *video.Frame) bool {
 // A zero-fault online run must be bit-exact with offline execution of
 // the same kernel — resilience machinery may not perturb the clean path.
 func TestRunOnlineZeroFaultByteIdentical(t *testing.T) {
+	forEachTransport(t, testRunOnlineZeroFaultByteIdentical)
+}
+
+func testRunOnlineZeroFaultByteIdentical(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	var got *video.Video
 	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
 	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Clock: stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:  sink,
+		Transport: tr,
+		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+		Sink:      sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,14 +292,19 @@ func TestRunOnlineZeroFaultByteIdentical(t *testing.T) {
 // Online Q1 must select exactly the frames the plan-level FrameWindow
 // declares — the same window every offline engine consumes.
 func TestRunOnlineQ1MatchesFrameWindow(t *testing.T) {
+	forEachTransport(t, testRunOnlineQ1MatchesFrameWindow)
+}
+
+func testRunOnlineQ1MatchesFrameWindow(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	p := queries.Params{X1: 8, Y1: 8, X2: 72, Y2: 56, T1: 0.2, T2: 0.75}
 	inst := onlineInstance(t, ds, queries.Q1, p)
 	var got *video.Video
 	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
 	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Clock: stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:  sink,
+		Transport: tr,
+		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+		Sink:      sink,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +324,19 @@ func TestRunOnlineQ1MatchesFrameWindow(t *testing.T) {
 // Online Q2c must honor its parameters (class filter, boxes) exactly as
 // the offline reference kernel does.
 func TestRunOnlineQ2cMatchesOffline(t *testing.T) {
+	forEachTransport(t, testRunOnlineQ2cMatchesOffline)
+}
+
+func testRunOnlineQ2cMatchesOffline(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	p := queries.Params{Algorithm: "yolov2", Classes: []vcity.ObjectClass{vcity.ClassVehicle}}
 	inst := onlineInstance(t, ds, queries.Q2c, p)
 	var got *video.Video
 	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
 	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Clock: stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:  sink,
+		Transport: tr,
+		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+		Sink:      sink,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +361,15 @@ func TestRunOnlineQ2cMatchesOffline(t *testing.T) {
 
 // Same seed, same plan ⇒ identical degradation accounting, run to run.
 func TestRunOnlineFaultDeterminism(t *testing.T) {
+	forEachTransport(t, testRunOnlineFaultDeterminism)
+}
+
+func testRunOnlineFaultDeterminism(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	run := func() *OnlineReport {
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 		rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-			Transport: TransportRTP,
+			Transport: tr,
 			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			Faults:    &stream.FaultPlan{Seed: 77, Camera: "cam", DropRate: 0.1},
 		})
@@ -328,11 +419,15 @@ func TestRunOnlineFaultSeedMatters(t *testing.T) {
 
 // Transient dial failures retry with backoff and are reported.
 func TestRunOnlineDialRetry(t *testing.T) {
+	forEachTransport(t, testRunOnlineDialRetry)
+}
+
+func testRunOnlineDialRetry(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	clock := stream.NewFakeClock(time.Unix(0, 0))
 	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Transport: TransportRTP,
+		Transport: tr,
 		Clock:     clock,
 		Faults:    &stream.FaultPlan{Seed: 5, DialFailures: 2},
 		Retry:     stream.RetryPolicy{Attempts: 4, Seed: 5},

@@ -34,6 +34,10 @@ GOMAXPROCS=1 go test ./...
 # interleave.
 go test -race -cpu 1,2,4 -run Result ./internal/vcd
 go test -race -cpu 1,2,4 ./internal/vdbms/lightdblike
+# The online stream likewise: the pipe transport is a synchronous
+# net.Pipe hand-off between the RTP sender and receiver, so every packet
+# is a rendezvous of two goroutines.
+go test -race -cpu 1,2,4 -run 'Online|RTP|Pipe|SendVideo' ./internal/vcd ./internal/stream
 # Every benchmark once, so that none can rot.
 go test -run '^$' -bench . -benchtime 1x ./...
 # Float arithmetic that defines output bytes (the Q2(b) blur; the codec is
