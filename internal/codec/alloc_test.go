@@ -2,6 +2,8 @@ package codec
 
 import (
 	"testing"
+
+	"repro/internal/video"
 )
 
 // TestDecodeSteadyStateAllocs pins the decoder's steady-state allocation
@@ -40,7 +42,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		}
 		next++
 		if !keep {
-			dec.Recycle(fr)
+			video.PutFrame(fr)
 		}
 	}
 	// Warm up: decode the stream once so the pool holds a frame and the
@@ -113,7 +115,7 @@ func TestDecodeOverwritesPooledFrame(t *testing.T) {
 		for i, f := range enc.Frames {
 			stale := dec.newFrame()
 			stale.Fill(0xAA, 0xAA, 0xAA)
-			dec.Recycle(stale)
+			video.PutFrame(stale)
 			got, err := dec.Decode(f.Data)
 			if err != nil {
 				t.Fatal(err)

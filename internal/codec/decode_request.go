@@ -165,11 +165,11 @@ func (e *Encoded) DecodeRequest(req Request) (*video.Video, error) {
 		if tiled {
 			dcfg = tileConfig(cfg, rects[it.tile])
 		}
-		dec, err := getDecoder(dcfg)
+		dec, err := GetDecoder(dcfg)
 		if err != nil {
 			return err
 		}
-		defer putDecoder(dec)
+		defer PutDecoder(dec)
 		for i := it.start; i < it.end; i++ {
 			data := e.Frames[i].Data
 			if tiled {
@@ -188,10 +188,10 @@ func (e *Encoded) DecodeRequest(req Request) (*video.Video, error) {
 			sp.Bytes(int64(len(data)))
 			switch {
 			case i < req.Lo:
-				dec.Recycle(fr) // seed run: decoded for reference state only
+				video.PutFrame(fr) // seed run: decoded for reference state only
 			case tiled:
 				blitTile(out.Frames[i-req.Lo], rects[it.tile], fr)
-				dec.Recycle(fr)
+				video.PutFrame(fr)
 			default:
 				fr.Index = i
 				out.Frames[i-req.Lo] = fr

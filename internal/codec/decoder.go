@@ -9,16 +9,17 @@ import (
 // Decoder decompresses access units produced by an Encoder with the same
 // configuration. It is not safe for concurrent use.
 //
-// Output frames come from an internal FramePool: callers that are done
-// with a frame may hand it back via Recycle so steady-state decoding
-// allocates nothing (see TestDecodeSteadyStateAllocs). Frames that are
-// kept simply never return to the pool.
+// Output frames come from video's one frame-pool registry
+// (video.GetFrame): callers that are done with a frame may hand it back
+// via video.PutFrame so steady-state decoding allocates nothing (see
+// TestDecodeSteadyStateAllocs). Frames that are kept simply never return
+// to the pool. Long-lived callers take a Decoder from GetDecoder and
+// give it back with PutDecoder.
 type Decoder struct {
 	cfg              Config
 	refY, refU, refV *plane
 	curY, curU, curV *plane
 	haveRef          bool
-	pool             *video.FramePool
 
 	// tiles, when non-nil, switches the decoder to tile mode: each entry
 	// is a self-contained sub-decoder for one tile rectangle (tile.go).
@@ -62,23 +63,9 @@ func (d *Decoder) reset() {
 	}
 }
 
-// Recycle returns a frame obtained from Decode to the decoder's pool.
-// The caller must not use the frame afterwards.
-func (d *Decoder) Recycle(f *video.Frame) {
-	if d.pool != nil {
-		d.pool.Put(f)
-	}
-}
-
-// newFrame takes a frame from the pool (lazily created so decoders used
-// once don't pay for pool bookkeeping).
+// newFrame takes a frame of the decoder's size from the registry.
 func (d *Decoder) newFrame() *video.Frame {
-	if d.pool == nil {
-		d.pool = video.NewFramePool(d.cfg.Width, d.cfg.Height)
-	}
-	f := d.pool.Get()
-	f.Index = 0
-	return f
+	return video.GetFrame(d.cfg.Width, d.cfg.Height)
 }
 
 // Decode decompresses one access unit into a frame.

@@ -362,16 +362,16 @@ func (d *Decoder) decodeTiled(data []byte) (*video.Frame, error) {
 	out := d.newFrame()
 	for t := range d.tiles {
 		if offs[t] == offs[t+1] {
-			d.Recycle(out)
+			video.PutFrame(out)
 			return nil, fmt.Errorf("codec: tile %d absent from access unit", t)
 		}
 		tf, err := d.tiles[t].dec.Decode(data[offs[t]:offs[t+1]])
 		if err != nil {
-			d.Recycle(out)
+			video.PutFrame(out)
 			return nil, fmt.Errorf("codec: tile %d: %w", t, err)
 		}
 		blitTile(out, d.tiles[t].rect, tf)
-		d.tiles[t].dec.Recycle(tf)
+		video.PutFrame(tf)
 	}
 	return out, nil
 }

@@ -720,7 +720,7 @@ func TestDecodeErrorIdentity(t *testing.T) {
 			if gotErr == nil && !sameFrame(got, want) {
 				t.Fatalf("%s: decoded frame diverges from the reference decode", what())
 			}
-			dec.Recycle(got)
+			video.PutFrame(got)
 		}
 		stride := 1
 		if testing.Short() {

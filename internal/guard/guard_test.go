@@ -92,7 +92,7 @@ var rows = []row{
 	{name: "lightdb-streams", in: []string{"internal/vdbms/lightdblike/engine.go"}, section: "§5.5", plant: "package lightdblike\n\nfunc f() { out.Append(nil) }\n",
 		match:  named[*ast.CallExpr](`out\.Append$`),
 		reason: "lightdblike's evaluation loop collects its output again; write each frame to the video.Writer it is given"},
-	{name: "asm-twin", in: []string{"internal/codec", "internal/queries"}, section: "§5.9 item 4", plant: "package codec\n\nfunc copy32SSE2(dst *byte)\n",
+	{name: "asm-twin", in: []string{"internal/codec", "internal/queries", "internal/video"}, section: "§5.9 item 4", plant: "package codec\n\nfunc copy32SSE2(dst *byte)\n",
 		match:  untwinned,
 		reason: "an assembly kernel without its Go twin: xSSE2 needs a func xGeneric in its package, and a _test.go file there that uses it"},
 	{name: "one-stable-hash", in: code, except: []string{"internal/stablehash/stablehash.go"}, section: "§6", plant: "package main\n\nvar h uint64 = 0x94D049BB133111EB\n",

@@ -157,7 +157,7 @@ func RenderBoxesFrame(w, h, index int, dets []metrics.Detection, want map[string
 // those bounds, in a pooled scratch frame.
 func OverlayBoxes(f *video.Frame, dets []metrics.Detection, want map[string]bool) *video.Frame {
 	out := copyFrame(f)
-	bf := getFrame(f.W, f.H)
+	bf := video.GetFrame(f.W, f.H)
 	cw := f.ChromaW()
 	eachBounds := func(visit func(x0, y0, x1, y1 int)) {
 		eachBox(dets, want, func(r geom.Rect, _ video.Color) {
@@ -181,7 +181,7 @@ func OverlayBoxes(f *video.Frame, dets []metrics.Detection, want map[string]bool
 	})
 	eachBox(dets, want, func(r geom.Rect, c video.Color) { render.FillRect(bf, r, c) })
 	eachBounds(func(x0, y0, x1, y1 int) { coalesceRect(out, f, bf, x0, y0, x1, y1) })
-	RecycleFrame(bf)
+	video.PutFrame(bf)
 	return out
 }
 

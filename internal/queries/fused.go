@@ -15,35 +15,6 @@ import (
 // differs only in how it walks the planes (flat []byte loops, no
 // per-pixel closure dispatch, pooled output frames, hoisted scratch).
 
-// framePools recycles operator output frames per resolution. Frames
-// obtained here carry unspecified pixel content: only kernels that
-// overwrite every luma and chroma sample may use them.
-var framePools sync.Map // [2]int{w, h} → *video.FramePool
-
-func getFrame(w, h int) *video.Frame {
-	key := [2]int{w, h}
-	p, ok := framePools.Load(key)
-	if !ok {
-		p, _ = framePools.LoadOrStore(key, video.NewFramePool(w, h))
-	}
-	f := p.(*video.FramePool).Get()
-	f.Index = 0
-	return f
-}
-
-// RecycleFrame returns a frame produced by this package's operators to
-// the frame pool. Only recycle frames the caller exclusively owns and
-// no longer references — never frames whose planes are shared (decoded
-// cache views, table rows).
-func RecycleFrame(f *video.Frame) {
-	if f == nil {
-		return
-	}
-	if p, ok := framePools.Load([2]int{f.W, f.H}); ok {
-		p.(*video.FramePool).Put(f)
-	}
-}
-
 // sumPool recycles the integer accumulator AggregateMean needs per
 // window — Q2(d) computes one mean frame per input frame, so the
 // accumulator is the operator's dominant transient allocation.
@@ -96,7 +67,7 @@ func (b *blurrer) tmp(n int) *[]float64 {
 
 // frame blurs one frame into a pooled output (every sample written).
 func (b *blurrer) frame(f *video.Frame) *video.Frame {
-	out := getFrame(f.W, f.H)
+	out := video.GetFrame(f.W, f.H)
 	out.Index = f.Index
 	b.plane(out.Y, f.Y, f.W, f.H)
 	b.plane(out.U, f.U, f.ChromaW(), f.ChromaH())
@@ -154,7 +125,7 @@ func fill[T any](s []T, v T) {
 // coalesceFrame is the fused Q6(a) kernel: JoinPFrame specialized to the
 // ω-coalesce projection of Equation 1 (b unless b is the null color).
 func coalesceFrame(fa, fb *video.Frame) *video.Frame {
-	out := getFrame(fa.W, fa.H)
+	out := video.GetFrame(fa.W, fa.H)
 	out.Index = fa.Index
 	coalesceRect(out, fa, fb, 0, 0, fa.W, fa.H)
 	return out
@@ -199,7 +170,7 @@ func coalesceRect(out, fa, fb *video.Frame, x0, y0, x1, y1 int) {
 // flood the chroma planes with the neutral value, identical to
 // Frame.Grayscale.
 func grayFrame(f *video.Frame) *video.Frame {
-	out := getFrame(f.W, f.H)
+	out := video.GetFrame(f.W, f.H)
 	out.Index = f.Index
 	copy(out.Y, f.Y)
 	for i := range out.U {
@@ -212,7 +183,7 @@ func grayFrame(f *video.Frame) *video.Frame {
 // copyFrame copies f into a pooled frame (every sample overwritten) for
 // Q6(b)'s compositor and Q6(a)'s box overlay to draw on.
 func copyFrame(f *video.Frame) *video.Frame {
-	out := getFrame(f.W, f.H)
+	out := video.GetFrame(f.W, f.H)
 	out.Index = f.Index
 	copy(out.Y, f.Y)
 	copy(out.U, f.U)

@@ -233,7 +233,7 @@ func TestPMapFrameOddDimensionsPoisonedPool(t *testing.T) {
 			poison.U[i] = 0xAA
 			poison.V[i] = 0xAA
 		}
-		RecycleFrame(poison)
+		video.PutFrame(poison)
 
 		src := noiseFrame(dim.w, dim.h, 0, 55)
 		got := PMapFrame(src, func(p Pixel) Pixel { return p })
@@ -244,19 +244,19 @@ func TestPMapFrameOddDimensionsPoisonedPool(t *testing.T) {
 }
 
 // TestPMapFrameAllocsWithRecycle is the pooling satellite: a
-// PMapFrame/RecycleFrame cycle must not allocate fresh planes each
+// PMapFrame/video.PutFrame cycle must not allocate fresh planes each
 // frame.
 func TestPMapFrameAllocsWithRecycle(t *testing.T) {
 	src := noiseFrame(64, 48, 0, 77)
 	ident := func(p Pixel) Pixel { return p }
 	// Warm the pool.
-	RecycleFrame(PMapFrame(src, ident))
+	video.PutFrame(PMapFrame(src, ident))
 	allocs := testing.AllocsPerRun(50, func() {
 		f := PMapFrame(src, ident)
-		RecycleFrame(f)
+		video.PutFrame(f)
 	})
 	if allocs > 3 {
-		t.Errorf("PMapFrame+RecycleFrame allocates %.1f objects/op, want <= 3", allocs)
+		t.Errorf("PMapFrame+PutFrame allocates %.1f objects/op, want <= 3", allocs)
 	}
 }
 

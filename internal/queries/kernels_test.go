@@ -147,7 +147,7 @@ func TestOverlayBoxesMatchesClosureForm(t *testing.T) {
 				if !framesEqual(coalesceFrame(f, bf), got) {
 					t.Fatalf("%dx%d trial %d: OverlayBoxes diverges from coalesceFrame", dim.w, dim.h, trial)
 				}
-				RecycleFrame(got) // the next trial starts from a dirty pool
+				video.PutFrame(got) // the next trial starts from a dirty pool
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func TestKernelAllocsOneFramePerOutput(t *testing.T) {
 	}
 
 	dets := boxDets(rand.New(rand.NewSource(5)), 4, 64, 48)
-	RecycleFrame(OverlayBoxes(frame(), dets, nil)) // warm the scratch pool
+	video.PutFrame(OverlayBoxes(frame(), dets, nil)) // warm the scratch pool
 	if allocs := testing.AllocsPerRun(50, func() {
 		OverlayBoxes(frame(), dets, nil)
 	}); allocs > frameObjects {
@@ -199,7 +199,7 @@ func BenchmarkKernels(b *testing.B) {
 	recycle := func(out *video.Video) {
 		kernelSink = out
 		for _, f := range out.Frames {
-			RecycleFrame(f)
+			video.PutFrame(f)
 		}
 	}
 	// ns/sample is per blurred output sample, luma and chroma alike.

@@ -169,7 +169,7 @@ func (s *MaskStream) emit(enter *video.Frame) *video.Frame {
 		s.n = n
 		s.bounds.set(s.table, n)
 	}
-	out := getFrame(cur.W, cur.H)
+	out := video.GetFrame(cur.W, cur.H)
 	out.Index = cur.Index
 	slide(s.sum, enter, cur, out, &s.bounds, 0, cur.H)
 	// Shift rather than re-slice: the window keeps its one backing array.
@@ -192,7 +192,7 @@ func maskVideo(v *video.Video, m int, eps float64, workers int) *video.Video {
 		bounds[n].set(table, n)
 	}
 	for range frames {
-		out.Append(getFrame(w, h)) // slide writes every sample
+		out.Append(video.GetFrame(w, h)) // slide writes every sample
 	}
 	sum := make([]int32, w*h)
 	bands := min(max(workers, 1), (h+1)/2)

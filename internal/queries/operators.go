@@ -67,7 +67,7 @@ func PMapFrame(fr *video.Frame, f func(Pixel) Pixel) *video.Frame {
 	// The loop writes every luma sample, and every chroma sample is
 	// covered by its even-coordinate pixel (for odd widths and heights
 	// included), so a pooled frame's stale content is fully overwritten.
-	out := getFrame(fr.W, fr.H)
+	out := video.GetFrame(fr.W, fr.H)
 	out.Index = fr.Index
 	cw := fr.ChromaW()
 	for y := 0; y < fr.H; y++ {
@@ -127,7 +127,7 @@ func joinVideos(a, b *video.Video, kernel func(fa, fb *video.Frame) *video.Frame
 func JoinPFrame(fa, fb *video.Frame, proj func(Pixel, Pixel) Pixel) *video.Frame {
 	// Pooled output: the loop overwrites every luma and chroma sample
 	// (see PMapFrame).
-	out := getFrame(fa.W, fa.H)
+	out := video.GetFrame(fa.W, fa.H)
 	out.Index = fa.Index
 	cw := fa.ChromaW()
 	for y := 0; y < fa.H; y++ {
@@ -191,7 +191,7 @@ func AggregateMean(window []*video.Frame) *video.Frame {
 		return nil
 	}
 	w, h := window[0].W, window[0].H
-	out := getFrame(w, h) // every sample written below
+	out := video.GetFrame(w, h) // every sample written below
 	n := len(window)
 	ln, lc := len(out.Y), len(out.U)
 	sp := sumScratch(ln + 2*lc)

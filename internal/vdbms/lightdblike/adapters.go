@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/alpr"
-	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/render"
@@ -102,6 +101,7 @@ func (e *Engine) runQ2d(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 			}
 			return nil
 		})
+		dec.close()
 	}
 	sp.End()
 	// Drain: the remaining frames have shrinking windows, matching the
@@ -330,8 +330,4 @@ func (e *Engine) runQ10(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 // shared Q2(b) kernel, registered under the engine's operator name.
 func gaussianUDF(d int) func(*video.Frame) *video.Frame {
 	return queries.NewGaussianBlur(d)
-}
-
-func newCodecDecoder(in *vdbms.Input) (decoder, error) {
-	return codec.NewDecoder(in.Encoded.Config)
 }

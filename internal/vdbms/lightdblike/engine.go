@@ -30,6 +30,7 @@
 package lightdblike
 
 import (
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/queries"
@@ -149,23 +150,30 @@ func (e *Engine) streamMap(in *vdbms.Input, t transform) (*video.Video, error) {
 // and with tiles non-nil (vdbms.InputTiles) only those tiles need be
 // valid. Each frame is decoded, transformed (t receives absolute stream
 // indices) and written to w before the next one is looked at; a written
-// frame belongs to w. Recently decoded inputs are served from the
-// engine's decode cache without touching the codec.
+// frame belongs to w, which re-stamps its Index, so on every branch a
+// transform that returns its input writes a copy. Recently decoded
+// inputs are served from the engine's decode cache without touching the
+// codec.
 func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w video.Writer) error {
 	n := len(in.Encoded.Frames)
 	lo = max(lo, 0)
 	hi = max(min(hi, n), lo)
-	// mapFrames maps and writes frames holding stream indices lo, lo+1, …
+	// apply maps the frame holding stream index i and writes the result.
+	apply := func(i int, f *video.Frame) error {
+		g, err := t(i, f)
+		if err != nil || g == nil {
+			return err
+		}
+		if g == f {
+			g = f.Clone()
+		}
+		return w.Write(g)
+	}
+	// mapFrames applies frames holding stream indices lo, lo+1, …
 	mapFrames := func(frames []*video.Frame) error {
 		for i, f := range frames {
-			g, err := t(lo+i, f)
-			if err != nil {
+			if err := apply(lo+i, f); err != nil {
 				return err
-			}
-			if g != nil {
-				if err := w.Write(g); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
@@ -175,13 +183,15 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	// per eval call are invariant across modes.
 	key := cacheKey(in)
 	if cached, ok := e.cache.get(key, lo, hi); ok {
-		// A locally resident full-frame window serves any tile set.
+		// A locally resident full-frame window serves any tile set. The
+		// entry stays pinned, so not recycled, until the loop is done.
+		defer e.cache.release(cached)
 		sp := metrics.StartSpan(metrics.StageDecode)
 		sp.Trace(in.Trace)
 		sp.Cache(true)
-		sp.Frames(len(cached.Frames))
+		sp.Frames(hi - lo)
 		sp.End()
-		return mapFrames(cached.Frames)
+		return mapFrames(cached.frames(lo, hi))
 	}
 	// When the driver runs with its shared decoded-input cache, use it
 	// as the decode layer: concurrent instances over the same rectangle
@@ -210,34 +220,26 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	if err != nil {
 		return err
 	}
+	defer dec.close()
 	seed := 0
 	if lo < hi {
 		seed = in.Encoded.KeyframeBefore(lo)
 	}
 	dec.pos = seed
 	// The decoder's frames go to the cache as they are, absolute indices
-	// included (the detector seeds its RNG from them).
-	decoded := &video.Video{FPS: in.Encoded.Config.FPS}
+	// included (the detector seeds its RNG from them). The cache takes
+	// them over; a failed evaluation recycles them itself.
+	decoded := &video.Video{FPS: in.Encoded.Config.FPS, Frames: make([]*video.Frame, 0, hi-seed)}
 	err = dec.ahead(hi, func(f *video.Frame) error {
 		sp.Frames(1)
-		if f.Index >= lo { // else seed run
-			g, err := t(f.Index, f)
-			if err != nil {
-				return err
-			}
-			if g == f {
-				f = f.Clone() // w re-stamps the frame it is given
-			}
-			if g != nil {
-				if err := w.Write(g); err != nil {
-					return err
-				}
-			}
-		}
 		decoded.Frames = append(decoded.Frames, f)
-		return nil
+		if f.Index < lo { // seed run
+			return nil
+		}
+		return apply(f.Index, f)
 	})
 	if err != nil {
+		recycleFrames(decoded.Frames)
 		return err
 	}
 	e.cache.put(key, decoded, seed, seed+len(decoded.Frames))
@@ -255,19 +257,31 @@ type decoder interface {
 	Decode(data []byte) (*video.Frame, error)
 }
 
+// newStreamDecoder takes a decoder for the input from the codec's pool;
+// close gives it back.
 func newStreamDecoder(in *vdbms.Input) (*streamDecoder, error) {
-	d, err := newCodecDecoder(in)
+	d, err := codec.GetDecoder(in.Encoded.Config)
 	if err != nil {
 		return nil, err
 	}
 	return &streamDecoder{in: in, dec: d}, nil
 }
 
+// close returns a pooled codec decoder to the codec's pool. The frames
+// it decoded stay their holders'.
+func (s *streamDecoder) close() {
+	if d, ok := s.dec.(*codec.Decoder); ok {
+		codec.PutDecoder(d)
+	}
+}
+
 // aheadDepth bounds how many decoded frames may wait for the consumer
-// of ahead: a frame is ≈ 80 µs of decode at the bench shape, so a few
-// frames of slack absorb scheduling jitter, and peak frame memory stays
-// aheadDepth+2 frames whatever the clip length (vcg's render→encode
-// pipe has the same depth).
+// of ahead: a frame is ≈ 60–75 µs of decode at the bench shape
+// (192×108), so a few frames of slack absorb scheduling jitter (vcg's
+// render→encode pipe has the same depth). It bounds the decoder's lead,
+// not the frame memory: eval keeps every frame it decodes for the
+// engine's decode cache, so an evaluation holds O(window) frames, and
+// the cache up to decodeCacheEntries windows.
 const aheadDepth = 3
 
 // ahead decodes frames [s.pos, hi), hi within the clip, and hands each,

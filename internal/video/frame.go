@@ -11,6 +11,7 @@ package video
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Frame is a single planar YUV 4:2:0 image. The luma plane Y has W×H
@@ -170,9 +171,9 @@ func (f *Frame) Downsample(w, h int) *Frame {
 	}
 	out := newFrameUnfilled(w, h)
 	out.Index = f.Index
-	boxPlane(out.Y, w, h, f.Y, f.W, f.H)
-	boxPlane(out.U, out.ChromaW(), out.ChromaH(), f.U, f.ChromaW(), f.ChromaH())
-	boxPlane(out.V, out.ChromaW(), out.ChromaH(), f.V, f.ChromaW(), f.ChromaH())
+	boxPlane(out.Y, w, h, f.Y, f.W, f.H, sumRows)
+	boxPlane(out.U, out.ChromaW(), out.ChromaH(), f.U, f.ChromaW(), f.ChromaH(), sumRows)
+	boxPlane(out.V, out.ChromaW(), out.ChromaH(), f.V, f.ChromaW(), f.ChromaH(), sumRows)
 	return out
 }
 
@@ -226,41 +227,107 @@ func resizePlane(dst []byte, dw, dh int, src []byte, sw, sh int) {
 // (x, y) is the rounded mean of source columns [x·sw/dw, (x+1)·sw/dw) ×
 // rows [y·sh/dh, (y+1)·sh/dh), each at least one sample wide. The
 // column bounds are the same on every output row, so they are divided
-// out once per call and the row bounds once per output row; the box
-// rows are summed per source column first, so a source sample costs one
-// add in a straight loop however small the boxes are.
-func boxPlane(dst []byte, dw, dh int, src []byte, sw, sh int) {
+// out once per call and the row bounds once per output row. Per output
+// row, sum (sumRows, or its Go twin under test) adds the box rows up per
+// source column in uint16 lanes, at most boxRowsMax rows at a time; one
+// pass turns those column sums into a prefix row, and an output sample
+// is a difference of two prefix entries times the exact reciprocal of
+// its box size (boxRecip): a box is one of at most two widths, so a row
+// needs two reciprocals and no divide.
+func boxPlane(dst []byte, dw, dh int, src []byte, sw, sh int, sum func(acc []uint16, src []byte, stride, rows int)) {
 	if dw <= 0 || dh <= 0 {
 		return
 	}
-	cols := make([]int, 2*dw) // [x0, x1) of output column x at 2x, 2x+1
+	sc := boxPool.Get().(*boxScratch)
+	defer boxPool.Put(sc)
+	sc.cols = grow(sc.cols, dw)
+	sc.acc = grow(sc.acc, sw)
+	sc.pre = grow(sc.pre, sw+1)
+	// Output column x starts at source column cols[x]>>1 and is wlo
+	// columns wide, one more when cols[x]&1 is set.
+	cols, acc, pre := sc.cols, sc.acc, sc.pre
+	pre[0] = 0
+	wlo := max(sw/dw, 1)
 	for x := 0; x < dw; x++ {
 		x0 := x * sw / dw
-		cols[2*x], cols[2*x+1] = x0, max((x+1)*sw/dw, x0+1)
+		cols[x] = x0<<1 | (max((x+1)*sw/dw, x0+1) - x0 - wlo)
 	}
-	acc := make([]uint32, sw) // per source column, the sum over the box rows
 	for y := 0; y < dh; y++ {
 		sy0 := y * sh / dh
-		sy1 := max((y+1)*sh/dh, sy0+1)
-		for i, v := range src[sy0*sw : (sy0+1)*sw] {
-			acc[i] = uint32(v)
-		}
-		for sy := sy0 + 1; sy < sy1; sy++ {
-			for i, v := range src[sy*sw : (sy+1)*sw] {
-				acc[i] += uint32(v)
+		bh := max((y+1)*sh/dh, sy0+1) - sy0
+		for r := 0; r < bh; r += boxRowsMax {
+			sum(acc, src[(sy0+r)*sw:], sw, min(boxRowsMax, bh-r))
+			run, p := 0, pre[1:][:len(acc)] // p[i] = pre[i+1]
+			if r == 0 {
+				for i, a := range acc {
+					run += int(a)
+					p[i] = run
+				}
+				continue
+			}
+			for i, a := range acc {
+				run += int(a)
+				p[i] += run
 			}
 		}
 		out := dst[y*dw : (y+1)*dw]
-		for x := range out {
-			x0, x1 := cols[2*x], cols[2*x+1]
-			sum := 0
-			for _, a := range acc[x0:x1] {
-				sum += int(a)
+		n := [2]int{wlo * bh, (wlo + 1) * bh}
+		if n[1] >= boxRecipLimit {
+			for x := range out {
+				x0, k := cols[x]>>1, cols[x]&1
+				s := pre[x0+wlo+k] - pre[x0]
+				out[x] = byte((s + n[k]/2) / n[k])
 			}
-			n := (x1 - x0) * (sy1 - sy0)
-			out[x] = byte((sum + n/2) / n)
+			continue
+		}
+		half := [2]uint64{uint64(n[0] / 2), uint64(n[1] / 2)}
+		mul := [2]uint64{boxRecip(n[0]), boxRecip(n[1])}
+		for x := range out {
+			x0, k := cols[x]>>1, cols[x]&1
+			s := uint64(pre[x0+wlo+k] - pre[x0])
+			out[x] = byte((s + half[k]) * mul[k] >> boxRecipShift)
 		}
 	}
+}
+
+const (
+	// boxRowsMax is the most box rows sumRows adds in one call: 257
+	// samples of at most 255 still fit a uint16 lane (65535 = 257·255).
+	boxRowsMax = 257
+	// boxRecipShift and boxRecipLimit bound boxRecip: boxes of fewer
+	// than boxRecipLimit samples divide by a multiply and a shift,
+	// larger ones (256×256 samples and up) divide.
+	boxRecipShift = 40
+	boxRecipLimit = 1 << 16
+)
+
+// boxRecip returns ⌈2^40/n⌉ for 0 < n < boxRecipLimit, with which
+// v·boxRecip(n) >> 40 is v/n for every v < 256·n — a rounded box mean's
+// numerator, sum + n/2 with sum ≤ 255·n. With m = ⌈2^40/n⌉ = (2^40+e)/n
+// and 0 ≤ e < n, v·m/2^40 = v/n + v·e/(n·2^40), and v·e < 256·n² ≤ 2^40
+// keeps the excess below 1/n, too little to carry floor(v/n) past the
+// next integer; v·m < 2^49 stays in 64 bits (TestBoxRecipIsExact).
+func boxRecip(n int) uint64 {
+	return (1<<boxRecipShift + uint64(n) - 1) / uint64(n)
+}
+
+// boxScratch is boxPlane's scratch, reused across calls through
+// boxPool: the output columns' bounds, the box rows' per-column sums
+// and their prefix row.
+type boxScratch struct {
+	cols []int
+	acc  []uint16
+	pre  []int
+}
+
+var boxPool = sync.Pool{New: func() any { return new(boxScratch) }}
+
+// grow returns s resliced to length n, reallocated when too short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func clampInt(v, lo, hi int) int {

@@ -6,11 +6,12 @@
 set -eux
 
 go vet ./...
-# The portable (!amd64) kernels of the codec and the blur must vet and
-# their tests compile.
+# The portable (!amd64) kernels of the codec, the blur and the box
+# filter must vet and their tests compile.
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go test -c -o /dev/null ./internal/codec
 GOARCH=arm64 go test -c -o /dev/null ./internal/queries
+GOARCH=arm64 go test -c -o /dev/null ./internal/video
 go build ./...
 go test ./...
 # The race detector over every package. What interleaves: the worker
@@ -19,9 +20,11 @@ go test ./...
 # decoded cache, every RunOnlineOpts exit path, the lock-free metrics
 # registry, the shard plane and the differential test's topologies, the
 # vrserved control plane, and internal/cli building and running every
-# binary. Fuzz seed corpora run as ordinary tests. internal/render goes
-# -short: its single-threaded oracle corpus takes > 3 min whole under
-# the detector.
+# binary. Fuzz seed corpora run as ordinary tests. Race builds poison
+# every recycled frame (internal/video), so a frame used after it went
+# back to the pool fails the goldens and the differential test here.
+# internal/render goes -short: its single-threaded oracle corpus takes
+# > 3 min whole under the detector.
 go test -race $(go list ./... | grep -v /internal/render)
 go test -race -short ./internal/render
 # Every suite with the scheduler pinned to one thread: the row-parallel
