@@ -299,3 +299,41 @@ func blurPlane(dst, src []byte, w, h int, k []float64) {
 		}
 	}
 }
+
+// TestMaskStreamReleasesEachFrameOnce: with Release set, every pushed
+// frame is released exactly once, in input order, by the call that
+// returns its output — never while a later output still reads it — and
+// the outputs are the ones the operator makes without Release.
+func TestMaskStreamReleasesEachFrameOnce(t *testing.T) {
+	v := maskTestVideo(7, 16, 8, 3)
+	for _, m := range []int{1, 3, 7, 12} {
+		want := maskStreamed(v, m, 0.2)
+		var released []*video.Frame
+		s := NewMaskStream(m, 0.2)
+		s.Release = func(f *video.Frame) { released = append(released, f) }
+		got := video.NewVideo(v.FPS)
+		emitted := func(g *video.Frame) {
+			if n := len(released); n != len(got.Frames)+1 || released[n-1].Index != g.Index {
+				t.Fatalf("m=%d: output %d returned after %d releases", m, g.Index, n)
+			}
+			got.Append(g)
+		}
+		for _, f := range v.Frames {
+			if g := s.Push(f); g != nil {
+				emitted(g)
+			}
+		}
+		for g := s.Drain(); g != nil; g = s.Drain() {
+			emitted(g)
+		}
+		if len(released) != len(v.Frames) {
+			t.Fatalf("m=%d: %d releases for %d frames", m, len(released), len(v.Frames))
+		}
+		for i, f := range released {
+			if f != v.Frames[i] {
+				t.Errorf("m=%d: release %d is not input frame %d", m, i, i)
+			}
+		}
+		videosEqual(t, fmt.Sprintf("MaskStream(m=%d) with Release", m), want, got)
+	}
+}

@@ -120,9 +120,15 @@ func slide(sum []int32, enter, cur, out *video.Frame, b *maskBounds, y0, y1 int)
 // MaskStream is the Q2(d) operator for an engine that sees its input a
 // frame at a time: Push each frame, then Drain. Its state is the window
 // — at most m frames, which it holds until they leave — and their
-// per-sample luma sum. Outputs come from this package's frame pool in
+// per-sample luma sum. Outputs come from video's frame registry in
 // input order, each stamped with its input frame's Index.
 type MaskStream struct {
+	// Release, when non-nil, receives each input frame once, as its
+	// output is made: the frame has left the window sum then, and the
+	// operator never reads it again. An engine that owns its input
+	// frames recycles them here.
+	Release func(*video.Frame)
+
 	m      int
 	table  *maskTable
 	window []*video.Frame // summed in sum, oldest first
@@ -174,6 +180,9 @@ func (s *MaskStream) emit(enter *video.Frame) *video.Frame {
 	slide(s.sum, enter, cur, out, &s.bounds, 0, cur.H)
 	// Shift rather than re-slice: the window keeps its one backing array.
 	s.window = s.window[:copy(s.window, s.window[1:])]
+	if s.Release != nil {
+		s.Release(cur)
+	}
 	return out
 }
 

@@ -37,23 +37,39 @@ var AllQueries = []QueryID{Q1, Q2a, Q2b, Q2c, Q2d, Q3, Q4, Q5, Q6a, Q6b, Q7, Q8,
 // MicroQueries lists the microbenchmark subset.
 var MicroQueries = []QueryID{Q1, Q2a, Q2b, Q2c, Q2d, Q3, Q4, Q5, Q6a, Q6b}
 
+// queryNames maps every spelling ParseList looks up first — the short
+// name ("Q2a") and the canonical one ("Q2(a)"), each as written and
+// lower-cased — to its query. It is built once: vrserved parses a list
+// per submitted job.
+var queryNames = func() map[string]QueryID {
+	m := make(map[string]QueryID, 4*len(AllQueries))
+	for _, q := range AllQueries {
+		for _, name := range []string{string(q), strings.NewReplacer("(", "", ")", "").Replace(string(q))} {
+			m[name] = q
+			m[strings.ToLower(name)] = q
+		}
+	}
+	return m
+}()
+
 // ParseList maps a comma-separated list of short names like "Q2a" (or
 // canonical names like "Q2(a)") to query IDs, case-insensitively. An
 // empty string means "all" and returns nil, the convention every
-// options struct treats as the full suite.
+// options struct treats as the full suite. Names spelled as listed or
+// in lower case cost no allocation beyond the returned slice.
 func ParseList(s string) ([]QueryID, error) {
 	if s == "" {
 		return nil, nil
 	}
-	byShort := map[string]QueryID{}
-	for _, q := range AllQueries {
-		short := strings.NewReplacer("(", "", ")", "").Replace(string(q))
-		byShort[strings.ToLower(short)] = q
-		byShort[strings.ToLower(string(q))] = q
-	}
-	var out []QueryID
-	for _, part := range strings.Split(s, ",") {
-		q, ok := byShort[strings.ToLower(strings.TrimSpace(part))]
+	out := make([]QueryID, 0, strings.Count(s, ",")+1)
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		name := strings.TrimSpace(part)
+		q, ok := queryNames[name]
+		if !ok {
+			q, ok = queryNames[strings.ToLower(name)]
+		}
 		if !ok {
 			return nil, fmt.Errorf("queries: unknown query %q", part)
 		}

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -440,5 +441,35 @@ func TestRenderBoxesVideoFiltersClasses(t *testing.T) {
 	}
 	if yPed != Omega.Y {
 		t.Error("pedestrian box rendered despite filter")
+	}
+}
+
+// TestParseList: both spellings, any case, surrounding spaces; an
+// unknown name fails; the empty list is the full suite (nil).
+func TestParseList(t *testing.T) {
+	got, err := ParseList("Q1, q2a,Q2(B) ,q10,Q6b")
+	if want := []QueryID{Q1, Q2a, Q2b, Q10, Q6b}; err != nil || !slices.Equal(got, want) {
+		t.Errorf("ParseList = %v, %v; want %v", got, err, want)
+	}
+	if qs, err := ParseList(""); qs != nil || err != nil {
+		t.Errorf("ParseList(\"\") = %v, %v; want nil, nil", qs, err)
+	}
+	for _, bad := range []string{"Q11", "Q1,", "Q2", "Q1,,Q5"} {
+		if _, err := ParseList(bad); err == nil {
+			t.Errorf("ParseList(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseListAllocatesOnlyItsResult pins the per-job cost of parsing
+// a submitted query list: the name table is built once, so a list in
+// the usual spellings allocates the returned slice and nothing else.
+func TestParseListAllocatesOnlyItsResult(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseList("Q1,Q2a,Q2(b),q5,Q6a"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("ParseList allocates %.1f times, want 1 (its result)", allocs)
 	}
 }

@@ -125,6 +125,10 @@ func (w *worker) serve(ctx context.Context) error {
 	if err := w.setup(); err != nil {
 		return err
 	}
+	// The job's decoded frames go back to the frame registry when the
+	// conversation ends — after summarize has read the cache counters,
+	// with no assignment running — so the next job decodes into them.
+	defer w.runner.Close()
 	// Heartbeat for the whole conversation — the coordinator enforces a
 	// read deadline even while a worker idles between queries, so
 	// liveness cannot depend on having work.

@@ -390,7 +390,9 @@ func SendVideo(ctx context.Context, conn net.Conn, enc *codec.Encoded, clock Clo
 	for i, f := range enc.Frames {
 		if err := sender.SendAccessUnitCtx(ctx, f.Data, i); err != nil {
 			conn.Close()
-			if cerr := ctx.Err(); cerr != nil {
+			// An injected cut is the root cause even when the receiver,
+			// having read the truncation, cancelled ctx before this check.
+			if cerr := ctx.Err(); cerr != nil && !errors.Is(err, ErrFaultCut) {
 				return cerr
 			}
 			return err

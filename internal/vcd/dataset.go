@@ -112,16 +112,17 @@ func (d *Dataset) Input(cameraID string) (*vdbms.Input, error) {
 }
 
 // configureDecodedCache installs (or disables) the shared decoded-input
-// cache for a run. budget < 0 disables the cache, 0 selects
-// DefaultDecodedCacheBytes. Reconfiguring resets counters.
-func (d *Dataset) configureDecodedCache(budget int64) {
+// cache for a run and returns it (nil when disabled). budget < 0
+// disables the cache, 0 selects DefaultDecodedCacheBytes. Reconfiguring
+// resets counters.
+func (d *Dataset) configureDecodedCache(budget int64) *decodedCache {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if budget < 0 {
-		d.decoded = nil
-		return
+	d.decoded = nil
+	if budget >= 0 {
+		d.decoded = newDecodedCache(budget)
 	}
-	d.decoded = newDecodedCache(budget)
+	return d.decoded
 }
 
 func (d *Dataset) decodedCache() *decodedCache {

@@ -317,6 +317,30 @@ func (c *decodedCache) removeLocked(victim *decodedEntry) {
 	}
 }
 
+// close hands every resident window's frames to video's frame registry,
+// each exactly once — a union window holds the frames it absorbed, and
+// no frame is in two resident windows — and empties the cache. Its
+// counters stay, so stats still reads the run. The caller guarantees
+// that no acquire is running and that no view is in use: PutFrame hands
+// the planes every view of them shares to the next GetFrame. A window
+// evicted or absorbed earlier is left to the garbage collector, since a
+// view of it may have outlived it.
+func (c *decodedCache) close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, list := range c.entries {
+		for _, e := range list {
+			if e.filled() {
+				for _, f := range e.video.Frames {
+					video.PutFrame(f)
+				}
+			}
+		}
+	}
+	clear(c.entries)
+	c.used = 0
+}
+
 // stats snapshots the cache counters.
 func (c *decodedCache) stats() metrics.CacheStats {
 	return c.counters.CacheStats()

@@ -219,6 +219,7 @@ func Run(ds *Dataset, sys vdbms.System, opt Options) (*RunReport, error) {
 	report.Elapsed = time.Since(start)
 	report.DecodedCache = ds.DecodedCacheStats()
 	report.Record = iv.End()
+	r.Close()
 	return report, nil
 }
 

@@ -31,20 +31,26 @@ type resultSink struct {
 
 var _ vdbms.FrameSink = (*resultSink)(nil)
 
-// Open implements vdbms.FrameSink.
+// Open implements vdbms.FrameSink. The engine hands over each frame it
+// writes (DESIGN.md §5.5 "Ownership"), so the writer recycles it.
 func (s *resultSink) Open(key string, fps int) (video.Writer, error) {
-	w := &resultWriter{sink: s, key: key, fps: fps}
+	return s.open(key, fps, true), nil
+}
+
+func (s *resultSink) open(key string, fps int, owned bool) *resultWriter {
+	w := &resultWriter{sink: s, key: key, fps: fps, owned: owned}
 	if s.capture != nil {
 		w.kept = video.NewVideo(fps)
 		s.capture.Outputs[key] = w.kept
 	}
 	s.writers = append(s.writers, w)
-	return w, nil
+	return w
 }
 
 // Emit implements vdbms.Sink: the whole video through the same writer.
+// The video stays the engine's: its frames are encoded, never recycled.
 func (s *resultSink) Emit(key string, v *video.Video) error {
-	w, _ := s.Open(key, v.FPS)
+	w := s.open(key, v.FPS, false)
 	for _, f := range v.Frames {
 		if err := w.Write(f); err != nil {
 			return err
@@ -66,8 +72,10 @@ func (s *resultSink) abandon() {
 // resultWriter encodes one result as its frames arrive and, on Close,
 // muxes the container payload — the encoded form every query result
 // takes in both result modes — and persists it in WriteMode. A written
-// frame belongs to the writer: it is encoded before Write returns and
-// kept only for validation. The result.encode span runs from the first
+// frame belongs to the writer: it is encoded before Write returns, then
+// kept if the instance is sampled for validation and otherwise, when
+// the engine handed it over (Open), recycled into video's frame
+// registry. The result.encode span runs from the first
 // Write to the mux, so under a streaming engine it overlaps the decode
 // span of the loop that feeds it.
 type resultWriter struct {
@@ -78,6 +86,9 @@ type resultWriter struct {
 	out  *codec.Encoded
 	sp   metrics.Span
 	kept *video.Video // the written frames; nil unless sampled for validation
+	// owned: the engine hands each written frame over (Open), so one
+	// that is not kept goes back to the registry once encoded.
+	owned bool
 }
 
 func (w *resultWriter) Write(f *video.Frame) error {
@@ -99,6 +110,8 @@ func (w *resultWriter) Write(f *video.Frame) error {
 	w.sink.frames++
 	if w.kept != nil {
 		w.kept.Frames = append(w.kept.Frames, f)
+	} else if w.owned {
+		video.PutFrame(f)
 	}
 	return nil
 }

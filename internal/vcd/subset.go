@@ -20,13 +20,14 @@ import (
 // executes only the global instance indices assigned to it; instance
 // parameters never cross the wire. The runner configures the dataset's
 // decoded cache once at construction (each worker process owns its
-// cache).
+// cache) and hands its frames back at Close.
 type BatchRunner struct {
 	ds    *Dataset
 	sys   vdbms.System
 	opt   Options
 	val   *validator
 	shard int
+	cache *decodedCache // the one it configured; nil when disabled
 }
 
 // NewBatchRunner prepares execution against ds with sys.
@@ -35,8 +36,8 @@ func NewBatchRunner(ds *Dataset, sys vdbms.System, opt Options) (*BatchRunner, e
 	if opt.Mode == WriteMode && opt.ResultStore == nil {
 		return nil, errors.New("vcd: WriteMode requires a result store")
 	}
-	ds.configureDecodedCache(opt.decodedCacheBudget())
-	return &BatchRunner{ds: ds, sys: sys, opt: opt, val: newValidator(ds, opt), shard: -1}, nil
+	cache := ds.configureDecodedCache(opt.decodedCacheBudget())
+	return &BatchRunner{ds: ds, sys: sys, opt: opt, val: newValidator(ds, opt), shard: -1, cache: cache}, nil
 }
 
 // SetShard tags the runner's spans with the shard (worker index) it
@@ -105,6 +106,22 @@ func (r *BatchRunner) RunSubset(q queries.QueryID, indices []int, traces []metri
 func (r *BatchRunner) Quiesce() {
 	if q, ok := r.sys.(interface{ Shutdown() }); ok {
 		q.Shutdown()
+	}
+}
+
+// Close ends the runner's use of its decoded cache: it quiesces the
+// engine, then hands every frame of every resident window to video's
+// frame registry, exactly once, so the next run on the dataset — the
+// next batch of a benchmark, the next vrserved job on a shard worker —
+// decodes into them instead of allocating. The cache's counters stay
+// (CacheStats). Call it when no instance is running: an engine holds
+// views of cached frames only while an instance runs, except
+// Scanner-like's ingest tables, which Quiesce drops. Closing twice does
+// nothing more.
+func (r *BatchRunner) Close() {
+	r.Quiesce()
+	if r.cache != nil {
+		r.cache.close()
 	}
 }
 

@@ -78,10 +78,13 @@ func (e *Engine) runQ2c(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 
 // runQ2d streams through the sliding-window mask: the operator holds the
 // m-frame lookahead window and its running sum, so the input is never
-// materialized and a frame costs the same whatever m is.
+// materialized and a frame costs the same whatever m is. The frames are
+// decoded privately, so each goes back to the registry as it leaves the
+// window.
 func (e *Engine) runQ2d(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	in := inst.Inputs[0]
 	mask := queries.NewMaskStream(inst.Params.M, inst.Params.Epsilon)
+	mask.Release = video.PutFrame
 	w, err := vdbms.OpenResult(sink, "out", in.Encoded.Config.FPS)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package lightdblike
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -464,4 +465,46 @@ func TestIdentityTransformLeavesTheCacheItsOwnFrames(t *testing.T) {
 	shared := *in
 	shared.Source = fixedSource{decoded}
 	check("shared cache", evalInto(New(Options{}), &shared), decoded.Frames)
+}
+
+// TestRunQ2dRecyclesEachDecodedFrame: Q2(d) decodes its input privately
+// and recycles each frame once it leaves the mask's window, so an
+// instance hands exactly its decoded frames to the registry; under
+// -race those are poisoned, so a frame recycled while the window still
+// read it would change the output, which must equal the reference.
+func TestRunQ2dRecyclesEachDecodedFrame(t *testing.T) {
+	fx := vdbmstest.NewFixture(t, 4)
+	in := fx.Traffic(0)
+	p := fx.DefaultParams(t, queries.Q2d)
+	src, err := in.Encoded.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{2, p.M, min(len(in.Encoded.Frames)+3, 60)} {
+		p.M = m
+		want, err := queries.RunQ2d(src, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := vdbmstest.NewCollectSink()
+		_, before, _ := video.PoolCounts()
+		err = New(Options{}).Execute(&vdbms.QueryInstance{Query: queries.Q2d, Params: p, Inputs: []*vdbms.Input{in}}, sink)
+		_, after, _ := video.PoolCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after-before != int64(len(in.Encoded.Frames)) {
+			t.Errorf("m=%d: %d frames recycled, want the %d decoded", m, after-before, len(in.Encoded.Frames))
+		}
+		got := sink.Outputs["out"]
+		if len(got.Frames) != len(want.Frames) {
+			t.Fatalf("m=%d: %d output frames, want %d", m, len(got.Frames), len(want.Frames))
+		}
+		for i, g := range got.Frames {
+			w := want.Frames[i]
+			if !bytes.Equal(g.Y, w.Y) || !bytes.Equal(g.U, w.U) || !bytes.Equal(g.V, w.V) {
+				t.Fatalf("m=%d: output frame %d differs from the reference", m, i)
+			}
+		}
+	}
 }

@@ -42,8 +42,13 @@ func (m *Memory) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return io.NopCloser(bytes.NewReader(data)), nil
+	return &memObject{bytes.NewReader(data)}, nil
 }
+
+// memObject reads a Memory object; ReadAll sizes its buffer by Len.
+type memObject struct{ *bytes.Reader }
+
+func (*memObject) Close() error { return nil }
 
 // List returns all object names, sorted.
 func (m *Memory) List() ([]string, error) {

@@ -188,12 +188,48 @@ func (d *Distributed) List() ([]string, error) {
 	return out, nil
 }
 
-// ReadAll is a convenience that opens and fully reads an object.
+// ReadAll is a convenience that opens and fully reads an object. When
+// the reader knows the object's length — a Local file's Stat, a Memory
+// object's bytes — the buffer is sized once, so reading an N-byte object
+// allocates N bytes and not the 2N or so of a buffer doubled from 512.
 func ReadAll(s Store, name string) ([]byte, error) {
 	rc, err := s.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Close()
-	return io.ReadAll(rc)
+	n := objectSize(rc)
+	if n < 0 {
+		return io.ReadAll(rc)
+	}
+	// One spare byte takes the read that reports EOF, as os.ReadFile
+	// does; an object that grew since is read on by append.
+	buf := make([]byte, 0, n+1)
+	for {
+		k, err := rc.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// objectSize is the length of the object r reads, or -1 when r does not
+// know it.
+func objectSize(r io.Reader) int {
+	switch r := r.(type) {
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	case *memObject:
+		return r.Len()
+	}
+	return -1
 }

@@ -1,9 +1,11 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -168,5 +170,38 @@ func TestMemoryIsolation(t *testing.T) {
 	got, _ := ReadAll(m, "a")
 	if string(got) != "mutable" {
 		t.Error("memory store shares caller's buffer")
+	}
+}
+
+// TestReadAllAllocatesTheObjectOnce: ReadAll sizes its buffer from the
+// object's length on every store, so reading an N-byte object allocates
+// about N bytes — not the doubling series of a buffer grown from 512.
+func TestReadAllAllocatesTheObjectOnce(t *testing.T) {
+	const n = 1<<20 + 123
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	for name, s := range stores(t) {
+		if err := s.Write("clip", data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(s, "clip")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: ReadAll = %d bytes, %v; want the %d written", name, len(got), err, n)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := ReadAll(s, "clip"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRead := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if perRead > 1.1*n {
+			t.Errorf("%s: reading %d bytes allocates %.0f bytes, want about %d", name, n, perRead, n)
+		}
 	}
 }

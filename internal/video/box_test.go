@@ -141,3 +141,30 @@ func BenchmarkDownsample(b *testing.B) {
 		})
 	}
 }
+
+// TestPutFrameNeverRegisters: recycling a frame of a size no GetFrame
+// asked for drops it instead of growing the registry by a pool, so
+// recycling random crop sizes keeps the registry as small as the sizes
+// callers take.
+func TestPutFrameNeverRegisters(t *testing.T) {
+	w, h := 7, 131 // a size no other test takes, and none earlier runs took
+	for registered(w, h) != nil {
+		h++
+	}
+	_, puts, _ := PoolCounts()
+	PutFrame(newFrameUnfilled(w, h))
+	if registered(w, h) != nil {
+		t.Fatalf("PutFrame registered a %d×%d pool", w, h)
+	}
+	if _, after, _ := PoolCounts(); after != puts {
+		t.Errorf("PutFrame of an unregistered size counted %d Puts", after-puts)
+	}
+	// Once GetFrame has registered the size, the same Put recycles.
+	PutFrame(GetFrame(w, h))
+	if registered(w, h) == nil {
+		t.Fatalf("GetFrame did not register %d×%d", w, h)
+	}
+	if _, after, _ := PoolCounts(); after != puts+1 {
+		t.Errorf("PutFrame of a registered size counted %d Puts, want 1", after-puts)
+	}
+}

@@ -142,12 +142,15 @@ func (f *Frame) Crop(x1, y1, x2, y2 int) *Frame {
 // Grayscale returns a copy of f with chroma information dropped: the U
 // and V planes are set to the neutral value 128, leaving luminance
 // unchanged. This matches the VCD reference implementation of Q2(a).
+// The copy comes from the frame registry (GetFrame): it has the input's
+// size, so a writer that recycles it feeds the decoder's pool as much as
+// it took.
 func (f *Frame) Grayscale() *Frame {
-	// NewFrame already initializes the chroma planes to the neutral
-	// value, so only luma needs copying.
-	g := NewFrame(f.W, f.H)
+	g := GetFrame(f.W, f.H)
 	g.Index = f.Index
 	copy(g.Y, f.Y)
+	fillBytes(g.U, 128)
+	fillBytes(g.V, 128)
 	return g
 }
 

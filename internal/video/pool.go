@@ -72,23 +72,31 @@ func (p *FramePool) Put(f *Frame) {
 	p.pool.Put(f)
 }
 
-// registry maps a resolution to its FramePool. Resolutions are few and
-// created once, so the map is copied on insert and read without a lock:
-// a lookup neither blocks nor allocates, which keeps a steady-state
-// decode at zero allocations.
+// registry maps a resolution to its FramePool. Only GetFrame registers
+// a resolution — the sizes decoders and operators ask for, a handful per
+// run — so the map is copied on insert and read without a lock: a lookup
+// neither blocks nor allocates, which keeps a steady-state decode at
+// zero allocations. PutFrame never registers one: a frame of a size no
+// caller takes (a random Q1 crop, a Q5 downsample) is dropped.
 var registry struct {
 	mu    sync.Mutex
 	pools atomic.Pointer[map[[2]int]*FramePool]
 }
 
+// registered returns the registry's pool of w×h frames, or nil.
+func registered(w, h int) *FramePool {
+	if m := registry.pools.Load(); m != nil {
+		return (*m)[[2]int{w, h}]
+	}
+	return nil
+}
+
 // poolFor returns the registry's pool of w×h frames, creating it.
 func poolFor(w, h int) *FramePool {
-	key := [2]int{w, h}
-	if m := registry.pools.Load(); m != nil {
-		if p := (*m)[key]; p != nil {
-			return p
-		}
+	if p := registered(w, h); p != nil {
+		return p
 	}
+	key := [2]int{w, h}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	old := registry.pools.Load()
@@ -116,12 +124,16 @@ func GetFrame(w, h int) *Frame {
 	return f
 }
 
-// PutFrame recycles f into the registry's pool of its resolution; nil is
-// ignored. Recycle only a frame the caller owns exclusively — never one
-// a cache, a writer or another frame's planes still reference — and do
-// not use it afterwards.
+// PutFrame recycles f into the registry's pool of its resolution when
+// GetFrame has registered one, and otherwise drops it; nil is ignored.
+// Recycle only a frame the caller owns exclusively — never one a cache,
+// a writer or another frame's planes still reference — and do not use it
+// afterwards.
 func PutFrame(f *Frame) {
-	if f != nil {
-		poolFor(f.W, f.H).Put(f)
+	if f == nil {
+		return
+	}
+	if p := registered(f.W, f.H); p != nil {
+		p.Put(f)
 	}
 }

@@ -109,6 +109,30 @@ func TestGrayscaleDropsChroma(t *testing.T) {
 	}
 }
 
+// TestGrayscaleOverwritesRecycledFrames: Grayscale's frame comes from
+// the registry with unspecified contents — stale or, under -race,
+// poisoned samples of a recycled frame — and none shows through.
+func TestGrayscaleOverwritesRecycledFrames(t *testing.T) {
+	for range 4 {
+		stale := GetFrame(5, 3)
+		stale.Fill(0xAA, 0xAA, 0xAA)
+		PutFrame(stale)
+		src := NewFrame(5, 3)
+		src.Fill(77, 30, 220)
+		g := src.Grayscale()
+		for i := range g.Y {
+			if g.Y[i] != 77 {
+				t.Fatalf("luma sample %d reads %d, want 77", i, g.Y[i])
+			}
+		}
+		for i := range g.U {
+			if g.U[i] != 128 || g.V[i] != 128 {
+				t.Fatalf("chroma sample %d reads %d/%d, want 128", i, g.U[i], g.V[i])
+			}
+		}
+	}
+}
+
 func TestBilinearResizeIdentity(t *testing.T) {
 	f := NewFrame(16, 12)
 	for i := range f.Y {

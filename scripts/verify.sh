@@ -37,6 +37,11 @@ GOMAXPROCS=1 go test ./...
 # interleave.
 go test -race -cpu 1,2,4 -run Result ./internal/vcd
 go test -race -cpu 1,2,4 ./internal/vdbms/lightdblike
+# Frame recycling with one, two and four Ps: a runner's Close and a
+# shard conversation's end hand the decoded cache back to the frame
+# registry, the result writer recycles what it encoded, and race builds
+# poison every recycled frame.
+go test -race -cpu 1,2,4 -run 'Recycl|Close' ./internal/vcd ./internal/shard ./internal/video
 # The online stream likewise: the pipe transport is a synchronous
 # net.Pipe hand-off between the RTP sender and receiver, so every packet
 # is a rendezvous of two goroutines.
