@@ -155,6 +155,39 @@ func TestRenderMatchesOracle(t *testing.T) {
 	t.Logf("%d frames compared", frames)
 }
 
+// TestRenderMatchesOracleAtPaperResolution renders every camera of two
+// cities at the paper's 960×540, where the cull's pixel margins and
+// the edge interpolation's rounding meet coordinates five times those
+// of the corpus. One city under -short.
+func TestRenderMatchesOracleAtPaperResolution(t *testing.T) {
+	const w, h = 960, 540
+	seeds := []uint64{11, 5}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	frames := 0
+	for _, seed := range seeds {
+		city, err := vcity.Generate(vcity.Hyperparams{Scale: 2, Width: w, Height: h, Duration: 1, FPS: 15, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, oracle := render.New(city, w, h), newOracle(city, w, h)
+		oracle.clip = true
+		dst := video.NewFrame(w, h)
+		for _, cam := range city.AllCameras() {
+			for _, tm := range []float64{0, 7.0 / 15, 3.7} {
+				dst.Fill(0xAA, 0x55, 0xCC)
+				r.FrameInto(cam, tm, dst)
+				frames++
+				if err := sameFrame(oracle.Frame(cam, tm), dst); err != nil {
+					t.Fatalf("seed %d %s t=%v (%s): %v", seed, cam.ID, tm, city.TileOf(cam).Layout.Spec, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d frames at %dx%d compared", frames, w, h)
+}
+
 // TestEdgeColumnFixIsConfined measures everything the renderer does
 // differently from the one it replaced. The old rasterizer clamped a
 // scanline span into the image before asking whether it was on screen,

@@ -84,3 +84,34 @@ func TestStaticLayerBudget(t *testing.T) {
 	}
 	t.Logf("%dx%d renderer retains %.2f bytes per pixel after %d cameras", w, h, float64(retained)/(w*h), len(city.AllCameras()))
 }
+
+// BenchmarkDrawClouds is the per-frame cloud pass alone, on the camera
+// of mixedWeatherCity with the most sky that clouds can cover; ns/px is
+// per such pixel.
+func BenchmarkDrawClouds(b *testing.B) {
+	const w, h = 192, 108
+	city := mixedWeatherCity(b, w, h)
+	r := New(city, w, h)
+	dst := video.NewFrame(w, h)
+	var cam *vcity.Camera
+	most := 0
+	for _, c := range city.AllCameras() {
+		r.FrameInto(c, 0, dst)
+		n := 0
+		for _, o := range r.owner {
+			if o == ownerCloud {
+				n++
+			}
+		}
+		if n > most {
+			cam, most = c, n
+		}
+	}
+	r.FrameInto(cam, 0, dst)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.drawClouds(float64(i) / 15)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*most), "ns/px")
+	r.convertDirty(dst) // puts the layer back into rgb
+}

@@ -299,10 +299,10 @@ func BenchmarkRenderFrame(b *testing.B) {
 }
 
 // benchShapeCity is the bench/ harness's dataset shape: two dry,
-// Moderate-density tiles at 192×108, 15 fps.
-func benchShapeCity(b *testing.B) *vcity.City {
+// Moderate-density tiles, 15 fps.
+func benchShapeCity(b *testing.B, w, h int) *vcity.City {
 	city, err := vcity.Generate(vcity.Hyperparams{
-		Scale: 2, Width: 192, Height: 108, Duration: 1, FPS: 15, Seed: 4,
+		Scale: 2, Width: w, Height: h, Duration: 1, FPS: 15, Seed: 4,
 		TileFilter: func(s vcity.TileSpec) bool {
 			return s.Weather.Precip == vcity.Dry && s.Density.Name == "Moderate"
 		},
@@ -313,14 +313,14 @@ func benchShapeCity(b *testing.B) *vcity.City {
 	return city
 }
 
-// benchClips renders clip after clip of the given length, each of a
+// benchClips renders w×h clip after clip of the given length, each of a
 // camera the renderer did not render last, so every clip pays a static
 // layer build. One op is one clip.
-func benchClips(b *testing.B, frames int) {
-	city := benchShapeCity(b)
+func benchClips(b *testing.B, w, h, frames int) {
+	city := benchShapeCity(b, w, h)
 	cams := city.AllCameras()
-	r := New(city, 192, 108)
-	dst := video.NewFrame(192, 108)
+	r := New(city, w, h)
+	dst := video.NewFrame(w, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,23 +333,27 @@ func benchClips(b *testing.B, frames int) {
 }
 
 // BenchmarkRenderClip is what one camera costs vcg.Generate: a fresh
-// camera's clip, layer build included, at the bench/ harness's 15
-// frames and at ten times that (README, "Performance → Generation").
+// camera's clip, layer build included, at the bench/ harness's 192×108
+// and 15 frames, at ten times that length (README, "Performance →
+// Generation"), and at the paper's 960×540.
 func BenchmarkRenderClip(b *testing.B) {
-	for _, frames := range []int{15, 150} {
-		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) { benchClips(b, frames) })
+	for _, c := range []struct{ w, h, frames int }{{192, 108, 15}, {192, 108, 150}, {960, 540, 15}} {
+		b.Run(fmt.Sprintf("%dx%d/frames=%d", c.w, c.h, c.frames), func(b *testing.B) { benchClips(b, c.w, c.h, c.frames) })
 	}
 }
 
 // BenchmarkRenderFirstFrame is the worst case for the static layer, a
 // one-frame clip: every frame pays a layer build. It must stay within
 // 10 % of what a frame cost before the layer existed (CHANGES.md).
-func BenchmarkRenderFirstFrame(b *testing.B) { benchClips(b, 1) }
+func BenchmarkRenderFirstFrame(b *testing.B) { benchClips(b, 192, 108, 1) }
 
 func BenchmarkRenderResolutionSweep(b *testing.B) {
-	city, _ := vcity.Generate(vcity.Hyperparams{
+	city, err := vcity.Generate(vcity.Hyperparams{
 		Scale: 1, Width: 240, Height: 136, Duration: 1, FPS: 15, Seed: 4,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	cam := city.TrafficCameras()[0]
 	for _, res := range []struct{ w, h int }{{240, 136}, {480, 270}, {960, 540}} {
 		b.Run(fmt.Sprintf("%dx%d", res.w, res.h), func(b *testing.B) {

@@ -44,8 +44,9 @@ type Renderer struct {
 	objs     []vcity.SceneObject
 	faces    []face
 	order    []faceKey
-	dirty    []uint64 // one bit per 2×2 pixel block changed this frame
-	rowWords int      // words of dirty per block row
+	dirty    []uint64    // one bit per 2×2 pixel block changed this frame
+	rowWords int         // words of dirty per block row
+	cloudXY  []geom.Vec2 // per column: a cloud row's cloud-plane coordinates
 }
 
 // Owner values: what the static layer shows at a pixel, so that a
@@ -71,6 +72,7 @@ func New(city *vcity.City, w, h int) *Renderer {
 		owner:    make([]uint16, w*h),
 		rays:     make([]geom.Vec3, w),
 		clouds:   make([]span, h),
+		cloudXY:  make([]geom.Vec2, w),
 		dirty:    make([]uint64, ch*rowWords),
 		rowWords: rowWords,
 	}
@@ -153,12 +155,42 @@ type view struct {
 	fwd, right, up geom.Vec3
 	focal          float64
 	halfW, halfH   float64
+	planes         [5]plane // near, left, right, top, bottom; see outside
 }
+
+// plane is a unit inward normal and its offset from the camera: a point
+// p is in front of it when n·(p−pos) ≥ off.
+type plane struct {
+	n   geom.Vec3
+	off float64
+}
+
+// cullMargin is how many pixels the side planes of the cull stand
+// outside appendFace's rejection lines: far more than the rounding of
+// a projection, so the cull never drops what appendFace would keep.
+const cullMargin = 4
 
 func newView(cam *vcity.Camera, w, h int) view {
 	v := view{pos: cam.Pos, halfW: float64(w) / 2, halfH: float64(h) / 2}
 	v.fwd, v.right, v.up = cam.Basis()
 	v.focal = float64(w) / 2 / math.Tan(geom.Deg(cam.FOVDeg)/2)
+	// A point at depth z > 0 projects to sx = halfW + focal·x/z, so
+	// sx ≤ L is focal·x − (L−halfW)·z ≤ 0, a plane through the camera;
+	// likewise for the other three lines.
+	left := -1.5 - cullMargin
+	right := float64(w) + 0.5 + cullMargin
+	top := 0.5 - cullMargin
+	bottom := float64(h) - 0.5 + cullMargin
+	v.planes = [5]plane{
+		{n: v.fwd, off: 0.1},
+		{n: v.right.Scale(v.focal).Sub(v.fwd.Scale(left - v.halfW))},
+		{n: v.fwd.Scale(right - v.halfW).Sub(v.right.Scale(v.focal))},
+		{n: v.fwd.Scale(v.halfH - top).Sub(v.up.Scale(v.focal))},
+		{n: v.up.Scale(v.focal).Add(v.fwd.Scale(bottom - v.halfH))},
+	}
+	for i := 1; i < len(v.planes); i++ {
+		v.planes[i].n = v.planes[i].n.Norm()
+	}
 	return v
 }
 
@@ -175,6 +207,21 @@ func (v *view) project(p geom.Vec3) (sx, sy float64, ok bool) {
 	sx = v.halfW + v.focal*d.Dot(v.right)/z
 	sy = v.halfH - v.focal*d.Dot(v.up)/z
 	return sx, sy, true
+}
+
+// outside reports whether the sphere of radius rad about c lies wholly
+// behind the near plane or wholly beyond one side of the image. Then
+// every quad with its corners in the sphere has a corner that project
+// refuses, or projects wholly past one of appendFace's rejection lines
+// with cullMargin pixels to spare, so appendFace drops it.
+func (v *view) outside(c geom.Vec3, rad float64) bool {
+	d := c.Sub(v.pos)
+	for i := range v.planes {
+		if p := &v.planes[i]; d.Dot(p.n)-p.off < -rad {
+			return true
+		}
+	}
+	return false
 }
 
 // lightModel captures the per-frame global illumination parameters.
@@ -292,7 +339,8 @@ func (r *Renderer) drawGroundAndSky() {
 }
 
 // drawClouds blends value-noise clouds, drifting with time, over the
-// sky pixels no building covers.
+// sky pixels no building covers. Each row goes in two passes: the
+// cloud-plane coordinates of its span, then the noise over them.
 func (r *Renderer) drawClouds(t float64) {
 	v, light := &r.view, &r.light
 	thresh := 1 - r.tile.Layout.Spec.Weather.CloudCover
@@ -303,23 +351,28 @@ func (r *Renderer) drawClouds(t float64) {
 		}
 		dy := (v.halfH - float64(py) - 0.5) / v.focal
 		rise := v.up.Scale(dy)
-		row := py * r.w
-		blocks := r.dirty[(py>>1)*r.rowWords:]
-		for px := int(cols.lo); px < int(cols.hi); px++ {
-			if r.owner[row+px] != ownerCloud {
-				continue
-			}
-			d := r.rays[px].Add(rise).Norm()
-			// Project the direction onto a cloud layer plane and sample
-			// two octaves of noise.
+		// Project each direction onto a cloud layer plane.
+		xy := r.cloudXY[cols.lo:cols.hi]
+		for i, ray := range r.rays[cols.lo:cols.hi] {
+			d := ray.Add(rise).Norm()
 			scale := 400.0
 			cx := d.X/d.Z*scale + t*6 // clouds drift east
 			cy := d.Y / d.Z * scale
-			x, y := cx*0.01, cy*0.01
-			n := 0.65*r.noise[0].at(x, y) + 0.35*r.noise[1].at(x*2.7, y*2.7)
+			xy[i] = geom.Vec2{X: cx * 0.01, Y: cy * 0.01}
+		}
+		// Sample two octaves of noise where no building covers the sky.
+		row := py*r.w + int(cols.lo)
+		owner := r.owner[row : row+len(xy)]
+		blocks := r.dirty[(py>>1)*r.rowWords:]
+		for i, p := range xy {
+			if owner[i] != ownerCloud {
+				continue
+			}
+			n := 0.65*r.noise[0].at(p.X, p.Y) + 0.35*r.noise[1].at(p.X*2.7, p.Y*2.7)
 			if n > thresh {
 				density := geom.Clamp((n-thresh)/(1.02-thresh), 0, 1)
-				r.rgb[row+px] = r.static[row+px].Lerp(cloud, density)
+				r.rgb[row+i] = r.static[row+i].Lerp(cloud, density)
+				px := int(cols.lo) + i
 				blocks[px>>7] |= 1 << (px >> 1 & 63)
 			}
 		}
@@ -497,11 +550,9 @@ func (r *Renderer) drawObjects(t float64) {
 	r.faces, r.order = r.faces[:0], r.order[:0]
 	for i := range r.objs {
 		o := &r.objs[i]
-		lo := geom.Vec3{X: o.Center.X - o.HalfL, Y: o.Center.Y - o.HalfW, Z: o.Center.Z - o.HalfH}
-		hi := geom.Vec3{X: o.Center.X + o.HalfL, Y: o.Center.Y + o.HalfW, Z: o.Center.Z + o.HalfH}
-		r.appendBoxFaces(lo, hi, o.Heading, o.Color)
-		if o.Class == vcity.ClassVehicle && o.Plate != "" {
-			r.appendPlateFace(o)
+		// appendFace would drop every face of an object outside the view.
+		if !r.view.outside(o.Center, cullRadius(o)) {
+			r.appendObjectFaces(o)
 		}
 	}
 	sortFaces(r.order)
@@ -521,18 +572,49 @@ func (r *Renderer) drawObjects(t float64) {
 	}
 }
 
-// appendPlateFace queues the front license plate: a 0.52×0.11 m quad
-// just ahead of the vehicle's +heading face, 0.5 m above ground.
+// appendObjectFaces queues the faces of a moving object: its box and a
+// vehicle's plate.
+func (r *Renderer) appendObjectFaces(o *vcity.SceneObject) {
+	lo := geom.Vec3{X: o.Center.X - o.HalfL, Y: o.Center.Y - o.HalfW, Z: o.Center.Z - o.HalfH}
+	hi := geom.Vec3{X: o.Center.X + o.HalfL, Y: o.Center.Y + o.HalfW, Z: o.Center.Z + o.HalfH}
+	r.appendBoxFaces(lo, hi, o.Heading, o.Color)
+	if o.Class == vcity.ClassVehicle && o.Plate != "" {
+		r.appendPlateFace(o)
+	}
+}
+
+// cullRadius bounds how far from o.Center any corner of the faces
+// appendObjectFaces queues for o can lie: the box's eight corners, and a
+// vehicle's plate quad, which stands 0.02 m in front of the box at a
+// fixed 0.5 m height and so need not lie inside it. The centimetre on
+// top covers the rounding of the corners' arithmetic.
+func cullRadius(o *vcity.SceneObject) float64 {
+	r2 := o.HalfL*o.HalfL + o.HalfW*o.HalfW + o.HalfH*o.HalfH
+	if o.Class == vcity.ClassVehicle && o.Plate != "" {
+		l := o.HalfL + plateGap
+		dz := math.Abs(plateZ-o.Center.Z) + plateHalfH
+		r2 = max(r2, l*l+plateHalfW*plateHalfW+dz*dz)
+	}
+	return math.Sqrt(r2) + 0.01
+}
+
+// The front license plate: a 0.52×0.11 m quad plateGap ahead of the
+// vehicle's +heading face, centred plateZ above the ground.
+const (
+	plateGap               = 0.02
+	plateHalfW, plateHalfH = 0.26, 0.055
+	plateZ                 = 0.5
+)
+
+// appendPlateFace queues the front license plate.
 func (r *Renderer) appendPlateFace(o *vcity.SceneObject) {
 	s, c := math.Sincos(o.Heading)
 	fwd2 := geom.Vec2{X: c, Y: s}
 	side := geom.Vec2{X: -s, Y: c}
-	center := geom.Vec2{X: o.Center.X, Y: o.Center.Y}.Add(fwd2.Scale(o.HalfL + 0.02))
-	halfW, halfH := 0.26, 0.055
-	z := 0.5
+	center := geom.Vec2{X: o.Center.X, Y: o.Center.Y}.Add(fwd2.Scale(o.HalfL + plateGap))
 	mk := func(sgnSide, sgnZ float64) geom.Vec3 {
-		p := center.Add(side.Scale(sgnSide * halfW))
-		return geom.Vec3{X: p.X, Y: p.Y, Z: z + sgnZ*halfH}
+		p := center.Add(side.Scale(sgnSide * plateHalfW))
+		return geom.Vec3{X: p.X, Y: p.Y, Z: plateZ + sgnZ*plateHalfH}
 	}
 	// Wound so that (v1-v0) is the plate's left-to-right (text) axis as
 	// seen from the front, and (v3-v0) its top-to-bottom axis. Viewed

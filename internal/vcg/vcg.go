@@ -15,6 +15,7 @@ package vcg
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/codec"
@@ -111,6 +112,16 @@ func BuildTileFilter(weather, density string) (func(vcity.TileSpec) bool, error)
 		weatherOK = func(s vcity.TileSpec) bool { return s.Weather.Precip != vcity.Dry }
 	default:
 		return nil, fmt.Errorf("vcg: unknown weather filter %q", weather)
+	}
+	if density != "any" {
+		names, known := []string{"any"}, false
+		for _, d := range vcity.Densities {
+			names = append(names, d.Name)
+			known = known || d.Name == density
+		}
+		if !known {
+			return nil, fmt.Errorf("vcg: unknown density filter %q (valid: %s)", density, strings.Join(names, ", "))
+		}
 	}
 	return func(s vcity.TileSpec) bool {
 		return weatherOK(s) && (density == "any" || s.Density.Name == density)

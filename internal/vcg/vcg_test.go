@@ -3,6 +3,7 @@ package vcg
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/container"
@@ -214,6 +215,19 @@ func TestBuildTileFilterErrors(t *testing.T) {
 	}
 	if f, err := BuildTileFilter("", ""); err != nil || f != nil {
 		t.Error("empty filters should be nil predicate")
+	}
+	// Density names are case-sensitive, and a bad one is named up front
+	// with the valid ones, not reported as a filter admitting no tiles.
+	for _, weather := range []string{"any", "dry"} {
+		_, err := BuildTileFilter(weather, "moderate")
+		if err == nil || !strings.Contains(err.Error(), `"moderate"`) || !strings.Contains(err.Error(), "Sparse, Moderate, RushHour") {
+			t.Errorf("weather %q, density \"moderate\": err = %v, want it named with the valid densities", weather, err)
+		}
+	}
+	for _, d := range vcity.Densities {
+		if f, err := BuildTileFilter("", d.Name); err != nil || f == nil || !f(vcity.TileSpec{Density: d}) {
+			t.Errorf("density %q: filter %v, err %v", d.Name, f != nil, err)
+		}
 	}
 }
 

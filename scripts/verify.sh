@@ -52,10 +52,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # integer) is fusion-proof and CPU-independent (DESIGN.md §5.9 item 4): no
 # fused multiply-add in the arm64 assembly of the byte-defining functions,
 # and the identities and goldens hold on an amd64 target with FMA and with
-# math.Exp's non-FMA path.
+# math.Exp's non-FMA path. The renderer too: the store golden, and the
+# renderer held to its oracle, at the corpus sizes and at 960×540.
 sh scripts/fused-ops.sh
-GOAMD64=v3 go test ./internal/codec ./internal/queries
-GODEBUG=cpu.fma=off go test ./internal/codec ./internal/queries
+GOAMD64=v3 go test ./internal/codec ./internal/queries ./internal/vcg
+GOAMD64=v3 go test -short ./internal/render
+GODEBUG=cpu.fma=off go test ./internal/codec ./internal/queries ./internal/vcg
+GODEBUG=cpu.fma=off go test -short ./internal/render
 # The benchmark (bench/, a module of its own that the root's ./... does
 # not descend into) must build and its smoke test — every workload once,
 # end to end and traced — must pass. `bash bench/run.sh` is the
