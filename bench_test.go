@@ -26,6 +26,7 @@ import (
 	"repro/internal/vcg"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
+	"repro/internal/vdbms/lightdblike"
 	"repro/internal/vdbms/noscopelike"
 	"repro/internal/vfs"
 	"repro/internal/video"
@@ -374,8 +375,8 @@ func BenchmarkAblationDetectorCost(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineFaults measures online-mode throughput over RTP on a
-// fake clock (pure processing rate, no wall-clock pacing) at the
+// BenchmarkOnlineFaults measures the LightDB-like engine's online-mode
+// throughput over RTP on a fake clock (pure processing rate, no wall-clock pacing) at the
 // core.OnlineFaultRates ladder: clean channel, 1% drop, 5% drop. The
 // reported fps and dropped-frame metrics show how gracefully the online
 // decoder degrades as the seeded fault schedule intensifies.
@@ -393,13 +394,14 @@ func BenchmarkOnlineFaults(b *testing.B) {
 				b.Fatal(err)
 			}
 			inst := insts[0]
+			sys := lightdblike.New(lightdblike.Options{})
 			var fps, dropped float64
 			for i := 0; i < b.N; i++ {
 				var plan *stream.FaultPlan
 				if tc.rate > 0 {
 					plan = &stream.FaultPlan{Seed: 7, Camera: inst.Inputs[0].Env.Camera.ID, DropRate: tc.rate}
 				}
-				rep, err := vcd.RunOnlineOpts(context.Background(), inst, vcd.OnlineOptions{
+				rep, err := vcd.RunOnlineOpts(context.Background(), sys, inst, vcd.OnlineOptions{
 					Transport: vcd.TransportRTP,
 					Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 					Faults:    plan,

@@ -8,6 +8,8 @@
 //	    [-queries Q1,Q2a,...] [-mode write|streaming] [-out DIR]
 //	    [-seed S] [-validate] [-instances N]
 //	    [-shard-workers N | -shard-addrs HOST:PORT,...]
+//	vcd -data DIR -online [-system lightdblike] [-transport pipe|rtp]
+//	    [-online-faults SPEC] [-online-seed S] [-online-timeout D]
 //	vcd -shard-worker [-shard-listen ADDR] [-data DIR]
 //
 // Example:
@@ -38,6 +40,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/vcd"
+	"repro/internal/vdbms"
 	"repro/internal/vfs"
 )
 
@@ -58,11 +61,11 @@ var words = cli.Words{
 func run() (code int) {
 	fs := flag.CommandLine
 	data := flag.String("data", "", "dataset directory written by vcg (required)")
-	system := flag.String("system", "lightdblike", "system under test: scannerlike, lightdblike, noscopelike")
+	system := flag.String("system", "lightdblike", "system under test, offline and -online: scannerlike, lightdblike, noscopelike")
 	runFlags := cli.BindRun(fs, words)
 	mode := flag.String("mode", "streaming", "result mode: write or streaming")
 	out := flag.String("out", "", "result directory (write mode)")
-	online := flag.Bool("online", false, "online mode: deliver inputs as live-paced streams (Q1/Q2a/Q2c/Q5)")
+	online := flag.Bool("online", false, "online mode: stream inputs live to -system (Q1/Q2a/Q2c/Q5); scannerlike and noscopelike cannot consume live video and report unsupported")
 	transport := flag.String("transport", "pipe", "online transport: pipe or rtp")
 	onlineFaults := flag.String("online-faults", "", "online fault spec, e.g. 0.01 or drop=0.01,reorder=0.005,cut=12,dial=2")
 	onlineSeed := flag.Uint64("online-seed", 1, "seed keying the deterministic fault schedule")
@@ -122,7 +125,7 @@ func run() (code int) {
 	fmt.Printf("vcd: benchmarking %s on %s (L=%d, %dx%d, %.0fs)\n",
 		sys.Name(), *data, ds.Manifest.Scale, ds.Manifest.Width, ds.Manifest.Height, ds.Manifest.Duration)
 	if *online {
-		runOnline(ds, opt, obs, *transport, *onlineFaults, *onlineSeed, *onlineTimeout)
+		runOnline(ds, sys, opt, obs, *transport, *onlineFaults, *onlineSeed, *onlineTimeout)
 		return 0
 	}
 	var report *vcd.RunReport
@@ -176,11 +179,11 @@ func run() (code int) {
 	return 0
 }
 
-// runOnline executes the online-capable queries against live-paced
+// runOnline executes the online queries on sys against live-paced
 // streams — optionally degraded by a seeded fault plan — and reports
 // achieved frames per second plus degradation accounting, as the paper
 // requires for online-mode results.
-func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, faultSpec string, seed uint64, timeout time.Duration) {
+func runOnline(ds *vcd.Dataset, sys vdbms.System, opt vcd.Options, obs *cli.Obs, transportName, faultSpec string, seed uint64, timeout time.Duration) {
 	transport, err := vcd.ParseOnlineTransport(transportName)
 	if err != nil {
 		fatal(err)
@@ -204,13 +207,13 @@ func runOnline(ds *vcd.Dataset, opt vcd.Options, obs *cli.Obs, transportName, fa
 			fatal(err)
 		}
 		inst := insts[0]
-		rep, err := vcd.RunOnlineOpts(context.Background(), inst, vcd.OnlineOptions{
+		rep, err := vcd.RunOnlineOpts(context.Background(), sys, inst, vcd.OnlineOptions{
 			Transport: transport,
 			Faults:    plan.ForCamera(inst.Inputs[0].Env.Camera.ID),
 			Timeout:   timeout,
 			Retry:     stream.RetryPolicy{Seed: seed},
 		})
-		if errors.Is(err, vcd.ErrOnlineUnsupported) {
+		if unsupported := (*vdbms.ErrUnsupported)(nil); errors.As(err, &unsupported) {
 			fmt.Printf("%-7s %10s\n", q, "unsupported")
 			continue
 		}

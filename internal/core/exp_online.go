@@ -8,6 +8,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/stream"
 	"repro/internal/vcd"
+	"repro/internal/vdbms/lightdblike"
 )
 
 // OnlineFaultRates is the default fault-rate sweep for the online
@@ -22,8 +23,9 @@ type OnlinePoint struct {
 	Report    *vcd.OnlineReport
 }
 
-// OnlineResilience runs the online-capable query subset over RTP at
-// each fault rate and reports the achieved rate and degradation
+// OnlineResilience runs the online query subset on the LightDB-like
+// engine, the one bundled engine that consumes a live stream, over RTP
+// at each fault rate and reports the achieved rate and degradation
 // accounting. The stream is paced on a fake clock, so the sweep
 // measures processing throughput and fault handling, not wall-clock
 // sleeping; schedules are keyed by cfg.Seed and reproduce exactly.
@@ -40,6 +42,7 @@ func OnlineResilience(cfg CompareConfig, rates []float64, qs []queries.QueryID) 
 		return nil, err
 	}
 	opt := cfg.runOptions()
+	sys := lightdblike.New(lightdblike.Options{})
 	var out []OnlinePoint
 	for _, rate := range rates {
 		for _, q := range qs {
@@ -56,7 +59,7 @@ func OnlineResilience(cfg CompareConfig, rates []float64, qs []queries.QueryID) 
 					DropRate: rate,
 				}
 			}
-			rep, err := vcd.RunOnlineOpts(context.Background(), inst, vcd.OnlineOptions{
+			rep, err := vcd.RunOnlineOpts(context.Background(), sys, inst, vcd.OnlineOptions{
 				Transport: vcd.TransportRTP,
 				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 				Faults:    plan,

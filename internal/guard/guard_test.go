@@ -96,8 +96,8 @@ var rows = []row{
 		match:  untwinned,
 		reason: "an assembly kernel without its Go twin: xSSE2 needs a func xGeneric in its package, and a _test.go file there that uses it"},
 	{name: "one-stable-hash", in: code, except: []string{"internal/stablehash/stablehash.go"}, section: "§6", plant: "package main\n\nvar h uint64 = 0x94D049BB133111EB\n",
-		match:  named[*ast.BasicLit](`^(14695981039346656037|1099511628211|10723151780598845931)$`),
-		reason: "a second copy of FNV-1a-64 or the splitmix64 finalizer; call internal/stablehash, whose outputs partitions, trace IDs and seeds are pinned to"},
+		match:  named[*ast.BasicLit](`^(14695981039346656037|1099511628211|10723151780598845931|hash/fnv)$`),
+		reason: "a second copy of FNV-1a-64 or the splitmix64 finalizer, or hash/fnv; call internal/stablehash, whose outputs partitions, trace IDs and seeds are pinned to"},
 	{name: "one-rtp-sender", in: code, want: 1, section: "§5.8", plant: "package main\n\nimport \"repro/internal/stream\"\n\nvar _ = stream.NewRTPSender(nil, 0, 0, nil)\n",
 		match:  named[*ast.CallExpr](`^(repro/internal/stream\.)?NewRTPSender$`),
 		reason: "one stream.NewRTPSender, SendVideo's; online video reaches every transport through it, so every fault key applies to each"},
@@ -327,9 +327,9 @@ func TestGuards(t *testing.T) {
 
 // TestGuardRowsFire wants each row's planted file to fire exactly that
 // row: to add a match to a tree that TestGuards finds clean. The first
-// four files check a name in a comment, a package imported under
-// another name, a field that shares a forbidden function's name and an
-// assembly kernel whose twin no test uses.
+// five files check a name in a comment, a package imported under
+// another name, a field that shares a forbidden function's name, an
+// assembly kernel whose twin no test uses and an import of hash/fnv.
 func TestGuardRowsFire(t *testing.T) {
 	type plant struct{ path, src, want string }
 	plants := []plant{
@@ -337,6 +337,7 @@ func TestGuardRowsFire(t *testing.T) {
 		{"internal/vcd", "package vcd\n\nimport c \"repro/internal/codec\"\n\nvar _, _ = c.NewEncoder(c.Config{})\n", "one-result-encoder"},
 		{"internal/cli", "package cli\n\ntype obs struct{ closeDebug func() error }\n", ""},
 		{"internal/queries", "package queries\n\nfunc copy32SSE2()\n\nfunc copy32Generic() {}\n", "asm-twin"}, // a twin no test uses
+		{"internal/vdbms", "package vdbms\n\nimport \"hash/fnv\"\n\nvar _ = fnv.New64a\n", "one-stable-hash"},
 	}
 	for _, r := range rows {
 		plants = append(plants, plant{r.in[0], r.plant, r.name}) // a path equal to a scope entry is in it

@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -267,18 +268,37 @@ func TestPlateGlyphsRendered(t *testing.T) {
 }
 
 func TestRainOnlyInRainyTiles(t *testing.T) {
-	// Compare two renders of the same dry-weather tile at different
-	// instants: no rain overlay means the static scene parts match.
-	city := testCity(t, 4)
-	var dryTile *vcity.Tile
+	// Seed 6 at scale 2 has a dry tile and a rainy one: on the dry one
+	// drawRain changes no pixel of the composite, on the rainy one some.
+	city, err := vcity.Generate(vcity.Hyperparams{
+		Scale: 2, Width: 160, Height: 96, Duration: 2, FPS: 15, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dry, streaked := 0, 0
 	for _, tile := range city.Tiles {
-		if tile.Layout.Spec.Weather.Precip == vcity.Dry {
-			dryTile = tile
-			break
+		r := New(city, 160, 96)
+		r.Frame(tile.Cameras[0], 0.5)
+		before := slices.Clone(r.rgb)
+		r.drawRain(0.5)
+		n := 0
+		for i := range before {
+			if r.rgb[i] != before[i] {
+				n++
+			}
+		}
+		if tile.Layout.Spec.Weather.Precip != vcity.Dry {
+			streaked += min(n, 1)
+			continue
+		}
+		dry++
+		if n > 0 {
+			t.Errorf("drawRain changed %d pixels of dry tile %d", n, tile.Index)
 		}
 	}
-	if dryTile == nil {
-		t.Skip("no dry tile at this seed")
+	if dry == 0 || streaked == 0 {
+		t.Errorf("%d dry tiles, %d rainy tiles streaked: want one of each", dry, streaked)
 	}
 }
 

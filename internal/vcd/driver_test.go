@@ -158,14 +158,24 @@ func TestWriteModeRequiresStore(t *testing.T) {
 	}
 }
 
-// brokenEngine emits wrong pixels: the validator must fail it.
-type brokenEngine struct{ inner vdbms.System }
+// brokenEngine emits wrong pixels or, with extra set, each output also
+// under a key the reference lacks: the validator must fail it.
+type brokenEngine struct {
+	inner vdbms.System
+	extra bool
+}
 
 func (b *brokenEngine) Name() string                          { return "broken" }
 func (b *brokenEngine) Supports(q queries.QueryID) bool       { return b.inner.Supports(q) }
 func (b *brokenEngine) QueryLOC(q queries.QueryID) (int, int) { return 1, 0 }
 func (b *brokenEngine) Execute(inst *vdbms.QueryInstance, sink vdbms.Sink) error {
 	return b.inner.Execute(inst, vdbms.SinkFunc(func(key string, v *video.Video) error {
+		if b.extra {
+			if err := sink.Emit(key, v); err != nil {
+				return err
+			}
+			return sink.Emit(key+"-extra", v)
+		}
 		for _, f := range v.Frames {
 			for i := range f.Y {
 				f.Y[i] ^= 0x5c // corrupt every luma sample
@@ -177,19 +187,24 @@ func (b *brokenEngine) Execute(inst *vdbms.QueryInstance, sink vdbms.Sink) error
 
 func TestValidatorCatchesBrokenEngine(t *testing.T) {
 	ds := testDataset(t)
-	report, err := Run(ds, &brokenEngine{inner: lightdblike.New(lightdblike.Options{})}, Options{
-		Queries:           []queries.QueryID{queries.Q1, queries.Q2a},
-		InstancesPerScale: 1,
-		Seed:              4,
-		Mode:              StreamingMode,
-		Validate:          true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, qr := range report.Queries {
-		if qr.Validation.PassRate() > 0 {
-			t.Errorf("%s: corrupted output passed validation (rate %.2f)", qr.Query, qr.Validation.PassRate())
+	for _, extra := range []bool{false, true} {
+		report, err := Run(ds, &brokenEngine{inner: lightdblike.New(lightdblike.Options{}), extra: extra}, Options{
+			Queries:           []queries.QueryID{queries.Q1, queries.Q2a},
+			InstancesPerScale: 1,
+			Seed:              4,
+			Mode:              StreamingMode,
+			Validate:          true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, qr := range report.Queries {
+			if qr.Validation.PassRate() > 0 {
+				t.Errorf("%s (extra %v): broken output passed validation (rate %.2f)", qr.Query, extra, qr.Validation.PassRate())
+			}
+			if e := qr.Instances[0].Validation.Err; extra && (e == nil || !strings.Contains(e.Msg, `"out-extra"`)) {
+				t.Errorf("%s: the extra output is not named: %v", qr.Query, e)
+			}
 		}
 	}
 }
@@ -214,7 +229,8 @@ func TestValidateFractionSampling(t *testing.T) {
 }
 
 func TestSemanticValidationQ2c(t *testing.T) {
-	ds := testDataset(t)
+	// At 128×96 no object is large enough to check; this city has some.
+	ds := testDatasetOf(t, 256, 192, 6)
 	report, err := Run(ds, lightdblike.New(lightdblike.Options{}), Options{
 		Queries:           []queries.QueryID{queries.Q2c},
 		InstancesPerScale: 3,
@@ -226,10 +242,9 @@ func TestSemanticValidationQ2c(t *testing.T) {
 		t.Fatal(err)
 	}
 	qr, _ := report.QueryReport(queries.Q2c)
-	// At this tiny resolution eligible (large, unoccluded) objects may
-	// be rare; when checks exist, most should pass — the engine draws
-	// boxes from the same detection stream the geometry validates.
-	if qr.Validation.SemanticChecked > 0 && qr.Validation.SemanticPassRate() < 0.5 {
+	// Most checks pass: the engine draws boxes from the same detection
+	// stream the geometry validates.
+	if qr.Validation.SemanticChecked == 0 || qr.Validation.SemanticPassRate() < 0.5 {
 		t.Errorf("semantic pass rate %.2f over %d checks",
 			qr.Validation.SemanticPassRate(), qr.Validation.SemanticChecked)
 	}

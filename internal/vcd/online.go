@@ -21,22 +21,16 @@ import (
 // Online mode simulates real-time video processing: the VCD exposes a
 // camera's encoded stream as RTP packets throttled to the capture rate,
 // over an in-memory pipe (standing in for named pipes) or a loopback
-// TCP socket, and the system under test consumes it frame by frame with
-// no knowledge of the total duration. Results are reported in frames
-// per second, as the paper requires for online queries.
-//
-// Because online delivery crosses goroutines and real sockets, the run
-// is governed by a context (cancellation and per-stream deadlines
-// unwind producer and consumer without leaking either), survives
-// transport faults by resynchronizing at the next intra frame, and
-// accounts for every frame the faults cost (FramesDropped, Gaps,
-// Resyncs, Retries, Degraded on the report).
-//
-// Of the three bundled engines only the LightDB-like streaming engine
-// can meaningfully consume a live source (the paper likewise notes that
-// "neither Scanner nor NoScope support operating on live-streaming
-// video data"); the online driver therefore runs the streaming query
-// directly against a Reader.
+// TCP socket, and reports frames per second, as the paper requires for
+// online queries. This file is the transport half of a session: connect
+// and retry, RTP receive, keyframe resync, corrupt-unit skip, drop
+// accounting and decode, under a context whose end unwinds producer and
+// consumer. The execution half is the engine's own Execute over the
+// input's vdbms.FrameSource. Only LightDB-like consumes a live source;
+// Scanner-like and NoScope-like report the query unsupported, as in the
+// paper ("neither Scanner nor NoScope support operating on
+// live-streaming video data"), and so does an instance with more than
+// one input (Q8, Q9).
 
 // OnlineTransport selects the online delivery mechanism.
 type OnlineTransport int
@@ -90,7 +84,7 @@ type OnlineOptions struct {
 	// the report are measured on this clock, so fake-clock tests see
 	// the simulated rate, not wall time.
 	Clock stream.Clock
-	// Sink receives the processed output video (may be nil).
+	// Sink receives the engine's results (nil discards them).
 	Sink vdbms.Sink
 	// Faults is the deterministic fault schedule to inject (nil = ideal
 	// channel).
@@ -107,7 +101,8 @@ type OnlineOptions struct {
 type OnlineReport struct {
 	Query     queries.QueryID `json:"query"`
 	Transport OnlineTransport `json:"transport"`
-	// Frames is the number of frames decoded and processed.
+	// Frames is the number of frames received and decoded, the ones the
+	// engine did not read (past its window) included.
 	Frames int `json:"frames"`
 	// FramesDropped counts source frames lost to transport faults:
 	// dropped packets, discarded partial access units, corrupt frames,
@@ -130,77 +125,21 @@ type OnlineReport struct {
 	FPS float64 `json:"fps"`
 }
 
-// frameProcessor is a per-frame streaming kernel for the online-capable
-// query subset.
-type frameProcessor func(i int, f *video.Frame) (*video.Frame, error)
-
-// onlineKernel builds the streaming kernel for an online-capable query.
-// Kernels receive the source frame index (not the arrival ordinal), so
-// temporal windows and ground-truth lookups stay aligned with the
-// camera even when faults drop frames.
-func onlineKernel(q queries.QueryID, p queries.Params, in *vdbms.Input) (frameProcessor, error) {
-	switch q {
-	case queries.Q1:
-		cfg := in.Encoded.Config
-		// The same plan-level window declaration the offline engines
-		// consume, so online and offline Q1 select identical frames.
-		f1, f2, _ := queries.FrameWindow(q, p, cfg.FPS, len(in.Encoded.Frames))
-		return func(i int, f *video.Frame) (*video.Frame, error) {
-			if i < f1 || i >= f2 {
-				return nil, nil
-			}
-			return f.Crop(p.X1, p.Y1, p.X2, p.Y2), nil
-		}, nil
-	case queries.Q2a:
-		return func(i int, f *video.Frame) (*video.Frame, error) {
-			return f.Grayscale(), nil
-		}, nil
-	case queries.Q2c:
-		env := in.Env
-		tile := env.City.TileOf(env.Camera)
-		want := make(map[string]bool, len(p.Classes))
-		for _, c := range p.Classes {
-			want[c.String()] = true
-		}
-		fps := in.Encoded.Config.FPS
-		return func(i int, f *video.Frame) (*video.Frame, error) {
-			t := env.FrameTime(i, fps)
-			obs := tile.GroundTruth(env.Camera, t, f.W, f.H)
-			// The box video of the offline reference (RunQ2c).
-			return queries.RenderBoxesFrame(f.W, f.H, i, env.Detector.Detect(f, env.Camera.ID, obs), want), nil
-		}, nil
-	case queries.Q5:
-		return func(i int, f *video.Frame) (*video.Frame, error) {
-			nw, nh := f.W/p.Alpha, f.H/p.Beta
-			if nw < 1 {
-				nw = 1
-			}
-			if nh < 1 {
-				nh = 1
-			}
-			return f.Downsample(nw, nh), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("vcd: query %s: %w", q, ErrOnlineUnsupported)
-}
-
-// ErrOnlineUnsupported marks queries outside the online-capable subset,
-// so drivers can distinguish "not a streaming query" from a run failure.
-var ErrOnlineUnsupported = errors.New("no online kernel")
-
 // isIntra reports whether an access unit is a keyframe (the bitstream's
 // first bit is the frame-type flag, 0 = intra) — the resync points the
 // online decoder recovers at.
 func isIntra(au []byte) bool { return len(au) > 0 && au[0]&0x80 == 0 }
 
-// RunOnlineOpts executes one query instance against a live-paced
-// stream of the instance's first input, delivered over opt.Transport,
-// and reports the achieved frame rate. A nil opt.Clock paces on the
-// wall clock; tests inject a fake one. The options also carry fault
-// injection, a per-stream deadline and the retry policy. Every exit
-// path — success, decode or kernel failure, cancellation, deadline —
-// unwinds the producer goroutine before returning.
-func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOptions) (*OnlineReport, error) {
+// RunOnlineOpts executes one query instance on sys against a live-paced
+// stream of its input, delivered over opt.Transport with opt's faults,
+// deadline and retries, and reports the achieved frame rate; results go
+// to opt.Sink. The stream connects at the engine's first read, so an
+// instance sys cannot run live returns *vdbms.ErrUnsupported before a
+// frame is sent. Every exit path unwinds the producer goroutine.
+func RunOnlineOpts(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance, opt OnlineOptions) (*OnlineReport, error) {
+	if len(inst.Inputs) != 1 || !sys.Supports(inst.Query) {
+		return nil, &vdbms.ErrUnsupported{System: sys.Name(), Query: inst.Query}
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -217,12 +156,6 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	defer cancel()
 
 	in := inst.Inputs[0]
-	kernel, err := onlineKernel(inst.Query, inst.Params, in)
-	if err != nil {
-		return nil, err
-	}
-	cfg := in.Encoded.Config
-
 	rep := &OnlineReport{Query: inst.Query, Transport: opt.Transport}
 	sp := metrics.StartSpan(metrics.StageOnline)
 	defer func() {
@@ -235,31 +168,82 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 	// clock the producer may pace the whole stream ahead of the first
 	// consumer read, and that simulated time is part of the run.
 	start := clock.Now()
-	recv, join, retries, err := connect(ctx, cancel, in.Encoded, clock, opt)
-	rep.Retries = retries
-	if retries > 0 {
+	s := &session{ctx: ctx, cancel: cancel, clock: clock, opt: opt, enc: in.Encoded, rep: rep}
+	defer s.join()
+	live := *in
+	live.Source, live.Live = nil, s
+	run := *inst
+	run.Inputs = []*vdbms.Input{&live}
+	sink := opt.Sink
+	if sink == nil {
+		sink = vdbms.SinkFunc(func(string, *video.Video) error { return nil })
+	}
+	if err := sys.Execute(&run, sink); err != nil {
+		return nil, err
+	}
+	// An engine stops reading at the end of its window; the rest of the
+	// stream is still received and counted, not lost.
+	f, err := s.Next()
+	for ; err == nil; f, err = s.Next() {
+		video.PutFrame(f)
+	}
+	if err != io.EOF {
+		return nil, err
+	}
+	// Tail loss: frames that never arrived before the clean close (a
+	// drop of the final packets produces no observable gap).
+	if total := len(in.Encoded.Frames); s.expect < total {
+		rep.FramesDropped += total - s.expect
 		rep.Degraded = true
 	}
-	if err != nil {
-		return nil, err
+	rep.Elapsed = clock.Now().Sub(start)
+	if rep.Elapsed > 0 {
+		rep.FPS = float64(rep.Frames) / rep.Elapsed.Seconds()
 	}
-	defer join()
+	return rep, nil
+}
 
-	dec, err := codec.NewDecoder(cfg)
-	if err != nil {
-		return nil, err
+// session is the transport half of an online run and the live input's
+// vdbms.FrameSource: it connects at the first Next, which one goroutine
+// at a time calls.
+type session struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	clock  stream.Clock
+	opt    OnlineOptions
+	enc    *codec.Encoded
+	rep    *OnlineReport
+
+	recv   *stream.RTPReceiver
+	sent   <-chan error // the sender's terminal error, once one runs
+	once   sync.Once
+	serr   error
+	dec    *codec.Decoder // nil until connected
+	expect int            // next source frame index expected from the stream
+	resync bool           // discard inter frames until the next keyframe
+	eof    bool
+}
+
+// Next returns the next decoded frame stamped with its source index, or
+// io.EOF once the stream closed cleanly.
+func (s *session) Next() (*video.Frame, error) {
+	if s.eof {
+		return nil, io.EOF
 	}
-	faulty := opt.Faults.Active()
-	out := video.NewVideo(cfg.FPS)
-	expect := 0     // next source frame index expected from the stream
-	resync := false // discard inter frames until the next keyframe
+	if s.dec == nil {
+		if err := s.connect(); err != nil {
+			return nil, err
+		}
+	}
+	rep, recv, fps := s.rep, s.recv, s.enc.Config.FPS
 	for {
 		au, err := recv.NextAccessUnit()
 		if err == io.EOF {
-			if perr := join(); perr != nil {
+			if perr := s.join(); perr != nil {
 				return nil, perr
 			}
-			break
+			s.eof = true
+			return nil, io.EOF
 		}
 		var gap *stream.StreamGapError
 		if errors.As(err, &gap) {
@@ -269,37 +253,37 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 			// index arrives.
 			rep.Gaps++
 			rep.Degraded = true
-			resync = true
+			s.resync = true
 			continue
 		}
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
+			if cerr := s.ctx.Err(); cerr != nil {
 				return nil, cerr
 			}
 			// Join the producer so the server-side root cause (a write
 			// failure, an injected cut) isn't lost behind the receiver
 			// symptom.
-			if perr := join(); perr != nil && perr != io.ErrClosedPipe && !errors.Is(perr, context.Canceled) {
+			if perr := s.join(); perr != nil && perr != io.ErrClosedPipe && !errors.Is(perr, context.Canceled) {
 				return nil, fmt.Errorf("vcd: online receiver: %w (sender: %v)", err, perr)
 			}
 			return nil, err
 		}
-		fi := stream.FrameIndexOf(recv.LastTimestamp(), cfg.FPS)
-		if fi < expect {
+		fi := stream.FrameIndexOf(recv.LastTimestamp(), fps)
+		if fi < s.expect {
 			// A timestamp behind the stream. The sender's increase and
 			// the receiver drops late packets, so only a damaged stream
 			// delivers one; the reference state has moved past it.
 			rep.Degraded = true
-			resync = true
+			s.resync = true
 			continue
 		}
-		if fi > expect {
-			rep.FramesDropped += fi - expect
+		if fi > s.expect {
+			rep.FramesDropped += fi - s.expect
 			rep.Degraded = true
-			resync = true
+			s.resync = true
 		}
-		expect = fi + 1
-		if resync {
+		s.expect = fi + 1
+		if s.resync {
 			if !isIntra(au) {
 				// An inter frame without its reference chain is
 				// undecodable; keep counting it as dropped until the
@@ -308,92 +292,53 @@ func RunOnlineOpts(ctx context.Context, inst *vdbms.QueryInstance, opt OnlineOpt
 				continue
 			}
 			rep.Resyncs++
-			resync = false
+			s.resync = false
 		}
-		f, err := dec.Decode(au)
+		f, err := s.dec.Decode(au)
 		if err != nil {
-			if !faulty {
+			if !s.opt.Faults.Active() {
 				return nil, err
 			}
 			// Corrupted in transit: skip the frame and resynchronize at
 			// the next intra frame.
 			rep.FramesDropped++
 			rep.Degraded = true
-			resync = true
+			s.resync = true
 			continue
 		}
 		f.Index = fi
-		g, err := kernel(fi, f)
-		if err != nil {
-			return nil, err
-		}
-		if g != nil {
-			out.Append(g)
-		}
 		rep.Frames++
+		return f, nil
 	}
-	// Tail loss: frames that never arrived before the clean close (a
-	// drop of the final packets produces no observable gap).
-	if total := len(in.Encoded.Frames); expect < total {
-		rep.FramesDropped += total - expect
-		rep.Degraded = true
-	}
-	rep.Elapsed = clock.Now().Sub(start)
-	if rep.Elapsed > 0 {
-		rep.FPS = float64(rep.Frames) / rep.Elapsed.Seconds()
-	}
-	if opt.Sink != nil {
-		if err := opt.Sink.Emit("out", out); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
 }
 
 // connect opens the session's stream. The transport decides only how
 // the connection is made: the pipe is an in-memory net.Pipe whose
 // sending end runs SendVideo, RTP a loopback TCP socket served by
 // ServeRTP. One retry loop dials either, failing the attempts the plan
-// schedules (dial=N) and backing off on the session clock. It returns
-// the receiver, the retries needed, and join: an idempotent teardown
-// that closes the receiver, cancels the session and returns the
-// sender's terminal error, safe on every exit path.
-func connect(ctx context.Context, cancel context.CancelFunc, enc *codec.Encoded, clock stream.Clock, opt OnlineOptions) (*stream.RTPReceiver, func() error, int, error) {
-	var sent <-chan error // the sender's terminal error, once one runs
+// schedules (dial=N) and backing off on the session clock, and the
+// retries needed go on the report.
+func (s *session) connect() error {
+	ctx, enc, clock, opt := s.ctx, s.enc, s.clock, s.opt
 	var dial func() (net.Conn, error)
 	switch opt.Transport {
 	case TransportPipe:
 		dial = func() (net.Conn, error) {
-			c, s := net.Pipe()
+			c, srv := net.Pipe()
 			ch := make(chan error, 1)
-			go func() { ch <- stream.SendVideo(ctx, s, enc, clock, opt.Faults) }()
-			sent = ch
+			go func() { ch <- stream.SendVideo(ctx, srv, enc, clock, opt.Faults) }()
+			s.sent = ch
 			return c, nil
 		}
 	case TransportRTP:
 		addr, errc, err := stream.ServeRTP(ctx, enc, clock, opt.Faults)
 		if err != nil {
-			return nil, nil, 0, err
+			return err
 		}
-		sent = errc
+		s.sent = errc
 		dial = func() (net.Conn, error) { return (&net.Dialer{}).DialContext(ctx, "tcp", addr) }
 	default:
-		return nil, nil, 0, fmt.Errorf("vcd: unknown transport %d", opt.Transport)
-	}
-	var recv *stream.RTPReceiver
-	var once sync.Once
-	var serr error
-	join := func() error {
-		once.Do(func() {
-			if recv != nil {
-				recv.Close()
-			}
-			cancel()
-			if sent != nil {
-				serr = <-sent
-			}
-		})
-		return serr
+		return fmt.Errorf("vcd: unknown transport %d", opt.Transport)
 	}
 	dials := 0
 	retries, err := stream.Retry(ctx, clock, opt.Retry, func() error {
@@ -403,15 +348,35 @@ func connect(ctx context.Context, cancel context.CancelFunc, enc *codec.Encoded,
 		}
 		conn, err := dial()
 		if err == nil {
-			recv = stream.NewRTPReceiver(conn)
+			s.recv = stream.NewRTPReceiver(conn)
 		}
 		return err
 	})
-	if err != nil {
-		join()
-		return nil, nil, retries, err
+	s.rep.Retries = retries
+	if retries > 0 {
+		s.rep.Degraded = true
 	}
-	return recv, join, retries, nil
+	if err != nil {
+		return err
+	}
+	s.dec, err = codec.NewDecoder(enc.Config)
+	return err
+}
+
+// join is the session's idempotent teardown, safe on every exit path: it
+// closes the receiver, cancels the session and returns the sender's
+// terminal error.
+func (s *session) join() error {
+	s.once.Do(func() {
+		if s.recv != nil {
+			s.recv.Close()
+		}
+		s.cancel()
+		if s.sent != nil {
+			s.serr = <-s.sent
+		}
+	})
+	return s.serr
 }
 
 // recordOnline feeds the run's degradation accounting into the global
@@ -428,9 +393,4 @@ func recordOnline(rep *OnlineReport) {
 }
 
 // errTransientDial is the injected stand-in for a refused connection.
-var errTransientDial = &net.OpError{Op: "dial", Net: "tcp", Err: errDialFault{}}
-
-type errDialFault struct{}
-
-func (errDialFault) Error() string { return "injected dial fault" }
-func (errDialFault) Timeout() bool { return true }
+var errTransientDial = &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("injected dial fault")}

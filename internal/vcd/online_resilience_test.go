@@ -15,6 +15,8 @@ import (
 	"repro/internal/stream"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
+	"repro/internal/vdbms/scannerlike"
+	"repro/internal/vdbms/vdbmstest"
 	"repro/internal/video"
 )
 
@@ -62,7 +64,7 @@ func TestRunOnlineTransportsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		return RunOnlineOpts(context.Background(), inst, OnlineOptions{
+		return RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 			Transport: tr,
 			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			Faults:    plan,
@@ -127,7 +129,7 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	connectionCut := func(tr OnlineTransport) func(t *testing.T) error {
 		return func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 				Transport: tr,
 				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 				Faults:    &stream.FaultPlan{Seed: 1, CutAtPacket: 2},
@@ -148,24 +150,24 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	}{
 		{"pipe-success", func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 				Clock: stream.NewFakeClock(time.Unix(0, 0)),
 			})
 			return err
 		}},
 		{"rtp-success", func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 				Transport: TransportRTP,
 				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			})
 			return err
 		}},
 		{"unsupported-query", func(t *testing.T) error {
-			inst := onlineInstance(t, ds, queries.Q9, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{})
-			if err == nil {
-				t.Error("Q9 should have no online kernel")
+			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
+			_, err := RunOnlineOpts(context.Background(), scannerlike.New(scannerlike.Options{}), inst, OnlineOptions{})
+			if u := (*vdbms.ErrUnsupported)(nil); !errors.As(err, &u) {
+				t.Errorf("err = %v, want *vdbms.ErrUnsupported", err)
 			}
 			return nil
 		}},
@@ -173,7 +175,7 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunOnlineOpts(ctx, inst, OnlineOptions{
+			_, err := RunOnlineOpts(ctx, ldb, inst, OnlineOptions{
 				Clock: stream.NewFakeClock(time.Unix(0, 0)),
 			})
 			if !errors.Is(err, context.Canceled) {
@@ -185,7 +187,7 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunOnlineOpts(ctx, inst, OnlineOptions{
+			_, err := RunOnlineOpts(ctx, ldb, inst, OnlineOptions{
 				Transport: TransportRTP,
 				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			})
@@ -198,7 +200,7 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			// Wall-clock pacing (nil clock) streams 1s of video; a 30ms
 			// deadline fires mid-stream and must unwind both sides.
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 				Timeout: 30 * time.Millisecond,
 			})
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -211,7 +213,7 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst.Inputs[0] = corruptInput(inst.Inputs[0], 1)
 			// No fault plan: a corrupt access unit is a hard error, not a
 			// silent degradation.
-			_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 				Clock: stream.NewFakeClock(time.Unix(0, 0)),
 			})
 			if err == nil {
@@ -233,130 +235,112 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	}
 }
 
-// decodeAll decodes every access unit of an input offline.
-func decodeAll(t *testing.T, in *vdbms.Input) []*video.Frame {
+// zeroFaultSource decodes the clip the online tests stream, for the
+// reference kernels to run over.
+func zeroFaultSource(t *testing.T, ds *Dataset) (*vdbms.Input, *video.Video) {
 	t.Helper()
-	dec, err := codec.NewDecoder(in.Encoded.Config)
+	in := onlineInstance(t, ds, queries.Q2a, queries.Params{}).Inputs[0]
+	src, err := in.Encoded.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]*video.Frame, 0, len(in.Encoded.Frames))
-	for _, f := range in.Encoded.Frames {
-		df, err := dec.Decode(f.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, df)
+	return in, src
+}
+
+// checkZeroFault runs q online over tr with no faults and offline through
+// LightDB-like's Execute, and checks that both write the reference's
+// bytes, that every frame of the clip is received, the ones a query drops
+// included, and that none is lost.
+func checkZeroFault(t *testing.T, ds *Dataset, tr OnlineTransport, q queries.QueryID, p queries.Params, frames int, want *video.Video) {
+	t.Helper()
+	inst := onlineInstance(t, ds, q, p)
+	offline, online := vdbmstest.NewCollectSink(), vdbmstest.NewCollectSink()
+	if err := ldb.Execute(inst, offline); err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-
-func framesEqual(a, b *video.Frame) bool {
-	return a.W == b.W && a.H == b.H &&
-		bytes.Equal(a.Y, b.Y) && bytes.Equal(a.U, b.U) && bytes.Equal(a.V, b.V)
-}
-
-// A zero-fault online run must be bit-exact with offline execution of
-// the same kernel — resilience machinery may not perturb the clean path.
-func TestRunOnlineZeroFaultByteIdentical(t *testing.T) {
-	forEachTransport(t, testRunOnlineZeroFaultByteIdentical)
-}
-
-func testRunOnlineZeroFaultByteIdentical(t *testing.T, tr OnlineTransport) {
-	ds := testDataset(t)
-	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-	var got *video.Video
-	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
-	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 		Transport: tr,
 		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:      sink,
+		Sink:      online,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded || rep.FramesDropped != 0 || rep.Gaps != 0 || rep.Resyncs != 0 || rep.Retries != 0 {
-		t.Errorf("clean run reported degradation: %+v", rep)
+	if rep.Degraded || rep.FramesDropped != 0 || rep.Gaps != 0 || rep.Resyncs != 0 || rep.Retries != 0 || rep.Frames != frames {
+		t.Errorf("clean run of %d frames reported %+v", frames, rep)
 	}
-	want := decodeAll(t, inst.Inputs[0])
-	if len(got.Frames) != len(want) {
-		t.Fatalf("online produced %d frames, want %d", len(got.Frames), len(want))
-	}
-	for i, f := range got.Frames {
-		if !framesEqual(f, want[i].Grayscale()) {
-			t.Fatalf("frame %d differs from offline grayscale", i)
+	for name, v := range map[string]*video.Video{"online": online.Outputs["out"], "offline": offline.Outputs["out"]} {
+		if v == nil || len(v.Frames) != len(want.Frames) {
+			t.Fatalf("%s result is %v, want %d frames", name, v, len(want.Frames))
+		}
+		for i, f := range v.Frames {
+			g := want.Frames[i]
+			if f.W != g.W || f.H != g.H || !bytes.Equal(f.Y, g.Y) || !bytes.Equal(f.U, g.U) || !bytes.Equal(f.V, g.V) {
+				t.Fatalf("%s frame %d differs from the reference", name, i)
+			}
 		}
 	}
+}
+
+// A zero-fault online run of LightDB-like writes the bytes its offline
+// Execute writes, and those are queries.RunQ*'s over the clip.
+func TestRunOnlineZeroFaultByteIdentical(t *testing.T) {
+	ds := testDataset(t)
+	_, src := zeroFaultSource(t, ds)
+	q5 := queries.Params{Alpha: 2, Beta: 2}
+	cases := []struct {
+		q   queries.QueryID
+		p   queries.Params
+		ref func() (*video.Video, error)
+	}{
+		{queries.Q2a, queries.Params{}, func() (*video.Video, error) { return queries.RunQ2a(src), nil }},
+		{queries.Q5, q5, func() (*video.Video, error) { return queries.RunQ5(src, q5) }},
+	}
+	forEachTransport(t, func(t *testing.T, tr OnlineTransport) {
+		for _, tc := range cases {
+			t.Run(string(tc.q), func(t *testing.T) {
+				want, err := tc.ref()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkZeroFault(t, ds, tr, tc.q, tc.p, len(src.Frames), want)
+			})
+		}
+	})
 }
 
 // Online Q1 must select exactly the frames the plan-level FrameWindow
 // declares — the same window every offline engine consumes.
 func TestRunOnlineQ1MatchesFrameWindow(t *testing.T) {
-	forEachTransport(t, testRunOnlineQ1MatchesFrameWindow)
-}
-
-func testRunOnlineQ1MatchesFrameWindow(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
+	_, src := zeroFaultSource(t, ds)
 	p := queries.Params{X1: 8, Y1: 8, X2: 72, Y2: 56, T1: 0.2, T2: 0.75}
-	inst := onlineInstance(t, ds, queries.Q1, p)
-	var got *video.Video
-	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
-	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Transport: tr,
-		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:      sink,
-	}); err != nil {
+	f1, f2, _ := queries.FrameWindow(queries.Q1, p, src.FPS, len(src.Frames))
+	want, err := queries.RunQ1(src, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	in := inst.Inputs[0]
-	f1, f2, _ := queries.FrameWindow(queries.Q1, p, in.Encoded.Config.FPS, len(in.Encoded.Frames))
-	if len(got.Frames) != f2-f1 {
-		t.Fatalf("online Q1 emitted %d frames, want window [%d,%d) = %d", len(got.Frames), f1, f2, f2-f1)
+	if len(want.Frames) != f2-f1 {
+		t.Fatalf("reference Q1 has %d frames, window [%d,%d)", len(want.Frames), f1, f2)
 	}
-	want := decodeAll(t, in)
-	for i, f := range got.Frames {
-		if !framesEqual(f, want[f1+i].Crop(p.X1, p.Y1, p.X2, p.Y2)) {
-			t.Fatalf("online Q1 frame %d differs from offline crop of source frame %d", i, f1+i)
-		}
-	}
+	forEachTransport(t, func(t *testing.T, tr OnlineTransport) {
+		checkZeroFault(t, ds, tr, queries.Q1, p, len(src.Frames), want)
+	})
 }
 
 // Online Q2c must honor its parameters (class filter, boxes) exactly as
 // the offline reference kernel does.
 func TestRunOnlineQ2cMatchesOffline(t *testing.T) {
-	forEachTransport(t, testRunOnlineQ2cMatchesOffline)
-}
-
-func testRunOnlineQ2cMatchesOffline(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
+	in, src := zeroFaultSource(t, ds)
 	p := queries.Params{Algorithm: "yolov2", Classes: []vcity.ObjectClass{vcity.ClassVehicle}}
-	inst := onlineInstance(t, ds, queries.Q2c, p)
-	var got *video.Video
-	sink := vdbms.SinkFunc(func(key string, v *video.Video) error { got = v; return nil })
-	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
-		Transport: tr,
-		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:      sink,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	in := inst.Inputs[0]
-	src := video.NewVideo(in.Encoded.Config.FPS)
-	for _, f := range decodeAll(t, in) {
-		src.Append(f)
-	}
 	want, err := queries.RunQ2c(src, p, in.Env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Frames) != len(want.Frames) {
-		t.Fatalf("online Q2c emitted %d frames, offline %d", len(got.Frames), len(want.Frames))
-	}
-	for i := range got.Frames {
-		if !framesEqual(got.Frames[i], want.Frames[i]) {
-			t.Fatalf("online Q2c frame %d differs from offline reference", i)
-		}
-	}
+	forEachTransport(t, func(t *testing.T, tr OnlineTransport) {
+		checkZeroFault(t, ds, tr, queries.Q2c, p, len(src.Frames), want)
+	})
 }
 
 // Same seed, same plan ⇒ identical degradation accounting, run to run.
@@ -368,7 +352,7 @@ func testRunOnlineFaultDeterminism(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	run := func() *OnlineReport {
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+		rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 			Transport: tr,
 			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			Faults:    &stream.FaultPlan{Seed: 77, Camera: "cam", DropRate: 0.1},
@@ -398,7 +382,7 @@ func TestRunOnlineFaultSeedMatters(t *testing.T) {
 	ds := testDataset(t)
 	run := func(seed uint64) *OnlineReport {
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+		rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 			Transport: TransportRTP,
 			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 			Faults:    &stream.FaultPlan{Seed: seed, Camera: "cam", DropRate: 0.15},
@@ -426,7 +410,7 @@ func testRunOnlineDialRetry(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 		Transport: tr,
 		Clock:     clock,
 		Faults:    &stream.FaultPlan{Seed: 5, DialFailures: 2},
@@ -451,7 +435,7 @@ func TestRunOnlineDialRetryExhausted(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	check := checkNoGoroutineLeak(t)
-	_, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{
+	_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
 		Transport: TransportRTP,
 		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
 		Faults:    &stream.FaultPlan{Seed: 5, DialFailures: 10},
@@ -469,7 +453,7 @@ func TestRunOnlineFPSOnInjectedClock(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Clock: clock})
+	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,22 @@ package vcd
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/queries"
 	"repro/internal/stream"
 	"repro/internal/vdbms"
+	"repro/internal/vdbms/lightdblike"
+	"repro/internal/vdbms/noscopelike"
+	"repro/internal/vdbms/scannerlike"
 	"repro/internal/video"
 )
+
+// ldb is the engine the online tests run: the one bundled engine that
+// consumes a live stream.
+var ldb vdbms.System = lightdblike.New(lightdblike.Options{})
 
 func onlineInstance(t *testing.T, ds *Dataset, q queries.QueryID, p queries.Params) *vdbms.QueryInstance {
 	t.Helper()
@@ -30,7 +38,7 @@ func TestRunOnlinePipe(t *testing.T) {
 	})
 	// A fake clock removes wall-clock pacing from the test.
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe, Clock: clock, Sink: sink})
+	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{Transport: TransportPipe, Clock: clock, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestRunOnlineRTP(t *testing.T) {
 		got = v
 		return nil
 	})
-	rep, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportRTP, Sink: sink})
+	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{Transport: TransportRTP, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +85,7 @@ func TestRunOnlineThrottledPacing(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	clock := stream.NewFakeClock(time.Unix(0, 0))
-	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe, Clock: clock}); err != nil {
+	if _, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{Transport: TransportPipe, Clock: clock}); err != nil {
 		t.Fatal(err)
 	}
 	// The producer paced frames at the capture rate: the fake clock
@@ -93,10 +101,36 @@ func TestRunOnlineThrottledPacing(t *testing.T) {
 	}
 }
 
+// An engine that decodes stored video only, even one that ingested the
+// input offline, and an instance with more than one input, are
+// unsupported online; they fail before a frame is sent: a dial that
+// would fail is never tried.
 func TestRunOnlineUnsupportedQuery(t *testing.T) {
 	ds := testDataset(t)
-	inst := onlineInstance(t, ds, queries.Q9, queries.Params{})
-	if _, err := RunOnlineOpts(context.Background(), inst, OnlineOptions{Transport: TransportPipe}); err == nil {
-		t.Error("Q9 has no online kernel and should fail")
+	q9 := onlineInstance(t, ds, queries.Q9, queries.Params{})
+	q9.Inputs = append(q9.Inputs, q9.Inputs[0])
+	q2a := onlineInstance(t, ds, queries.Q2a, queries.Params{})
+	scanner := scannerlike.New(scannerlike.Options{})
+	if err := scanner.Execute(q2a, vdbms.SinkFunc(func(string, *video.Video) error { return nil })); err != nil {
+		t.Fatal(err) // the input is in its ingest cache now
+	}
+	for _, tc := range []struct {
+		name string
+		sys  vdbms.System
+		inst *vdbms.QueryInstance
+	}{
+		{"scannerlike", scanner, q2a},
+		{"noscopelike", noscopelike.NewDefault(), onlineInstance(t, ds, queries.Q2c, queries.Params{Algorithm: "yolov2"})},
+		{"Q9", ldb, q9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunOnlineOpts(context.Background(), tc.sys, tc.inst, OnlineOptions{
+				Faults: &stream.FaultPlan{Seed: 1, DialFailures: 1},
+				Retry:  stream.RetryPolicy{Attempts: 1},
+			})
+			if u := (*vdbms.ErrUnsupported)(nil); !errors.As(err, &u) {
+				t.Errorf("err = %v, want *vdbms.ErrUnsupported", err)
+			}
+		})
 	}
 }

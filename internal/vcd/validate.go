@@ -102,6 +102,18 @@ func (v *validator) validate(inst *vdbms.QueryInstance, val *InstanceValidation)
 	if inst.Query == queries.Q9 {
 		threshold = 30 // the paper's "moderately similar" bound for stitching
 	}
+	// The output key sets must be equal: the least output key the
+	// reference lacks fails the instance.
+	extra := ""
+	for key := range val.Outputs {
+		if refs[key] == nil && (extra == "" || key < extra) {
+			extra = key
+		}
+	}
+	if extra != "" {
+		val.Err = &InstanceError{Msg: fmt.Sprintf("vcd: system produced an output %q the reference lacks", extra)}
+		return
+	}
 	val.Passed = true
 	worst := math.Inf(1)
 	for key, ref := range refs {
@@ -139,81 +151,38 @@ func (v *validator) reference(inst *vdbms.QueryInstance) (map[string]*video.Vide
 		return nil, err
 	}
 	p := inst.Params
-	out := map[string]*video.Video{}
+	var r *video.Video
 	switch inst.Query {
 	case queries.Q1:
-		r, err := queries.RunQ1(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ1(src, p)
 	case queries.Q2a:
-		out["out"] = queries.RunQ2a(src)
+		r = queries.RunQ2a(src)
 	case queries.Q2b:
-		r, err := queries.RunQ2b(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ2b(src, p)
 	case queries.Q2c:
-		r, err := queries.RunQ2c(src, p, cheapEnv(in))
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ2c(src, p, cheapEnv(in))
 	case queries.Q2d:
-		r, err := queries.RunQ2d(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ2d(src, p)
 	case queries.Q3:
-		r, err := queries.RunQ3(src, p, in.Encoded.Config.Preset)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ3(src, p, in.Encoded.Config.Preset)
 	case queries.Q4:
-		r, err := queries.RunQ4(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ4(src, p)
 	case queries.Q5:
-		r, err := queries.RunQ5(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ5(src, p)
 	case queries.Q6a:
 		cp := p
 		if len(cp.Classes) == 0 {
 			cp.Classes = allClasses()
 		}
 		cp.Algorithm = "yolov2"
-		boxes, err := queries.RunQ2c(src, cp, cheapEnv(in))
-		if err != nil {
-			return nil, err
+		var boxes *video.Video
+		if boxes, err = queries.RunQ2c(src, cp, cheapEnv(in)); err == nil {
+			r, err = queries.RunQ6a(src, boxes)
 		}
-		r, err := queries.RunQ6a(src, boxes)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
 	case queries.Q6b:
-		r, err := queries.RunQ6b(src, p)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ6b(src, p)
 	case queries.Q7:
-		rs, err := queries.RunQ7(src, p, cheapEnv(in))
-		if err != nil {
-			return nil, err
-		}
-		for k, r := range rs {
-			out[k] = r
-		}
+		return queries.RunQ7(src, p, cheapEnv(in))
 	case queries.Q8:
 		vids := make([]*video.Video, 0, len(inst.Inputs))
 		envs := make([]*queries.Env, 0, len(inst.Inputs))
@@ -225,23 +194,18 @@ func (v *validator) reference(inst *vdbms.QueryInstance) (map[string]*video.Vide
 			vids = append(vids, dv)
 			envs = append(envs, qin.Env)
 		}
-		r, _, err := queries.RunQ8(vids, envs, alpr.New(), p.Plate)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, _, err = queries.RunQ8(vids, envs, alpr.New(), p.Plate)
 	case queries.Q9:
 		return v.referenceQ9(inst)
 	case queries.Q10:
-		r, err := queries.RunQ10(src, p, in.Encoded.Config.Preset)
-		if err != nil {
-			return nil, err
-		}
-		out["out"] = r
+		r, err = queries.RunQ10(src, p, in.Encoded.Config.Preset)
 	default:
 		return nil, fmt.Errorf("vcd: no reference implementation for %s", inst.Query)
 	}
-	return out, nil
+	if err != nil {
+		return nil, err
+	}
+	return map[string]*video.Video{"out": r}, nil
 }
 
 func (v *validator) referenceQ9(inst *vdbms.QueryInstance) (map[string]*video.Video, error) {

@@ -16,13 +16,18 @@ import (
 
 // testDataset generates a tiny dataset once per test binary.
 func testDataset(t *testing.T) *Dataset {
+	return testDatasetOf(t, 128, 96, 7)
+}
+
+// testDatasetOf generates a one-tile, 1 s dataset.
+func testDatasetOf(t *testing.T, w, h int, seed uint64) *Dataset {
 	t.Helper()
 	store, err := vfs.NewLocal(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = vcg.Generate(vcity.Hyperparams{
-		Scale: 1, Width: 128, Height: 96, Duration: 1.0, FPS: 15, Seed: 7,
+		Scale: 1, Width: w, Height: h, Duration: 1.0, FPS: 15, Seed: seed,
 	}, vcg.Options{Captions: true, QP: 18}, store)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package lightdblike
 
 import (
-	"hash/fnv"
 	"sync"
 
+	"repro/internal/stablehash"
 	"repro/internal/vdbms"
 	"repro/internal/video"
 )
@@ -44,19 +44,18 @@ func newDecodeCache(capacity int) *decodeCache {
 // purposes without hashing megabytes. An evaluation computes it once
 // and hands it to both get and put.
 func cacheKey(in *vdbms.Input) uint64 {
-	h := fnv.New64a()
+	h := stablehash.Offset
 	fs := in.Encoded.Frames
 	if len(fs) > 0 {
-		h.Write(fs[0].Data)
-		h.Write(fs[len(fs)-1].Data)
+		h = stablehash.FNV(h, fs[0].Data)
+		h = stablehash.FNV(h, fs[len(fs)-1].Data)
 	}
 	var sz [8]byte
 	total := in.Encoded.Size()
 	for i := range sz {
 		sz[i] = byte(total >> (8 * i))
 	}
-	h.Write(sz[:])
-	return h.Sum64()
+	return stablehash.FNV(h, sz[:])
 }
 
 // get returns the entry of the input with key k when its window covers

@@ -30,6 +30,8 @@
 package lightdblike
 
 import (
+	"io"
+
 	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
@@ -180,9 +182,15 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	}
 	// Every path below records exactly one request-level decode span
 	// (the shared branch records it inside vdbms.Decode), so span counts
-	// per eval call are invariant across modes.
+	// per eval call are invariant across modes. A live input's frames
+	// arrive once: it is never cached.
+	live := in.Live != nil
 	key := cacheKey(in)
-	if cached, ok := e.cache.get(key, lo, hi); ok {
+	var cached *cacheEntry
+	if !live {
+		cached, _ = e.cache.get(key, lo, hi)
+	}
+	if cached != nil {
 		// A locally resident full-frame window serves any tile set. The
 		// entry stays pinned, so not recycled, until the loop is done.
 		defer e.cache.release(cached)
@@ -208,10 +216,11 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	// Streaming: with no active cache — the paper-faithful sequential
 	// mode — the engine never forces a materialization. It seeks to the
 	// keyframe governing the window start, decodes the seed run for
-	// reference state only, and stops at the window end. The decoder
-	// runs ahead of transform + write (hence result encode) on a second
-	// goroutine, and the decode span covers the fused loop: streaming
-	// evaluation does not separate the stages.
+	// reference state only, and stops at the window end; a live input
+	// cannot seek, so all its frames before the window are the seed run.
+	// The decoder runs ahead of transform + write (hence result encode)
+	// on a second goroutine, and the decode span covers the fused loop:
+	// streaming evaluation does not separate the stages.
 	sp := metrics.StartSpan(metrics.StageDecode)
 	defer sp.End() // on the error returns too, with the frames decoded so far
 	sp.Trace(in.Trace)
@@ -222,13 +231,13 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 	}
 	defer dec.close()
 	seed := 0
-	if lo < hi {
+	if lo < hi && !live {
 		seed = in.Encoded.KeyframeBefore(lo)
 	}
 	dec.pos = seed
 	// The decoder's frames go to the cache as they are, absolute indices
 	// included (the detector seeds its RNG from them). The cache takes
-	// them over; a failed evaluation recycles them itself.
+	// them over; a failed or live evaluation recycles them itself.
 	decoded := &video.Video{FPS: in.Encoded.Config.FPS, Frames: make([]*video.Frame, 0, hi-seed)}
 	err = dec.ahead(hi, func(f *video.Frame) error {
 		sp.Frames(1)
@@ -238,7 +247,7 @@ func (e *Engine) eval(in *vdbms.Input, lo, hi int, tiles []int, t transform, w v
 		}
 		return apply(f.Index, f)
 	})
-	if err != nil {
+	if err != nil || live {
 		recycleFrames(decoded.Frames)
 		return err
 	}
@@ -285,7 +294,9 @@ func (s *streamDecoder) close() {
 const aheadDepth = 3
 
 // ahead decodes frames [s.pos, hi), hi within the clip, and hands each,
-// stamped with its stream index, to consume on the calling goroutine.
+// stamped with its stream index, to consume on the calling goroutine. A
+// live input's frames below hi are pulled from its source instead, as
+// they arrive, until the first at or past hi or the end of the stream.
 // With no shared cache — Sequential: the instance has the machine — the
 // decoding runs on a producer goroutine, at most aheadDepth+1 frames
 // ahead of the frame being consumed, and the first error from either
@@ -307,6 +318,22 @@ func (s *streamDecoder) ahead(hi int, consume func(*video.Frame) error) error {
 			}
 		}
 		return nil
+	}
+	if src := s.in.Live; src != nil {
+		produce = func(emit func(*video.Frame) error) error {
+			f, err := src.Next()
+			for ; err == nil && f.Index < hi; f, err = src.Next() {
+				if err := emit(f); err != nil {
+					return err
+				}
+			}
+			if err == nil {
+				video.PutFrame(f) // the first frame past the window
+			} else if err != io.EOF {
+				return err
+			}
+			return nil
+		}
 	}
 	if s.in.SharedCache() {
 		return produce(consume)

@@ -3,6 +3,7 @@ package lightdblike
 import (
 	"bytes"
 	"errors"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -505,6 +506,56 @@ func TestRunQ2dRecyclesEachDecodedFrame(t *testing.T) {
 			if !bytes.Equal(g.Y, w.Y) || !bytes.Equal(g.U, w.U) || !bytes.Equal(g.V, w.V) {
 				t.Fatalf("m=%d: output frame %d differs from the reference", m, i)
 			}
+		}
+	}
+}
+
+// liveSource is a vdbms.FrameSource over frames that arrive once.
+type liveSource []*video.Frame
+
+func (s *liveSource) Next() (*video.Frame, error) {
+	if len(*s) == 0 {
+		return nil, io.EOF
+	}
+	f := (*s)[0]
+	*s = (*s)[1:]
+	return f, nil
+}
+
+// TestLiveInputBypassesTheDecodeCache: a live input's frames, a lost one
+// missing, are what the engine maps, even with the whole clip cached,
+// and its window never enters the cache.
+func TestLiveInputBypassesTheDecodeCache(t *testing.T) {
+	fx := vdbmstest.NewFixture(t, 9)
+	in := fx.Traffic(0)
+	ref, err := in.Encoded.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for entries, cached := range []bool{false, true} {
+		e := New(Options{})
+		if cached {
+			if err := e.Execute(fx.Instance(queries.Q2a, queries.Params{}), &frameSink{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := in.Encoded.Decode() // the engine recycles what it is handed
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrived := liveSource(append(v.Frames[:3:3], v.Frames[4:]...))
+		live := *in
+		live.Live = &arrived
+		sink := vdbmstest.NewCollectSink()
+		if err := e.Execute(&vdbms.QueryInstance{Query: queries.Q2a, Inputs: []*vdbms.Input{&live}}, sink); err != nil {
+			t.Fatal(err)
+		}
+		out := sink.Outputs["out"]
+		if len(out.Frames) != len(ref.Frames)-1 || !bytes.Equal(out.Frames[3].Y, ref.Frames[4].Grayscale().Y) {
+			t.Errorf("cached %v: the engine did not map the live frames", cached)
+		}
+		if n := len(e.cache.entries); n != entries {
+			t.Errorf("cached %v: %d cache entries after the live run, want %d", cached, n, entries)
 		}
 	}
 }

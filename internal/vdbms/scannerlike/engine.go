@@ -351,7 +351,11 @@ func (e *Engine) loadTableRange(q queries.QueryID, in *vdbms.Input, lo, hi int, 
 // loadTableKeyed runs the single-flight ingest protocol for one
 // ingest-cache slot: the first caller fills, concurrent callers block
 // on the filling one, failed fills vanish so a later instance retries.
+// A live input is no slot's: its fill meets vdbms.Decode's refusal.
 func (e *Engine) loadTableKeyed(in *vdbms.Input, key string, fill func() (*table, error)) (*table, error) {
+	if in.Live != nil {
+		return fill()
+	}
 	e.mu.Lock()
 	if ent, ok := e.ingest[key]; ok {
 		e.mu.Unlock()

@@ -45,6 +45,17 @@ type Input struct {
 	// sets it on per-instance shallow copies — the underlying handle is
 	// shared across instances and must not carry per-instance state.
 	Trace metrics.TraceID
+	// Live, when set, is the input's live stream (online mode), read
+	// once in order; Encoded then serves only its configuration and
+	// length, and Decode refuses the input.
+	Live FrameSource
+}
+
+// FrameSource is a forward-only source of decoded frames: Next returns
+// the next one, the caller's, stamped with its source index (a frame
+// lost in transit is skipped), and io.EOF after the last.
+type FrameSource interface {
+	Next() (*video.Frame, error)
 }
 
 // DecodedSource serves decode requests for staged inputs — the VCD's
@@ -169,8 +180,12 @@ type ErrUnsupported struct {
 	Query  queries.QueryID
 }
 
-// Error describes the capability gap.
+// Error describes the capability gap. Decode's, for a live input,
+// names neither system nor query.
 func (e *ErrUnsupported) Error() string {
+	if e.System == "" {
+		return "vdbms: a live input cannot be decoded as stored video"
+	}
 	return fmt.Sprintf("vdbms: %s does not support %s", e.System, e.Query)
 }
 
@@ -199,8 +214,12 @@ func (e *ErrResource) Error() string {
 //
 // Every call records one request-level decode span, cache hits
 // included, so span counts are invariant across execution modes (the
-// codec.gop stage measures the actual reconstruction work).
+// codec.gop stage measures the actual reconstruction work). A live
+// input is refused with *ErrUnsupported: it is not stored video.
 func Decode(in *Input, lo, hi int, tiles []int) (*video.Video, error) {
+	if in.Live != nil {
+		return nil, &ErrUnsupported{}
+	}
 	sp := metrics.StartSpan(metrics.StageDecode)
 	defer sp.End() // a failed request is a span too
 	sp.Trace(in.Trace)

@@ -13,7 +13,13 @@ GOARCH=arm64 go test -c -o /dev/null ./internal/codec
 GOARCH=arm64 go test -c -o /dev/null ./internal/queries
 GOARCH=arm64 go test -c -o /dev/null ./internal/video
 go build ./...
-go test ./...
+# The full suite, once. Its verbose log names each skipped test too, and
+# a skip fails the gate like a failure does: a skipped test asserts
+# nothing.
+log=$(mktemp)
+go test -v ./... >"$log" 2>&1 || { grep -v -e '^=== ' -e '^ *--- PASS' "$log"; exit 1; }
+if grep -e '--- SKIP' "$log"; then exit 1; fi
+rm -f "$log"
 # The race detector over every package. What interleaves: the worker
 # pool and parallel generation, the row- and tile-parallel encoder, the
 # decode request's worker pool, concurrent query batches over the shared
@@ -44,7 +50,9 @@ go test -race -cpu 1,2,4 ./internal/vdbms/lightdblike
 go test -race -cpu 1,2,4 -run 'Recycl|Close' ./internal/vcd ./internal/shard ./internal/video
 # The online stream likewise: the pipe transport is a synchronous
 # net.Pipe hand-off between the RTP sender and receiver, so every packet
-# is a rendezvous of two goroutines.
+# is a rendezvous of two goroutines, and online mode runs LightDB-like,
+# whose decode-ahead pipe pulls the session's frames on a goroutine of
+# its own.
 go test -race -cpu 1,2,4 -run 'Online|RTP|Pipe|SendVideo' ./internal/vcd ./internal/stream
 # Every benchmark once, so that none can rot.
 go test -run '^$' -bench . -benchtime 1x ./...
