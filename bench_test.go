@@ -8,7 +8,6 @@ package visualroad
 // and prints the paper-shaped tables.
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -376,41 +375,37 @@ func BenchmarkAblationDetectorCost(b *testing.B) {
 }
 
 // BenchmarkOnlineFaults measures the LightDB-like engine's online-mode
-// throughput over RTP on a fake clock (pure processing rate, no wall-clock pacing) at the
-// core.OnlineFaultRates ladder: clean channel, 1% drop, 5% drop. The
+// throughput over RTP on a fake clock (pure processing rate, no
+// wall-clock pacing) at the core.OnlineFaultRates ladder: clean channel,
+// 1% drop, 5% drop, one online vcd.Run of the Q2(a) batch per rate. The
 // reported fps and dropped-frame metrics show how gracefully the online
 // decoder degrades as the seeded fault schedule intensifies.
 func BenchmarkOnlineFaults(b *testing.B) {
 	obsEnabled(b)
 	ds := sharedDataset(b)
-	opt := vcd.Options{InstancesPerScale: 1, Seed: 7, MaxUpsamplePixels: 1 << 22}
 	for _, tc := range []struct {
 		name string
 		rate float64
 	}{{"fault0", 0}, {"fault1", 0.01}, {"fault5", 0.05}} {
 		b.Run(tc.name, func(b *testing.B) {
-			insts, err := vcd.BuildBatch(ds, queries.Q2a, 1, opt)
-			if err != nil {
-				b.Fatal(err)
+			opt := vcd.Options{Queries: []queries.QueryID{queries.Q2a}, InstancesPerScale: 1, Seed: 7, MaxUpsamplePixels: 1 << 22,
+				Mode: vcd.StreamingMode, Online: &vcd.OnlineOptions{
+					Transport: vcd.TransportRTP,
+					Clock:     func() stream.Clock { return stream.NewFakeClock(time.Unix(0, 0)) },
+				}}
+			if tc.rate > 0 {
+				opt.Online.Faults = &stream.FaultPlan{Seed: 7, DropRate: tc.rate}
 			}
-			inst := insts[0]
 			sys := lightdblike.New(lightdblike.Options{})
 			var fps, dropped float64
 			for i := 0; i < b.N; i++ {
-				var plan *stream.FaultPlan
-				if tc.rate > 0 {
-					plan = &stream.FaultPlan{Seed: 7, Camera: inst.Inputs[0].Env.Camera.ID, DropRate: tc.rate}
-				}
-				rep, err := vcd.RunOnlineOpts(context.Background(), sys, inst, vcd.OnlineOptions{
-					Transport: vcd.TransportRTP,
-					Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-					Faults:    plan,
-				})
+				rep, err := vcd.Run(ds, sys, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				fps = rep.FPS
-				dropped = float64(rep.FramesDropped)
+				online := rep.Queries[0].Online
+				fps = online.FPS
+				dropped = float64(online.FramesDropped)
 			}
 			b.ReportMetric(fps, "fps")
 			b.ReportMetric(dropped, "dropped-frames")

@@ -31,16 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/detect"
-	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/vcd"
-	"repro/internal/vdbms"
 	"repro/internal/vfs"
 )
 
@@ -81,6 +79,11 @@ func run() (code int) {
 	}
 	defer func() { code = obs.Exit(code) }()
 
+	sharded := false
+	fs.Visit(func(f *flag.Flag) { sharded = sharded || strings.HasPrefix(f.Name, "shard-") })
+	if *online && sharded {
+		return cli.UsageError(fs, errors.New("-online runs in process: it takes no -shard-workers, -shard-addrs or -shard-worker"))
+	}
 	if worker.Enabled {
 		return worker.Run(*data)
 	}
@@ -122,12 +125,22 @@ func run() (code int) {
 		fatal(fmt.Errorf("vcd: unknown mode %q", *mode))
 	}
 
+	if *online {
+		o := &vcd.OnlineOptions{Timeout: *onlineTimeout, Retry: stream.RetryPolicy{Seed: *onlineSeed}}
+		if o.Transport, err = vcd.ParseOnlineTransport(*transport); err != nil {
+			fatal(err)
+		}
+		if o.Faults, err = stream.ParseFaultSpec(*onlineFaults, *onlineSeed, ""); err != nil {
+			fatal(err)
+		}
+		if len(opt.Queries) == 0 {
+			opt.Queries = []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q5}
+		}
+		opt.Online = o
+	}
+
 	fmt.Printf("vcd: benchmarking %s on %s (L=%d, %dx%d, %.0fs)\n",
 		sys.Name(), *data, ds.Manifest.Scale, ds.Manifest.Width, ds.Manifest.Height, ds.Manifest.Duration)
-	if *online {
-		runOnline(ds, sys, opt, obs, *transport, *onlineFaults, *onlineSeed, *onlineTimeout)
-		return 0
-	}
 	var report *vcd.RunReport
 	if copt.Sharded() {
 		var counters *shard.Counters
@@ -179,58 +192,6 @@ func run() (code int) {
 	return 0
 }
 
-// runOnline executes the online queries on sys against live-paced
-// streams — optionally degraded by a seeded fault plan — and reports
-// achieved frames per second plus degradation accounting, as the paper
-// requires for online-mode results.
-func runOnline(ds *vcd.Dataset, sys vdbms.System, opt vcd.Options, obs *cli.Obs, transportName, faultSpec string, seed uint64, timeout time.Duration) {
-	transport, err := vcd.ParseOnlineTransport(transportName)
-	if err != nil {
-		fatal(err)
-	}
-	plan, err := stream.ParseFaultSpec(faultSpec, seed, "")
-	if err != nil {
-		fatal(err)
-	}
-	qs := opt.Queries
-	if len(qs) == 0 {
-		qs = []queries.QueryID{queries.Q1, queries.Q2a, queries.Q2c, queries.Q5}
-	}
-	iv := metrics.Begin()
-	online := &vcd.OnlineRun{Transport: transport, FaultSpec: faultSpec, Seed: seed,
-		Queries: map[string]*vcd.OnlineReport{}}
-	fmt.Printf("\n%-7s %10s %10s %10s %8s %6s %8s %9s\n",
-		"Query", "Frames", "Elapsed", "FPS", "Dropped", "Gaps", "Resyncs", "Degraded")
-	for _, q := range qs {
-		insts, err := vcd.BuildBatch(ds, q, 1, opt)
-		if err != nil {
-			fatal(err)
-		}
-		inst := insts[0]
-		rep, err := vcd.RunOnlineOpts(context.Background(), sys, inst, vcd.OnlineOptions{
-			Transport: transport,
-			Faults:    plan.ForCamera(inst.Inputs[0].Env.Camera.ID),
-			Timeout:   timeout,
-			Retry:     stream.RetryPolicy{Seed: seed},
-		})
-		if unsupported := (*vdbms.ErrUnsupported)(nil); errors.As(err, &unsupported) {
-			fmt.Printf("%-7s %10s\n", q, "unsupported")
-			continue
-		}
-		if err != nil {
-			fatal(err)
-		}
-		online.Queries[string(q)] = rep
-		fmt.Printf("%-7s %10d %10s %10.1f %8d %6d %8d %9v\n",
-			q, rep.Frames, rep.Elapsed.Round(1e6), rep.FPS,
-			rep.FramesDropped, rep.Gaps, rep.Resyncs, rep.Degraded)
-	}
-	process := iv.End()
-	if err := obs.WriteArtifact(vcd.Artifact{Process: &process, Online: online}); err != nil {
-		fatal(err)
-	}
-}
-
 func printReport(r *vcd.RunReport, validated bool) {
 	fmt.Printf("\n%-7s %10s %10s %8s %10s", "Query", "Batch", "Elapsed", "Frames", "FPS")
 	if validated {
@@ -255,8 +216,18 @@ func printReport(r *vcd.RunReport, validated bool) {
 		if qr.ResourceErrors > 0 {
 			fmt.Printf("  [%d resource failure(s)]", qr.ResourceErrors)
 		}
+		for _, res := range qr.Instances {
+			if res.Err != nil && !res.Err.Resource {
+				fmt.Printf("  [%d failed, first: %s]", qr.BatchSize-qr.Completed-qr.ResourceErrors, res.Err)
+				break
+			}
+		}
 		if qr.BatchSplits > 0 {
 			fmt.Printf("  [split into %d sub-batches]", qr.BatchSplits+1)
+		}
+		if o := qr.Online; o != nil {
+			fmt.Printf("  [online: %.1f fps, %d dropped, %d gaps, %d resyncs, %d degraded]",
+				o.FPS, o.FramesDropped, o.Gaps, o.Resyncs, o.Degraded)
 		}
 		fmt.Println()
 	}

@@ -386,17 +386,22 @@ func runOnline(cfg core.CompareConfig, ratesSpec string) error {
 			rates = append(rates, r)
 		}
 	}
-	points, err := core.OnlineResilience(cfg, rates, nil)
+	reports, err := core.OnlineResilience(cfg, rates, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-7s %7s %8s %8s %8s %6s %8s %8s %9s\n",
-		"Query", "Drop", "Frames", "FPS", "Dropped", "Gaps", "Resyncs", "Retries", "Degraded")
-	for _, pt := range points {
-		r := pt.Report
-		fmt.Printf("%-7s %6.1f%% %8d %8.1f %8d %6d %8d %8d %9v\n",
-			pt.Query, pt.FaultRate*100, r.Frames, r.FPS,
-			r.FramesDropped, r.Gaps, r.Resyncs, r.Retries, r.Degraded)
+	fmt.Printf("%-7s %7s %7s %8s %8s %8s %6s %8s %8s %9s\n",
+		"Query", "Drop", "Batch", "Frames", "FPS", "Dropped", "Gaps", "Resyncs", "Retries", "Degraded")
+	for i, rep := range reports {
+		for _, b := range rep.Queries {
+			r := b.Online
+			if r == nil { // no stream of the batch completed
+				r = &vcd.OnlineReport{}
+			}
+			fmt.Printf("%-7s %6.1f%% %3d/%-3d %8d %8.1f %8d %6d %8d %8d %9d\n",
+				b.Query, rates[i]*100, b.Completed, b.BatchSize, r.Frames, r.FPS,
+				r.FramesDropped, r.Gaps, r.Resyncs, r.Retries, r.Degraded)
+		}
 	}
 	return nil
 }

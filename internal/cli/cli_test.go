@@ -255,6 +255,20 @@ func TestUsageError(t *testing.T) {
 	}
 }
 
+// TestOnlineRefusesShardFlags: online mode runs in process only, so vcd
+// refuses -online beside any shard flag as a usage error instead of
+// ignoring the flag.
+func TestOnlineRefusesShardFlags(t *testing.T) {
+	vcd := filepath.Join(binDir(t), "vcd")
+	for _, flag := range [][]string{{"-shard-workers", "2"}, {"-shard-addrs", "127.0.0.1:1"}, {"-shard-worker"}} {
+		cmd := exec.Command(vcd, append([]string{"-online"}, flag...)...)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 || !strings.Contains(string(out), "-online runs in process: it takes no -shard-workers, -shard-addrs or -shard-worker") {
+			t.Errorf("vcd -online %v: exit %d, %v\n%s", flag, code, err, out)
+		}
+	}
+}
+
 // TestCloseDebugExitPath pins the exit-status contract for the debug
 // server: no server and a clean shutdown leave the status alone, a
 // listener that died mid-run turns success into the distinct
@@ -296,7 +310,7 @@ func TestCloseDebugExitPath(t *testing.T) {
 // temp file left behind), and no flag means no file.
 func TestWriteArtifact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
-	art := vcd.Artifact{Online: &vcd.OnlineRun{Transport: vcd.TransportRTP, Seed: 3}}
+	art := vcd.Artifact{Process: &metrics.Record{}}
 	if err := (&Obs{}).WriteArtifact(art); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +318,7 @@ func TestWriteArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
-	if want := "{\n  \"online\": {\n    \"transport\": \"rtp\",\n    \"seed\": 3,\n    \"queries\": null\n  }\n}\n"; err != nil || string(data) != want {
+	if want := "{\n  \"process\": {}\n}\n"; err != nil || string(data) != want {
 		t.Errorf("artifact = %q, %v", data, err)
 	}
 	names, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))

@@ -1,7 +1,7 @@
 // Package difftest is the benchmark's differential test: the one
 // harness that proves a run's output a function of its dataset and plan
 // only, whatever execution mode, decode layer, tile grid, metrics
-// setting, shard topology or fault it runs under. Each pinned seed draws
+// setting, topology or fault it runs under. Each pinned seed draws
 // one configuration and holds its run to a reference run byte for byte.
 // The shard and vcd tests run it, whole or by the combinations a test
 // names; it is a package of its own because _test.go files cannot share
@@ -36,7 +36,7 @@ import (
 // WantCoverage, proves they span what the hand-written suites this
 // harness replaced ran. Prove a new path identical by adding a seed that
 // draws it.
-var Seeds = []uint64{5, 6, 19, 20, 27, 47, 81, 93, 97, 100, 132, 142, 151, 157, 169, 284, 340, 345, 353, 413, 495, 651, 829, 1332, 1413, 3461, 5193, 6119, 10435}
+var Seeds = []uint64{5, 6, 19, 20, 27, 47, 81, 93, 97, 100, 132, 142, 151, 157, 169, 284, 340, 345, 353, 413, 495, 651, 746, 829, 1081, 1332, 1413, 3461, 5193, 6119, 10435}
 
 // The axes a seed draws from. diffQueries exercise shared-input decode
 // (every query), the windowed plan (Q1), the blur pipeline (Q2b),
@@ -61,7 +61,7 @@ type draw struct {
 	mode     string // "sequential", "workers=1" or "workers=8"
 	procs    string // GOMAXPROCS: "default" or "1"
 	metrics  bool
-	topology string // "in-process", "pipe" or "tcp"
+	topology string // "in-process", "pipe", "tcp", "online/pipe" or "online/rtp"
 	shards   int    // pipe or TCP workers
 	kill     int    // the pipe worker the fault plan cuts, or -1
 }
@@ -95,6 +95,10 @@ func drawConfig(seed uint64) draw {
 		d.shards = 1 + top.Intn(4)
 	case "tcp":
 		d.shards = 2
+	}
+	if o := axis("online"); d.topology == "in-process" && d.engine == "lightdblike" && o.Bool(0.25) {
+		// Every input streamed to the engine, on a fake clock.
+		d.topology = "online/" + [...]string{"pipe", "rtp"}[o.Intn(2)]
 	}
 	if d.topology == "in-process" && axis("decode").Bool(0.5) {
 		d.decode = "whole-clip"
@@ -207,8 +211,13 @@ func run(t *testing.T, d draw) outcome {
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(d.metrics)
 
+	if name, ok := strings.CutPrefix(d.topology, "online/"); ok {
+		transport, _ := vcd.ParseOnlineTransport(name) // a name drawConfig picked
+		opt.Online = &vcd.OnlineOptions{Transport: transport, Clock: func() stream.Clock { return stream.NewFakeClock(time.Unix(0, 0)) }}
+	}
+
 	var out outcome
-	if d.topology == "in-process" {
+	if d.topology == "in-process" || opt.Online != nil {
 		out.report = runInProcess(t, d, opt)
 	} else {
 		out.report, out.counters = runSharded(t, d, opt)
@@ -678,4 +687,5 @@ var WantCoverage = []string{
 	"metrics=false sequential", "metrics=false workers=8", "metrics=true sequential", "metrics=true workers=8",
 	"kill worker metrics=false", "kill worker metrics=true",
 	"pipe/1", "pipe/2", "pipe/4", "tcp/2", "metrics=true pipe", "metrics=true tcp",
+	"online/pipe", "online/rtp",
 }

@@ -77,6 +77,9 @@ var rows = []row{
 	{name: "no-report-mirror", in: code, section: "§5.16", plant: "package vcd\n\ntype QueryCell struct{}\n",
 		match:  named[*ast.Ident](`QueryCell|SystemRun|ValidationWire|remoteError|telemetryArtifact|onlineArtifact|metricsArtifact|cellTelemetryJSON|runTelemetryJSON|collectTelemetry`),
 		reason: "a deleted report mirror is back; add the field to the vcd type it mirrors"},
+	{name: "one-online-driver", in: code, section: "§5.16", plant: "package vcd\n\ntype OnlineRun struct{}\n",
+		match:  named[*ast.Ident](`^(RunOnlineOpts|OnlineRun)$`),
+		reason: "the second online driver is back; online mode is Options.Online, a way vcd.Run stages an input, reported through the one report path"},
 	{name: "fused-kernels", in: []string{"internal/vdbms"}, section: "§5.5", plant: "package vdbms\n\nimport \"repro/internal/queries\"\n\nvar _ = queries.AggregateMean(nil)\n",
 		match:  named[*ast.CallExpr](`(JoinPFrame|PMapFrame|AggregateMean)$`),
 		reason: "an engine dispatches a closure per pixel or re-sums a window per frame; use the fused kernels of internal/queries"},

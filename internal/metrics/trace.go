@@ -51,7 +51,7 @@ const (
 	// measured execution window.
 	StageResultEncode
 	// StageOnline is one online (live-paced) query execution — the
-	// full transport + decode + engine session of vcd.RunOnlineOpts.
+	// full transport + decode + engine session of one online instance.
 	StageOnline
 	// StageShardPartition is one query batch's instance partitioning at
 	// the shard coordinator.

@@ -147,6 +147,11 @@ func Run(ctx context.Context, plan Plan, copt Options) (*vcd.RunReport, *Counter
 	if opt.Mode == vcd.WriteMode && opt.ResultStore == nil {
 		return nil, nil, errors.New("shard: WriteMode requires a result store")
 	}
+	if opt.Online != nil {
+		// Online options never cross the wire: the workers would run
+		// the batch offline without saying so.
+		return nil, nil, errors.New("shard: an online run stages its inputs in process; the shard plane cannot run it")
+	}
 	if plan.Scale < 1 {
 		return nil, nil, fmt.Errorf("shard: plan needs the dataset scale")
 	}

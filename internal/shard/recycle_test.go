@@ -38,6 +38,11 @@ func TestConversationCloseRecyclesDecodedFrames(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: sync.Pool keeps one Put per P in a private slot that a Get
+	// on another P cannot steal, so at two or more a frame the first job
+	// recycled can sit out of the second job's reach and be allocated
+	// fresh (one in 45 decoded is already over the bound).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	job := func() (decoded, fresh int64) {
 		_, _, before := video.PoolCounts()
 		report, counters, err := shard.Run(context.Background(), shard.Plan{

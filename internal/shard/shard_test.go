@@ -1,11 +1,15 @@
 package shard_test
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/queries"
 	"repro/internal/shard"
+	"repro/internal/vcd"
+	"repro/internal/vfs"
 )
 
 // TestPartitionStable pins the partitioning contract: a permutation-free
@@ -41,5 +45,20 @@ func TestPartitionStable(t *testing.T) {
 	q5 := shard.Partition(queries.Q5, n, 4)
 	if reflect.DeepEqual(q3, q5) {
 		t.Error("partition ignores the query identity")
+	}
+}
+
+// TestRunRefusesOnline: Options.Online does not cross the wire, so the
+// coordinator refuses a run that sets it rather than let its workers
+// run the batch offline.
+func TestRunRefusesOnline(t *testing.T) {
+	_, _, err := shard.Run(context.Background(), shard.Plan{
+		Store:  vfs.NewMemory(),
+		System: shard.SystemSpec{Name: "lightdblike"},
+		Scale:  1,
+		Opt:    vcd.Options{Mode: vcd.StreamingMode, Online: &vcd.OnlineOptions{}},
+	}, shard.Options{Shards: 2})
+	if err == nil || !strings.Contains(err.Error(), "online") {
+		t.Errorf("online run on the shard plane: err = %v", err)
 	}
 }

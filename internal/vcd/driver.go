@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -77,6 +78,9 @@ type Options struct {
 	// inputs decode through. 0 selects DefaultDecodedCacheBytes;
 	// negative disables the cache.
 	DecodedCacheBytes int64 `json:"decoded_cache_bytes,omitempty"`
+	// Online, when set, stages every instance's input as a live stream
+	// (online.go). It never crosses the wire: shard.Run refuses it.
+	Online *OnlineOptions `json:"-"`
 }
 
 // WithDefaults fills the driver's defaults — the values Run itself
@@ -114,16 +118,21 @@ type InstanceResult struct {
 	Frames     int                 `json:"frames"`
 	Err        *InstanceError      `json:"err,omitempty"`
 	Validation *InstanceValidation `json:"validation,omitempty"`
+	// Online is the instance's stream accounting, in an online run.
+	Online *OnlineReport `json:"online,omitempty"`
 }
 
 // InstanceError is an instance's (or its validation's) failure as the
 // report keeps it: the message, and whether it was resource exhaustion
-// (a vdbms.ErrResource, e.g. Scanner-like Q4) — the one class the tally
-// counts apart. It is made where the result is born, so a result reads
-// the same in the process that executed it and across the shard wire.
+// (vdbms.ErrResource, e.g. Scanner-like Q4), which the tally counts
+// apart, or a capability gap (vdbms.ErrUnsupported, e.g. a live input
+// to Scanner-like), which makes the batch unsupported. It is made where
+// the result is born, so a result reads the same in the process that
+// executed it and across the shard wire.
 type InstanceError struct {
-	Msg      string `json:"msg"`
-	Resource bool   `json:"resource,omitempty"`
+	Msg         string `json:"msg"`
+	Resource    bool   `json:"resource,omitempty"`
+	Unsupported bool   `json:"unsupported,omitempty"`
 }
 
 func (e *InstanceError) Error() string { return e.Msg }
@@ -134,7 +143,8 @@ func instanceError(err error) *InstanceError {
 		return nil
 	}
 	var resErr *vdbms.ErrResource
-	return &InstanceError{Msg: err.Error(), Resource: errors.As(err, &resErr)}
+	var unsup *vdbms.ErrUnsupported
+	return &InstanceError{Msg: err.Error(), Resource: errors.As(err, &resErr), Unsupported: errors.As(err, &unsup)}
 }
 
 // QueryReport aggregates a query batch.
@@ -154,17 +164,22 @@ type QueryReport struct {
 	Frames      int
 	Instances   []InstanceResult
 	Validation  ValidationSummary
+	// Online sums the batch's stream accounting in an online run.
+	Online *OnlineReport
 	// Telemetry is the batch's interval observability record (execution
 	// plus its validation pass), present when metrics are enabled.
 	Telemetry *metrics.Telemetry
 }
 
 // FPS returns the processed frame throughput of the batch.
-func (r *QueryReport) FPS() float64 {
-	if r.Elapsed <= 0 {
+func (r *QueryReport) FPS() float64 { return rate(r.Frames, r.Elapsed) }
+
+// rate is frames per second over d (0 when no time passed).
+func rate(frames int, d time.Duration) float64 {
+	if d <= 0 {
 		return 0
 	}
-	return float64(r.Frames) / r.Elapsed.Seconds()
+	return float64(frames) / d.Seconds()
 }
 
 // RunReport is the full benchmark result for one system.
@@ -258,6 +273,13 @@ func (r *BatchRunner) runQueryBatch(q queries.QueryID) (*QueryReport, error) {
 		r.execute(insts, idxs[lo:hi], tids[lo:hi], qr.Instances[lo:hi])
 	}
 	qr.Elapsed = time.Since(batchStart)
+	for _, res := range qr.Instances {
+		if res.Err != nil && res.Err.Unsupported {
+			// The engine cannot run the query on this staging (a live
+			// input): the batch is unsupported, not failed.
+			return &QueryReport{Query: q, System: r.sys.Name(), Unsupported: true}, nil
+		}
+	}
 	r.validate(insts, idxs, tids, qr.Instances)
 	qr.Tally(r.sys)
 	qr.Telemetry = iv.Telemetry()
@@ -320,12 +342,19 @@ func batchLimit(sys vdbms.System, q queries.QueryID) int {
 
 // Tally fills the batch's derived fields from BatchSize and Instances:
 // completions, resource failures and frames, the sub-batches the
-// engine's batch limit forces, and the validation summary. The driver
-// and the shard coordinator's merge both call it, so a merged report
-// cannot count differently from a single-process one.
+// engine's batch limit forces, the streams' summed accounting, and the
+// validation summary. The driver and the shard coordinator's merge both
+// call it, so a merged report cannot count differently from a
+// single-process one.
 func (qr *QueryReport) Tally(sys vdbms.System) {
-	qr.Completed, qr.ResourceErrors, qr.Frames, qr.BatchSplits = 0, 0, 0, 0
+	qr.Completed, qr.ResourceErrors, qr.Frames, qr.BatchSplits, qr.Online = 0, 0, 0, 0, nil
 	for _, res := range qr.Instances {
+		if res.Online != nil {
+			if qr.Online == nil {
+				qr.Online = &OnlineReport{}
+			}
+			qr.Online.add(res.Online)
+		}
 		if res.Err == nil {
 			qr.Completed++
 			qr.Frames += res.Frames
@@ -366,11 +395,12 @@ func traceInputs(inst *vdbms.QueryInstance, tid metrics.TraceID) {
 }
 
 // executeInstance runs one instance through the system, capturing
-// outputs for validation and handling the result mode. worker is the
-// pool worker index executing the instance, tagged on its span; tid is
-// the instance's distributed trace ID (0 untraced) and shard the
-// executing shard (-1 single-process), threaded onto the execute span
-// and the instance's decode spans.
+// outputs for validation and handling the result mode; online, it reads
+// a live session of its input (runOnline). worker is the pool worker
+// index executing the instance, tagged on its span; tid is the
+// instance's distributed trace ID (0 untraced) and shard the executing
+// shard (-1 single-process), threaded onto the execute span and the
+// instance's decode spans.
 func executeInstance(ds *Dataset, sys vdbms.System, inst *vdbms.QueryInstance, opt Options, idx, worker int, tid metrics.TraceID, shard int) InstanceResult {
 	var res InstanceResult
 	sink := &resultSink{opt: opt, query: inst.Query, idx: idx}
@@ -385,7 +415,15 @@ func executeInstance(ds *Dataset, sys vdbms.System, inst *vdbms.QueryInstance, o
 	sp.Worker(worker)
 	sp.Trace(tid)
 	sp.Shard(shard)
-	res.Err = instanceError(sys.Execute(inst, sink))
+	var err error
+	if o := opt.Online; o != nil {
+		scoped := *o
+		scoped.Faults = o.Faults.ForCamera(inst.Inputs[0].Env.Camera.ID)
+		res.Online, err = runOnline(context.Background(), sys, inst, scoped, sink)
+	} else {
+		err = sys.Execute(inst, sink)
+	}
+	res.Err = instanceError(err)
 	sink.abandon()
 	res.Frames = sink.frames
 	sp.Frames(res.Frames)

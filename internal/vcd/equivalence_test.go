@@ -53,3 +53,8 @@ func TestTelemetryModeInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestOnlineEquivalence: a zero-fault online run, its inputs streamed to
+// LightDB-like over the pipe or the RTP transport, writes the offline
+// reference's canonical report, verdicts and result bytes.
+func TestOnlineEquivalence(t *testing.T) { difftest.Run(t, "online/pipe", "online/rtp") }

@@ -2,7 +2,6 @@ package vcd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/metrics"
-	"repro/internal/queries"
 	"repro/internal/stream"
 	"repro/internal/vdbms"
 	"repro/internal/video"
@@ -22,8 +20,12 @@ import (
 // camera's encoded stream as RTP packets throttled to the capture rate,
 // over an in-memory pipe (standing in for named pipes) or a loopback
 // TCP socket, and reports frames per second, as the paper requires for
-// online queries. This file is the transport half of a session: connect
-// and retry, RTP receive, keyframe resync, corrupt-unit skip, drop
+// online queries. It is a way Run stages an input, not a second
+// driver: with Options.Online set, the one instance loop runs each
+// instance of the batch against a session of its own, and the results
+// go through the driver's result writer and validator like offline
+// ones. This file is the transport half of a session: connect and
+// retry, RTP receive, keyframe resync, corrupt-unit skip, drop
 // accounting and decode, under a context whose end unwinds producer and
 // consumer. The execution half is the engine's own Execute over the
 // input's vdbms.FrameSource. Only LightDB-like consumes a live source;
@@ -50,21 +52,6 @@ func (t OnlineTransport) String() string {
 	return "pipe"
 }
 
-// MarshalJSON writes the transport by name, keeping the report schema
-// readable.
-func (t OnlineTransport) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + t.String() + `"`), nil
-}
-
-// UnmarshalJSON reads it back.
-func (t *OnlineTransport) UnmarshalJSON(b []byte) (err error) {
-	var name string
-	if err = json.Unmarshal(b, &name); err == nil {
-		*t, err = ParseOnlineTransport(name)
-	}
-	return err
-}
-
 // ParseOnlineTransport resolves a transport name (-transport).
 func ParseOnlineTransport(name string) (OnlineTransport, error) {
 	switch name {
@@ -76,31 +63,30 @@ func ParseOnlineTransport(name string) (OnlineTransport, error) {
 	return 0, fmt.Errorf("vcd: unknown transport %q", name)
 }
 
-// OnlineOptions configures one online query execution.
+// OnlineOptions stages a run's inputs live (Options.Online): every
+// instance streams its input to the engine as a session of its own.
 type OnlineOptions struct {
 	// Transport selects the delivery mechanism (default pipe).
 	Transport OnlineTransport
-	// Clock paces the stream; nil uses the wall clock. Elapsed/FPS on
-	// the report are measured on this clock, so fake-clock tests see
-	// the simulated rate, not wall time.
-	Clock stream.Clock
-	// Sink receives the engine's results (nil discards them).
-	Sink vdbms.Sink
-	// Faults is the deterministic fault schedule to inject (nil = ideal
-	// channel).
+	// Clock makes each session's clock; nil uses the wall clock.
+	// Elapsed/FPS on the report are measured on it, so fake-clock runs
+	// see the simulated rate, not wall time.
+	Clock func() stream.Clock
+	// Faults is the run's deterministic fault schedule (nil = ideal
+	// channel); the driver scopes it to each instance's camera
+	// (ForCamera), so every stream degrades on its own schedule.
 	Faults *stream.FaultPlan
-	// Timeout bounds the whole session (0 = none); on expiry the run
+	// Timeout bounds each session (0 = none); on expiry the stream
 	// unwinds with context.DeadlineExceeded and no goroutine leaks.
 	Timeout time.Duration
 	// Retry bounds transient dial failures (zero value = defaults).
 	Retry stream.RetryPolicy
 }
 
-// OnlineReport summarizes one online query execution, including the
-// degradation accounting a faulted run accumulates.
+// OnlineReport is the degradation accounting of one stream
+// (InstanceResult.Online), or of a batch's streams summed
+// (QueryReport.Online).
 type OnlineReport struct {
-	Query     queries.QueryID `json:"query"`
-	Transport OnlineTransport `json:"transport"`
 	// Frames is the number of frames received and decoded, the ones the
 	// engine did not read (past its window) included.
 	Frames int `json:"frames"`
@@ -115,9 +101,9 @@ type OnlineReport struct {
 	Resyncs int `json:"resyncs"`
 	// Retries counts transient connection attempts beyond the first.
 	Retries int `json:"retries"`
-	// Degraded is set when any fault affected the stream; a clean run
-	// reports false and byte-identical output to offline execution.
-	Degraded bool          `json:"degraded"`
+	// Degraded counts the streams any fault affected; a clean stream
+	// writes the bytes offline execution writes.
+	Degraded int           `json:"degraded"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	// FPS is the achieved processing rate on the session clock. A
 	// system keeping up with the camera reports ≈ the capture rate; a
@@ -125,27 +111,37 @@ type OnlineReport struct {
 	FPS float64 `json:"fps"`
 }
 
+// add sums one stream's accounting into a batch's, and its rate over
+// the summed session time.
+func (r *OnlineReport) add(s *OnlineReport) {
+	r.Frames += s.Frames
+	r.FramesDropped += s.FramesDropped
+	r.Gaps += s.Gaps
+	r.Resyncs += s.Resyncs
+	r.Retries += s.Retries
+	r.Degraded += s.Degraded
+	r.Elapsed += s.Elapsed
+	r.FPS = rate(r.Frames, r.Elapsed)
+}
+
 // isIntra reports whether an access unit is a keyframe (the bitstream's
 // first bit is the frame-type flag, 0 = intra) — the resync points the
 // online decoder recovers at.
 func isIntra(au []byte) bool { return len(au) > 0 && au[0]&0x80 == 0 }
 
-// RunOnlineOpts executes one query instance on sys against a live-paced
+// runOnline executes one query instance on sys against a live-paced
 // stream of its input, delivered over opt.Transport with opt's faults,
 // deadline and retries, and reports the achieved frame rate; results go
-// to opt.Sink. The stream connects at the engine's first read, so an
+// to sink. The stream connects at the engine's first read, so an
 // instance sys cannot run live returns *vdbms.ErrUnsupported before a
 // frame is sent. Every exit path unwinds the producer goroutine.
-func RunOnlineOpts(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance, opt OnlineOptions) (*OnlineReport, error) {
+func runOnline(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance, opt OnlineOptions, sink vdbms.Sink) (*OnlineReport, error) {
 	if len(inst.Inputs) != 1 || !sys.Supports(inst.Query) {
 		return nil, &vdbms.ErrUnsupported{System: sys.Name(), Query: inst.Query}
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	clock := opt.Clock
-	if clock == nil {
-		clock = stream.RealClock{}
+	var clock stream.Clock = stream.RealClock{}
+	if opt.Clock != nil {
+		clock = opt.Clock()
 	}
 	var cancel context.CancelFunc
 	if opt.Timeout > 0 {
@@ -156,12 +152,19 @@ func RunOnlineOpts(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInsta
 	defer cancel()
 
 	in := inst.Inputs[0]
-	rep := &OnlineReport{Query: inst.Query, Transport: opt.Transport}
+	rep := &OnlineReport{}
 	sp := metrics.StartSpan(metrics.StageOnline)
 	defer func() {
 		sp.Frames(rep.Frames)
 		sp.End()
-		recordOnline(rep)
+		// The global counters mirror every session's accounting into
+		// -metrics-json and /debug/metrics.
+		metrics.Add(metrics.OnlineFrames, int64(rep.Frames))
+		metrics.Add(metrics.OnlineDropped, int64(rep.FramesDropped))
+		metrics.Add(metrics.OnlineGaps, int64(rep.Gaps))
+		metrics.Add(metrics.OnlineResyncs, int64(rep.Resyncs))
+		metrics.Add(metrics.OnlineRetries, int64(rep.Retries))
+		metrics.Add(metrics.OnlineDegraded, int64(rep.Degraded))
 	}()
 
 	// The session clock starts before the producer does: on a fake
@@ -174,10 +177,6 @@ func RunOnlineOpts(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInsta
 	live.Source, live.Live = nil, s
 	run := *inst
 	run.Inputs = []*vdbms.Input{&live}
-	sink := opt.Sink
-	if sink == nil {
-		sink = vdbms.SinkFunc(func(string, *video.Video) error { return nil })
-	}
 	if err := sys.Execute(&run, sink); err != nil {
 		return nil, err
 	}
@@ -194,12 +193,10 @@ func RunOnlineOpts(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInsta
 	// drop of the final packets produces no observable gap).
 	if total := len(in.Encoded.Frames); s.expect < total {
 		rep.FramesDropped += total - s.expect
-		rep.Degraded = true
+		rep.Degraded = 1
 	}
 	rep.Elapsed = clock.Now().Sub(start)
-	if rep.Elapsed > 0 {
-		rep.FPS = float64(rep.Frames) / rep.Elapsed.Seconds()
-	}
+	rep.FPS = rate(rep.Frames, rep.Elapsed)
 	return rep, nil
 }
 
@@ -252,7 +249,7 @@ func (s *session) Next() (*video.Frame, error) {
 			// frames the gap cost are counted when the next unit's
 			// index arrives.
 			rep.Gaps++
-			rep.Degraded = true
+			rep.Degraded = 1
 			s.resync = true
 			continue
 		}
@@ -273,13 +270,13 @@ func (s *session) Next() (*video.Frame, error) {
 			// A timestamp behind the stream. The sender's increase and
 			// the receiver drops late packets, so only a damaged stream
 			// delivers one; the reference state has moved past it.
-			rep.Degraded = true
+			rep.Degraded = 1
 			s.resync = true
 			continue
 		}
 		if fi > s.expect {
 			rep.FramesDropped += fi - s.expect
-			rep.Degraded = true
+			rep.Degraded = 1
 			s.resync = true
 		}
 		s.expect = fi + 1
@@ -302,7 +299,7 @@ func (s *session) Next() (*video.Frame, error) {
 			// Corrupted in transit: skip the frame and resynchronize at
 			// the next intra frame.
 			rep.FramesDropped++
-			rep.Degraded = true
+			rep.Degraded = 1
 			s.resync = true
 			continue
 		}
@@ -354,7 +351,7 @@ func (s *session) connect() error {
 	})
 	s.rep.Retries = retries
 	if retries > 0 {
-		s.rep.Degraded = true
+		s.rep.Degraded = 1
 	}
 	if err != nil {
 		return err
@@ -377,19 +374,6 @@ func (s *session) join() error {
 		}
 	})
 	return s.serr
-}
-
-// recordOnline feeds the run's degradation accounting into the global
-// telemetry counters (mirrored into -metrics-json and /debug/metrics).
-func recordOnline(rep *OnlineReport) {
-	metrics.Add(metrics.OnlineFrames, int64(rep.Frames))
-	metrics.Add(metrics.OnlineDropped, int64(rep.FramesDropped))
-	metrics.Add(metrics.OnlineGaps, int64(rep.Gaps))
-	metrics.Add(metrics.OnlineResyncs, int64(rep.Resyncs))
-	metrics.Add(metrics.OnlineRetries, int64(rep.Retries))
-	if rep.Degraded {
-		metrics.Add(metrics.OnlineDegraded, 1)
-	}
 }
 
 // errTransientDial is the injected stand-in for a refused connection.

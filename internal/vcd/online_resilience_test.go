@@ -22,7 +22,7 @@ import (
 
 // checkNoGoroutineLeak snapshots the goroutine count and returns a
 // function asserting the count settled back — the leak-free contract of
-// every RunOnlineOpts exit path.
+// every exit path of an online session.
 func checkNoGoroutineLeak(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -64,11 +64,11 @@ func TestRunOnlineTransportsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		return RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+		return runOnline(context.Background(), ldb, inst, OnlineOptions{
 			Transport: tr,
-			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+			Clock:     fakeClock,
 			Faults:    plan,
-		})
+		}, discard)
 	}
 	clean, err := run("", TransportPipe)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestRunOnlineTransportsAgree(t *testing.T) {
 		spec  string
 		trace func(*OnlineReport, error) bool
 	}{
-		{"", func(r *OnlineReport, err error) bool { return err == nil && !r.Degraded }},
+		{"", func(r *OnlineReport, err error) bool { return err == nil && r.Degraded == 0 }},
 		{"drop=0.2", lost},
 		{"reorder=0.2", lost},
 		{"corrupt=0.2", lost},
@@ -92,11 +92,8 @@ func TestRunOnlineTransportsAgree(t *testing.T) {
 			if fmt.Sprint(perr) != fmt.Sprint(rerr) {
 				t.Fatalf("errors differ: pipe %v, rtp %v", perr, rerr)
 			}
-			if pipe != nil && rtp != nil {
-				pipe.Transport = rtp.Transport
-				if *pipe != *rtp {
-					t.Errorf("reports differ:\n  pipe %+v\n  rtp  %+v", pipe, rtp)
-				}
+			if pipe != nil && rtp != nil && *pipe != *rtp {
+				t.Errorf("reports differ:\n  pipe %+v\n  rtp  %+v", pipe, rtp)
 			}
 			if !tc.trace(rtp, rerr) {
 				t.Errorf("no trace of the fault: %+v, %v", rtp, rerr)
@@ -106,9 +103,9 @@ func TestRunOnlineTransportsAgree(t *testing.T) {
 }
 
 // lost reports a run that completed degraded: frames dropped, a gap,
-// or the Degraded flag.
+// or a degraded stream.
 func lost(r *OnlineReport, err error) bool {
-	return err == nil && (r.FramesDropped > 0 || r.Gaps > 0 || r.Degraded)
+	return err == nil && (r.FramesDropped > 0 || r.Gaps > 0 || r.Degraded > 0)
 }
 
 // corruptInput clones the input with frame idx's access unit replaced
@@ -129,11 +126,11 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	connectionCut := func(tr OnlineTransport) func(t *testing.T) error {
 		return func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+			_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 				Transport: tr,
-				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+				Clock:     fakeClock,
 				Faults:    &stream.FaultPlan{Seed: 1, CutAtPacket: 2},
-			})
+			}, discard)
 			if !errors.Is(err, stream.ErrTruncated) {
 				t.Errorf("err = %v, want ErrTruncated", err)
 			}
@@ -150,22 +147,22 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 	}{
 		{"pipe-success", func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
-				Clock: stream.NewFakeClock(time.Unix(0, 0)),
-			})
+			_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
+				Clock: fakeClock,
+			}, discard)
 			return err
 		}},
 		{"rtp-success", func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+			_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 				Transport: TransportRTP,
-				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-			})
+				Clock:     fakeClock,
+			}, discard)
 			return err
 		}},
 		{"unsupported-query", func(t *testing.T) error {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-			_, err := RunOnlineOpts(context.Background(), scannerlike.New(scannerlike.Options{}), inst, OnlineOptions{})
+			_, err := runOnline(context.Background(), scannerlike.New(scannerlike.Options{}), inst, OnlineOptions{}, discard)
 			if u := (*vdbms.ErrUnsupported)(nil); !errors.As(err, &u) {
 				t.Errorf("err = %v, want *vdbms.ErrUnsupported", err)
 			}
@@ -175,9 +172,9 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunOnlineOpts(ctx, ldb, inst, OnlineOptions{
-				Clock: stream.NewFakeClock(time.Unix(0, 0)),
-			})
+			_, err := runOnline(ctx, ldb, inst, OnlineOptions{
+				Clock: fakeClock,
+			}, discard)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
@@ -187,10 +184,10 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunOnlineOpts(ctx, ldb, inst, OnlineOptions{
+			_, err := runOnline(ctx, ldb, inst, OnlineOptions{
 				Transport: TransportRTP,
-				Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-			})
+				Clock:     fakeClock,
+			}, discard)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
@@ -200,9 +197,9 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 			// Wall-clock pacing (nil clock) streams 1s of video; a 30ms
 			// deadline fires mid-stream and must unwind both sides.
-			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+			_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 				Timeout: 30 * time.Millisecond,
-			})
+			}, discard)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -213,9 +210,9 @@ func TestRunOnlineExitPathsLeakFree(t *testing.T) {
 			inst.Inputs[0] = corruptInput(inst.Inputs[0], 1)
 			// No fault plan: a corrupt access unit is a hard error, not a
 			// silent degradation.
-			_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
-				Clock: stream.NewFakeClock(time.Unix(0, 0)),
-			})
+			_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
+				Clock: fakeClock,
+			}, discard)
 			if err == nil {
 				t.Error("corrupt AU with no fault plan should fail")
 			}
@@ -258,15 +255,14 @@ func checkZeroFault(t *testing.T, ds *Dataset, tr OnlineTransport, q queries.Que
 	if err := ldb.Execute(inst, offline); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+	rep, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 		Transport: tr,
-		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
-		Sink:      online,
-	})
+		Clock:     fakeClock,
+	}, online)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded || rep.FramesDropped != 0 || rep.Gaps != 0 || rep.Resyncs != 0 || rep.Retries != 0 || rep.Frames != frames {
+	if rep.Degraded != 0 || rep.FramesDropped != 0 || rep.Gaps != 0 || rep.Resyncs != 0 || rep.Retries != 0 || rep.Frames != frames {
 		t.Errorf("clean run of %d frames reported %+v", frames, rep)
 	}
 	for name, v := range map[string]*video.Video{"online": online.Outputs["out"], "offline": offline.Outputs["out"]} {
@@ -352,11 +348,11 @@ func testRunOnlineFaultDeterminism(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	run := func() *OnlineReport {
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+		rep, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 			Transport: tr,
-			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+			Clock:     fakeClock,
 			Faults:    &stream.FaultPlan{Seed: 77, Camera: "cam", DropRate: 0.1},
-		})
+		}, discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +363,7 @@ func testRunOnlineFaultDeterminism(t *testing.T, tr OnlineTransport) {
 		a.Gaps != b.Gaps || a.Resyncs != b.Resyncs || a.Degraded != b.Degraded {
 		t.Errorf("same seed diverged:\n  %+v\n  %+v", a, b)
 	}
-	if !a.Degraded || a.Gaps == 0 || a.FramesDropped == 0 {
+	if a.Degraded == 0 || a.Gaps == 0 || a.FramesDropped == 0 {
 		t.Errorf("10%% drop left no trace: %+v", a)
 	}
 	// Every source frame is accounted exactly once: processed or dropped.
@@ -382,11 +378,11 @@ func TestRunOnlineFaultSeedMatters(t *testing.T) {
 	ds := testDataset(t)
 	run := func(seed uint64) *OnlineReport {
 		inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-		rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+		rep, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 			Transport: TransportRTP,
-			Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+			Clock:     fakeClock,
 			Faults:    &stream.FaultPlan{Seed: seed, Camera: "cam", DropRate: 0.15},
-		})
+		}, discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,20 +405,19 @@ func TestRunOnlineDialRetry(t *testing.T) {
 func testRunOnlineDialRetry(t *testing.T, tr OnlineTransport) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+	rep, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 		Transport: tr,
-		Clock:     clock,
+		Clock:     fakeClock,
 		Faults:    &stream.FaultPlan{Seed: 5, DialFailures: 2},
 		Retry:     stream.RetryPolicy{Attempts: 4, Seed: 5},
-	})
+	}, discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Retries != 2 {
 		t.Errorf("Retries = %d, want 2", rep.Retries)
 	}
-	if !rep.Degraded {
+	if rep.Degraded != 1 {
 		t.Error("retried run not marked degraded")
 	}
 	if want := len(inst.Inputs[0].Encoded.Frames); rep.Frames != want {
@@ -435,12 +430,12 @@ func TestRunOnlineDialRetryExhausted(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
 	check := checkNoGoroutineLeak(t)
-	_, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{
+	_, err := runOnline(context.Background(), ldb, inst, OnlineOptions{
 		Transport: TransportRTP,
-		Clock:     stream.NewFakeClock(time.Unix(0, 0)),
+		Clock:     fakeClock,
 		Faults:    &stream.FaultPlan{Seed: 5, DialFailures: 10},
 		Retry:     stream.RetryPolicy{Attempts: 3, Seed: 5},
-	})
+	}, discard)
 	if err == nil {
 		t.Fatal("exhausted retries should fail")
 	}
@@ -452,8 +447,7 @@ func TestRunOnlineDialRetryExhausted(t *testing.T) {
 func TestRunOnlineFPSOnInjectedClock(t *testing.T) {
 	ds := testDataset(t)
 	inst := onlineInstance(t, ds, queries.Q2a, queries.Params{})
-	clock := stream.NewFakeClock(time.Unix(0, 0))
-	rep, err := RunOnlineOpts(context.Background(), ldb, inst, OnlineOptions{Clock: clock})
+	rep, err := runOnline(context.Background(), ldb, inst, OnlineOptions{Clock: fakeClock}, discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,13 @@ import (
 
 // TestOptionsWireRoundTrip: Options is its own wire form (the shard
 // plane ships it to workers as JSON), so every field must survive a
-// JSON round trip. The one exception is explicit: ResultStore stays at
-// the coordinator. A field added without a working tag — or dropped
+// JSON round trip. The exceptions are explicit: ResultStore stays at
+// the coordinator, and Online, which stages inputs in process, is one
+// shard.Run refuses. A field added without a working tag — or dropped
 // with `json:"-"` — fails here instead of silently running workers
 // under a different configuration than the coordinator merges against.
 func TestOptionsWireRoundTrip(t *testing.T) {
-	coordinatorOnly := map[string]bool{"ResultStore": true}
+	coordinatorOnly := map[string]bool{"ResultStore": true, "Online": true}
 
 	var opt Options
 	v := reflect.ValueOf(&opt).Elem()
@@ -35,6 +36,8 @@ func TestOptionsWireRoundTrip(t *testing.T) {
 			f.SetBool(true)
 		case reflect.Interface:
 			f.Set(reflect.ValueOf(vfs.NewMemory()))
+		case reflect.Pointer:
+			f.Set(reflect.ValueOf(&OnlineOptions{Transport: TransportRTP}))
 		default:
 			t.Fatalf("Options.%s: kind %s has no sample value; teach this test one", v.Type().Field(i).Name, f.Kind())
 		}

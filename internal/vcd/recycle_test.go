@@ -28,6 +28,11 @@ func TestRunnerCloseRecyclesDecodedFrames(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: sync.Pool keeps one Put per P in a private slot that a Get
+	// on another P cannot steal, so at two or more a frame Close recycled
+	// can sit out of the decode-ahead goroutine's reach and be allocated
+	// fresh.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := testDataset(t)
 	opt := Options{Queries: []queries.QueryID{queries.Q5}, InstancesPerScale: 4, Seed: 5, Workers: 1, Mode: StreamingMode}
 	r, err := NewBatchRunner(ds, lightdblike.New(lightdblike.Options{}), opt)

@@ -30,22 +30,10 @@ type ReportSummary struct {
 // flag writes this type through cli.Obs.WriteArtifact.
 type Artifact struct {
 	// Process is the whole invocation's interval, where the binary runs
-	// more than one thing (vrbench's experiments, vcd's online sessions).
+	// more than one thing (vrbench's experiments).
 	Process *metrics.Record `json:"process,omitempty"`
 	// Runs holds one summary per benchmark run, in execution order.
 	Runs []ReportSummary `json:"runs,omitempty"`
-	// Online is `vcd -online`'s election and per-query degradation
-	// reports.
-	Online *OnlineRun `json:"online,omitempty"`
-}
-
-// OnlineRun is an online invocation: transport, seeded fault schedule,
-// and each online-capable query's report.
-type OnlineRun struct {
-	Transport OnlineTransport          `json:"transport"`
-	FaultSpec string                   `json:"fault_spec,omitempty"`
-	Seed      uint64                   `json:"seed"`
-	Queries   map[string]*OnlineReport `json:"queries"`
 }
 
 // QuerySummary is one query batch's row of the report.
@@ -63,6 +51,9 @@ type QuerySummary struct {
 	PSNRMean       float64 `json:"psnr_mean_db"`
 	PSNRMin        float64 `json:"psnr_min_db"`
 	SemanticPct    float64 `json:"semantic_pct"`
+	// Online is the batch's streams' summed accounting, in an online
+	// run.
+	Online *OnlineReport `json:"online,omitempty"`
 	// Telemetry is the batch's observability record, present when
 	// metrics are enabled.
 	Telemetry *metrics.Telemetry `json:"telemetry,omitempty"`
@@ -95,6 +86,7 @@ func Summarize(r *RunReport) ReportSummary {
 			PSNRMean:       qr.Validation.PSNR.Mean,
 			PSNRMin:        qr.Validation.PSNR.Min,
 			SemanticPct:    qr.Validation.SemanticPassRate() * 100,
+			Online:         qr.Online,
 			Telemetry:      qr.Telemetry,
 		})
 	}
@@ -104,10 +96,11 @@ func Summarize(r *RunReport) ReportSummary {
 // Canonical strips the summary down to its deterministic content: what
 // two runs of the same plan must agree on byte-for-byte. Timing
 // (elapsed, fps), the observability record (telemetry, trace, events),
-// and decoded-cache locality are excluded —
-// they legitimately vary run to run and across topologies (per-worker
-// caches split the hit pattern) — exactly the exclusion set the
-// differential test's reference comparison uses. Everything else (completions, frame
+// decoded-cache locality and the online streams' accounting are
+// excluded — they legitimately vary run to run and across topologies
+// (per-worker caches split the hit pattern; an online run stages its
+// inputs as streams) — exactly the exclusion set the differential
+// test's reference comparison uses. Everything else (completions, frame
 // counts, batch splits, validation statistics) is a pure function of
 // seed, dataset, and configuration.
 func (s ReportSummary) Canonical() ReportSummary {
@@ -120,6 +113,7 @@ func (s ReportSummary) Canonical() ReportSummary {
 		qs[i].ElapsedMS = 0
 		qs[i].FPS = 0
 		qs[i].Telemetry = nil
+		qs[i].Online = nil
 	}
 	s.Queries = qs
 	return s

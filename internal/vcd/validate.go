@@ -82,15 +82,19 @@ func (v *validator) validate(inst *vdbms.QueryInstance, val *InstanceValidation)
 	// paper; all other queries use frame validation against the
 	// reference implementation.
 	switch inst.Query {
-	case queries.Q2c:
+	case queries.Q2c, queries.Q2d:
 		val.Passed = true
 		val.PSNR = -1
-		v.semanticQ2c(inst, val)
-		return
-	case queries.Q2d:
-		val.Passed = true
-		val.PSNR = -1
-		v.semanticQ2d(inst, val)
+		// Both write one frame per input frame, read at its input time:
+		// a result that lost frames (online drops) fails, not shifted.
+		if out, n := val.Outputs["out"], len(inst.Inputs[0].Encoded.Frames); out != nil && len(out.Frames) != n {
+			val.Passed = false
+			val.Err = &InstanceError{Msg: fmt.Sprintf("vcd: %s wrote %d frames for a %d-frame input", inst.Query, len(out.Frames), n)}
+		} else if inst.Query == queries.Q2c {
+			v.semanticQ2c(inst, val)
+		} else {
+			v.semanticQ2d(inst, val)
+		}
 		return
 	}
 	refs, err := v.reference(inst)

@@ -23,10 +23,10 @@ rm -f "$log"
 # The race detector over every package. What interleaves: the worker
 # pool and parallel generation, the row- and tile-parallel encoder, the
 # decode request's worker pool, concurrent query batches over the shared
-# decoded cache, every RunOnlineOpts exit path, the lock-free metrics
-# registry, the shard plane and the differential test's topologies, the
-# vrserved control plane, and internal/cli building and running every
-# binary. Fuzz seed corpora run as ordinary tests. Race builds poison
+# decoded cache, every exit path of an online session, the lock-free
+# metrics registry, the shard plane and the differential test's
+# topologies, the vrserved control plane, and internal/cli building and
+# running every binary. Fuzz seed corpora run as ordinary tests. Race builds poison
 # every recycled frame (internal/video), so a frame used after it went
 # back to the pool fails the goldens and the differential test here.
 # internal/render goes -short: its single-threaded oracle corpus takes
@@ -52,7 +52,9 @@ go test -race -cpu 1,2,4 -run 'Recycl|Close' ./internal/vcd ./internal/shard ./i
 # net.Pipe hand-off between the RTP sender and receiver, so every packet
 # is a rendezvous of two goroutines, and online mode runs LightDB-like,
 # whose decode-ahead pipe pulls the session's frames on a goroutine of
-# its own.
+# its own. An online batch runs its sessions on the driver's worker
+# pool; the pattern also selects the differential test's online draws
+# (TestOnlineEquivalence) and the online runs of vcd.Run.
 go test -race -cpu 1,2,4 -run 'Online|RTP|Pipe|SendVideo' ./internal/vcd ./internal/stream
 # Every benchmark once, so that none can rot.
 go test -run '^$' -bench . -benchtime 1x ./...
