@@ -40,7 +40,7 @@ func run() (code int) {
 	exp := flag.String("exp", "all", "experiment to run (table1, table2, table9, fig2, fig5, fig6, fig7, fig8, fig9, quality, modes, online, shard, all)")
 	scale := flag.Int("scale", 4, "scale factor L for comparison experiments")
 	duration := flag.Float64("duration", 1.0, "per-camera video duration in seconds (model scale)")
-	videos := flag.Int("videos", 6, "corpus size for the table9 experiment")
+	videos := flag.Int("videos", 6, "traffic cameras per table9 corpus, rounded up to whole tiles of 4")
 	frames := flag.Int("frames", 240, "frames per corpus for the quality experiment")
 	workers := flag.Int("workers", 0, "dataset-generation worker goroutines (0 = one per CPU); bytes are identical at any count")
 	runFlags := cli.BindRun(fs, words)
@@ -102,13 +102,13 @@ func run() (code int) {
 	}
 	iv := metrics.Begin()
 	// art is the -metrics-json artifact: the invocation's interval plus
-	// the runs of the comparison experiments (fig5, fig6).
+	// the runs of table9, fig5 and fig6.
 	var art vcd.Artifact
 
 	runners := map[string]func() error{
 		"table1":  runTable1,
 		"table2":  runTable2,
-		"table9":  func() error { return runTable9(*videos, *duration, cfg.Seed, *workers) },
+		"table9":  func() error { return runTable9(*videos, *duration, cfg.Seed, *workers, &art) },
 		"fig2":    func() error { return runFig2(*scale, cfg.Seed) },
 		"fig5":    func() error { c := cfg; c.Validate, c.Shard = validate, copt; return runFig5(c, &art) },
 		"fig6":    func() error { c := cfg; c.Validate = validate; return runFig6(c, &art) },
@@ -179,13 +179,16 @@ func runTable2() error {
 	return nil
 }
 
-func runTable9(videos int, duration float64, seed uint64, workers int) error {
+func runTable9(videos int, duration float64, seed uint64, workers int, art *vcd.Artifact) error {
 	fmt.Println("Table 9: dataset validation (runtimes + speedup vs recorded baseline)")
 	fmt.Println("paper shape: Visual Road tracks baseline (0.6-1.0x); Duplicates let caching")
 	fmt.Println("engines over-optimize (red/yellow); Random inflates decode-bound queries (4-26x)")
 	res, err := core.Table9(core.Table9Config{NumVideos: videos, Duration: duration, Seed: seed, Workers: workers})
 	if err != nil {
 		return err
+	}
+	for _, run := range res.Runs {
+		art.Runs = append(art.Runs, vcd.Summarize(run.RunReport))
 	}
 	printTable9(res)
 	return nil

@@ -66,9 +66,6 @@ func WriteVsStreaming(cfg CompareConfig, qs []queries.QueryID) ([]ModesResult, e
 				if best == 0 || total < best {
 					best = total
 				}
-				if sd, ok := sys.(interface{ Shutdown() }); ok {
-					sd.Shutdown()
-				}
 			}
 			*dst = best
 		}

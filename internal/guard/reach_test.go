@@ -15,17 +15,16 @@ import (
 // that stays anyway, with the reason: a function by its directory and
 // name, a package by its directory. Each is a root of the walk.
 var keep = map[string]string{
-	"internal/queries.PMap":                "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.PMapFrame":           "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.JoinP":               "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.JoinPFrame":          "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.OmegaCoalesce":       "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.Window":              "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.AggregateMean":       "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/queries.sumScratch":          "the per-frame window sum the fused kernels' tests compare against (DESIGN.md §5.5)",
-	"internal/core.RunCorpusBatchForBench": "the paper's Table 9 benchmark (root bench_test.go) has no other way into unexported core",
-	"internal/vdbms/vdbmstest":             "the engines' shared conformance suite, a package that _test.go files import",
-	"internal/difftest":                    "the differential test harness the shard and vcd tests run, a package that _test.go files import",
+	"internal/queries.PMap":          "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.PMapFrame":     "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.JoinP":         "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.JoinPFrame":    "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.OmegaCoalesce": "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.Window":        "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.AggregateMean": "a closure-form reference the execute kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/queries.sumScratch":    "the per-frame window sum the fused kernels' tests compare against (DESIGN.md §5.5)",
+	"internal/vdbms/vdbmstest":       "the engines' shared conformance suite, a package that _test.go files import",
+	"internal/difftest":              "the differential test harness the shard and vcd tests run, a package that _test.go files import",
 }
 
 // stdMethods are method names the standard library calls through its own

@@ -17,7 +17,7 @@ import (
 // not participate in parameter selection.
 func BuildBatch(ds *Dataset, q queries.QueryID, n int, opt Options) ([]*vdbms.QueryInstance, error) {
 	rng := vcity.NewRNG(opt.Seed ^ stablehash.String(string(q)))
-	sampler := NewParamSampler(opt.Seed^stablehash.String(string(q)+"-params"),
+	sampler := newParamSampler(opt.Seed^stablehash.String(string(q)+"-params"),
 		ds.Manifest.Width, ds.Manifest.Height, ds.Manifest.Duration)
 	sampler.MaxUpsamplePixels = opt.MaxUpsamplePixels
 
@@ -30,7 +30,7 @@ func BuildBatch(ds *Dataset, q queries.QueryID, n int, opt Options) ([]*vdbms.Qu
 	var out []*vdbms.QueryInstance
 	for i := 0; i < n; i++ {
 		inst := &vdbms.QueryInstance{Query: q}
-		ctx := SampleContext{InputW: ds.Manifest.Width, InputH: ds.Manifest.Height}
+		ctx := sampleContext{InputW: ds.Manifest.Width, InputH: ds.Manifest.Height}
 		switch q {
 		case queries.Q8:
 			// Inputs: the traffic cameras of a random tile; the target

@@ -134,7 +134,10 @@ func isIntra(au []byte) bool { return len(au) > 0 && au[0]&0x80 == 0 }
 // deadline and retries, and reports the achieved frame rate; results go
 // to sink. The stream connects at the engine's first read, so an
 // instance sys cannot run live returns *vdbms.ErrUnsupported before a
-// frame is sent. Every exit path unwinds the producer goroutine.
+// frame is sent. Every return carries the stream's report, a failed
+// one's too, except the one for an instance no session is started for
+// (more than one input, or a query sys does not support). Every exit
+// path unwinds the producer goroutine.
 func runOnline(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance, opt OnlineOptions, sink vdbms.Sink) (*OnlineReport, error) {
 	if len(inst.Inputs) != 1 || !sys.Supports(inst.Query) {
 		return nil, &vdbms.ErrUnsupported{System: sys.Name(), Query: inst.Query}
@@ -177,8 +180,15 @@ func runOnline(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance,
 	live.Source, live.Live = nil, s
 	run := *inst
 	run.Inputs = []*vdbms.Input{&live}
+	// A failed stream still reports what it received: the batch sums
+	// every stream's accounting, as the counters above do.
+	finish := func(err error) (*OnlineReport, error) {
+		rep.Elapsed = clock.Now().Sub(start)
+		rep.FPS = rate(rep.Frames, rep.Elapsed)
+		return rep, err
+	}
 	if err := sys.Execute(&run, sink); err != nil {
-		return nil, err
+		return finish(err)
 	}
 	// An engine stops reading at the end of its window; the rest of the
 	// stream is still received and counted, not lost.
@@ -187,7 +197,7 @@ func runOnline(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance,
 		video.PutFrame(f)
 	}
 	if err != io.EOF {
-		return nil, err
+		return finish(err)
 	}
 	// Tail loss: frames that never arrived before the clean close (a
 	// drop of the final packets produces no observable gap).
@@ -195,9 +205,7 @@ func runOnline(ctx context.Context, sys vdbms.System, inst *vdbms.QueryInstance,
 		rep.FramesDropped += total - s.expect
 		rep.Degraded = 1
 	}
-	rep.Elapsed = clock.Now().Sub(start)
-	rep.FPS = rate(rep.Frames, rep.Elapsed)
-	return rep, nil
+	return finish(nil)
 }
 
 // session is the transport half of an online run and the live input's

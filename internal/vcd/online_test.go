@@ -3,12 +3,14 @@ package vcd
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/queries"
 	"repro/internal/stream"
 	"repro/internal/vdbms"
@@ -287,5 +289,35 @@ func TestRunOnlineUnsupportedBatches(t *testing.T) {
 				t.Errorf("%s %s online: %+v, want an unsupported batch", tc.sys.Name(), qr.Query, qr)
 			}
 		}
+	}
+}
+
+// A stream cut mid-session fails its instance, and the batch's online
+// block still counts the frames it received, as the run's telemetry
+// does: a failed stream is part of the batch's accounting.
+func TestRunOnlineFailedStreamCounted(t *testing.T) {
+	ds := testDataset(t)
+	metrics.SetEnabled(true)
+	t.Cleanup(func() { metrics.SetEnabled(false) })
+	rep, err := Run(ds, ldb, Options{
+		Queries: []queries.QueryID{queries.Q2a}, InstancesPerScale: 1, Seed: 3, Mode: StreamingMode,
+		Online: &OnlineOptions{Transport: TransportPipe, Clock: fakeClock, Faults: &stream.FaultPlan{Seed: 1, CutAtPacket: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr := rep.Queries[0]
+	if qr.BatchSize == 0 || qr.Completed != 0 {
+		t.Fatalf("cut streams: %d of %d instances completed, want none", qr.Completed, qr.BatchSize)
+	}
+	var online struct{ Frames int }
+	if err := json.Unmarshal(rep.Telemetry.Online, &online); err != nil {
+		t.Fatalf("run telemetry has no online section: %v", err)
+	}
+	if online.Frames == 0 {
+		t.Fatal("the cut streams delivered no frame before the cut: move the cut later")
+	}
+	if qr.Online == nil || qr.Online.Frames != online.Frames {
+		t.Errorf("batch online block %+v, want the telemetry's %d frames", qr.Online, online.Frames)
 	}
 }

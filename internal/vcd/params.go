@@ -14,10 +14,10 @@ import (
 	"repro/internal/vtt"
 )
 
-// ParamSampler draws query-instance parameters uniformly from the
+// paramSampler draws query-instance parameters uniformly from the
 // domains of Table 3 for a given dataset configuration. The sampler is
 // seeded independently of the dataset so batches are reproducible.
-type ParamSampler struct {
+type paramSampler struct {
 	rng *vcity.RNG
 	rx  int
 	ry  int
@@ -28,16 +28,16 @@ type ParamSampler struct {
 	MaxUpsamplePixels int
 }
 
-// NewParamSampler returns a sampler for inputs of resolution (rx, ry)
+// newParamSampler returns a sampler for inputs of resolution (rx, ry)
 // and the given duration (seconds).
-func NewParamSampler(seed uint64, rx, ry int, duration float64) *ParamSampler {
-	return &ParamSampler{rng: vcity.NewRNG(seed ^ 0x5a5a1234), rx: rx, ry: ry, dur: duration}
+func newParamSampler(seed uint64, rx, ry int, duration float64) *paramSampler {
+	return &paramSampler{rng: vcity.NewRNG(seed ^ 0x5a5a1234), rx: rx, ry: ry, dur: duration}
 }
 
 // Sample draws one parameter set for the query. ctx supplies the
 // query-specific inputs needed for sampling (e.g. the caption document
 // for Q6(b), the tile's plates for Q8).
-func (s *ParamSampler) Sample(q queries.QueryID, ctx SampleContext) (queries.Params, error) {
+func (s *paramSampler) Sample(q queries.QueryID, ctx sampleContext) (queries.Params, error) {
 	var p queries.Params
 	switch q {
 	case queries.Q1:
@@ -137,9 +137,9 @@ func (s *ParamSampler) Sample(q queries.QueryID, ctx SampleContext) (queries.Par
 	return p, nil
 }
 
-// SampleContext carries the per-instance inputs parameter sampling
+// sampleContext carries the per-instance inputs parameter sampling
 // depends on.
-type SampleContext struct {
+type sampleContext struct {
 	Captions *vtt.Document
 	Plates   []string
 	InputW   int
@@ -147,7 +147,7 @@ type SampleContext struct {
 }
 
 // orderedPair draws 0 ≤ a < b ≤ n.
-func (s *ParamSampler) orderedPair(n int) (int, int) {
+func (s *paramSampler) orderedPair(n int) (int, int) {
 	a := s.rng.Intn(n)
 	b := s.rng.Intn(n + 1)
 	if b < a {
@@ -159,7 +159,7 @@ func (s *ParamSampler) orderedPair(n int) (int, int) {
 	return a, b
 }
 
-func (s *ParamSampler) randomClass() vcity.ObjectClass {
+func (s *paramSampler) randomClass() vcity.ObjectClass {
 	if s.rng.Bool(0.5) {
 		return vcity.ClassPedestrian
 	}
