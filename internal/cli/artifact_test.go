@@ -21,7 +21,7 @@ import (
 	"repro/internal/vcd"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/artifact.keys")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens: testdata/artifact.keys and testdata/*.flags")
 
 // strictDecode decodes data into v and fails on a key v does not have.
 func strictDecode(t *testing.T, what string, data []byte, v any) {

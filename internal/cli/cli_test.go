@@ -94,15 +94,22 @@ func flagNames(help string) []string {
 // TestFlagSurface pins every binary's whole CLI surface — each flag's
 // name, type, default and usage string, exactly as -h prints them —
 // against the goldens captured before the flags moved into this
-// package's groups (testdata/*.flags), so sharing a group provably
-// adds, drops, renames and re-defaults nothing. It then holds README's
+// package's groups (testdata/*.flags; -update rewrites them), so
+// sharing a group provably adds, drops, renames and re-defaults
+// nothing. It then holds README's
 // "Flags" table to the same surface: every flag of a shared group has
 // a row, and a row ticks a binary exactly when that binary defines the
 // flag.
 func TestFlagSurface(t *testing.T) {
 	help := helpOutput(t)
 	for _, bin := range binaries {
-		want, err := os.ReadFile(filepath.Join("testdata", bin+".flags"))
+		golden := filepath.Join("testdata", bin+".flags")
+		if *updateGolden {
+			if err := os.WriteFile(golden, []byte(help[bin]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
 		if err != nil {
 			t.Fatal(err)
 		}

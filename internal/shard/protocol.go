@@ -125,9 +125,9 @@ type Assignment struct {
 	Indices []int           `json:"indices"`
 	Seq     int             `json:"seq"`
 	// Traces carries the coordinator-minted trace ID of each index
-	// (parallel to Indices), present when metrics are enabled. IDs are
-	// deterministic, so this is a convenience, not a contract: a worker
-	// minting locally derives the same values.
+	// (parallel to Indices), present when metrics are enabled; the
+	// worker echoes each on its result frame. IDs are deterministic, so
+	// the worker executing an instance mints the same value itself.
 	Traces []metrics.TraceID `json:"traces,omitempty"`
 }
 
@@ -139,33 +139,23 @@ type ResultFile struct {
 }
 
 // InstanceResultWire is one executed instance streaming back: the
-// frame (assignment epoch, persisted payloads) around the driver's own
-// result, which crosses as itself. Its Trace echoes the instance's trace
-// ID so the coordinator's gather spans join the worker's spans under one
-// timeline.
+// frame (assignment epoch, persisted payloads, global index) around the
+// driver's own result, which crosses as itself. Its Trace echoes the
+// instance's trace ID so the coordinator's gather spans join the
+// worker's spans under one timeline.
 type InstanceResultWire struct {
-	Query string       `json:"query"`
-	Seq   int          `json:"seq"`
-	Files []ResultFile `json:"files,omitempty"`
-	vcd.IndexedResult
+	Query string          `json:"query"`
+	Seq   int             `json:"seq"`
+	Files []ResultFile    `json:"files,omitempty"`
+	Index int             `json:"index"`
+	Trace metrics.TraceID `json:"trace,omitempty"`
+	vcd.InstanceResult
 }
 
 // AssignmentDone closes one assignment.
 type AssignmentDone struct {
 	Query string `json:"query"`
 	Seq   int    `json:"seq"`
-}
-
-// WorkerSummary is the final ack: the worker's dataset-cache counters
-// and, for remote workers, its telemetry interval in mergeable form
-// plus the trace spans it recorded under coordinator-minted trace IDs
-// (and how many its ring overwrote first). In-process workers omit
-// them — their spans already live in the coordinator's rings.
-type WorkerSummary struct {
-	Cache     metrics.CacheStats  `json:"cache"`
-	Telemetry *metrics.WireDelta  `json:"telemetry,omitempty"`
-	Spans     []metrics.TraceSpan `json:"spans,omitempty"`
-	SpansLost uint64              `json:"spans_lost,omitempty"`
 }
 
 // WorkerError reports a fatal worker-side failure (dataset load,

@@ -34,17 +34,17 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{msgResult, InstanceResultWire{
 			Query: "q3", Seq: 2,
 			Files: []ResultFile{{Name: "result-q3-003-cam.vrmf", Data: []byte{1, 2, 3}}},
-			IndexedResult: vcd.IndexedResult{Index: 3, Trace: 77, InstanceResult: vcd.InstanceResult{
+			Index: 3, Trace: 77, InstanceResult: vcd.InstanceResult{
 				Elapsed: 12345, Frames: 15,
 				Err: &vcd.InstanceError{Msg: "boom", Resource: true},
 				Validation: &vcd.InstanceValidation{
 					Checked: true, PSNR: 31.5, Passed: true, SemanticChecked: 4, SemanticPassed: 3,
 					Err: &vcd.InstanceError{Msg: "no output"},
 				},
-			}},
+			},
 		}},
 		{msgDone, AssignmentDone{Query: "q3", Seq: 2}},
-		{msgSummary, WorkerSummary{Cache: metrics.CacheStats{Hits: 5, Misses: 2}}},
+		{msgSummary, vcd.Measured{Cache: metrics.CacheStats{Hits: 5, Misses: 2}}},
 		{msgHeartbeat, struct{}{}},
 		{msgError, WorkerError{Msg: "dataset gone"}},
 	}

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/detect"
+	"repro/internal/metrics"
 	"repro/internal/queries"
+	"repro/internal/vcg"
 	"repro/internal/vcity"
 	"repro/internal/vdbms"
 	"repro/internal/vdbms/lightdblike"
@@ -251,6 +254,50 @@ func TestSemanticValidationQ2c(t *testing.T) {
 	// Q2(c) must not be frame-validated by PSNR.
 	if qr.Validation.PSNR.N != 0 {
 		t.Error("Q2(c) should use semantic validation only")
+	}
+}
+
+// TestQ8EmptyIsAVerdict: at the benchmark ledger's dataset shape no Q8
+// instance finds its plate, and neither does the reference, so every
+// instance validates; an empty video against a non-empty one fails
+// either way round.
+func TestQ8EmptyIsAVerdict(t *testing.T) {
+	store := vfs.NewMemory()
+	if _, err := vcg.Generate(vcity.Hyperparams{Scale: 2, Width: 192, Height: 108, Duration: 1, FPS: 15, Seed: 0x5eed},
+		vcg.Options{Captions: true, QP: 22, DensityFilter: "Moderate", WeatherFilter: "dry"}, store); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := LoadDataset(store, detect.ProfileSynthetic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := Run(ds, lightdblike.New(lightdblike.Options{}), Options{
+		Queries: []queries.QueryID{queries.Q8}, InstancesPerScale: 1, Seed: 1, Mode: StreamingMode, Validate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr := report.Queries[0]
+	for i, res := range qr.Instances {
+		if res.Frames != 0 || res.Validation.Err != nil || res.Validation.PSNR != 100 {
+			t.Errorf("Q8[%d]: %d frames, validation error %v, %.1f dB; want an empty result passing at 100 dB", i, res.Frames, res.Validation.Err, res.Validation.PSNR)
+		}
+	}
+	if v := qr.Validation; v.Checked != 2 || v.Passed != 2 {
+		t.Errorf("Q8 validated %d of %d, want 2 of 2", v.Passed, v.Checked)
+	}
+
+	empty, one := video.NewVideo(15), video.NewVideo(15)
+	one.Append(video.NewFrame(16, 16))
+	for _, c := range []struct {
+		what     string
+		out, ref *video.Video
+		pass     bool
+	}{{"empty against empty", empty, empty, true}, {"empty against a frame", empty, one, false}, {"a frame against empty", one, empty, false}} {
+		p, err := outputPSNR(c.out, c.ref)
+		if pass := err == nil && p >= metrics.PSNRThreshold; pass != c.pass {
+			t.Errorf("%s: %.1f dB, %v; want pass %v", c.what, p, err, c.pass)
+		}
 	}
 }
 

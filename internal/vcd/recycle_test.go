@@ -1,6 +1,7 @@
 package vcd
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -39,7 +40,7 @@ func TestRunnerCloseRecyclesDecodedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.runQueryBatch(queries.Q5); err != nil {
+	if _, err := RunPlaced(context.Background(), r.sys, ds.Manifest.Scale, r.opt, r); err != nil {
 		t.Fatal(err)
 	}
 	resident, distinct := 0, map[*video.Frame]bool{}

@@ -2,6 +2,7 @@ package vcd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -136,7 +137,10 @@ func TestOneResultThreeRoutes(t *testing.T) {
 						}
 						out := make([]InstanceResult, len(insts))
 						prev := runtime.GOMAXPROCS(procs)
-						r.execute(insts, idxs, make([]metrics.TraceID, len(insts)), out)
+						r.insts = insts
+						if err := r.Execute(context.Background(), idxs, out); err != nil {
+							t.Fatal(err)
+						}
 						runtime.GOMAXPROCS(prev)
 
 						for i, res := range out {
